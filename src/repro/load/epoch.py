@@ -8,10 +8,11 @@ latency.  The aggregate ("measured") window reports, per endpoint kind,
 throughput in requests/second and p50/p95/p99/max latency in milliseconds,
 plus per-tenant request shares for the tenant-mix mode.
 
-Percentiles use the inclusive linear-interpolation estimator -- identical
-to ``statistics.quantiles(values, method="inclusive")`` and to
-:meth:`repro.obs.metrics.Reservoir.quantile` -- so the harness's numbers
-are directly comparable with the server's own summaries.
+Percentiles use the inclusive linear-interpolation estimator over the raw
+client-side samples -- identical to ``statistics.quantiles(values,
+method="inclusive")``.  The server's own summaries are bucketed
+(:class:`repro.obs.metrics.LogHistogram`), so they agree with these to
+within one bucket.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ def quantile(values: Sequence[float], q: float) -> float:
     """Inclusive linearly-interpolated quantile (0.0 for an empty input).
 
     Matches ``statistics.quantiles(values, n=100, method="inclusive")`` at
-    the corresponding cut points, and the metrics registry's
-    :meth:`~repro.obs.metrics.Reservoir.quantile`.
+    the corresponding cut points.
     """
     if not values:
         return 0.0

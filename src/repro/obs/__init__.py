@@ -3,8 +3,9 @@
 The platform's telemetry layer, threaded through every other package:
 
 * :mod:`repro.obs.metrics` -- :class:`~repro.obs.metrics.MetricsRegistry`,
-  process- or server-scoped counters/gauges/summaries with Prometheus text
-  exposition (``GET /v1/metrics``) and a JSON form.
+  process- or server-scoped counters, gauges and exactly mergeable bucketed
+  summaries, with Prometheus text exposition (``GET /v1/metrics``) and a
+  JSON form.
 * :mod:`repro.obs.tracing` -- request-scoped trace IDs
   (``X-Repro-Trace-Id``), minted by the client, propagated through
   admission, scheduling and dispatch, echoed in every response and log line.
@@ -22,8 +23,8 @@ from repro.obs.logs import JsonLogFormatter, configure_logging, get_logger
 from repro.obs.metrics import (
     Counter,
     Gauge,
+    LogHistogram,
     MetricsRegistry,
-    Reservoir,
     Summary,
     get_registry,
 )
@@ -39,8 +40,8 @@ __all__ = [
     "Counter",
     "Gauge",
     "JsonLogFormatter",
+    "LogHistogram",
     "MetricsRegistry",
-    "Reservoir",
     "Summary",
     "TRACE_ID_HEADER",
     "configure_logging",

@@ -1,26 +1,33 @@
-"""The metrics registry: counters, gauges and summaries with exposition.
+"""The metrics registry: counters, gauges and bucketed summaries.
 
 Every layer of the stack reports into one :class:`MetricsRegistry` -- the
 HTTP server (requests by endpoint/status), the job manager (queue depths,
 per-tenant dispatch and rejections), and the result cache (hits, misses,
-bytes).  A registry renders two ways:
+bytes).  The registry is the server's only accounting store: ``/v1/stats``,
+``/v1/healthz`` and the journal snapshot are all read back out of it.  A
+registry renders two ways and folds documents back in:
 
 * :meth:`MetricsRegistry.render_text` -- the Prometheus text exposition
   format (``# HELP`` / ``# TYPE`` lines, escaped labels, summaries as
   ``name{quantile="0.5"}`` samples plus ``_count`` / ``_sum``), served at
   ``GET /v1/metrics``;
 * :meth:`MetricsRegistry.as_document` -- the same data as plain JSON for
-  programmatic consumers (``GET /v1/metrics?format=json``).
+  programmatic consumers (``GET /v1/metrics?format=json``);
+* :meth:`MetricsRegistry.merge_document` -- add another registry's JSON
+  document into this one, which is how a sharded server builds its
+  group-wide view.
 
 Three metric kinds cover the service's needs, all pure dict operations off
 the per-instruction hot path:
 
 * :class:`Counter` -- monotonically increasing totals,
 * :class:`Gauge` -- point-in-time values, either set directly or computed
-  at render time from a callback (queue depth, uptime),
-* :class:`Summary` -- a bounded :class:`Reservoir` of samples per label set
-  with windowed percentiles, generalising the tenancy layer's latency
-  window (which is now an alias of :class:`Reservoir`).
+  at read time from a callback (queue depth, uptime),
+* :class:`Summary` -- one :class:`LogHistogram` per label set: fixed
+  logarithmic buckets with an exact count, sum, min and max.  Buckets are
+  what make summaries mergeable: adding two histograms' bucket counts gives
+  exactly the histogram of the union of their samples, in memory bounded by
+  the number of buckets.
 
 Registries are cheap and isolated: each server instance owns one, so two
 in-process test servers never share counters.  :data:`REGISTRY` is the
@@ -30,81 +37,130 @@ CLI's result cache).
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
+import math
+from bisect import bisect_left
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
-
-#: Default bounded-reservoir size for summary samples (newest kept).
-RESERVOIR_LIMIT = 1024
 
 #: The quantiles a summary exposes in its text exposition and snapshots.
 SUMMARY_QUANTILES = (0.50, 0.95, 0.99)
 
+#: LogHistogram resolution: bucket ``i`` holds the values in
+#: ``(2**((i-1)/8), 2**(i/8)]``, so a bucket's upper bound overstates any
+#: value in it by at most ``2**(1/8) - 1``, about 9%.
+BUCKETS_PER_OCTAVE = 8
 
-class Reservoir:
-    """A bounded reservoir of samples with percentile summaries.
+#: The bucket range: values at or below ``2**-30`` (about a nanosecond, and
+#: zero) share the lowest bucket, values above ``2**40`` the highest.
+LOWEST_BUCKET = -30 * BUCKETS_PER_OCTAVE
+HIGHEST_BUCKET = 40 * BUCKETS_PER_OCTAVE
 
-    Lifetime ``count`` / ``total`` never shrink; percentiles are computed
-    over the retained window (the newest ``limit`` samples).  Two
-    percentile flavours are exposed: :meth:`percentile` uses nearest-rank
-    selection (the stats wire format's historical semantics) and
-    :meth:`quantile` uses inclusive linear interpolation, matching
-    ``statistics.quantiles(..., method="inclusive")``.
+#: Every bucket's upper bound, lowest first.  Locating values by bisection
+#: over this one table keeps each bound inside its own bucket exactly.
+_BOUNDS = tuple(
+    2.0 ** (index / BUCKETS_PER_OCTAVE)
+    for index in range(LOWEST_BUCKET, HIGHEST_BUCKET + 1)
+)
+
+
+def bucket_index(value: float) -> int:
+    """The histogram bucket ``value`` falls in."""
+    return LOWEST_BUCKET + min(bisect_left(_BOUNDS, value), len(_BOUNDS) - 1)
+
+
+def bucket_upper_bound(index: int) -> float:
+    """The largest value bucket ``index`` holds."""
+    return _BOUNDS[index - LOWEST_BUCKET]
+
+
+class LogHistogram:
+    """Samples counted in fixed logarithmic buckets.
+
+    ``count``, ``total``, ``min`` and ``max`` are exact over the lifetime;
+    :meth:`quantile` is the nearest-rank quantile resolved to its bucket.
+    Memory is bounded by the number of distinct buckets seen, whatever the
+    sample count, and :meth:`merge` is exact.
     """
 
-    __slots__ = ("_samples", "count", "total")
+    __slots__ = ("buckets", "count", "total", "min", "max")
 
-    def __init__(self, limit: int = RESERVOIR_LIMIT) -> None:
-        self._samples: Deque[float] = deque(maxlen=limit)
+    def __init__(self) -> None:
+        self.buckets: Dict[int, int] = {}
         self.count = 0
         self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
 
     def record(self, value: float) -> None:
-        self._samples.append(value)
+        index = bucket_index(value)
+        self.buckets[index] = self.buckets.get(index, 0) + 1
         self.count += 1
         self.total += value
+        self.min = min(self.min, value)
+        self.max = max(self.max, value)
 
-    #: Prometheus-style alias so a summary child reads naturally.
-    observe = record
-
-    def percentile(self, quantile: float) -> float:
-        """Nearest-rank percentile over the retained window (0.0 if empty)."""
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = max(1, -(-int(quantile * 100) * len(ordered) // 100))  # ceil
-        return ordered[min(rank, len(ordered)) - 1]
+    def merge(self, other: "LogHistogram") -> None:
+        """Add ``other``'s samples to this histogram (exact)."""
+        for index, count in other.buckets.items():
+            self.buckets[index] = self.buckets.get(index, 0) + count
+        self.count += other.count
+        self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
 
     def quantile(self, q: float) -> float:
-        """Linearly interpolated quantile (inclusive method, 0.0 if empty).
+        """The nearest-rank ``q`` quantile (0.0 if empty).
 
-        For ``n`` retained samples the quantile sits at position
-        ``q * (n - 1)`` of the sorted window, interpolating between the two
-        straddling samples -- the same estimator as
-        ``statistics.quantiles(samples, method="inclusive")``.
+        The sample of rank ``ceil(q * count)`` is located to its bucket and
+        reported as the bucket's upper bound, clamped to the observed
+        min..max: never below the exact nearest-rank value and at most one
+        bucket width above it.
         """
-        if not self._samples:
+        if not self.count:
             return 0.0
-        ordered = sorted(self._samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        position = q * (len(ordered) - 1)
-        lower = int(position)
-        upper = min(lower + 1, len(ordered) - 1)
-        fraction = position - lower
-        return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
+        rank = max(1, -(-round(q * 100) * self.count // 100))  # ceil, whole percents
+        seen = 0
+        for index in sorted(self.buckets):
+            seen += self.buckets[index]
+            if seen >= rank:
+                return min(max(bucket_upper_bound(index), self.min), self.max)
+        return self.max
 
     def snapshot(self) -> Dict[str, float]:
-        """The wire form: lifetime count/mean plus windowed percentiles."""
+        """The ``/v1/stats`` wire form: count, mean, p50/p95/p99 and max."""
+        if not self.count:
+            return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
         return {
             "count": self.count,
-            "mean": (self.total / self.count) if self.count else 0.0,
-            "p50": self.percentile(0.50),
-            "p95": self.percentile(0.95),
-            "p99": self.percentile(0.99),
-            "max": max(self._samples) if self._samples else 0.0,
+            "mean": self.total / self.count,
+            "p50": self.quantile(0.50),
+            "p95": self.quantile(0.95),
+            "p99": self.quantile(0.99),
+            "max": self.max,
         }
+
+    def as_sample(self) -> Dict[str, Any]:
+        """The metrics-document form: the snapshot plus what a merge needs."""
+        return {
+            **self.snapshot(),
+            "sum": self.total,
+            "min": self.min if self.count else 0.0,
+            "buckets": [[index, self.buckets[index]] for index in sorted(self.buckets)],
+        }
+
+    @classmethod
+    def from_sample(cls, sample: Mapping[str, Any]) -> "LogHistogram":
+        """Rebuild a histogram from :meth:`as_sample` output."""
+        histogram = cls()
+        for index, count in sample.get("buckets", ()):
+            histogram.buckets[int(index)] = int(count)
+        histogram.count = int(sample.get("count", 0))
+        histogram.total = float(sample.get("sum", 0.0))
+        if histogram.count:
+            histogram.min = float(sample["min"])
+            histogram.max = float(sample["max"])
+        return histogram
 
 
 class _CounterChild:
@@ -122,21 +178,29 @@ class _CounterChild:
 
 
 class _GaugeChild:
-    """One labelled gauge series."""
+    """One labelled gauge series, stored or computed by a callback."""
 
-    __slots__ = ("value",)
+    __slots__ = ("_value", "_callback")
 
     def __init__(self) -> None:
-        self.value = 0.0
+        self._value = 0.0
+        self._callback: Optional[Callable[[], float]] = None
+
+    @property
+    def value(self) -> float:
+        if self._callback is not None:
+            return float(self._callback())
+        return self._value
 
     def set(self, value: float) -> None:
-        self.value = value
+        self._value = value
 
     def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
+        self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
+    def set_function(self, callback: Callable[[], float]) -> None:
+        """Compute this series at read time, so it never drifts from its source."""
+        self._callback = callback
 
 
 class MetricFamily:
@@ -222,61 +286,36 @@ class Counter(MetricFamily):
 
 
 class Gauge(MetricFamily):
-    """A point-in-time value, set directly or computed at render time."""
+    """A point-in-time value, set directly or computed at read time."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, help_text: str, labelnames: Iterable[str] = ()) -> None:
-        super().__init__(name, help_text, labelnames)
-        self._callback: Optional[Callable[[], float]] = None
 
     def _make_child(self) -> _GaugeChild:
         return _GaugeChild()
 
     def set_function(self, callback: Callable[[], float]) -> "Gauge":
-        """Compute this (zero-label) gauge's value lazily at render time."""
-        self._sole_child()  # raises on labelled families
-        self._callback = callback
+        """Compute this (zero-label) gauge's value lazily at read time."""
+        self._sole_child().set_function(callback)
         return self
-
-    def refresh(self) -> None:
-        if self._callback is not None:
-            self._children[()].set(float(self._callback()))
 
     def set(self, value: float) -> None:
         self._sole_child().set(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self._sole_child().inc(amount)
-
-    @property
-    def value(self) -> float:
-        self.refresh()
-        return self._sole_child().value
-
 
 class Summary(MetricFamily):
-    """A bounded reservoir of samples per label set, with percentiles."""
+    """A :class:`LogHistogram` of samples per label set."""
 
     kind = "summary"
 
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        labelnames: Iterable[str] = (),
-        limit: int = RESERVOIR_LIMIT,
-    ) -> None:
-        self._limit = limit
-        super().__init__(name, help_text, labelnames)
-
-    def _make_child(self) -> Reservoir:
-        return Reservoir(limit=self._limit)
+    def _make_child(self) -> LogHistogram:
+        return LogHistogram()
 
     def record(self, value: float) -> None:
         self._sole_child().record(value)
 
-    observe = record
+
+#: Family class per exposition type name (the JSON document's ``type``).
+_FAMILY_KINDS = {cls.kind: cls for cls in (Counter, Gauge, Summary)}
 
 
 class MetricsRegistry:
@@ -290,7 +329,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
 
-    def _register(self, cls, name: str, help_text: str, labelnames, **kwargs) -> Any:
+    def _register(self, cls, name: str, help_text: str, labelnames) -> Any:
         existing = self._families.get(name)
         if existing is not None:
             if (
@@ -303,7 +342,7 @@ class MetricsRegistry:
                     f"with labels {existing.labelnames}"
                 )
             return existing
-        family = cls(name, help_text, labelnames, **kwargs)
+        family = cls(name, help_text, labelnames)
         self._families[name] = family
         return family
 
@@ -313,17 +352,16 @@ class MetricsRegistry:
     def gauge(self, name: str, help_text: str, labelnames: Iterable[str] = ()) -> Gauge:
         return self._register(Gauge, name, help_text, labelnames)
 
-    def summary(
-        self,
-        name: str,
-        help_text: str,
-        labelnames: Iterable[str] = (),
-        limit: int = RESERVOIR_LIMIT,
-    ) -> Summary:
-        return self._register(Summary, name, help_text, labelnames, limit=limit)
+    def summary(self, name: str, help_text: str, labelnames: Iterable[str] = ()) -> Summary:
+        return self._register(Summary, name, help_text, labelnames)
 
     def families(self) -> List[MetricFamily]:
         return [self._families[name] for name in sorted(self._families)]
+
+    def series(self, name: str) -> Dict[Tuple[str, ...], Any]:
+        """Family ``name``'s children keyed by label values ({} if unregistered)."""
+        family = self._families.get(name)
+        return dict(family.children()) if family is not None else {}
 
     # -- exposition ----------------------------------------------------
 
@@ -331,13 +369,11 @@ class MetricsRegistry:
         """The Prometheus text exposition format (version 0.0.4)."""
         lines: List[str] = []
         for family in self.families():
-            if isinstance(family, Gauge):
-                family.refresh()
             lines.append(f"# HELP {family.name} {_escape_help(family.help)}")
             lines.append(f"# TYPE {family.name} {family.kind}")
             for values, child in family.children():
                 labels = list(zip(family.labelnames, values))
-                if isinstance(child, Reservoir):
+                if isinstance(child, LogHistogram):
                     for q in SUMMARY_QUANTILES:
                         quantiled = labels + [("quantile", _format_value(q))]
                         lines.append(
@@ -362,13 +398,11 @@ class MetricsRegistry:
         """The registry as plain JSON (``GET /v1/metrics?format=json``)."""
         metrics: List[Dict[str, Any]] = []
         for family in self.families():
-            if isinstance(family, Gauge):
-                family.refresh()
             samples: List[Dict[str, Any]] = []
             for values, child in family.children():
                 labels = dict(zip(family.labelnames, values))
-                if isinstance(child, Reservoir):
-                    samples.append({"labels": labels, **child.snapshot()})
+                if isinstance(child, LogHistogram):
+                    samples.append({"labels": labels, **child.as_sample()})
                 else:
                     samples.append({"labels": labels, "value": child.value})
             metrics.append(
@@ -376,10 +410,37 @@ class MetricsRegistry:
                     "name": family.name,
                     "type": family.kind,
                     "help": family.help,
+                    "labelnames": list(family.labelnames),
                     "samples": samples,
                 }
             )
         return {"metrics": metrics}
+
+    def merge_document(
+        self, document: Mapping[str, Any], max_gauges: Iterable[str] = ()
+    ) -> None:
+        """Add another registry's :meth:`as_document` into this one.
+
+        Counters add and summaries merge their histograms, both exactly.
+        Gauges add too, except those named in ``max_gauges``, which keep the
+        larger value.
+        """
+        max_gauges = frozenset(max_gauges)
+        for entry in document.get("metrics", []):
+            cls = _FAMILY_KINDS.get(entry.get("type"))
+            if cls is None:
+                continue
+            family = self._register(
+                cls, entry["name"], entry.get("help", ""), entry.get("labelnames", ())
+            )
+            for sample in entry.get("samples", []):
+                child = family.labels(**sample["labels"])
+                if cls is Summary:
+                    child.merge(LogHistogram.from_sample(sample))
+                elif cls is Gauge and family.name in max_gauges:
+                    child.set(max(child.value, float(sample["value"])))
+                else:
+                    child.inc(float(sample["value"]))
 
 
 def _validate_metric_name(name: str) -> None:

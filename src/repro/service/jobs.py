@@ -76,8 +76,12 @@ from repro.service.tenancy import (
     JOB_EVENTS,
     LANE_BATCH,
     LANE_INTERACTIVE,
+    SERVICE_METRIC,
     TenancyConfig,
     TenantScheduler,
+    job_totals,
+    tenant_events,
+    tenants_document,
 )
 from repro.sim.experiments import campaign_context, experiment_by_name
 
@@ -93,6 +97,37 @@ RETRY_BACKOFF_BASE = 0.1
 RETRY_BACKOFF_CAP = 5.0
 
 log = get_logger("service.jobs")
+
+
+def stats_document(metrics: MetricsRegistry, tenancy: TenancyConfig) -> Dict[str, Any]:
+    """The ``GET /v1/stats`` document, read from a metrics registry.
+
+    ``metrics`` is one server's live registry or the merge of every shard's
+    (:func:`repro.service.shards.merge_metrics_documents`); the same reads
+    give the same document either way.  This is a stable v2 contract:
+    ``schema_version`` names the document's own schema and
+    ``uptime_seconds`` is guaranteed present as a float.  Additive changes
+    bump :data:`STATS_SCHEMA_VERSION`.
+    """
+
+    def gauge(name: str) -> float:
+        child = metrics.series(name).get(())
+        return float(child.value) if child is not None else 0.0
+
+    tenants = tenants_document(metrics, tenancy)
+    return {
+        "schema_version": STATS_SCHEMA_VERSION,
+        "uptime_seconds": gauge("repro_uptime_seconds"),
+        "queue": {
+            "depth": int(gauge("repro_queue_depth")),
+            "limit": int(gauge("repro_queue_limit")),
+            "running": int(gauge("repro_jobs_inflight")),
+            "workers": int(gauge("repro_workers")),
+        },
+        "totals": job_totals({name: entry["jobs"] for name, entry in tenants.items()}),
+        "default_tenant": tenancy.default_tenant,
+        "tenants": tenants,
+    }
 
 
 def is_retryable(error: BaseException) -> bool:
@@ -259,18 +294,6 @@ class JobManager:
         #: every uptime/duration computation -- immune to NTP steps).
         self.started_at = time.time()
         self._started_monotonic = time.monotonic()
-        self.stats: Dict[str, int] = {
-            "submitted": 0,
-            "coalesced": 0,
-            "completed": 0,
-            "failed": 0,
-        }
-        #: Rejections by admission control (not part of ``stats`` so the
-        #: aggregate job counters keep their historical meaning).
-        self.rejections: Dict[str, int] = {"overloaded": 0, "tenant_quota_exceeded": 0}
-        #: Running mean of observed service times, for Retry-After hints.
-        self._service_time_sum = 0.0
-        self._service_time_count = 0
         #: Test hook: called (in the worker thread) just before execution.
         self.pre_execute: Optional[Callable[[JobState], None]] = None
         #: The durable lifecycle journal, attached by :meth:`recover_journal`
@@ -296,8 +319,11 @@ class JobManager:
             "repro_jobs_inflight", "Jobs currently executing"
         ).set_function(self.scheduler.inflight_total)
         self.metrics.gauge(
+            "repro_workers", "Worker tasks executing jobs"
+        ).set_function(lambda: self.workers)
+        self.metrics.gauge(
             "repro_uptime_seconds", "Seconds since this job manager started"
-        ).set_function(lambda: time.monotonic() - self._started_monotonic)
+        ).set_function(self.uptime_seconds)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -324,14 +350,14 @@ class JobManager:
         """Replay a prior journal generation at ``path`` and journal onward.
 
         Call before the server accepts connections.  Any existing file is
-        replayed (per-tenant accounting and aggregate totals restored, every
+        replayed (per-tenant accounting restored into the registry, every
         admitted-but-unfinished job re-queued), then rotated aside to
         ``<name>.prev``; a fresh generation opens with a ``snapshot`` record
-        of the restored totals so accounting chains across any number of
-        restarts.  Re-queues bypass admission control (the jobs were already
-        admitted once) and complete instantly when the shared result cache
-        already holds their work -- the content-addressed idempotence that
-        makes replay safe.
+        of the registry's per-tenant counts so accounting chains across any
+        number of restarts.  Re-queues bypass admission control (the jobs
+        were already admitted once) and complete instantly when the shared
+        result cache already holds their work -- the content-addressed
+        idempotence that makes replay safe.
         """
         path = Path(path)
         replay = replay_journal(path)
@@ -341,7 +367,7 @@ class JobManager:
             self._restore_accounting(replay)
             self._journal_replays.inc()
         self.journal = JobJournal(path)
-        self.journal.snapshot(dict(self.stats), self._tenant_event_totals())
+        self.journal.snapshot(tenant_events(self.metrics))
         for job in replay.pending:
             try:
                 self.submit(job.request, trace_id=job.trace_id, requeued=True)
@@ -361,9 +387,7 @@ class JobManager:
         return replay
 
     def _restore_accounting(self, replay: JournalReplay) -> None:
-        """Fold replayed totals into this (fresh) manager's accounting."""
-        for event in ("submitted", "coalesced", "completed", "failed"):
-            self.stats[event] += int(replay.totals.get(event, 0))
+        """Fold replayed per-tenant counts into this (fresh) manager's registry."""
         for tenant, events in replay.tenant_events.items():
             try:
                 accounting = self.scheduler.accounting(tenant)
@@ -375,19 +399,6 @@ class JobManager:
             for event, count in events.items():
                 if event in JOB_EVENTS and count > 0:
                     accounting.inc(event, count)
-
-    def _tenant_event_totals(self) -> Dict[str, Dict[str, int]]:
-        """Per-tenant lifecycle counts, shaped for a journal snapshot."""
-        totals: Dict[str, Dict[str, int]] = {}
-        for runtime in self.scheduler.tenants():
-            events = {
-                event: int(getattr(runtime.accounting, event))
-                for event in JOB_EVENTS
-            }
-            events = {event: count for event, count in events.items() if count}
-            if events:
-                totals[runtime.spec.name] = events
-        return totals
 
     # -- submission (event-loop thread) --------------------------------
 
@@ -435,7 +446,6 @@ class JobManager:
         if existing_id is not None:
             state = self.jobs[existing_id]
             state.coalesced_submissions += 1
-            self.stats["coalesced"] += 1
             accounting.inc("coalesced")
             if self.journal is not None:
                 self.journal.coalesced(state, tenant)
@@ -447,7 +457,6 @@ class JobManager:
             return self._admit(request, key, tenant, lane, trace_id, requeued=True), False
         if runtime.spec.max_queued is not None and runtime.queued() >= runtime.spec.max_queued:
             accounting.inc("rejected_quota")
-            self.rejections["tenant_quota_exceeded"] += 1
             raise ServiceOverloadedError(
                 f"tenant {tenant!r} already has {runtime.queued()} jobs queued "
                 f"(quota {runtime.spec.max_queued}); retry later",
@@ -457,7 +466,6 @@ class JobManager:
             )
         if self.scheduler.queued_total() >= self.queue_limit:
             accounting.inc("rejected_capacity")
-            self.rejections["overloaded"] += 1
             raise ServiceOverloadedError(
                 f"job queue is full ({self.queue_limit} pending); retry later",
                 code=ErrorCode.OVERLOADED,
@@ -495,7 +503,6 @@ class JobManager:
         if not requeued:
             # A re-queued job was counted by the generation that first
             # admitted it; those totals arrived via the journal snapshot.
-            self.stats["submitted"] += 1
             self.scheduler.accounting(tenant).inc("admitted")
         if self.journal is not None:
             self.journal.admitted(state, requeued=requeued)
@@ -523,9 +530,11 @@ class JobManager:
     def retry_after_hint(self, queued_ahead: int) -> int:
         """Seconds a rejected caller should back off: the observed mean
         service time scaled by the backlog per worker, clamped to [1, 60]."""
-        if self._service_time_count == 0:
+        histograms = self.metrics.series(SERVICE_METRIC).values()
+        count = sum(histogram.count for histogram in histograms)
+        if count == 0:
             return 1
-        mean = self._service_time_sum / self._service_time_count
+        mean = sum(histogram.total for histogram in histograms) / count
         estimate = math.ceil(mean * max(1, queued_ahead) / self.workers)
         return int(min(60, max(1, estimate)))
 
@@ -618,7 +627,6 @@ class JobManager:
             try:
                 state.result = await self._supervised(state)
                 state.status = JobStatus.COMPLETED
-                self.stats["completed"] += 1
                 accounting.inc("completed")
                 if self.journal is not None:
                     self.journal.completed(state)
@@ -636,7 +644,6 @@ class JobManager:
                 state.error_code = (
                     code.value if isinstance(code, ErrorCode) else ErrorCode.INTERNAL.value
                 )
-                self.stats["failed"] += 1
                 accounting.inc("failed")
                 if self.journal is not None:
                     self.journal.failed(state)
@@ -651,8 +658,6 @@ class JobManager:
                 state.finished_monotonic = time.monotonic()
                 service_seconds = state.finished_monotonic - state.started_monotonic
                 accounting.service_time.record(service_seconds)
-                self._service_time_sum += service_seconds
-                self._service_time_count += 1
                 if state.status is JobStatus.COMPLETED:
                     self._remember_result(state)
                 span_args = {
@@ -830,56 +835,40 @@ class JobManager:
         cached = self.cache.get(key)
         return None if cached is None else cached.to_dict()
 
+    def stats_document(self) -> Dict[str, Any]:
+        """This server's ``GET /v1/stats`` document (see :func:`stats_document`)."""
+        return stats_document(self.metrics, self.tenancy)
+
     def health(self) -> Dict[str, Any]:
-        """The ``GET /v1/healthz`` document."""
+        """The ``GET /v1/healthz`` document; its counts are the stats document's."""
         from repro._version import __version__
 
+        stats = self.stats_document()
+        jobs = dict(stats["totals"])
+        rejections = jobs.pop("rejections")
         tenants_summary = {
-            runtime.spec.name: {
-                "queued": runtime.queued(),
-                "inflight": runtime.inflight,
-                "admitted": runtime.accounting.admitted,
-                "rejected": (
-                    runtime.accounting.rejected_quota
-                    + runtime.accounting.rejected_capacity
-                ),
+            name: {
+                "queued": entry["queued"],
+                "inflight": entry["inflight"],
+                "admitted": entry["jobs"]["admitted"],
+                "rejected": entry["jobs"]["rejected_quota"]
+                + entry["jobs"]["rejected_capacity"],
             }
-            for runtime in self.scheduler.tenants()
+            for name, entry in stats["tenants"].items()
         }
         return {
             "status": "ok",
             "version": __version__,
-            "uptime_seconds": self.uptime_seconds(),
+            "uptime_seconds": stats["uptime_seconds"],
             "started_at": self.started_at,
-            "workers": self.workers,
+            "workers": stats["queue"]["workers"],
             "sim_jobs": self.sim_jobs,
-            "queue_depth": self.scheduler.queued_total(),
-            "queue_limit": self.queue_limit,
+            "queue_depth": stats["queue"]["depth"],
+            "queue_limit": stats["queue"]["limit"],
             "inflight": len(self._inflight),
             "cache_dir": None if self.cache is None else str(self.cache.root),
             "journal": None if self.journal is None else str(self.journal.path),
-            "jobs": dict(self.stats),
-            "rejections": dict(self.rejections),
+            "jobs": jobs,
+            "rejections": rejections,
             "tenants": tenants_summary,
-        }
-
-    def stats_document(self) -> Dict[str, Any]:
-        """The ``GET /v1/stats`` document: per-tenant usage and latency.
-
-        This is a stable v2 contract: ``schema_version`` names the document's
-        own schema and ``uptime_seconds`` is guaranteed present as a float.
-        Additive changes bump :data:`STATS_SCHEMA_VERSION`.
-        """
-        return {
-            "schema_version": STATS_SCHEMA_VERSION,
-            "uptime_seconds": self.uptime_seconds(),
-            "queue": {
-                "depth": self.scheduler.queued_total(),
-                "limit": self.queue_limit,
-                "running": self.scheduler.inflight_total(),
-                "workers": self.workers,
-            },
-            "totals": {**self.stats, "rejections": dict(self.rejections)},
-            "default_tenant": self.tenancy.default_tenant,
-            "tenants": self.scheduler.stats_document(),
         }

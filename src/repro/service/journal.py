@@ -10,7 +10,8 @@ so a crashed or restarted server can reconstruct what it had promised:
 * ``dispatched`` / ``completed`` / ``failed`` / ``coalesced`` -- the
   subsequent transitions, keyed by job ID;
 * ``snapshot`` -- the accounting baseline written at the head of each fresh
-  journal generation (see below).
+  journal generation: every tenant's lifecycle counts, read from the
+  metrics registry (see below).
 
 **Replay.** On startup the server replays the previous generation's file
 (:func:`replay_journal`): jobs admitted but never completed/failed are
@@ -19,7 +20,7 @@ result cache is shared, so a job that actually finished its simulations
 before the crash completes instantly from the cache -- and per-tenant
 accounting totals are restored.  The replayed file is then rotated aside
 (``journal-s0.jsonl.prev``) and a fresh generation begins with a
-``snapshot`` record of the restored totals, which keeps restarts
+``snapshot`` record of the restored counts, which keeps restarts
 *composable*: replaying the new file folds the snapshot baseline with the
 events after it, so accounting survives any number of restarts without
 double counting.  Re-queued admissions are marked ``requeued`` and excluded
@@ -42,7 +43,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, TextIO, Union
+from typing import Any, Dict, List, Mapping, Optional, TextIO, Union
 
 from repro.exp.request import JobRequest
 from repro.obs.logs import get_logger
@@ -85,11 +86,10 @@ class JournalReplay:
 
     #: Jobs to re-queue, in original admission order.
     pending: List[ReplayedJob] = field(default_factory=list)
-    #: Per-tenant lifecycle totals (tenant -> event -> count), snapshot
-    #: baseline folded with the events recorded after it.
+    #: Per-tenant lifecycle counts (tenant -> event -> count), snapshot
+    #: baseline folded with the events recorded after it.  Server-wide
+    #: totals are their sums (:func:`repro.service.tenancy.job_totals`).
     tenant_events: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Server-wide job totals (the manager's ``stats`` dict shape).
-    totals: Dict[str, int] = field(default_factory=dict)
     #: Well-formed records processed.
     records: int = 0
     #: Malformed or foreign-schema lines skipped (a torn tail is normal).
@@ -124,11 +124,6 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
         if event == "snapshot":
             # A snapshot supersedes everything before it (it *is* the fold
             # of the previous generation), so reset the running state.
-            replay.totals = {
-                key: int(value)
-                for key, value in (record.get("totals") or {}).items()
-                if isinstance(value, (int, float))
-            }
             replay.tenant_events = {
                 tenant: {
                     event_name: int(count)
@@ -152,17 +147,10 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
                 admitted[job_id] = record
             if not record.get("requeued"):
                 _bump(replay, tenant, "admitted")
-                replay.totals["submitted"] = replay.totals.get("submitted", 0) + 1
-        elif event == "coalesced":
-            _bump(replay, tenant, "coalesced")
-            replay.totals["coalesced"] = replay.totals.get("coalesced", 0) + 1
-        elif event == "dispatched":
-            _bump(replay, tenant, "dispatched")
-        elif event in _TERMINAL_EVENTS:
-            if isinstance(job_id, str):
+        else:
+            if event in _TERMINAL_EVENTS and isinstance(job_id, str):
                 finished.add(job_id)
             _bump(replay, tenant, event)
-            replay.totals[event] = replay.totals.get(event, 0) + 1
     for job_id, record in admitted.items():
         if job_id in finished:
             continue
@@ -222,11 +210,14 @@ class JobJournal:
             except OSError as error:  # pragma: no cover - disk full etc.
                 log.warning("journal append failed: %s", error)
 
-    def snapshot(
-        self, totals: Dict[str, int], tenants: Dict[str, Dict[str, int]]
-    ) -> None:
-        """Write the accounting baseline heading a fresh generation."""
-        self.append("snapshot", totals=totals, tenants=tenants)
+    def snapshot(self, tenants: Mapping[str, Mapping[str, int]]) -> None:
+        """Write the accounting baseline heading a fresh generation: each
+        tenant's lifecycle counts, zero counts omitted."""
+        counts = {
+            tenant: {event: count for event, count in events.items() if count}
+            for tenant, events in tenants.items()
+        }
+        self.append("snapshot", tenants={tenant: c for tenant, c in counts.items() if c})
 
     def admitted(self, state: Any, requeued: bool = False) -> None:
         request = state.request

@@ -87,10 +87,9 @@ from repro.service.jobs import JobManager
 from repro.service.journal import journal_path
 from repro.service.shards import (
     fetch_json,
+    group_stats_document,
     merge_metrics_documents,
-    merge_stats_documents,
     peer_host,
-    render_metrics_text,
     shard_port,
 )
 from repro.service.tenancy import TenancyConfig
@@ -481,33 +480,31 @@ class ReproService:
             )
         if path == "/v1/stats":
             _require(method, "GET")
-            document = self.manager.stats_document()
-            if sharded:
-                document["shard"] = self._shard_info()
-                if not local_only:
-                    peers = await self._peer_payloads("/v1/stats?scope=local", "stats")
-                    document = merge_stats_documents(
-                        [document] + peers, expected=self.config.shard_count
-                    )
+            if sharded and not local_only:
+                document = group_stats_document(
+                    await self._group_metrics_documents(),
+                    self.manager.tenancy,
+                    expected=self.config.shard_count,
+                )
+            else:
+                document = self.manager.stats_document()
+                if sharded:
+                    document["shard"] = self._shard_info()
             return json_response(
                 200, wire_envelope("stats", document, trace_id=trace_id)
             )
         if path == "/v1/metrics":
             _require(method, "GET")
-            document = self.metrics.as_document()
-            aggregated = sharded and not local_only
-            if aggregated:
-                peers = await self._peer_payloads(
-                    "/v1/metrics?format=json&scope=local", "metrics"
-                )
-                document = merge_metrics_documents([document] + peers)
+            registry = self.metrics
+            if sharded and not local_only:
+                documents = await self._group_metrics_documents()
+                registry = merge_metrics_documents([document for _, document in documents])
             if request.query.get("format") == "json":
                 return json_response(
-                    200, wire_envelope("metrics", document, trace_id=trace_id)
+                    200,
+                    wire_envelope("metrics", registry.as_document(), trace_id=trace_id),
                 )
-            if aggregated:
-                return text_response(200, render_metrics_text(document))
-            return text_response(200, self.metrics.render_text())
+            return text_response(200, registry.render_text())
         if path == "/v1/jobs":
             _require(method, "POST")
             injector = get_injector()
@@ -637,8 +634,9 @@ class ReproService:
             "so_reuseport": REUSE_PORT_AVAILABLE,
         }
 
-    async def _peer_payloads(self, path: str, kind: str) -> List[Dict[str, Any]]:
-        """Fetch every *other* shard's local document at ``path``.
+    async def _group_metrics_documents(self) -> List[Tuple[int, Dict[str, Any]]]:
+        """``(shard index, metrics document)`` for this shard and every
+        responding peer -- the input of both cross-shard views.
 
         Unreachable or misbehaving peers are skipped (the merged document's
         ``shards.responding`` records the shortfall): a wedged peer must
@@ -646,6 +644,7 @@ class ReproService:
         (:meth:`_peer_usable`) are not even dialled until their probe window
         opens; call outcomes feed the suspicion tracking.
         """
+        path = "/v1/metrics?format=json&scope=local"
         config = self.config
         host = peer_host(config.host)
         indexes = [
@@ -658,10 +657,10 @@ class ReproService:
             for index in indexes
         ]
         outcomes = await asyncio.gather(*fetches, return_exceptions=True)
-        payloads: List[Dict[str, Any]] = []
+        documents = [(config.shard_index, self.metrics.as_document())]
         for index, outcome in zip(indexes, outcomes):
             if isinstance(outcome, BaseException):
-                log.debug("peer %s fetch failed: %s", kind, outcome)
+                log.debug("peer metrics fetch failed: %s", outcome)
                 self._peer_failed(index)
                 continue
             self._peer_ok(index)
@@ -670,8 +669,8 @@ class ReproService:
                 continue
             payload = body.get("payload")
             if isinstance(payload, dict):
-                payloads.append(payload)
-        return payloads
+                documents.append((index, payload))
+        return documents
 
     async def _proxy_job_status(
         self, job_id: str, request: HTTPRequest

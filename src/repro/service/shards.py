@@ -14,17 +14,17 @@ layout is fixed and platform-independent:
 Shards do not share memory: each runs its own :class:`JobManager`, metrics
 registry and scheduler, and only the on-disk result cache is common.  The
 cross-shard views (``/v1/stats``, ``/v1/metrics``) are therefore assembled
-at request time -- the serving shard fetches its peers' *local* documents
-over HTTP (``?scope=local`` suppresses recursion) and merges them with the
-pure functions in this module, which are deliberately free of any I/O so
-the merge semantics are unit-testable without processes:
+at request time -- the serving shard fetches its peers' *local* metrics
+documents over HTTP (``?scope=local`` suppresses recursion) and merges them
+with :func:`merge_metrics_documents`, one merge behind both endpoints.  The
+functions here are free of any I/O, so the merge semantics are
+unit-testable without processes:
 
 * counters, queue depths and per-tenant job/sim totals **sum**;
 * uptime and the constant ``repro_build_info`` gauge take the **max**;
-* latency summaries merge count-weighted: lifetime counts and sums are
-  exact, while the merged p50/p95/p99 are count-weighted averages of the
-  per-shard percentiles -- an approximation (documented in USAGE.md), since
-  the raw reservoirs never leave their shard.
+* latency summaries add their histogram buckets, which is exactly the
+  histogram of every shard's samples together: a merged p99 is the p99 of
+  the union, to within one bucket.
 """
 
 from __future__ import annotations
@@ -34,27 +34,20 @@ import json
 import multiprocessing
 import signal
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.faults import get_injector
 from repro.obs.logs import get_logger
-from repro.obs.metrics import (
-    SUMMARY_QUANTILES,
-    _escape_help,
-    _format_value,
-    _render_labels,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.service.jobs import stats_document
+from repro.service.tenancy import TenancyConfig
 
 log = get_logger("service.shards")
 
 #: How long one peer fetch may take before the aggregating shard gives up
 #: on that peer and serves a partial merge (``shards.responding`` says so).
 PEER_FETCH_TIMEOUT = 5.0
-
-#: The percentile fields a summary snapshot carries, with the quantile each
-#: answers (mirrors :data:`repro.obs.metrics.SUMMARY_QUANTILES`).
-_SNAPSHOT_PERCENTILES = {0.50: "p50", 0.95: "p95", 0.99: "p99"}
 
 #: Gauges whose cross-shard aggregate is the max, not the sum: uptime is a
 #: property of the group (oldest shard), and ``repro_build_info`` is the
@@ -139,233 +132,57 @@ async def fetch_json(
 # -- merging ------------------------------------------------------------
 
 
-def merge_snapshots(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge latency-summary snapshots (``count``/``mean``/p50/p95/p99/max).
+def merge_metrics_documents(documents: Sequence[Dict[str, Any]]) -> MetricsRegistry:
+    """Merge per-shard ``/v1/metrics?format=json`` documents into a registry.
 
-    Counts and means (hence lifetime sums) merge exactly; the merged
-    percentiles are count-weighted averages of the per-shard percentiles,
-    an approximation that is exact when the shards saw similar
-    distributions and never outside the min..max of the inputs.
+    Counters and summaries add (summaries bucket by bucket, so merged
+    percentiles are those of the union of samples); gauges add too (queue
+    depth, in-flight and queue-limit aggregates are the meaningful group
+    totals) except the few in :data:`_GAUGES_MERGED_BY_MAX`.  Samples merge
+    per label set, so per-endpoint and per-tenant series stay distinct.  The
+    result renders and reads exactly like a live server's registry.
     """
-    total = sum(int(s.get("count", 0)) for s in snapshots)
-    if total == 0:
-        return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
-
-    def weighted(name: str) -> float:
-        return (
-            sum(float(s.get(name, 0.0)) * int(s.get("count", 0)) for s in snapshots)
-            / total
-        )
-
-    return {
-        "count": total,
-        "mean": weighted("mean"),
-        "p50": weighted("p50"),
-        "p95": weighted("p95"),
-        "p99": weighted("p99"),
-        "max": max(float(s.get("max", 0.0)) for s in snapshots),
-    }
-
-
-def _merge_tenant_entries(entries: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-    """Merge one tenant's per-shard stats entries (spec fields from the
-    first shard -- the roster is identical across shards by construction)."""
-    first = entries[0]
-    job_events = sorted({event for entry in entries for event in entry.get("jobs", {})})
-    lanes = sorted(
-        {lane for entry in entries for lane in entry.get("queued_by_lane", {})}
-    )
-    return {
-        "jobs": {
-            event: sum(int(entry.get("jobs", {}).get(event, 0)) for entry in entries)
-            for event in job_events
-        },
-        "sims": {
-            field: sum(int(entry.get("sims", {}).get(field, 0)) for entry in entries)
-            for field in ("executed", "cache_hits")
-        },
-        "queue_wait_seconds": merge_snapshots(
-            [entry.get("queue_wait_seconds", {}) for entry in entries]
-        ),
-        "service_seconds": merge_snapshots(
-            [entry.get("service_seconds", {}) for entry in entries]
-        ),
-        "weight": first.get("weight"),
-        "max_queued": first.get("max_queued"),
-        "max_inflight": first.get("max_inflight"),
-        "auth_required": first.get("auth_required"),
-        "queued": sum(int(entry.get("queued", 0)) for entry in entries),
-        "queued_by_lane": {
-            lane: sum(
-                int(entry.get("queued_by_lane", {}).get(lane, 0)) for entry in entries
-            )
-            for lane in lanes
-        },
-        "inflight": sum(int(entry.get("inflight", 0)) for entry in entries),
-        "work_share": 0.0,  # recomputed over the merged totals below
-    }
-
-
-def merge_stats_documents(
-    documents: Sequence[Dict[str, Any]], expected: Optional[int] = None
-) -> Dict[str, Any]:
-    """Merge per-shard ``/v1/stats`` documents into the group-wide view.
-
-    ``expected`` is the configured shard count; ``shards.responding`` <
-    ``shards.count`` tells a scraper the merge is partial (a peer was down
-    or slow).  Work shares are recomputed over the *summed* dispatch
-    counts, so the merged shares are exact even though each shard computed
-    its own share over local traffic only.
-    """
-    documents = [document for document in documents if document]
-    if not documents:
-        raise ConfigurationError("no stats documents to merge")
-    merged: Dict[str, Any] = {
-        "schema_version": documents[0].get("schema_version"),
-        "uptime_seconds": max(float(d.get("uptime_seconds", 0.0)) for d in documents),
-        "queue": {
-            field: sum(int(d.get("queue", {}).get(field, 0)) for d in documents)
-            for field in ("depth", "limit", "running", "workers")
-        },
-        "default_tenant": documents[0].get("default_tenant"),
-    }
-    totals: Dict[str, Any] = {
-        field: sum(int(d.get("totals", {}).get(field, 0)) for d in documents)
-        for field in ("submitted", "coalesced", "completed", "failed")
-    }
-    totals["rejections"] = {
-        field: sum(
-            int(d.get("totals", {}).get("rejections", {}).get(field, 0))
-            for d in documents
-        )
-        for field in ("overloaded", "tenant_quota_exceeded")
-    }
-    merged["totals"] = totals
-    names = sorted({name for d in documents for name in d.get("tenants", {})})
-    tenants = {
-        name: _merge_tenant_entries(
-            [d["tenants"][name] for d in documents if name in d.get("tenants", {})]
-        )
-        for name in names
-    }
-    dispatched_total = sum(
-        entry["jobs"].get("dispatched", 0) for entry in tenants.values()
-    )
-    for entry in tenants.values():
-        entry["work_share"] = (
-            entry["jobs"].get("dispatched", 0) / dispatched_total
-            if dispatched_total
-            else 0.0
-        )
-    merged["tenants"] = tenants
-    merged["shards"] = {
-        "count": expected if expected is not None else len(documents),
-        "responding": len(documents),
-        "per_shard": [
-            {
-                "shard": d.get("shard", {}).get("index", position),
-                "uptime_seconds": float(d.get("uptime_seconds", 0.0)),
-                "queue_depth": int(d.get("queue", {}).get("depth", 0)),
-                "submitted": int(d.get("totals", {}).get("submitted", 0)),
-                "completed": int(d.get("totals", {}).get("completed", 0)),
-            }
-            for position, d in enumerate(documents)
-        ],
-    }
+    merged = MetricsRegistry()
+    for document in documents:
+        merged.merge_document(document, max_gauges=_GAUGES_MERGED_BY_MAX)
     return merged
 
 
-def merge_metrics_documents(
-    documents: Sequence[Dict[str, Any]]
+def group_stats_document(
+    documents: Sequence[Tuple[int, Dict[str, Any]]],
+    tenancy: TenancyConfig,
+    expected: int,
 ) -> Dict[str, Any]:
-    """Merge per-shard ``/v1/metrics?format=json`` documents.
+    """The group-wide ``/v1/stats`` view from ``(shard index, metrics
+    document)`` pairs.
 
-    Counters and summaries sum (summaries via :func:`merge_snapshots`);
-    gauges sum too (queue depth, in-flight and queue-limit aggregates are
-    the meaningful group totals) except the few in
-    :data:`_GAUGES_MERGED_BY_MAX`.  Samples merge per label set, so
-    per-endpoint and per-tenant series stay distinct.
+    The body is :func:`~repro.service.jobs.stats_document` over the merged
+    registry, so work shares are recomputed over the summed dispatch counts
+    and latency percentiles are those of the union.  ``expected`` is the
+    configured shard count; ``shards.responding`` < ``shards.count`` tells a
+    scraper the merge is partial (a peer was down or slow).
     """
-    families: Dict[str, Dict[str, Any]] = {}
-    for document in documents:
-        if not document:
-            continue
-        for family in document.get("metrics", []):
-            name = family["name"]
-            entry = families.setdefault(
-                name,
-                {
-                    "type": family.get("type", "untyped"),
-                    "help": family.get("help", ""),
-                    "samples": {},
-                },
-            )
-            for sample in family.get("samples", []):
-                key = tuple(sorted(sample.get("labels", {}).items()))
-                entry["samples"].setdefault(key, []).append(sample)
-    metrics: List[Dict[str, Any]] = []
-    for name in sorted(families):
-        entry = families[name]
-        samples: List[Dict[str, Any]] = []
-        for key in sorted(entry["samples"]):
-            group = entry["samples"][key]
-            labels = dict(key)
-            if entry["type"] == "summary":
-                samples.append({"labels": labels, **merge_snapshots(group)})
-            else:
-                values = [float(sample.get("value", 0.0)) for sample in group]
-                if entry["type"] == "gauge" and name in _GAUGES_MERGED_BY_MAX:
-                    value = max(values)
-                else:
-                    value = sum(values)
-                samples.append({"labels": labels, "value": value})
-        metrics.append(
+    merged = stats_document(
+        merge_metrics_documents([document for _, document in documents]), tenancy
+    )
+    per_shard = []
+    for index, document in documents:
+        own = stats_document(merge_metrics_documents([document]), tenancy)
+        per_shard.append(
             {
-                "name": name,
-                "type": entry["type"],
-                "help": entry["help"],
-                "samples": samples,
+                "shard": index,
+                "uptime_seconds": own["uptime_seconds"],
+                "queue_depth": own["queue"]["depth"],
+                "submitted": own["totals"]["submitted"],
+                "completed": own["totals"]["completed"],
             }
         )
-    return {"metrics": metrics}
-
-
-def render_metrics_text(document: Dict[str, Any]) -> str:
-    """Render a (merged) metrics JSON document as Prometheus text.
-
-    Mirrors :meth:`MetricsRegistry.render_text`, but driven by the JSON
-    document instead of live registry objects -- the merged cross-shard
-    document has no registry behind it.  Summary quantiles come from the
-    snapshot's p50/p95/p99 fields and ``_sum`` is reconstructed as
-    ``mean * count`` (exact: both merged exactly).
-    """
-    lines: List[str] = []
-    for family in document.get("metrics", []):
-        name = family["name"]
-        lines.append(f"# HELP {name} {_escape_help(family.get('help', ''))}")
-        lines.append(f"# TYPE {name} {family.get('type', 'untyped')}")
-        for sample in family.get("samples", []):
-            labels = sorted(sample.get("labels", {}).items())
-            if family.get("type") == "summary":
-                for quantile in SUMMARY_QUANTILES:
-                    field = _SNAPSHOT_PERCENTILES[quantile]
-                    quantiled = labels + [("quantile", _format_value(quantile))]
-                    lines.append(
-                        f"{name}{_render_labels(quantiled)} "
-                        f"{_format_value(float(sample.get(field, 0.0)))}"
-                    )
-                count = int(sample.get("count", 0))
-                lines.append(f"{name}_count{_render_labels(labels)} {count}")
-                lines.append(
-                    f"{name}_sum{_render_labels(labels)} "
-                    f"{_format_value(float(sample.get('mean', 0.0)) * count)}"
-                )
-            else:
-                lines.append(
-                    f"{name}{_render_labels(labels)} "
-                    f"{_format_value(float(sample.get('value', 0.0)))}"
-                )
-    return "\n".join(lines) + ("\n" if lines else "")
+    merged["shards"] = {
+        "count": expected,
+        "responding": len(documents),
+        "per_shard": per_shard,
+    }
+    return merged
 
 
 # -- the supervisor -----------------------------------------------------

@@ -26,13 +26,13 @@ tested in isolation:
 
 * **Usage and latency accounting** -- :class:`TenantAccounting`: per-tenant
   admission/rejection/completion counters, simulations executed vs cache
-  hits, and bounded reservoirs of queue-wait and service-time samples with
-  p50/p95/p99 summaries.  The records live in a
-  :class:`~repro.obs.metrics.MetricsRegistry` (one counter/summary family
-  per concern, labelled by tenant), so the same numbers serve both
-  ``GET /v1/stats`` (via :meth:`TenantAccounting.as_document`) and the
-  Prometheus exposition at ``GET /v1/metrics`` -- there is exactly one
-  counter system, not two.
+  hits, and queue-wait and service-time histograms.  The records live only
+  in a :class:`~repro.obs.metrics.MetricsRegistry` (one family per concern,
+  labelled by tenant), and :func:`tenant_events`, :func:`job_totals` and
+  :func:`tenants_document` read them back -- from one server's registry or
+  from the merge of every shard's -- so ``GET /v1/stats``, ``GET
+  /v1/healthz``, the journal snapshot and the Prometheus exposition at
+  ``GET /v1/metrics`` can never disagree.
 
 All scheduler state is touched only from the server's event-loop thread
 (submission and worker dispatch both happen there), so there is no locking.
@@ -44,11 +44,11 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, Mapping, Optional, Tuple, TypeVar
+from typing import Any, Deque, Dict, Mapping, Optional, Tuple, TypeVar
 
 from repro.common.errors import ConfigurationError
 from repro.exp.request import PRIORITY_LANES, validate_tenant_name
-from repro.obs.metrics import MetricsRegistry, Reservoir
+from repro.obs.metrics import LogHistogram, MetricsRegistry
 
 _T = TypeVar("_T")
 
@@ -64,8 +64,13 @@ LANE_INTERACTIVE, LANE_BATCH = PRIORITY_LANES
 #: values readable in debugger sessions and stats dumps.
 STRIDE_SCALE = 1_000_000.0
 
-#: Bounded reservoir size for latency samples (newest kept).
-LATENCY_WINDOW = 1024
+#: The registry families the per-tenant accounting lives in.
+JOBS_METRIC = "repro_tenant_jobs_total"
+SIMS_METRIC = "repro_tenant_simulations_total"
+QUEUE_WAIT_METRIC = "repro_tenant_queue_wait_seconds"
+SERVICE_METRIC = "repro_tenant_service_seconds"
+QUEUED_METRIC = "repro_tenant_queued"
+INFLIGHT_METRIC = "repro_tenant_inflight"
 
 
 @dataclass(frozen=True)
@@ -192,11 +197,6 @@ class TenancyConfig:
         return TenantSpec(name=name)
 
 
-#: The historical name for the bounded latency reservoir, kept as an alias:
-#: the class moved to the observability layer so summaries and the tenancy
-#: stats share one implementation.
-LatencyWindow = Reservoir
-
 #: The per-tenant job lifecycle events :meth:`TenantAccounting.inc` accepts.
 JOB_EVENTS = (
     "admitted",
@@ -210,54 +210,44 @@ JOB_EVENTS = (
 
 
 class TenantAccounting:
-    """Per-tenant usage counters and latency reservoirs, registry-backed.
+    """Write handles onto one tenant's series in a metrics registry.
 
-    Each instance is a tenant-labelled view over four metric families in a
-    :class:`~repro.obs.metrics.MetricsRegistry`:
+    The registry is the only store; each instance holds the tenant's
+    children of four families:
 
     * ``repro_tenant_jobs_total{tenant,event}`` -- job lifecycle counters,
     * ``repro_tenant_simulations_total{tenant,kind}`` -- executed vs
       cache-hit simulations,
     * ``repro_tenant_queue_wait_seconds{tenant}`` and
-      ``repro_tenant_service_seconds{tenant}`` -- latency summaries.
+      ``repro_tenant_service_seconds{tenant}`` -- latency histograms.
 
-    The historical counter attributes (``admitted``, ``dispatched``, ...)
-    remain readable as properties and :meth:`as_document` preserves the
-    ``GET /v1/stats`` wire form exactly; writes go through :meth:`inc` /
-    :meth:`add_sims` / ``queue_wait.record`` so the Prometheus exposition
-    and the stats document can never disagree.
+    Writes go through :meth:`inc` / :meth:`add_sims` / ``queue_wait.record``;
+    reports read the registry back (:func:`tenant_events`,
+    :func:`tenants_document`).
     """
 
-    __slots__ = ("tenant", "_jobs", "_sims", "queue_wait", "service_time")
+    __slots__ = ("_jobs", "_sims", "queue_wait", "service_time")
 
-    def __init__(self, tenant: str = DEFAULT_TENANT, metrics: Optional[MetricsRegistry] = None) -> None:
-        registry = metrics if metrics is not None else MetricsRegistry()
-        self.tenant = tenant
-        jobs = registry.counter(
-            "repro_tenant_jobs_total",
-            "Per-tenant job lifecycle events",
-            ("tenant", "event"),
+    def __init__(self, tenant: str, metrics: MetricsRegistry) -> None:
+        jobs = metrics.counter(
+            JOBS_METRIC, "Per-tenant job lifecycle events", ("tenant", "event")
         )
         self._jobs = {event: jobs.labels(tenant=tenant, event=event) for event in JOB_EVENTS}
-        sims = registry.counter(
-            "repro_tenant_simulations_total",
+        sims = metrics.counter(
+            SIMS_METRIC,
             "Per-tenant simulations by outcome (executed vs cache hit)",
             ("tenant", "kind"),
         )
         self._sims = {
             kind: sims.labels(tenant=tenant, kind=kind) for kind in ("executed", "cache_hit")
         }
-        self.queue_wait: Reservoir = registry.summary(
-            "repro_tenant_queue_wait_seconds",
+        self.queue_wait: LogHistogram = metrics.summary(
+            QUEUE_WAIT_METRIC,
             "Seconds jobs waited in the tenant's queue before dispatch",
             ("tenant",),
-            limit=LATENCY_WINDOW,
         ).labels(tenant=tenant)
-        self.service_time: Reservoir = registry.summary(
-            "repro_tenant_service_seconds",
-            "Seconds jobs spent executing for this tenant",
-            ("tenant",),
-            limit=LATENCY_WINDOW,
+        self.service_time: LogHistogram = metrics.summary(
+            SERVICE_METRIC, "Seconds jobs spent executing for this tenant", ("tenant",)
         ).labels(tenant=tenant)
 
     def inc(self, event: str, amount: int = 1) -> None:
@@ -271,69 +261,27 @@ class TenantAccounting:
         if cache_hits:
             self._sims["cache_hit"].inc(cache_hits)
 
-    def _event(self, event: str) -> int:
-        return int(self._jobs[event].value)
-
-    @property
-    def admitted(self) -> int:
-        return self._event("admitted")
-
-    @property
-    def coalesced(self) -> int:
-        return self._event("coalesced")
-
-    @property
-    def rejected_quota(self) -> int:
-        return self._event("rejected_quota")
-
-    @property
-    def rejected_capacity(self) -> int:
-        return self._event("rejected_capacity")
-
-    @property
-    def dispatched(self) -> int:
-        return self._event("dispatched")
-
-    @property
-    def completed(self) -> int:
-        return self._event("completed")
-
-    @property
-    def failed(self) -> int:
-        return self._event("failed")
-
-    @property
-    def sims_executed(self) -> int:
-        return int(self._sims["executed"].value)
-
-    @property
-    def cache_hits(self) -> int:
-        return int(self._sims["cache_hit"].value)
-
-    @property
-    def service_seconds(self) -> float:
-        return self.service_time.total
-
-    def as_document(self) -> Dict[str, Any]:
-        return {
-            "jobs": {event: self._event(event) for event in JOB_EVENTS},
-            "sims": {"executed": self.sims_executed, "cache_hits": self.cache_hits},
-            "queue_wait_seconds": self.queue_wait.snapshot(),
-            "service_seconds": self.service_time.snapshot(),
-        }
-
 
 class _TenantRuntime:
     """One tenant's live scheduler state (spec + queues + stride position)."""
 
     __slots__ = ("spec", "lanes", "inflight", "pass_value", "accounting")
 
-    def __init__(self, spec: TenantSpec, metrics: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, spec: TenantSpec, metrics: MetricsRegistry) -> None:
         self.spec = spec
         self.lanes: Dict[str, Deque[Any]] = {lane: deque() for lane in PRIORITY_LANES}
         self.inflight = 0
         self.pass_value = 0.0
         self.accounting = TenantAccounting(spec.name, metrics)
+        # Queue-state gauges read the live queues, so they can never drift.
+        queued = metrics.gauge(
+            QUEUED_METRIC, "Jobs queued per tenant and lane", ("tenant", "lane")
+        )
+        for lane, queue in self.lanes.items():
+            queued.labels(tenant=spec.name, lane=lane).set_function(queue.__len__)
+        metrics.gauge(
+            INFLIGHT_METRIC, "Jobs executing per tenant", ("tenant",)
+        ).labels(tenant=spec.name).set_function(lambda: self.inflight)
 
     @property
     def stride(self) -> float:
@@ -391,9 +339,6 @@ class TenantScheduler:
     def accounting(self, name: str) -> TenantAccounting:
         return self.runtime(name).accounting
 
-    def tenants(self) -> Iterable[_TenantRuntime]:
-        return self._tenants.values()
-
     # -- queue state ---------------------------------------------------
 
     def queued_total(self) -> int:
@@ -449,39 +394,77 @@ class TenantScheduler:
             raise ConfigurationError(f"tenant {name!r} has no in-flight job to release")
         runtime.inflight -= 1
 
-    # -- reporting -----------------------------------------------------
 
-    def work_shares(self) -> Dict[str, float]:
-        """Each tenant's fraction of all dispatched jobs (empty when none)."""
-        total = sum(rt.accounting.dispatched for rt in self._tenants.values())
-        if total == 0:
-            return {name: 0.0 for name in self._tenants}
-        return {
-            name: rt.accounting.dispatched / total
-            for name, rt in self._tenants.items()
+# -- reading the accounting back ------------------------------------------
+
+
+def tenant_events(metrics: MetricsRegistry) -> Dict[str, Dict[str, int]]:
+    """Every tenant's lifecycle counts (tenant -> event -> count)."""
+    counts = metrics.series(JOBS_METRIC)
+    return {
+        tenant: {event: _read(counts, tenant, event) for event in JOB_EVENTS}
+        for tenant in sorted({tenant for tenant, _ in counts})
+    }
+
+
+def job_totals(events: Mapping[str, Mapping[str, int]]) -> Dict[str, Any]:
+    """The server-wide ``totals`` of ``GET /v1/stats``: tenant counts summed."""
+
+    def total(event: str) -> int:
+        return sum(counts.get(event, 0) for counts in events.values())
+
+    return {
+        "submitted": total("admitted"),
+        "coalesced": total("coalesced"),
+        "completed": total("completed"),
+        "failed": total("failed"),
+        "rejections": {
+            "overloaded": total("rejected_capacity"),
+            "tenant_quota_exceeded": total("rejected_quota"),
+        },
+    }
+
+
+def tenants_document(metrics: MetricsRegistry, tenancy: TenancyConfig) -> Dict[str, Any]:
+    """The per-tenant section of ``GET /v1/stats``.
+
+    Counts, latency histograms and queue gauges come from ``metrics`` (one
+    server's registry or the merge of every shard's); weights and quotas
+    come from ``tenancy``.  Work shares are each tenant's fraction of all
+    dispatched jobs.
+    """
+    events = tenant_events(metrics)
+    sims = metrics.series(SIMS_METRIC)
+    waits = metrics.series(QUEUE_WAIT_METRIC)
+    services = metrics.series(SERVICE_METRIC)
+    queued = metrics.series(QUEUED_METRIC)
+    inflight = metrics.series(INFLIGHT_METRIC)
+    dispatched = sum(counts["dispatched"] for counts in events.values())
+    document: Dict[str, Any] = {}
+    for name, counts in events.items():
+        spec = tenancy.spec_for(name)
+        by_lane = {lane: _read(queued, name, lane) for lane in PRIORITY_LANES}
+        document[name] = {
+            "jobs": counts,
+            "sims": {
+                "executed": _read(sims, name, "executed"),
+                "cache_hits": _read(sims, name, "cache_hit"),
+            },
+            "queue_wait_seconds": waits.get((name,), LogHistogram()).snapshot(),
+            "service_seconds": services.get((name,), LogHistogram()).snapshot(),
+            "weight": spec.weight,
+            "max_queued": spec.max_queued,
+            "max_inflight": spec.max_inflight,
+            "auth_required": spec.token is not None,
+            "queued": sum(by_lane.values()),
+            "queued_by_lane": by_lane,
+            "inflight": _read(inflight, name),
+            "work_share": counts["dispatched"] / dispatched if dispatched else 0.0,
         }
+    return document
 
-    def stats_document(self) -> Dict[str, Any]:
-        """The per-tenant section of ``GET /v1/stats``."""
-        shares = self.work_shares()
-        document: Dict[str, Any] = {}
-        for name in sorted(self._tenants):
-            runtime = self._tenants[name]
-            spec = runtime.spec
-            entry = runtime.accounting.as_document()
-            entry.update(
-                {
-                    "weight": spec.weight,
-                    "max_queued": spec.max_queued,
-                    "max_inflight": spec.max_inflight,
-                    "auth_required": spec.token is not None,
-                    "queued": runtime.queued(),
-                    "queued_by_lane": {
-                        lane: len(queue) for lane, queue in runtime.lanes.items()
-                    },
-                    "inflight": runtime.inflight,
-                    "work_share": shares[name],
-                }
-            )
-            document[name] = entry
-        return document
+
+def _read(series: Mapping[Tuple[str, ...], Any], *labels: str) -> int:
+    """One counter or gauge child's value as an int (0 when absent)."""
+    child = series.get(labels)
+    return int(child.value) if child is not None else 0

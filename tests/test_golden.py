@@ -6,7 +6,10 @@ The simulator is deterministic -- workload generation flows through
 ``DeterministicRng`` seeded from configuration alone and the timing models
 contain no randomness -- so a reproduction must match the snapshot *bit for
 bit*; any diff is a semantic change to the models, the generator or the
-experiment post-processing and must be reviewed as such.
+experiment post-processing and must be reviewed as such.  One more
+snapshot pins the service's ``GET /v1/stats`` / ``GET /v1/healthz`` wire
+shape after a scripted admission history, so a refactor of the accounting
+behind them cannot change a field silently.
 
 Regenerating after an intentional change::
 
@@ -59,6 +62,62 @@ def _family_sweep_results(engine: str) -> Any:
     return to_jsonable(points)
 
 
+def _service_documents(engine: str) -> Any:
+    """``GET /v1/stats`` and ``GET /v1/healthz`` after a scripted history.
+
+    The script drives admission, cross-tenant coalescing, both rejection
+    kinds and dispatch through a real :class:`JobManager`, then records
+    latencies that are powers of two (each sits exactly on a bucket bound,
+    so every percentile is exact).  The documents do not depend on the
+    engine; both parametrizations compare against the same wire shape.
+    """
+    from repro.common.errors import ServiceOverloadedError
+    from repro.exp.request import JobRequest
+    from repro.service.jobs import JobManager
+    from repro.service.tenancy import TenancyConfig, TenantSpec
+
+    tenancy = TenancyConfig(
+        tenants=(
+            TenantSpec("alpha", weight=3.0, max_queued=2, token="s3cret"),
+            TenantSpec("beta", max_inflight=1),
+        )
+    )
+    manager = JobManager(workers=2, queue_limit=5, tenancy=tenancy)
+
+    def submit(tenant: Any, seed: int, priority: str = "batch") -> None:
+        request = JobRequest(figure="sec52", seed=seed, tenant=tenant, priority=priority)
+        try:
+            manager.submit(request)
+        except ServiceOverloadedError:
+            pass
+
+    submit("alpha", 1)
+    submit("alpha", 2, "interactive")
+    submit("alpha", 3)  # alpha's quota: rejected
+    submit("alpha", 8)  # ... twice
+    submit("beta", 1)  # identical work: coalesced with alpha's job
+    submit("beta", 4)
+    submit("gamma", 5)  # an unconfigured tenant on the open roster
+    submit(None, 6)  # the default tenant
+    submit("beta", 7)  # the server-wide queue is full: rejected
+    first, _ = manager.scheduler.pick()
+    manager.scheduler.pick()
+    manager.scheduler.release(first)
+    alpha = manager.scheduler.accounting("alpha")
+    for seconds in (0.25, 0.5, 2.0):
+        alpha.queue_wait.record(seconds)
+    alpha.service_time.record(1.0)
+    alpha.add_sims(3, 1)
+    manager.scheduler.accounting("beta").queue_wait.record(0.125)
+
+    stats = manager.stats_document()
+    health = manager.health()
+    stats["uptime_seconds"] = 0.0
+    for volatile in ("uptime_seconds", "started_at", "version"):
+        health[volatile] = None
+    return {"stats": stats, "health": health}
+
+
 #: Engines every golden runs under.  The snapshots themselves are
 #: engine-agnostic: the fast engine must reproduce the reference numbers bit
 #: for bit, so both parametrizations compare against the *same* file --
@@ -88,6 +147,11 @@ GOLDENS: Dict[str, Tuple[str, Dict[str, Any], Callable[[str], Any]]] = {
             "seed": GOLDEN_SEED,
         },
         _family_sweep_results,
+    ),
+    "service-stats": (
+        "service_stats_v2.json",
+        {"documents": ["GET /v1/stats", "GET /v1/healthz"], "stats_schema": 2},
+        _service_documents,
     ),
 }
 

@@ -25,6 +25,7 @@ from repro.service.journal import (
     journal_path,
     replay_journal,
 )
+from repro.service.tenancy import job_totals, tenant_events
 from repro.sim.configs import fmc_hash
 from repro.workloads.suite import quick_fp_suite
 
@@ -53,7 +54,7 @@ def test_replay_of_missing_file_is_empty(tmp_path) -> None:
     replay = replay_journal(tmp_path / "absent.jsonl")
     assert replay.records == 0
     assert replay.pending == []
-    assert replay.totals == {}
+    assert replay.tenant_events == {}
 
 
 def test_replay_recovers_pending_and_totals(tmp_path) -> None:
@@ -67,8 +68,9 @@ def test_replay_recovers_pending_and_totals(tmp_path) -> None:
     replay = replay_journal(path)
     # snapshot + 3 admissions + 1 completion
     assert replay.records == 5
-    assert replay.totals["submitted"] == 3
-    assert replay.totals["completed"] == 1
+    totals = job_totals(replay.tenant_events)
+    assert totals["submitted"] == 3
+    assert totals["completed"] == 1
     pending_ids = [job.job_id for job in replay.pending]
     assert pending_ids == [states[1].job_id, states[2].job_id]
     # The replayed request reconstructs the same content address.
@@ -123,8 +125,9 @@ def test_recovery_restores_accounting_and_requeues(tmp_path) -> None:
     second = JobManager(queue_limit=100)
     second.recover_journal(path)
     assert path.with_name("journal-s0.jsonl.prev").exists()
-    assert second.stats["submitted"] == 3
-    assert second.stats["completed"] == 1
+    totals = second.stats_document()["totals"]
+    assert totals["submitted"] == 3
+    assert totals["completed"] == 1
     assert second._journal_replays.value == 1
     # The two unfinished jobs are re-queued under the same content
     # addresses, so cached results still resolve them.
@@ -137,8 +140,9 @@ def test_recovery_restores_accounting_and_requeues(tmp_path) -> None:
     second.journal.close()
     third = JobManager(queue_limit=100)
     third.recover_journal(path)
-    assert third.stats["submitted"] == 3
-    assert third.stats["completed"] == 1
+    totals = third.stats_document()["totals"]
+    assert totals["submitted"] == 3
+    assert totals["completed"] == 1
     assert len(third.jobs) == 2
 
 
@@ -151,7 +155,7 @@ def test_recovery_restores_tenant_accounting(tmp_path) -> None:
 
     second = JobManager(queue_limit=100)
     second.recover_journal(path)
-    totals = second._tenant_event_totals()
+    totals = tenant_events(second.metrics)
     # The replayed admission is charged to the tenant; the requeued
     # re-admission is not (it would double count across generations).
     assert totals["default"]["admitted"] == 1
@@ -160,7 +164,7 @@ def test_recovery_restores_tenant_accounting(tmp_path) -> None:
 def test_recovery_without_prior_journal_starts_clean(tmp_path) -> None:
     manager = JobManager(queue_limit=100)
     manager.recover_journal(journal_path(tmp_path))
-    assert manager.stats["submitted"] == 0
+    assert manager.stats_document()["totals"]["submitted"] == 0
     assert manager._journal_replays.value == 0
     assert manager.jobs == {}
     # The fresh generation is headed by a snapshot record.

@@ -10,24 +10,27 @@ aggregating over real HTTP -- lives at the bottom.
 from __future__ import annotations
 
 import asyncio
+import json
 import statistics
 import threading
 
 import pytest
 
 from repro.common.errors import ConfigurationError, LoadDriverError
+from repro.exp.request import JobRequest
 from repro.load.bench import LoadBenchConfig, evaluate_loadbench_gate, _free_port_block
 from repro.load.driver import DriverConfig, collect_fleet_samples, run_request_loop
 from repro.load.epoch import EpochSeries, Sample, quantile
 from repro.load.workload import Req, Workload
+from repro.obs.metrics import LogHistogram, MetricsRegistry
+from repro.service.jobs import JobManager
 from repro.service.shards import (
+    group_stats_document,
     merge_metrics_documents,
-    merge_snapshots,
-    merge_stats_documents,
-    render_metrics_text,
     shard_port,
     shard_ports,
 )
+from repro.service.tenancy import TenancyConfig, TenantSpec
 
 # ----------------------------------------------------------------------
 # Percentile math
@@ -309,126 +312,108 @@ def test_workload_validation() -> None:
 # ----------------------------------------------------------------------
 
 
-def test_merge_snapshots_is_count_weighted() -> None:
-    merged = merge_snapshots(
-        [
-            {"count": 3, "mean": 1.0, "p50": 1.0, "p95": 2.0, "p99": 2.0, "max": 2.0},
-            {"count": 1, "mean": 5.0, "p50": 5.0, "p95": 5.0, "p99": 5.0, "max": 6.0},
-        ]
-    )
-    assert merged["count"] == 4
-    assert merged["mean"] == pytest.approx(2.0)  # (3*1 + 1*5) / 4: exact
-    assert merged["p50"] == pytest.approx(2.0)  # count-weighted approximation
-    assert merged["max"] == 6.0
-    empty = merge_snapshots([{"count": 0}, {}])
-    assert empty == {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
+def _latency_document(latencies) -> dict:
+    registry = MetricsRegistry()
+    summary = registry.summary("repro_service_seconds", "s")
+    for value in latencies:
+        summary.record(value)
+    return registry.as_document()
 
 
-def _stats_document(shard: int, submitted: int, dispatched: dict) -> dict:
-    return {
-        "schema_version": 2,
-        "uptime_seconds": 10.0 * (shard + 1),
-        "shard": {"index": shard, "count": 2},
-        "queue": {"depth": shard, "limit": 8, "running": 1, "workers": 2},
-        "totals": {
-            "submitted": submitted,
-            "coalesced": 0,
-            "completed": submitted,
-            "failed": 0,
-            "rejections": {"overloaded": shard, "tenant_quota_exceeded": 0},
-        },
-        "default_tenant": "default",
-        "tenants": {
-            name: {
-                "jobs": {"admitted": count, "dispatched": count},
-                "sims": {"executed": count, "cache_hits": 0},
-                "queue_wait_seconds": {"count": count, "mean": 0.1, "p50": 0.1,
-                                       "p95": 0.1, "p99": 0.1, "max": 0.1},
-                "service_seconds": {"count": count, "mean": 0.2, "p50": 0.2,
-                                    "p95": 0.2, "p99": 0.2, "max": 0.2},
-                "weight": 2.0 if name == "alpha" else 1.0,
-                "max_queued": None,
-                "max_inflight": None,
-                "auth_required": False,
-                "queued": 0,
-                "queued_by_lane": {"interactive": 0, "batch": 0},
-                "inflight": 0,
-                "work_share": 1.0,  # deliberately wrong locally; merge recomputes
-            }
-            for name, count in dispatched.items()
-        },
-    }
+def test_merged_summary_is_the_union_histogram() -> None:
+    # Skewed shards: one fast and busy, one slow and quiet.  Averaging their
+    # p99s weighted by count would report about 0.14 s.
+    fast = [0.01] * 97 + [0.02] * 3
+    slow = [4.0] * 3
+    merged = merge_metrics_documents([_latency_document(fast), _latency_document(slow)])
+    (sample,) = merged.as_document()["metrics"][0]["samples"]
+    union = LogHistogram()
+    for value in fast + slow:
+        union.record(value)
+    assert sample["buckets"] == union.as_sample()["buckets"]
+    assert (sample["count"], sample["min"], sample["max"]) == (103, 0.01, 4.0)
+    assert sample["sum"] == pytest.approx(union.total)
+    # The merged p99 is the union's: 3 of 103 samples took four seconds.
+    assert sample["p99"] == union.quantile(0.99) == 4.0
+    assert sample["p50"] == union.quantile(0.50)
+
+
+_SHARD_TENANCY = TenancyConfig(tenants=(TenantSpec("alpha", weight=2.0), TenantSpec("beta")))
+
+
+def _shard_document(dispatched: dict, rejected: int = 0) -> dict:
+    """One shard's metrics document after dispatching ``dispatched[tenant]``
+    jobs per tenant and rejecting ``rejected`` of beta's for capacity."""
+    manager = JobManager(workers=2, queue_limit=100, tenancy=_SHARD_TENANCY)
+    for offset, (name, count) in enumerate(dispatched.items()):
+        for index in range(count):
+            manager.submit(JobRequest(figure="sec52", seed=100 * offset + index, tenant=name))
+    while manager.scheduler.pick() is not None:
+        pass
+    for name, count in dispatched.items():
+        for _ in range(count):
+            manager.scheduler.accounting(name).queue_wait.record(0.1)
+    if rejected:
+        manager.scheduler.accounting("beta").inc("rejected_capacity", rejected)
+    # Through JSON as on the wire, which sorts every object's keys.
+    return json.loads(json.dumps(manager.metrics.as_document(), sort_keys=True))
 
 
 def test_merge_stats_documents_sums_and_recomputes_shares() -> None:
-    merged = merge_stats_documents(
+    merged = group_stats_document(
         [
-            _stats_document(0, submitted=6, dispatched={"alpha": 4, "beta": 2}),
-            _stats_document(1, submitted=4, dispatched={"alpha": 2, "beta": 2}),
+            (0, _shard_document({"alpha": 4, "beta": 2})),
+            (1, _shard_document({"alpha": 2, "beta": 2}, rejected=1)),
         ],
+        _SHARD_TENANCY,
         expected=2,
     )
+    assert merged["schema_version"] == 2
     assert merged["totals"]["submitted"] == 10
     assert merged["totals"]["rejections"]["overloaded"] == 1
-    assert merged["uptime_seconds"] == 20.0  # the oldest shard, not a sum
+    shards = merged["shards"]
+    # Uptime is the oldest shard's, not a sum.
+    assert merged["uptime_seconds"] == max(entry["uptime_seconds"] for entry in shards["per_shard"])
     assert merged["queue"]["workers"] == 4
+    assert merged["queue"]["running"] == 10
     # Work shares are exact: recomputed over the summed dispatch counts.
     assert merged["tenants"]["alpha"]["work_share"] == pytest.approx(0.6)
     assert merged["tenants"]["beta"]["work_share"] == pytest.approx(0.4)
     assert merged["tenants"]["alpha"]["jobs"]["dispatched"] == 6
+    assert merged["tenants"]["alpha"]["inflight"] == 6
+    assert merged["tenants"]["alpha"]["weight"] == 2.0
     assert merged["tenants"]["alpha"]["queue_wait_seconds"]["count"] == 6
-    shards = merged["shards"]
     assert shards["count"] == 2 and shards["responding"] == 2
     assert [entry["shard"] for entry in shards["per_shard"]] == [0, 1]
     assert [entry["submitted"] for entry in shards["per_shard"]] == [6, 4]
 
 
 def test_merge_stats_documents_reports_partial_merges() -> None:
-    merged = merge_stats_documents(
-        [_stats_document(0, submitted=6, dispatched={"alpha": 4})], expected=2
+    merged = group_stats_document(
+        [(0, _shard_document({"alpha": 4}))], _SHARD_TENANCY, expected=2
     )
     assert merged["shards"] == {
         "count": 2,
         "responding": 1,
         "per_shard": merged["shards"]["per_shard"],
     }
-    with pytest.raises(ConfigurationError):
-        merge_stats_documents([], expected=2)
+    assert merged["totals"]["submitted"] == 4
 
 
 def test_merge_metrics_documents_by_type_and_labels() -> None:
-    def doc(uptime, submitted, latency_count):
-        return {
-            "metrics": [
-                {
-                    "name": "repro_uptime_seconds",
-                    "type": "gauge",
-                    "help": "up",
-                    "samples": [{"labels": {}, "value": uptime}],
-                },
-                {
-                    "name": "repro_jobs_submitted",
-                    "type": "counter",
-                    "help": "j",
-                    "samples": [
-                        {"labels": {"tenant": "alpha"}, "value": submitted},
-                        {"labels": {"tenant": "beta"}, "value": 1.0},
-                    ],
-                },
-                {
-                    "name": "repro_service_seconds",
-                    "type": "summary",
-                    "help": "s",
-                    "samples": [
-                        {"labels": {}, "count": latency_count, "mean": 0.5,
-                         "p50": 0.5, "p95": 0.5, "p99": 0.5, "max": 1.0}
-                    ],
-                },
-            ]
-        }
+    def doc(uptime, submitted, latencies):
+        registry = MetricsRegistry()
+        registry.gauge("repro_uptime_seconds", "up").set(uptime)
+        jobs = registry.counter("repro_jobs_submitted", "j", ("tenant",))
+        jobs.labels("alpha").inc(submitted)
+        jobs.labels("beta").inc()
+        summary = registry.summary("repro_service_seconds", "s")
+        for value in latencies:
+            summary.record(value)
+        return registry.as_document()
 
-    merged = merge_metrics_documents([doc(12.0, 3.0, 4), doc(7.0, 2.0, 6)])
-    families = {family["name"]: family for family in merged["metrics"]}
+    merged = merge_metrics_documents([doc(12.0, 3.0, [0.5] * 4), doc(7.0, 2.0, [0.5] * 5 + [1.0])])
+    families = {family["name"]: family for family in merged.as_document()["metrics"]}
     # Uptime merges by max (a property of the group, not a sum).
     assert families["repro_uptime_seconds"]["samples"][0]["value"] == 12.0
     # Counters sum per label set.
@@ -438,16 +423,16 @@ def test_merge_metrics_documents_by_type_and_labels() -> None:
     }
     assert by_labels[(("tenant", "alpha"),)] == 5.0
     assert by_labels[(("tenant", "beta"),)] == 2.0
-    # Summaries merge count-weighted.
+    # Summaries add their buckets.
     summary = families["repro_service_seconds"]["samples"][0]
     assert summary["count"] == 10 and summary["max"] == 1.0
-    # The merged document renders to valid-looking Prometheus text.
-    text = render_metrics_text(merged)
+    # The merged registry renders like any live one.
+    text = merged.render_text()
     assert "# TYPE repro_jobs_submitted counter" in text
     assert 'repro_jobs_submitted{tenant="alpha"} 5' in text
     assert 'repro_service_seconds{quantile="0.5"} 0.5' in text
     assert "repro_service_seconds_count 10" in text
-    assert "repro_service_seconds_sum 5" in text
+    assert "repro_service_seconds_sum 5.5" in text
 
 
 def test_shard_port_layout() -> None:

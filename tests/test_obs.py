@@ -1,7 +1,7 @@
 """Tests for the observability subsystem (:mod:`repro.obs`).
 
 Covers the metrics registry (exposition-format golden output parsed by a
-tiny line parser, percentile correctness against :func:`statistics.quantiles`),
+tiny line parser, bucketed percentiles against the exact nearest-rank ones),
 request-scoped tracing (round trip client -> server -> response), span
 profiling (Chrome trace-event export, worker-side spans from a parallel run)
 and the structured log formatters.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-import statistics
+import math
 import urllib.request
 
 import pytest
@@ -20,9 +20,10 @@ from repro.common.errors import ConfigurationError
 from repro.obs import logs as obs_logs
 from repro.obs import spans as obs_spans
 from repro.obs.metrics import (
-    RESERVOIR_LIMIT,
+    BUCKETS_PER_OCTAVE,
+    LogHistogram,
     MetricsRegistry,
-    Reservoir,
+    bucket_index,
     get_registry,
 )
 from repro.obs.tracing import (
@@ -38,31 +39,46 @@ from repro.obs.tracing import (
 from test_service import running_service
 
 # ----------------------------------------------------------------------
-# Reservoir percentiles
+# LogHistogram percentiles
 # ----------------------------------------------------------------------
 
 
-def test_reservoir_quantile_matches_statistics_quantiles() -> None:
+def _nearest_rank(values, q: float) -> float:
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(round(q * 100) * len(ordered) / 100)) - 1]
+
+
+def test_histogram_quantile_within_one_bucket_of_exact() -> None:
     values = [float(v) for v in (12, 3, 44, 7, 19, 28, 5, 61, 33, 9, 2, 50)]
-    reservoir = Reservoir()
+    histogram = LogHistogram()
     for value in values:
-        reservoir.record(value)
-    # The interpolated quantile must agree with the stdlib's inclusive
-    # method (the one defined on the data itself, not a padded sample).
-    cuts = statistics.quantiles(values, n=100, method="inclusive")
-    for q in (0.50, 0.95, 0.99):
-        assert reservoir.quantile(q) == pytest.approx(cuts[int(q * 100) - 1])
+        histogram.record(value)
+    # Nearest rank, resolved to the bucket's upper bound: never below the
+    # exact value and at most one bucket width (2**(1/8)) above it.
+    for q in (0.10, 0.50, 0.95, 0.99):
+        exact = _nearest_rank(values, q)
+        assert exact <= histogram.quantile(q) <= exact * 2 ** (1 / BUCKETS_PER_OCTAVE)
+        assert bucket_index(histogram.quantile(q)) == bucket_index(exact)
+    # Extremes clamp to the exactly tracked min and max.
+    assert histogram.quantile(0.0) == 2.0
+    assert histogram.quantile(1.0) == 61.0
+    assert LogHistogram().quantile(0.5) == 0.0
 
 
-def test_reservoir_bounds_memory_but_counts_everything() -> None:
-    reservoir = Reservoir()
-    for value in range(RESERVOIR_LIMIT + 500):
-        reservoir.record(float(value))
-    assert reservoir.count == RESERVOIR_LIMIT + 500
-    snapshot = reservoir.snapshot()
-    # Percentiles come from the newest RESERVOIR_LIMIT samples only.
-    assert snapshot["max"] == float(RESERVOIR_LIMIT + 499)
-    assert snapshot["count"] == RESERVOIR_LIMIT + 500
+def test_histogram_bounds_memory_but_counts_everything() -> None:
+    histogram = LogHistogram()
+    for value in range(1, 100_001):
+        histogram.record(value / 1000.0)
+    # Five decades of samples land in under 150 buckets; count, sum and the
+    # extremes stay exact.
+    assert len(histogram.buckets) < 150
+    snapshot = histogram.snapshot()
+    assert snapshot["count"] == 100_000
+    assert snapshot["max"] == 100.0
+    assert snapshot["mean"] == pytest.approx(50.0005)
+    # A document round trip loses nothing a merge needs.
+    restored = LogHistogram.from_sample(histogram.as_sample())
+    assert restored.as_sample() == histogram.as_sample()
 
 
 # ----------------------------------------------------------------------
@@ -134,9 +150,9 @@ def test_render_text_golden() -> None:
     assert samples[("demo_depth", frozenset())] == 7.0
     assert samples[("demo_seconds_count", frozenset())] == 4.0
     assert samples[("demo_seconds_sum", frozenset())] == 10.0
-    assert samples[("demo_seconds", frozenset({("quantile", "0.5")}))] == pytest.approx(
-        2.5
-    )
+    # Nearest rank of 1..4 at 0.5 is the 2nd sample, which sits exactly on
+    # a bucket bound.
+    assert samples[("demo_seconds", frozenset({("quantile", "0.5")}))] == 2.0
 
 
 def test_label_values_are_escaped() -> None:

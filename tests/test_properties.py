@@ -15,6 +15,8 @@ from repro.core.svw import StoreVulnerabilityWindow
 from repro.isa.instruction import load, store
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.replacement import LruState
+from repro.obs.metrics import BUCKETS_PER_OCTAVE, LogHistogram, MetricsRegistry, bucket_index
+from repro.service.shards import merge_metrics_documents
 from repro.uarch.resources import BandwidthAllocator, OccupancyWindow
 
 addresses = st.integers(min_value=0, max_value=1 << 30).map(lambda value: value & ~0x7)
@@ -149,6 +151,41 @@ def test_histogram_mass_is_conserved(values):
         histogram.record(value)
     assert sum(histogram.bins) + histogram.overflow == len(values)
     assert histogram.count == len(values)
+
+
+latencies = st.floats(min_value=1e-6, max_value=1e4, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.lists(st.lists(latencies, max_size=200), min_size=1, max_size=4),
+    st.sampled_from([0.5, 0.95, 0.99]),
+)
+@settings(max_examples=60, deadline=None)
+def test_merged_shard_quantile_is_within_one_bucket_of_the_union(shards, q):
+    documents = []
+    for samples in shards:
+        registry = MetricsRegistry()
+        summary = registry.summary("latency_seconds", "per-shard latency")
+        for value in samples:
+            summary.record(value)
+        documents.append(registry.as_document())
+    merged = merge_metrics_documents(documents).series("latency_seconds")[()]
+    union = [value for samples in shards for value in samples]
+    expected = LogHistogram()
+    for value in union:
+        expected.record(value)
+    # Merging is exact: the merged histogram is the union's histogram.
+    assert (merged.buckets, merged.count) == (expected.buckets, expected.count)
+    if not union:
+        assert merged.quantile(q) == 0.0
+        return
+    # So its quantile is the union's exact nearest-rank quantile, to within
+    # one bucket, and never below it.
+    ordered = sorted(union)
+    exact = ordered[max(1, -(-round(q * 100) * len(ordered) // 100)) - 1]
+    reported = merged.quantile(q)
+    assert bucket_index(reported) == bucket_index(exact)
+    assert exact <= reported <= exact * 2 ** (1 / BUCKETS_PER_OCTAVE)
 
 
 @given(

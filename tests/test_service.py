@@ -286,11 +286,12 @@ def test_identical_concurrent_submissions_run_once(service) -> None:
     assert view["coalesced_submissions"] == 1
     assert view["progress"]["executed_jobs"] > 0
     # Exactly one execution happened for the two submissions.
-    assert svc.manager.stats == {
+    assert svc.manager.stats_document()["totals"] == {
         "submitted": 1,
         "coalesced": 1,
         "completed": 1,
         "failed": 0,
+        "rejections": {"overloaded": 0, "tenant_quota_exceeded": 0},
     }
 
 
@@ -347,7 +348,7 @@ def test_failed_job_reports_error_not_500(service) -> None:
         client.wait(receipt.job_id, timeout=WAIT_TIMEOUT)
     svc.manager.pre_execute = None
     assert client.healthz()["status"] == "ok"
-    assert svc.manager.stats["failed"] == 1
+    assert svc.manager.stats_document()["totals"]["failed"] == 1
 
 
 # ----------------------------------------------------------------------

@@ -118,7 +118,7 @@ def test_retries_exhausted_fails_with_taxonomy_code() -> None:
     assert state.error_code == "job_retries_exhausted"
     assert state.attempts == 2
     assert "after 2 attempts" in state.error
-    assert manager.stats["failed"] == 1
+    assert manager.stats_document()["totals"]["failed"] == 1
 
 
 def test_deterministic_failure_is_not_retried() -> None:

@@ -51,10 +51,11 @@ from repro.service.client import ServiceClient
 from repro.service.jobs import JobManager
 from repro.service.tenancy import (
     DEFAULT_TENANT,
-    LatencyWindow,
     TenancyConfig,
     TenantScheduler,
     TenantSpec,
+    tenant_events,
+    tenants_document,
 )
 
 #: Acceptance bound: observed work shares within 20% of configured weights.
@@ -136,23 +137,27 @@ def test_tenancy_config_validation() -> None:
         closed.spec_for("ghost")
 
 
-def test_latency_window_percentiles() -> None:
-    window = LatencyWindow()
-    assert window.percentile(0.95) == 0.0
-    assert window.snapshot()["count"] == 0
+def test_tenant_latency_snapshot_percentiles() -> None:
+    accounting = scheduler_for(TenantSpec("alpha")).accounting("alpha")
+    window = accounting.queue_wait
+    assert window.snapshot() == {
+        "count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0
+    }
     for value in range(1, 101):
         window.record(float(value))
     snap = window.snapshot()
     assert snap["count"] == 100
     assert snap["mean"] == pytest.approx(50.5)
-    assert (snap["p50"], snap["p95"], snap["p99"], snap["max"]) == (50.0, 95.0, 99.0, 100.0)
-    # The reservoir is bounded: lifetime counters keep counting, percentiles
-    # reflect only the retained window.
-    small = LatencyWindow(limit=4)
-    for value in (1.0, 1.0, 1.0, 1.0, 9.0, 9.0, 9.0, 9.0):
-        small.record(value)
-    assert small.count == 8
-    assert small.percentile(0.50) == 9.0
+    assert snap["max"] == 100.0
+    # Each percentile is the exact nearest-rank sample's bucket bound:
+    # never below it and within one 2**(1/8) bucket above it.
+    for field, exact in (("p50", 50.0), ("p95", 95.0), ("p99", 99.0)):
+        assert exact <= snap[field] <= exact * 2 ** (1 / 8)
+    # The whole lifetime counts: no window forgets the early samples.
+    for value in (1.0,) * 4 + (9.0,) * 4:
+        accounting.service_time.record(value)
+    assert accounting.service_time.count == 8
+    assert accounting.service_time.quantile(0.50) == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -178,10 +183,10 @@ def test_stride_shares_track_weights_under_saturation() -> None:
         scheduler.enqueue("alpha", "batch", ("alpha", index))
         scheduler.enqueue("beta", "batch", ("beta", index))
     order = drain(scheduler, 8)
-    shares = scheduler.work_shares()
+    tenants = tenants_document(scheduler.metrics, scheduler.tenancy)
     assert order.count("alpha") == 6 and order.count("beta") == 2
-    assert abs(shares["alpha"] - 0.75) <= SHARE_TOLERANCE * 0.75
-    assert abs(shares["beta"] - 0.25) <= SHARE_TOLERANCE * 0.25
+    assert abs(tenants["alpha"]["work_share"] - 0.75) <= SHARE_TOLERANCE * 0.75
+    assert abs(tenants["beta"]["work_share"] - 0.25) <= SHARE_TOLERANCE * 0.25
     # Everything still drains once the backlog clears.
     drain(scheduler, 16)
     assert scheduler.pick() is None
@@ -282,10 +287,11 @@ def test_tenant_quota_429_does_not_affect_other_tenants() -> None:
     with pytest.raises(ServiceOverloadedError) as excinfo:
         manager.submit(request_for("beta", seed=99))
     assert excinfo.value.code is ErrorCode.OVERLOADED
-    assert manager.rejections == {"overloaded": 1, "tenant_quota_exceeded": 1}
-    accounting = manager.scheduler.accounting
-    assert accounting("alpha").rejected_quota == 1
-    assert accounting("beta").rejected_capacity == 1
+    totals = manager.stats_document()["totals"]
+    assert totals["rejections"] == {"overloaded": 1, "tenant_quota_exceeded": 1}
+    events = tenant_events(manager.metrics)
+    assert events["alpha"]["rejected_quota"] == 1
+    assert events["beta"]["rejected_capacity"] == 1
     health = manager.health()
     assert health["rejections"] == {"overloaded": 1, "tenant_quota_exceeded": 1}
     assert health["tenants"]["alpha"]["rejected"] == 1
@@ -300,9 +306,11 @@ def test_cross_tenant_submissions_coalesce_to_one_execution() -> None:
     second, coalesced = manager.submit(request_for("beta", seed=5, priority="interactive"))
     assert coalesced and second is first
     assert first.tenant == "alpha"  # the first submitter owns the job
-    assert manager.stats["submitted"] == 1 and manager.stats["coalesced"] == 1
-    assert manager.scheduler.accounting("beta").coalesced == 1
-    assert manager.scheduler.accounting("alpha").admitted == 1
+    totals = manager.stats_document()["totals"]
+    assert totals["submitted"] == 1 and totals["coalesced"] == 1
+    events = tenant_events(manager.metrics)
+    assert events["beta"]["coalesced"] == 1
+    assert events["alpha"]["admitted"] == 1
     # Coalesced submissions bypass quotas: they add no work.
     tight = TenancyConfig(tenants=(TenantSpec("gamma", max_queued=1),))
     tight_manager = manager_for(tight)
@@ -330,7 +338,7 @@ def test_lane_resolution_and_retry_after_hint() -> None:
     )
     # No service-time history yet: a minimal, honest hint.
     assert manager.retry_after_hint(5) == 1
-    manager._service_time_sum, manager._service_time_count = 2.0, 1
+    manager.scheduler.accounting("alpha").service_time.record(2.0)
     assert manager.retry_after_hint(3) == 6  # ceil(2.0s * 3 ahead / 1 worker)
     assert manager.retry_after_hint(1000) == 60  # clamped
 
