@@ -1,7 +1,8 @@
 """Per-phase wall-time accounting for the performance harness.
 
-``repro bench`` attributes where a figure's wall time actually goes by
-having the hot paths report how long each *phase* of a simulation took:
+The repository benchmark (``perfbench/``) and ``repro profile`` attribute
+where a figure's wall time actually goes by having the hot paths report how
+long each *phase* of a simulation took:
 
 * ``generation`` -- synthesising workload instruction streams
   (:func:`repro.exp.runner._trace_for`),
@@ -40,5 +41,5 @@ def snapshot() -> Dict[str, float]:
 
 
 def reset() -> None:
-    """Zero every phase (called by the bench harness between timed runs)."""
+    """Zero every phase (``repro profile`` calls this before its run)."""
     _spans.reset_phases()

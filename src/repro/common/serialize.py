@@ -132,35 +132,25 @@ def _build_dataclass(cls: Type[_T], data: Any) -> _T:
 #:
 #: Version 2 added the optional tenancy fields at the envelope level
 #: (``tenant``, ``priority``) plus ``schema_version`` naming the payload's
-#: own schema.  Version-1 envelopes remain accepted (mapped to the default
-#: tenant and the batch lane, with a deprecation note in responses).
+#: own schema.  It is the only version this build reads.
 WIRE_SCHEMA_VERSION = 2
-
-#: Envelope versions this build still reads.
-SUPPORTED_WIRE_SCHEMAS = (1, 2)
 
 
 @dataclasses.dataclass(frozen=True)
 class WireEnvelope:
-    """A validated wire envelope, with the v2 transport fields exposed.
+    """A validated wire envelope, with its transport fields exposed.
 
-    ``tenant`` / ``priority`` / ``schema_version`` are ``None`` for v1
-    envelopes (and for v2 envelopes that omit them); :attr:`deprecated`
-    tells the server to attach a migration note to its response.
+    ``tenant`` / ``priority`` / ``schema_version`` / ``trace_id`` are
+    ``None`` when the envelope omits them.
     """
 
     kind: str
     payload: Any
-    wire_schema: int
     tenant: Any = None
     priority: Any = None
     schema_version: Any = None
     #: Request correlation ID (``X-Repro-Trace-Id``); ``None`` when absent.
     trace_id: Any = None
-
-    @property
-    def deprecated(self) -> bool:
-        return self.wire_schema < WIRE_SCHEMA_VERSION
 
 
 def wire_envelope(
@@ -171,50 +161,48 @@ def wire_envelope(
     priority: Any = None,
     schema_version: Any = None,
     trace_id: Any = None,
-    wire_schema: int = WIRE_SCHEMA_VERSION,
 ) -> Dict[str, Any]:
     """Wrap ``payload`` in a versioned wire envelope.
 
     The envelope is the unit every service endpoint sends and receives:
-    ``{"wire_schema": N, "kind": "<message type>", "payload": <JSON>}``.
-    Version-2 envelopes additionally carry ``tenant`` / ``priority``
-    (admission metadata for submissions), ``schema_version`` (the payload's
-    own schema number) and ``trace_id`` (the request's correlation ID, also
-    carried in the ``X-Repro-Trace-Id`` header) when provided.  ``payload``
-    may be any :func:`to_jsonable`-serialisable object.
+    ``{"wire_schema": 2, "kind": "<message type>", "payload": <JSON>}``,
+    plus ``tenant`` / ``priority`` (admission metadata for submissions),
+    ``schema_version`` (the payload's own schema number) and ``trace_id``
+    (the request's correlation ID, also carried in the ``X-Repro-Trace-Id``
+    header) when provided.  ``payload`` may be any
+    :func:`to_jsonable`-serialisable object.
     """
     document: Dict[str, Any] = {
-        "wire_schema": wire_schema,
+        "wire_schema": WIRE_SCHEMA_VERSION,
         "kind": kind,
         "payload": to_jsonable(payload),
     }
-    if wire_schema >= 2:
-        if tenant is not None:
-            document["tenant"] = tenant
-        if priority is not None:
-            document["priority"] = priority
-        if schema_version is not None:
-            document["schema_version"] = schema_version
-        if trace_id is not None:
-            document["trace_id"] = trace_id
+    if tenant is not None:
+        document["tenant"] = tenant
+    if priority is not None:
+        document["priority"] = priority
+    if schema_version is not None:
+        document["schema_version"] = schema_version
+    if trace_id is not None:
+        document["trace_id"] = trace_id
     return document
 
 
 def read_envelope(data: Any, kind: str) -> WireEnvelope:
-    """Validate a wire envelope (any supported version) and return it whole.
+    """Validate a wire envelope and return it whole.
 
     Raises :class:`ConfigurationError` when ``data`` is not an envelope, its
-    schema version is unsupported or its kind is not the expected one.
+    schema version is not :data:`WIRE_SCHEMA_VERSION` or its kind is not the
+    expected one.
     """
     if not isinstance(data, Mapping):
         raise ConfigurationError(
             f"expected a wire envelope mapping, got {type(data).__name__}"
         )
     schema = data.get("wire_schema")
-    if schema not in SUPPORTED_WIRE_SCHEMAS:
+    if schema != WIRE_SCHEMA_VERSION:
         raise ConfigurationError(
-            f"unsupported wire schema {schema!r} "
-            f"(this build speaks {', '.join(map(str, SUPPORTED_WIRE_SCHEMAS))})"
+            f"unsupported wire schema {schema!r} (this build speaks {WIRE_SCHEMA_VERSION})"
         )
     if data.get("kind") != kind:
         raise ConfigurationError(f"expected envelope kind {kind!r}, got {data.get('kind')!r}")
@@ -223,7 +211,6 @@ def read_envelope(data: Any, kind: str) -> WireEnvelope:
     return WireEnvelope(
         kind=kind,
         payload=data["payload"],
-        wire_schema=schema,
         tenant=data.get("tenant"),
         priority=data.get("priority"),
         schema_version=data.get("schema_version"),
@@ -232,7 +219,7 @@ def read_envelope(data: Any, kind: str) -> WireEnvelope:
 
 
 def open_envelope(data: Any, kind: str) -> Any:
-    """Validate a wire envelope and return its payload (either version)."""
+    """Validate a wire envelope and return its payload."""
     return read_envelope(data, kind).payload
 
 

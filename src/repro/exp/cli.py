@@ -7,7 +7,6 @@ on-disk result cache::
     python -m repro all --full --jobs 8 --json results.json
     python -m repro fig7 --engine reference   # the unoptimised ground-truth loop
     python -m repro cache list
-    python -m repro bench --jobs 4 --gate BENCH_pr1.json --output BENCH_pr4.json
     python -m repro profile fig7 --trace-out fig7-trace.json --jobs 4
 
 Every figure command prints the paper-layout text table plus a one-line
@@ -25,21 +24,20 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro._version import __version__
 from repro.common import phases
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigurationError, ReproError
 from repro.common.serialize import to_jsonable
 from repro.exp.cache import ResultCache
 from repro.obs import spans as obs_spans
 from repro.obs.logs import LOG_LEVELS, configure_logging
-from repro.exp.runner import ExperimentRunner, available_cpus, clear_trace_memo
+from repro.exp.runner import ExperimentRunner
 from repro.memory.replacement import TIMING_POLICY_NAMES
 from repro.sim import tables
 from repro.sim.configs import PAPER_CONFIGS
 from repro.sim.engine import DEFAULT_ENGINE, engine_names
-from repro.sim.engine.fast import clear_warm_memo
 from repro.sim.experiments import (
     DEFAULT_SEED,
     EXPERIMENTS,
@@ -120,14 +118,9 @@ FIGURES: Dict[str, FigureSpec] = {
     for name, spec in EXPERIMENTS.items()
 }
 
-#: Figures used by ``repro bench`` unless overridden (fast but representative).
-DEFAULT_BENCH_FIGURES = ("sec52", "fig7")
-
 
 def build_context(args: argparse.Namespace, runner: Optional[ExperimentRunner]) -> ExperimentContext:
     """Build the experiment campaign the CLI flags describe."""
-    from repro.common.errors import ConfigurationError
-
     if getattr(args, "quick", False) and args.full:
         raise ConfigurationError("--quick and --full are mutually exclusive")
     return campaign_context(
@@ -157,6 +150,11 @@ def _campaign_parameters(args: argparse.Namespace, context: ExperimentContext) -
         "engine": getattr(args, "engine", None) or DEFAULT_ENGINE,
         "policy": getattr(args, "policy", None) or "lru",
     }
+
+
+def _write_json(path: str, document: Any) -> None:
+    """Write one of the CLI's JSON artifacts (indented, sorted keys)."""
+    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True))
 
 
 def run_figures(figure_names: List[str], args: argparse.Namespace) -> int:
@@ -213,7 +211,7 @@ def _run_figures(
         artifact["figures"][figure_names[0]]["results"] if len(figure_names) == 1 else None
     )
     if args.json:
-        Path(args.json).write_text(json.dumps(artifact, indent=2, sort_keys=True))
+        _write_json(args.json, artifact)
         if not args.quiet:
             print(f"[repro] wrote {args.json}")
     return 0
@@ -293,191 +291,6 @@ def run_list_command(_args: argparse.Namespace) -> int:
     from repro.workloads.suite import suite_names
 
     print("suites: " + ", ".join(suite_names()))
-    return 0
-
-
-def evaluate_bench_gate(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    min_improvement: float = 2.0,
-    min_speedup: float = 1.0,
-) -> Tuple[bool, List[str]]:
-    """Compare a bench artifact against a recorded baseline artifact.
-
-    For every figure present in both artifacts the gate requires
-
-    * ``baseline serial wall time / current serial wall time`` to be at least
-      ``min_improvement`` (the hot path must not regress -- and, across the
-      fast-engine transition, must improve), and
-    * the current run's parallel ``speedup`` to exceed ``min_speedup``
-      (dispatching over the pool must never cost more than it saves).
-
-    Returns ``(ok, report lines)``; no shared figure is itself a failure.
-    """
-    current_figures = current.get("figures", {})
-    baseline_figures = baseline.get("figures", {})
-    shared = [name for name in current_figures if name in baseline_figures]
-    if not shared:
-        return False, ["gate: the artifacts share no figures; nothing to compare"]
-    lines = []
-    ok = True
-    for name in shared:
-        cur = current_figures[name]
-        base = baseline_figures[name]
-        if not isinstance(base, dict) or "serial_seconds" not in base:
-            return False, [
-                f"gate: {name}: baseline entry carries no serial_seconds; "
-                "is the baseline a `repro bench` artifact?"
-            ]
-        improvement = (
-            base["serial_seconds"] / cur["serial_seconds"] if cur["serial_seconds"] else 0.0
-        )
-        speedup = cur.get("speedup", 0.0)
-        improvement_ok = improvement >= min_improvement
-        speedup_ok = speedup > min_speedup
-        ok = ok and improvement_ok and speedup_ok
-        lines.append(
-            f"gate: {name}: serial {base['serial_seconds']:.2f}s -> "
-            f"{cur['serial_seconds']:.2f}s ({improvement:.2f}x vs >= {min_improvement:.2f}x "
-            f"required: {'ok' if improvement_ok else 'FAIL'}); parallel speedup "
-            f"{speedup:.2f}x vs > {min_speedup:.2f}x required: "
-            f"{'ok' if speedup_ok else 'FAIL'}"
-        )
-    return ok, lines
-
-
-def _git_revision() -> Optional[str]:
-    """The commit hash of the repro code being benchmarked, or ``None``.
-
-    Resolved relative to the installed package (not the caller's working
-    directory, which may be an unrelated repository), so the artifact
-    records the revision that actually produced the numbers; a non-editable
-    install has no checkout and records ``None``.
-    """
-    import subprocess
-    from pathlib import Path
-
-    package_dir = Path(__file__).resolve().parent
-    try:
-        proc = subprocess.run(
-            ["git", "-C", str(package_dir), "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=5.0,
-            check=False,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    revision = proc.stdout.strip()
-    return revision if proc.returncode == 0 and revision else None
-
-
-def run_bench_command(args: argparse.Namespace) -> int:
-    """Implement ``repro bench``: time serial vs parallel execution per figure.
-
-    Caching is disabled for both timed runs so the artifact measures raw
-    simulation throughput, not cache I/O.  The two modes deliberately measure
-    different operating points:
-
-    * **serial** is the cold path: the in-process memos (generated traces,
-      the fast engine's warmed cache states) are cleared first, so the
-      figure pays workload generation and warm-up in full.
-    * **parallel** is the steady-state orchestration path: the runner's
-      reused worker pool and the process's memoised engine state stay live,
-      exactly as they do for a long-lived sweep or the simulation service.
-
-    Each mode records a per-phase wall-time breakdown (``phases``:
-    generation / build / warmup / drive seconds as reported by the hot
-    paths, plus parent-side ``dispatch`` for parallel runs), so a wall-time
-    change is attributable to the phase that caused it.  The artifact also
-    records the git revision and the engine, making trajectory JSONs
-    self-describing.
-
-    With ``--gate BASELINE.json`` the command additionally compares the
-    fresh artifact against a previously recorded one and exits non-zero when
-    the wall-time improvement or the parallel speedup falls below the
-    thresholds (see :func:`evaluate_bench_gate`).
-    """
-    figure_names = args.figures.split(",") if args.figures else list(DEFAULT_BENCH_FIGURES)
-    unknown = [name for name in figure_names if name not in FIGURES]
-    if unknown:
-        print(f"[repro] unknown figures: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    artifact: Dict[str, Any] = {
-        "artifact": "repro-bench",
-        "created_unix": time.time(),
-        "python": sys.version.split()[0],
-        "cpu_count": available_cpus(),
-        "git_revision": _git_revision(),
-        "engine": args.engine if args.engine else DEFAULT_ENGINE,
-        "parallel_jobs": args.jobs,
-        "instructions_per_workload": None,
-        "seed": args.seed,
-        "full": bool(args.full),
-        "modes": {
-            "serial": "cold start: trace and warm-state memos cleared, inline execution",
-            "parallel": "steady state: reused worker pool and in-process engine memos",
-        },
-        "figures": {},
-    }
-    print(f"{'figure':<8} {'sims':>5} {'serial':>9} {f'--jobs {args.jobs}':>10} {'speedup':>8}")
-    for name in figure_names:
-        spec = FIGURES[name]
-        timings: Dict[str, float] = {}
-        phase_breakdown: Dict[str, Dict[str, float]] = {}
-        simulations = 0
-        effective_workers = 1
-        for mode, jobs in (("serial", 1), ("parallel", args.jobs)):
-            runner = ExperimentRunner(jobs=jobs, cache=None)
-            context = build_context(args, runner)
-            artifact["instructions_per_workload"] = context.instructions_per_workload
-            if mode == "serial":
-                # Cold start: pay trace generation and cache warm-up in full.
-                clear_trace_memo()
-                clear_warm_memo()
-            else:
-                effective_workers = runner.effective_workers()
-            phases.reset()
-            started = time.perf_counter()
-            spec.run(context)
-            timings[mode] = time.perf_counter() - started
-            phase_breakdown[mode] = phases.snapshot()
-            simulations = runner.executed_jobs
-            runner.close()
-        speedup = timings["serial"] / timings["parallel"] if timings["parallel"] else 0.0
-        artifact["figures"][name] = {
-            "simulations": simulations,
-            "serial_seconds": timings["serial"],
-            "parallel_seconds": timings["parallel"],
-            "parallel_jobs": args.jobs,
-            "effective_workers": effective_workers,
-            "speedup": speedup,
-            "phases": phase_breakdown,
-        }
-        print(
-            f"{name:<8} {simulations:>5} {timings['serial']:>8.2f}s "
-            f"{timings['parallel']:>9.2f}s {speedup:>7.2f}x"
-        )
-    Path(args.output).write_text(json.dumps(artifact, indent=2, sort_keys=True))
-    print(f"[repro] wrote {args.output}")
-    if args.gate:
-        try:
-            baseline = json.loads(Path(args.gate).read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            print(f"[repro] cannot read gate baseline {args.gate}: {error}", file=sys.stderr)
-            return 2
-        ok, lines = evaluate_bench_gate(
-            artifact,
-            baseline,
-            min_improvement=args.gate_min_improvement,
-            min_speedup=args.gate_min_speedup,
-        )
-        for line in lines:
-            print(f"[repro] {line}")
-        if not ok:
-            print(f"[repro] bench gate FAILED against {args.gate}", file=sys.stderr)
-            return 1
-        print(f"[repro] bench gate passed against {args.gate}")
     return 0
 
 
@@ -562,9 +375,7 @@ def run_trace_command(args: argparse.Namespace) -> int:
                 line += " (replay == regeneration: verified)"
             print(line)
         if args.json:
-            Path(args.json).write_text(
-                json.dumps(result.to_dict(), indent=2, sort_keys=True)
-            )
+            _write_json(args.json, result.to_dict())
         return 0
 
     # submit: replay through a running service via the recorded provenance.
@@ -595,7 +406,7 @@ def run_trace_command(args: argparse.Namespace) -> int:
             f"({view['progress']['cache_hits']} from cache)"
         )
     if args.json:
-        Path(args.json).write_text(json.dumps(payload, indent=2, sort_keys=True))
+        _write_json(args.json, payload)
     return 0
 
 
@@ -639,7 +450,7 @@ def run_profile_command(args: argparse.Namespace) -> int:
             "phase_totals": phases.snapshot(),
         },
     )
-    Path(args.trace_out).write_text(json.dumps(document, indent=2, sort_keys=True))
+    _write_json(args.trace_out, document)
     processes = {entry["pid"] for entry in spans}
     if not args.quiet:
         dropped = obs_spans.dropped()
@@ -675,7 +486,7 @@ def run_serve_command(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         cache_dir=None if args.no_cache else args.cache_dir,
         tenancy=tenancy,
-        shard_count=max(1, args.shards),
+        shard_count=args.shards,
         job_timeout=args.job_timeout,
         job_retries=args.job_retries,
         journal=not args.no_journal,
@@ -687,6 +498,31 @@ def run_serve_command(args: argparse.Namespace) -> int:
     else:
         serve(config)
     return 0
+
+
+#: The server-under-test settings ``loadbench`` and ``chaos`` share; both
+#: verbs declare them through :func:`_add_self_served_arguments`.
+_SELF_SERVED_SETTINGS = (
+    "shards", "serve_workers", "queue_limit", "instructions", "seed", "timeout", "faults",
+)
+
+
+def _self_served_settings(args: argparse.Namespace) -> Dict[str, Any]:
+    return {name: getattr(args, name) for name in _SELF_SERVED_SETTINGS}
+
+
+def _parse_tenant_mix(text: Optional[str]) -> tuple:
+    """``alpha=2,beta=1`` -> ``(("alpha", 2.0), ("beta", 1.0))``."""
+    pairs = []
+    for item in text.split(",") if text else ():
+        name, _, weight = item.partition("=")
+        try:
+            pairs.append((name.strip(), float(weight)))
+        except ValueError:
+            raise ConfigurationError(
+                f"bad --tenant-mix entry {item!r} (want name=weight)"
+            ) from None
+    return tuple(pairs)
 
 
 def run_loadbench_command(args: argparse.Namespace) -> int:
@@ -703,44 +539,25 @@ def run_loadbench_command(args: argparse.Namespace) -> int:
         run_loadbench,
     )
 
-    tenant_mix: tuple = ()
-    if args.tenant_mix:
-        pairs = []
-        for item in args.tenant_mix.split(","):
-            name, separator, weight = item.partition("=")
-            if not separator:
-                print(
-                    f"[repro] bad --tenant-mix entry {item!r} (want name=weight)",
-                    file=sys.stderr,
-                )
-                return 2
-            pairs.append((name.strip(), float(weight)))
-        tenant_mix = tuple(pairs)
     try:
         config = LoadBenchConfig(
             server=args.server,
-            shards=args.shards,
-            serve_workers=args.serve_workers,
-            queue_limit=args.queue_limit,
             clients=tuple(int(stage) for stage in args.clients.split(",")),
             mode=args.mode,
             rate=args.rate,
             epoch_seconds=args.epoch_seconds,
             epochs=args.epochs,
             warmup_epochs=args.warmup_epochs,
-            instructions=args.instructions,
-            tenant_mix=tenant_mix,
-            timeout=args.timeout,
-            seed=args.seed,
-            faults=args.faults,
+            tenant_mix=_parse_tenant_mix(args.tenant_mix),
             expected_failures=args.expected_failures,
+            **_self_served_settings(args),
         )
     except (ValueError, ReproError) as error:
         print(f"[repro] bad loadbench configuration: {error}", file=sys.stderr)
         return 2
     log = (lambda message: None) if args.quiet else print
     artifact = run_loadbench(config, log=log)
-    Path(args.out).write_text(json.dumps(artifact, indent=2, sort_keys=True))
+    _write_json(args.out, artifact)
     print(f"[repro] wrote {args.out}")
     if args.gate:
         ok, lines = evaluate_loadbench_gate(
@@ -772,24 +589,18 @@ def run_chaos_command(args: argparse.Namespace) -> int:
 
     try:
         config = ChaosConfig(
-            shards=args.shards,
-            serve_workers=args.serve_workers,
-            queue_limit=args.queue_limit,
             submissions=args.submissions,
             clients=args.clients,
-            instructions=args.instructions,
-            seed=args.seed,
-            timeout=args.timeout,
-            faults=args.faults,
             max_error_rate=args.max_error_rate,
             restart=not args.no_restart,
+            **_self_served_settings(args),
         )
     except (ValueError, ReproError) as error:
         print(f"[repro] bad chaos configuration: {error}", file=sys.stderr)
         return 2
     log = (lambda message: None) if args.quiet else print
     ok, artifact = run_chaos(config, log=log)
-    Path(args.out).write_text(json.dumps(artifact, indent=2, sort_keys=True))
+    _write_json(args.out, artifact)
     print(f"[repro] wrote {args.out}")
     for name, check in artifact["checks"].items():
         print(f"[repro] chaos: {name}: {'ok' if check['ok'] else 'FAIL'} "
@@ -808,7 +619,7 @@ def run_stats_command(args: argparse.Namespace) -> int:
     client = ServiceClient(args.server, timeout=min(args.timeout, 60.0))
     stats = client.stats()
     if args.json:
-        Path(args.json).write_text(json.dumps(stats, indent=2, sort_keys=True))
+        _write_json(args.json, stats)
     queue = stats["queue"]
     print(
         f"queue: {queue['depth']}/{queue['limit']} queued, "
@@ -875,7 +686,7 @@ def run_submit_command(args: argparse.Namespace) -> int:
                 "status": receipt.status,
                 "coalesced": receipt.coalesced,
             }
-            Path(args.json).write_text(json.dumps(receipt_doc, indent=2, sort_keys=True))
+            _write_json(args.json, receipt_doc)
             if not args.quiet:
                 print(f"[repro] wrote {args.json}")
         return 0
@@ -891,7 +702,7 @@ def run_submit_command(args: argparse.Namespace) -> int:
             f"{progress.get('cache_hits', 0)} from cache, {elapsed:.2f}s"
         )
     if args.json:
-        Path(args.json).write_text(json.dumps(view, indent=2, sort_keys=True))
+        _write_json(args.json, view)
         if not args.quiet:
             print(f"[repro] wrote {args.json}")
     return 0
@@ -904,35 +715,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_campaign_arguments(
-    parser: argparse.ArgumentParser, default_jobs: int = 1, with_cache: bool = True
-) -> None:
-    parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=default_jobs,
-        help=f"worker processes for the sweep (default: {default_jobs})",
-    )
-    if with_cache:
-        parser.add_argument(
-            "--cache-dir",
-            default=DEFAULT_CACHE_DIR,
-            help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
-        )
-        parser.add_argument(
-            "--no-cache", action="store_true", help="disable the on-disk result cache"
-        )
+def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags naming a campaign, whether it runs here or on a server."""
     parser.add_argument(
         "--full",
         action="store_true",
         help="run the full SPEC-like suites at the paper's trace length "
         "(default: the quick two-workload campaign)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="run the quick two-workload campaign (the default; spelled out "
-        "for scripts, mutually exclusive with --full)",
     )
     parser.add_argument(
         "--instructions",
@@ -960,6 +749,110 @@ def _add_campaign_arguments(
     )
 
 
+def _add_cache_arguments(parser: argparse.ArgumentParser, with_disable: bool = True) -> None:
+    """``--cache-dir`` (and ``--no-cache``) for every verb that opens the cache."""
+    parser.add_argument(
+        "--cache-dir",
+        default=DEFAULT_CACHE_DIR,
+        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
+    )
+    if with_disable:
+        parser.add_argument(
+            "--no-cache", action="store_true", help="disable the on-disk result cache"
+        )
+
+
+def _add_local_campaign_arguments(
+    parser: argparse.ArgumentParser, default_jobs: int = 1, with_cache: bool = True
+) -> None:
+    """The campaign flags plus how this process runs it: pool, cache, --quick."""
+    parser.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=default_jobs,
+        help=f"worker processes for the sweep (default: {default_jobs})",
+    )
+    if with_cache:
+        _add_cache_arguments(parser)
+    parser.add_argument(
+        "--quick",
+        action="store_true",
+        help="run the quick two-workload campaign (the default; spelled out "
+        "for scripts, mutually exclusive with --full)",
+    )
+    _add_campaign_arguments(parser)
+
+
+def _add_server_arguments(
+    parser: argparse.ArgumentParser, timeout: float, scope: str = ""
+) -> None:
+    """``--server``/``--timeout`` for the verbs that talk to a running server."""
+    parser.add_argument(
+        "--server",
+        default=DEFAULT_SERVICE_URL,
+        help=f"{scope}server base URL (default: {DEFAULT_SERVICE_URL})",
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=timeout,
+        help=f"{scope}seconds to wait (default: {timeout:g})",
+    )
+
+
+def _add_self_served_arguments(
+    parser: argparse.ArgumentParser,
+    *,
+    queue_limit: int,
+    timeout: float,
+    out: str,
+    faults: str,
+) -> None:
+    """The server-under-test flags of ``loadbench`` and ``chaos`` (see
+    :data:`_SELF_SERVED_SETTINGS`), with the per-verb defaults passed in."""
+    parser.add_argument(
+        "--shards",
+        type=int,
+        default=2,
+        help="shards for the self-served instance (default: 2)",
+    )
+    parser.add_argument(
+        "--serve-workers",
+        type=int,
+        default=2,
+        help="worker tasks per self-served shard (default: 2)",
+    )
+    parser.add_argument(
+        "--queue-limit",
+        type=int,
+        default=queue_limit,
+        help=f"queue limit per self-served shard (default: {queue_limit})",
+    )
+    parser.add_argument(
+        "--instructions",
+        type=int,
+        default=1500,
+        help="trace length per submitted simulation (default: 1500)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=42, help="workload seed (default: 42)"
+    )
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=timeout,
+        help=f"per-request budget in seconds (default: {timeout:g})",
+    )
+    parser.add_argument(
+        "--faults",
+        default=None,
+        metavar="FILE.json",
+        help=f"fault spec the self-served instance runs with (default: {faults})",
+    )
+    parser.add_argument("--out", default=out, help=f"artifact path (default: {out})")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress output")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -967,29 +860,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    for name, spec in FIGURES.items():
-        sub = subparsers.add_parser(name, help=spec.description)
-        _add_campaign_arguments(sub)
+    figure_verbs = {name: (spec.description, [name]) for name, spec in FIGURES.items()}
+    figure_verbs["all"] = ("run every figure and table", list(FIGURES))
+    for name, (description, figures) in figure_verbs.items():
+        sub = subparsers.add_parser(name, help=description)
+        _add_local_campaign_arguments(sub)
         sub.add_argument("--json", default=None, help="write a JSON artifact to this path")
         sub.add_argument("--quiet", action="store_true", help="suppress the rendered tables")
-        sub.set_defaults(handler=lambda args, figure=name: run_figures([figure], args))
-
-    sub = subparsers.add_parser("all", help="run every figure and table")
-    _add_campaign_arguments(sub)
-    sub.add_argument("--json", default=None, help="write a JSON artifact to this path")
-    sub.add_argument("--quiet", action="store_true", help="suppress the rendered tables")
-    sub.set_defaults(handler=lambda args: run_figures(list(FIGURES), args))
+        sub.set_defaults(handler=lambda args, figures=figures: run_figures(figures, args))
 
     sub = subparsers.add_parser("list", help="list figures, machines and suites")
     sub.set_defaults(handler=run_list_command)
 
     sub = subparsers.add_parser("cache", help="inspect, clear or prune the result cache")
     sub.add_argument("action", choices=("list", "info", "clear"))
-    sub.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
+    _add_cache_arguments(sub, with_disable=False)
     sub.add_argument(
         "--older-than",
         type=float,
@@ -1050,14 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay: also regenerate from the recorded parameters and assert "
         "the results are bit-identical",
     )
-    sub.add_argument(
-        "--server",
-        default=DEFAULT_SERVICE_URL,
-        help=f"submit: server base URL (default: {DEFAULT_SERVICE_URL})",
-    )
-    sub.add_argument(
-        "--timeout", type=float, default=600.0, help="submit: seconds to wait (default: 600)"
-    )
+    _add_server_arguments(sub, timeout=600.0, scope="submit: ")
     sub.add_argument("--json", default=None, help="replay/submit: write the result JSON here")
     sub.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub.set_defaults(handler=run_trace_command)
@@ -1093,14 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         help="pending jobs admitted before answering 429 (default: 8)",
     )
-    sub.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"shared result cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    sub.add_argument(
-        "--no-cache", action="store_true", help="disable the shared result cache"
-    )
+    _add_cache_arguments(sub)
     sub.add_argument(
         "--tenants",
         default=None,
@@ -1121,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--shards",
-        type=int,
+        type=_positive_int,
         default=1,
         help="server processes to run over the shared cache (default: 1); "
         "shard i serves port+1+i, the public port is shared via SO_REUSEPORT "
@@ -1173,23 +1044,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="existing server base URL; omitted = self-serve a fresh instance",
     )
-    sub.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="shards for the self-served instance (default: 2)",
-    )
-    sub.add_argument(
-        "--serve-workers",
-        type=int,
-        default=2,
-        help="worker tasks per self-served shard (default: 2)",
-    )
-    sub.add_argument(
-        "--queue-limit",
-        type=int,
-        default=64,
-        help="queue limit per self-served shard (default: 64)",
+    _add_self_served_arguments(
+        sub, queue_limit=64, timeout=30.0, out="LOADBENCH.json", faults="none"
     )
     sub.add_argument(
         "--clients",
@@ -1224,32 +1080,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="leading epochs excluded from the aggregate (default: 1)",
     )
     sub.add_argument(
-        "--instructions",
-        type=int,
-        default=1500,
-        help="trace length per submitted simulation (default: 1500)",
-    )
-    sub.add_argument(
         "--tenant-mix",
         default=None,
         metavar="NAME=W,NAME=W",
         help="weighted-fairness mode: offer equal traffic per named tenant "
         "while the (self-served) roster carries these weights, then check "
         "the served shares track the weights",
-    )
-    sub.add_argument(
-        "--timeout",
-        type=float,
-        default=30.0,
-        help="per-request client timeout in seconds (default: 30)",
-    )
-    sub.add_argument(
-        "--seed", type=int, default=42, help="workload stream seed (default: 42)"
-    )
-    sub.add_argument(
-        "--out",
-        default="LOADBENCH.json",
-        help="artifact path (default: LOADBENCH.json)",
     )
     sub.add_argument(
         "--gate",
@@ -1275,19 +1111,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="gate: allowed |observed - expected| tenant share (0 = off)",
     )
     sub.add_argument(
-        "--faults",
-        default=None,
-        metavar="FILE.json",
-        help="launch the self-served instance with this fault spec active",
-    )
-    sub.add_argument(
         "--expected-failures",
         type=int,
         default=0,
         help="client-process deaths tolerated per stage (default: 0; raise "
         "for fault-injected runs)",
     )
-    sub.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub.set_defaults(handler=run_loadbench_command)
 
     sub = subparsers.add_parser(
@@ -1295,23 +1124,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the fault-injection harness against a self-served instance "
         "and assert the fault-tolerance contract",
     )
-    sub.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        help="shards for the server under test (default: 2)",
-    )
-    sub.add_argument(
-        "--serve-workers",
-        type=int,
-        default=2,
-        help="worker tasks per shard (default: 2)",
-    )
-    sub.add_argument(
-        "--queue-limit",
-        type=int,
-        default=32,
-        help="queue limit per shard (default: 32)",
+    _add_self_served_arguments(
+        sub,
+        queue_limit=32,
+        timeout=60.0,
+        out="CHAOS.json",
+        faults="the built-in kill/drop/corrupt/500 mix",
     )
     sub.add_argument(
         "--submissions",
@@ -1326,27 +1144,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="concurrent submitter threads (default: 4)",
     )
     sub.add_argument(
-        "--instructions",
-        type=int,
-        default=1500,
-        help="trace length per submitted simulation (default: 1500)",
-    )
-    sub.add_argument(
-        "--seed", type=int, default=42, help="workload seed (default: 42)"
-    )
-    sub.add_argument(
-        "--timeout",
-        type=float,
-        default=60.0,
-        help="per-submission budget in seconds (default: 60)",
-    )
-    sub.add_argument(
-        "--faults",
-        default=None,
-        metavar="FILE.json",
-        help="fault spec (default: the built-in kill/drop/corrupt/500 mix)",
-    )
-    sub.add_argument(
         "--max-error-rate",
         type=float,
         default=0.34,
@@ -1358,10 +1155,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the SIGTERM + restart round-trip (and its journal-replay "
         "check)",
     )
-    sub.add_argument(
-        "--out", default="CHAOS.json", help="artifact path (default: CHAOS.json)"
-    )
-    sub.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub.set_defaults(handler=run_chaos_command)
 
     sub = subparsers.add_parser(
@@ -1375,7 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE.json",
         help="write the Chrome trace-event document here (Perfetto-loadable)",
     )
-    _add_campaign_arguments(sub, default_jobs=2, with_cache=False)
+    _add_local_campaign_arguments(sub, default_jobs=2, with_cache=False)
     sub.add_argument("--quiet", action="store_true", help="suppress the summary lines")
     sub.set_defaults(handler=run_profile_command)
 
@@ -1383,35 +1176,8 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit a figure to a running server and wait for the result"
     )
     sub.add_argument("figure", choices=sorted(FIGURES), help="figure/table to reproduce")
-    sub.add_argument(
-        "--server",
-        default=DEFAULT_SERVICE_URL,
-        help=f"server base URL (default: {DEFAULT_SERVICE_URL})",
-    )
-    sub.add_argument(
-        "--full", action="store_true", help="run the full suites at the paper's trace length"
-    )
-    sub.add_argument(
-        "--instructions",
-        type=_positive_int,
-        default=None,
-        help="trace length per workload (default: campaign default)",
-    )
-    sub.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help=f"campaign seed (default: {DEFAULT_SEED})"
-    )
-    sub.add_argument(
-        "--engine",
-        choices=engine_names(),
-        default=None,
-        help=f"simulation engine for the campaign (default: {DEFAULT_ENGINE})",
-    )
-    sub.add_argument(
-        "--policy",
-        choices=TIMING_POLICY_NAMES,
-        default=None,
-        help="cache replacement policy for the campaign (default: lru)",
-    )
+    _add_server_arguments(sub, timeout=600.0)
+    _add_campaign_arguments(sub)
     sub.add_argument(
         "--tenant",
         default=None,
@@ -1432,9 +1198,6 @@ def build_parser() -> argparse.ArgumentParser:
         "interactive)",
     )
     sub.add_argument(
-        "--timeout", type=float, default=600.0, help="seconds to wait (default: 600)"
-    )
-    sub.add_argument(
         "--no-wait", action="store_true", help="submit and print the job id without waiting"
     )
     sub.add_argument("--json", default=None, help="write the completed status document here")
@@ -1444,53 +1207,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "stats", help="print a running server's per-tenant usage and latency stats"
     )
-    sub.add_argument(
-        "--server",
-        default=DEFAULT_SERVICE_URL,
-        help=f"server base URL (default: {DEFAULT_SERVICE_URL})",
-    )
-    sub.add_argument(
-        "--timeout", type=float, default=10.0, help="request timeout (default: 10)"
-    )
+    _add_server_arguments(sub, timeout=10.0)
     sub.add_argument("--json", default=None, help="also write the raw stats document here")
     sub.set_defaults(handler=run_stats_command)
-
-    sub = subparsers.add_parser(
-        "bench",
-        help="time serial vs parallel execution (cache disabled) and write a JSON artifact",
-    )
-    _add_campaign_arguments(sub, default_jobs=4, with_cache=False)
-    sub.add_argument(
-        "--figures",
-        default=None,
-        help=f"comma-separated figures to time (default: {','.join(DEFAULT_BENCH_FIGURES)})",
-    )
-    sub.add_argument(
-        "--output", default="BENCH_pr5.json", help="artifact path (default: BENCH_pr5.json)"
-    )
-    sub.add_argument(
-        "--gate",
-        default=None,
-        metavar="BASELINE.json",
-        help="compare against a recorded bench artifact and exit non-zero on "
-        "regression (wall-time improvement below --gate-min-improvement or "
-        "parallel speedup below --gate-min-speedup)",
-    )
-    sub.add_argument(
-        "--gate-min-improvement",
-        type=float,
-        default=2.0,
-        metavar="FACTOR",
-        help="required baseline/current serial wall-time ratio (default: 2.0)",
-    )
-    sub.add_argument(
-        "--gate-min-speedup",
-        type=float,
-        default=1.0,
-        metavar="FACTOR",
-        help="required parallel speedup, exclusive (default: 1.0)",
-    )
-    sub.set_defaults(handler=run_bench_command)
 
     return parser
 

@@ -44,12 +44,6 @@ from repro.uarch.result import CoreResult
 from repro.workloads.base import WorkloadParameters
 from repro.workloads.suite import WorkloadSuite, generate_member_trace
 
-#: Environment knob for the parallel trace handoff: ``0`` disables the
-#: ``multiprocessing.shared_memory`` path and ships the columnar container
-#: bytes through the task pickle instead (the automatic fallback when shared
-#: memory is unavailable on the host).
-SHM_ENV = "REPRO_SHM"
-
 #: Bump when the meaning of a job changes (e.g. the runner's aggregation
 #: semantics); old cache entries then stop matching automatically.  Changes
 #: to the *trace* semantics (generator derivation, record format) are
@@ -214,8 +208,8 @@ class _Task(NamedTuple):
 
 
 def _shm_enabled() -> bool:
-    if os.environ.get(SHM_ENV, "1") == "0":
-        return False
+    """Whether this host offers ``multiprocessing.shared_memory``; without it
+    the parallel trace handoff ships container bytes through the task pickle."""
     try:
         from multiprocessing import shared_memory  # noqa: F401
     except ImportError:  # pragma: no cover - platforms without shm support

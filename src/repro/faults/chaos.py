@@ -317,6 +317,7 @@ def run_chaos(config: ChaosConfig, log=print) -> Tuple[bool, Dict[str, Any]]:
 def _run_scenario(
     config: ChaosConfig, spec: FaultSpec, server: Any, log
 ) -> Dict[str, Any]:
+    from repro.load.bench import _git_revision
     from repro.service.client import ServiceClient
 
     jobs = _jobs_for(config)
@@ -415,8 +416,6 @@ def _run_scenario(
             "ok": replays >= 1.0,
             "detail": f"{replays:.0f} shard journal replays after restart",
         }
-
-    from repro.exp.cli import _git_revision
 
     return {
         "artifact": "repro-chaos",

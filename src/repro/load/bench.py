@@ -252,8 +252,6 @@ def run_loadbench(config: LoadBenchConfig, log=print) -> Dict[str, Any]:
     finally:
         if server is not None:
             server.stop()
-    from repro.exp.cli import _git_revision
-
     return {
         "artifact": "repro-loadbench",
         "schema_version": LOADBENCH_SCHEMA_VERSION,
@@ -389,6 +387,29 @@ def evaluate_loadbench_gate(
                 f"{'ok' if passed else 'FAIL'}"
             )
     return ok, lines
+
+
+def _git_revision() -> Optional[str]:
+    """The commit hash of the repro code that produced an artifact, or ``None``.
+
+    Resolved relative to the installed package (not the caller's working
+    directory, which may be an unrelated repository), so the artifact
+    records the revision that actually produced the numbers; a non-editable
+    install has no checkout and records ``None``.
+    """
+    package_dir = Path(__file__).resolve().parent
+    try:
+        proc = subprocess.run(
+            ["git", "-C", str(package_dir), "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=5.0,
+            check=False,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    revision = proc.stdout.strip()
+    return revision if proc.returncode == 0 and revision else None
 
 
 def _free_port_block(count: int) -> int:

@@ -5,7 +5,7 @@ is now a thin shim over it).  Two views of the same instrumentation coexist:
 
 * **Phase totals** -- ``{phase name: seconds}``, always accumulated.  The
   hot paths report into them via :func:`add_phase` (through the
-  ``phases`` shim) and the bench harness snapshots them per timed run.
+  ``phases`` shim); ``repro profile`` and the benchmark read them back.
   Worker processes return their per-task deltas to the parent, which merges
   them with :func:`merge_worker` -- closing the historical parallel-mode
   blind spot where worker phase data was simply lost.
@@ -129,7 +129,7 @@ def phase_totals() -> Dict[str, float]:
 
 
 def reset_phases() -> None:
-    """Zero every phase total (the bench harness, between timed runs)."""
+    """Zero every phase total (before a measured run)."""
     _PHASE_TOTALS.clear()
 
 
@@ -166,7 +166,7 @@ def merge_worker(observations: Optional[Mapping[str, Any]]) -> None:
     ``observations`` is the dict a pool worker returns alongside its result:
     ``{"pid": ..., "phases": {name: seconds}, "spans": [...]}``.  Phase
     deltas are merged into the totals unconditionally (this is what makes
-    parallel bench artifacts carry real worker phase breakdowns); the
+    parallel runs report real worker phase breakdowns); the
     worker's spans -- already stamped with the worker's pid -- extend the
     span log only while recording is armed.
     """

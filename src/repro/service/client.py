@@ -15,10 +15,6 @@ lives on the client; per-call knobs are keyword-only on :meth:`submit`:
     print(status["progress"], status["result"])
     client.stats()["tenants"]["alpha"]            # usage/latency accounting
 
-The old positional ``submit(figure, cases, instructions, seed, full,
-engine)`` signature still works through a deprecation shim (it warns; new
-code should pass keywords).
-
 Errors surface as :class:`~repro.common.errors.ServiceError`.  Admission
 rejections raise :class:`~repro.common.errors.ServiceOverloadedError`
 carrying the structured fields from the error body -- ``code``
@@ -35,7 +31,6 @@ import random
 import time
 import urllib.error
 import urllib.request
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Tuple
 
@@ -54,9 +49,6 @@ from repro.obs.tracing import TRACE_ID_HEADER, current_trace_id, new_trace_id
 #: and honouring http_proxy/https_proxy env vars would route even loopback
 #: requests through a corporate proxy that cannot reach the caller's 127.0.0.1.
 _OPENER = urllib.request.build_opener(urllib.request.ProxyHandler({}))
-
-#: The old positional order of ``submit`` (the back-compat shim's contract).
-_SUBMIT_POSITIONAL = ("figure", "cases", "instructions", "seed", "full", "engine")
 
 #: Status polling backs off exponentially with **full jitter** -- poll ``n``
 #: sleeps ``uniform(0, min(cap, interval * 2**n))`` -- so a fleet of waiting
@@ -81,8 +73,6 @@ class SubmitReceipt:
     #: The tenant/lane the server resolved the submission to.
     tenant: Optional[str] = None
     priority: Optional[str] = None
-    #: Migration note when the server deprecates the submission's schema.
-    deprecation: Optional[str] = None
     #: The correlation ID this submission travelled under (minted client-side,
     #: echoed by the server in the envelope and ``X-Repro-Trace-Id`` header).
     trace_id: Optional[str] = None
@@ -236,39 +226,7 @@ class ServiceClient:
             raise ServiceError(f"metrics failed ({status}): {self._error_message(data)}")
         return open_envelope(data, "metrics")
 
-    def submit(self, *args: Any, **kwargs: Any) -> Any:
-        """``POST /v1/jobs``: submit a figure campaign or an explicit batch.
-
-        All parameters are keyword-only: ``figure``, ``cases``,
-        ``instructions``, ``seed``, ``full``, ``engine``, ``policy`` (cache
-        replacement policy for figure campaigns), plus the admission knobs ``priority`` (``interactive``/``batch``) and ``tenant`` (which
-        overrides the client-level tenant for this call).  Returns a
-        :class:`SubmitReceipt`; with ``wait=True`` it polls until the job
-        finishes (``timeout`` seconds) and returns the completed status
-        document instead.  Positional arguments are accepted for backward
-        compatibility with the pre-v2 signature and emit a
-        :class:`DeprecationWarning`.
-        """
-        if args:
-            warnings.warn(
-                "positional arguments to ServiceClient.submit() are deprecated; "
-                "pass figure=, cases=, instructions=, seed=, full=, engine= as "
-                "keywords",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > len(_SUBMIT_POSITIONAL):
-                raise TypeError(
-                    f"submit() takes at most {len(_SUBMIT_POSITIONAL)} positional "
-                    f"arguments ({len(args)} given)"
-                )
-            for name, value in zip(_SUBMIT_POSITIONAL, args):
-                if name in kwargs:
-                    raise TypeError(f"submit() got multiple values for {name!r}")
-                kwargs[name] = value
-        return self._submit(**kwargs)
-
-    def _submit(
+    def submit(
         self,
         *,
         figure: Optional[str] = None,
@@ -283,6 +241,17 @@ class ServiceClient:
         wait: bool = False,
         timeout: float = 600.0,
     ) -> Any:
+        """``POST /v1/jobs``: submit a figure campaign or an explicit batch.
+
+        All parameters are keyword-only: ``figure``, ``cases``,
+        ``instructions``, ``seed``, ``full``, ``engine``, ``policy`` (cache
+        replacement policy for figure campaigns), plus the admission knobs
+        ``priority`` (``interactive``/``batch``) and ``tenant`` (which
+        overrides the client-level tenant for this call).  Returns a
+        :class:`SubmitReceipt`; with ``wait=True`` it polls until the job
+        finishes (``timeout`` seconds) and returns the completed status
+        document instead.
+        """
         tenant = tenant if tenant is not None else self.tenant
         # One trace ID covers the whole submission: minted here, sent in both
         # the envelope and the header, echoed back in the receipt.
@@ -337,7 +306,6 @@ class ServiceClient:
             coalesced=bool(payload["coalesced"]),
             tenant=payload.get("tenant"),
             priority=payload.get("priority"),
-            deprecation=payload.get("deprecation"),
             trace_id=envelope.trace_id if envelope.trace_id is not None else trace_id,
         )
         if wait:
@@ -444,7 +412,7 @@ class ServiceClient:
         tenant: Optional[str] = None,
     ) -> Dict[str, Any]:
         """Submit and wait: returns the completed status document."""
-        receipt = self._submit(
+        receipt = self.submit(
             figure=figure,
             cases=cases,
             instructions=instructions,

@@ -40,6 +40,7 @@ REASONS: Dict[int, str] = {
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
+    503: "Service Unavailable",
 }
 
 

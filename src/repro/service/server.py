@@ -22,16 +22,16 @@ Endpoints (all JSON, wrapped in versioned wire envelopes, see
   exposition format (``?format=json`` for the JSON document instead).
 
 **Tracing.** Every request is assigned a trace ID: a valid incoming
-``X-Repro-Trace-Id`` header (or v2-envelope ``trace_id``) is honoured,
+``X-Repro-Trace-Id`` header (or the envelope's ``trace_id``) is honoured,
 anything else gets a freshly minted one.  The ID is echoed in the response's
 ``X-Repro-Trace-Id`` header and envelope, attached to the admitted job, and
 injected into every log line the request produces.
 
-**Tenancy.** A submission's tenant comes from (in precedence order) the v2
+**Tenancy.** A submission's tenant comes from (in precedence order) the
 envelope's ``tenant`` field, the request payload's ``tenant`` field, or the
-``X-Repro-Tenant`` header; unlabelled submissions (and all wire-schema-1
-envelopes) land on the default tenant.  A tenant configured with an auth
-token only accepts submissions carrying ``Authorization: Bearer <token>``.
+``X-Repro-Tenant`` header; unlabelled submissions land on the default
+tenant.  A tenant configured with an auth token only accepts submissions
+carrying ``Authorization: Bearer <token>``.
 Every error body carries a structured ``code`` from
 :class:`repro.common.errors.ErrorCode`.
 
@@ -120,13 +120,6 @@ SUSPECT_AFTER = 3
 #: ... until it has been left alone this long, after which one probe call
 #: is allowed through; success clears the suspicion, failure re-arms it.
 SUSPECT_RETRY_SECONDS = 5.0
-
-#: The migration note attached to responses for deprecated v1 envelopes.
-V1_DEPRECATION_NOTE = (
-    "wire schema 1 is deprecated: submissions were mapped to the default "
-    "tenant's batch lane; send wire_schema 2 envelopes with explicit "
-    "tenant/priority (see docs/USAGE.md, 'Tenancy & fairness')"
-)
 
 #: HTTP status -> error code for protocol-level failures.
 _CODE_FOR_STATUS = {
@@ -428,11 +421,9 @@ class ReproService:
 
     # -- submission helpers --------------------------------------------
 
-    def _submission_request(self, request: HTTPRequest) -> Tuple[JobRequest, bool]:
+    def _submission_request(self, request: HTTPRequest) -> JobRequest:
         """Parse a ``POST /v1/jobs`` body into a fully resolved request.
 
-        Returns ``(job_request, deprecated)`` where ``deprecated`` marks a
-        wire-schema-1 envelope (its response carries a migration note).
         Resolution order for the tenant: envelope field, payload field,
         ``X-Repro-Tenant`` header, then the server's default; conflicting
         explicit values are a 400 rather than a silent pick.
@@ -443,13 +434,10 @@ class ReproService:
         if tenant is None:
             tenant = request.headers.get("x-repro-tenant") or None
         priority = _merge_field("priority", envelope.priority, job_request.priority)
-        if envelope.deprecated:
-            # v1 speakers predate tenancy: default tenant, batch lane.
-            tenant, priority = None, "batch"
         job_request = replace(job_request, tenant=tenant, priority=priority)
         resolved = tenant if tenant is not None else self.manager.tenancy.default_tenant
         self._authorize(resolved, request)
-        return job_request, envelope.deprecated
+        return job_request
 
     def _authorize(self, tenant: str, request: HTTPRequest) -> None:
         """Enforce the tenant's auth token, when one is configured."""
@@ -525,7 +513,7 @@ class ReproService:
                     extra=(("Retry-After", str(retry_after)),),
                     trace_id=trace_id,
                 )
-            job_request, deprecated = self._submission_request(request)
+            job_request = self._submission_request(request)
             state, coalesced = self.manager.submit(job_request, trace_id=trace_id)
             receipt = {
                 "job_id": state.job_id,
@@ -535,8 +523,6 @@ class ReproService:
                 "tenant": state.tenant,
                 "priority": state.lane,
             }
-            if deprecated:
-                receipt["deprecation"] = V1_DEPRECATION_NOTE
             return json_response(
                 200 if coalesced else 202,
                 wire_envelope(

@@ -52,7 +52,7 @@ from repro.obs.metrics import LogHistogram, MetricsRegistry
 
 _T = TypeVar("_T")
 
-#: The tenant unlabelled (and all wire-schema-1) submissions map to.
+#: The tenant unlabelled submissions map to.
 DEFAULT_TENANT = "default"
 
 #: The two scheduling lanes, highest priority first (re-exported from the

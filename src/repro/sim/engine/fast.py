@@ -45,8 +45,8 @@ histogram bin, cycle count and derived float) is bit-identical to the
 configurations.
 
 The loops also report per-phase wall time (``build`` / ``warmup`` /
-``drive``) to :mod:`repro.common.phases`, which ``repro bench`` folds into
-its artifact so speed-ups stay attributable.
+``drive``) to :mod:`repro.common.phases`, which the repository benchmark
+(``perfbench/``) and ``repro profile`` read so speed-ups stay attributable.
 """
 
 from __future__ import annotations

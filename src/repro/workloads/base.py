@@ -32,7 +32,6 @@ addresses, never cycle counts.  All timing emerges from the processor models.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Deque, List, Optional, Sequence, Tuple
@@ -51,14 +50,6 @@ from repro.isa.columns import (
 )
 from repro.isa.instruction import FP_REGISTER_BASE, InstrClass
 from repro.isa.trace import RegionFootprint, Trace
-
-#: Environment knob forcing eager materialisation of the instruction-object
-#: list after generation.  The generator always *emits* columns; with this
-#: set (any value but ``"" ``/``"0"``) it additionally pays the per-object
-#: construction cost up front, restoring the pre-columnar generation profile
-#: for comparison (the CI ``bench-profile`` step uses it) and serving as a
-#: safety hatch for object-API-heavy callers.
-TRACE_OBJECTS_ENV = "REPRO_TRACE_OBJECTS"
 
 
 def _pad4(srcs: Tuple[int, ...]) -> Tuple[int, int, int, int]:
@@ -303,8 +294,7 @@ class SyntheticWorkload:
         dataclass is allocated unless an object-API consumer later asks for
         one.  The random draws are identical to the historical object-built
         path, so the resulting trace is bit-identical either way (asserted
-        by ``tests/test_columns.py``); setting :data:`TRACE_OBJECTS_ENV`
-        additionally materialises the object list eagerly.
+        by ``tests/test_columns.py``).
         """
         if num_instructions < 0:
             raise WorkloadError(f"num_instructions must be non-negative, got {num_instructions}")
@@ -401,10 +391,7 @@ class SyntheticWorkload:
             )
             for cursor in cursors
         )
-        trace = Trace.from_columns(columns, name=params.name, regions=footprints)
-        if os.environ.get(TRACE_OBJECTS_ENV, "0") not in ("", "0"):
-            trace.instructions()
-        return trace
+        return Trace.from_columns(columns, name=params.name, regions=footprints)
 
     # ------------------------------------------------------------------
     # Internal helpers

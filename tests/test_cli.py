@@ -234,29 +234,19 @@ def test_family_sweep_figure_command(tmp_path: Path) -> None:
     assert {point["knob"] for point in points} == {"epochs", "locality_threshold"}
 
 
-def test_bench_writes_timing_artifact(tmp_path: Path) -> None:
-    output = tmp_path / "BENCH_test.json"
-    result = run_cli(
-        [
-            "bench",
-            "--figures",
-            "sec52",
-            "--jobs",
-            "2",
-            "--instructions",
-            "800",
-            "--output",
-            str(output),
-        ],
-        cwd=tmp_path,
-    )
-    assert result.returncode == 0, result.stderr
-    artifact = json.loads(output.read_text())
-    figure = artifact["figures"]["sec52"]
-    assert figure["simulations"] > 0
-    assert figure["serial_seconds"] > 0
-    assert figure["parallel_seconds"] > 0
-    assert artifact["parallel_jobs"] == 2
+def test_rejected_invocations_exit_2(tmp_path: Path) -> None:
+    """A retired verb and bad settings exit 2 with a message, not a traceback."""
+    cases = {
+        ("bench",): "invalid choice: 'bench'",
+        ("serve", "--shards", "0"): "must be a positive integer",
+        ("loadbench", "--shards", "0"): "bad loadbench configuration",
+        ("loadbench", "--tenant-mix", "alpha=heavy,beta=1"): "bad loadbench configuration",
+    }
+    for argv, message in cases.items():
+        result = run_cli(list(argv), cwd=tmp_path)
+        assert result.returncode == 2, (argv, result.stderr)
+        assert message in result.stderr, (argv, result.stderr)
+        assert "Traceback" not in result.stderr
 
 
 def test_profile_writes_chrome_trace(tmp_path: Path) -> None:

@@ -23,7 +23,6 @@ from repro.sim.configs import fmc_hash, ooo_64
 from repro.sim.simulator import Simulator
 from repro.trace import trace_to_bytes
 from repro.trace.format import trace_from_buffer
-from repro.workloads.base import TRACE_OBJECTS_ENV
 from repro.workloads.families import family_suites
 from repro.workloads.suite import generate_member_trace, quick_fp_suite, quick_int_suite
 
@@ -108,15 +107,13 @@ def test_generated_traces_are_column_backed_and_lazy() -> None:
     ],
     ids=["int", "fp", "phased", "pointer_chase"],
 )
-def test_columnar_generation_matches_forced_object_path(
-    member_factory, monkeypatch: pytest.MonkeyPatch
-) -> None:
-    """The object-path knob changes storage eagerness, never the stream."""
+def test_columnar_generation_matches_forced_object_path(member_factory) -> None:
+    """Materialising the object list changes storage, never the stream."""
     member = member_factory()
     columnar = generate_member_trace(member, 700, seed=TEST_SEED)
-    monkeypatch.setenv(TRACE_OBJECTS_ENV, "1")
     eager = generate_member_trace(member, 700, seed=TEST_SEED)
-    assert eager._instructions is not None  # the knob materialised eagerly
+    eager.instructions()
+    assert eager._instructions is not None  # the object path is materialised
     assert list(columnar) == list(eager)
     assert columnar.regions == eager.regions
     assert columnar.columns() == eager.columns()

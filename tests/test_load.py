@@ -18,7 +18,12 @@ import pytest
 
 from repro.common.errors import ConfigurationError, LoadDriverError
 from repro.exp.request import JobRequest
-from repro.load.bench import LoadBenchConfig, evaluate_loadbench_gate, _free_port_block
+from repro.load.bench import (
+    LoadBenchConfig,
+    _free_port_block,
+    _git_revision,
+    evaluate_loadbench_gate,
+)
 from repro.load.driver import DriverConfig, collect_fleet_samples, run_request_loop
 from repro.load.epoch import EpochSeries, Sample, quantile
 from repro.load.workload import Req, Workload
@@ -458,6 +463,28 @@ def test_loadbench_config_validation_and_workload() -> None:
     # come from the server's scheduler, or the check proves nothing.
     assert config.workload().tenants == (("alpha", 1.0), ("beta", 1.0))
     assert config.stage_duration() == pytest.approx(config.epochs * config.epoch_seconds)
+
+
+def test_git_revision_is_the_package_checkout_not_the_cwd(tmp_path, monkeypatch):
+    """Artifacts record the revision of the repro code itself, even when the
+    harness runs from an unrelated directory (or an unrelated repo)."""
+    import subprocess
+
+    from _helpers import REPO_ROOT
+
+    expected = subprocess.run(
+        ["git", "-C", str(REPO_ROOT), "rev-parse", "HEAD"],
+        capture_output=True,
+        text=True,
+    ).stdout.strip()
+    # From an unrelated plain directory -- and from an unrelated *git repo*
+    # -- the resolved revision must still be this package's checkout.
+    foreign = tmp_path / "foreign"
+    foreign.mkdir()
+    subprocess.run(["git", "init", "-q", str(foreign)], check=True)
+    for where in (tmp_path, foreign):
+        monkeypatch.chdir(where)
+        assert _git_revision() == expected
 
 
 def _gate_artifact(throughput: float, p99_ms: float, share_error=None) -> dict:

@@ -143,7 +143,6 @@ def test_shared_memory_handoff_matches_serial(monkeypatch):
     jobs = _jobs(4)
     serial = ExperimentRunner(jobs=1).run_batch(jobs)
     monkeypatch.setattr(runner_module, "available_cpus", lambda: 2)
-    monkeypatch.delenv(runner_module.SHM_ENV, raising=False)
     with ExperimentRunner(jobs=2, start_method="fork") as runner:
         parallel = runner.run_batch(jobs)
     assert serial.keys() == parallel.keys()
@@ -153,13 +152,12 @@ def test_shared_memory_handoff_matches_serial(monkeypatch):
 
 @needs_fork
 def test_pickled_bytes_fallback_matches_serial(monkeypatch):
-    """REPRO_SHM=0 ships container bytes through the task pickle instead of
-    shared memory; results stay bit-identical."""
+    """Without shared memory the runner ships container bytes through the
+    task pickle instead; results stay bit-identical."""
     jobs = _jobs(4)
     serial = ExperimentRunner(jobs=1).run_batch(jobs)
     monkeypatch.setattr(runner_module, "available_cpus", lambda: 2)
-    monkeypatch.setenv(runner_module.SHM_ENV, "0")
-    assert not runner_module._shm_enabled()
+    monkeypatch.setattr(runner_module, "_shm_enabled", lambda: False)
     with ExperimentRunner(jobs=2, start_method="fork") as runner:
         parallel = runner.run_batch(jobs)
     for key, result in serial.items():

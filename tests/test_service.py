@@ -142,17 +142,21 @@ def test_malformed_submission_bodies_are_400(service) -> None:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
-        return excinfo.value.code
+        return excinfo.value.code, open_envelope(json.load(excinfo.value), "error")
 
-    assert post(b"{ not json") == 400
-    assert post(json.dumps({"no": "envelope"}).encode()) == 400
-    # A valid envelope of the wrong schema version is rejected loudly.
-    bad = wire_envelope("job_request", JobRequest(figure="fig7").to_dict())
-    bad["wire_schema"] = 999
-    assert post(json.dumps(bad).encode()) == 400
+    assert post(b"{ not json")[0] == 400
+    assert post(json.dumps({"no": "envelope"}).encode())[0] == 400
+    # A valid envelope of an unsupported schema version -- including the
+    # retired version 1 -- is rejected loudly, naming the version.
+    for version in (999, 1):
+        bad = wire_envelope("job_request", JobRequest(figure="fig7").to_dict())
+        bad["wire_schema"] = version
+        status, error = post(json.dumps(bad).encode())
+        assert (status, error["code"]) == (400, "bad_request")
+        assert f"unsupported wire schema {version}" in error["message"]
     # Unknown figure names are a client error, not a worker crash.
     envelope = wire_envelope("job_request", {"figure": "fig99"})
-    assert post(json.dumps(envelope).encode()) == 400
+    assert post(json.dumps(envelope).encode())[0] == 400
 
 
 # ----------------------------------------------------------------------

@@ -214,6 +214,7 @@ def test_drain_finishes_inflight_and_rejects_new_submissions(tmp_path) -> None:
         with pytest.raises(urllib.error.HTTPError) as info:
             urllib.request.urlopen(probe, timeout=10)
         assert info.value.code == 503
+        assert info.value.reason == "Service Unavailable"
         assert int(info.value.headers["Retry-After"]) >= 1
         body = json.loads(info.value.read().decode("utf-8"))
         assert body["payload"]["code"] == "draining"

@@ -9,11 +9,10 @@ Covers the tenancy ISSUE's acceptance surface:
   credit),
 * admission -- per-tenant quota 429s that do not affect other tenants,
   cross-tenant coalescing into one execution, closed-roster rejection,
-* the v2 wire schema -- v1 envelopes still accepted (default tenant, batch
-  lane, deprecation note), envelope/payload conflicts rejected, structured
-  error codes shared by server and client,
-* the client -- connection-level tenant/token, the deprecated positional
-  ``submit`` signature, and ``GET /v1/stats``,
+* the v2 wire schema -- the retired v1 envelopes rejected, envelope/payload
+  conflicts rejected, structured error codes shared by server and client,
+* the client -- connection-level tenant/token, keyword-only ``submit``, and
+  ``GET /v1/stats``,
 * starvation -- a greedy tenant flooding the batch lane cannot starve a
   light tenant's interactive submission (bounded wall clock, both tenants
   reported by ``/v1/stats``).
@@ -344,7 +343,7 @@ def test_lane_resolution_and_retry_after_hint() -> None:
 
 
 # ----------------------------------------------------------------------
-# Wire schema v2 and v1 back-compat
+# Wire schema v2
 # ----------------------------------------------------------------------
 
 
@@ -355,15 +354,11 @@ def test_v2_envelope_roundtrip_and_v1_still_readable() -> None:
     assert envelope["wire_schema"] == WIRE_SCHEMA_VERSION
     read = read_envelope(json.loads(json.dumps(envelope)), "job_request")
     assert (read.tenant, read.priority, read.schema_version) == ("alpha", "interactive", 2)
-    assert not read.deprecated
-    # A v1 envelope (no tenancy fields) is readable and marked deprecated.
+    # Version 1 is retired: it is rejected like any other unknown version.
     v1 = {"kind": "job_request", "wire_schema": 1, "payload": {"figure": "fig7"}}
-    read = read_envelope(v1, "job_request")
-    assert read.deprecated
-    assert read.tenant is None and read.priority is None
-    assert open_envelope(v1, "job_request") == {"figure": "fig7"}
-    with pytest.raises(ConfigurationError):
-        read_envelope({**v1, "wire_schema": 999}, "job_request")
+    for version in (1, 999):
+        with pytest.raises(ConfigurationError, match="unsupported wire schema"):
+            read_envelope({**v1, "wire_schema": version}, "job_request")
 
 
 def post_raw(base_url: str, body: dict, headers: dict = ()) -> tuple:
@@ -392,29 +387,6 @@ def stub_execution(svc, seconds: float = 0.0) -> None:
     svc.manager._execute = fake_execute
 
 
-def test_http_v1_envelope_accepted_with_deprecation_note(tmp_path) -> None:
-    """A pre-tenancy speaker gets the default tenant, batch lane and a note."""
-    with running_service(tmp_path / "cache") as (svc, client):
-        stub_execution(svc)
-        v1 = {
-            "kind": "job_request",
-            "wire_schema": 1,
-            "payload": {"figure": "sec52", "instructions": 600, "seed": 1},
-        }
-        status, data = post_raw(client.base_url, v1)
-        assert status == 202
-        receipt = open_envelope(data, "job_accepted")
-        assert receipt["tenant"] == DEFAULT_TENANT
-        assert receipt["priority"] == "batch"
-        assert "deprecated" in receipt["deprecation"]
-        # v1 speakers must still be able to poll their job to completion.
-        view = client.wait(receipt["job_id"], timeout=WAIT_TIMEOUT)
-        assert view["result"] == {"stubbed": True}
-        # A v2 submission gets no deprecation note.
-        fresh = client.submit(figure="sec52", instructions=600, seed=2)
-        assert fresh.deprecation is None
-
-
 def test_http_v2_tenant_priority_roundtrip_and_stats(tmp_path) -> None:
     with running_service(tmp_path / "cache") as (svc, client):
         stub_execution(svc)
@@ -423,6 +395,9 @@ def test_http_v2_tenant_priority_roundtrip_and_stats(tmp_path) -> None:
             figure="sec52", instructions=600, seed=3, priority="interactive"
         )
         assert (receipt.tenant, receipt.priority) == ("alpha", "interactive")
+        # Submission parameters are keyword-only.
+        with pytest.raises(TypeError):
+            tenant_client.submit("sec52")
         view = tenant_client.wait(receipt.job_id, timeout=WAIT_TIMEOUT)
         assert (view["tenant"], view["priority"]) == ("alpha", "interactive")
         # Header-only labelling (no envelope/payload field) also resolves.
@@ -462,28 +437,6 @@ def test_tenant_auth_token_enforced(tmp_path) -> None:
         assert authed.submit(figure="sec52", seed=6).tenant == "alpha"
         # Tenants without a configured token stay open.
         assert client.submit(figure="sec52", seed=7).tenant == DEFAULT_TENANT
-
-
-def test_positional_submit_signature_still_works(tmp_path) -> None:
-    """The pre-v2 positional signature warns but behaves identically."""
-    with running_service(tmp_path / "cache") as (svc, client):
-        stub_execution(svc)
-        with pytest.warns(DeprecationWarning, match="positional"):
-            legacy = client.submit("sec52", None, 600, 8)
-        assert not legacy.coalesced
-        keyword = client.submit(figure="sec52", cases=None, instructions=600, seed=8)
-        # Same request content: the keyword resubmission coalesces or, once
-        # finished, shares the key.
-        assert keyword.request_key == legacy.request_key
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="positional"):
-                client.submit("sec52", None, 600, 8, False, None, "extra")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="multiple values"):
-                client.submit("sec52", figure="fig7")
-        # wait=True returns the completed status document directly.
-        view = client.submit(figure="sec52", instructions=600, seed=9, wait=True)
-        assert view["status"] == "completed"
 
 
 def test_error_taxonomy_shared_by_server_and_client(tmp_path) -> None:
