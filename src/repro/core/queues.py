@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
+from repro.common.errors import SimulationError
 from repro.core.records import ForwardingResult, StoreRecord
 
 #: Number of low address bits ignored by the word index.
@@ -60,7 +61,20 @@ class StoreBuffer:
     # ------------------------------------------------------------------
 
     def add(self, store: StoreRecord) -> None:
-        """Record a processed store."""
+        """Record a processed store.
+
+        Stores must arrive in program order: ``seq`` increasing and
+        ``decode_cycle`` non-decreasing, which the bounded scan of
+        :meth:`any_unresolved_older_store` relies on.
+        """
+        if self._recent:
+            last = self._recent[-1]
+            if store.seq <= last.seq or store.decode_cycle < last.decode_cycle:
+                raise SimulationError(
+                    f"store {store.seq} (decode cycle {store.decode_cycle}) arrived after "
+                    f"store {last.seq} (decode cycle {last.decode_cycle}): stores must be "
+                    "added in program order"
+                )
         word = store.address >> _WORD_SHIFT
         bucket = self._by_word.get(word)
         if bucket is None:
@@ -73,7 +87,11 @@ class StoreBuffer:
         self._count += 1
 
     def prune_slow(self, before_cycle: int) -> None:
-        """Drop slow-store bookkeeping for stores resolved before ``before_cycle``."""
+        """Drop slow-store bookkeeping for stores resolved before ``before_cycle``.
+
+        Callers prune at a load's decode cycle, which no later query cycle
+        precedes, so a dropped store can no longer be unresolved.
+        """
         if self._slow and len(self._slow) > 64:
             self._slow = [store for store in self._slow if store.addr_ready_cycle >= before_cycle]
 
@@ -184,15 +202,26 @@ class StoreBuffer:
         This is the predicate of the no-unresolved-store filter
         ("CheckStores"): it is address independent, so it must consider every
         in-flight older store, not just those writing the load's word.
+
+        Both lists are in program order, so the youngest-first walks stop at
+        ``after_seq``.  The walk over the recent stores also stops at the
+        first store decoded ``_SLOW_ADDRESS_THRESHOLD`` or more cycles
+        before ``cycle``: it and every older store either had its address by
+        ``cycle`` or is slow, and slow stores are all checked through
+        ``_slow`` (the ones pruned resolved before any cycle still queried).
         """
         for store in reversed(self._recent):
-            if store.seq >= before_seq or store.seq <= after_seq:
+            if store.seq >= before_seq:
                 continue
+            if store.seq <= after_seq or store.decode_cycle + _SLOW_ADDRESS_THRESHOLD <= cycle:
+                break
             if store.in_flight_at(cycle) and not store.address_known_at(cycle):
                 return True
-        for store in self._slow:
-            if store.seq >= before_seq or store.seq <= after_seq:
+        for store in reversed(self._slow):
+            if store.seq >= before_seq:
                 continue
+            if store.seq <= after_seq:
+                break
             if store.in_flight_at(cycle) and not store.address_known_at(cycle):
                 return True
         return False

@@ -18,17 +18,24 @@ Locking semantics (Section 3.4 of the paper):
 * When an epoch commits, :meth:`SetAssociativeCache.unlock_owner` clears all
   of its locks in one sweep, mirroring how clearing the epoch's ERT column
   implicitly unlocks its lines.
+
+Sets are built on first touch.  A new cache holds no per-set objects; the
+first access, probe or lock that reaches a set creates its tag row and
+replacement state.  A warm-up handed over as runs of line fills
+(:meth:`SetAssociativeCache.warm_fill`) is applied the same way: each set
+starts from its share of the fills, computed in closed form, so warming and
+building cost O(sets touched) rather than O(sets).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.config import CacheConfig
 from repro.common.errors import SimulationError
 from repro.common.stats import StatsRegistry
-from repro.memory.replacement import ReplacementPolicy, create_policy
+from repro.memory.replacement import ReplacementPolicy, check_policy, create_policy
 
 
 @dataclass(frozen=True)
@@ -50,11 +57,9 @@ class LockResult:
     allocated: bool
 
 
-#: Shared outcome singletons for the two result shapes that carry no
-#: per-access payload; the access path is hot enough that allocating a fresh
-#: frozen dataclass per hit shows up in profiles.
+#: Shared outcome singleton for a hit; the access path is hot enough that
+#: allocating a fresh frozen dataclass per hit shows up in profiles.
 _HIT_RESULT = AccessResult(hit=True, evicted_line=None)
-_MISS_RESULT = AccessResult(hit=False, evicted_line=None)
 
 
 class SetAssociativeCache:
@@ -82,13 +87,15 @@ class SetAssociativeCache:
         *,
         next_use: Optional[Callable[[int], float]] = None,
     ) -> None:
+        check_policy(config.replacement_policy, next_use)
         self.config = config
         self._stats = stats if stats is not None else StatsRegistry()
-        #: When False, accesses update tag/LRU state but record no statistics
-        #: (used by the functional cache warm-up pass).
+        #: When False, accesses update tag/replacement state but record no
+        #: statistics (used by the functional cache warm-up pass).
         self.stats_enabled = True
         self._num_sets = config.num_sets
         self._line_shift = config.line_size.bit_length() - 1
+        self._next_use = next_use
         # Counter names are fixed per cache; formatting them on every access
         # would dominate the (very hot) tag-probe path.
         self._hits_name = f"{config.name}.hits"
@@ -96,16 +103,16 @@ class SetAssociativeCache:
         self._evictions_name = f"{config.name}.evictions"
         self._lock_conflicts_name = f"{config.name}.lock_conflicts"
         self._lines_locked_name = f"{config.name}.lines_locked"
-        #: per-set mapping from way index to resident line number (tag+index).
-        self._tags: List[List[Optional[int]]] = [
-            [None] * config.associativity for _ in range(self._num_sets)
-        ]
-        #: per-set replacement state (the attribute name predates the policy
-        #: registry; every policy, not just LRU, lives here).
-        self._lru: List[ReplacementPolicy] = [
-            create_policy(config.replacement_policy, config.associativity, next_use=next_use)
-            for _ in range(self._num_sets)
-        ]
+        #: per-set mapping from way index to resident line number (tag+index);
+        #: ``None`` until the set is first touched (see :meth:`_materialise`).
+        self._tags: List[Optional[List[Optional[int]]]] = [None] * self._num_sets
+        #: per-set replacement state, created together with the tag row.
+        self._policies: List[Optional[ReplacementPolicy]] = [None] * self._num_sets
+        #: Warm-up fills every set applies its share of when it is built:
+        #: (first line, line count) runs in fill order (see warm_fill).
+        self._warm_runs: Tuple[Tuple[int, int], ...] = ()
+        #: Whether no set exists yet and no warm-up is pending.
+        self._fresh = True
         #: line number -> set of lock owners.
         self._lock_owners: Dict[int, Set[int]] = {}
 
@@ -133,33 +140,76 @@ class SetAssociativeCache:
         """Whether the line containing ``address`` is currently resident."""
         return self._find_way(address) is not None
 
-    def access(self, address: int, allocate_on_miss: bool = True) -> AccessResult:
-        """Access ``address``: update LRU on a hit, allocate on a miss.
-
-        When ``allocate_on_miss`` is false the access only probes the tags
-        (used for residency checks that must not disturb state).
-        """
+    def access(self, address: int) -> AccessResult:
+        """Access ``address``: update replacement state on a hit, allocate on a miss."""
         line = address >> self._line_shift
         set_index = line % self._num_sets
+        row = self._tags[set_index]
+        if row is None:
+            row = self._materialise(set_index)
         try:
-            way = self._tags[set_index].index(line)
+            way = row.index(line)
         except ValueError:
             way = -1
         if way >= 0:
-            self._lru[set_index].touch(way)
+            self._policies[set_index].touch(way)
             if self.stats_enabled:
                 self._stats.bump(self._hits_name)
             return _HIT_RESULT
         if self.stats_enabled:
             self._stats.bump(self._misses_name)
-        if not allocate_on_miss:
-            return _MISS_RESULT
-        evicted, blocked = self._allocate(address)
+        evicted, blocked = self._allocate(line, set_index)
         return AccessResult(hit=False, evicted_line=evicted, allocation_blocked=blocked)
 
     def probe(self, address: int) -> bool:
-        """Probe the tags without updating LRU or allocating."""
+        """Probe the tags without updating replacement state or allocating."""
         return self._find_way(address) is not None
+
+    # ------------------------------------------------------------------
+    # Warm-up
+    # ------------------------------------------------------------------
+
+    def warm_fill(self, runs: Iterable[Tuple[int, int]]) -> None:
+        """Fill the cache with runs of consecutive lines, recording no statistics.
+
+        ``runs`` lists ``(first line, line count)`` pairs in fill order; the
+        result equals accessing every line of every run in turn.  When the
+        cache is untouched and no line repeats, every fill is a miss on a
+        distinct line into a fresh, lock-free set, whose end state each
+        policy computes in closed form (:meth:`ReplacementPolicy.fill_fresh`):
+        the runs are then only recorded, and each set applies its share the
+        first time it is touched.  Otherwise the runs are replayed now.
+        """
+        runs = tuple(runs)
+        spans = sorted((first, first + count) for first, count in runs)
+        disjoint = all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+        if self._fresh and disjoint:
+            self._warm_runs = runs
+            self._fresh = False
+            return
+        enabled = self.stats_enabled
+        self.stats_enabled = False
+        try:
+            for first, count in runs:
+                for line in range(first, first + count):
+                    self.access(line << self._line_shift)
+        finally:
+            self.stats_enabled = enabled
+
+    def set_states(self) -> List[Tuple[Tuple[Optional[int], ...], Any]]:
+        """Every set's ``(tag row, replacement capture())``, in set order.
+
+        A read-only view: a set not touched yet reports the state it would
+        be built with and stays untouched.
+        """
+        states = []
+        for set_index in range(self._num_sets):
+            row = self._tags[set_index]
+            policy = self._policies[set_index]
+            if row is None:
+                row, policy = self._build_set(set_index)
+            states.append((tuple(row), policy.capture()))
+        return states
 
     # ------------------------------------------------------------------
     # Line locking (line-based ERT support)
@@ -175,12 +225,13 @@ class SetAssociativeCache:
         line = self.line_number(address)
         set_index = self.set_index(address)
         way = self._find_way(address)
+        policy = self._policies[set_index]
         allocated = False
         if way is None:
-            if self._lru[set_index].all_locked():
+            if policy.all_locked():
                 self._bump(self._lock_conflicts_name)
                 return LockResult(locked=False, conflict=True, allocated=False)
-            evicted, blocked = self._allocate(address)
+            evicted, blocked = self._allocate(line, set_index)
             if blocked:
                 self._bump(self._lock_conflicts_name)
                 return LockResult(locked=False, conflict=True, allocated=False)
@@ -194,7 +245,7 @@ class SetAssociativeCache:
         first_lock = line not in self._lock_owners
         owners = self._lock_owners.setdefault(line, set())
         owners.add(owner)
-        self._lru[set_index].lock(way)
+        policy.lock(way)
         if first_lock:
             self._bump(self._lines_locked_name)
         return LockResult(locked=True, conflict=False, allocated=allocated)
@@ -221,25 +272,76 @@ class SetAssociativeCache:
 
     def set_fully_locked(self, address: int) -> bool:
         """Whether every way of the set containing ``address`` is locked."""
-        return self._lru[self.set_index(address)].all_locked()
+        policy = self._policies[self.set_index(address)]
+        # A set never touched holds no locks.
+        return policy is not None and policy.all_locked()
 
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
 
+    def _materialise(self, set_index: int) -> List[Optional[int]]:
+        """Create a set on first touch; return its tag row."""
+        row, policy = self._build_set(set_index)
+        self._tags[set_index] = row
+        self._policies[set_index] = policy
+        self._fresh = False
+        return row
+
+    def _build_set(self, set_index: int) -> Tuple[List[Optional[int]], ReplacementPolicy]:
+        """A set's tag row and replacement state after its pending warm-up fills.
+
+        Run ``(first, count)`` puts into this set the lines ``start``,
+        ``start + num_sets``, ... for ``start`` the run's first line in the
+        set, so the set's fills are a few arithmetic progressions and any
+        one of them is found in O(runs).
+        """
+        config = self.config
+        policy = create_policy(
+            config.replacement_policy, config.associativity, next_use=self._next_use
+        )
+        num_sets = self._num_sets
+        progressions = []
+        fills = 0
+        for first, count in self._warm_runs:
+            offset = (set_index - first) % num_sets
+            if offset < count:
+                share = (count - 1 - offset) // num_sets + 1
+                progressions.append((first + offset, share))
+                fills += share
+        if not fills:
+            return [None] * config.associativity, policy
+
+        def lines(lo: int, hi: int) -> List[int]:
+            picked: List[int] = []
+            for start, share in progressions:
+                if lo < share and hi > 0:
+                    picked += range(
+                        start + lo * num_sets if lo > 0 else start,
+                        start + (hi if hi < share else share) * num_sets,
+                        num_sets,
+                    )
+                lo -= share
+                hi -= share
+            return picked
+
+        return policy.fill_fresh(fills, lines), policy
+
     def _find_way(self, address: int) -> Optional[int]:
         line = address >> self._line_shift
+        set_index = line % self._num_sets
+        row = self._tags[set_index]
+        if row is None:
+            row = self._materialise(set_index)
         try:
-            return self._tags[line % self._num_sets].index(line)
+            return row.index(line)
         except ValueError:
             return None
 
-    def _allocate(self, address: int) -> Tuple[Optional[int], bool]:
-        """Allocate the line containing ``address``; return (evicted_line, blocked)."""
-        line = address >> self._line_shift
-        set_index = line % self._num_sets
-        lru = self._lru[set_index]
-        victim_way = lru.victim()
+    def _allocate(self, line: int, set_index: int) -> Tuple[Optional[int], bool]:
+        """Allocate ``line`` in its (materialised) set; return (evicted_line, blocked)."""
+        policy = self._policies[set_index]
+        victim_way = policy.victim()
         if victim_way is None:
             return None, True
         set_tags = self._tags[set_index]
@@ -248,7 +350,7 @@ class SetAssociativeCache:
             self._stats.bump(self._evictions_name)
             # A victim is never locked, so no lock bookkeeping to clean up.
         set_tags[victim_way] = line
-        lru.insert(victim_way, line)
+        policy.insert(victim_way, line)
         return evicted, False
 
     def _unlock_way_for_line(self, line: int) -> None:
@@ -256,7 +358,7 @@ class SetAssociativeCache:
         set_tags = self._tags[set_index]
         for way, resident in enumerate(set_tags):
             if resident == line:
-                self._lru[set_index].unlock(way)
+                self._policies[set_index].unlock(way)
                 return
         # The line may have been evicted only if it was never resident while
         # locked; reaching here indicates an accounting bug.

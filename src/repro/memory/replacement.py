@@ -34,8 +34,14 @@ Every policy shares one locking substrate (:class:`ReplacementPolicy`):
 ``lock``/``unlock`` toggle per-way lock bits and every ``victim``
 implementation skips locked ways symmetrically, returning ``None`` when the
 whole set is locked (the caller falls back to the paper's stall / squash
-handling).  ``capture``/``restore`` snapshot the policy's decision state so
-the fast engine's warm-up memo can replay it exactly.
+handling).  ``capture``/``restore`` snapshot the policy's decision state.
+
+``fill_fresh`` puts a fresh, lock-free set straight into the state a run of
+misses on distinct lines leaves it in -- the shape of the region warm-up --
+which is what lets a cache build each set's warm state on first touch
+(:meth:`repro.memory.cache.SetAssociativeCache.warm_fill`).  Every online
+policy has a closed form that reads only the handful of fills its end state
+depends on; the base class replays the fills, which is exact for any policy.
 """
 
 from __future__ import annotations
@@ -43,6 +49,10 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from repro.common.errors import ConfigurationError, SimulationError
+
+#: ``lines(lo, hi)`` -> the lines of a set's fills ``lo`` .. ``hi - 1``,
+#: oldest first (the argument :meth:`ReplacementPolicy.fill_fresh` reads).
+FillLines = Callable[[int, int], List[int]]
 
 #: Every registered policy name, in registry order.
 POLICY_NAMES: Tuple[str, ...] = ("lru", "fifo", "lfu", "2q", "arc", "opt")
@@ -110,6 +120,23 @@ class ReplacementPolicy:
     def restore(self, state: Any) -> None:
         """Restore a snapshot previously produced by :meth:`capture`."""
         raise NotImplementedError
+
+    def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
+        """Apply ``fills`` misses on distinct lines to this fresh, lock-free set.
+
+        Leaves the decision state exactly as ``fills`` rounds of
+        ``victim()`` + ``insert()`` would, and returns the resulting tag row
+        (way -> resident line, ``None`` for a way never filled).  ``lines``
+        yields the filled lines by index (:data:`FillLines`).  This default
+        replays every fill; the online policies override it with a closed
+        form that costs O(associativity) whatever ``fills`` is.
+        """
+        row: List[Optional[int]] = [None] * len(self._locked)
+        for line in lines(0, fills):
+            way = self.victim()
+            row[way] = line
+            self.insert(way, line)
+        return row
 
     # ------------------------------------------------------------------
     # Locking substrate (shared)
@@ -198,6 +225,38 @@ class LruState(ReplacementPolicy):
     def restore(self, state: Tuple[int, ...]) -> None:
         self._order = list(state)
 
+    def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
+        # Victims come off the bottom of the stack, so fill j lands in way
+        # (-1-j) mod a.  The stack is then the ways in order from (-n) mod a,
+        # holding the newest fills and then the never-filled ways; the tag
+        # row is that list rotated back into way order.
+        assoc = len(self._locked)
+        kept = min(fills, assoc)
+        stacked: List[Optional[int]] = lines(fills - kept, fills)[::-1]
+        stacked += [None] * (assoc - kept)
+        start = -fills % assoc
+        self._order = [*range(start, assoc), *range(start)]
+        split = fills % assoc
+        return stacked[split:] + stacked[:split]
+
+
+def _round_robin_fill(
+    assoc: int, fills: int, lines: FillLines
+) -> Tuple[List[Optional[int]], List[int]]:
+    """Tag row and oldest-first way order after fill j landed in way j mod a.
+
+    The fill pattern of every policy whose fresh victim is the head of an
+    in-order queue of ways (FIFO, 2Q's A1, ARC's T1).
+    """
+    kept = min(fills, assoc)
+    # In queue order: the never-filled ways first, then the last fills; the
+    # tag row is that list rotated back into way order.
+    queued: List[Optional[int]] = [None] * (assoc - kept)
+    queued += lines(fills - kept, fills)
+    start = fills % assoc
+    split = -fills % assoc
+    return queued[split:] + queued[:split], [*range(start, assoc), *range(start)]
+
 
 class FifoState(ReplacementPolicy):
     """First-in first-out: evict in fill order, hits never reorder."""
@@ -234,6 +293,10 @@ class FifoState(ReplacementPolicy):
 
     def restore(self, state: Tuple[int, ...]) -> None:
         self._queue = list(state)
+
+    def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
+        row, self._queue = _round_robin_fill(len(self._locked), fills, lines)
+        return row
 
 
 class LfuState(ReplacementPolicy):
@@ -276,6 +339,17 @@ class LfuState(ReplacementPolicy):
 
     def restore(self, state: Tuple[int, ...]) -> None:
         self._counts = list(state)
+
+    def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
+        # The lowest-way tie-break fills ways 0..a-1 in turn; once every
+        # count is 1, each further fill replaces way 0.
+        assoc = len(self._locked)
+        kept = min(fills, assoc)
+        row: List[Optional[int]] = [*lines(0, kept), *[None] * (assoc - kept)]
+        if fills > assoc:
+            row[0] = lines(fills - 1, fills)[0]
+        self._counts = [1] * kept + [0] * (assoc - kept)
+        return row
 
 
 class TwoQState(ReplacementPolicy):
@@ -331,6 +405,11 @@ class TwoQState(ReplacementPolicy):
         a1, am = state
         self._a1 = list(a1)
         self._am = list(am)
+
+    def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
+        # Misses never promote, so Am stays empty and A1 behaves as a FIFO.
+        row, self._a1 = _round_robin_fill(len(self._locked), fills, lines)
+        return row
 
 
 class ArcState(ReplacementPolicy):
@@ -422,6 +501,15 @@ class ArcState(ReplacementPolicy):
         self._p = p
         self._lines = list(lines)
 
+    def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
+        # No line repeats, so nothing reaches T2, B2 or p: T1 is a FIFO
+        # and B1 keeps the last a lines it evicted, fills [n-2a, n-a).
+        assoc = len(self._locked)
+        row, self._t1 = _round_robin_fill(assoc, fills, lines)
+        self._b1 = lines(max(0, fills - 2 * assoc), max(0, fills - assoc))
+        self._lines = list(row)
+        return row
+
 
 class OptState(ReplacementPolicy):
     """Belady's optimum: evict the line whose next reference is farthest.
@@ -493,6 +581,17 @@ def validate_policy_name(name: str, *, timing_only: bool = False) -> str:
     return name
 
 
+def check_policy(name: str, next_use: Optional[Callable[[int], float]] = None) -> None:
+    """Reject a policy :func:`create_policy` could not build with ``next_use``."""
+    validate_policy_name(name)
+    if name == "opt" and next_use is None:
+        raise ConfigurationError(
+            "replacement policy 'opt' needs a future-reuse oracle; it is "
+            "only available offline (the miss-ratio-curve profiler), not "
+            "in online timing simulations"
+        )
+
+
 def create_policy(
     name: str,
     associativity: int,
@@ -504,13 +603,7 @@ def create_policy(
     ``next_use`` is the future-reuse oracle ``opt`` requires; passing it
     for any other policy is harmless (they ignore the future).
     """
-    validate_policy_name(name)
+    check_policy(name, next_use)
     if name == "opt":
-        if next_use is None:
-            raise ConfigurationError(
-                "replacement policy 'opt' needs a future-reuse oracle; it is "
-                "only available offline (the miss-ratio-curve profiler), not "
-                "in online timing simulations"
-            )
         return OptState(associativity, next_use)
     return _POLICY_CLASSES[name](associativity)

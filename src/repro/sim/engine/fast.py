@@ -16,17 +16,18 @@ This module re-implements the *same algorithms* with the interpreter in mind:
   object is ever touched, no source tuple sliced, no attribute chain walked.
   A trace loaded from the binary container or handed over shared memory
   drives the loop without a single ``Instruction`` being materialised.
-* **Analytic region warm-up.**  The functional warm-up's final tag/LRU state
-  is a pure function of the trace's region footprints and the cache
-  geometry.  Because the replay inserts consecutive, non-overlapping lines
-  into fresh caches, that state has a closed form (each insertion lands in a
-  rotating way; the final LRU stack is the tail of the insertion sequence),
-  which is computed directly -- per (regions, geometry) pair, memoised per
-  process -- instead of replaying hundreds of thousands of accesses.
-  Overlapping footprints fall back to the reference replay, so the captured
-  state is identical in every case (``tests/test_engine_selection.py``
-  asserts equality against :meth:`MemoryHierarchy.warm_up_regions` across
-  all paper geometries).
+* **Lazy region warm-up.**  The functional warm-up replays each region's
+  lines, as runs of consecutive line numbers, into fresh caches.  Instead
+  of replaying hundreds of thousands of accesses, the loop hands each cache
+  level its runs and the cache applies them per set, in closed form, the
+  first time the drive loop touches that set (every fill of a fresh,
+  lock-free set is then a miss on a distinct line, whose end state each
+  replacement policy knows).  A short run touches a few percent of the
+  sets, so build plus warm-up costs O(sets touched), and nothing is
+  memoised across runs.  Overlapping footprints are replayed, so the state
+  is identical in every case (``tests/test_engine_selection.py`` asserts
+  equality against :meth:`MemoryHierarchy.warm_up_regions` for every
+  timing policy across the paper geometries).
 * **Scalar frontier allocators.**  Fetch, commit, migration and per-engine
   issue bandwidth are requested in non-decreasing cycle order, so the
   reference allocator's per-cycle dictionary degenerates to a
@@ -47,6 +48,7 @@ configurations.
 The loops also report per-phase wall time (``build`` / ``warmup`` /
 ``drive``) to :mod:`repro.common.phases`, which the repository benchmark
 (``perfbench/``) and ``repro profile`` read so speed-ups stay attributable.
+Building a cache set's warm state on first touch counts towards ``drive``.
 """
 
 from __future__ import annotations
@@ -79,41 +81,17 @@ from repro.uarch.ooo_core import (
 from repro.uarch.result import CoreResult
 
 # ----------------------------------------------------------------------
-# Memoised functional cache warm-up
+# Functional cache warm-up, applied per set on first touch
 # ----------------------------------------------------------------------
-
-#: (regions, l1 config, l2 config) -> captured post-warm-up cache state.
-#: The warm-up never locks lines and records no statistics, so tags plus the
-#: replacement policy's own capture() snapshot fully describe the state.  The
-#: cache configs in the key carry ``replacement_policy``, so each policy gets
-#: its own entry.
-_WARM_MEMO: Dict[Tuple, Tuple] = {}
-_WARM_MEMO_LIMIT = 32
 
 
 def clear_warm_memo() -> None:
-    """Drop the per-process warm-up memo.
+    """Nothing to clear: no warm-up state outlives the hierarchy it warms.
 
-    Cold-start timing harnesses call this (next to
-    :func:`repro.exp.runner.clear_trace_memo`) so a measured run pays the
-    full warm-up computation instead of reusing a previous run's state.
+    Cold-start timing harnesses call this next to
+    :func:`repro.exp.runner.clear_trace_memo`; each cache builds its sets'
+    warm state itself, on first touch (:meth:`SetAssociativeCache.warm_fill`).
     """
-    _WARM_MEMO.clear()
-
-
-def _capture_cache(cache) -> Tuple:
-    return (
-        tuple(tuple(row) for row in cache._tags),
-        tuple(policy.capture() for policy in cache._lru),
-    )
-
-
-def _restore_cache(cache, state: Tuple) -> None:
-    tags, snapshots = state
-    cache._tags = [list(row) for row in tags]
-    policies = cache._lru
-    for index, snapshot in enumerate(snapshots):
-        policies[index].restore(snapshot)
 
 
 def _warm_line_ranges(footprints, cache_config) -> List[Tuple[int, int]]:
@@ -136,113 +114,20 @@ def _warm_line_ranges(footprints, cache_config) -> List[Tuple[int, int]]:
     return ranges
 
 
-def _warm_cache_state(footprints, cache_config) -> Optional[Tuple]:
-    """Compute one level's post-warm-up (tags, LRU orders) in closed form.
-
-    The warm-up inserts each footprint's lines in consecutive order into a
-    fresh, lock-free cache.  When no line is inserted twice, the replay has
-    a closed form: the ``j``-th insertion into a set lands in way
-    ``assoc - 1 - (j % assoc)`` (a fresh LRU stack hands out ways from the
-    top down, then cycles), so the final tags and recency stack of every set
-    are determined by the tail of its insertion sequence -- and each set's
-    insertion sequence is a concatenation of arithmetic progressions (one
-    per footprint, stride ``num_sets``), so the tail is computed directly.
-
-    Returns ``None`` when footprints' line ranges overlap (re-inserted lines
-    would hit instead of allocate) or when the level runs a non-LRU
-    replacement policy (the closed form encodes the LRU stack's way-handout
-    order); the caller then falls back to the reference replay, which is
-    exact for every policy.
-    """
-    if cache_config.replacement_policy != "lru":
-        return None
-    ranges = _warm_line_ranges(footprints, cache_config)
-    spans = sorted((first, first + count) for first, count in ranges)
-    for (_a_start, a_end), (b_start, _b_end) in zip(spans, spans[1:]):
-        if b_start < a_end:
-            return None
-
-    num_sets = cache_config.num_sets
-    assoc = cache_config.associativity
-    num_ranges = len(ranges)
-    tags: List[Tuple] = []
-    orders: List[Tuple] = []
-    counts = [0] * num_ranges
-    for set_index in range(num_sets):
-        inserted = 0
-        for index in range(num_ranges):
-            first_line, fill = ranges[index]
-            offset = (set_index - first_line) % num_sets
-            if offset < fill:
-                count = (fill - offset - 1) // num_sets + 1
-            else:
-                count = 0
-            counts[index] = count
-            inserted += count
-        want = assoc if inserted >= assoc else inserted
-        # The last `want` lines inserted into this set, newest first.
-        tail: List[int] = []
-        for index in range(num_ranges - 1, -1, -1):
-            count = counts[index]
-            if not count:
-                continue
-            if len(tail) >= want:
-                break
-            first_line, _fill = ranges[index]
-            offset = (set_index - first_line) % num_sets
-            newest = first_line + offset + (count - 1) * num_sets
-            take = want - len(tail)
-            if take > count:
-                take = count
-            for step in range(take):
-                tail.append(newest - step * num_sets)
-        row: List[Optional[int]] = [None] * assoc
-        order: List[int] = []
-        for position in range(want):
-            insertion = inserted - 1 - position
-            way = assoc - 1 - (insertion % assoc)
-            order.append(way)
-            row[way] = tail[position]
-        if inserted < assoc:
-            # Untouched ways keep their original (ascending) recency order.
-            order.extend(range(assoc - inserted))
-        tags.append(tuple(row))
-        orders.append(tuple(order))
-    return tuple(tags), tuple(orders)
-
-
-def _compute_warm_state(hierarchy: MemoryHierarchy, regions) -> Tuple:
-    """The memoised (l1 state, l2 state) pair for one (regions, geometry) key."""
-    footprints = sorted(regions, key=lambda region: region.access_density)
-    config = hierarchy.config
-    l1_state = _warm_cache_state(footprints, config.l1)
-    l2_state = _warm_cache_state(footprints, config.l2)
-    if l1_state is not None and l2_state is not None:
-        return l1_state, l2_state
-    # Overlapping footprints: replay the reference warm-up into a scratch
-    # hierarchy and capture its state, which is identical by construction.
-    scratch = MemoryHierarchy(config)
-    scratch.warm_up_regions(regions)
-    return _capture_cache(scratch.l1), _capture_cache(scratch.l2)
-
-
 def warm_hierarchy(hierarchy: MemoryHierarchy, regions) -> None:
     """Bring ``hierarchy`` to the post-warm-up state for ``regions``.
 
-    The first request for a (regions, geometry) pair computes the closed-form
-    warm state (or, for overlapping footprints, captures a reference replay)
-    and memoises it; every request restores the state into the fresh
-    hierarchy as a plain array copy, skipping the replay entirely.
+    Each level gets the line runs
+    :meth:`~repro.memory.hierarchy.MemoryHierarchy.warm_up_regions` replays
+    into it, in the same order, and applies them itself
+    (:meth:`~repro.memory.cache.SetAssociativeCache.warm_fill`): a set takes
+    its share in closed form the first time the drive loop touches it, so
+    the cost is O(regions) here plus O(sets touched) during the run.
     """
-    key = (regions, hierarchy.config.l1, hierarchy.config.l2)
-    state = _WARM_MEMO.get(key)
-    if state is None:
-        state = _compute_warm_state(hierarchy, regions)
-        if len(_WARM_MEMO) >= _WARM_MEMO_LIMIT:
-            _WARM_MEMO.clear()
-        _WARM_MEMO[key] = state
-    _restore_cache(hierarchy.l1, state[0])
-    _restore_cache(hierarchy.l2, state[1])
+    footprints = sorted(regions, key=lambda region: region.access_density)
+    config = hierarchy.config
+    hierarchy.l2.warm_fill(_warm_line_ranges(footprints, config.l2))
+    hierarchy.l1.warm_fill(_warm_line_ranges(footprints, config.l1))
 
 
 # ----------------------------------------------------------------------

@@ -271,6 +271,25 @@ class TestStoreBuffer:
         buffer.add(make_store(1, 0x500, addr_ready=90, commit=200))
         assert buffer.any_unresolved_older_store(before_seq=5, after_seq=-1, cycle=50)
         assert not buffer.any_unresolved_older_store(before_seq=5, after_seq=-1, cycle=95)
+        # At the slow-store threshold (15 cycles from decode to address) a
+        # store still counts as fast, and the scan must not stop before it.
+        buffer = StoreBuffer()
+        buffer.add(make_store(1, 0x500, decode=10, addr_ready=25, commit=200))
+        buffer.add(make_store(2, 0x508, decode=10, addr_ready=26, commit=200))
+        assert buffer.any_unresolved_older_store(before_seq=2, after_seq=-1, cycle=24)
+        assert not buffer.any_unresolved_older_store(before_seq=2, after_seq=-1, cycle=25)
+        assert buffer.any_unresolved_older_store(before_seq=5, after_seq=1, cycle=25)
+        assert not buffer.any_unresolved_older_store(before_seq=5, after_seq=1, cycle=26)
+
+    def test_rejects_stores_out_of_program_order(self):
+        buffer = StoreBuffer()
+        buffer.add(make_store(2, 0x100, decode=10, addr_ready=12))
+        with pytest.raises(SimulationError, match="program order"):
+            buffer.add(make_store(1, 0x108, decode=10, addr_ready=12))
+        with pytest.raises(SimulationError, match="program order"):
+            buffer.add(make_store(3, 0x108, decode=9, addr_ready=12))
+        buffer.add(make_store(3, 0x108, decode=10, addr_ready=12))
+        assert len(buffer) == 2
 
     def test_partial_overlap_forwards(self):
         buffer = StoreBuffer()

@@ -119,6 +119,60 @@ def test_store_buffer_forwarding_store_is_older_matching_and_known(pairs):
             assert found.in_flight_at(probe_cycle)
 
 
+def _full_unresolved_scan(buffer, before_seq, after_seq, cycle):
+    """Reference: every recent and slow store, no early exit."""
+    return any(
+        after_seq < store.seq < before_seq
+        and store.in_flight_at(cycle)
+        and not store.address_known_at(cycle)
+        for store in (*buffer._recent, *buffer._slow)
+    )
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.booleans(),  # a store, or else a load querying the buffer
+            st.integers(min_value=0, max_value=3),  # decode cycles since the last instruction
+            st.integers(min_value=0, max_value=40),  # address delay / load's query delay
+            st.integers(min_value=0, max_value=120),  # commit delay / forwarding-store pick
+        ),
+        min_size=1,
+        max_size=300,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_bounded_unresolved_store_scan_matches_the_full_scan(events):
+    """Program-ordered streams, pruned and queried the way the LSQ policies do."""
+    buffer = StoreBuffer()
+    stores = []
+    decode = 0
+    for seq, (is_store, advance, delay, extra) in enumerate(events):
+        decode += advance
+        if is_store:
+            record = StoreRecord(
+                seq=seq,
+                address=8 * seq,
+                size=8,
+                decode_cycle=decode,
+                addr_ready_cycle=decode + delay,
+                data_ready_cycle=decode + delay,
+                commit_cycle=decode + delay + extra,
+                locality=Locality.HIGH,
+            )
+            buffer.add(record)
+            stores.append(record)
+            continue
+        buffer.prune_slow(decode)
+        cycle = decode + delay
+        # Forwarding from one of the youngest stores leaves only a few
+        # candidates, so the answer turns on single stores near the bounds.
+        after_seq = stores[-1 - extra % min(len(stores), 6)].seq if stores and extra % 4 else -1
+        assert buffer.any_unresolved_older_store(seq, after_seq, cycle) == (
+            _full_unresolved_scan(buffer, seq, after_seq, cycle)
+        )
+
+
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=200),
        st.integers(min_value=1, max_value=8))
 def test_bandwidth_allocator_never_exceeds_width(cycles, width):

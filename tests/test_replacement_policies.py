@@ -4,10 +4,11 @@ Three layers of guarantees:
 
 * **Registry contract** -- every policy respects locks (``victim()`` never
   names a locked way, an all-locked set yields ``None``), survives
-  capture/restore round-trips, and validates way indices.  The lock
-  property is checked under *randomised* access/lock interleavings shared
-  across all six implementations, OPT included (driven by a deterministic
-  fake oracle).
+  capture/restore round-trips, validates way indices, and reaches the same
+  state through its closed-form ``fill_fresh`` as through replayed fills.
+  The lock property is checked under *randomised* access/lock
+  interleavings shared across all six implementations, OPT included
+  (driven by a deterministic fake oracle).
 * **Cache integration** -- the policy is part of cache identity: it flows
   into the job content address, the request coalescing key, and the CLI
   campaign; ``lines_locked`` counts first-lock transitions only.
@@ -30,6 +31,7 @@ from repro.memory.cache import SetAssociativeCache
 from repro.memory.replacement import (
     POLICY_NAMES,
     TIMING_POLICY_NAMES,
+    ReplacementPolicy,
     create_policy,
     validate_policy_name,
 )
@@ -122,6 +124,22 @@ def test_capture_restore_round_trip(name: str) -> None:
     restored = _make_policy(name)
     restored.restore(snapshot)
     assert restored.victim() == before
+
+
+@pytest.mark.parametrize("name", TIMING_POLICY_NAMES)
+def test_fill_fresh_closed_form_matches_the_replay(name: str) -> None:
+    """Each policy's closed form equals victim()/insert() replayed fill by fill."""
+
+    def lines(lo: int, hi: int):
+        return [1000 + 37 * fill for fill in range(lo, hi)]
+
+    for associativity in range(1, 9):
+        for fills in range(4 * associativity + 2):
+            closed = create_policy(name, associativity)
+            replayed = create_policy(name, associativity)
+            row = closed.fill_fresh(fills, lines)
+            assert row == ReplacementPolicy.fill_fresh(replayed, fills, lines)
+            assert closed.capture() == replayed.capture(), (associativity, fills)
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
