@@ -43,24 +43,18 @@ from repro.core.records import Locality, LoadRecord, StoreRecord
 from repro.isa.instruction import InstrClass, Instruction
 from repro.isa.trace import Trace
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.uarch.ooo_core import (
+    _LOCALITY_HISTOGRAM_BIN,
+    _LOCALITY_HISTOGRAM_BINS,
+    _VIOLATION_EXTRA_PENALTY,
+    account_wrong_path,
+)
 from repro.uarch.resources import BandwidthAllocator, InOrderTracker, OccupancyWindow
 from repro.uarch.result import CoreResult
-
-#: Additional penalty (on top of the branch-mispredict penalty) charged when
-#: an ordering violation squashes the window from the violating load.
-_VIOLATION_EXTRA_PENALTY = 8
-
-#: Fraction of fetched wrong-path instructions assumed to issue and touch the
-#: LSQ before the squash (Section 6 wrong-path activity approximation).
-_WRONG_PATH_ACTIVITY_FACTOR = 0.3
 
 #: Cap on the number of wrong-path instructions fetched past one mispredicted
 #: branch (bounded by the space the front end can fill before redirection).
 _WRONG_PATH_CAP = 256
-
-#: Bin width (cycles) of the decode→address-calculation histogram (Figure 1).
-_LOCALITY_HISTOGRAM_BIN = 30
-_LOCALITY_HISTOGRAM_BINS = 50
 
 
 @dataclass
@@ -356,7 +350,7 @@ class FMCProcessor:
 
         committed = len(trace)
         total_cycles = max(1, last_commit_cycle)
-        self._account_wrong_path(wrong_path_estimate, committed, num_loads, num_stores)
+        account_wrong_path(self.policy, wrong_path_estimate, committed, num_loads, num_stores)
         self.policy.finalize(total_cycles, committed)
         stats.counter("core.cycles").add(total_cycles)
         stats.counter("core.committed_instructions").add(committed)
@@ -420,17 +414,3 @@ class FMCProcessor:
             resources = (BandwidthAllocator(me.issue_width), InOrderTracker())
             epoch_issue[epoch_id] = resources
         return resources
-
-    def _account_wrong_path(
-        self, wrong_path_estimate: float, committed: int, num_loads: int, num_stores: int
-    ) -> None:
-        """Attribute estimated wrong-path LSQ activity to the policy counters."""
-        if committed == 0 or wrong_path_estimate <= 0:
-            return
-        active = wrong_path_estimate * _WRONG_PATH_ACTIVITY_FACTOR
-        load_fraction = num_loads / committed
-        store_fraction = num_stores / committed
-        self.policy.record_wrong_path_activity(
-            wrong_path_loads=int(active * load_fraction),
-            wrong_path_stores=int(active * store_fraction),
-        )

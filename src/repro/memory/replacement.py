@@ -34,7 +34,7 @@ Every policy shares one locking substrate (:class:`ReplacementPolicy`):
 ``lock``/``unlock`` toggle per-way lock bits and every ``victim``
 implementation skips locked ways symmetrically, returning ``None`` when the
 whole set is locked (the caller falls back to the paper's stall / squash
-handling).  ``capture``/``restore`` snapshot the policy's decision state.
+handling).  ``capture`` snapshots the policy's decision state.
 
 ``fill_fresh`` puts a fresh, lock-free set straight into the state a run of
 misses on distinct lines leaves it in -- the shape of the region warm-up --
@@ -69,8 +69,8 @@ class ReplacementPolicy:
 
     Way indices run from 0 to ``associativity - 1``.  Subclasses implement
     the decision state (:meth:`touch`, :meth:`insert`, :meth:`victim`,
-    :meth:`capture`, :meth:`restore`); the locking substrate is shared so
-    the "never evict a locked way" contract cannot drift per policy.
+    :meth:`capture`); the locking substrate is shared so the "never evict a
+    locked way" contract cannot drift per policy.
     """
 
     __slots__ = ("_locked",)
@@ -115,10 +115,6 @@ class ReplacementPolicy:
 
     def capture(self) -> Any:
         """Snapshot the decision state (lock bits are warm-up-free)."""
-        raise NotImplementedError
-
-    def restore(self, state: Any) -> None:
-        """Restore a snapshot previously produced by :meth:`capture`."""
         raise NotImplementedError
 
     def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
@@ -222,9 +218,6 @@ class LruState(ReplacementPolicy):
     def capture(self) -> Tuple[int, ...]:
         return tuple(self._order)
 
-    def restore(self, state: Tuple[int, ...]) -> None:
-        self._order = list(state)
-
     def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
         # Victims come off the bottom of the stack, so fill j lands in way
         # (-1-j) mod a.  The stack is then the ways in order from (-n) mod a,
@@ -291,9 +284,6 @@ class FifoState(ReplacementPolicy):
     def capture(self) -> Tuple[int, ...]:
         return tuple(self._queue)
 
-    def restore(self, state: Tuple[int, ...]) -> None:
-        self._queue = list(state)
-
     def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
         row, self._queue = _round_robin_fill(len(self._locked), fills, lines)
         return row
@@ -336,9 +326,6 @@ class LfuState(ReplacementPolicy):
 
     def capture(self) -> Tuple[int, ...]:
         return tuple(self._counts)
-
-    def restore(self, state: Tuple[int, ...]) -> None:
-        self._counts = list(state)
 
     def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
         # The lowest-way tie-break fills ways 0..a-1 in turn; once every
@@ -400,11 +387,6 @@ class TwoQState(ReplacementPolicy):
 
     def capture(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         return (tuple(self._a1), tuple(self._am))
-
-    def restore(self, state: Tuple[Tuple[int, ...], Tuple[int, ...]]) -> None:
-        a1, am = state
-        self._a1 = list(a1)
-        self._am = list(am)
 
     def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
         # Misses never promote, so Am stays empty and A1 behaves as a FIFO.
@@ -492,15 +474,6 @@ class ArcState(ReplacementPolicy):
             tuple(self._lines),
         )
 
-    def restore(self, state: Tuple[Any, ...]) -> None:
-        t1, t2, b1, b2, p, lines = state
-        self._t1 = list(t1)
-        self._t2 = list(t2)
-        self._b1 = list(b1)
-        self._b2 = list(b2)
-        self._p = p
-        self._lines = list(lines)
-
     def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
         # No line repeats, so nothing reaches T2, B2 or p: T1 is a FIFO
         # and B1 keeps the last a lines it evicted, fills [n-2a, n-a).
@@ -552,9 +525,6 @@ class OptState(ReplacementPolicy):
 
     def capture(self) -> Tuple[Optional[int], ...]:
         return tuple(self._lines)
-
-    def restore(self, state: Tuple[Optional[int], ...]) -> None:
-        self._lines = list(state)
 
 
 _POLICY_CLASSES: Dict[str, Type[ReplacementPolicy]] = {

@@ -11,12 +11,15 @@ A *simulation engine* is a strategy for driving one
   truth; its code paths are deliberately left untouched by the optimisation
   work.
 * ``fast`` -- an optimised drive loop over the *same* processor and LSQ
-  objects (:mod:`repro.sim.engine.fast`): memoised region warm-up,
-  preallocated ring buffers instead of per-instruction dict churn, hoisted
-  configuration lookups and scalar frontier tracking.  It is required to be
-  **bit-identical** to ``reference`` -- every counter, histogram bin and
-  cycle count -- and ``tests/differential/`` enforces exactly that across
-  workload families, suites and seeds.
+  objects (:mod:`repro.sim.engine.fast`): one loop drives both processor
+  kinds (a conventional core is the FMC's Cache Processor without a Memory
+  Processor), over the trace's columns, with cache sets warmed lazily on
+  first touch, preallocated ring buffers instead of per-instruction dict
+  churn, hoisted configuration lookups and scalar frontier tracking.  It is
+  required to be **bit-identical** to ``reference`` -- every counter,
+  histogram bin and cycle count -- and ``tests/differential/`` enforces
+  exactly that across workload families, suites, seeds, fuzzed machine
+  configurations and fuzzed core geometries.
 
 The engine choice is part of a machine's identity
 (:attr:`repro.sim.configs.MachineConfig.engine`), flows through the

@@ -10,6 +10,12 @@ warm-up replay that precedes every timed run.
 
 This module re-implements the *same algorithms* with the interpreter in mind:
 
+* **One loop for both processor kinds.**  The FMC is the OoO-64 core (one
+  Table 1 column) serving as Cache Processor, plus a Memory Processor that
+  only low-locality instructions reach.  A conventional core is that Cache
+  Processor without a Memory Processor: :func:`run_fast` drives it with an
+  infinite locality threshold, so nothing migrates and the walk is
+  :meth:`OutOfOrderCore.run`'s.
 * **Columnar drive loop.**  The loop walks the trace's structure-of-arrays
   form (:meth:`~repro.isa.trace.Trace.columns`) -- typed columns of class
   codes, registers, addresses, sizes and flags -- so no per-instruction
@@ -39,13 +45,13 @@ This module re-implements the *same algorithms* with the interpreter in mind:
 
 The LSQ policies, the memory hierarchy and the statistics registry are the
 *same objects* the reference engine drives -- only the loop around them is
-rewritten -- and the loop reproduces the reference computations expression
-for expression.  ``tests/differential/`` asserts the result (every counter,
-histogram bin, cycle count and derived float) is bit-identical to the
-``reference`` engine across workload families, suites, seeds and fuzzed
-configurations.
+rewritten -- and the loop reproduces the reference computations exactly.
+``tests/differential/`` asserts the result (every counter, histogram bin,
+cycle count and derived float) is bit-identical to the ``reference`` engine
+across workload families, suites, seeds, fuzzed configurations and fuzzed
+core geometries.
 
-The loops also report per-phase wall time (``build`` / ``warmup`` /
+The loop also reports per-phase wall time (``build`` / ``warmup`` /
 ``drive``) to :mod:`repro.common.phases`, which the repository benchmark
 (``perfbench/``) and ``repro profile`` read so speed-ups stay attributable.
 Building a cache set's warm state on first touch counts towards ``drive``.
@@ -53,10 +59,12 @@ Building a cache set's warm state on first touch counts towards ``drive``.
 
 from __future__ import annotations
 
+from math import inf
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.common import phases
+from repro.common.config import DisambiguationModel, FMCConfig
 from repro.common.errors import TraceError
 from repro.core.records import Locality, LoadRecord, StoreRecord
 from repro.fmc.processor import FMCProcessor
@@ -77,6 +85,7 @@ from repro.uarch.ooo_core import (
     _LOCALITY_HISTOGRAM_BINS,
     _VIOLATION_EXTRA_PENALTY,
     OutOfOrderCore,
+    account_wrong_path,
 )
 from repro.uarch.result import CoreResult
 
@@ -131,20 +140,47 @@ def warm_hierarchy(hierarchy: MemoryHierarchy, regions) -> None:
 
 
 # ----------------------------------------------------------------------
-# Fast drive loop: conventional out-of-order core
+# Fast drive loop: one Cache Processor, with or without a Memory Processor
 # ----------------------------------------------------------------------
 
 
-def run_ooo_fast(core: OutOfOrderCore, trace: Trace) -> CoreResult:
-    """Drive ``core`` over ``trace`` -- bit-identical to ``core.run(trace)``."""
-    cfg = core.config
-    stats = core.stats
-    policy = core.policy
+def run_fast(processor: Union[OutOfOrderCore, FMCProcessor], trace: Trace) -> CoreResult:
+    """Drive ``processor`` over ``trace`` -- bit-identical to ``processor.run(trace)``.
+
+    An :class:`OutOfOrderCore` is driven as the FMC's Cache Processor without
+    a Memory Processor (Table 1 describes both in one column): its locality
+    threshold is infinite, so no instruction is low locality, the Memory
+    Processor never turns active and nothing migrates.  Its LQ/SQ take the
+    HL-LSQ's place and its ROB caps the wrong-path estimate.  The processor
+    kind reaches the loop only through these set-up values.
+    """
+    is_fmc = isinstance(processor, FMCProcessor)
+    if is_fmc:
+        fmc = processor.config
+        elsq = processor.elsq_config
+        threshold = elsq.locality_threshold_cycles
+        lq_cap = elsq.hl_load_entries
+        sq_cap = elsq.hl_store_entries
+        wrong_path_cap = _FMC_WRONG_PATH_CAP
+        disambiguation = elsq.disambiguation
+    else:
+        # Nothing migrates, so this FMC's memory-engine values are never read.
+        fmc = FMCConfig(cache_processor=processor.config)
+        threshold = inf
+        lq_cap = processor.config.load_queue_entries
+        sq_cap = processor.config.store_queue_entries
+        wrong_path_cap = processor.config.rob_size
+        disambiguation = DisambiguationModel.FULL
+    cp = fmc.cache_processor
+    me = fmc.memory_engine
+    stats = processor.stats
+    policy = processor.policy
     warm_started = perf_counter()
-    if core.warm_caches and trace.regions:
-        warm_hierarchy(core.hierarchy, trace.regions)
+    if processor.warm_caches and trace.regions:
+        warm_hierarchy(processor.hierarchy, trace.regions)
     drive_started = perf_counter()
     phases.add("warmup", drive_started - warm_started)
+
     load_hist = stats.histogram(
         "decode_to_address.loads", _LOCALITY_HISTOGRAM_BIN, _LOCALITY_HISTOGRAM_BINS
     )
@@ -154,21 +190,31 @@ def run_ooo_fast(core: OutOfOrderCore, trace: Trace) -> CoreResult:
     record_load_hist = load_hist.record
     record_store_hist = store_hist.record
     bump = stats.bump
+    counter = stats.counter
     load_issued = policy.load_issued
     store_issued = policy.store_issued
     load_committed = policy.load_committed
     store_committed = policy.store_committed
+    epoch_opened = policy.epoch_opened
+    epoch_committed = policy.epoch_committed
 
-    fetch_width = cfg.fetch_width
-    issue_width = cfg.issue_width
-    commit_width = cfg.commit_width
-    ports_width = core.hierarchy.config.cache_ports
-    decode_latency = cfg.decode_latency
-    branch_latency = cfg.branch_latency
-    int_alu_latency = cfg.int_alu_latency
-    fp_alu_latency = cfg.fp_alu_latency
-    mispredict_penalty = cfg.branch_mispredict_penalty
-    rob_cap = cfg.rob_size
+    fetch_width = cp.fetch_width
+    issue_width = cp.issue_width
+    commit_width = cp.commit_width
+    ports_width = processor.hierarchy.config.cache_ports
+    decode_latency = cp.decode_latency
+    branch_latency = cp.branch_latency
+    int_alu_latency = cp.int_alu_latency
+    fp_alu_latency = cp.fp_alu_latency
+    mispredict_penalty = cp.branch_mispredict_penalty
+    rob_cap = cp.rob_size
+    me_max_instructions = me.max_instructions
+    me_max_loads = me.max_loads
+    me_max_stores = me.max_stores
+    me_issue_width = me.issue_width
+    cp_to_mp_latency = fmc.interconnect.cp_to_mp_latency
+    restricts_sac = disambiguation.restricts_store_address_calculation
+    restricts_lac = disambiguation.restricts_load_address_calculation
 
     columns = trace.columns()
     iclass_col = columns.iclass
@@ -189,27 +235,46 @@ def run_ooo_fast(core: OutOfOrderCore, trace: Trace) -> CoreResult:
     MISPREDICTED = FLAG_MISPREDICTED
     HAS_LATENCY = FLAG_HAS_LATENCY
     HIGH = Locality.HIGH
+    LOW = Locality.LOW
 
-    # Scalar frontier allocators (fetch/commit requests are non-decreasing).
+    # Scalar frontier allocators (fetch / commit / migration are monotonic).
     fetch_cur, fetch_used = -1, 0
     commit_cur, commit_used = -1, 0
-    # Demand-keyed allocators (issue order follows operand readiness).
+    migrate_cur, migrate_used = -1, 0
+    # Demand-keyed allocators.
     issue_used: Dict[int, int] = {}
     ports_used: Dict[int, int] = {}
+    #: epoch id -> [current issue cycle, slots used, issue frontier] -- each
+    #: memory engine's issue bandwidth is requested in non-decreasing order.
+    epoch_issue: Dict[int, List[int]] = {}
     # Preallocated ring buffers replacing the occupancy-window deques.
     rob_buf = [0] * rob_cap
     rob_n = rob_i = 0
-    lq_cap = cfg.load_queue_entries
     lq_buf = [0] * lq_cap
     lq_n = lq_i = 0
-    sq_cap = cfg.store_queue_entries
     sq_buf = [0] * sq_cap
     sq_n = sq_i = 0
+    pool_cap = fmc.num_memory_engines
+    pool_buf = [0] * pool_cap
+    pool_n = pool_i = 0
 
     regs = [0] * NUM_ARCH_REGISTERS
     fetch_frontier = 0
     commit_frontier = 0
+    migration_frontier = 0
     fetch_resume_cycle = 0
+    migration_block_until = 0
+    mp_active_until = 0
+    ll_active_cycles = 0
+    epoch_live_cycle_sum = 0
+    next_epoch_id = 0
+    # Current epoch book, inlined into scalars (None id = no open epoch).
+    cur_epoch_id: Optional[int] = None
+    cur_open = 0
+    cur_instructions = 0
+    cur_loads = 0
+    cur_stores = 0
+    cur_last_commit = 0
     num_loads = 0
     num_stores = 0
     wrong_path_estimate = 0.0
@@ -250,363 +315,6 @@ def run_ooo_fast(core: OutOfOrderCore, trace: Trace) -> CoreResult:
         # Sources are left-packed columns with -1 padding.  A store's last
         # source is its data operand; a single-source store uses that source
         # as both address and data (matching ``srcs[:-1] or srcs``).
-        s0 = src0_col[seq]
-        addr_ready = decode_cycle
-        if is_store:
-            s1 = src1_col[seq]
-            if s1 < 0:
-                if s0 >= 0:
-                    ready = regs[s0]
-                    if ready > addr_ready:
-                        addr_ready = ready
-                data_ready = addr_ready
-            else:
-                ready = regs[s0]
-                if ready > addr_ready:
-                    addr_ready = ready
-                s2 = src2_col[seq]
-                if s2 < 0:
-                    data_src = s1
-                else:
-                    ready = regs[s1]
-                    if ready > addr_ready:
-                        addr_ready = ready
-                    s3 = src3_col[seq]
-                    if s3 < 0:
-                        data_src = s2
-                    else:
-                        ready = regs[s2]
-                        if ready > addr_ready:
-                            addr_ready = ready
-                        data_src = s3
-                data_ready = regs[data_src]
-                if data_ready < addr_ready:
-                    data_ready = addr_ready
-        else:
-            if s0 >= 0:
-                ready = regs[s0]
-                if ready > addr_ready:
-                    addr_ready = ready
-                s1 = src1_col[seq]
-                if s1 >= 0:
-                    ready = regs[s1]
-                    if ready > addr_ready:
-                        addr_ready = ready
-                    s2 = src2_col[seq]
-                    if s2 >= 0:
-                        ready = regs[s2]
-                        if ready > addr_ready:
-                            addr_ready = ready
-                        s3 = src3_col[seq]
-                        if s3 >= 0:
-                            ready = regs[s3]
-                            if ready > addr_ready:
-                                addr_ready = ready
-            data_ready = addr_ready
-
-        # ---------------- issue and execute ----------------
-        violation = False
-        squash_penalty = 0
-        cycle = addr_ready
-        while issue_used.get(cycle, 0) >= issue_width:
-            cycle += 1
-        issue_used[cycle] = issue_used.get(cycle, 0) + 1
-        issue_cycle = cycle
-        pending_load_record: Optional[LoadRecord] = None
-        if is_load:
-            num_loads += 1
-            cycle = issue_cycle
-            while ports_used.get(cycle, 0) >= ports_width:
-                cycle += 1
-            ports_used[cycle] = ports_used.get(cycle, 0) + 1
-            issue_cycle = cycle
-            record_load_hist(issue_cycle - decode_cycle)
-            pending_load_record = LoadRecord(
-                seq=seq,
-                address=addr_col[seq],
-                size=size_col[seq],
-                decode_cycle=decode_cycle,
-                issue_cycle=issue_cycle,
-                locality=HIGH,
-            )
-            outcome = load_issued(pending_load_record)
-            latency = outcome.latency
-            complete = issue_cycle + (latency if latency > 1 else 1)
-            violation = outcome.violation
-            squash_penalty = outcome.squash_penalty
-        elif is_store:
-            num_stores += 1
-            record_store_hist(issue_cycle - decode_cycle)
-            complete = issue_cycle if issue_cycle >= data_ready else data_ready
-        elif code == BRANCH:
-            complete = issue_cycle + branch_latency
-        else:
-            if flags_col[seq] & HAS_LATENCY:
-                latency = latency_col[seq]
-            else:
-                latency = fp_alu_latency if code == FP_ALU else int_alu_latency
-            complete = issue_cycle + latency
-
-        dest = dest_col[seq]
-        if dest >= 0:
-            regs[dest] = complete
-
-        # ---------------- commit ----------------
-        commit_ready = complete if complete >= commit_frontier else commit_frontier
-        if commit_ready > commit_cur:
-            commit_cur, commit_used = commit_ready, 1
-        elif commit_used < commit_width:
-            commit_used += 1
-        else:
-            commit_cur += 1
-            commit_used = 1
-        commit_cycle = commit_cur
-
-        if is_store:
-            store_record = StoreRecord(
-                seq=seq,
-                address=addr_col[seq],
-                size=size_col[seq],
-                decode_cycle=decode_cycle,
-                addr_ready_cycle=issue_cycle,
-                data_ready_cycle=issue_cycle if issue_cycle >= data_ready else data_ready,
-                commit_cycle=commit_cycle,
-                locality=HIGH,
-            )
-            store_outcome = store_issued(store_record)
-            if store_outcome.squash_penalty > squash_penalty:
-                squash_penalty = store_outcome.squash_penalty
-            store_committed(store_record)
-        elif pending_load_record is not None:
-            pending_load_record.commit_cycle = commit_cycle
-            commit_extra = load_committed(pending_load_record)
-            if commit_extra.extra_latency:
-                commit_cycle += commit_extra.extra_latency
-
-        if commit_cycle > commit_frontier:
-            commit_frontier = commit_cycle
-        if commit_cycle > last_commit_cycle:
-            last_commit_cycle = commit_cycle
-        if rob_n == rob_cap:
-            rob_buf[rob_i] = commit_cycle
-            rob_i += 1
-            if rob_i == rob_cap:
-                rob_i = 0
-        else:
-            rob_buf[rob_n] = commit_cycle
-            rob_n += 1
-        if is_load:
-            if lq_n == lq_cap:
-                lq_buf[lq_i] = commit_cycle
-                lq_i += 1
-                if lq_i == lq_cap:
-                    lq_i = 0
-            else:
-                lq_buf[lq_n] = commit_cycle
-                lq_n += 1
-        elif is_store:
-            if sq_n == sq_cap:
-                sq_buf[sq_i] = commit_cycle
-                sq_i += 1
-                if sq_i == sq_cap:
-                    sq_i = 0
-            else:
-                sq_buf[sq_n] = commit_cycle
-                sq_n += 1
-
-        # ---------------- control / squash handling ----------------
-        if code == BRANCH and flags_col[seq] & MISPREDICTED:
-            resolve_cycle = complete + mispredict_penalty
-            if resolve_cycle > fetch_resume_cycle:
-                fetch_resume_cycle = resolve_cycle
-            bump("core.branch_mispredicts")
-            exposed = complete - fetch_cycle
-            if exposed < 0:
-                exposed = 0
-            wrong_path = fetch_width * exposed
-            if wrong_path > rob_cap:
-                wrong_path = rob_cap
-            wrong_path_estimate += wrong_path
-        if violation:
-            bump("core.violation_squashes")
-            resume = complete + mispredict_penalty + _VIOLATION_EXTRA_PENALTY
-            if resume > fetch_resume_cycle:
-                fetch_resume_cycle = resume
-        if squash_penalty:
-            resume = issue_cycle + squash_penalty
-            if resume > fetch_resume_cycle:
-                fetch_resume_cycle = resume
-
-    committed = len(trace)
-    total_cycles = max(1, last_commit_cycle)
-    core._account_wrong_path(wrong_path_estimate, committed, num_loads, num_stores)
-    policy.finalize(total_cycles, committed)
-    stats.counter("core.cycles").add(total_cycles)
-    stats.counter("core.committed_instructions").add(committed)
-    phases.add("drive", perf_counter() - drive_started)
-
-    return CoreResult(
-        trace_name=trace.name,
-        config_name=core.name,
-        cycles=total_cycles,
-        committed_instructions=committed,
-        stats=stats.snapshot(),
-    )
-
-
-# ----------------------------------------------------------------------
-# Fast drive loop: FMC large-window processor
-# ----------------------------------------------------------------------
-
-
-def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
-    """Drive ``processor`` over ``trace`` -- bit-identical to ``processor.run``."""
-    cp = processor.config.cache_processor
-    me = processor.config.memory_engine
-    stats = processor.stats
-    policy = processor.policy
-    threshold = processor.elsq_config.locality_threshold_cycles
-    warm_started = perf_counter()
-    if processor.warm_caches and trace.regions:
-        warm_hierarchy(processor.hierarchy, trace.regions)
-    drive_started = perf_counter()
-    phases.add("warmup", drive_started - warm_started)
-
-    load_hist = stats.histogram(
-        "decode_to_address.loads", _LOCALITY_HISTOGRAM_BIN, _LOCALITY_HISTOGRAM_BINS
-    )
-    store_hist = stats.histogram(
-        "decode_to_address.stores", _LOCALITY_HISTOGRAM_BIN, _LOCALITY_HISTOGRAM_BINS
-    )
-    record_load_hist = load_hist.record
-    record_store_hist = store_hist.record
-    bump = stats.bump
-    counter = stats.counter
-    load_issued = policy.load_issued
-    store_issued = policy.store_issued
-    load_committed = policy.load_committed
-    store_committed = policy.store_committed
-    epoch_opened = policy.epoch_opened
-    epoch_committed = policy.epoch_committed
-
-    fetch_width = cp.fetch_width
-    issue_width = cp.issue_width
-    commit_width = cp.commit_width
-    ports_width = processor.hierarchy.config.cache_ports
-    decode_latency = cp.decode_latency
-    branch_latency = cp.branch_latency
-    int_alu_latency = cp.int_alu_latency
-    fp_alu_latency = cp.fp_alu_latency
-    mispredict_penalty = cp.branch_mispredict_penalty
-    rob_cap = cp.rob_size
-    me_max_instructions = me.max_instructions
-    me_max_loads = me.max_loads
-    me_max_stores = me.max_stores
-    me_issue_width = me.issue_width
-    cp_to_mp_latency = processor.config.interconnect.cp_to_mp_latency
-    disambiguation = processor.elsq_config.disambiguation
-    restricts_sac = disambiguation.restricts_store_address_calculation
-    restricts_lac = disambiguation.restricts_load_address_calculation
-
-    columns = trace.columns()
-    iclass_col = columns.iclass
-    dest_col = columns.dest
-    src0_col = columns.src0
-    src1_col = columns.src1
-    src2_col = columns.src2
-    src3_col = columns.src3
-    addr_col = columns.address
-    size_col = columns.size
-    flags_col = columns.flags
-    latency_col = columns.latency
-
-    LOAD = CODE_LOAD
-    STORE = CODE_STORE
-    BRANCH = CODE_BRANCH
-    FP_ALU = CODE_FP_ALU
-    MISPREDICTED = FLAG_MISPREDICTED
-    HAS_LATENCY = FLAG_HAS_LATENCY
-    HIGH = Locality.HIGH
-    LOW = Locality.LOW
-
-    # Scalar frontier allocators (fetch / commit / migration are monotonic).
-    fetch_cur, fetch_used = -1, 0
-    commit_cur, commit_used = -1, 0
-    migrate_cur, migrate_used = -1, 0
-    # Demand-keyed allocators.
-    cp_issue_used: Dict[int, int] = {}
-    ports_used: Dict[int, int] = {}
-    #: epoch id -> [current issue cycle, slots used, issue frontier] -- each
-    #: memory engine's issue bandwidth is requested in non-decreasing order.
-    epoch_issue: Dict[int, List[int]] = {}
-    # Preallocated ring buffers.
-    rob_buf = [0] * rob_cap
-    rob_n = rob_i = 0
-    hl_lq_cap = processor.elsq_config.hl_load_entries
-    hl_lq_buf = [0] * hl_lq_cap
-    hl_lq_n = hl_lq_i = 0
-    hl_sq_cap = processor.elsq_config.hl_store_entries
-    hl_sq_buf = [0] * hl_sq_cap
-    hl_sq_n = hl_sq_i = 0
-    pool_cap = processor.config.num_memory_engines
-    pool_buf = [0] * pool_cap
-    pool_n = pool_i = 0
-
-    regs = [0] * NUM_ARCH_REGISTERS
-    fetch_frontier = 0
-    commit_frontier = 0
-    migration_frontier = 0
-    fetch_resume_cycle = 0
-    migration_block_until = 0
-    mp_active_until = 0
-    ll_active_cycles = 0
-    epoch_live_cycle_sum = 0
-    next_epoch_id = 0
-    # Current epoch book, inlined into scalars (None id = no open epoch).
-    cur_epoch_id: Optional[int] = None
-    cur_open = 0
-    cur_instructions = 0
-    cur_loads = 0
-    cur_stores = 0
-    cur_last_commit = 0
-    num_loads = 0
-    num_stores = 0
-    wrong_path_estimate = 0.0
-    last_commit_cycle = 0
-
-    for seq in range(len(iclass_col)):
-        code = iclass_col[seq]
-        is_load = code == LOAD
-        is_store = code == STORE
-
-        # ---------------- fetch / decode ----------------
-        desired = fetch_resume_cycle
-        if fetch_frontier > desired:
-            desired = fetch_frontier
-        constraint = rob_buf[rob_i] if rob_n == rob_cap else 0
-        if constraint > desired:
-            desired = constraint
-        if is_load:
-            constraint = hl_lq_buf[hl_lq_i] if hl_lq_n == hl_lq_cap else 0
-            if constraint > desired:
-                desired = constraint
-        elif is_store:
-            constraint = hl_sq_buf[hl_sq_i] if hl_sq_n == hl_sq_cap else 0
-            if constraint > desired:
-                desired = constraint
-        if desired > fetch_cur:
-            fetch_cur, fetch_used = desired, 1
-        elif fetch_used < fetch_width:
-            fetch_used += 1
-        else:
-            fetch_cur += 1
-            fetch_used = 1
-        fetch_cycle = fetch_cur
-        fetch_frontier = fetch_cycle
-        decode_cycle = fetch_cycle + decode_latency
-
-        # ---------------- operand readiness ----------------
-        # Same left-packed source convention as the conventional loop.
         s0 = src0_col[seq]
         addr_ready = decode_cycle
         if is_store:
@@ -735,10 +443,9 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
         # ---------------- issue and execute ----------------
         violation = False
         squash_penalty = 0
-        insertion_stall = 0
-        pending_load_record: Optional[LoadRecord] = None
 
-        if low_locality and epoch_id is not None:
+        # A low-locality instruction always migrates, so it has an epoch.
+        if low_locality:
             engine = epoch_issue.get(epoch_id)
             if engine is None:
                 engine = [-1, 0, 0]
@@ -761,12 +468,11 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
             engine[2] = issue_cycle
         else:
             cycle = addr_ready
-            while cp_issue_used.get(cycle, 0) >= issue_width:
+            while issue_used.get(cycle, 0) >= issue_width:
                 cycle += 1
-            cp_issue_used[cycle] = cp_issue_used.get(cycle, 0) + 1
+            issue_used[cycle] = issue_used.get(cycle, 0) + 1
             issue_cycle = cycle
             if is_load:
-                cycle = issue_cycle
                 while ports_used.get(cycle, 0) >= ports_width:
                     cycle += 1
                 ports_used[cycle] = ports_used.get(cycle, 0) + 1
@@ -775,7 +481,7 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
         if is_load:
             num_loads += 1
             record_load_hist(issue_cycle - decode_cycle)
-            pending_load_record = LoadRecord(
+            load_record = LoadRecord(
                 seq=seq,
                 address=addr_col[seq],
                 size=size_col[seq],
@@ -785,7 +491,7 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
                 epoch_id=epoch_id,
                 migration_cycle=migration_cycle,
             )
-            outcome = load_issued(pending_load_record)
+            outcome = load_issued(load_record)
             latency = outcome.latency
             complete = issue_cycle + (latency if latency > 1 else 1)
             violation = outcome.violation
@@ -834,11 +540,14 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
             store_outcome = store_issued(store_record)
             if store_outcome.squash_penalty > squash_penalty:
                 squash_penalty = store_outcome.squash_penalty
-            insertion_stall = store_outcome.insertion_stall
+            if store_outcome.insertion_stall:
+                blocked = issue_cycle + store_outcome.insertion_stall
+                if blocked > migration_block_until:
+                    migration_block_until = blocked
             store_committed(store_record)
-        elif pending_load_record is not None:
-            pending_load_record.commit_cycle = commit_cycle
-            commit_extra = load_committed(pending_load_record)
+        elif is_load:
+            load_record.commit_cycle = commit_cycle
+            commit_extra = load_committed(load_record)
             if commit_extra.extra_latency:
                 commit_cycle += commit_extra.extra_latency
 
@@ -847,7 +556,7 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
         if commit_cycle > last_commit_cycle:
             last_commit_cycle = commit_cycle
 
-        cp_leave_cycle = migration_cycle if migration_cycle is not None else commit_cycle
+        cp_leave_cycle = migration_cycle if migrates else commit_cycle
         if rob_n == rob_cap:
             rob_buf[rob_i] = cp_leave_cycle
             rob_i += 1
@@ -857,30 +566,28 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
             rob_buf[rob_n] = cp_leave_cycle
             rob_n += 1
         if is_load:
-            if hl_lq_n == hl_lq_cap:
-                hl_lq_buf[hl_lq_i] = cp_leave_cycle
-                hl_lq_i += 1
-                if hl_lq_i == hl_lq_cap:
-                    hl_lq_i = 0
+            if lq_n == lq_cap:
+                lq_buf[lq_i] = cp_leave_cycle
+                lq_i += 1
+                if lq_i == lq_cap:
+                    lq_i = 0
             else:
-                hl_lq_buf[hl_lq_n] = cp_leave_cycle
-                hl_lq_n += 1
+                lq_buf[lq_n] = cp_leave_cycle
+                lq_n += 1
         elif is_store:
-            if hl_sq_n == hl_sq_cap:
-                hl_sq_buf[hl_sq_i] = cp_leave_cycle
-                hl_sq_i += 1
-                if hl_sq_i == hl_sq_cap:
-                    hl_sq_i = 0
+            if sq_n == sq_cap:
+                sq_buf[sq_i] = cp_leave_cycle
+                sq_i += 1
+                if sq_i == sq_cap:
+                    sq_i = 0
             else:
-                hl_sq_buf[hl_sq_n] = cp_leave_cycle
-                hl_sq_n += 1
-
-        if cur_epoch_id is not None and epoch_id == cur_epoch_id:
-            if commit_cycle > cur_last_commit:
-                cur_last_commit = commit_cycle
+                sq_buf[sq_n] = cp_leave_cycle
+                sq_n += 1
 
         # ---------------- Memory Processor activity ----------------
-        if migrates and migration_cycle is not None:
+        if migrates:
+            if commit_cycle > cur_last_commit:
+                cur_last_commit = commit_cycle
             interval_start = (
                 migration_cycle if migration_cycle >= mp_active_until else mp_active_until
             )
@@ -898,8 +605,8 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
             if exposed < 0:
                 exposed = 0
             wrong_path = fetch_width * exposed
-            if wrong_path > _FMC_WRONG_PATH_CAP:
-                wrong_path = _FMC_WRONG_PATH_CAP
+            if wrong_path > wrong_path_cap:
+                wrong_path = wrong_path_cap
             wrong_path_estimate += wrong_path
         if violation:
             bump("core.violation_squashes")
@@ -910,10 +617,6 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
             resume = issue_cycle + squash_penalty
             if resume > fetch_resume_cycle:
                 fetch_resume_cycle = resume
-        if insertion_stall:
-            blocked = issue_cycle + insertion_stall
-            if blocked > migration_block_until:
-                migration_block_until = blocked
 
     if cur_epoch_id is not None:
         epoch_commit = cur_last_commit if cur_last_commit >= cur_open else cur_open
@@ -930,17 +633,24 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
 
     committed = len(trace)
     total_cycles = max(1, last_commit_cycle)
-    processor._account_wrong_path(wrong_path_estimate, committed, num_loads, num_stores)
+    account_wrong_path(policy, wrong_path_estimate, committed, num_loads, num_stores)
     policy.finalize(total_cycles, committed)
     stats.counter("core.cycles").add(total_cycles)
     stats.counter("core.committed_instructions").add(committed)
-    stats.counter("fmc.ll_active_cycles").add(min(ll_active_cycles, total_cycles))
-    stats.counter("fmc.epochs_allocated").add(next_epoch_id)
-
-    high_locality_fraction = 1.0 - min(ll_active_cycles, total_cycles) / total_cycles
-    mean_allocated_epochs = (
-        epoch_live_cycle_sum / ll_active_cycles if ll_active_cycles > 0 else 0.0
-    )
+    # Only an FMC reports its Memory Processor: even a zero counter would
+    # change a conventional core's snapshot.
+    memory_processor = {}
+    if is_fmc:
+        ll_active = min(ll_active_cycles, total_cycles)
+        stats.counter("fmc.ll_active_cycles").add(ll_active)
+        stats.counter("fmc.epochs_allocated").add(next_epoch_id)
+        memory_processor = dict(
+            high_locality_fraction=1.0 - ll_active / total_cycles,
+            mean_allocated_epochs=(
+                epoch_live_cycle_sum / ll_active_cycles if ll_active_cycles > 0 else 0.0
+            ),
+            extra={"epochs_opened": float(next_epoch_id)},
+        )
     phases.add("drive", perf_counter() - drive_started)
 
     return CoreResult(
@@ -949,9 +659,7 @@ def run_fmc_fast(processor: FMCProcessor, trace: Trace) -> CoreResult:
         cycles=total_cycles,
         committed_instructions=committed,
         stats=stats.snapshot(),
-        high_locality_fraction=high_locality_fraction,
-        mean_allocated_epochs=mean_allocated_epochs,
-        extra={"epochs_opened": float(next_epoch_id)},
+        **memory_processor,
     )
 
 
@@ -974,6 +682,4 @@ class FastEngine:
         build_started = perf_counter()
         processor = machine.build()
         phases.add("build", perf_counter() - build_started)
-        if isinstance(processor, FMCProcessor):
-            return run_fmc_fast(processor, trace)
-        return run_ooo_fast(processor, trace)
+        return run_fast(processor, trace)

@@ -50,6 +50,25 @@ _LOCALITY_HISTOGRAM_BIN = 30
 _LOCALITY_HISTOGRAM_BINS = 50
 
 
+def account_wrong_path(
+    policy: LSQPolicy,
+    wrong_path_estimate: float,
+    committed: int,
+    num_loads: int,
+    num_stores: int,
+) -> None:
+    """Attribute estimated wrong-path LSQ activity to the policy counters."""
+    if committed == 0 or wrong_path_estimate <= 0:
+        return
+    active = wrong_path_estimate * _WRONG_PATH_ACTIVITY_FACTOR
+    load_fraction = num_loads / committed
+    store_fraction = num_stores / committed
+    policy.record_wrong_path_activity(
+        wrong_path_loads=int(active * load_fraction),
+        wrong_path_stores=int(active * store_fraction),
+    )
+
+
 class OutOfOrderCore:
     """Conventional superscalar out-of-order processor model."""
 
@@ -230,7 +249,7 @@ class OutOfOrderCore:
 
         committed = len(trace)
         total_cycles = max(1, last_commit_cycle)
-        self._account_wrong_path(wrong_path_estimate, committed, num_loads, num_stores)
+        account_wrong_path(self.policy, wrong_path_estimate, committed, num_loads, num_stores)
         self.policy.finalize(total_cycles, committed)
         stats.counter("core.cycles").add(total_cycles)
         stats.counter("core.committed_instructions").add(committed)
@@ -241,22 +260,4 @@ class OutOfOrderCore:
             cycles=total_cycles,
             committed_instructions=committed,
             stats=stats.snapshot(),
-        )
-
-    # ------------------------------------------------------------------
-    # Wrong-path activity estimate
-    # ------------------------------------------------------------------
-
-    def _account_wrong_path(
-        self, wrong_path_estimate: float, committed: int, num_loads: int, num_stores: int
-    ) -> None:
-        """Attribute estimated wrong-path LSQ activity to the policy counters."""
-        if committed == 0 or wrong_path_estimate <= 0:
-            return
-        active = wrong_path_estimate * _WRONG_PATH_ACTIVITY_FACTOR
-        load_fraction = num_loads / committed
-        store_fraction = num_stores / committed
-        self.policy.record_wrong_path_activity(
-            wrong_path_loads=int(active * load_fraction),
-            wrong_path_stores=int(active * store_fraction),
         )

@@ -11,15 +11,26 @@ envelopes and push each draw through both engines, asserting
   and
 * monotonicity: simulating a longer prefix of the same instruction stream
   can never finish earlier than a shorter prefix.
+
+A second set of draws fuzzes the core geometry itself (ROB, queue sizes,
+widths, latencies, memory engines), drawing paired capacities apart so a
+capacity read from the wrong configuration changes the result.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
-from repro.common.config import DisambiguationModel, ERTKind, LoadQueueScheme
+from repro.common.config import (
+    CoreConfig,
+    DisambiguationModel,
+    ERTKind,
+    LoadQueueScheme,
+    MemoryEngineConfig,
+)
 from repro.isa.trace import Trace
 from repro.sim.configs import MachineConfig, fmc_central, fmc_elsq, ooo_64, ooo_64_svw
 from repro.sim.engine import engine_by_name
@@ -27,6 +38,15 @@ from repro.workloads.base import MemoryRegion, SyntheticWorkload, WorkloadParame
 
 #: Number of fuzz draws; each runs reference + fast once.
 DRAWS = 10
+
+#: Number of geometry draws; they cycle through OoO-64, OoO-64-SVW,
+#: FMC-Central and an ELSQ machine.
+GEOMETRY_DRAWS = 8
+
+#: Queue sizes of the geometry draws: small enough to stall fetch, and none
+#: equal to the 32/24-entry defaults that CoreConfig's LQ/SQ and
+#: ELSQConfig's HL-LSQ share.
+QUEUE_ENTRIES = (3, 4, 6, 8, 10, 12, 16)
 
 INSTRUCTIONS = 900
 
@@ -114,6 +134,63 @@ def _draw_machine(rng: random.Random) -> MachineConfig:
     )
 
 
+def _draw_core(rng: random.Random, load_queue_entries: int, store_queue_entries: int) -> CoreConfig:
+    """A random core geometry whose paired fields differ from each other."""
+    fetch_width, issue_width, commit_width = rng.sample((2, 3, 4, 6, 8), 3)
+    decode_latency, int_alu_latency, branch_latency = rng.sample((1, 2, 3, 5), 3)
+    return CoreConfig(
+        fetch_width=fetch_width,
+        issue_width=issue_width,
+        commit_width=commit_width,
+        decode_latency=decode_latency,
+        int_alu_latency=int_alu_latency,
+        fp_alu_latency=rng.choice((4, 6, 9)),
+        branch_latency=branch_latency,
+        branch_mispredict_penalty=rng.choice((5, 9, 16, 24)),
+        rob_size=rng.choice((40, 96, 128, 192)),
+        load_queue_entries=load_queue_entries,
+        store_queue_entries=store_queue_entries,
+    )
+
+
+def _draw_geometry(rng: random.Random, kind: int) -> MachineConfig:
+    """OoO-64, OoO-64-SVW, FMC-Central or an ELSQ machine (``kind`` 0-3), resized.
+
+    A conventional core gets a random LQ/SQ; an FMC gets a random Cache
+    Processor whose LQ/SQ differ from its HL-LSQ, plus random memory
+    engines.
+    """
+    if kind < 2:
+        machine = ooo_64() if kind == 0 else ooo_64_svw(ssbf_index_bits=rng.choice((8, 10)))
+        return replace(machine, core=_draw_core(rng, *rng.sample(QUEUE_ENTRIES, 2)))
+    core_lq, core_sq, hl_lq, hl_sq = rng.sample(QUEUE_ENTRIES, 4)
+    engines = rng.choice((2, 4, 8))
+    if kind == 2:
+        machine = fmc_central()
+    else:
+        machine = fmc_elsq(
+            ert_kind=rng.choice((ERTKind.HASH, ERTKind.LINE)),
+            disambiguation=rng.choice(list(DisambiguationModel)),
+            num_epochs=engines,
+            locality_threshold_cycles=rng.choice((15, 30, 60)),
+        )
+    max_loads, max_stores = rng.sample((8, 12, 16, 24), 2)
+    memory_engine = MemoryEngineConfig(
+        max_instructions=rng.choice((32, 48, 96)),
+        max_loads=max_loads,
+        max_stores=max_stores,
+        issue_width=rng.choice((1, 2, 3)),
+    )
+    fmc = replace(
+        machine.fmc,
+        cache_processor=_draw_core(rng, core_lq, core_sq),
+        memory_engine=memory_engine,
+        num_memory_engines=engines,
+    )
+    elsq = replace(machine.elsq, hl_load_entries=hl_lq, hl_store_entries=hl_sq)
+    return replace(machine, fmc=fmc, elsq=elsq)
+
+
 def _commit_width(machine: MachineConfig) -> int:
     from repro.sim.configs import MachineKind
 
@@ -145,6 +222,21 @@ def test_fuzzed_configurations_are_identical_and_sane(draw: int) -> None:
         assert 0.0 <= fast.high_locality_fraction <= 1.0
     if fast.mean_allocated_epochs is not None:
         assert fast.mean_allocated_epochs >= 0.0
+
+
+@pytest.mark.parametrize("draw", range(GEOMETRY_DRAWS))
+def test_fuzzed_core_geometry_is_identical(draw: int) -> None:
+    """Both engines agree on a resized core, whichever config each size comes from."""
+    rng = random.Random(0x6E0 + draw)
+    workload = _draw_workload(rng, 200 + draw)
+    machine = _draw_geometry(rng, draw % 4)
+    trace = SyntheticWorkload(workload, seed=rng.randrange(10_000)).generate(INSTRUCTIONS)
+
+    reference = engine_by_name("reference").run(machine, trace)
+    fast = engine_by_name("fast").run(machine, trace)
+
+    assert fast.to_dict() == reference.to_dict(), (workload.name, machine)
+    assert fast.ipc <= _commit_width(machine)
 
 
 @pytest.mark.parametrize("draw", range(3))
