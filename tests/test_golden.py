@@ -11,6 +11,13 @@ snapshot pins the service's ``GET /v1/stats`` / ``GET /v1/healthz`` wire
 shape after a scripted admission history, so a refactor of the accounting
 behind them cannot change a field silently.
 
+The LSQ-protocol snapshot pins every counter and histogram of thirteen
+machines over one workload.  The LSQ policies, the ERTs, the SVW and the
+memory hierarchy are shared by both engines, so ``tests/differential``
+cannot see a change to them; this snapshot can, and
+:func:`test_protocol_snapshot_exercises_every_verdict` keeps it from
+pinning a set of cases in which some verdict never fires.
+
 Regenerating after an intentional change::
 
     PYTHONPATH=src python -m pytest tests/test_golden.py --regen-golden
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import pytest
 
@@ -42,6 +49,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN_SEED = 2008
 FIG7_INSTRUCTIONS = 2_000
 FAMILY_INSTRUCTIONS = 1_200
+PROTOCOL_INSTRUCTIONS = 4_000
 
 
 def _fig7_results(engine: str) -> Any:
@@ -60,6 +68,84 @@ def _family_sweep_results(engine: str) -> Any:
         context, epoch_counts=(2, 16), locality_thresholds=(10, 90)
     )
     return to_jsonable(points)
+
+
+def _protocol_machines() -> List[Any]:
+    """The thirteen machines of the LSQ-protocol snapshot.
+
+    The paper's seven configurations, the two restricted load-address
+    models, both SVW machines with store checking, the Line ERT without
+    the Store Queue Mirror, and the Line ERT over a 4 KB direct-mapped L1
+    (the only case small enough to make L1 line locking stall and squash).
+    """
+    from repro.common.config import DisambiguationModel
+    from repro.sim.configs import (
+        PAPER_CONFIGS,
+        fmc_elsq,
+        fmc_hash_svw,
+        fmc_line,
+        ooo_64_svw,
+    )
+    from repro.sim.experiments import context_hierarchy
+
+    return [factory() for factory in PAPER_CONFIGS.values()] + [
+        fmc_elsq(disambiguation=DisambiguationModel.RESTRICTED_LAC, name="FMC-Hash-RLAC"),
+        fmc_elsq(
+            disambiguation=DisambiguationModel.RESTRICTED_SAC_LAC,
+            name="FMC-Hash-RSAC-RLAC",
+        ),
+        ooo_64_svw(check_stores=True, name="OoO-64-SVW-10b-checked"),
+        fmc_hash_svw(check_stores=True, name="FMC-Hash-SVW-10b-checked"),
+        fmc_line(store_queue_mirror=False),
+        fmc_line(name="FMC-Line-L1-4KB-DM").with_hierarchy(context_hierarchy(4, 1)),
+    ]
+
+
+def _protocol_results(engine: str) -> Any:
+    """Cycles, committed instructions, counters and histograms per machine."""
+    from repro.sim.simulator import Simulator
+    from repro.workloads.base import SyntheticWorkload
+    from repro.workloads.spec_fp import equake_like
+
+    trace = SyntheticWorkload(equake_like(), seed=GOLDEN_SEED).generate(
+        PROTOCOL_INSTRUCTIONS
+    )
+    results = {}
+    for machine in _protocol_machines():
+        result = Simulator(machine.with_engine(engine)).run_trace(trace).to_dict()
+        results[machine.name] = {
+            field: result[field]
+            for field in ("cycles", "committed_instructions", "counters", "histograms")
+        }
+    return results
+
+
+#: One counter per verdict of the LSQ protocol.  Each must be non-zero in
+#: some case of the protocol snapshot, or the snapshot pins nothing about
+#: the handler that produces it.
+PROTOCOL_VERDICTS = (
+    "lsq.violations",
+    "core.violation_squashes",
+    "elsq.lock_squashes",
+    "elsq.lock_stalls",
+    "svw.reexecutions",
+    "elsq.global_forwards",
+    "elsq.local_forwards",
+    "ert.false_positives",
+    "fmc.rsac_migration_blocks",
+    "fmc.rlac_migration_blocks",
+    "sqm.accesses",
+    "network.round_trips",
+)
+
+
+def _unexercised_verdicts(results: Dict[str, Any]) -> List[str]:
+    """The verdict counters that are zero (or absent) in every case."""
+    return [
+        counter
+        for counter in PROTOCOL_VERDICTS
+        if not any(case["counters"].get(counter, 0) for case in results.values())
+    ]
 
 
 def _service_documents(engine: str) -> Any:
@@ -148,6 +234,17 @@ GOLDENS: Dict[str, Tuple[str, Dict[str, Any], Callable[[str], Any]]] = {
         },
         _family_sweep_results,
     ),
+    "lsq-protocol": (
+        "lsq_protocol_quick.json",
+        {
+            "experiment": "lsq-protocol",
+            "machines": [machine.name for machine in _protocol_machines()],
+            "workload": "equake_like",
+            "instructions": PROTOCOL_INSTRUCTIONS,
+            "seed": GOLDEN_SEED,
+        },
+        _protocol_results,
+    ),
     "service-stats": (
         "service_stats_v2.json",
         {"documents": ["GET /v1/stats", "GET /v1/healthz"], "stats_schema": 2},
@@ -170,6 +267,11 @@ def test_golden_numerics(name: str, engine: str, regen_golden: bool) -> None:
     if regen_golden:
         if engine != "reference":
             pytest.skip("snapshots are regenerated from the reference engine only")
+        if name == "lsq-protocol":
+            unexercised = _unexercised_verdicts(document["results"])
+            assert not unexercised, (
+                f"refusing to write {filename}: no case exercises {unexercised}"
+            )
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     assert path.is_file(), (
@@ -185,6 +287,13 @@ def test_golden_numerics(name: str, engine: str, regen_golden: bool) -> None:
         f"{name}: numerics drifted from {path.name}; if the change is "
         f"intentional, regenerate with --regen-golden and review the diff"
     )
+
+
+def test_protocol_snapshot_exercises_every_verdict() -> None:
+    """Every LSQ-protocol verdict fires in at least one pinned case."""
+    filename = GOLDENS["lsq-protocol"][0]
+    results = json.loads((GOLDEN_DIR / filename).read_text())["results"]
+    assert _unexercised_verdicts(results) == []
 
 
 def test_goldens_have_no_orphan_snapshots() -> None:
