@@ -22,45 +22,27 @@ records -- are exported for direct use and unit testing.
 from repro.core.bloom import AddressHash, CountingBloomFilter
 from repro.core.conventional import ConventionalLSQ, IdealCentralLSQ
 from repro.core.elsq import EpochBasedLSQ
-from repro.core.ert import (
-    EpochResolutionTable,
-    ERTInsertOutcome,
-    HashBasedERT,
-    LineBasedERT,
-    build_ert,
-)
-from repro.core.policy import CommitOutcome, LoadOutcome, LSQPolicy, StoreOutcome
+from repro.core.ert import EpochResolutionTable, HashBasedERT, LineBasedERT, build_ert
+from repro.core.policy import LSQPolicy
 from repro.core.queues import StoreBuffer
-from repro.core.records import (
-    EpochState,
-    ForwardingResult,
-    Locality,
-    LoadRecord,
-    StoreRecord,
-)
+from repro.core.records import EpochState, Locality, LoadRecord, StoreRecord
 from repro.core.sqm import StoreQueueMirror
-from repro.core.svw import ReexecutionDecision, StoreVulnerabilityWindow
+from repro.core.svw import StoreVulnerabilityWindow
 
 __all__ = [
     "AddressHash",
-    "CommitOutcome",
     "ConventionalLSQ",
     "CountingBloomFilter",
     "EpochBasedLSQ",
     "EpochResolutionTable",
     "EpochState",
-    "ERTInsertOutcome",
-    "ForwardingResult",
     "HashBasedERT",
     "IdealCentralLSQ",
     "LineBasedERT",
-    "LoadOutcome",
     "LoadRecord",
     "Locality",
     "LSQPolicy",
-    "ReexecutionDecision",
     "StoreBuffer",
-    "StoreOutcome",
     "StoreQueueMirror",
     "StoreRecord",
     "StoreVulnerabilityWindow",

@@ -18,7 +18,7 @@ from typing import Optional
 
 from repro.common.config import LoadQueueScheme, SVWConfig
 from repro.common.stats import StatsRegistry
-from repro.core.policy import CommitOutcome, LoadOutcome, LSQPolicy, StoreOutcome
+from repro.core.policy import LSQPolicy
 from repro.core.queues import StoreBuffer
 from repro.core.records import Locality, LoadRecord, StoreRecord
 from repro.core.svw import StoreVulnerabilityWindow
@@ -28,7 +28,44 @@ from repro.memory.hierarchy import MemoryHierarchy
 _FORWARD_LATENCY = 1
 
 
-class ConventionalLSQ(LSQPolicy):
+class _SingleQueueLSQ(LSQPolicy):
+    """An organisation with one store queue holding every in-flight store."""
+
+    def __init__(self, stats: StatsRegistry, hierarchy: MemoryHierarchy) -> None:
+        super().__init__(stats)
+        self.hierarchy = hierarchy
+        self._stores = StoreBuffer()
+
+    def _search(self, load: LoadRecord) -> int:
+        """Forward from the store queue or read the data cache; return the latency.
+
+        The load forwards from the youngest older matching store still in
+        flight.  A violation is flagged on the record only when a load queue
+        exists to catch it (with SVW the load re-executes at commit instead).
+        """
+        stores = self._stores
+        store = stores.find_any_forwarding(load.address, load.size, load.seq, load.issue_cycle)
+        forwarding_seq = store.seq if store is not None else -1
+        load.unresolved_older_store_at_issue = stores.any_unresolved_older_store(
+            load.seq, forwarding_seq, load.issue_cycle
+        )
+        violating = stores.find_violating_store(
+            load.address, load.size, load.seq, forwarding_seq, load.issue_cycle
+        )
+        if violating is not None and self._svw is None:
+            load.violation = True
+            self.stats.bump("lsq.violations")
+
+        if store is not None:
+            load.forwarded_from = store.seq
+            self.stats.bump("lsq.forwarded_loads")
+            return _FORWARD_LATENCY + max(0, store.data_ready_cycle - load.issue_cycle)
+
+        self.stats.bump("cache.accesses")
+        return self.hierarchy.access(load.address)
+
+
+class ConventionalLSQ(_SingleQueueLSQ):
     """The age-indexed associative LSQ of a conventional out-of-order core.
 
     Loads search the store queue at issue; stores search the load queue for
@@ -43,79 +80,27 @@ class ConventionalLSQ(LSQPolicy):
         load_queue_scheme: LoadQueueScheme = LoadQueueScheme.ASSOCIATIVE,
         svw_config: Optional[SVWConfig] = None,
     ) -> None:
-        super().__init__(stats)
-        self.hierarchy = hierarchy
+        super().__init__(stats, hierarchy)
         self.load_queue_scheme = load_queue_scheme
-        self._stores = StoreBuffer()
-        self._svw: Optional[StoreVulnerabilityWindow] = None
         if load_queue_scheme is LoadQueueScheme.SVW_REEXECUTION:
             self._svw = StoreVulnerabilityWindow(
                 svw_config if svw_config is not None else SVWConfig(), stats
             )
-            self.wrong_path_searches_load_queue = False
 
     # -- issue-time events ------------------------------------------------
 
-    def load_issued(self, load: LoadRecord) -> LoadOutcome:
+    def load_issued(self, load: LoadRecord) -> int:
         self.stats.bump("hl_sq.searches")
         self._stores.prune_slow(load.decode_cycle)
-        forwarding = self._stores.find_any_forwarding(
-            load.address, load.size, load.seq, load.issue_cycle
-        )
-        forwarding_seq = forwarding.store.seq if forwarding.hit else -1
-        load.unresolved_older_store_at_issue = self._stores.any_unresolved_older_store(
-            load.seq, forwarding_seq, load.issue_cycle
-        )
-        violating = self._stores.find_violating_store(
-            load.address, load.size, load.seq, forwarding_seq, load.issue_cycle
-        )
-        violation = violating is not None and self._svw is None
-        if violation:
-            self.stats.bump("lsq.violations")
+        return self._search(load)
 
-        if forwarding.hit:
-            assert forwarding.store is not None
-            load.forwarded_from = forwarding.store.seq
-            self.stats.bump("lsq.forwarded_loads")
-            data_wait = max(0, forwarding.store.data_ready_cycle - load.issue_cycle)
-            return LoadOutcome(
-                latency=_FORWARD_LATENCY + data_wait,
-                forwarded=True,
-                forwarding_store_seq=forwarding.store.seq,
-                violation=violation,
-            )
-
-        self.stats.bump("cache.accesses")
-        access = self.hierarchy.access(load.address)
-        return LoadOutcome(latency=access.latency, violation=violation)
-
-    def store_issued(self, store: StoreRecord) -> StoreOutcome:
+    def store_issued(self, store: StoreRecord) -> None:
         self._stores.add(store)
         if self._svw is None:
             self.stats.bump("hl_lq.searches")
-        return StoreOutcome()
-
-    # -- commit-time events -----------------------------------------------
-
-    def load_committed(self, load: LoadRecord) -> CommitOutcome:
-        if self._svw is None:
-            return CommitOutcome()
-        decision = self._svw.check_load(load)
-        if not decision.reexecute:
-            return CommitOutcome()
-        self.stats.bump("cache.accesses")
-        self.stats.bump("cache.reexecution_accesses")
-        access = self.hierarchy.access(load.address)
-        return CommitOutcome(extra_latency=access.latency, reexecuted=True)
-
-    def store_committed(self, store: StoreRecord) -> CommitOutcome:
-        outcome = super().store_committed(store)
-        if self._svw is not None:
-            self._svw.store_committed(store)
-        return outcome
 
 
-class IdealCentralLSQ(LSQPolicy):
+class IdealCentralLSQ(_SingleQueueLSQ):
     """Unlimited, single-cycle centralized LSQ located in the Cache Processor.
 
     Used as the "Central LSQ" reference point of Figure 7.  High-locality
@@ -131,52 +116,19 @@ class IdealCentralLSQ(LSQPolicy):
         hierarchy: MemoryHierarchy,
         round_trip_latency: int = 8,
     ) -> None:
-        super().__init__(stats)
-        self.hierarchy = hierarchy
+        super().__init__(stats, hierarchy)
         self.round_trip_latency = round_trip_latency
-        self._stores = StoreBuffer()
 
-    def load_issued(self, load: LoadRecord) -> LoadOutcome:
+    def load_issued(self, load: LoadRecord) -> int:
         self.stats.bump("central_lsq.searches")
         self._stores.prune_slow(load.decode_cycle)
-        remote = load.locality is Locality.LOW
-        remote_penalty = self.round_trip_latency if remote else 0
-        if remote:
-            self.stats.bump("network.round_trips")
+        if load.locality is Locality.HIGH:
+            return self._search(load)
+        self.stats.bump("network.round_trips")
+        return self._search(load) + self.round_trip_latency
 
-        forwarding = self._stores.find_any_forwarding(
-            load.address, load.size, load.seq, load.issue_cycle
-        )
-        forwarding_seq = forwarding.store.seq if forwarding.hit else -1
-        load.unresolved_older_store_at_issue = self._stores.any_unresolved_older_store(
-            load.seq, forwarding_seq, load.issue_cycle
-        )
-        violating = self._stores.find_violating_store(
-            load.address, load.size, load.seq, forwarding_seq, load.issue_cycle
-        )
-        violation = violating is not None
-        if violation:
-            self.stats.bump("lsq.violations")
-
-        if forwarding.hit:
-            assert forwarding.store is not None
-            load.forwarded_from = forwarding.store.seq
-            self.stats.bump("lsq.forwarded_loads")
-            data_wait = max(0, forwarding.store.data_ready_cycle - load.issue_cycle)
-            return LoadOutcome(
-                latency=_FORWARD_LATENCY + data_wait + remote_penalty,
-                forwarded=True,
-                forwarding_store_seq=forwarding.store.seq,
-                violation=violation,
-            )
-
-        self.stats.bump("cache.accesses")
-        access = self.hierarchy.access(load.address)
-        return LoadOutcome(latency=access.latency + remote_penalty, violation=violation)
-
-    def store_issued(self, store: StoreRecord) -> StoreOutcome:
+    def store_issued(self, store: StoreRecord) -> None:
         self._stores.add(store)
         self.stats.bump("central_lsq.searches")
         if store.locality is Locality.LOW:
             self.stats.bump("network.round_trips")
-        return StoreOutcome()

@@ -17,8 +17,8 @@ Sections 3 and 4 on top of the structural pieces in this package:
 * optional **SVW load re-execution** in place of associative load queues.
 
 The class is an :class:`~repro.core.policy.LSQPolicy`: the FMC timing core
-drives it with issue/commit events and consumes only latencies, violation
-flags and stall/squash penalties.  Every structure access is recorded in the
+drives it with issue/commit events and consumes only latencies plus the
+violation flag and stall/squash penalties written onto the records.  Every structure access is recorded in the
 statistics registry using the Table 2 vocabulary (``hl_lq``, ``hl_sq``,
 ``ll_lq``, ``ll_sq``, ``ert``, ``ssbf``, ``network.round_trips``, ``cache``).
 """
@@ -36,7 +36,7 @@ from repro.common.config import (
 )
 from repro.common.stats import StatsRegistry
 from repro.core.ert import EpochResolutionTable, build_ert
-from repro.core.policy import CommitOutcome, LoadOutcome, LSQPolicy, StoreOutcome
+from repro.core.policy import LSQPolicy
 from repro.core.queues import StoreBuffer
 from repro.core.records import EpochState, Locality, LoadRecord, StoreRecord
 from repro.core.sqm import StoreQueueMirror
@@ -77,10 +77,8 @@ class EpochBasedLSQ(LSQPolicy):
         self._sqm: Optional[StoreQueueMirror] = (
             StoreQueueMirror(stats) if config.store_queue_mirror else None
         )
-        self._svw: Optional[StoreVulnerabilityWindow] = None
         if config.load_queue_scheme is LoadQueueScheme.SVW_REEXECUTION:
             self._svw = StoreVulnerabilityWindow(config.svw, stats)
-            self.wrong_path_searches_load_queue = False
         #: epoch id -> lifecycle record.
         self._epochs: Dict[int, EpochState] = {}
         #: epochs whose commit has been announced but whose ERT contribution
@@ -155,23 +153,20 @@ class EpochBasedLSQ(LSQPolicy):
     # Loads
     # ------------------------------------------------------------------
 
-    def load_issued(self, load: LoadRecord) -> LoadOutcome:
+    def load_issued(self, load: LoadRecord) -> int:
         self._purge_committed_epochs(load.decode_cycle)
         self._stores.prune_slow(load.decode_cycle)
         if load.locality is Locality.HIGH:
-            outcome = self._high_locality_load(load)
-        else:
-            outcome = self._low_locality_load(load)
-        return outcome
+            return self._high_locality_load(load)
+        return self._low_locality_load(load)
 
-    def _high_locality_load(self, load: LoadRecord) -> LoadOutcome:
+    def _high_locality_load(self, load: LoadRecord) -> int:
         cycle = load.issue_cycle
         # Local level: the HL-SQ is always searched (and the ERT in parallel).
         self.stats.bump("hl_sq.searches")
-        local = self._stores.find_hl_forwarding(load.address, load.size, load.seq, cycle)
-        if local.hit:
-            assert local.store is not None
-            return self._forwarded_outcome(load, local.store, extra_latency=0, local=True)
+        store = self._stores.find_hl_forwarding(load.address, load.size, load.seq, cycle)
+        if store is not None:
+            return self._forward(load, store, extra_latency=0, local=True)
 
         # Global level: consult the ERT only while low-locality epochs exist
         # (otherwise the whole LL machinery is in its low-power mode).
@@ -187,44 +182,34 @@ class EpochBasedLSQ(LSQPolicy):
                     if self._sqm is None:
                         self.stats.bump("network.round_trips")
                     extra = filter_penalty + max(0, searched_epochs - 1)
-                    return self._forwarded_outcome(load, store, extra_latency=extra, local=False)
+                    return self._forward(load, store, extra_latency=extra, local=False)
 
         # No forwarding: the value comes from the data cache; the load still
         # pays the filter penalty when the ERT sent it on a useless search.
         self.stats.bump("cache.accesses")
-        access = self.hierarchy.access(load.address)
-        violation = self._check_violation(load, forwarding_seq=-1)
-        return LoadOutcome(latency=access.latency + filter_penalty, violation=violation)
+        latency = self.hierarchy.access(load.address)
+        self._check_violation(load, forwarding_seq=-1)
+        return latency + filter_penalty
 
-    def _low_locality_load(self, load: LoadRecord) -> LoadOutcome:
+    def _low_locality_load(self, load: LoadRecord) -> int:
         cycle = load.issue_cycle
         epoch_id = load.epoch_id if load.epoch_id is not None else -1
         # The Loads-ERT (when present) learns this address; with the line-based
         # table this is where line-lock overflows squash the window.
-        squash_penalty = 0
         if self._ert is not None and self._needs_load_ert and load.epoch_id is not None:
-            insert = self._ert.insert_load(load.address, load.epoch_id)
-            if insert.lock_conflict:
-                squash_penalty += _LOCK_SQUASH_PENALTY
+            if not self._ert.insert_load(load.address, load.epoch_id):
+                load.squash_penalty = _LOCK_SQUASH_PENALTY
                 self.stats.bump("elsq.lock_squashes")
 
         # Local level: the epoch's own store queue.
         self.stats.bump("ll_sq.searches")
-        local = self._stores.find_epoch_forwarding(
+        store = self._stores.find_epoch_forwarding(
             epoch_id, load.address, load.size, load.seq, cycle,
             self._epoch_commit_cycle(epoch_id),
         )
-        if local.hit:
-            assert local.store is not None
+        if store is not None:
             self.stats.bump("elsq.local_ll_forwards")
-            outcome = self._forwarded_outcome(load, local.store, extra_latency=0, local=True)
-            return LoadOutcome(
-                latency=outcome.latency,
-                forwarded=True,
-                forwarding_store_seq=outcome.forwarding_store_seq,
-                violation=outcome.violation,
-                squash_penalty=squash_penalty,
-            )
+            return self._forward(load, store, extra_latency=0, local=True)
 
         # Global level: older epochs indicated by the ERT (younger epochs and
         # the HL-SQ hold only younger stores, which must not forward).
@@ -242,31 +227,21 @@ class EpochBasedLSQ(LSQPolicy):
                 )
                 if candidates:
                     filter_penalty = _ERT_LOOKUP_LATENCY
-                    store, searched = self._search_candidate_epochs(
+                    store, _ = self._search_candidate_epochs(
                         load, candidates, cycle, remote_from_epoch=epoch_id
                     )
                     if store is not None:
                         hops = abs(epoch_id - (store.epoch_id or 0))
                         extra = filter_penalty + hops * self.interconnect.hop_latency
                         self.stats.bump("network.round_trips")
-                        outcome = self._forwarded_outcome(
-                            load, store, extra_latency=extra, local=False
-                        )
-                        return LoadOutcome(
-                            latency=outcome.latency,
-                            forwarded=True,
-                            forwarding_store_seq=outcome.forwarding_store_seq,
-                            violation=outcome.violation,
-                            squash_penalty=squash_penalty,
-                        )
+                        return self._forward(load, store, extra_latency=extra, local=False)
 
         # Cache access from a memory engine: data travels over the CP<->MP bus.
         self.stats.bump("cache.accesses")
         self.stats.bump("network.round_trips")
-        access = self.hierarchy.access(load.address)
-        violation = self._check_violation(load, forwarding_seq=-1)
-        latency = access.latency + filter_penalty + self.interconnect.round_trip_latency
-        return LoadOutcome(latency=latency, violation=violation, squash_penalty=squash_penalty)
+        latency = self.hierarchy.access(load.address)
+        self._check_violation(load, forwarding_seq=-1)
+        return latency + filter_penalty + self.interconnect.round_trip_latency
 
     def _search_candidate_epochs(
         self,
@@ -282,12 +257,12 @@ class EpochBasedLSQ(LSQPolicy):
             self.stats.bump("ll_sq.searches")
             if self._sqm is not None and remote_from_epoch is None:
                 self._sqm.access()
-            result = self._stores.find_epoch_forwarding(
+            store = self._stores.find_epoch_forwarding(
                 candidate, load.address, load.size, load.seq, cycle,
                 self._epoch_commit_cycle(candidate),
             )
-            if result.hit:
-                return result.store, searched
+            if store is not None:
+                return store, searched
             self.stats.bump("ert.false_positives")
         return None, searched
 
@@ -297,9 +272,10 @@ class EpochBasedLSQ(LSQPolicy):
             return _ERT_LOOKUP_LATENCY + self._sqm.access_latency
         return _ERT_LOOKUP_LATENCY + self.interconnect.round_trip_latency
 
-    def _forwarded_outcome(
+    def _forward(
         self, load: LoadRecord, store: StoreRecord, extra_latency: int, local: bool
-    ) -> LoadOutcome:
+    ) -> int:
+        """Forward ``store``'s value to ``load``; return the load's latency."""
         load.forwarded_from = store.seq
         self.stats.bump("lsq.forwarded_loads")
         if local:
@@ -307,49 +283,39 @@ class EpochBasedLSQ(LSQPolicy):
         else:
             self.stats.bump("elsq.global_forwards")
         data_wait = max(0, store.data_ready_cycle - load.issue_cycle)
-        violation = self._check_violation(load, forwarding_seq=store.seq)
-        return LoadOutcome(
-            latency=_LOCAL_FORWARD_LATENCY + data_wait + extra_latency,
-            forwarded=True,
-            forwarding_store_seq=store.seq,
-            violation=violation,
-        )
+        self._check_violation(load, forwarding_seq=store.seq)
+        return _LOCAL_FORWARD_LATENCY + data_wait + extra_latency
 
-    def _check_violation(self, load: LoadRecord, forwarding_seq: int) -> bool:
+    def _check_violation(self, load: LoadRecord, forwarding_seq: int) -> None:
+        """Flag ``load.violation`` when a load queue catches an ordering violation."""
         load.unresolved_older_store_at_issue = self._stores.any_unresolved_older_store(
             load.seq, forwarding_seq, load.issue_cycle
         )
         violating = self._stores.find_violating_store(
             load.address, load.size, load.seq, forwarding_seq, load.issue_cycle
         )
-        if violating is None:
-            return False
-        if not self._associative_load_queues:
-            # SVW repairs the violation by re-executing the load at commit.
-            return False
-        self.stats.bump("lsq.violations")
-        return True
+        # With SVW there is no load queue: the load re-executes at commit.
+        if violating is not None and self._associative_load_queues:
+            load.violation = True
+            self.stats.bump("lsq.violations")
 
     # ------------------------------------------------------------------
     # Stores
     # ------------------------------------------------------------------
 
-    def store_issued(self, store: StoreRecord) -> StoreOutcome:
+    def store_issued(self, store: StoreRecord) -> None:
         self._purge_committed_epochs(store.decode_cycle)
         self._stores.add(store)
-        insertion_stall = 0
-        squash_penalty = 0
 
         if store.epoch_id is not None and self._ert is not None:
-            insert = self._ert.insert_store(store.address, store.epoch_id)
-            if insert.lock_conflict:
+            if not self._ert.insert_store(store.address, store.epoch_id):
                 if store.migration_cycle is not None and store.addr_ready_cycle <= store.migration_cycle:
                     # Address known at migration: the insertion simply stalls.
-                    insertion_stall += _LOCK_STALL_PENALTY
+                    store.insertion_stall = _LOCK_STALL_PENALTY
                     self.stats.bump("elsq.lock_stalls")
                 else:
                     # Address resolved inside the LL-LSQ: squash and restart.
-                    squash_penalty += _LOCK_SQUASH_PENALTY
+                    store.squash_penalty = _LOCK_SQUASH_PENALTY
                     self.stats.bump("elsq.lock_squashes")
 
         if self._associative_load_queues:
@@ -376,29 +342,6 @@ class EpochBasedLSQ(LSQPolicy):
                     for _ in candidates:
                         self.stats.bump("ll_lq.searches")
                     self.stats.bump("hl_lq.searches")
-
-        return StoreOutcome(insertion_stall=insertion_stall, squash_penalty=squash_penalty)
-
-    # ------------------------------------------------------------------
-    # Commit
-    # ------------------------------------------------------------------
-
-    def load_committed(self, load: LoadRecord) -> CommitOutcome:
-        if self._svw is None:
-            return CommitOutcome()
-        decision = self._svw.check_load(load)
-        if not decision.reexecute:
-            return CommitOutcome()
-        self.stats.bump("cache.accesses")
-        self.stats.bump("cache.reexecution_accesses")
-        access = self.hierarchy.access(load.address)
-        return CommitOutcome(extra_latency=access.latency, reexecuted=True)
-
-    def store_committed(self, store: StoreRecord) -> CommitOutcome:
-        outcome = super().store_committed(store)
-        if self._svw is not None:
-            self._svw.store_committed(store)
-        return outcome
 
     # ------------------------------------------------------------------
     # Introspection

@@ -11,7 +11,7 @@ Two organisations are modelled:
 * :class:`LineBasedERT` -- one row per L1 cache line.  Inserting an address
   requires the corresponding line to be resident and *locked* in the L1 (the
   data need not be valid); when every way of the set is already locked the
-  insertion reports a conflict and the caller stalls (HL-side insertion) or
+  insertion returns False and the caller stalls (HL-side insertion) or
   squashes (LL-side address resolution), exactly as the paper describes.
 * :class:`HashBasedERT` -- a Bloom-style table indexed by the low ``n`` bits
   of the word address, fully decoupled from the cache.
@@ -24,7 +24,6 @@ the line-based variant also unlocks the epoch's cache lines.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.common.config import CacheConfig, ERTConfig, ERTKind
@@ -32,16 +31,6 @@ from repro.common.errors import ConfigurationError
 from repro.common.stats import StatsRegistry
 from repro.core.bloom import AddressHash
 from repro.memory.hierarchy import MemoryHierarchy
-
-
-@dataclass(frozen=True)
-class ERTInsertOutcome:
-    """Result of inserting an address into the ERT."""
-
-    inserted: bool
-    #: Line-based only: every way of the L1 set was locked, so the line could
-    #: not be pinned and the insertion did not happen.
-    lock_conflict: bool = False
 
 
 class EpochResolutionTable(abc.ABC):
@@ -78,12 +67,18 @@ class EpochResolutionTable(abc.ABC):
     # Insertions
     # ------------------------------------------------------------------
 
-    def insert_store(self, address: int, epoch_id: int) -> ERTInsertOutcome:
-        """Record that ``epoch_id`` holds a store with a known address at ``address``."""
+    def insert_store(self, address: int, epoch_id: int) -> bool:
+        """Record that ``epoch_id`` holds a store with a known address at ``address``.
+
+        Returns False on a line-lock conflict (line-based table only).
+        """
         return self._insert(address, epoch_id, self._store_table, self._store_epoch_indices)
 
-    def insert_load(self, address: int, epoch_id: int) -> ERTInsertOutcome:
-        """Record that ``epoch_id`` holds a load with a known address at ``address``."""
+    def insert_load(self, address: int, epoch_id: int) -> bool:
+        """Record that ``epoch_id`` holds a load with a known address at ``address``.
+
+        Returns False on a line-lock conflict (line-based table only).
+        """
         return self._insert(address, epoch_id, self._load_table, self._load_epoch_indices)
 
     def _insert(
@@ -92,14 +87,14 @@ class EpochResolutionTable(abc.ABC):
         epoch_id: int,
         table: Dict[int, Dict[int, int]],
         reverse: Dict[int, Dict[int, int]],
-    ) -> ERTInsertOutcome:
+    ) -> bool:
         index = self.index_of(address)
         row = table.setdefault(index, {})
         row[epoch_id] = row.get(epoch_id, 0) + 1
         epoch_rows = reverse.setdefault(epoch_id, {})
         epoch_rows[index] = epoch_rows.get(index, 0) + 1
         self.stats.bump("ert.insertions")
-        return ERTInsertOutcome(inserted=True)
+        return True
 
     # ------------------------------------------------------------------
     # Lookups
@@ -187,8 +182,8 @@ class LineBasedERT(EpochResolutionTable):
     Inserting an address pins its line in the L1 through
     :meth:`~repro.memory.hierarchy.MemoryHierarchy.lock_l1_line`; clearing an
     epoch releases all of that epoch's locks.  A failed lock (every way of the
-    set already locked) is reported as ``lock_conflict=True`` and nothing is
-    recorded -- the caller decides between stalling and squashing.
+    set already locked) makes the insertion return False -- the caller
+    decides between stalling and squashing.
     """
 
     def __init__(
@@ -217,17 +212,16 @@ class LineBasedERT(EpochResolutionTable):
         epoch_id: int,
         table: Dict[int, Dict[int, int]],
         reverse: Dict[int, Dict[int, int]],
-    ) -> ERTInsertOutcome:
-        lock = self._hierarchy.lock_l1_line(address, owner=epoch_id)
-        outcome = super()._insert(address, epoch_id, table, reverse)
-        if not lock.locked:
+    ) -> bool:
+        locked = self._hierarchy.lock_l1_line(address, owner=epoch_id)
+        super()._insert(address, epoch_id, table, reverse)
+        if not locked:
             # The set is fully locked: the paper stalls the insertion (HL side)
             # or squashes (LL side) and retries, so the entry does land
             # eventually.  We record it now and report the conflict so the
             # caller can charge the stall / squash penalty.
             self.stats.bump("ert.lock_conflicts")
-            return ERTInsertOutcome(inserted=outcome.inserted, lock_conflict=True)
-        return outcome
+        return locked
 
     def clear_epoch(self, epoch_id: int) -> None:
         super().clear_epoch(epoch_id)

@@ -8,83 +8,50 @@ by the timing cores:
 * :meth:`LSQPolicy.load_issued` -- called when a load's address is ready; the
   policy searches whatever store queues the organisation prescribes, possibly
   consults the ERT/SQM, accesses the data cache when no forwarding happens,
-  and returns the additional latency the load pays plus any squash penalty
-  (ordering violation, line-lock overflow).
+  and returns the load's latency.  It writes the rest of its verdict onto
+  the :class:`~repro.core.records.LoadRecord`: the forwarding store
+  (``forwarded_from``), an ordering violation (``violation``) and a
+  line-lock squash (``squash_penalty``).
 * :meth:`LSQPolicy.store_issued` -- called when a store's address is ready;
-  the policy performs the violation search appropriate to the organisation
-  and accounts for the accesses.
+  the policy performs the violation search appropriate to the organisation,
+  accounts for the accesses, and writes a line-lock insertion stall or
+  squash onto the :class:`~repro.core.records.StoreRecord`
+  (``insertion_stall``, ``squash_penalty``).
 * :meth:`LSQPolicy.load_committed` / :meth:`LSQPolicy.store_committed` --
-  called at in-order commit; re-execution schemes add latency here, stores
-  write the data cache here.
+  called at in-order commit; ``load_committed`` returns the extra commit
+  latency of an SVW re-execution (0 without one), and stores update the SVW
+  here.
 * :meth:`LSQPolicy.epoch_committed` -- FMC only; the ELSQ clears the epoch's
   ERT columns, unlocks its cache lines and frees its queues.
 
-The outcomes carry only *timing deltas* and flags; all structural occupancy
-constraints (queue sizes limiting the in-flight window) are enforced by the
-cores via the configuration, not by the policies.
+Every answer is an int, a bool or nothing, so the drive loops allocate no
+result objects.  Answers carry only *timing deltas* and flags; all
+structural occupancy constraints (queue sizes limiting the in-flight
+window) are enforced by the cores via the configuration, not by the
+policies.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from typing import Optional
 
 from repro.common.stats import StatsRegistry
 from repro.core.records import LoadRecord, StoreRecord
-
-
-@dataclass(frozen=True)
-class LoadOutcome:
-    """What happened when a load issued.
-
-    Attributes
-    ----------
-    latency:
-        Cycles between the load's issue (address ready) and its data being
-        available -- either the forwarding latency or the cache access
-        latency, including any filter/network delays.
-    forwarded:
-        Whether the value came from an in-flight store rather than the cache.
-    forwarding_store_seq:
-        Sequence number of the forwarding store, if any.
-    violation:
-        Whether an ordering violation involving this load was (later)
-        detected; the core applies its squash penalty.
-    squash_penalty:
-        Additional squash penalty in cycles (for example the line-lock
-        overflow squash of the line-based ERT).
-    """
-
-    latency: int
-    forwarded: bool = False
-    forwarding_store_seq: int = -1
-    violation: bool = False
-    squash_penalty: int = 0
-
-
-@dataclass(frozen=True)
-class StoreOutcome:
-    """What happened when a store's address became ready.
-
-    ``insertion_stall`` models the migration stall of the line-based ERT when
-    a store inserted from the HL-LSQ cannot lock its cache line, and the
-    restricted-SAC/LAC migration stalls are modelled by the FMC core itself.
-    """
-
-    insertion_stall: int = 0
-    squash_penalty: int = 0
-
-
-@dataclass(frozen=True)
-class CommitOutcome:
-    """Extra work performed at commit (load re-execution, store writeback)."""
-
-    extra_latency: int = 0
-    reexecuted: bool = False
+from repro.core.svw import StoreVulnerabilityWindow
+from repro.memory.hierarchy import MemoryHierarchy
 
 
 class LSQPolicy(abc.ABC):
     """Abstract base class of every load/store-queue organisation."""
+
+    #: The data caches loads and re-executions access.
+    hierarchy: MemoryHierarchy
+
+    #: The SVW of an organisation whose load queue is replaced by load
+    #: re-execution at commit; ``None`` when loads are checked by
+    #: associative load-queue searches.
+    _svw: Optional[StoreVulnerabilityWindow] = None
 
     def __init__(self, stats: StatsRegistry) -> None:
         self.stats = stats
@@ -92,24 +59,33 @@ class LSQPolicy(abc.ABC):
     # -- issue-time events ------------------------------------------------
 
     @abc.abstractmethod
-    def load_issued(self, load: LoadRecord) -> LoadOutcome:
-        """Handle a load whose address just became ready."""
+    def load_issued(self, load: LoadRecord) -> int:
+        """Handle a load whose address just became ready; return its latency."""
 
     @abc.abstractmethod
-    def store_issued(self, store: StoreRecord) -> StoreOutcome:
+    def store_issued(self, store: StoreRecord) -> None:
         """Handle a store whose address just became ready."""
 
     # -- commit-time events -----------------------------------------------
 
-    def load_committed(self, load: LoadRecord) -> CommitOutcome:
-        """Handle a load reaching in-order commit (default: nothing extra)."""
-        return CommitOutcome()
+    def load_committed(self, load: LoadRecord) -> int:
+        """Handle a load reaching in-order commit; return the extra commit latency.
 
-    def store_committed(self, store: StoreRecord) -> CommitOutcome:
-        """Handle a store reaching in-order commit (default: count the cache write)."""
+        With an SVW, a load the SSBF marks vulnerable re-executes: one more
+        data-cache access, whose latency delays the commit.
+        """
+        if self._svw is None or not self._svw.check_load(load):
+            return 0
+        self.stats.bump("cache.accesses")
+        self.stats.bump("cache.reexecution_accesses")
+        return self.hierarchy.access(load.address)
+
+    def store_committed(self, store: StoreRecord) -> None:
+        """Handle a store reaching in-order commit: count the cache write."""
         self.stats.bump("cache.accesses")
         self.stats.bump("cache.store_writebacks")
-        return CommitOutcome()
+        if self._svw is not None:
+            self._svw.store_committed(store)
 
     # -- epoch lifecycle (FMC / ELSQ only) ----------------------------------
 
@@ -126,12 +102,6 @@ class LSQPolicy(abc.ABC):
 
     # -- helpers -------------------------------------------------------------
 
-    #: Whether wrong-path stores search an associative load queue.  Policies
-    #: that replace the load queue with SVW re-execution set this to False so
-    #: wrong-path activity is not attributed to a structure that no longer
-    #: exists (Table 2 reports zero HL-LQ accesses for SVW configurations).
-    wrong_path_searches_load_queue: bool = True
-
     def record_wrong_path_activity(self, wrong_path_loads: int, wrong_path_stores: int) -> None:
         """Account for speculative wrong-path LSQ activity.
 
@@ -140,13 +110,15 @@ class LSQPolicy(abc.ABC):
         that SPEC INT LSQ activity grows with window aggressiveness because of
         them) and report the estimate here.  The default implementation adds
         them to the first-level queue access counters, which is where
-        wrong-path work lands in every organisation.
+        wrong-path work lands in every organisation.  With SVW there is no
+        load queue for wrong-path stores to search (Table 2 reports zero
+        HL-LQ accesses for SVW configurations).
         """
         if wrong_path_loads > 0:
             self.stats.bump("hl_sq.searches", wrong_path_loads)
             self.stats.bump("cache.accesses", wrong_path_loads)
             self.stats.bump("wrong_path.loads", wrong_path_loads)
         if wrong_path_stores > 0:
-            if self.wrong_path_searches_load_queue:
+            if self._svw is None:
                 self.stats.bump("hl_lq.searches", wrong_path_stores)
             self.stats.bump("wrong_path.stores", wrong_path_stores)

@@ -26,7 +26,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from repro.common.errors import SimulationError
-from repro.core.records import ForwardingResult, StoreRecord
+from repro.core.records import StoreRecord
 
 #: Number of low address bits ignored by the word index.
 _WORD_SHIFT = 3
@@ -101,7 +101,7 @@ class StoreBuffer:
 
     def find_hl_forwarding(
         self, address: int, size: int, before_seq: int, cycle: int
-    ) -> ForwardingResult:
+    ) -> Optional[StoreRecord]:
         """Youngest older store to the same bytes resident in the HL-SQ at ``cycle``."""
         return self._find(
             address,
@@ -119,7 +119,7 @@ class StoreBuffer:
         before_seq: int,
         cycle: int,
         epoch_commit_cycle: Optional[int] = None,
-    ) -> ForwardingResult:
+    ) -> Optional[StoreRecord]:
         """Youngest older matching store resident in epoch ``epoch_id`` at ``cycle``."""
         return self._find(
             address,
@@ -132,7 +132,7 @@ class StoreBuffer:
 
     def find_any_forwarding(
         self, address: int, size: int, before_seq: int, cycle: int
-    ) -> ForwardingResult:
+    ) -> Optional[StoreRecord]:
         """Youngest older matching store still in flight anywhere at ``cycle``.
 
         Used by the conventional and idealised central LSQs, which keep a
@@ -146,15 +146,13 @@ class StoreBuffer:
             residency=lambda store: store.in_flight_at(cycle),
         )
 
-    def _find(self, address, size, before_seq, cycle, residency) -> ForwardingResult:
+    def _find(self, address, size, before_seq, cycle, residency) -> Optional[StoreRecord]:
         bucket = self._by_word.get(address >> _WORD_SHIFT)
         if not bucket:
-            return ForwardingResult(store=None, entries_searched=0)
-        searched = 0
+            return None
         for store in reversed(bucket):
             if store.seq >= before_seq:
                 continue
-            searched += 1
             if not store.overlaps(address, size):
                 continue
             if not store.address_known_at(cycle):
@@ -162,13 +160,11 @@ class StoreBuffer:
                 # issued; the load cannot forward from it (this is the
                 # violation case, reported separately).
                 continue
-            if residency(store):
-                return ForwardingResult(store=store, entries_searched=searched)
-            # The youngest matching store is not resident in the searched
-            # structure; an older matching store must not forward (it holds a
-            # stale value), so stop at the first address match.
-            return ForwardingResult(store=None, entries_searched=searched)
-        return ForwardingResult(store=None, entries_searched=searched)
+            # The youngest matching store forwards if it is resident in the
+            # searched structure; an older matching store must not forward
+            # (it holds a stale value), so stop at the first address match.
+            return store if residency(store) else None
+        return None
 
     # ------------------------------------------------------------------
     # Violation and unresolved-store checks

@@ -10,12 +10,17 @@ Because the simulator is one-pass, a record's timing fields are fully known
 by the time younger operations are processed; the LSQ structures therefore
 answer "was this store still buffered when that load issued?" by comparing
 cycles rather than by replaying allocation and deallocation events.
+
+A record is also where the policy writes back what happened beyond a
+latency: the store a load forwarded from, whether the load was caught in an
+ordering violation, and the squash or insertion-stall penalty an operation
+charges the core.  The core reads those fields right after the event.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import SimulationError
@@ -34,7 +39,10 @@ class LoadRecord:
 
     ``issue_cycle`` is the cycle the address becomes available and the load
     searches the store queue(s) / accesses the cache.  ``commit_cycle`` is
-    filled in by the core once in-order commit reaches the load.
+    filled in by the core once in-order commit reaches the load.  The
+    policy's ``load_issued`` returns the load's latency and writes
+    ``forwarded_from``, ``unresolved_older_store_at_issue``, ``violation``
+    and ``squash_penalty``.
     """
 
     seq: int
@@ -53,6 +61,12 @@ class LoadRecord:
     #: in flight between the forwarding store (if any) and this load.  Used by
     #: the SVW "CheckStores" (no-unresolved-store) filter.
     unresolved_older_store_at_issue: bool = False
+    #: Whether an older store to the same bytes resolved its address after
+    #: this load issued and a load queue caught it; the core squashes.
+    violation: bool = False
+    #: Cycles the core stalls fetch for from the load's issue (the squash of
+    #: a line-based ERT insertion that found its L1 set fully locked).
+    squash_penalty: int = 0
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -65,15 +79,6 @@ class LoadRecord:
         if self.locality is Locality.LOW and self.epoch_id is None:
             raise SimulationError(f"load {self.seq}: low-locality loads must carry an epoch id")
 
-    @property
-    def line_address(self) -> int:
-        """The byte address of the first byte (alias for ``address``)."""
-        return self.address
-
-    def byte_range(self) -> tuple:
-        """Half-open byte range touched by this load."""
-        return (self.address, self.address + self.size)
-
 
 @dataclass(slots=True)
 class StoreRecord:
@@ -83,7 +88,8 @@ class StoreRecord:
     ``data_ready_cycle`` when the store's data operand is available (a load
     forwarding from this store before that point must wait);
     ``commit_cycle`` when the store leaves the store queue and writes the
-    data cache.
+    data cache.  The policy's ``store_issued`` writes ``insertion_stall``
+    and ``squash_penalty``.
     """
 
     seq: int
@@ -98,6 +104,13 @@ class StoreRecord:
     #: Cycle at which the store migrated from the HL-LSQ to its LL epoch, or
     #: ``None`` when it never migrated (Memory Processor idle).
     migration_cycle: Optional[int] = None
+    #: Cycles migration stalls for from the store's issue: a line-based ERT
+    #: insertion, made with the address known at migration, found its L1
+    #: set fully locked.
+    insertion_stall: int = 0
+    #: Cycles the core stalls fetch for from the store's issue: the same
+    #: conflict, met by an address resolved inside the LL-LSQ, squashes.
+    squash_penalty: int = 0
 
     def __post_init__(self) -> None:
         if self.size <= 0:
@@ -113,10 +126,6 @@ class StoreRecord:
             )
         if self.locality is Locality.LOW and self.epoch_id is None:
             raise SimulationError(f"store {self.seq}: low-locality stores must carry an epoch id")
-
-    def byte_range(self) -> tuple:
-        """Half-open byte range written by this store."""
-        return (self.address, self.address + self.size)
 
     def overlaps(self, address: int, size: int) -> bool:
         """Whether this store writes any byte of ``[address, address + size)``."""
@@ -154,20 +163,6 @@ class StoreRecord:
         return cycle < epoch_commit_cycle
 
 
-@dataclass(frozen=True, slots=True)
-class ForwardingResult:
-    """Outcome of searching a store queue on behalf of a load."""
-
-    store: Optional[StoreRecord] = None
-    #: Entries examined by the associative search (for energy accounting).
-    entries_searched: int = 0
-
-    @property
-    def hit(self) -> bool:
-        """Whether a forwarding store was found."""
-        return self.store is not None
-
-
 @dataclass(slots=True)
 class EpochState:
     """Lifecycle of one epoch (LL-LSQ bank) as seen by the LSQ models."""
@@ -175,10 +170,6 @@ class EpochState:
     epoch_id: int
     open_cycle: int
     commit_cycle: Optional[int] = None
-    instruction_count: int = 0
-    load_count: int = 0
-    store_count: int = 0
-    metadata: dict = field(default_factory=dict)
 
     def live_at(self, cycle: int) -> bool:
         """Whether the epoch still holds instructions at ``cycle``."""

@@ -30,22 +30,12 @@ loses IPC when the window (and therefore the vulnerability window) is large.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.config import SVWConfig
 from repro.common.stats import StatsRegistry
 from repro.core.bloom import AddressHash
 from repro.core.records import LoadRecord, StoreRecord
-
-
-@dataclass(frozen=True)
-class ReexecutionDecision:
-    """Outcome of the commit-time SVW check for one load."""
-
-    reexecute: bool
-    ssbf_hit: bool
-    threshold_seq: int
 
 
 class StoreVulnerabilityWindow:
@@ -83,7 +73,7 @@ class StoreVulnerabilityWindow:
     # Load side
     # ------------------------------------------------------------------
 
-    def check_load(self, load: LoadRecord) -> ReexecutionDecision:
+    def check_load(self, load: LoadRecord) -> bool:
         """Decide at commit whether ``load`` must re-execute."""
         self.stats.bump("ssbf.lookups")
         if load.forwarded_from is not None and load.forwarded_from >= 0:
@@ -91,15 +81,12 @@ class StoreVulnerabilityWindow:
         else:
             threshold = self.youngest_store_committed_before(load.issue_cycle)
         entry_seq = self._ssbf[self._hash.index(load.address)]
-        ssbf_hit = entry_seq > threshold and entry_seq < load.seq
-        reexecute = ssbf_hit
+        reexecute = threshold < entry_seq < load.seq
         if self.config.check_stores and not load.unresolved_older_store_at_issue:
             reexecute = False
         if reexecute:
             self.stats.bump("svw.reexecutions")
-        return ReexecutionDecision(
-            reexecute=reexecute, ssbf_hit=ssbf_hit, threshold_seq=threshold
-        )
+        return reexecute
 
     # ------------------------------------------------------------------
     # Introspection helpers

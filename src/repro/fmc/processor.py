@@ -255,10 +255,9 @@ class FMCProcessor:
                     epoch_id=epoch_id,
                     migration_cycle=migration_cycle,
                 )
-                outcome = self.policy.load_issued(pending_load_record)
-                complete = issue_cycle + max(1, outcome.latency)
-                violation = outcome.violation
-                squash_penalty = outcome.squash_penalty
+                complete = issue_cycle + max(1, self.policy.load_issued(pending_load_record))
+                violation = pending_load_record.violation
+                squash_penalty = pending_load_record.squash_penalty
             elif instruction.is_store:
                 num_stores += 1
                 store_hist.record(issue_cycle - decode_cycle)
@@ -295,15 +294,13 @@ class FMCProcessor:
                     epoch_id=epoch_id,
                     migration_cycle=migration_cycle,
                 )
-                store_outcome = self.policy.store_issued(store_record)
-                squash_penalty = max(squash_penalty, store_outcome.squash_penalty)
-                insertion_stall = store_outcome.insertion_stall
+                self.policy.store_issued(store_record)
+                squash_penalty = max(squash_penalty, store_record.squash_penalty)
+                insertion_stall = store_record.insertion_stall
                 self.policy.store_committed(store_record)
             elif pending_load_record is not None:
                 pending_load_record.commit_cycle = commit_cycle
-                commit_extra = self.policy.load_committed(pending_load_record)
-                if commit_extra.extra_latency:
-                    commit_cycle += commit_extra.extra_latency
+                commit_cycle += self.policy.load_committed(pending_load_record)
 
             commit_frontier.advance(commit_cycle)
             last_commit_cycle = max(last_commit_cycle, commit_cycle)

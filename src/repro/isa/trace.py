@@ -4,8 +4,8 @@ A :class:`Trace` is an immutable, validated sequence of
 :class:`~repro.isa.instruction.Instruction` records in program order.  It is
 the unit of work handed to a processor model.  Traces can be built from any
 iterable of instructions (typically a workload generator), summarised with
-:class:`TraceStatistics`, sliced, concatenated and serialised to a simple
-line-oriented text format for offline inspection.
+:class:`TraceStatistics`, sliced and concatenated; the binary container of
+:mod:`repro.trace.format` records and replays them.
 
 A trace has two interchangeable storage forms: the instruction-object list
 (the historical representation) and the columnar structure-of-arrays form
@@ -20,7 +20,6 @@ for up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import TraceError
@@ -315,78 +314,4 @@ class Trace:
         return Trace(
             self._materialize()[:length],
             name=name if name is not None else f"{self._name}[:{length}]",
-        )
-
-    # ------------------------------------------------------------------
-    # Serialisation: a simple whitespace-separated line format.
-    # ------------------------------------------------------------------
-
-    _FIELD_SEPARATOR = " "
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Write the trace to ``path`` in a simple line-oriented text format."""
-        target = Path(path)
-        with target.open("w", encoding="utf-8") as handle:
-            handle.write(f"# repro-trace name={self._name}\n")
-            for instruction in self._materialize():
-                handle.write(self._encode_line(instruction))
-                handle.write("\n")
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "Trace":
-        """Read a trace previously written with :meth:`save`."""
-        source = Path(path)
-        name = source.stem
-        instructions: List[Instruction] = []
-        with source.open("r", encoding="utf-8") as handle:
-            for line_number, raw_line in enumerate(handle, start=1):
-                line = raw_line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    if "name=" in line:
-                        name = line.split("name=", 1)[1].strip()
-                    continue
-                try:
-                    instructions.append(cls._decode_line(line))
-                except (ValueError, KeyError) as exc:
-                    raise TraceError(f"{source}:{line_number}: malformed record: {exc}") from exc
-        return cls(instructions, name=name)
-
-    @classmethod
-    def _encode_line(cls, instruction: Instruction) -> str:
-        fields = [
-            str(instruction.seq),
-            instruction.iclass.value,
-            "-" if instruction.dest is None else str(instruction.dest),
-            ",".join(str(src) for src in instruction.srcs) or "-",
-            "-" if instruction.address is None else str(instruction.address),
-            str(instruction.size),
-            "1" if instruction.mispredicted else "0",
-            "-" if instruction.latency is None else str(instruction.latency),
-        ]
-        return cls._FIELD_SEPARATOR.join(fields)
-
-    @classmethod
-    def _decode_line(cls, line: str) -> Instruction:
-        fields = line.split()
-        if len(fields) != 8:
-            raise TraceError(f"expected 8 fields, got {len(fields)}")
-        seq = int(fields[0])
-        iclass = InstrClass(fields[1])
-        dest = None if fields[2] == "-" else int(fields[2])
-        srcs = () if fields[3] == "-" else tuple(int(part) for part in fields[3].split(","))
-        address = None if fields[4] == "-" else int(fields[4])
-        size = int(fields[5])
-        mispredicted = fields[6] == "1"
-        latency = None if fields[7] == "-" else int(fields[7])
-        return Instruction(
-            seq=seq,
-            iclass=iclass,
-            dest=dest,
-            srcs=srcs,
-            address=address,
-            size=size,
-            mispredicted=mispredicted,
-            latency=latency,
         )

@@ -12,13 +12,13 @@ lines and 1-cycle latency, a 2 MB 4-way L2 with 10-cycle latency and a
 * :mod:`repro.memory.cache` -- a set-associative cache model with per-line
   lock/unlock bookkeeping and access statistics.
 * :mod:`repro.memory.hierarchy` -- the two-level hierarchy plus main memory,
-  returning the access latency and the level that serviced each access.
+  returning the latency of each access.
 * :mod:`repro.memory.mrc` -- the miss-ratio-curve profiler: miss rate versus
   cache size per workload family, for every registered policy.
 """
 
-from repro.memory.cache import AccessResult, SetAssociativeCache
-from repro.memory.hierarchy import HierarchyAccess, MemoryHierarchy, MemoryLevel
+from repro.memory.cache import SetAssociativeCache
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.replacement import (
     POLICY_NAMES,
     TIMING_POLICY_NAMES,
@@ -34,14 +34,11 @@ from repro.memory.replacement import (
 )
 
 __all__ = [
-    "AccessResult",
     "ArcState",
     "FifoState",
-    "HierarchyAccess",
     "LfuState",
     "LruState",
     "MemoryHierarchy",
-    "MemoryLevel",
     "OptState",
     "POLICY_NAMES",
     "ReplacementPolicy",

@@ -14,7 +14,7 @@ Locking semantics (Section 3.4 of the paper):
 * Locking a non-resident line first allocates it ("the data need not be
   available").  If every way of the target set is already locked the
   allocation fails and the caller must stall or squash -- the cache reports
-  this as a :class:`LockResult` with ``conflict=True``.
+  this by returning False from :meth:`SetAssociativeCache.lock_line`.
 * When an epoch commits, :meth:`SetAssociativeCache.unlock_owner` clears all
   of its locks in one sweep, mirroring how clearing the epoch's ERT column
   implicitly unlocks its lines.
@@ -29,37 +29,12 @@ building cost O(sets touched) rather than O(sets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.config import CacheConfig
 from repro.common.errors import SimulationError
 from repro.common.stats import StatsRegistry
 from repro.memory.replacement import ReplacementPolicy, check_policy, create_policy
-
-
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of a cache access."""
-
-    hit: bool
-    evicted_line: Optional[int]
-    #: True when the access wanted to allocate but every way was locked.
-    allocation_blocked: bool = False
-
-
-@dataclass(frozen=True)
-class LockResult:
-    """Outcome of a lock request from the line-based ERT."""
-
-    locked: bool
-    conflict: bool
-    allocated: bool
-
-
-#: Shared outcome singleton for a hit; the access path is hot enough that
-#: allocating a fresh frozen dataclass per hit shows up in profiles.
-_HIT_RESULT = AccessResult(hit=True, evicted_line=None)
 
 
 class SetAssociativeCache:
@@ -140,8 +115,11 @@ class SetAssociativeCache:
         """Whether the line containing ``address`` is currently resident."""
         return self._find_way(address) is not None
 
-    def access(self, address: int) -> AccessResult:
-        """Access ``address``: update replacement state on a hit, allocate on a miss."""
+    def access(self, address: int) -> bool:
+        """Access ``address``: update replacement state on a hit, allocate on a miss.
+
+        Returns whether the access hit.
+        """
         line = address >> self._line_shift
         set_index = line % self._num_sets
         row = self._tags[set_index]
@@ -155,11 +133,11 @@ class SetAssociativeCache:
             self._policies[set_index].touch(way)
             if self.stats_enabled:
                 self._stats.bump(self._hits_name)
-            return _HIT_RESULT
+            return True
         if self.stats_enabled:
             self._stats.bump(self._misses_name)
-        evicted, blocked = self._allocate(line, set_index)
-        return AccessResult(hit=False, evicted_line=evicted, allocation_blocked=blocked)
+        self._allocate(line, set_index)
+        return False
 
     def probe(self, address: int) -> bool:
         """Probe the tags without updating replacement state or allocating."""
@@ -215,28 +193,22 @@ class SetAssociativeCache:
     # Line locking (line-based ERT support)
     # ------------------------------------------------------------------
 
-    def lock_line(self, address: int, owner: int) -> LockResult:
+    def lock_line(self, address: int, owner: int) -> bool:
         """Lock the line containing ``address`` on behalf of ``owner``.
 
-        Allocates the line if it is not resident.  Returns ``conflict=True``
-        without changing any state when allocation is required but every way
-        of the set is locked.
+        Allocates the line if it is not resident.  Returns False (a lock
+        conflict) without changing any state when allocation is required but
+        every way of the set is locked, True once the line is locked.
         """
         line = self.line_number(address)
         set_index = self.set_index(address)
         way = self._find_way(address)
         policy = self._policies[set_index]
-        allocated = False
         if way is None:
-            if policy.all_locked():
+            if not self._allocate(line, set_index):
                 self._bump(self._lock_conflicts_name)
-                return LockResult(locked=False, conflict=True, allocated=False)
-            evicted, blocked = self._allocate(line, set_index)
-            if blocked:
-                self._bump(self._lock_conflicts_name)
-                return LockResult(locked=False, conflict=True, allocated=False)
+                return False
             way = self._find_way(address)
-            allocated = True
             if way is None:
                 raise SimulationError("allocation succeeded but the line is not resident")
         # The counter tracks *distinct* lines locked (the locked_line_count
@@ -248,7 +220,7 @@ class SetAssociativeCache:
         policy.lock(way)
         if first_lock:
             self._bump(self._lines_locked_name)
-        return LockResult(locked=True, conflict=False, allocated=allocated)
+        return True
 
     def unlock_owner(self, owner: int) -> int:
         """Release every lock held by ``owner``; return the number released."""
@@ -338,20 +310,19 @@ class SetAssociativeCache:
         except ValueError:
             return None
 
-    def _allocate(self, line: int, set_index: int) -> Tuple[Optional[int], bool]:
-        """Allocate ``line`` in its (materialised) set; return (evicted_line, blocked)."""
+    def _allocate(self, line: int, set_index: int) -> bool:
+        """Allocate ``line`` in its (materialised) set; False when every way is locked."""
         policy = self._policies[set_index]
         victim_way = policy.victim()
         if victim_way is None:
-            return None, True
+            return False
         set_tags = self._tags[set_index]
-        evicted = set_tags[victim_way]
-        if evicted is not None and self.stats_enabled:
+        if set_tags[victim_way] is not None and self.stats_enabled:
             self._stats.bump(self._evictions_name)
             # A victim is never locked, so no lock bookkeeping to clean up.
         set_tags[victim_way] = line
         policy.insert(victim_way, line)
-        return evicted, False
+        return True
 
     def _unlock_way_for_line(self, line: int) -> None:
         set_index = line % self._num_sets

@@ -2,10 +2,10 @@
 
 :class:`MemoryHierarchy` composes two :class:`~repro.memory.cache.SetAssociativeCache`
 levels with a fixed-latency main memory and answers the only question the
-timing models ask: *how long does this access take, and which level serviced
-it?*  Inclusive allocation is modelled (a miss allocates in both levels), and
-write accesses allocate like reads (write-allocate, write-back behaviour at
-the granularity the timing model needs).
+timing models ask: *how long does this access take?*  Inclusive allocation
+is modelled (a miss allocates in both levels).  Each level has a distinct
+cumulative latency (1, 11 and 411 cycles with the Table 1 defaults), and
+the caches' ``probe`` tells where a line resides without disturbing it.
 
 The hierarchy also exposes the L1 line-locking interface used by the
 line-based Epoch Resolution Table.
@@ -13,39 +13,11 @@ line-based Epoch Resolution Table.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.config import MemoryHierarchyConfig
 from repro.common.stats import StatsRegistry
-from repro.memory.cache import LockResult, SetAssociativeCache
-
-
-class MemoryLevel(enum.Enum):
-    """The level of the hierarchy that serviced an access."""
-
-    L1 = "l1"
-    L2 = "l2"
-    MAIN_MEMORY = "memory"
-
-
-@dataclass(frozen=True)
-class HierarchyAccess:
-    """Outcome of one access to the hierarchy."""
-
-    level: MemoryLevel
-    latency: int
-
-    @property
-    def is_l2_miss(self) -> bool:
-        """Whether the access had to go to main memory."""
-        return self.level is MemoryLevel.MAIN_MEMORY
-
-    @property
-    def is_l1_hit(self) -> bool:
-        """Whether the access hit in the first-level cache."""
-        return self.level is MemoryLevel.L1
+from repro.memory.cache import SetAssociativeCache
 
 
 class MemoryHierarchy:
@@ -59,33 +31,22 @@ class MemoryHierarchy:
         self.l1 = SetAssociativeCache(self.config.l1, self.stats)
         self.l2 = SetAssociativeCache(self.config.l2, self.stats)
 
-    def access(self, address: int, is_write: bool = False) -> HierarchyAccess:
-        """Perform an access and return the servicing level and total latency.
+    def access(self, address: int) -> int:
+        """Perform a read access and return its total latency.
 
         Latency is cumulative: an L2 hit pays L1 + L2 latency, a main-memory
         access pays L1 + L2 + memory latency, matching the lookup-then-miss
         flow of a real hierarchy.
         """
         self.stats.bump("hierarchy.accesses")
-        if is_write:
-            self.stats.bump("hierarchy.writes")
-        else:
-            self.stats.bump("hierarchy.reads")
-
-        l1_result = self.l1.access(address)
-        if l1_result.hit:
-            return HierarchyAccess(level=MemoryLevel.L1, latency=self.config.l1.latency)
-
-        l2_result = self.l2.access(address)
-        if l2_result.hit:
-            latency = self.config.l1.latency + self.config.l2.latency
-            return HierarchyAccess(level=MemoryLevel.L2, latency=latency)
-
-        latency = (
-            self.config.l1.latency + self.config.l2.latency + self.config.main_memory_latency
-        )
+        self.stats.bump("hierarchy.reads")
+        config = self.config
+        if self.l1.access(address):
+            return config.l1.latency
+        if self.l2.access(address):
+            return config.l1.latency + config.l2.latency
         self.stats.bump("hierarchy.main_memory_accesses")
-        return HierarchyAccess(level=MemoryLevel.MAIN_MEMORY, latency=latency)
+        return config.l1.latency + config.l2.latency + config.main_memory_latency
 
     def warm_up(self, addresses) -> int:
         """Functionally warm the caches with ``addresses`` (no statistics recorded).
@@ -104,8 +65,7 @@ class MemoryHierarchy:
         count = 0
         try:
             for address in addresses:
-                l1_result = self.l1.access(address)
-                if not l1_result.hit:
+                if not self.l1.access(address):
                     self.l2.access(address)
                 count += 1
         finally:
@@ -161,28 +121,15 @@ class MemoryHierarchy:
             self.l2.stats_enabled = True
         return insertions
 
-    def probe_level(self, address: int) -> MemoryLevel:
-        """Return the level that currently holds ``address`` without disturbing state."""
-        if self.l1.probe(address):
-            return MemoryLevel.L1
-        if self.l2.probe(address):
-            return MemoryLevel.L2
-        return MemoryLevel.MAIN_MEMORY
-
-    def latency_for_level(self, level: MemoryLevel) -> int:
-        """Return the cumulative access latency for a given servicing level."""
-        if level is MemoryLevel.L1:
-            return self.config.l1.latency
-        if level is MemoryLevel.L2:
-            return self.config.l1.latency + self.config.l2.latency
-        return self.config.l1.latency + self.config.l2.latency + self.config.main_memory_latency
-
     # ------------------------------------------------------------------
     # Line locking passthrough (line-based ERT)
     # ------------------------------------------------------------------
 
-    def lock_l1_line(self, address: int, owner: int) -> LockResult:
-        """Lock the L1 line containing ``address`` for epoch ``owner``."""
+    def lock_l1_line(self, address: int, owner: int) -> bool:
+        """Lock the L1 line containing ``address`` for epoch ``owner``.
+
+        Returns False on a lock conflict (every way of the set is locked).
+        """
         return self.l1.lock_line(address, owner)
 
     def unlock_l1_owner(self, owner: int) -> int:

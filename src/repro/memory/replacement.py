@@ -153,10 +153,6 @@ class ReplacementPolicy:
         self._validate_way(way)
         return self._locked[way]
 
-    def locked_count(self) -> int:
-        """Number of locked ways in the set."""
-        return sum(1 for locked in self._locked if locked)
-
     def all_locked(self) -> bool:
         """Whether every way of the set is locked (no victim available)."""
         return all(self._locked)
@@ -209,11 +205,6 @@ class LruState(ReplacementPolicy):
             if not self._locked[way]:
                 return way
         return None
-
-    def recency_position(self, way: int) -> int:
-        """Return the recency position of ``way`` (0 = most recently used)."""
-        self._validate_way(way)
-        return self._order.index(way)
 
     def capture(self) -> Tuple[int, ...]:
         return tuple(self._order)

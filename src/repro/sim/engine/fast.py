@@ -491,11 +491,10 @@ def run_fast(processor: Union[OutOfOrderCore, FMCProcessor], trace: Trace) -> Co
                 epoch_id=epoch_id,
                 migration_cycle=migration_cycle,
             )
-            outcome = load_issued(load_record)
-            latency = outcome.latency
+            latency = load_issued(load_record)
             complete = issue_cycle + (latency if latency > 1 else 1)
-            violation = outcome.violation
-            squash_penalty = outcome.squash_penalty
+            violation = load_record.violation
+            squash_penalty = load_record.squash_penalty
         elif is_store:
             num_stores += 1
             record_store_hist(issue_cycle - decode_cycle)
@@ -537,19 +536,17 @@ def run_fast(processor: Union[OutOfOrderCore, FMCProcessor], trace: Trace) -> Co
                 epoch_id=epoch_id,
                 migration_cycle=migration_cycle,
             )
-            store_outcome = store_issued(store_record)
-            if store_outcome.squash_penalty > squash_penalty:
-                squash_penalty = store_outcome.squash_penalty
-            if store_outcome.insertion_stall:
-                blocked = issue_cycle + store_outcome.insertion_stall
+            store_issued(store_record)
+            if store_record.squash_penalty > squash_penalty:
+                squash_penalty = store_record.squash_penalty
+            if store_record.insertion_stall:
+                blocked = issue_cycle + store_record.insertion_stall
                 if blocked > migration_block_until:
                     migration_block_until = blocked
             store_committed(store_record)
         elif is_load:
             load_record.commit_cycle = commit_cycle
-            commit_extra = load_committed(load_record)
-            if commit_extra.extra_latency:
-                commit_cycle += commit_extra.extra_latency
+            commit_cycle += load_committed(load_record)
 
         if commit_cycle > commit_frontier:
             commit_frontier = commit_cycle

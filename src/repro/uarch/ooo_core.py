@@ -165,10 +165,9 @@ class OutOfOrderCore:
                     issue_cycle=issue_cycle,
                     locality=Locality.HIGH,
                 )
-                outcome = self.policy.load_issued(record)
-                complete = issue_cycle + max(1, outcome.latency)
-                violation = outcome.violation
-                squash_penalty = outcome.squash_penalty
+                complete = issue_cycle + max(1, self.policy.load_issued(record))
+                violation = record.violation
+                squash_penalty = record.squash_penalty
                 pending_load_record: Optional[LoadRecord] = record
                 pending_store_record: Optional[StoreRecord] = None
             elif instruction.is_store:
@@ -214,14 +213,12 @@ class OutOfOrderCore:
                     commit_cycle=commit_cycle,
                     locality=Locality.HIGH,
                 )
-                store_outcome = self.policy.store_issued(pending_store_record)
-                squash_penalty = max(squash_penalty, store_outcome.squash_penalty)
+                self.policy.store_issued(pending_store_record)
+                squash_penalty = max(squash_penalty, pending_store_record.squash_penalty)
                 self.policy.store_committed(pending_store_record)
             elif pending_load_record is not None:
                 pending_load_record.commit_cycle = commit_cycle
-                commit_extra = self.policy.load_committed(pending_load_record)
-                if commit_extra.extra_latency:
-                    commit_cycle += commit_extra.extra_latency
+                commit_cycle += self.policy.load_committed(pending_load_record)
 
             commit_frontier.advance(commit_cycle)
             last_commit_cycle = max(last_commit_cycle, commit_cycle)

@@ -171,9 +171,8 @@ class TestLineBasedERT:
         l1 = hierarchy.config.l1
         set_stride = l1.num_sets * l1.line_size
         for way in range(l1.associativity):
-            assert not ert.insert_store(way * set_stride, epoch_id=1).lock_conflict
-        conflicted = ert.insert_store(l1.associativity * set_stride, epoch_id=2)
-        assert conflicted.lock_conflict
+            assert ert.insert_store(way * set_stride, epoch_id=1) is True
+        assert ert.insert_store(l1.associativity * set_stride, epoch_id=2) is False
         assert stats.value("ert.lock_conflicts") == 1
 
     def test_storage_uses_l1_lines(self):
@@ -230,30 +229,31 @@ class TestStoreBuffer:
         buffer = StoreBuffer()
         buffer.add(make_store(1, 0x100, commit=200))
         buffer.add(make_store(2, 0x100, commit=200))
-        result = buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50)
-        assert result.hit and result.store.seq == 2
+        store = buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50)
+        assert store is not None and store.seq == 2
 
     def test_ignores_younger_stores(self):
         buffer = StoreBuffer()
         buffer.add(make_store(10, 0x100, commit=200))
-        assert not buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50).hit
+        assert buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50) is None
 
     def test_ignores_committed_stores(self):
         buffer = StoreBuffer()
         buffer.add(make_store(1, 0x100, commit=40))
-        assert not buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50).hit
+        assert buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50) is None
 
     def test_hl_versus_epoch_residency(self):
         buffer = StoreBuffer()
         buffer.add(make_store(1, 0x100, commit=500, locality=Locality.LOW, epoch=2, migration=20))
-        assert not buffer.find_hl_forwarding(0x100, 8, before_seq=5, cycle=50).hit
-        assert buffer.find_epoch_forwarding(2, 0x100, 8, before_seq=5, cycle=50).hit
-        assert not buffer.find_epoch_forwarding(3, 0x100, 8, before_seq=5, cycle=50).hit
+        assert buffer.find_hl_forwarding(0x100, 8, before_seq=5, cycle=50) is None
+        store = buffer.find_epoch_forwarding(2, 0x100, 8, before_seq=5, cycle=50)
+        assert store is not None and store.seq == 1
+        assert buffer.find_epoch_forwarding(3, 0x100, 8, before_seq=5, cycle=50) is None
 
     def test_unknown_address_store_does_not_forward(self):
         buffer = StoreBuffer()
         buffer.add(make_store(1, 0x100, addr_ready=90, data_ready=90, commit=200))
-        assert not buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50).hit
+        assert buffer.find_any_forwarding(0x100, 8, before_seq=5, cycle=50) is None
 
     def test_violating_store_detected(self):
         buffer = StoreBuffer()
@@ -294,8 +294,8 @@ class TestStoreBuffer:
     def test_partial_overlap_forwards(self):
         buffer = StoreBuffer()
         buffer.add(make_store(1, 0x100, commit=200, size=8))
-        result = buffer.find_any_forwarding(0x104, 4, before_seq=3, cycle=50)
-        assert result.hit
+        store = buffer.find_any_forwarding(0x104, 4, before_seq=3, cycle=50)
+        assert store is not None and store.seq == 1
 
     def test_stores_to_word(self):
         buffer = StoreBuffer()

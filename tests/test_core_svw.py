@@ -45,57 +45,50 @@ def make_load(
 class TestSVW:
     def test_no_reexecution_without_matching_store(self):
         svw = StoreVulnerabilityWindow(SVWConfig(ssbf_index_bits=12), StatsRegistry())
-        decision = svw.check_load(make_load(5, 0x100, issue=10))
-        assert not decision.reexecute
+        assert svw.check_load(make_load(5, 0x100, issue=10)) is False
 
     def test_reexecution_when_older_store_commits_after_load_issue(self):
         svw = StoreVulnerabilityWindow(SVWConfig(ssbf_index_bits=12), StatsRegistry())
         # Store 3 commits at cycle 50 -- after the load issued at 10, so the
         # load may have read stale data from the cache.
         svw.store_committed(make_store(3, 0x100, commit=50))
-        decision = svw.check_load(make_load(5, 0x100, issue=10))
-        assert decision.reexecute
+        assert svw.check_load(make_load(5, 0x100, issue=10)) is True
 
     def test_no_reexecution_when_store_committed_before_load_issue(self):
         svw = StoreVulnerabilityWindow(SVWConfig(ssbf_index_bits=12), StatsRegistry())
         svw.store_committed(make_store(3, 0x100, commit=5))
-        decision = svw.check_load(make_load(5, 0x100, issue=10))
-        assert not decision.reexecute
+        assert svw.check_load(make_load(5, 0x100, issue=10)) is False
 
     def test_forwarded_load_protected_by_forwarding_store(self):
         svw = StoreVulnerabilityWindow(SVWConfig(ssbf_index_bits=12), StatsRegistry())
         svw.store_committed(make_store(3, 0x100, commit=50))
-        decision = svw.check_load(make_load(5, 0x100, issue=10, forwarded_from=3))
-        assert not decision.reexecute
+        assert svw.check_load(make_load(5, 0x100, issue=10, forwarded_from=3)) is False
 
     def test_forwarded_load_vulnerable_to_younger_intervening_store(self):
         svw = StoreVulnerabilityWindow(SVWConfig(ssbf_index_bits=12), StatsRegistry())
         svw.store_committed(make_store(3, 0x100, commit=40))
         svw.store_committed(make_store(4, 0x100, commit=50))
-        decision = svw.check_load(make_load(6, 0x100, issue=10, forwarded_from=3, unresolved=True))
-        assert decision.reexecute
+        load = make_load(6, 0x100, issue=10, forwarded_from=3, unresolved=True)
+        assert svw.check_load(load) is True
 
     def test_aliasing_causes_false_reexecution(self):
         svw = StoreVulnerabilityWindow(SVWConfig(ssbf_index_bits=2), StatsRegistry())
         aliased = 0x100 + (4 << 3)
         svw.store_committed(make_store(3, aliased, commit=50))
-        decision = svw.check_load(make_load(5, 0x100, issue=10))
-        assert decision.reexecute, "a tiny SSBF must alias"
+        assert svw.check_load(make_load(5, 0x100, issue=10)) is True, "a tiny SSBF must alias"
 
     def test_more_bits_avoid_that_alias(self):
         svw = StoreVulnerabilityWindow(SVWConfig(ssbf_index_bits=16), StatsRegistry())
         aliased = 0x100 + (4 << 3)
         svw.store_committed(make_store(3, aliased, commit=50))
-        assert not svw.check_load(make_load(5, 0x100, issue=10)).reexecute
+        assert svw.check_load(make_load(5, 0x100, issue=10)) is False
 
     def test_check_stores_filter_suppresses_reexecution(self):
         config = SVWConfig(ssbf_index_bits=12, check_stores=True)
         svw = StoreVulnerabilityWindow(config, StatsRegistry())
         svw.store_committed(make_store(3, 0x100, commit=50))
-        blind_like = svw.check_load(make_load(5, 0x100, issue=10, unresolved=False))
-        assert not blind_like.reexecute
-        vulnerable = svw.check_load(make_load(6, 0x100, issue=10, unresolved=True))
-        assert vulnerable.reexecute
+        assert svw.check_load(make_load(5, 0x100, issue=10, unresolved=False)) is False
+        assert svw.check_load(make_load(6, 0x100, issue=10, unresolved=True)) is True
 
     def test_reexecution_counter(self):
         stats = StatsRegistry()

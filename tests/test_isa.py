@@ -104,20 +104,6 @@ class TestTrace:
         assert len(combined) == 12
         assert combined[11].seq == 11
 
-    def test_save_and_load_round_trip(self, tiny_trace, tmp_path):
-        path = tmp_path / "trace.txt"
-        tiny_trace.save(path)
-        restored = Trace.load(path)
-        assert len(restored) == len(tiny_trace)
-        for original, loaded in zip(tiny_trace, restored):
-            assert original == loaded
-
-    def test_load_rejects_malformed_lines(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0 load 1\n")
-        with pytest.raises(TraceError):
-            Trace.load(path)
-
     def test_regions_default_empty(self, tiny_trace):
         assert tiny_trace.regions == ()
 

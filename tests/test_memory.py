@@ -9,7 +9,7 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.stats import StatsRegistry
 from repro.isa.trace import RegionFootprint
 from repro.memory.cache import SetAssociativeCache
-from repro.memory.hierarchy import MemoryHierarchy, MemoryLevel
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.replacement import LruState
 
 
@@ -70,21 +70,21 @@ class TestLruState:
 class TestSetAssociativeCache:
     def test_miss_then_hit(self):
         cache = _tiny_cache()
-        assert cache.access(0x1000).hit is False
-        assert cache.access(0x1000).hit is True
+        assert cache.access(0x1000) is False
+        assert cache.access(0x1000) is True
 
     def test_same_line_different_offset_hits(self):
         cache = _tiny_cache()
         cache.access(0x1000)
-        assert cache.access(0x1008).hit is True
+        assert cache.access(0x1008) is True
 
     def test_eviction_on_conflict(self):
         cache = _tiny_cache(associativity=1, sets=4)
         set_stride = 4 * 32  # addresses one "set wrap" apart map to the same set
         cache.access(0x0)
-        result = cache.access(set_stride)
-        assert result.hit is False
-        assert result.evicted_line == 0
+        assert cache.access(set_stride) is False
+        assert not cache.is_resident(0x0)
+        assert cache.is_resident(set_stride)
 
     def test_probe_does_not_allocate(self):
         cache = _tiny_cache()
@@ -93,8 +93,9 @@ class TestSetAssociativeCache:
 
     def test_lock_allocates_and_pins(self):
         cache = _tiny_cache(associativity=2, sets=2)
-        result = cache.lock_line(0x40, owner=3)
-        assert result.locked and result.allocated
+        assert not cache.is_resident(0x40)
+        assert cache.lock_line(0x40, owner=3) is True
+        assert cache.is_resident(0x40)
         assert cache.is_locked(0x40)
         assert cache.locked_line_count() == 1
 
@@ -108,10 +109,11 @@ class TestSetAssociativeCache:
 
     def test_lock_conflict_when_set_fully_locked(self):
         cache = _tiny_cache(associativity=2, sets=1)
-        assert cache.lock_line(0x00, owner=1).locked
-        assert cache.lock_line(0x20, owner=1).locked
-        result = cache.lock_line(0x40, owner=2)
-        assert result.conflict and not result.locked
+        assert cache.lock_line(0x00, owner=1) is True
+        assert cache.lock_line(0x20, owner=1) is True
+        assert cache.lock_line(0x40, owner=2) is False
+        assert not cache.is_resident(0x40)
+        assert not cache.is_locked(0x40)
         assert cache.set_fully_locked(0x40)
 
     def test_unlock_owner_releases_everything(self):
@@ -147,12 +149,10 @@ class TestSetAssociativeCache:
 class TestMemoryHierarchy:
     def test_latencies_accumulate(self):
         hierarchy = MemoryHierarchy()
-        first = hierarchy.access(0x1234)
-        assert first.level is MemoryLevel.MAIN_MEMORY
-        assert first.latency == 1 + 10 + 400
-        second = hierarchy.access(0x1234)
-        assert second.level is MemoryLevel.L1
-        assert second.latency == 1
+        assert not hierarchy.l2.probe(0x1234)
+        assert hierarchy.access(0x1234) == 1 + 10 + 400
+        assert hierarchy.l1.probe(0x1234) and hierarchy.l2.probe(0x1234)
+        assert hierarchy.access(0x1234) == 1
 
     def test_l2_hit_after_l1_eviction(self):
         hierarchy = MemoryHierarchy()
@@ -161,24 +161,19 @@ class TestMemoryHierarchy:
         set_stride = 256 * 32
         for way in range(1, 6):
             hierarchy.access(way * set_stride)
-        result = hierarchy.access(0x0)
-        assert result.level is MemoryLevel.L2
-        assert result.latency == 11
+        assert not hierarchy.l1.probe(0x0)
+        assert hierarchy.l2.probe(0x0)
+        assert hierarchy.access(0x0) == 1 + 10
 
-    def test_probe_level_does_not_modify(self):
+    def test_probes_do_not_modify(self):
         hierarchy = MemoryHierarchy()
-        assert hierarchy.probe_level(0x999000) is MemoryLevel.MAIN_MEMORY
-        assert hierarchy.probe_level(0x999000) is MemoryLevel.MAIN_MEMORY
-
-    def test_latency_for_level(self):
-        hierarchy = MemoryHierarchy()
-        assert hierarchy.latency_for_level(MemoryLevel.L1) == 1
-        assert hierarchy.latency_for_level(MemoryLevel.L2) == 11
-        assert hierarchy.latency_for_level(MemoryLevel.MAIN_MEMORY) == 411
+        for _ in range(2):
+            assert not hierarchy.l1.probe(0x999000)
+            assert not hierarchy.l2.probe(0x999000)
 
     def test_lock_passthrough(self):
         hierarchy = MemoryHierarchy()
-        assert hierarchy.lock_l1_line(0x40, owner=1).locked
+        assert hierarchy.lock_l1_line(0x40, owner=1) is True
         assert hierarchy.unlock_l1_owner(1) == 1
 
     def test_warm_up_addresses_is_silent(self):
@@ -187,13 +182,13 @@ class TestMemoryHierarchy:
         count = hierarchy.warm_up([0x1000, 0x2000, 0x1000])
         assert count == 3
         assert stats.value("L1.misses") == 0
-        assert hierarchy.access(0x1000).level is MemoryLevel.L1
+        assert hierarchy.access(0x1000) == 1
 
     def test_warm_up_regions_small_region_becomes_resident(self):
         hierarchy = MemoryHierarchy()
         small = RegionFootprint(name="hot", base_address=0, size_bytes=16 * 1024, weight=0.9, pattern="stream")
         hierarchy.warm_up_regions([small])
-        assert hierarchy.access(0x0).level is MemoryLevel.L1
+        assert hierarchy.l1.probe(0x0)
 
     def test_warm_up_regions_huge_region_still_misses_at_start(self):
         hierarchy = MemoryHierarchy()
@@ -202,7 +197,8 @@ class TestMemoryHierarchy:
         )
         hierarchy.warm_up_regions([huge])
         # The resident tail is the end of the region; its beginning still misses.
-        assert hierarchy.access(0x10_000_000).level is MemoryLevel.MAIN_MEMORY
+        assert not hierarchy.l2.probe(0x10_000_000)
+        assert hierarchy.access(0x10_000_000) == 1 + 10 + 400
 
     def test_warm_up_regions_orders_by_density(self):
         hierarchy = MemoryHierarchy()
@@ -212,7 +208,7 @@ class TestMemoryHierarchy:
             name="sparse", base_address=0x1_000_000, size_bytes=32 * 1024, weight=0.01, pattern="stream"
         )
         hierarchy.warm_up_regions([sparse, dense])
-        assert hierarchy.access(0x0).level is MemoryLevel.L1
+        assert hierarchy.l1.probe(0x0)
 
     def test_with_l2_size_changes_capacity_behaviour(self):
         small = MemoryHierarchy(MemoryHierarchyConfig().with_l2_size(1024 * 1024))
@@ -222,5 +218,5 @@ class TestMemoryHierarchy:
         )
         small.warm_up_regions([region])
         large.warm_up_regions([region])
-        assert large.probe_level(0x0) is not MemoryLevel.MAIN_MEMORY
-        assert small.probe_level(0x0) is MemoryLevel.MAIN_MEMORY
+        assert large.l2.probe(0x0)
+        assert not small.l1.probe(0x0) and not small.l2.probe(0x0)

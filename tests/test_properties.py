@@ -110,9 +110,8 @@ def test_store_buffer_forwarding_store_is_older_matching_and_known(pairs):
     probe_seq = len(pairs)
     probe_cycle = len(pairs) + 10
     for address, _ in pairs:
-        result = buffer.find_any_forwarding(address, 8, before_seq=probe_seq, cycle=probe_cycle)
-        if result.hit:
-            found = result.store
+        found = buffer.find_any_forwarding(address, 8, before_seq=probe_seq, cycle=probe_cycle)
+        if found is not None:
             assert found.seq < probe_seq
             assert found.overlaps(address, 8)
             assert found.address_known_at(probe_cycle)
@@ -270,7 +269,7 @@ def test_svw_never_misses_a_truly_vulnerable_load(commits, bits):
     if target_commit > issue_cycle:
         from repro.core.records import LoadRecord
 
-        decision = svw.check_load(
+        reexecute = svw.check_load(
             LoadRecord(
                 seq=len(commits) + 1,
                 address=target_address,
@@ -280,7 +279,7 @@ def test_svw_never_misses_a_truly_vulnerable_load(commits, bits):
                 locality=Locality.HIGH,
             )
         )
-        assert decision.reexecute
+        assert reexecute is True
 
 
 # ----------------------------------------------------------------------
