@@ -18,9 +18,10 @@ Sections 3 and 4 on top of the structural pieces in this package:
 
 The class is an :class:`~repro.core.policy.LSQPolicy`: the FMC timing core
 drives it with issue/commit events and consumes only latencies plus the
-violation flag and stall/squash penalties written onto the records.  Every structure access is recorded in the
-statistics registry using the Table 2 vocabulary (``hl_lq``, ``hl_sq``,
-``ll_lq``, ``ll_sq``, ``ert``, ``ssbf``, ``network.round_trips``, ``cache``).
+violation flag and stall/squash penalties written onto the records.  Every
+structure access is recorded in the statistics registry using the Table 2
+vocabulary (``hl_lq``, ``hl_sq``, ``ll_lq``, ``ll_sq``, ``ert``, ``ssbf``,
+``network.round_trips``, ``cache``).
 """
 
 from __future__ import annotations

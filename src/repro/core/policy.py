@@ -19,8 +19,8 @@ by the timing cores:
   (``insertion_stall``, ``squash_penalty``).
 * :meth:`LSQPolicy.load_committed` / :meth:`LSQPolicy.store_committed` --
   called at in-order commit; ``load_committed`` returns the extra commit
-  latency of an SVW re-execution (0 without one), and stores update the SVW
-  here.
+  latency of an SVW re-execution (0 without one), and a store counts its
+  data-cache write and updates the SVW.
 * :meth:`LSQPolicy.epoch_committed` -- FMC only; the ELSQ clears the epoch's
   ERT columns, unlocks its cache lines and frees its queues.
 

@@ -12,8 +12,8 @@ format version).  The design goals, in order:
   the freshly generated trace -- across processes, machines and package
   versions that speak the same format version.
 * **Compactness.**  Instructions are fixed-width 22-byte records
-  (struct-packed, little-endian), roughly 6x smaller than the line-oriented
-  text format of :meth:`repro.isa.trace.Trace.save` and far faster to parse.
+  (struct-packed, little-endian), loaded in bulk into columns.  This
+  container is the only trace file format.
 * **Self-description.**  The header carries a JSON document with the trace
   name, the generation seed, the full :class:`~repro.workloads.base.WorkloadParameters`
   (when the trace came from a generator) and the region footprints the
