@@ -11,6 +11,11 @@ snapshot pins the service's ``GET /v1/stats`` / ``GET /v1/healthz`` wire
 shape after a scripted admission history, so a refactor of the accounting
 behind them cannot change a field silently.
 
+The trace-content snapshot pins the generator itself: the SHA-256 of every
+column and the region footprints of each shipped workload's trace at three
+lengths and two seeds.  The simulation snapshots see a change to trace
+content only through the timing it causes; this one sees any changed byte.
+
 The LSQ-protocol snapshot pins every counter and histogram of thirteen
 machines over one workload.  The LSQ policies, the ERTs, the SVW and the
 memory hierarchy are shared by both engines, so ``tests/differential``
@@ -50,6 +55,19 @@ GOLDEN_SEED = 2008
 FIG7_INSTRUCTIONS = 2_000
 FAMILY_INSTRUCTIONS = 1_200
 PROTOCOL_INSTRUCTIONS = 4_000
+#: The trace-content campaign: shorter than the eight base-register seeds,
+#: ``sweep-short``'s length and the quick campaign's length.
+TRACE_LENGTHS = (5, 1_500, 8_000)
+TRACE_SEEDS = (1, GOLDEN_SEED)
+#: Every shipped workload: the SPEC-like kernels and the family members.
+TRACE_SUITES = (
+    "spec_fp_like",
+    "spec_int_like",
+    "pointer_chase",
+    "streaming",
+    "branchy",
+    "phased",
+)
 
 
 def _fig7_results(engine: str) -> Any:
@@ -117,6 +135,41 @@ def _protocol_results(engine: str) -> Any:
             field: result[field]
             for field in ("cycles", "committed_instructions", "counters", "histograms")
         }
+    return results
+
+
+def _trace_members() -> List[Any]:
+    from repro.workloads.suite import suite_by_name
+
+    return [member for suite in TRACE_SUITES for member in suite_by_name(suite)]
+
+
+def _trace_content(engine: str) -> Any:
+    """Column digests and region footprints of every shipped workload's trace.
+
+    Generation does not depend on the engine; both parametrizations compare
+    against the same digests.
+    """
+    import hashlib
+
+    from repro.isa.columns import COLUMN_LAYOUT
+    from repro.workloads.base import SyntheticWorkload
+
+    results = {}
+    for member in _trace_members():
+        traces = {}
+        for seed in TRACE_SEEDS:
+            for length in TRACE_LENGTHS:
+                trace = SyntheticWorkload(member, seed=seed).generate(length)
+                columns = trace.columns()
+                traces[f"seed {seed}, {length} instructions"] = {
+                    "columns": {
+                        name: hashlib.sha256(columns.column_bytes(name)).hexdigest()
+                        for name, _typecode, _itemsize in COLUMN_LAYOUT
+                    },
+                    "regions": to_jsonable(trace.regions),
+                }
+        results[member.name] = traces
     return results
 
 
@@ -244,6 +297,17 @@ GOLDENS: Dict[str, Tuple[str, Dict[str, Any], Callable[[str], Any]]] = {
             "seed": GOLDEN_SEED,
         },
         _protocol_results,
+    ),
+    "trace-content": (
+        "trace_content.json",
+        {
+            "experiment": "trace-content",
+            "workloads": [member.name for member in _trace_members()],
+            "instructions": list(TRACE_LENGTHS),
+            "seeds": list(TRACE_SEEDS),
+            "pins": ["sha256 of each column's bytes", "region footprints"],
+        },
+        _trace_content,
     ),
     "service-stats": (
         "service_stats_v2.json",
