@@ -3,8 +3,10 @@
 This package groups the pieces that every other subsystem relies on:
 
 * :mod:`repro.common.errors` -- the exception hierarchy raised by the library.
-* :mod:`repro.common.rng` -- deterministic random number helpers so that every
-  experiment is reproducible from a single integer seed.
+* :mod:`repro.common.rng` -- :func:`~repro.common.rng.derive_seed`, which
+  seeds the workload generator's :class:`random.Random` streams from a parent
+  seed and a label, so that every trace is reproducible from a single
+  integer seed.
 * :mod:`repro.common.stats` -- counters, histograms and the statistics
   registry used to account for every structure access the paper reports.
 * :mod:`repro.common.config` -- validated configuration dataclasses mirroring
@@ -18,13 +20,12 @@ from repro.common.errors import (
     TraceError,
     WorkloadError,
 )
-from repro.common.rng import DeterministicRng, derive_seed
+from repro.common.rng import derive_seed
 from repro.common.stats import Counter, Histogram, StatsRegistry
 
 __all__ = [
     "ConfigurationError",
     "Counter",
-    "DeterministicRng",
     "Histogram",
     "ReproError",
     "SimulationError",

@@ -1,29 +1,18 @@
-"""Deterministic random number helpers.
+"""Seed derivation for the simulator's random streams.
 
-Every stochastic decision in the library (synthetic workload generation,
-address selection, branch outcomes) flows through :class:`DeterministicRng`.
-The class is a thin wrapper around :class:`random.Random` that
-
-* always requires an explicit integer seed, so experiments are reproducible
-  from configuration alone, and
-* offers the handful of distributions the workload generators need with
-  validation and clearer names.
-
-Seeds for sub-components are derived with :func:`derive_seed`, which hashes
-the parent seed together with a string label.  Deriving rather than reusing
-the parent seed keeps independent components statistically decoupled while
-remaining fully deterministic.
+Synthetic workload generation (instruction classes, addresses, branch
+outcomes) draws from plain :class:`random.Random` streams whose seeds come
+from :func:`derive_seed`, which hashes a parent seed together with a string
+label.  Deriving rather than reusing the parent seed keeps independent
+streams statistically decoupled while remaining fully deterministic, so
+every trace is reproducible from one integer seed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
-from typing import Sequence, TypeVar
 
 from repro.common.errors import ConfigurationError
-
-_T = TypeVar("_T")
 
 _MAX_SEED = 2**63 - 1
 
@@ -41,99 +30,3 @@ def derive_seed(parent_seed: int, label: str) -> int:
         raise ConfigurationError(f"seed must be an int, got {type(parent_seed).__name__}")
     digest = hashlib.sha256(f"{parent_seed}:{label}".encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") & _MAX_SEED
-
-
-class DeterministicRng:
-    """A seeded random source with the distributions used by the workloads.
-
-    Parameters
-    ----------
-    seed:
-        Integer seed.  The same seed always produces the same stream.
-    """
-
-    def __init__(self, seed: int) -> None:
-        if not isinstance(seed, int):
-            raise ConfigurationError(f"seed must be an int, got {type(seed).__name__}")
-        self._seed = seed
-        self._random = random.Random(seed)
-
-    @property
-    def seed(self) -> int:
-        """The seed this generator was constructed with."""
-        return self._seed
-
-    def spawn(self, label: str) -> "DeterministicRng":
-        """Return a new independent generator derived from this one and ``label``."""
-        return DeterministicRng(derive_seed(self._seed, label))
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        """Return a float uniformly distributed in ``[low, high)``."""
-        if high < low:
-            raise ConfigurationError(f"uniform() requires low <= high, got [{low}, {high})")
-        return low + (high - low) * self._random.random()
-
-    def chance(self, probability: float) -> bool:
-        """Return ``True`` with the given probability.
-
-        Probabilities of exactly 0 and 1 short-circuit so callers may use them
-        to disable or force behaviours without consuming randomness
-        differently across configurations.
-        """
-        if not 0.0 <= probability <= 1.0:
-            raise ConfigurationError(f"probability must lie in [0, 1], got {probability}")
-        if probability <= 0.0:
-            return False
-        if probability >= 1.0:
-            return True
-        return self._random.random() < probability
-
-    def integer(self, low: int, high: int) -> int:
-        """Return an integer uniformly distributed in ``[low, high]`` inclusive."""
-        if high < low:
-            raise ConfigurationError(f"integer() requires low <= high, got [{low}, {high}]")
-        return self._random.randint(low, high)
-
-    def choice(self, options: Sequence[_T]) -> _T:
-        """Return one element chosen uniformly from a non-empty sequence."""
-        if not options:
-            raise ConfigurationError("choice() requires a non-empty sequence")
-        return self._random.choice(options)
-
-    def weighted_choice(self, options: Sequence[_T], weights: Sequence[float]) -> _T:
-        """Return one element of ``options`` chosen with the given relative weights."""
-        if not options:
-            raise ConfigurationError("weighted_choice() requires a non-empty sequence")
-        if len(options) != len(weights):
-            raise ConfigurationError(
-                f"weighted_choice() got {len(options)} options but {len(weights)} weights"
-            )
-        if any(weight < 0 for weight in weights):
-            raise ConfigurationError("weighted_choice() weights must be non-negative")
-        if sum(weights) <= 0:
-            raise ConfigurationError("weighted_choice() weights must not all be zero")
-        return self._random.choices(list(options), weights=list(weights), k=1)[0]
-
-    def geometric(self, mean: float, maximum: int) -> int:
-        """Return a geometrically distributed integer in ``[1, maximum]``.
-
-        ``mean`` controls the expected value of the unbounded distribution;
-        the result is clamped to ``maximum``.  Used for dependence distances
-        and store→load forwarding distances, which are strongly skewed toward
-        small values in real programs.
-        """
-        if mean <= 0:
-            raise ConfigurationError(f"geometric() mean must be positive, got {mean}")
-        if maximum < 1:
-            raise ConfigurationError(f"geometric() maximum must be >= 1, got {maximum}")
-        probability = min(1.0, 1.0 / mean)
-        value = 1
-        while value < maximum and not self._random.random() < probability:
-            value += 1
-        return value
-
-    def shuffled(self, items: Sequence[_T]) -> list:
-        """Return a new list with the items of ``items`` in random order."""
-        copy = list(items)
-        self._random.shuffle(copy)
-        return copy

@@ -63,6 +63,7 @@ from repro.common.errors import (
     ConfigurationError,
     ErrorCode,
     ServiceOverloadedError,
+    WorkloadError,
 )
 from repro.common.serialize import WIRE_SCHEMA_VERSION, read_envelope, wire_envelope
 from repro.exp.cache import ResultCache
@@ -372,7 +373,7 @@ class ReproService:
                     extra=(("Retry-After", str(int(retry_after))),),
                     trace_id=trace_id,
                 )
-            except ConfigurationError as error:
+            except (ConfigurationError, WorkloadError) as error:
                 response = _error_response(400, str(error), trace_id=trace_id)
             except Exception as error:  # noqa: BLE001 -- never drop the connection
                 response = _error_response(

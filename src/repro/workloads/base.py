@@ -32,12 +32,15 @@ addresses, never cycle counts.  All timing emerges from the processor models.
 
 from __future__ import annotations
 
+import math
+import random
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Deque, List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.common.errors import WorkloadError
-from repro.common.rng import DeterministicRng
+from repro.common.rng import derive_seed
 from repro.isa.columns import (
     CODE_BRANCH,
     CODE_FP_ALU,
@@ -48,22 +51,9 @@ from repro.isa.columns import (
     FLAG_MISPREDICTED,
     TraceColumns,
 )
-from repro.isa.instruction import FP_REGISTER_BASE, InstrClass
+from repro.isa.instruction import FP_REGISTER_BASE
 from repro.isa.trace import RegionFootprint, Trace
 
-
-def _pad4(srcs: Tuple[int, ...]) -> Tuple[int, int, int, int]:
-    """Pad a source tuple (at most four registers) to the fixed column width."""
-    count = len(srcs)
-    if count == 0:
-        return (-1, -1, -1, -1)
-    if count == 1:
-        return (srcs[0], -1, -1, -1)
-    if count == 2:
-        return (srcs[0], srcs[1], -1, -1)
-    if count == 3:
-        return (srcs[0], srcs[1], srcs[2], -1)
-    return (srcs[0], srcs[1], srcs[2], srcs[3])
 
 #: Integer registers reserved as always-available base registers (stack/global
 #: pointers).  They are written once at the start of a trace and then only
@@ -124,8 +114,10 @@ class MemoryRegion:
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             raise WorkloadError(f"region {self.name!r}: size must be positive")
-        if self.weight < 0:
-            raise WorkloadError(f"region {self.name!r}: weight must be non-negative")
+        if not 0.0 <= self.weight < math.inf:
+            raise WorkloadError(
+                f"region {self.name!r}: weight must be finite and non-negative, got {self.weight}"
+            )
         if self.pattern not in ("stream", "random"):
             raise WorkloadError(
                 f"region {self.name!r}: pattern must be 'stream' or 'random', got {self.pattern!r}"
@@ -211,8 +203,8 @@ class WorkloadParameters:
             )
         if not self.regions:
             raise WorkloadError(f"{self.name!r}: at least one memory region is required")
-        if sum(region.weight for region in self.regions) <= 0:
-            raise WorkloadError(f"{self.name!r}: region weights must not all be zero")
+        if not 0.0 < sum(region.weight for region in self.regions) < math.inf:
+            raise WorkloadError(f"{self.name!r}: region weights must have a positive, finite sum")
         if self.forwarding_distance_mean <= 0:
             raise WorkloadError(f"{self.name!r}: forwarding_distance_mean must be positive")
         if self.forwarding_distance_max < 1:
@@ -230,40 +222,30 @@ class WorkloadParameters:
         for size, weight in self.access_sizes:
             if size <= 0 or size & (size - 1) != 0:
                 raise WorkloadError(f"{self.name!r}: access size {size} must be a power of two")
-            if weight < 0:
-                raise WorkloadError(f"{self.name!r}: access size weights must be non-negative")
+            if not 0.0 <= weight < math.inf:
+                raise WorkloadError(
+                    f"{self.name!r}: access size weights must be finite and non-negative"
+                )
+        if not 0.0 < sum(weight for _, weight in self.access_sizes) < math.inf:
+            raise WorkloadError(
+                f"{self.name!r}: access size weights must have a positive, finite sum"
+            )
 
     def with_name(self, name: str) -> "WorkloadParameters":
         """Return a copy of these parameters under a different name."""
         return replace(self, name=name)
 
 
-@dataclass
-class _RegisterRecord:
-    """Bookkeeping for a recently written register."""
-
-    register: int
-    seq: int
-    from_far_load: bool
-
-
-@dataclass
-class _StoreRecord:
-    """Bookkeeping for a recently generated store (forwarding candidates)."""
-
-    seq: int
-    address: int
-    size: int
-
-
 class _RegionCursor:
     """Mutable per-region address cursor used during generation."""
 
-    def __init__(self, region: MemoryRegion, base_address: int, rng: DeterministicRng) -> None:
+    def __init__(
+        self, region: MemoryRegion, base_address: int, randint: Callable[[int, int], int]
+    ) -> None:
         self.region = region
         self.base_address = base_address
         self._offset = 0
-        self._rng = rng
+        self._randint = randint
 
     def next_address(self) -> int:
         """Return the next address according to the region's access pattern."""
@@ -271,7 +253,7 @@ class _RegionCursor:
             address = self.base_address + self._offset
             self._offset = (self._offset + self.region.stride) % self.region.size_bytes
             return address
-        offset = self._rng.integer(0, self.region.size_bytes - 1)
+        offset = self._randint(0, self.region.size_bytes - 1)
         return self.base_address + (offset & ~0x7)
 
 
@@ -290,96 +272,158 @@ class SyntheticWorkload:
         """Generate a trace of exactly ``num_instructions`` instructions.
 
         The stream is emitted straight into columnar storage
-        (:class:`~repro.isa.columns.TraceColumns`): no per-instruction
-        dataclass is allocated unless an object-API consumer later asks for
-        one.  The random draws are identical to the historical object-built
-        path, so the resulting trace is bit-identical either way (asserted
-        by ``tests/test_columns.py``).
+        (:class:`~repro.isa.columns.TraceColumns`).  Every draw comes from a
+        :class:`random.Random` seeded by :func:`~repro.common.rng.derive_seed`
+        under the workload's name (and each random region from its own
+        stream under ``"regions"`` and the region's name), so a trace depends
+        only on the parameters, the seed and the length.
+        ``tests/golden/trace_content.json`` pins the resulting bytes.
         """
         if num_instructions < 0:
             raise WorkloadError(f"num_instructions must be non-negative, got {num_instructions}")
         params = self.parameters
-        rng = DeterministicRng(self._seed).spawn(params.name)
-        region_rng = rng.spawn("regions")
-        cursors = self._build_cursors(region_rng)
-        region_weights = [region.weight for region in params.regions]
+        seed = derive_seed(self._seed, params.name)
+        stream = random.Random(seed)
+        draw = stream.random
+        choice = stream.choice
+        choices = stream.choices
+        cursors = self._build_cursors(derive_seed(seed, "regions"))
+        in_memory_phase = self._in_memory_phase
 
-        compute_weights = [
-            0.0 if region.is_far else region.weight for region in params.regions
-        ]
-        if sum(compute_weights) <= 0:
-            compute_weights = list(region_weights)
+        def chance(probability: float) -> bool:
+            # Probabilities 0 and 1 draw nothing, so a configuration may
+            # disable or force a behaviour without shifting the stream.
+            if probability <= 0.0:
+                return False
+            if probability >= 1.0:
+                return True
+            return draw() < probability
+
+        def geometric(mean: float, maximum: int) -> int:
+            # A distance in [1, maximum], skewed toward small values like the
+            # dependence and forwarding distances of real programs.
+            probability = min(1.0, 1.0 / mean)
+            value = 1
+            while value < maximum and not draw() < probability:
+                value += 1
+            return value
+
+        # Cumulative weight tables for Random.choices, built once per trace.
+        # Compute phases skip the far regions unless nothing else is left.
+        region_weights = list(accumulate(region.weight for region in params.regions))
+        compute_weights = list(
+            accumulate(0.0 if region.is_far else region.weight for region in params.regions)
+        )
+        if compute_weights[-1] <= 0:
+            compute_weights = region_weights
+        sizes = [size for size, _ in params.access_sizes]
+        size_weights = list(accumulate(weight for _, weight in params.access_sizes))
+
+        load_fraction = params.load_fraction
+        store_fraction = params.store_fraction
+        branch_fraction = params.branch_fraction
+        fp_fraction = params.fp_fraction
+        forwarding_fraction = params.forwarding_fraction
+        forwarding_mean = params.forwarding_distance_mean
+        chased_load_fraction = params.chased_load_fraction
+        chased_store_fraction = params.chased_store_fraction
+        miss_consumer_fraction = params.miss_consumer_fraction
+        dependence_mean = params.dependence_distance_mean
+        mispredict_rate = params.branch_mispredict_rate
+        mispredict_on_miss = params.mispredict_depends_on_miss_fraction
 
         columns = TraceColumns()
         append_row = columns.append_row
-        count = 0
-        recent_registers: Deque[_RegisterRecord] = deque(maxlen=64)
-        far_load_registers: Deque[_RegisterRecord] = deque(maxlen=len(_POINTER_REGISTERS))
-        recent_stores: Deque[_StoreRecord] = deque(maxlen=params.forwarding_distance_max)
+        # Destination registers of recent producers and of recent far loads,
+        # and the (address, size) of recent stores (forwarding candidates).
+        recent_registers: Deque[int] = deque(maxlen=64)
+        far_load_registers: Deque[int] = deque(maxlen=len(_POINTER_REGISTERS))
+        recent_stores: Deque[Tuple[int, int]] = deque(maxlen=params.forwarding_distance_max)
         int_dest_cursor = 0
         fp_dest_cursor = 0
         pointer_dest_cursor = 0
 
         # Seed the base registers so early address calculations have producers.
-        for base_register in _BASE_REGISTERS:
-            if count >= num_instructions:
-                break
+        for base_register in _BASE_REGISTERS[:num_instructions]:
             append_row(CODE_INT_ALU, base_register, -1, -1, -1, -1, 0, 8, 0, 0)
-            count += 1
 
-        while count < num_instructions:
-            seq = count
-            weights = (
-                region_weights
-                if self._in_memory_phase(seq)
-                else compute_weights
-            )
-            iclass = self._pick_class(rng)
-            if iclass is InstrClass.LOAD:
-                dest, srcs, address, size, record = self._make_load(
-                    seq, rng, cursors, weights, recent_stores, far_load_registers,
-                    _INT_DEST_REGISTERS[int_dest_cursor],
-                    _POINTER_REGISTERS[pointer_dest_cursor],
-                )
-                s0, s1, s2, s3 = _pad4(srcs)
-                append_row(CODE_LOAD, dest, s0, s1, s2, s3, address, size, FLAG_HAS_ADDRESS, 0)
-                if record.from_far_load:
-                    pointer_dest_cursor = (pointer_dest_cursor + 1) % len(_POINTER_REGISTERS)
-                    far_load_registers.append(record)
+        for seq in range(len(columns), num_instructions):
+            weights = region_weights if in_memory_phase(seq) else compute_weights
+            class_draw = draw()
+            if class_draw < load_fraction:
+                size = choices(sizes, cum_weights=size_weights)[0]
+                if recent_stores and chance(forwarding_fraction):
+                    # Store->load forwarding: reuse the address of a recent store.
+                    address, store_size = recent_stores[
+                        -geometric(forwarding_mean, len(recent_stores))
+                    ]
+                    size = min(size, store_size)
+                    address_src = choice(_BASE_REGISTERS)
+                    from_far = False
                 else:
+                    chased = bool(far_load_registers) and chance(chased_load_fraction)
+                    address_src = choice(far_load_registers if chased else _BASE_REGISTERS)
+                    cursor = choices(cursors, cum_weights=weights)[0]
+                    address = cursor.next_address()
+                    from_far = chased or cursor.region.is_far
+                if from_far:
+                    dest = _POINTER_REGISTERS[pointer_dest_cursor]
+                    pointer_dest_cursor = (pointer_dest_cursor + 1) % len(_POINTER_REGISTERS)
+                    far_load_registers.append(dest)
+                else:
+                    dest = _INT_DEST_REGISTERS[int_dest_cursor]
                     int_dest_cursor = (int_dest_cursor + 1) % len(_INT_DEST_REGISTERS)
-                recent_registers.append(record)
-            elif iclass is InstrClass.STORE:
-                srcs, address, size = self._make_store(
-                    seq, rng, cursors, weights, recent_registers, far_load_registers,
-                    recent_stores,
-                )
-                s0, s1, s2, s3 = _pad4(srcs)
-                append_row(CODE_STORE, -1, s0, s1, s2, s3, address, size, FLAG_HAS_ADDRESS, 0)
-            elif iclass is InstrClass.BRANCH:
-                srcs, mispredicted = self._make_branch(
-                    seq, rng, recent_registers, far_load_registers
-                )
-                s0, s1, s2, s3 = _pad4(srcs)
                 append_row(
-                    CODE_BRANCH, -1, s0, s1, s2, s3, 0, 8,
+                    CODE_LOAD, dest, address_src, -1, -1, -1, address, size, FLAG_HAS_ADDRESS, 0
+                )
+                recent_registers.append(dest)
+            elif class_draw - load_fraction < store_fraction:
+                size = choices(sizes, cum_weights=size_weights)[0]
+                chased = bool(far_load_registers) and chance(chased_store_fraction)
+                address_src = choice(far_load_registers if chased else _BASE_REGISTERS)
+                address = choices(cursors, cum_weights=weights)[0].next_address()
+                data_src = recent_registers[-1] if recent_registers else choice(_BASE_REGISTERS)
+                append_row(
+                    CODE_STORE, -1, address_src, data_src, -1, -1,
+                    address, size, FLAG_HAS_ADDRESS, 0,
+                )
+                recent_stores.append((address, size))
+            elif class_draw - load_fraction - store_fraction < branch_fraction:
+                mispredicted = chance(mispredict_rate)
+                if mispredicted and far_load_registers and chance(mispredict_on_miss):
+                    src = choice(far_load_registers)
+                elif recent_registers:
+                    src = recent_registers[-geometric(dependence_mean, len(recent_registers))]
+                else:
+                    src = choice(_BASE_REGISTERS)
+                append_row(
+                    CODE_BRANCH, -1, src, -1, -1, -1, 0, 8,
                     FLAG_MISPREDICTED if mispredicted else 0, 0,
                 )
-            elif iclass is InstrClass.FP_ALU:
-                dest = _FP_DEST_REGISTERS[fp_dest_cursor]
-                fp_dest_cursor = (fp_dest_cursor + 1) % len(_FP_DEST_REGISTERS)
-                srcs = self._pick_alu_sources(rng, recent_registers, far_load_registers)
-                s0, s1, s2, s3 = _pad4(srcs)
-                append_row(CODE_FP_ALU, dest, s0, s1, s2, s3, 0, 8, 0, 0)
-                recent_registers.append(_RegisterRecord(dest, seq, from_far_load=False))
             else:
-                dest = _INT_DEST_REGISTERS[int_dest_cursor]
-                int_dest_cursor = (int_dest_cursor + 1) % len(_INT_DEST_REGISTERS)
-                srcs = self._pick_alu_sources(rng, recent_registers, far_load_registers)
-                s0, s1, s2, s3 = _pad4(srcs)
-                append_row(CODE_INT_ALU, dest, s0, s1, s2, s3, 0, 8, 0, 0)
-                recent_registers.append(_RegisterRecord(dest, seq, from_far_load=False))
-            count += 1
+                if chance(fp_fraction):
+                    code = CODE_FP_ALU
+                    dest = _FP_DEST_REGISTERS[fp_dest_cursor]
+                    fp_dest_cursor = (fp_dest_cursor + 1) % len(_FP_DEST_REGISTERS)
+                else:
+                    code = CODE_INT_ALU
+                    dest = _INT_DEST_REGISTERS[int_dest_cursor]
+                    int_dest_cursor = (int_dest_cursor + 1) % len(_INT_DEST_REGISTERS)
+                # A far load's result first (if consumed), then a recent producer.
+                miss_src = (
+                    choice(far_load_registers)
+                    if far_load_registers and chance(miss_consumer_fraction)
+                    else -1
+                )
+                if recent_registers:
+                    src = recent_registers[-geometric(dependence_mean, len(recent_registers))]
+                else:
+                    src = choice(_BASE_REGISTERS)
+                if miss_src < 0:
+                    append_row(code, dest, src, -1, -1, -1, 0, 8, 0, 0)
+                else:
+                    append_row(code, dest, miss_src, src, -1, -1, 0, 8, 0, 0)
+                recent_registers.append(dest)
 
         footprints = tuple(
             RegionFootprint(
@@ -393,10 +437,6 @@ class SyntheticWorkload:
         )
         return Trace.from_columns(columns, name=params.name, regions=footprints)
 
-    # ------------------------------------------------------------------
-    # Internal helpers
-    # ------------------------------------------------------------------
-
     def _in_memory_phase(self, seq: int) -> bool:
         """Whether instruction ``seq`` falls into a memory (far-region) phase."""
         params = self.parameters
@@ -408,148 +448,12 @@ class SyntheticWorkload:
         fraction = params.memory_phase_fraction
         return int((block + 1) * fraction) > int(block * fraction)
 
-    def _build_cursors(self, rng: DeterministicRng) -> List[_RegionCursor]:
+    def _build_cursors(self, seed: int) -> List[_RegionCursor]:
+        """One cursor per region, each drawing from its own derived stream."""
         cursors: List[_RegionCursor] = []
         base_address = self._REGION_PADDING
         for region in self.parameters.regions:
-            cursors.append(_RegionCursor(region, base_address, rng.spawn(region.name)))
+            randint = random.Random(derive_seed(seed, region.name)).randint
+            cursors.append(_RegionCursor(region, base_address, randint))
             base_address += region.size_bytes + self._REGION_PADDING
         return cursors
-
-    def _pick_class(self, rng: DeterministicRng) -> InstrClass:
-        params = self.parameters
-        draw = rng.uniform()
-        if draw < params.load_fraction:
-            return InstrClass.LOAD
-        draw -= params.load_fraction
-        if draw < params.store_fraction:
-            return InstrClass.STORE
-        draw -= params.store_fraction
-        if draw < params.branch_fraction:
-            return InstrClass.BRANCH
-        if rng.chance(params.fp_fraction):
-            return InstrClass.FP_ALU
-        return InstrClass.INT_ALU
-
-    def _pick_region_cursor(
-        self, rng: DeterministicRng, cursors: Sequence[_RegionCursor], weights: Sequence[float]
-    ) -> _RegionCursor:
-        return rng.weighted_choice(list(cursors), list(weights))
-
-    def _pick_access_size(self, rng: DeterministicRng) -> int:
-        sizes = [size for size, _ in self.parameters.access_sizes]
-        weights = [weight for _, weight in self.parameters.access_sizes]
-        return rng.weighted_choice(sizes, weights)
-
-    def _pick_address_sources(
-        self,
-        rng: DeterministicRng,
-        far_load_registers: Deque[_RegisterRecord],
-        chase_probability: float,
-    ) -> Tuple[Tuple[int, ...], bool]:
-        """Return (address source registers, is_chased)."""
-        if far_load_registers and rng.chance(chase_probability):
-            record = rng.choice(list(far_load_registers))
-            return (record.register,), True
-        return (rng.choice(_BASE_REGISTERS),), False
-
-    def _pick_alu_sources(
-        self,
-        rng: DeterministicRng,
-        recent_registers: Deque[_RegisterRecord],
-        far_load_registers: Deque[_RegisterRecord],
-    ) -> Tuple[int, ...]:
-        params = self.parameters
-        sources: List[int] = []
-        if far_load_registers and rng.chance(params.miss_consumer_fraction):
-            sources.append(rng.choice(list(far_load_registers)).register)
-        if recent_registers:
-            distance = rng.geometric(params.dependence_distance_mean, len(recent_registers))
-            sources.append(recent_registers[-distance].register)
-        else:
-            sources.append(rng.choice(_BASE_REGISTERS))
-        return tuple(sources[:2])
-
-    def _make_load(
-        self,
-        seq: int,
-        rng: DeterministicRng,
-        cursors: Sequence[_RegionCursor],
-        weights: Sequence[float],
-        recent_stores: Deque[_StoreRecord],
-        far_load_registers: Deque[_RegisterRecord],
-        normal_dest: int,
-        pointer_dest: int,
-    ) -> Tuple[int, Tuple[int, ...], int, int, _RegisterRecord]:
-        """Draw one load; returns ``(dest, srcs, address, size, record)``."""
-        params = self.parameters
-        size = self._pick_access_size(rng)
-
-        # Store→load forwarding: reuse the address of a recent store.
-        if recent_stores and rng.chance(params.forwarding_fraction):
-            distance = rng.geometric(params.forwarding_distance_mean, len(recent_stores))
-            store_record = recent_stores[-distance]
-            srcs = (rng.choice(_BASE_REGISTERS),)
-            return (
-                normal_dest,
-                srcs,
-                store_record.address,
-                min(size, store_record.size),
-                _RegisterRecord(normal_dest, seq, from_far_load=False),
-            )
-
-        srcs, chased = self._pick_address_sources(
-            rng, far_load_registers, params.chased_load_fraction
-        )
-        cursor = self._pick_region_cursor(rng, cursors, weights)
-        address = cursor.next_address()
-        from_far = cursor.region.is_far or chased
-        dest = pointer_dest if from_far else normal_dest
-        return dest, srcs, address, size, _RegisterRecord(dest, seq, from_far_load=from_far)
-
-    def _make_store(
-        self,
-        seq: int,
-        rng: DeterministicRng,
-        cursors: Sequence[_RegionCursor],
-        weights: Sequence[float],
-        recent_registers: Deque[_RegisterRecord],
-        far_load_registers: Deque[_RegisterRecord],
-        recent_stores: Deque[_StoreRecord],
-    ) -> Tuple[Tuple[int, ...], int, int]:
-        """Draw one store; returns ``(srcs, address, size)``."""
-        params = self.parameters
-        size = self._pick_access_size(rng)
-        address_srcs, _chased = self._pick_address_sources(
-            rng, far_load_registers, params.chased_store_fraction
-        )
-        cursor = self._pick_region_cursor(rng, cursors, weights)
-        address = cursor.next_address()
-        data_src = (
-            recent_registers[-1].register if recent_registers else rng.choice(_BASE_REGISTERS)
-        )
-        recent_stores.append(_StoreRecord(seq=seq, address=address, size=size))
-        return address_srcs + (data_src,), address, size
-
-    def _make_branch(
-        self,
-        seq: int,
-        rng: DeterministicRng,
-        recent_registers: Deque[_RegisterRecord],
-        far_load_registers: Deque[_RegisterRecord],
-    ) -> Tuple[Tuple[int, ...], bool]:
-        """Draw one branch; returns ``(srcs, mispredicted)``."""
-        params = self.parameters
-        mispredicted = rng.chance(params.branch_mispredict_rate)
-        if (
-            mispredicted
-            and far_load_registers
-            and rng.chance(params.mispredict_depends_on_miss_fraction)
-        ):
-            srcs: Tuple[int, ...] = (rng.choice(list(far_load_registers)).register,)
-        elif recent_registers:
-            distance = rng.geometric(params.dependence_distance_mean, len(recent_registers))
-            srcs = (recent_registers[-distance].register,)
-        else:
-            srcs = (rng.choice(_BASE_REGISTERS),)
-        return srcs, mispredicted

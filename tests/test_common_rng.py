@@ -1,11 +1,11 @@
-"""Tests for the deterministic RNG helpers."""
+"""Tests for seed derivation."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.common.rng import DeterministicRng, derive_seed
+from repro.common.rng import derive_seed
 
 
 class TestDeriveSeed:
@@ -25,88 +25,3 @@ class TestDeriveSeed:
         with pytest.raises(ConfigurationError):
             derive_seed("nope", "label")  # type: ignore[arg-type]
 
-
-class TestDeterministicRng:
-    def test_same_seed_same_stream(self):
-        a = DeterministicRng(7)
-        b = DeterministicRng(7)
-        assert [a.integer(0, 100) for _ in range(20)] == [b.integer(0, 100) for _ in range(20)]
-
-    def test_different_seed_different_stream(self):
-        a = [DeterministicRng(7).integer(0, 10_000) for _ in range(5)]
-        b = [DeterministicRng(8).integer(0, 10_000) for _ in range(5)]
-        assert a != b
-
-    def test_spawn_is_independent_of_parent_consumption(self):
-        parent_a = DeterministicRng(3)
-        parent_b = DeterministicRng(3)
-        parent_b.uniform()  # consume some state from one parent only
-        assert parent_a.spawn("child").integer(0, 10**6) == parent_b.spawn("child").integer(0, 10**6)
-
-    def test_uniform_bounds(self):
-        rng = DeterministicRng(1)
-        for _ in range(200):
-            value = rng.uniform(2.0, 5.0)
-            assert 2.0 <= value < 5.0
-
-    def test_uniform_rejects_inverted_bounds(self):
-        with pytest.raises(ConfigurationError):
-            DeterministicRng(1).uniform(5.0, 2.0)
-
-    def test_chance_extremes(self):
-        rng = DeterministicRng(1)
-        assert rng.chance(1.0) is True
-        assert rng.chance(0.0) is False
-
-    def test_chance_rejects_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            DeterministicRng(1).chance(1.5)
-
-    def test_integer_inclusive_bounds(self):
-        rng = DeterministicRng(2)
-        values = {rng.integer(0, 3) for _ in range(300)}
-        assert values == {0, 1, 2, 3}
-
-    def test_choice_requires_non_empty(self):
-        with pytest.raises(ConfigurationError):
-            DeterministicRng(1).choice([])
-
-    def test_weighted_choice_validates_lengths(self):
-        with pytest.raises(ConfigurationError):
-            DeterministicRng(1).weighted_choice(["a", "b"], [1.0])
-
-    def test_weighted_choice_rejects_zero_weights(self):
-        with pytest.raises(ConfigurationError):
-            DeterministicRng(1).weighted_choice(["a", "b"], [0.0, 0.0])
-
-    def test_weighted_choice_respects_zero_weight(self):
-        rng = DeterministicRng(5)
-        picks = {rng.weighted_choice(["a", "b"], [0.0, 1.0]) for _ in range(50)}
-        assert picks == {"b"}
-
-    def test_geometric_within_bounds(self):
-        rng = DeterministicRng(4)
-        for _ in range(200):
-            value = rng.geometric(mean=5.0, maximum=16)
-            assert 1 <= value <= 16
-
-    def test_geometric_mean_roughly_tracks_parameter(self):
-        rng = DeterministicRng(4)
-        samples = [rng.geometric(mean=4.0, maximum=1000) for _ in range(3000)]
-        mean = sum(samples) / len(samples)
-        assert 3.0 < mean < 5.5
-
-    def test_geometric_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            DeterministicRng(1).geometric(mean=0.0, maximum=4)
-        with pytest.raises(ConfigurationError):
-            DeterministicRng(1).geometric(mean=3.0, maximum=0)
-
-    def test_shuffled_preserves_elements(self):
-        rng = DeterministicRng(9)
-        items = list(range(50))
-        assert sorted(rng.shuffled(items)) == items
-
-    def test_rejects_non_integer_seed(self):
-        with pytest.raises(ConfigurationError):
-            DeterministicRng("seed")  # type: ignore[arg-type]

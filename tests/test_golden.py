@@ -2,11 +2,11 @@
 
 Each golden snapshot pins the complete JSON-serialised result series of one
 experiment under an exactly specified campaign (suites, trace length, seed).
-The simulator is deterministic -- workload generation flows through
-``DeterministicRng`` seeded from configuration alone and the timing models
-contain no randomness -- so a reproduction must match the snapshot *bit for
-bit*; any diff is a semantic change to the models, the generator or the
-experiment post-processing and must be reviewed as such.  One more
+The simulator is deterministic -- workload generation draws from
+``random.Random`` streams seeded from configuration alone and the timing
+models contain no randomness -- so a reproduction must match the snapshot
+*bit for bit*; any diff is a semantic change to the models, the generator
+or the experiment post-processing and must be reviewed as such.  One more
 snapshot pins the service's ``GET /v1/stats`` / ``GET /v1/healthz`` wire
 shape after a scripted admission history, so a refactor of the accounting
 behind them cannot change a field silently.

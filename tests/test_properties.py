@@ -286,13 +286,21 @@ def test_svw_never_misses_a_truly_vulnerable_load(commits, bits):
 # Workload / trace / simulation metamorphic properties
 # ----------------------------------------------------------------------
 
+import math  # noqa: E402
+
 import pytest  # noqa: E402
 
 from repro.common.config import CoreConfig  # noqa: E402
+from repro.common.errors import WorkloadError  # noqa: E402
+from repro.isa.columns import CODE_LOAD, CODE_STORE  # noqa: E402
 from repro.sim.configs import fmc_elsq, fmc_hash, ooo_64  # noqa: E402
 from repro.sim.simulator import Simulator  # noqa: E402
 from repro.trace.format import trace_from_bytes, trace_to_bytes  # noqa: E402
-from repro.workloads.base import MemoryRegion, WorkloadParameters  # noqa: E402
+from repro.workloads.base import (  # noqa: E402
+    MemoryRegion,
+    SyntheticWorkload,
+    WorkloadParameters,
+)
 from repro.workloads.families import long_phases, stream_copy  # noqa: E402
 from repro.workloads.suite import generate_member_trace  # noqa: E402
 
@@ -315,6 +323,83 @@ def _property_workload() -> WorkloadParameters:
         branch_mispredict_rate=0.03,
         mispredict_depends_on_miss_fraction=0.3,
     )
+
+
+#: Entries of a weight table: one draw in ten is zero, NaN or infinite,
+#: which a table cannot be drawn from when they make up its whole total.
+_weights = st.integers(min_value=0, max_value=9).flatmap(
+    lambda pick: st.sampled_from([0.0, math.nan, math.inf])
+    if pick == 0
+    else st.floats(min_value=0.0, max_value=100.0)
+)
+_regions = st.fixed_dictionaries(
+    {
+        "size_bytes": st.integers(min_value=8, max_value=1 << 20),
+        "weight": _weights,
+        "pattern": st.sampled_from(["stream", "random"]),
+        "stride": st.sampled_from([4, 8, 64]),
+        "is_far": st.booleans(),
+    }
+)
+_instruction_mix = st.fixed_dictionaries(
+    {
+        "load_fraction": st.floats(min_value=0.0, max_value=0.6),
+        "store_fraction": st.floats(min_value=0.0, max_value=0.4),
+        "branch_fraction": st.floats(min_value=0.0, max_value=0.4),
+        "fp_fraction": st.floats(min_value=0.0, max_value=1.0),
+        "chased_load_fraction": st.floats(min_value=0.0, max_value=1.0),
+        "chased_store_fraction": st.floats(min_value=0.0, max_value=1.0),
+        "forwarding_fraction": st.floats(min_value=0.0, max_value=1.0),
+    }
+)
+
+
+@given(
+    mix=_instruction_mix,
+    regions=st.lists(_regions, min_size=1, max_size=4),
+    access_sizes=st.lists(
+        st.tuples(st.sampled_from([1, 2, 4, 8, 16]), _weights), min_size=1, max_size=3
+    ),
+    phase_length=st.integers(min_value=0, max_value=64),
+    memory_phase_fraction=st.floats(min_value=0.0, max_value=1.0),
+    length=st.integers(min_value=0, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_workload_parameters_that_construct_always_generate(
+    mix, regions, access_sizes, phase_length, memory_phase_fraction, length, seed
+):
+    """Construction is the generator's only check.
+
+    Either ``WorkloadParameters`` refuses its inputs with ``WorkloadError``,
+    or ``generate(n)`` returns exactly ``n`` rows and every load and store
+    address lies inside a region footprint.
+    """
+    try:
+        parameters = WorkloadParameters(
+            name="property_contract",
+            regions=tuple(
+                MemoryRegion(name=f"region{index}", **region)
+                for index, region in enumerate(regions)
+            ),
+            access_sizes=tuple(access_sizes),
+            phase_length=phase_length,
+            memory_phase_fraction=memory_phase_fraction,
+            **mix,
+        )
+    except WorkloadError:
+        return
+    trace = SyntheticWorkload(parameters, seed=seed).generate(length)
+    columns = trace.columns()
+    assert len(columns) == length
+    bounds = [
+        (footprint.base_address, footprint.base_address + footprint.size_bytes)
+        for footprint in trace.regions
+    ]
+    for seq in range(length):
+        if columns.iclass[seq] in (CODE_LOAD, CODE_STORE):
+            address = columns.address[seq]
+            assert any(low <= address < high for low, high in bounds), (seq, address)
 
 
 @given(st.integers(min_value=0, max_value=2**32))

@@ -157,6 +157,19 @@ def test_malformed_submission_bodies_are_400(service) -> None:
     # Unknown figure names are a client error, not a worker crash.
     envelope = wire_envelope("job_request", {"figure": "fig99"})
     assert post(json.dumps(envelope).encode())[0] == 400
+    # So are workload parameters no trace can be drawn from: a negative
+    # region weight, all-zero access-size weights and a NaN weight (which
+    # JSON parsing accepts) are refused at admission.
+    job = SimJob(ooo_64(), quick_fp_suite().members[0], TEST_INSTRUCTIONS, TEST_SEED)
+    for edit in (
+        lambda workload: workload["regions"][0].update(weight=-1.0),
+        lambda workload: workload.update(access_sizes=[[8, 0.0], [4, 0.0]]),
+        lambda workload: workload["regions"][0].update(weight=float("nan")),
+    ):
+        request = JobRequest(cases=(job,)).to_dict()
+        edit(request["cases"][0]["workload"])
+        status, error = post(json.dumps(wire_envelope("job_request", request)).encode())
+        assert (status, error["code"]) == (400, "bad_request"), error["message"]
 
 
 # ----------------------------------------------------------------------

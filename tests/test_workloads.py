@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.common.errors import WorkloadError
@@ -26,6 +28,11 @@ class TestMemoryRegion:
         with pytest.raises(WorkloadError):
             MemoryRegion(name="x", size_bytes=0, weight=1.0)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_rejects_non_finite_weight(self, weight):
+        with pytest.raises(WorkloadError):
+            MemoryRegion(name="x", size_bytes=1024, weight=weight)
+
 
 class TestWorkloadParameters:
     def test_rejects_fraction_sum_above_one(self):
@@ -46,9 +53,31 @@ class TestWorkloadParameters:
                 regions=(MemoryRegion(name="a", size_bytes=64, weight=0.0),)
             )
 
+    def test_rejects_region_weights_with_an_infinite_sum(self):
+        with pytest.raises(WorkloadError):
+            WorkloadParameters(
+                regions=(
+                    MemoryRegion(name="a", size_bytes=64, weight=1e308),
+                    MemoryRegion(name="b", size_bytes=64, weight=1e308),
+                )
+            )
+
     def test_rejects_non_power_of_two_access_size(self):
         with pytest.raises(WorkloadError):
             WorkloadParameters(access_sizes=((3, 1.0),))
+
+    @pytest.mark.parametrize(
+        "access_sizes",
+        [
+            ((8, 0.0), (4, 0.0)),
+            ((8, math.nan), (4, 1.0)),
+            ((8, 1.0), (4, math.inf)),
+        ],
+        ids=["all-zero", "nan", "inf"],
+    )
+    def test_rejects_unusable_access_size_weights(self, access_sizes):
+        with pytest.raises(WorkloadError):
+            WorkloadParameters(access_sizes=access_sizes)
 
     def test_with_name(self):
         renamed = WorkloadParameters().with_name("other")
