@@ -20,7 +20,7 @@ used from the innermost simulation loops without overhead surprises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -200,10 +200,6 @@ class StatsRegistry:
         """Iterate over all histograms in name order."""
         for name in sorted(self._histograms):
             yield self._histograms[name]
-
-    def find_histogram(self, name: str) -> Optional[Histogram]:
-        """Return the histogram called ``name`` if it exists, else ``None``."""
-        return self._histograms.get(name)
 
     def snapshot(self) -> StatsSnapshot:
         """Return an immutable snapshot of every counter and histogram."""

@@ -98,10 +98,6 @@ class CountingBloomFilter:
         """Whether the filter may contain ``address`` (no false negatives)."""
         return self._counts[self._hash.index(address)] > 0
 
-    def bucket_count(self, address: int) -> int:
-        """Return the population of the bucket ``address`` maps to."""
-        return self._counts[self._hash.index(address)]
-
     def clear(self) -> None:
         """Remove every entry."""
         self._counts = [0] * self._hash.num_buckets

@@ -152,10 +152,6 @@ class MachineConfig:
         """Return a copy with a different memory hierarchy."""
         return replace(self, hierarchy=hierarchy, name=name if name else self.name)
 
-    def with_elsq(self, elsq: ELSQConfig, name: Optional[str] = None) -> "MachineConfig":
-        """Return a copy with a different ELSQ configuration."""
-        return replace(self, elsq=elsq, name=name if name else self.name)
-
     def with_engine(self, engine: str) -> "MachineConfig":
         """Return a copy driven by a different simulation engine."""
         return replace(self, engine=engine)

@@ -935,20 +935,6 @@ def _family_sweep_plan(
     return plan
 
 
-def family_sweep_cases(
-    families: Sequence[str],
-    epoch_counts: Sequence[int] = FAMILY_SWEEP_EPOCH_COUNTS,
-    locality_thresholds: Sequence[int] = FAMILY_SWEEP_LOCALITY_THRESHOLDS,
-) -> List[SweepCase]:
-    """Declare the sweep: per family, one FMC variant per knob value."""
-    return [
-        case
-        for _family, _knob, _value, case in _family_sweep_plan(
-            families, epoch_counts, locality_thresholds
-        )
-    ]
-
-
 def family_sweep(
     context: ExperimentContext,
     families: Optional[Sequence[str]] = None,

@@ -79,10 +79,6 @@ class OccupancyWindow:
             self._releases.popleft()
         self._releases.append(release_cycle)
 
-    def occupancy_hint(self) -> int:
-        """Number of release records currently tracked (at most ``capacity``)."""
-        return len(self._releases)
-
 
 class InOrderTracker:
     """Tracks a non-decreasing cycle frontier (in-order fetch, in-order commit)."""

@@ -53,10 +53,6 @@ class CoreResult:
             return 0.0
         return self.stats.get(name, 0) * (100_000_000 / self.committed_instructions)
 
-    def per_100m_millions(self, name: str) -> float:
-        """Return the per-100M rate expressed in millions (Table 2's unit)."""
-        return self.per_100m(name) / 1e6
-
     def histogram(self, name: str) -> Optional[List[Tuple[int, int]]]:
         """Return a recorded histogram series, if present."""
         return self.stats.histograms.get(name)

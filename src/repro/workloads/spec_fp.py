@@ -28,7 +28,7 @@ is why restricted-SAC loses heavily on that benchmark.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 from repro.common.errors import WorkloadError
 from repro.workloads.base import MemoryRegion, WorkloadParameters
@@ -228,7 +228,3 @@ def fp_kernel(name: str) -> WorkloadParameters:
         ) from None
     return factory()
 
-
-def fp_kernel_names() -> Tuple[str, ...]:
-    """Return the names of all FP-like kernels in a stable order."""
-    return tuple(sorted(SPEC_FP_KERNELS))

@@ -25,7 +25,7 @@ calibrated so the OoO-64 baseline lands near the paper's SPEC INT IPC
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 from repro.common.errors import WorkloadError
 from repro.workloads.base import MemoryRegion, WorkloadParameters
@@ -218,7 +218,3 @@ def int_kernel(name: str) -> WorkloadParameters:
         ) from None
     return factory()
 
-
-def int_kernel_names() -> Tuple[str, ...]:
-    """Return the names of all INT-like kernels in a stable order."""
-    return tuple(sorted(SPEC_INT_KERNELS))
