@@ -34,6 +34,7 @@ accidental numerics change cannot land silently.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Tuple
@@ -150,8 +151,6 @@ def _trace_content(engine: str) -> Any:
     Generation does not depend on the engine; both parametrizations compare
     against the same digests.
     """
-    import hashlib
-
     from repro.isa.columns import COLUMN_LAYOUT
     from repro.workloads.base import SyntheticWorkload
 
