@@ -16,12 +16,21 @@ column and the region footprints of each shipped workload's trace at three
 lengths and two seeds.  The simulation snapshots see a change to trace
 content only through the timing it causes; this one sees any changed byte.
 
-The LSQ-protocol snapshot pins every counter and histogram of thirteen
+The LSQ-protocol snapshot pins every counter and histogram of fourteen
 machines over one workload.  The LSQ policies, the ERTs, the SVW and the
 memory hierarchy are shared by both engines, so ``tests/differential``
 cannot see a change to them; this snapshot can, and
 :func:`test_protocol_snapshot_exercises_every_verdict` keeps it from
 pinning a set of cases in which some verdict never fires.
+
+The replacement-policy snapshot pins the caches themselves, which both
+engines share and which the simulation snapshots exercise only under LRU:
+one load/store stream with interleaved line locks and releases, run
+through every timing policy in a hierarchy and through Belady's OPT on a
+single cache.  It pins every counter, a digest of each access's latency
+and each lock's result, and a digest of every set's tag row.  Its
+coverage test keeps every case hitting, missing, evicting and locking,
+and every small-L1 case running into lock conflicts.
 
 Regenerating after an intentional change::
 
@@ -60,6 +69,14 @@ PROTOCOL_INSTRUCTIONS = 4_000
 #: ``sweep-short``'s length and the quick campaign's length.
 TRACE_LENGTHS = (5, 1_500, 8_000)
 TRACE_SEEDS = (1, GOLDEN_SEED)
+#: The replacement-policy campaign: ``mcf_like``'s load/store stream with a
+#: line lock on every fifth access and an owner released every 64 accesses,
+#: over the paper's L1 and a 2 KB 2-way L1 whose sets fill with locks.
+REPLACEMENT_INSTRUCTIONS = 20_000
+LOCK_EVERY = 5
+RELEASE_EVERY = 64
+LIVE_OWNERS = 2
+REPLACEMENT_L1 = ((32, 4), (2, 2))
 #: Every shipped workload: the SPEC-like kernels and the family members.
 TRACE_SUITES = (
     "spec_fp_like",
@@ -90,12 +107,13 @@ def _family_sweep_results(engine: str) -> Any:
 
 
 def _protocol_machines() -> List[Any]:
-    """The thirteen machines of the LSQ-protocol snapshot.
+    """The fourteen machines of the LSQ-protocol snapshot.
 
     The paper's seven configurations, the two restricted load-address
     models, both SVW machines with store checking, the Line ERT without
-    the Store Queue Mirror, and the Line ERT over a 4 KB direct-mapped L1
-    (the only case small enough to make L1 line locking stall and squash).
+    the Store Queue Mirror, and the Line ERT over 4 KB and 2 KB
+    direct-mapped L1s (the cases small enough to make L1 line locking stall
+    and squash; on the 2 KB one a lock stall delays later work).
     """
     from repro.common.config import DisambiguationModel
     from repro.sim.configs import (
@@ -117,6 +135,7 @@ def _protocol_machines() -> List[Any]:
         fmc_hash_svw(check_stores=True, name="FMC-Hash-SVW-10b-checked"),
         fmc_line(store_queue_mirror=False),
         fmc_line(name="FMC-Line-L1-4KB-DM").with_hierarchy(context_hierarchy(4, 1)),
+        fmc_line(name="FMC-Line-L1-2KB-DM").with_hierarchy(context_hierarchy(2, 1)),
     ]
 
 
@@ -137,6 +156,161 @@ def _protocol_results(engine: str) -> Any:
             for field in ("cycles", "committed_instructions", "counters", "histograms")
         }
     return results
+
+
+def _replacement_stream() -> Tuple[Any, List[int]]:
+    """The replacement campaign's trace and its load/store addresses."""
+    from repro.isa.columns import CODE_LOAD, CODE_STORE
+    from repro.workloads.base import SyntheticWorkload
+    from repro.workloads.spec_int import mcf_like
+
+    trace = SyntheticWorkload(mcf_like(), seed=GOLDEN_SEED).generate(
+        REPLACEMENT_INSTRUCTIONS
+    )
+    columns = trace.columns()
+    addresses = [
+        address
+        for code, address in zip(columns.iclass, columns.address)
+        if code == CODE_LOAD or code == CODE_STORE
+    ]
+    return trace, addresses
+
+
+def _drive_with_locks(
+    addresses: List[int],
+    access: Callable[[int], int],
+    lock: Callable[[int, int], bool],
+    release: Callable[[int], int],
+) -> str:
+    """Run ``addresses`` with the campaign's lock schedule.
+
+    Every fifth access locks the line 0x40 bytes away for the current
+    owner, and every 64 accesses the oldest live owner releases its locks,
+    so :data:`LIVE_OWNERS` owners hold locks at a time.  Returns the
+    SHA-256 of the outcome sequence: each access's latency and each lock's
+    result.
+    """
+    digest = hashlib.sha256()
+    for index, address in enumerate(addresses):
+        digest.update(b"%d," % access(address))
+        owner = index // RELEASE_EVERY
+        if index % LOCK_EVERY == LOCK_EVERY - 1:
+            digest.update(b"+" if lock(address ^ 0x40, owner) else b"-")
+        if index % RELEASE_EVERY == RELEASE_EVERY - 1:
+            release(owner + 1 - LIVE_OWNERS)
+    return digest.hexdigest()
+
+
+def _tag_rows_digest(cache: Any) -> str:
+    """SHA-256 of every set's tag row (the policy's own capture is not pinned)."""
+    rows = [row for row, _capture in cache.set_states()]
+    return hashlib.sha256(json.dumps(rows).encode("ascii")).hexdigest()
+
+
+def _replacement_results(engine: str) -> Any:
+    """Counters, outcome digest and tag-row digests per policy and geometry.
+
+    The five timing policies run through a :class:`MemoryHierarchy`, cold
+    and warmed from the trace's region footprints; the warm-up is the
+    reference replay under ``reference`` and the fast engine's first-touch
+    warm state under ``fast``, so both must match one snapshot.  OPT runs
+    on a single cache with the miss-ratio profiler's next-use oracle.
+    """
+    from repro.memory.hierarchy import MemoryHierarchy
+    from repro.memory.replacement import TIMING_POLICY_NAMES
+    from repro.sim.engine.fast import warm_hierarchy
+    from repro.sim.experiments import context_hierarchy
+
+    trace, addresses = _replacement_stream()
+    results = {}
+    for policy in TIMING_POLICY_NAMES:
+        for size_kb, ways in REPLACEMENT_L1:
+            for start in ("cold", "warm"):
+                hierarchy = MemoryHierarchy(
+                    context_hierarchy(size_kb, ways).with_policy(policy)
+                )
+                if start == "warm" and engine == "reference":
+                    hierarchy.warm_up_regions(trace.regions)
+                elif start == "warm":
+                    warm_hierarchy(hierarchy, trace.regions)
+                outcomes = _drive_with_locks(
+                    addresses,
+                    hierarchy.access,
+                    hierarchy.lock_l1_line,
+                    hierarchy.unlock_l1_owner,
+                )
+                results[f"{policy}, {size_kb} KB {ways}-way L1, {start}"] = {
+                    "counters": hierarchy.stats.snapshot().counters,
+                    "outcomes": outcomes,
+                    "tag_rows": {
+                        cache.config.name: _tag_rows_digest(cache)
+                        for cache in (hierarchy.l1, hierarchy.l2)
+                    },
+                }
+    for size_kb, ways in REPLACEMENT_L1:
+        results[f"opt, {size_kb} KB {ways}-way L1, cold"] = _opt_result(
+            addresses, size_kb, ways
+        )
+    return results
+
+
+def _opt_result(addresses: List[int], size_kb: int, ways: int) -> Any:
+    """One OPT case: a single cache driven by the profiler's next-use oracle."""
+    from repro.common.config import CacheConfig
+    from repro.common.stats import StatsRegistry
+    from repro.memory.cache import SetAssociativeCache
+    from repro.memory.mrc import next_use_positions
+
+    lines = [address >> 5 for address in addresses]
+    # A line's next reference at or after now, advanced before each access.
+    upcoming: Dict[int, float] = {}
+    for position in range(len(lines) - 1, -1, -1):
+        upcoming[lines[position]] = position
+    advance = iter(next_use_positions(lines))
+    stats = StatsRegistry()
+    cache = SetAssociativeCache(
+        CacheConfig(
+            size_bytes=size_kb * 1024,
+            associativity=ways,
+            line_size=32,
+            latency=1,
+            name="L1",
+            replacement_policy="opt",
+        ),
+        stats,
+        next_use=lambda line: upcoming.get(line, float("inf")),
+    )
+
+    def access(address: int) -> int:
+        upcoming[address >> 5] = next(advance)
+        return cache.access(address)
+
+    outcomes = _drive_with_locks(addresses, access, cache.lock_line, cache.unlock_owner)
+    return {
+        "counters": stats.snapshot().counters,
+        "outcomes": outcomes,
+        "tag_rows": {"L1": _tag_rows_digest(cache)},
+    }
+
+
+#: Per case, the L1 events whose absence would leave a replacement path unpinned.
+REPLACEMENT_EVENTS = ("hits", "misses", "evictions", "lines_locked")
+
+
+def _replacement_gaps(results: Dict[str, Any]) -> List[str]:
+    """Cases of the replacement snapshot that leave some path unexercised.
+
+    Every case must hit, miss, evict and lock in its L1, and every case on
+    the small L1 must run into lock conflicts.
+    """
+    gaps = []
+    for case, result in results.items():
+        counters = result["counters"]
+        events = REPLACEMENT_EVENTS + (("lock_conflicts",) if " 2 KB " in case else ())
+        gaps += [
+            f"{case}: no L1.{event}" for event in events if not counters.get(f"L1.{event}")
+        ]
+    return gaps
 
 
 def _trace_members() -> List[Any]:
@@ -297,6 +471,25 @@ GOLDENS: Dict[str, Tuple[str, Dict[str, Any], Callable[[str], Any]]] = {
         },
         _protocol_results,
     ),
+    "replacement-policies": (
+        "replacement_policies.json",
+        {
+            "experiment": "replacement-policies",
+            "workload": "mcf_like",
+            "instructions": REPLACEMENT_INSTRUCTIONS,
+            "seed": GOLDEN_SEED,
+            "lock": f"line at address ^ 0x40 on every {LOCK_EVERY}th access",
+            "release": f"one owner every {RELEASE_EVERY} accesses, {LIVE_OWNERS} live",
+            "l1": [f"{size_kb} KB {ways}-way" for size_kb, ways in REPLACEMENT_L1],
+            "starts": ["cold", "warm"],
+            "pins": [
+                "every counter",
+                "sha256 of each access's latency and each lock's result",
+                "sha256 of every set's tag row",
+            ],
+        },
+        _replacement_results,
+    ),
     "trace-content": (
         "trace_content.json",
         {
@@ -316,6 +509,16 @@ GOLDENS: Dict[str, Tuple[str, Dict[str, Any], Callable[[str], Any]]] = {
 }
 
 
+#: name -> what a snapshot's results leave unexercised; a snapshot with gaps
+#: is never written.
+COVERAGE_GAPS: Dict[str, Callable[[Dict[str, Any]], List[str]]] = {
+    "lsq-protocol": lambda results: [
+        f"no case exercises {verdict}" for verdict in _unexercised_verdicts(results)
+    ],
+    "replacement-policies": _replacement_gaps,
+}
+
+
 def _canonical(document: Any) -> Any:
     """Normalise through a JSON round trip (tuples->lists, key order)."""
     return json.loads(json.dumps(document, sort_keys=True))
@@ -330,11 +533,9 @@ def test_golden_numerics(name: str, engine: str, regen_golden: bool) -> None:
     if regen_golden:
         if engine != "reference":
             pytest.skip("snapshots are regenerated from the reference engine only")
-        if name == "lsq-protocol":
-            unexercised = _unexercised_verdicts(document["results"])
-            assert not unexercised, (
-                f"refusing to write {filename}: no case exercises {unexercised}"
-            )
+        if name in COVERAGE_GAPS:
+            gaps = COVERAGE_GAPS[name](document["results"])
+            assert not gaps, f"refusing to write {filename}: {gaps}"
         GOLDEN_DIR.mkdir(exist_ok=True)
         path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     assert path.is_file(), (
@@ -357,6 +558,14 @@ def test_protocol_snapshot_exercises_every_verdict() -> None:
     filename = GOLDENS["lsq-protocol"][0]
     results = json.loads((GOLDEN_DIR / filename).read_text())["results"]
     assert _unexercised_verdicts(results) == []
+
+
+def test_replacement_snapshot_exercises_every_case() -> None:
+    """Every replacement case hits, misses, evicts and locks; small L1s conflict."""
+    filename = GOLDENS["replacement-policies"][0]
+    results = json.loads((GOLDEN_DIR / filename).read_text())["results"]
+    assert len(results) == 22
+    assert _replacement_gaps(results) == []
 
 
 def test_goldens_have_no_orphan_snapshots() -> None:
