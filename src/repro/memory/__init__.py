@@ -4,13 +4,14 @@ The paper's default memory system (Table 1) is a 32 KB 4-way L1 with 32-byte
 lines and 1-cycle latency, a 2 MB 4-way L2 with 10-cycle latency and a
 400-cycle main memory.  This package provides:
 
-* :mod:`repro.memory.replacement` -- the lock-aware replacement-policy
-  registry (LRU, FIFO, LFU, 2Q, ARC and the offline Belady OPT oracle).
-  Every policy supports *locked* ways (needed by the line-based Epoch
-  Resolution Table, which pins lines referenced by in-flight low-locality
-  memory instructions) and never evicts one.
-* :mod:`repro.memory.cache` -- a set-associative cache model with per-line
-  lock/unlock bookkeeping and access statistics.
+* :mod:`repro.memory.replacement` -- the replacement-policy registry (LRU,
+  FIFO, LFU, 2Q, ARC and the offline Belady OPT oracle).  A policy only
+  ranks a set's ways for eviction.
+* :mod:`repro.memory.cache` -- a set-associative cache model with access
+  statistics and per-line lock/unlock bookkeeping.  Locked lines (needed
+  by the line-based Epoch Resolution Table, which pins lines referenced by
+  in-flight low-locality memory instructions) are the cache's alone: it
+  replaces the first way in the policy's ranking whose line is not locked.
 * :mod:`repro.memory.hierarchy` -- the two-level hierarchy plus main memory,
   returning the latency of each access.
 * :mod:`repro.memory.mrc` -- the miss-ratio-curve profiler: miss rate versus
@@ -29,7 +30,7 @@ from repro.memory.replacement import (
     OptState,
     ReplacementPolicy,
     TwoQState,
-    create_policy,
+    policy_factory,
     validate_policy_name,
 )
 
@@ -45,6 +46,6 @@ __all__ = [
     "SetAssociativeCache",
     "TIMING_POLICY_NAMES",
     "TwoQState",
-    "create_policy",
+    "policy_factory",
     "validate_policy_name",
 ]

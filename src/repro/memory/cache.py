@@ -1,18 +1,21 @@
 """A set-associative cache with line locking.
 
 :class:`SetAssociativeCache` models tag state (which lines are resident), a
-pluggable lock-aware replacement policy (``CacheConfig.replacement_policy``,
-resolved through :func:`repro.memory.replacement.create_policy`) and the
-per-line *lock* bookkeeping required by the line-based Epoch Resolution
+pluggable replacement policy (``CacheConfig.replacement_policy``, resolved
+once per cache through :func:`repro.memory.replacement.policy_factory`) and
+the per-line *lock* bookkeeping required by the line-based Epoch Resolution
 Table.  It does not model data contents -- the simulator is trace driven --
 only residency, which is all the timing and filtering models need.
 
 Locking semantics (Section 3.4 of the paper):
 
 * A line may be locked by one or more *owners* (epochs).  A locked line is
-  never chosen as a replacement victim.
+  never chosen as a replacement victim.  The cache keeps the only record of
+  locks and applies the rule itself: a policy lists a set's ways in
+  eviction order, and the cache replaces the first listed way whose line is
+  not locked.
 * Locking a non-resident line first allocates it ("the data need not be
-  available").  If every way of the target set is already locked the
+  available").  If every way of the target set holds a locked line the
   allocation fails and the caller must stall or squash -- the cache reports
   this by returning False from :meth:`SetAssociativeCache.lock_line`.
 * When an epoch commits, :meth:`SetAssociativeCache.unlock_owner` clears all
@@ -32,9 +35,8 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.config import CacheConfig
-from repro.common.errors import SimulationError
 from repro.common.stats import StatsRegistry
-from repro.memory.replacement import ReplacementPolicy, check_policy, create_policy
+from repro.memory.replacement import ReplacementPolicy, TagRow, policy_factory
 
 
 class SetAssociativeCache:
@@ -62,7 +64,10 @@ class SetAssociativeCache:
         *,
         next_use: Optional[Callable[[int], float]] = None,
     ) -> None:
-        check_policy(config.replacement_policy, next_use)
+        #: Builds one set's replacement state (the policy is resolved once).
+        self._new_policy = policy_factory(
+            config.replacement_policy, config.associativity, next_use
+        )
         self.config = config
         self._stats = stats if stats is not None else StatsRegistry()
         #: When False, accesses update tag/replacement state but record no
@@ -70,7 +75,6 @@ class SetAssociativeCache:
         self.stats_enabled = True
         self._num_sets = config.num_sets
         self._line_shift = config.line_size.bit_length() - 1
-        self._next_use = next_use
         # Counter names are fixed per cache; formatting them on every access
         # would dominate the (very hot) tag-probe path.
         self._hits_name = f"{config.name}.hits"
@@ -80,7 +84,7 @@ class SetAssociativeCache:
         self._lines_locked_name = f"{config.name}.lines_locked"
         #: per-set mapping from way index to resident line number (tag+index);
         #: ``None`` until the set is first touched (see :meth:`_materialise`).
-        self._tags: List[Optional[List[Optional[int]]]] = [None] * self._num_sets
+        self._tags: List[Optional[TagRow]] = [None] * self._num_sets
         #: per-set replacement state, created together with the tag row.
         self._policies: List[Optional[ReplacementPolicy]] = [None] * self._num_sets
         #: Warm-up fills every set applies its share of when it is built:
@@ -88,7 +92,7 @@ class SetAssociativeCache:
         self._warm_runs: Tuple[Tuple[int, int], ...] = ()
         #: Whether no set exists yet and no warm-up is pending.
         self._fresh = True
-        #: line number -> set of lock owners.
+        #: line number -> set of lock owners: the only record of locks.
         self._lock_owners: Dict[int, Set[int]] = {}
 
     # ------------------------------------------------------------------
@@ -103,17 +107,9 @@ class SetAssociativeCache:
         """Return the global line number containing ``address``."""
         return address >> self._line_shift
 
-    def set_index(self, address: int) -> int:
-        """Return the set index for ``address``."""
-        return self.line_number(address) % self._num_sets
-
     # ------------------------------------------------------------------
     # Residency queries and accesses
     # ------------------------------------------------------------------
-
-    def is_resident(self, address: int) -> bool:
-        """Whether the line containing ``address`` is currently resident."""
-        return self._find_way(address) is not None
 
     def access(self, address: int) -> bool:
         """Access ``address``: update replacement state on a hit, allocate on a miss.
@@ -140,7 +136,10 @@ class SetAssociativeCache:
         return False
 
     def probe(self, address: int) -> bool:
-        """Probe the tags without updating replacement state or allocating."""
+        """Whether the line containing ``address`` is resident.
+
+        Updates no replacement state and allocates nothing.
+        """
         return self._find_way(address) is not None
 
     # ------------------------------------------------------------------
@@ -198,28 +197,24 @@ class SetAssociativeCache:
 
         Allocates the line if it is not resident.  Returns False (a lock
         conflict) without changing any state when allocation is required but
-        every way of the set is locked, True once the line is locked.
+        every way of the set holds a locked line, True once the line is
+        locked.
         """
-        line = self.line_number(address)
-        set_index = self.set_index(address)
-        way = self._find_way(address)
-        policy = self._policies[set_index]
-        if way is None:
-            if not self._allocate(line, set_index):
-                self._bump(self._lock_conflicts_name)
-                return False
-            way = self._find_way(address)
-            if way is None:
-                raise SimulationError("allocation succeeded but the line is not resident")
-        # The counter tracks *distinct* lines locked (the locked_line_count
-        # semantics): bump only on the unlocked -> locked transition, not
-        # when a resident locked line merely gains another owner.
-        first_lock = line not in self._lock_owners
-        owners = self._lock_owners.setdefault(line, set())
-        owners.add(owner)
-        policy.lock(way)
-        if first_lock:
+        line = address >> self._line_shift
+        if self._find_way(address) is None and not self._allocate(
+            line, line % self._num_sets
+        ):
+            self._bump(self._lock_conflicts_name)
+            return False
+        owners = self._lock_owners.get(line)
+        if owners is None:
+            # The counter tracks *distinct* lines locked (the
+            # locked_line_count semantics): bump only on the unlocked ->
+            # locked transition, not when a locked line gains another owner.
+            self._lock_owners[line] = {owner}
             self._bump(self._lines_locked_name)
+        else:
+            owners.add(owner)
         return True
 
     def unlock_owner(self, owner: int) -> int:
@@ -231,7 +226,6 @@ class SetAssociativeCache:
                 released += 1
                 if not owners:
                     del self._lock_owners[line]
-                    self._unlock_way_for_line(line)
         return released
 
     def is_locked(self, address: int) -> bool:
@@ -242,17 +236,11 @@ class SetAssociativeCache:
         """Number of distinct lines currently locked."""
         return len(self._lock_owners)
 
-    def set_fully_locked(self, address: int) -> bool:
-        """Whether every way of the set containing ``address`` is locked."""
-        policy = self._policies[self.set_index(address)]
-        # A set never touched holds no locks.
-        return policy is not None and policy.all_locked()
-
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
 
-    def _materialise(self, set_index: int) -> List[Optional[int]]:
+    def _materialise(self, set_index: int) -> TagRow:
         """Create a set on first touch; return its tag row."""
         row, policy = self._build_set(set_index)
         self._tags[set_index] = row
@@ -260,7 +248,7 @@ class SetAssociativeCache:
         self._fresh = False
         return row
 
-    def _build_set(self, set_index: int) -> Tuple[List[Optional[int]], ReplacementPolicy]:
+    def _build_set(self, set_index: int) -> Tuple[TagRow, ReplacementPolicy]:
         """A set's tag row and replacement state after its pending warm-up fills.
 
         Run ``(first, count)`` puts into this set the lines ``start``,
@@ -268,10 +256,8 @@ class SetAssociativeCache:
         set, so the set's fills are a few arithmetic progressions and any
         one of them is found in O(runs).
         """
-        config = self.config
-        policy = create_policy(
-            config.replacement_policy, config.associativity, next_use=self._next_use
-        )
+        policy = self._new_policy()
+        row: TagRow = [None] * self.config.associativity
         num_sets = self._num_sets
         progressions = []
         fills = 0
@@ -282,7 +268,7 @@ class SetAssociativeCache:
                 progressions.append((first + offset, share))
                 fills += share
         if not fills:
-            return [None] * config.associativity, policy
+            return row, policy
 
         def lines(lo: int, hi: int) -> List[int]:
             picked: List[int] = []
@@ -297,7 +283,8 @@ class SetAssociativeCache:
                 hi -= share
             return picked
 
-        return policy.fill_fresh(fills, lines), policy
+        policy.fill_fresh(row, fills, lines)
+        return row, policy
 
     def _find_way(self, address: int) -> Optional[int]:
         line = address >> self._line_shift
@@ -311,26 +298,22 @@ class SetAssociativeCache:
             return None
 
     def _allocate(self, line: int, set_index: int) -> bool:
-        """Allocate ``line`` in its (materialised) set; False when every way is locked."""
-        policy = self._policies[set_index]
-        victim_way = policy.victim()
-        if victim_way is None:
-            return False
-        set_tags = self._tags[set_index]
-        if set_tags[victim_way] is not None and self.stats_enabled:
-            self._stats.bump(self._evictions_name)
-            # A victim is never locked, so no lock bookkeeping to clean up.
-        set_tags[victim_way] = line
-        policy.insert(victim_way, line)
-        return True
+        """Allocate ``line`` in its (materialised) set; False when every way is locked.
 
-    def _unlock_way_for_line(self, line: int) -> None:
-        set_index = line % self._num_sets
-        set_tags = self._tags[set_index]
-        for way, resident in enumerate(set_tags):
-            if resident == line:
-                self._policies[set_index].unlock(way)
-                return
-        # The line may have been evicted only if it was never resident while
-        # locked; reaching here indicates an accounting bug.
-        raise SimulationError(f"locked line {line} is not resident in set {set_index}")
+        The model's only lock check: the victim is the first way, in the
+        policy's eviction order, whose resident line is not locked.
+        """
+        row = self._tags[set_index]
+        policy = self._policies[set_index]
+        locked = self._lock_owners
+        for way in policy.eviction_order(row):
+            evicted = row[way]
+            if evicted not in locked:
+                break
+        else:
+            return False
+        if evicted is not None and self.stats_enabled:
+            self._stats.bump(self._evictions_name)
+        row[way] = line
+        policy.insert(way, line, evicted)
+        return True

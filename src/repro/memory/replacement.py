@@ -1,4 +1,4 @@
-"""Lock-aware replacement policies for set-associative caches.
+"""Replacement policies for set-associative caches: each ranks a set's ways.
 
 The line-based Epoch Resolution Table (Section 3.4 of the paper) requires
 that every line referenced by an address-known low-locality memory
@@ -9,12 +9,15 @@ implements this by letting the replacement algorithm skip locked lines:
     replacement algorithm can take care of everything.  It will only replace
     lines for which there are no active bits in the ERT."
 
-The paper evaluates LRU only, but the locking contract is a property of the
-*replacement interface*, not of any one algorithm: any policy that never
-returns a locked way from :meth:`ReplacementPolicy.victim` satisfies it.
-This module therefore defines the abstract lock-aware contract, a registry
-of implementations (:data:`POLICY_NAMES`, :func:`create_policy`) and six
-policies:
+The paper evaluates LRU only, but that rule does not depend on the
+algorithm, so it lives once, in the cache
+(:class:`repro.memory.cache.SetAssociativeCache`), which keeps the only
+record of locks.  A policy here holds only its ordering state: it lists a
+set's ways in the order it would evict them
+(:meth:`ReplacementPolicy.eviction_order`), and the cache replaces the
+first listed way whose line is not locked.  This module defines that
+contract, a registry of implementations (:data:`POLICY_NAMES`,
+:func:`policy_factory`) and six policies:
 
 * ``lru`` -- :class:`LruState`, the paper's policy (bit-identical to the
   original single-policy implementation);
@@ -28,13 +31,13 @@ policies:
 * ``opt`` -- :class:`OptState`, Belady's offline optimum.  It needs a
   future-reuse oracle, so it is only constructible where one exists (the
   miss-ratio-curve profiler's two-pass sweep, :mod:`repro.memory.mrc`);
-  :func:`create_policy` without an oracle rejects it.
+  :func:`policy_factory` without an oracle rejects it.
 
-Every policy shares one locking substrate (:class:`ReplacementPolicy`):
-``lock``/``unlock`` toggle per-way lock bits and every ``victim``
-implementation skips locked ways symmetrically, returning ``None`` when the
-whole set is locked (the caller falls back to the paper's stall / squash
-handling).  ``capture`` snapshots the policy's decision state.
+The cache's tag row is the only record of which line each way holds: it
+hands the row to :meth:`~ReplacementPolicy.eviction_order` (OPT ranks by
+the resident lines' next uses) and the replaced line to
+:meth:`~ReplacementPolicy.insert` (ARC remembers it in a ghost list).
+``capture`` snapshots a policy's ordering state.
 
 ``fill_fresh`` puts a fresh, lock-free set straight into the state a run of
 misses on distinct lines leaves it in -- the shape of the region warm-up --
@@ -46,13 +49,17 @@ depends on; the base class replays the fills, which is exact for any policy.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError
 
 #: ``lines(lo, hi)`` -> the lines of a set's fills ``lo`` .. ``hi - 1``,
 #: oldest first (the argument :meth:`ReplacementPolicy.fill_fresh` reads).
 FillLines = Callable[[int, int], List[int]]
+
+#: A set's tag row: way -> resident line number, ``None`` for an empty way.
+TagRow = List[Optional[int]]
 
 #: Every registered policy name, in registry order.
 POLICY_NAMES: Tuple[str, ...] = ("lru", "fifo", "lfu", "2q", "arc", "opt")
@@ -65,168 +72,103 @@ TIMING_POLICY_NAMES: Tuple[str, ...] = ("lru", "fifo", "lfu", "2q", "arc")
 
 
 class ReplacementPolicy:
-    """Lock-aware replacement state of one cache set.
+    """Replacement state of one cache set: an eviction ranking of its ways.
 
-    Way indices run from 0 to ``associativity - 1``.  Subclasses implement
-    the decision state (:meth:`touch`, :meth:`insert`, :meth:`victim`,
-    :meth:`capture`); the locking substrate is shared so the "never evict a
-    locked way" contract cannot drift per policy.
+    Way indices run from 0 to the set's associativity - 1.  Subclasses keep
+    only the state that orders the ways (:meth:`touch`, :meth:`insert`,
+    :meth:`eviction_order`, :meth:`capture`); locks and resident lines are
+    the cache's.
     """
 
-    __slots__ = ("_locked",)
-
-    #: Registry name of the policy (set per subclass).
-    name = "abstract"
-
-    def __init__(self, associativity: int) -> None:
-        if associativity <= 0:
-            raise ConfigurationError(f"associativity must be positive, got {associativity}")
-        self._locked: List[bool] = [False] * associativity
-
-    @property
-    def associativity(self) -> int:
-        """Number of ways tracked by this state."""
-        return len(self._locked)
-
-    # ------------------------------------------------------------------
-    # Decision state (per policy)
-    # ------------------------------------------------------------------
+    __slots__ = ()
 
     def touch(self, way: int) -> None:
         """Record a hit on ``way`` (a reuse event)."""
         raise NotImplementedError
 
-    def insert(self, way: int, line: Optional[int] = None) -> None:
-        """Record a fill of ``way`` with ``line`` (a miss-allocation event).
+    def insert(self, way: int, line: int, evicted: Optional[int]) -> None:
+        """Record a fill of ``way`` with ``line``, replacing ``evicted``.
 
-        ``line`` is the global line number being installed; policies that
-        key history by line identity (ARC's ghost lists, OPT's oracle
-        lookups) need it, the others ignore it.
+        ``evicted`` is the line the way held, ``None`` if it was empty.
+        Policies that key history by line identity (ARC's ghost lists) read
+        the two lines; the others ignore them.
         """
         raise NotImplementedError
 
-    def victim(self) -> Optional[int]:
-        """Return the way to evict, never a locked one.
+    def eviction_order(self, row: Sequence[Optional[int]]) -> Iterable[int]:
+        """Every way of the set, in the order this policy would evict them.
 
-        Returns ``None`` when every way is locked, which callers must treat
-        as a replacement conflict (the paper stalls insertion or squashes).
+        ``row`` is the set's tag row.  The cache replaces the first listed
+        way whose line is not locked, then calls :meth:`insert`; the result
+        is not read after that.
         """
         raise NotImplementedError
 
     def capture(self) -> Any:
-        """Snapshot the decision state (lock bits are warm-up-free)."""
+        """Snapshot the ordering state (the tag row is the cache's)."""
         raise NotImplementedError
 
-    def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
-        """Apply ``fills`` misses on distinct lines to this fresh, lock-free set.
+    def fill_fresh(self, row: TagRow, fills: int, lines: FillLines) -> None:
+        """Apply ``fills`` misses on distinct lines to this fresh set.
 
-        Leaves the decision state exactly as ``fills`` rounds of
-        ``victim()`` + ``insert()`` would, and returns the resulting tag row
-        (way -> resident line, ``None`` for a way never filled).  ``lines``
+        ``row`` is the set's empty tag row; it is filled in place.  Leaves
+        the row and the ordering state exactly as ``fills`` rounds of
+        replacing the first way of :meth:`eviction_order` would.  ``lines``
         yields the filled lines by index (:data:`FillLines`).  This default
         replays every fill; the online policies override it with a closed
         form that costs O(associativity) whatever ``fills`` is.
         """
-        row: List[Optional[int]] = [None] * len(self._locked)
         for line in lines(0, fills):
-            way = self.victim()
+            way = next(iter(self.eviction_order(row)))
+            self.insert(way, line, row[way])
             row[way] = line
-            self.insert(way, line)
-        return row
-
-    # ------------------------------------------------------------------
-    # Locking substrate (shared)
-    # ------------------------------------------------------------------
-
-    def lock(self, way: int) -> None:
-        """Protect ``way`` against replacement."""
-        self._validate_way(way)
-        self._locked[way] = True
-
-    def unlock(self, way: int) -> None:
-        """Allow ``way`` to be replaced again."""
-        self._validate_way(way)
-        self._locked[way] = False
-
-    def is_locked(self, way: int) -> bool:
-        """Whether ``way`` is currently locked."""
-        self._validate_way(way)
-        return self._locked[way]
-
-    def all_locked(self) -> bool:
-        """Whether every way of the set is locked (no victim available)."""
-        return all(self._locked)
-
-    def _validate_way(self, way: int) -> None:
-        if not 0 <= way < len(self._locked):
-            raise SimulationError(
-                f"way {way} out of range for a {len(self._locked)}-way set"
-            )
 
 
 class LruState(ReplacementPolicy):
     """Recency ordering of the ways of a single cache set (the paper's policy).
 
-    The state tracks, for every way, its position in the recency stack
-    (position 0 = most recently used); the victim is the least recently
-    used unlocked way.
+    The state is the recency stack (position 0 = most recently used); ways
+    are evicted from the bottom of the stack up.
     """
 
     __slots__ = ("_order",)
 
-    name = "lru"
-
     def __init__(self, associativity: int) -> None:
-        super().__init__(associativity)
         #: recency stack: _order[0] is the most recently used way index.
         self._order: List[int] = list(range(associativity))
 
     def touch(self, way: int) -> None:
-        """Mark ``way`` as the most recently used.
-
-        This is the hottest method of the cache model, so the bounds check
-        rides on the list search itself (a zero-cost ``try`` in the common
-        case) instead of a separate validation pass per access.
-        """
+        """Mark ``way`` as the most recently used."""
         order = self._order
-        try:
-            order.remove(way)
-        except ValueError:
-            self._validate_way(way)
-            raise
+        order.remove(way)
         order.insert(0, way)
 
-    def insert(self, way: int, line: Optional[int] = None) -> None:
+    def insert(self, way: int, line: int, evicted: Optional[int]) -> None:
         """A fill is a recency event: identical to :meth:`touch` for LRU."""
         self.touch(way)
 
-    def victim(self) -> Optional[int]:
-        for way in reversed(self._order):
-            if not self._locked[way]:
-                return way
-        return None
+    def eviction_order(self, row: Sequence[Optional[int]]) -> Iterable[int]:
+        return reversed(self._order)
 
     def capture(self) -> Tuple[int, ...]:
         return tuple(self._order)
 
-    def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
+    def fill_fresh(self, row: TagRow, fills: int, lines: FillLines) -> None:
         # Victims come off the bottom of the stack, so fill j lands in way
         # (-1-j) mod a.  The stack is then the ways in order from (-n) mod a,
         # holding the newest fills and then the never-filled ways; the tag
         # row is that list rotated back into way order.
-        assoc = len(self._locked)
+        assoc = len(row)
         kept = min(fills, assoc)
-        stacked: List[Optional[int]] = lines(fills - kept, fills)[::-1]
+        stacked: TagRow = lines(fills - kept, fills)[::-1]
         stacked += [None] * (assoc - kept)
         start = -fills % assoc
         self._order = [*range(start, assoc), *range(start)]
         split = fills % assoc
-        return stacked[split:] + stacked[:split]
+        row[:] = stacked[split:] + stacked[:split]
 
 
-def _round_robin_fill(
-    assoc: int, fills: int, lines: FillLines
-) -> Tuple[List[Optional[int]], List[int]]:
+def _round_robin_fill(assoc: int, fills: int, lines: FillLines) -> Tuple[TagRow, List[int]]:
     """Tag row and oldest-first way order after fill j landed in way j mod a.
 
     The fill pattern of every policy whose fresh victim is the head of an
@@ -235,7 +177,7 @@ def _round_robin_fill(
     kept = min(fills, assoc)
     # In queue order: the never-filled ways first, then the last fills; the
     # tag row is that list rotated back into way order.
-    queued: List[Optional[int]] = [None] * (assoc - kept)
+    queued: TagRow = [None] * (assoc - kept)
     queued += lines(fills - kept, fills)
     start = fills % assoc
     split = -fills % assoc
@@ -247,142 +189,104 @@ class FifoState(ReplacementPolicy):
 
     __slots__ = ("_queue",)
 
-    name = "fifo"
-
     def __init__(self, associativity: int) -> None:
-        super().__init__(associativity)
         #: fill queue: _queue[0] is the oldest (next victim) way index.
         self._queue: List[int] = list(range(associativity))
 
     def touch(self, way: int) -> None:
-        self._validate_way(way)  # hits do not reorder a FIFO
+        """Hits do not reorder a FIFO."""
 
-    def insert(self, way: int, line: Optional[int] = None) -> None:
+    def insert(self, way: int, line: int, evicted: Optional[int]) -> None:
         queue = self._queue
-        try:
-            queue.remove(way)
-        except ValueError:
-            self._validate_way(way)
-            raise
+        queue.remove(way)
         queue.append(way)
 
-    def victim(self) -> Optional[int]:
-        for way in self._queue:
-            if not self._locked[way]:
-                return way
-        return None
+    def eviction_order(self, row: Sequence[Optional[int]]) -> Iterable[int]:
+        return self._queue
 
     def capture(self) -> Tuple[int, ...]:
         return tuple(self._queue)
 
-    def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
-        row, self._queue = _round_robin_fill(len(self._locked), fills, lines)
-        return row
+    def fill_fresh(self, row: TagRow, fills: int, lines: FillLines) -> None:
+        row[:], self._queue = _round_robin_fill(len(row), fills, lines)
 
 
 class LfuState(ReplacementPolicy):
     """Least frequently used, lowest-way tie-break.
 
     Frequency counts reset on fill (a new line does not inherit its way's
-    history).  Ties pick the lowest way index so the policy is a pure
+    history).  Ties rank the lowest way index first so the policy is a pure
     function of the access sequence.
     """
 
     __slots__ = ("_counts",)
 
-    name = "lfu"
-
     def __init__(self, associativity: int) -> None:
-        super().__init__(associativity)
         self._counts: List[int] = [0] * associativity
 
     def touch(self, way: int) -> None:
-        self._validate_way(way)
         self._counts[way] += 1
 
-    def insert(self, way: int, line: Optional[int] = None) -> None:
-        self._validate_way(way)
+    def insert(self, way: int, line: int, evicted: Optional[int]) -> None:
         self._counts[way] = 1
 
-    def victim(self) -> Optional[int]:
-        best: Optional[int] = None
-        best_count = 0
-        for way, count in enumerate(self._counts):
-            if self._locked[way]:
-                continue
-            if best is None or count < best_count:
-                best = way
-                best_count = count
-        return best
+    def eviction_order(self, row: Sequence[Optional[int]]) -> Iterable[int]:
+        counts = self._counts
+        return sorted(range(len(counts)), key=counts.__getitem__)
 
     def capture(self) -> Tuple[int, ...]:
         return tuple(self._counts)
 
-    def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
+    def fill_fresh(self, row: TagRow, fills: int, lines: FillLines) -> None:
         # The lowest-way tie-break fills ways 0..a-1 in turn; once every
         # count is 1, each further fill replaces way 0.
-        assoc = len(self._locked)
+        assoc = len(row)
         kept = min(fills, assoc)
-        row: List[Optional[int]] = [*lines(0, kept), *[None] * (assoc - kept)]
+        row[:kept] = lines(0, kept)
         if fills > assoc:
             row[0] = lines(fills - 1, fills)[0]
         self._counts = [1] * kept + [0] * (assoc - kept)
-        return row
 
 
 class TwoQState(ReplacementPolicy):
     """Simplified 2Q: a probationary FIFO (A1) and a protected LRU list (Am).
 
     Fills enter A1; a hit promotes the way into Am (or refreshes its Am
-    recency).  Victims drain A1 in FIFO order first -- lines touched only
-    once never displace the protected working set -- then fall back to the
-    LRU end of Am.
+    recency).  Eviction drains A1 in FIFO order first -- lines touched only
+    once never displace the protected working set -- then the LRU end of Am.
     """
 
     __slots__ = ("_a1", "_am")
 
-    name = "2q"
-
     def __init__(self, associativity: int) -> None:
-        super().__init__(associativity)
         #: probationary FIFO: _a1[0] is the oldest (first victim) way.
         self._a1: List[int] = list(range(associativity))
         #: protected list: _am[0] is the most recently used way.
         self._am: List[int] = []
 
     def touch(self, way: int) -> None:
-        self._validate_way(way)
         if way in self._a1:
             self._a1.remove(way)
-            self._am.insert(0, way)
         else:
             self._am.remove(way)
-            self._am.insert(0, way)
+        self._am.insert(0, way)
 
-    def insert(self, way: int, line: Optional[int] = None) -> None:
-        self._validate_way(way)
+    def insert(self, way: int, line: int, evicted: Optional[int]) -> None:
         if way in self._a1:
             self._a1.remove(way)
         else:
             self._am.remove(way)
         self._a1.append(way)
 
-    def victim(self) -> Optional[int]:
-        for way in self._a1:
-            if not self._locked[way]:
-                return way
-        for way in reversed(self._am):
-            if not self._locked[way]:
-                return way
-        return None
+    def eviction_order(self, row: Sequence[Optional[int]]) -> Iterable[int]:
+        return self._a1 + self._am[::-1]
 
     def capture(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         return (tuple(self._a1), tuple(self._am))
 
-    def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
+    def fill_fresh(self, row: TagRow, fills: int, lines: FillLines) -> None:
         # Misses never promote, so Am stays empty and A1 behaves as a FIFO.
-        row, self._a1 = _round_robin_fill(len(self._locked), fills, lines)
-        return row
+        row[:], self._a1 = _round_robin_fill(len(row), fills, lines)
 
 
 class ArcState(ReplacementPolicy):
@@ -396,12 +300,9 @@ class ArcState(ReplacementPolicy):
     recency-favouring and frequency-favouring behaviour.
     """
 
-    __slots__ = ("_t1", "_t2", "_b1", "_b2", "_p", "_lines")
-
-    name = "arc"
+    __slots__ = ("_t1", "_t2", "_b1", "_b2", "_p")
 
     def __init__(self, associativity: int) -> None:
-        super().__init__(associativity)
         #: live lists: index 0 is the LRU end, the last element the MRU end.
         self._t1: List[int] = list(range(associativity))
         self._t2: List[int] = []
@@ -410,20 +311,16 @@ class ArcState(ReplacementPolicy):
         self._b2: List[int] = []
         #: target length of T1 (integer for exact reproducibility).
         self._p = 0
-        #: line currently installed in each way (None = never filled).
-        self._lines: List[Optional[int]] = [None] * associativity
 
     def touch(self, way: int) -> None:
-        self._validate_way(way)
         if way in self._t1:
             self._t1.remove(way)
         else:
             self._t2.remove(way)
         self._t2.append(way)
 
-    def insert(self, way: int, line: Optional[int] = None) -> None:
-        self._validate_way(way)
-        evicted = self._lines[way]
+    def insert(self, way: int, line: int, evicted: Optional[int]) -> None:
+        assoc = len(self._t1) + len(self._t2)
         if way in self._t1:
             self._t1.remove(way)
             ghost = self._b1
@@ -432,47 +329,33 @@ class ArcState(ReplacementPolicy):
             ghost = self._b2
         if evicted is not None:
             ghost.append(evicted)
-            if len(ghost) > self.associativity:
+            if len(ghost) > assoc:
                 ghost.pop(0)
-        if line is not None and line in self._b1:
-            self._p = min(self.associativity, self._p + max(1, len(self._b2) // max(1, len(self._b1))))
+        if line in self._b1:
+            self._p = min(assoc, self._p + max(1, len(self._b2) // max(1, len(self._b1))))
             self._b1.remove(line)
             self._t2.append(way)
-        elif line is not None and line in self._b2:
+        elif line in self._b2:
             self._p = max(0, self._p - max(1, len(self._b1) // max(1, len(self._b2))))
             self._b2.remove(line)
             self._t2.append(way)
         else:
             self._t1.append(way)
-        self._lines[way] = line
 
-    def victim(self) -> Optional[int]:
-        prefer_t1 = len(self._t1) > self._p or not self._t2
-        lists = (self._t1, self._t2) if prefer_t1 else (self._t2, self._t1)
-        for ways in lists:
-            for way in ways:
-                if not self._locked[way]:
-                    return way
-        return None
+    def eviction_order(self, row: Sequence[Optional[int]]) -> Iterable[int]:
+        if len(self._t1) > self._p or not self._t2:
+            return self._t1 + self._t2
+        return self._t2 + self._t1
 
     def capture(self) -> Tuple[Any, ...]:
-        return (
-            tuple(self._t1),
-            tuple(self._t2),
-            tuple(self._b1),
-            tuple(self._b2),
-            self._p,
-            tuple(self._lines),
-        )
+        return (tuple(self._t1), tuple(self._t2), tuple(self._b1), tuple(self._b2), self._p)
 
-    def fill_fresh(self, fills: int, lines: FillLines) -> List[Optional[int]]:
+    def fill_fresh(self, row: TagRow, fills: int, lines: FillLines) -> None:
         # No line repeats, so nothing reaches T2, B2 or p: T1 is a FIFO
         # and B1 keeps the last a lines it evicted, fills [n-2a, n-a).
-        assoc = len(self._locked)
-        row, self._t1 = _round_robin_fill(assoc, fills, lines)
+        assoc = len(row)
+        row[:], self._t1 = _round_robin_fill(assoc, fills, lines)
         self._b1 = lines(max(0, fills - 2 * assoc), max(0, fills - assoc))
-        self._lines = list(row)
-        return row
 
 
 class OptState(ReplacementPolicy):
@@ -483,48 +366,37 @@ class OptState(ReplacementPolicy):
     when the line is never referenced again).  The miss-ratio-curve
     profiler builds the oracle in a first pass over the recorded columnar
     trace; an online timing simulation has no such pass, so
-    :func:`create_policy` refuses ``"opt"`` without an oracle.
+    :func:`policy_factory` refuses ``"opt"`` without an oracle.  Ties rank
+    the lowest way first; an empty way ranks as never used again.
     """
 
-    __slots__ = ("_next_use", "_lines")
+    __slots__ = ("_next_use",)
 
-    name = "opt"
-
-    def __init__(self, associativity: int, next_use: Callable[[int], float]) -> None:
-        super().__init__(associativity)
+    def __init__(self, next_use: Callable[[int], float]) -> None:
         self._next_use = next_use
-        self._lines: List[Optional[int]] = [None] * associativity
 
     def touch(self, way: int) -> None:
-        self._validate_way(way)  # the oracle already knows the future
+        """The oracle already knows the future."""
 
-    def insert(self, way: int, line: Optional[int] = None) -> None:
-        self._validate_way(way)
-        self._lines[way] = line
+    def insert(self, way: int, line: int, evicted: Optional[int]) -> None:
+        """Resident lines are the cache's tag row."""
 
-    def victim(self) -> Optional[int]:
-        best: Optional[int] = None
-        best_distance = -1.0
-        for way, line in enumerate(self._lines):
-            if self._locked[way]:
-                continue
-            distance = float("inf") if line is None else self._next_use(line)
-            if distance > best_distance:
-                best = way
-                best_distance = distance
-        return best
+    def eviction_order(self, row: Sequence[Optional[int]]) -> Iterable[int]:
+        next_use = self._next_use
+        distances = [float("inf") if line is None else next_use(line) for line in row]
+        return sorted(range(len(row)), key=distances.__getitem__, reverse=True)
 
-    def capture(self) -> Tuple[Optional[int], ...]:
-        return tuple(self._lines)
+    def capture(self) -> Tuple[()]:
+        return ()
 
 
+#: The online policies, each built from the set's associativity alone.
 _POLICY_CLASSES: Dict[str, Type[ReplacementPolicy]] = {
     "lru": LruState,
     "fifo": FifoState,
     "lfu": LfuState,
     "2q": TwoQState,
     "arc": ArcState,
-    "opt": OptState,
 }
 
 
@@ -542,29 +414,24 @@ def validate_policy_name(name: str, *, timing_only: bool = False) -> str:
     return name
 
 
-def check_policy(name: str, next_use: Optional[Callable[[int], float]] = None) -> None:
-    """Reject a policy :func:`create_policy` could not build with ``next_use``."""
+def policy_factory(
+    name: str,
+    associativity: int,
+    next_use: Optional[Callable[[int], float]] = None,
+) -> Callable[[], ReplacementPolicy]:
+    """Validate the named policy once; return a builder of one set's state.
+
+    ``next_use`` is the future-reuse oracle ``opt`` requires; passing it
+    for any other policy is harmless (they ignore the future).
+    """
     validate_policy_name(name)
-    if name == "opt" and next_use is None:
+    if name != "opt":
+        return partial(_POLICY_CLASSES[name], associativity)
+    if next_use is None:
         raise ConfigurationError(
             "replacement policy 'opt' needs a future-reuse oracle; it is "
             "only available offline (the miss-ratio-curve profiler), not "
             "in online timing simulations"
         )
+    return partial(OptState, next_use)
 
-
-def create_policy(
-    name: str,
-    associativity: int,
-    *,
-    next_use: Optional[Callable[[int], float]] = None,
-) -> ReplacementPolicy:
-    """Build one set's replacement state for the named policy.
-
-    ``next_use`` is the future-reuse oracle ``opt`` requires; passing it
-    for any other policy is harmless (they ignore the future).
-    """
-    check_policy(name, next_use)
-    if name == "opt":
-        return OptState(associativity, next_use)
-    return _POLICY_CLASSES[name](associativity)

@@ -27,7 +27,7 @@ from repro.exp.request import JobRequest
 from repro.exp.runner import SimJob, job_key
 from repro.isa.columns import CODE_LOAD, CODE_STORE
 from repro.isa.trace import RegionFootprint
-from repro.memory import cache as cache_module
+from repro.memory.cache import SetAssociativeCache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.replacement import TIMING_POLICY_NAMES
 from repro.sim.configs import PAPER_CONFIGS, fmc_hash, machine_by_name, ooo_64
@@ -227,16 +227,16 @@ def test_lazily_warmed_sets_track_the_replay_through_a_run() -> None:
 
 
 def test_sets_are_built_on_first_touch(monkeypatch) -> None:
-    """Building a hierarchy creates no replacement state, and a short fast
-    run creates it only for the few sets it touches."""
+    """Building a hierarchy builds no set, and a short fast run builds only
+    the few sets it touches."""
     created = []
-    real_create_policy = cache_module.create_policy
+    real_materialise = SetAssociativeCache._materialise
 
-    def counting_create_policy(*args, **kwargs):
-        created.append(args)
-        return real_create_policy(*args, **kwargs)
+    def counting_materialise(cache, set_index):
+        created.append((cache.config.name, set_index))
+        return real_materialise(cache, set_index)
 
-    monkeypatch.setattr(cache_module, "create_policy", counting_create_policy)
+    monkeypatch.setattr(SetAssociativeCache, "_materialise", counting_materialise)
     MemoryHierarchy()
     assert created == []
     for member in (list(spec_int_suite())[0], list(spec_fp_suite())[0]):

@@ -14,7 +14,6 @@ from repro.core.records import Locality, StoreRecord
 from repro.core.svw import StoreVulnerabilityWindow
 from repro.isa.instruction import load, store
 from repro.memory.cache import SetAssociativeCache
-from repro.memory.replacement import LruState
 from repro.obs.metrics import BUCKETS_PER_OCTAVE, LogHistogram, MetricsRegistry, bucket_index
 from repro.service.shards import merge_metrics_documents
 from repro.uarch.resources import BandwidthAllocator, OccupancyWindow
@@ -49,14 +48,20 @@ def test_address_hash_equal_addresses_always_collide(a, b):
         assert a != b
 
 
-@given(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=100))
-def test_lru_victim_is_always_unlocked_or_none(touch_sequence):
-    lru = LruState(4)
-    for way in touch_sequence:
-        lru.touch(way)
-    lru.lock(0)
-    victim = lru.victim()
-    assert victim is None or not lru.is_locked(victim)
+@given(
+    st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=100),
+    st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=5),
+)
+def test_lru_victim_is_always_unlocked_or_none(touch_sequence, locked_lines):
+    cache = SetAssociativeCache(
+        CacheConfig(size_bytes=4 * 32, associativity=4, line_size=32, latency=1, name="t")
+    )
+    locked = [line for line in locked_lines if cache.lock_line(line * 32, owner=0)]
+    for line in touch_sequence:
+        cache.access(line * 32)
+    # A lock fails only once four locked lines fill the single set.
+    assert len(set(locked)) == min(4, len(set(locked_lines)))
+    assert all(cache.probe(line * 32) for line in locked)
 
 
 @given(st.lists(addresses, min_size=1, max_size=300))
@@ -68,7 +73,7 @@ def test_cache_hit_after_access_unless_evicted(address_list):
     for address in address_list:
         cache.access(address)
     # The most recently accessed address is always resident.
-    assert cache.is_resident(address_list[-1])
+    assert cache.probe(address_list[-1])
 
 
 @given(st.lists(addresses, min_size=1, max_size=200), st.integers(min_value=4, max_value=12))

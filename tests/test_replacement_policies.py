@@ -2,13 +2,13 @@
 
 Three layers of guarantees:
 
-* **Registry contract** -- every policy respects locks (``victim()`` never
-  names a locked way, an all-locked set yields ``None``), validates way
-  indices, and reaches the same state through its closed-form
-  ``fill_fresh`` as through replayed fills.
-  The lock property is checked under *randomised* access/lock
-  interleavings shared across all six implementations, OPT included
-  (driven by a deterministic fake oracle).
+* **Registry contract** -- a cache under every policy keeps its locked
+  lines resident, and a lock fails exactly when every way of the set holds
+  a locked line; every policy reaches the same state through its
+  closed-form ``fill_fresh`` as through replayed fills.
+  The lock property is checked under *randomised* access/lock/unlock
+  interleavings on a tiny cache, the same harness for all six policies,
+  OPT included (driven by a deterministic fake oracle).
 * **Cache integration** -- the policy is part of cache identity: it flows
   into the job content address, the request coalescing key, and the CLI
   campaign; ``lines_locked`` counts first-lock transitions only.
@@ -23,7 +23,7 @@ import random
 import pytest
 
 from repro.common.config import CacheConfig
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError
 from repro.common.stats import StatsRegistry
 from repro.exp.request import JobRequest
 from repro.exp.runner import SimJob, job_key
@@ -32,22 +32,29 @@ from repro.memory.replacement import (
     POLICY_NAMES,
     TIMING_POLICY_NAMES,
     ReplacementPolicy,
-    create_policy,
+    policy_factory,
     validate_policy_name,
 )
 from repro.sim.configs import fmc_hash
 from repro.workloads.suite import quick_fp_suite
 
 ASSOCIATIVITY = 4
+LINE = 32
 
 
-def _make_policy(name: str, associativity: int = ASSOCIATIVITY):
-    """Instantiate any registry policy; OPT gets a deterministic fake oracle."""
-    if name == "opt":
-        # Reuse distance proportional to the line number: line 0 is reused
-        # soonest, high lines latest -- deterministic and discriminating.
-        return create_policy(name, associativity, next_use=lambda line: float(line))
-    return create_policy(name, associativity)
+def _policy_cache(name: str, sets: int = 1) -> SetAssociativeCache:
+    """A tiny cache under any registry policy; OPT gets a deterministic fake oracle."""
+    config = CacheConfig(
+        size_bytes=ASSOCIATIVITY * sets * LINE,
+        associativity=ASSOCIATIVITY,
+        line_size=LINE,
+        latency=1,
+        name="tiny",
+        replacement_policy=name,
+    )
+    # Reuse distance proportional to the line number: line 0 is reused
+    # soonest, high lines latest -- deterministic and discriminating.
+    return SetAssociativeCache(config, next_use=lambda line: float(line))
 
 
 # ----------------------------------------------------------------------
@@ -65,70 +72,76 @@ def test_registry_names_and_validation() -> None:
     with pytest.raises(ConfigurationError):
         validate_policy_name("opt", timing_only=True)
     with pytest.raises(ConfigurationError):
-        create_policy("opt", ASSOCIATIVITY)  # no oracle -> offline only
+        policy_factory("opt", ASSOCIATIVITY)  # no oracle -> offline only
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
 def test_victim_never_locked_under_random_interleavings(name: str) -> None:
-    """Shared lock-safety property, same harness for every implementation."""
-    rng = random.Random(hash(name) & 0xFFFF)
-    policy = _make_policy(name)
-    locked = set()
-    for step in range(600):
+    """Shared lock-safety property, same harness for every policy.
+
+    Random accesses, locks and owner releases on a two-set cache: every
+    locked line stays resident, and ``lock_line`` fails exactly when every
+    way of the target set holds a locked line.
+    """
+    rng = random.Random(name)
+    sets = 2
+    cache = _policy_cache(name, sets)
+    owners: dict = {}  # line -> owners holding a lock on it
+    for step in range(1_500):
         action = rng.random()
-        way = rng.randrange(ASSOCIATIVITY)
-        if action < 0.4:
-            policy.touch(way)
-        elif action < 0.6:
-            policy.insert(way, line=rng.randrange(64))
+        line = rng.randrange(6 * sets * ASSOCIATIVITY)
+        if action < 0.5:
+            cache.access(line * LINE)
         elif action < 0.8:
-            policy.lock(way)
-            locked.add(way)
-        elif locked:
-            unlock = rng.choice(sorted(locked))
-            policy.unlock(unlock)
-            locked.discard(unlock)
-        victim = policy.victim()
-        if len(locked) == ASSOCIATIVITY:
-            assert victim is None
+            owner = rng.randrange(4)
+            same_set = [held for held in owners if held % sets == line % sets]
+            full = line not in owners and len(same_set) == ASSOCIATIVITY
+            assert cache.lock_line(line * LINE, owner) is not full, (name, step)
+            if not full:
+                owners.setdefault(line, set()).add(owner)
         else:
-            assert victim is not None
-            assert victim not in locked, f"{name} evicted locked way at step {step}"
+            owner = rng.randrange(4)
+            cache.unlock_owner(owner)
+            for held in list(owners):
+                owners[held].discard(owner)
+                if not owners[held]:
+                    del owners[held]
+        assert cache.locked_line_count() == len(owners)
+        for held in owners:
+            assert cache.probe(held * LINE), f"{name} evicted locked line at step {step}"
 
 
 @pytest.mark.parametrize("name", POLICY_NAMES)
 def test_all_locked_set_yields_no_victim(name: str) -> None:
-    policy = _make_policy(name)
-    for way in range(ASSOCIATIVITY):
-        policy.lock(way)
-    assert policy.victim() is None
-    policy.unlock(2)
-    assert policy.victim() == 2
+    cache = _policy_cache(name)
+    for owner in range(ASSOCIATIVITY):
+        assert cache.lock_line(owner * LINE, owner)
+    assert cache.lock_line(9 * LINE, owner=9) is False
+    assert cache.access(9 * LINE) is False
+    assert not cache.probe(9 * LINE)
+    cache.unlock_owner(2)
+    assert cache.lock_line(9 * LINE, owner=9)
+    resident = [cache.probe(line * LINE) for line in range(ASSOCIATIVITY)]
+    assert resident == [True, True, False, True]
 
 
 @pytest.mark.parametrize("name", TIMING_POLICY_NAMES)
 def test_fill_fresh_closed_form_matches_the_replay(name: str) -> None:
-    """Each policy's closed form equals victim()/insert() replayed fill by fill."""
+    """Each policy's closed form equals the base class's fill-by-fill replay."""
 
     def lines(lo: int, hi: int):
         return [1000 + 37 * fill for fill in range(lo, hi)]
 
     for associativity in range(1, 9):
+        new_policy = policy_factory(name, associativity)
         for fills in range(4 * associativity + 2):
-            closed = create_policy(name, associativity)
-            replayed = create_policy(name, associativity)
-            row = closed.fill_fresh(fills, lines)
-            assert row == ReplacementPolicy.fill_fresh(replayed, fills, lines)
+            closed, replayed = new_policy(), new_policy()
+            closed_row = [None] * associativity
+            replayed_row = [None] * associativity
+            closed.fill_fresh(closed_row, fills, lines)
+            ReplacementPolicy.fill_fresh(replayed, replayed_row, fills, lines)
+            assert closed_row == replayed_row, (associativity, fills)
             assert closed.capture() == replayed.capture(), (associativity, fills)
-
-
-@pytest.mark.parametrize("name", POLICY_NAMES)
-def test_way_validation(name: str) -> None:
-    policy = _make_policy(name)
-    with pytest.raises(SimulationError):
-        policy.touch(ASSOCIATIVITY)
-    with pytest.raises(SimulationError):
-        policy.lock(-1)
 
 
 # ----------------------------------------------------------------------
