@@ -19,6 +19,7 @@ for up front.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -49,12 +50,22 @@ class RegionFootprint:
     line_hint: int = 32
 
     def __post_init__(self) -> None:
+        # Footprints also arrive from untrusted trace headers, where any JSON
+        # value can stand in a field.
+        for field_name in ("base_address", "size_bytes", "line_hint"):
+            value = getattr(self, field_name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TraceError(
+                    f"region {self.name!r}: {field_name} must be an integer, got {value!r}"
+                )
         if self.size_bytes <= 0:
             raise TraceError(f"region {self.name!r}: size must be positive")
         if self.base_address < 0:
             raise TraceError(f"region {self.name!r}: base address must be non-negative")
-        if self.weight < 0:
-            raise TraceError(f"region {self.name!r}: weight must be non-negative")
+        if not 0.0 <= self.weight < math.inf:
+            raise TraceError(
+                f"region {self.name!r}: weight must be finite and non-negative, got {self.weight}"
+            )
 
     @property
     def access_density(self) -> float:

@@ -368,6 +368,48 @@ def test_record_corruption_rejected(canned_trace_file: Path) -> None:
         trace_from_bytes(bytes(data))
 
 
+def _with_region_field(blob: bytes, field: str, value) -> bytes:
+    """``blob`` with one field of its first region footprint rewritten."""
+    import json
+
+    _magic, version, header_length = _HEADER_PREFIX.unpack_from(blob, 0)
+    start = _HEADER_PREFIX.size
+    document = json.loads(blob[start : start + header_length])
+    region = document["regions"][0]
+    region[field] = value(region[field])
+    header_json = json.dumps(document).encode("utf-8")
+    return b"".join(
+        (
+            _HEADER_PREFIX.pack(TRACE_FORMAT_MAGIC, version, len(header_json)),
+            header_json,
+            blob[start + header_length :],
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("weight", lambda _weight: float("nan")),
+        ("weight", lambda _weight: float("inf")),
+        ("size_bytes", float),
+        ("base_address", float),
+        ("line_hint", lambda _hint: True),
+    ],
+    ids=["nan-weight", "infinite-weight", "float-size", "float-base", "bool-line-hint"],
+)
+def test_malformed_region_footprints_are_rejected(
+    canned_trace_file: Path, field: str, value
+) -> None:
+    """Region footprints come from the untrusted header and feed the warm-up."""
+    blob = _with_region_field(canned_trace_file.read_bytes(), field, value)
+    with pytest.raises(TraceError, match=f"malformed trace header: region .*{field}"):
+        trace_from_bytes(blob)
+    canned_trace_file.write_bytes(blob)
+    with pytest.raises(TraceError, match="malformed trace header"):
+        read_trace_header(canned_trace_file)
+
+
 def test_header_only_read_does_not_parse_records(canned_trace_file: Path) -> None:
     """Corrupt records do not prevent reading the header (cheap info path)."""
     data = bytearray(canned_trace_file.read_bytes())
