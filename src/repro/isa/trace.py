@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.common.errors import TraceError
-from repro.isa.instruction import InstrClass, Instruction
+from repro.isa.instruction import Instruction
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.isa.columns import TraceColumns
@@ -220,38 +220,6 @@ class Trace:
 
     def statistics(self, line_size: int = 32) -> TraceStatistics:
         """Compute composition statistics; lines are counted at ``line_size`` granularity."""
-        if self._instructions is None:
-            return self._statistics_from_columns(line_size)
-        loads = stores = branches = int_ops = fp_ops = mispredicts = 0
-        lines = set()
-        for instruction in self._instructions:
-            if instruction.iclass is InstrClass.LOAD:
-                loads += 1
-            elif instruction.iclass is InstrClass.STORE:
-                stores += 1
-            elif instruction.iclass is InstrClass.BRANCH:
-                branches += 1
-                if instruction.mispredicted:
-                    mispredicts += 1
-            elif instruction.iclass is InstrClass.FP_ALU:
-                fp_ops += 1
-            else:
-                int_ops += 1
-            if instruction.is_memory and instruction.address is not None:
-                lines.add(instruction.address // line_size)
-        return TraceStatistics(
-            num_instructions=len(self._instructions),
-            num_loads=loads,
-            num_stores=stores,
-            num_branches=branches,
-            num_int_alu=int_ops,
-            num_fp_alu=fp_ops,
-            num_mispredicted_branches=mispredicts,
-            unique_lines_touched=len(lines),
-        )
-
-    def _statistics_from_columns(self, line_size: int) -> TraceStatistics:
-        """Column-driven statistics (no instruction objects materialised)."""
         from repro.isa.columns import (
             CODE_BRANCH,
             CODE_FP_ALU,
@@ -260,7 +228,7 @@ class Trace:
             FLAG_MISPREDICTED,
         )
 
-        columns = self._columns
+        columns = self.columns()
         iclass = columns.iclass
         flags = columns.flags
         address = columns.address
