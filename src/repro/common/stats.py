@@ -19,8 +19,8 @@ used from the innermost simulation loops without overhead surprises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Tuple
 
 from repro.common.errors import ConfigurationError
 
@@ -39,13 +39,6 @@ class Counter:
         if amount < 0:
             raise ConfigurationError(f"counter {self.name!r} cannot decrease (got {amount})")
         self.value += amount
-
-    def reset(self) -> None:
-        """Reset the counter to zero."""
-        self.value = 0
-
-    def __int__(self) -> int:
-        return self.value
 
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, value={self.value})"
@@ -93,37 +86,6 @@ class Histogram:
         if self.count == 0:
             return 0.0
         return self.total / self.count
-
-    def fraction_below(self, threshold: float) -> float:
-        """Return the fraction of recorded values strictly below ``threshold``.
-
-        The fraction is computed from the binned representation, so it is
-        exact only when ``threshold`` is a multiple of the bin width; this is
-        how the paper's "91% within 30 cycles" figures are reported.
-        """
-        if self.count == 0:
-            return 0.0
-        full_bins = int(threshold // self.bin_width)
-        covered = sum(self.bins[: min(full_bins, self.num_bins)])
-        return covered / self.count
-
-    def percentile_bin_upper_bound(self, percentile: float) -> int:
-        """Return the smallest bin upper bound covering ``percentile`` of the mass.
-
-        Used to reproduce the 95% / 99% coverage markers of Figure 1.  The
-        returned value is expressed in the same units as recorded values.
-        """
-        if not 0.0 < percentile <= 1.0:
-            raise ConfigurationError("percentile must lie in (0, 1]")
-        if self.count == 0:
-            return 0
-        target = percentile * self.count
-        running = 0
-        for index, population in enumerate(self.bins):
-            running += population
-            if running >= target:
-                return (index + 1) * self.bin_width
-        return self.num_bins * self.bin_width
 
     def as_series(self) -> List[Tuple[int, int]]:
         """Return ``(bin_lower_bound, population)`` pairs including the overflow bin."""
@@ -191,65 +153,9 @@ class StatsRegistry:
             self._histograms[name] = existing
         return existing
 
-    def counters(self) -> Iterator[Counter]:
-        """Iterate over all counters in name order."""
-        for name in sorted(self._counters):
-            yield self._counters[name]
-
-    def histograms(self) -> Iterator[Histogram]:
-        """Iterate over all histograms in name order."""
-        for name in sorted(self._histograms):
-            yield self._histograms[name]
-
     def snapshot(self) -> StatsSnapshot:
         """Return an immutable snapshot of every counter and histogram."""
         return StatsSnapshot(
             counters={name: counter.value for name, counter in self._counters.items()},
             histograms={name: histogram.as_series() for name, histogram in self._histograms.items()},
         )
-
-    def merge(self, other: "StatsRegistry") -> None:
-        """Add every counter of ``other`` into this registry.
-
-        Histograms are not merged (they are per-run artifacts); attempting to
-        merge registries that both define the same histogram raises to avoid
-        silently discarding data.
-        """
-        for counter in other.counters():
-            self.counter(counter.name).add(counter.value)
-        for histogram in other.histograms():
-            if histogram.name in self._histograms:
-                raise ConfigurationError(
-                    f"cannot merge registries that both define histogram {histogram.name!r}"
-                )
-
-    def as_dict(self) -> Dict[str, int]:
-        """Return all counters as a plain ``{name: value}`` dictionary."""
-        return {name: counter.value for name, counter in sorted(self._counters.items())}
-
-
-@dataclass
-class RatePer100M:
-    """Helper that scales raw event counts to events per 100 million instructions.
-
-    The paper reports Table 2 and Figures 8a / 10 per 100 million committed
-    instructions; our synthetic runs are much shorter, so results are scaled
-    linearly by the number of committed instructions.
-    """
-
-    committed_instructions: int
-    scale_target: int = 100_000_000
-    _factor: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.committed_instructions <= 0:
-            raise ConfigurationError("committed_instructions must be positive")
-        self._factor = self.scale_target / self.committed_instructions
-
-    def scale(self, raw_count: float) -> float:
-        """Return ``raw_count`` scaled to the per-100M-instruction rate."""
-        return raw_count * self._factor
-
-    def scale_millions(self, raw_count: float) -> float:
-        """Return the per-100M rate expressed in millions (Table 2's unit)."""
-        return self.scale(raw_count) / 1e6
