@@ -9,8 +9,8 @@ long each *phase* of a simulation took:
 * ``build``      -- constructing processor models from machine configs,
 * ``warmup``     -- bringing cache state to its steady-state snapshot,
 * ``drive``      -- the per-instruction simulation loop itself,
-* ``dispatch``   -- parent-side parallel orchestration (pool map plus the
-  shared-memory trace handoff).
+* ``dispatch``   -- the wall time of a parallel batch's pool map, in the
+  parent.
 
 This module is a thin compatibility shim over :mod:`repro.obs.spans`, which
 owns the accumulator (and additionally records individual spans while a

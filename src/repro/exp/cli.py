@@ -119,7 +119,7 @@ FIGURES: Dict[str, FigureSpec] = {
 }
 
 
-def build_context(args: argparse.Namespace, runner: Optional[ExperimentRunner]) -> ExperimentContext:
+def build_context(args: argparse.Namespace, runner: ExperimentRunner) -> ExperimentContext:
     """Build the experiment campaign the CLI flags describe."""
     if getattr(args, "quick", False) and args.full:
         raise ConfigurationError("--quick and --full are mutually exclusive")

@@ -17,8 +17,10 @@ workload descriptions are frozen dataclasses of primitives, a job is
 :class:`ExperimentRunner` builds on those properties: it deduplicates a
 batch of jobs, satisfies what it can from a :class:`~repro.exp.cache.ResultCache`,
 fans the misses out over a process pool (or runs them inline for ``jobs=1``)
-and reassembles per-suite aggregates.  Serial and parallel execution produce
-bit-identical results.
+and reassembles per-suite aggregates.  Wherever a job runs, its trace comes
+from one place: :func:`run_job`'s per-process memo, so a pool worker
+generates the traces of its chunk itself.  Serial and parallel execution
+produce bit-identical results.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common import phases
 from repro.common.errors import ConfigurationError
@@ -39,7 +41,7 @@ from repro.exp.cache import ResultCache
 from repro.isa.trace import Trace
 from repro.sim.configs import MachineConfig
 from repro.sim.simulator import Simulator, SuiteResult
-from repro.trace.format import TRACE_FORMAT_VERSION, trace_from_buffer, trace_from_bytes, trace_to_bytes
+from repro.trace.format import TRACE_FORMAT_VERSION
 from repro.uarch.result import CoreResult
 from repro.workloads.base import WorkloadParameters
 from repro.workloads.suite import WorkloadSuite, generate_member_trace
@@ -140,14 +142,8 @@ def ensure_unique_case_ids(cases: Sequence[SweepCase]) -> None:
         seen.add(case.case_id)
 
 
-def _trace_memo_key(
-    workload: WorkloadParameters, num_instructions: int, seed: Optional[int]
-) -> Tuple[str, int, Optional[int]]:
-    return (stable_hash(workload), num_instructions, seed)
-
-
 def _trace_for(workload: WorkloadParameters, num_instructions: int, seed: Optional[int]) -> Trace:
-    memo_key = _trace_memo_key(workload, num_instructions, seed)
+    memo_key = (stable_hash(workload), num_instructions, seed)
     trace = _TRACE_MEMO.get(memo_key)
     if trace is None:
         if len(_TRACE_MEMO) >= _TRACE_MEMO_LIMIT:
@@ -190,119 +186,13 @@ def _dispatch_order(job: SimJob) -> Tuple[str, int, int]:
     return (job.workload.name, job.num_instructions, -1 if job.seed is None else job.seed)
 
 
-class _Task(NamedTuple):
-    """One pool task: the job plus its trace handoff payload.
-
-    ``payload`` is ``("shm", segment name)`` for the shared-memory path,
-    ``("bytes", container bytes)`` for the pickle fallback, or ``None`` when
-    the worker should generate the trace itself (handoff disabled).
-    """
-
-    job: SimJob
-    payload: Optional[Tuple[str, Any]]
-
-    # Convenience passthrough so dispatch-order introspection reads naturally.
-    @property
-    def workload(self) -> WorkloadParameters:
-        return self.job.workload
-
-
-def _shm_enabled() -> bool:
-    """Whether this host offers ``multiprocessing.shared_memory``; without it
-    the parallel trace handoff ships container bytes through the task pickle."""
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - platforms without shm support
-        return False
-    return True
-
-
-def _publish_shm(blob: bytes):
-    """Copy ``blob`` into a fresh shared-memory segment (None on failure)."""
-    try:
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(create=True, size=len(blob))
-        segment.buf[: len(blob)] = blob
-        return segment
-    except (OSError, ValueError):  # pragma: no cover - exhausted /dev/shm etc.
-        return None
-
-
-#: Worker-side ledger of attached shared-memory segments: (weakref to the
-#: columns viewing the segment, the segment).  A segment is only safe to
-#: close once every memoryview into it is gone, which cannot be guaranteed
-#: during cyclic GC (``SharedMemory.__del__`` racing the views raises
-#: ``BufferError``); holding the segment here and sweeping on the next
-#: attach closes it deterministically once its columns are dead.
-_ATTACHED_SEGMENTS: List[Tuple[Any, Any]] = []
-
-
-def _sweep_attached_segments() -> None:
-    alive = []
-    for columns_ref, segment in _ATTACHED_SEGMENTS:
-        if columns_ref() is None:
-            try:
-                segment.close()
-                continue
-            except BufferError:  # pragma: no cover - stray exported view
-                pass
-        alive.append((columns_ref, segment))
-    _ATTACHED_SEGMENTS[:] = alive
-
-
-def _attach_shipped_trace(payload: Tuple[str, Any]) -> Trace:
-    """Rebuild the shipped trace in a worker process.
-
-    Shared-memory payloads are wrapped zero-copy (the columns index straight
-    into the segment, which stays mapped until the columns are collected);
-    byte payloads are parsed with the bulk columnar loader.
-    """
-    kind, value = payload
-    if kind == "shm":
-        import weakref
-        from multiprocessing import shared_memory
-
-        segment = shared_memory.SharedMemory(name=value)
-        try:
-            # The parent owns the segment's lifetime (it unlinks after the
-            # batch); without this, a spawn-started worker's resource
-            # tracker would try to clean the segment up again at exit.
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals shifted
-            pass
-        try:
-            # validate=False: the payload was serialised by the parent from
-            # an already-canonical in-process trace; the CRC still guards
-            # integrity, so the per-row canonical check would only re-pay
-            # cost the zero-copy handoff exists to remove.
-            trace = trace_from_buffer(segment.buf, owner=segment, validate=False).trace
-        except Exception:
-            # A segment that does not parse would otherwise stay mapped
-            # forever (nothing ever learns about it); unmap before letting
-            # the caller fall back to regeneration.  If the in-flight
-            # traceback still pins views into the buffer, park the segment
-            # on the sweep ledger with an already-dead ref instead.
-            try:
-                segment.close()
-            except BufferError:
-                _ATTACHED_SEGMENTS.append((lambda: None, segment))
-            raise
-        _sweep_attached_segments()
-        _ATTACHED_SEGMENTS.append((weakref.ref(trace.columns()), segment))
-        return trace
-    return trace_from_bytes(value, validate=False).trace
-
-
-def _pool_worker(task: _Task) -> Tuple[str, Dict[str, Any], Dict[str, Any]]:
+def _pool_worker(job: SimJob) -> Tuple[str, Dict[str, Any], Dict[str, Any]]:
     """Pool entry point: run a job and ship the result back as plain JSON types.
 
-    A shipped trace payload is installed into this worker's trace memo
-    first, so :func:`run_job` finds it there and regenerates nothing; if
-    attaching fails for any reason the worker falls back to generating the
-    trace itself (the two are bit-identical by the determinism contract).
+    The worker generates the job's trace itself through :func:`run_job`'s
+    per-process memo; the parent hands each worker one contiguous,
+    workload-sorted chunk, so a worker generates each trace of its chunk
+    once.
 
     Alongside the result, each task returns its observability delta -- the
     phase seconds and spans this task accumulated in *this* process -- so
@@ -312,18 +202,6 @@ def _pool_worker(task: _Task) -> Tuple[str, Dict[str, Any], Dict[str, Any]]:
     even when the worker is long-lived, and leaves global state untouched
     when the "pool" is an in-process test double.
     """
-    job = task.job
-    if task.payload is not None:
-        memo_key = _trace_memo_key(job.workload, job.num_instructions, job.seed)
-        if memo_key not in _TRACE_MEMO:
-            try:
-                trace = _attach_shipped_trace(task.payload)
-            except Exception:
-                trace = None
-            if trace is not None:
-                if len(_TRACE_MEMO) >= _TRACE_MEMO_LIMIT:
-                    _TRACE_MEMO.clear()
-                _TRACE_MEMO[memo_key] = trace
     totals_before = obs_spans.phase_totals()
     mark = obs_spans.span_count()
     was_recording = obs_spans.recording()
@@ -480,68 +358,26 @@ class ExperimentRunner:
         workers = self.effective_workers()
         if workers > 1 and len(misses) > 1:
             # Sort the batch by workload and hand each worker one contiguous
-            # chunk: same-trace jobs land on the same worker (one handoff
-            # per trace) and the map costs a single task message per worker
-            # instead of one per job.  The pool is always sized at the full
-            # worker cap -- a small batch merely leaves workers idle -- so a
-            # mixed-size batch sequence keeps reusing one pool instead of
-            # re-forking it whenever the batch size changes.
+            # chunk: same-trace jobs land on the same worker, which then
+            # generates each of its traces once, and the map costs a single
+            # task message per worker instead of one per job.  The pool is
+            # always sized at the full worker cap -- a small batch merely
+            # leaves workers idle -- so a mixed-size batch sequence keeps
+            # reusing one pool instead of re-forking it whenever the batch
+            # size changes.
             dispatch_started = perf_counter()
-            generation_before = phases.snapshot().get("generation", 0.0)
             ordered = sorted(misses.values(), key=_dispatch_order)
-            use_shm = _shm_enabled()
-            segments = []
-            payloads: Dict[Tuple[str, int, Optional[int]], Tuple[str, Any]] = {}
-            tasks: List[_Task] = []
+            pool = self._ensure_pool(workers)
             try:
-                # Each unique trace of the batch is generated once, here in
-                # the parent (memoised), serialised to its columnar container
-                # form, and handed to the workers by shared-memory name --
-                # or, when shared memory is unavailable or disabled, as the
-                # container bytes riding the task pickle (same-trace jobs
-                # share one chunk, and pickle dedupes the repeated object).
-                for job in ordered:
-                    memo_key = _trace_memo_key(job.workload, job.num_instructions, job.seed)
-                    payload = payloads.get(memo_key)
-                    if payload is None:
-                        blob = trace_to_bytes(
-                            _trace_for(job.workload, job.num_instructions, job.seed)
-                        )
-                        segment = _publish_shm(blob) if use_shm else None
-                        if segment is not None:
-                            segments.append(segment)
-                            payload = ("shm", segment.name)
-                        else:
-                            payload = ("bytes", blob)
-                        payloads[memo_key] = payload
-                    tasks.append(_Task(job, payload))
-                chunksize = -(-len(tasks) // min(workers, len(tasks)))
-                pool = self._ensure_pool(workers)
-                try:
-                    pairs = pool.map(_pool_worker, tasks, chunksize=chunksize)
-                except Exception:
-                    # A failed map leaves the pool in an unknown state (a
-                    # killed worker can wedge its result queue); drop it so
-                    # the next batch -- or a supervised retry -- re-spawns a
-                    # fresh pool instead of inheriting the wreckage.
-                    self.close()
-                    raise
-            finally:
-                for segment in segments:
-                    try:
-                        segment.close()
-                        segment.unlink()
-                    except OSError:  # pragma: no cover - already gone
-                        pass
-            # Parent-side orchestration cost first (before worker phases are
-            # merged, so their generation time cannot deflate `dispatch`),
-            # then fold each worker task's phase/span observations in --
-            # parallel snapshots carry real worker breakdowns, not a blind
-            # spot.
-            generation_delta = phases.snapshot().get("generation", 0.0) - generation_before
-            phases.add(
-                "dispatch", perf_counter() - dispatch_started - generation_delta
-            )
+                pairs = pool.map(_pool_worker, ordered, chunksize=-(-len(ordered) // workers))
+            except Exception:
+                # A failed map leaves the pool in an unknown state (a
+                # killed worker can wedge its result queue); drop it so
+                # the next batch -- or a supervised retry -- re-spawns a
+                # fresh pool instead of inheriting the wreckage.
+                self.close()
+                raise
+            phases.add("dispatch", perf_counter() - dispatch_started)
             results: Dict[str, CoreResult] = {}
             for key, payload, observations in pairs:
                 obs_spans.merge_worker(observations)

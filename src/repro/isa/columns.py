@@ -25,8 +25,7 @@ The sequence number is implicit (an instruction's position in the columns),
 which the :class:`~repro.isa.trace.Trace` constructor has always enforced
 anyway.  The class-code table and the flag bits deliberately match the
 binary trace container (:mod:`repro.trace.format`), so a recorded trace
-loads into columns with bulk ``frombytes`` copies -- or with zero-copy
-``memoryview`` casts when the container bytes live in shared memory.
+loads into columns with one bulk ``frombytes`` copy per column.
 
 Conversion is faithful in both directions:
 :meth:`TraceColumns.from_instructions` / :meth:`TraceColumns.to_instructions`
@@ -103,10 +102,9 @@ _NEEDS_BYTESWAP = sys.byteorder == "big"
 class TraceColumns:
     """Parallel typed columns describing one instruction stream.
 
-    Columns are stdlib arrays when built in-process, or ``memoryview`` casts
-    into a foreign buffer (a loaded container, a shared-memory segment) when
-    constructed zero-copy via :meth:`from_buffers`.  Both kinds index to
-    plain integers, which is all the drive loops consume.
+    Every column is a stdlib :class:`array.array`, whether built in-process
+    or loaded from a container via :meth:`from_buffers`; it indexes to plain
+    integers, which is all the drive loops consume.
     """
 
     __slots__ = (
@@ -120,16 +118,11 @@ class TraceColumns:
         "size",
         "flags",
         "latency",
-        "owner",
-        "__weakref__",
     )
 
     def __init__(self) -> None:
         for name, typecode, _itemsize in COLUMN_LAYOUT:
             setattr(self, name, array(typecode))
-        #: Optional object keeping a foreign buffer alive (e.g. the shared
-        #: memory segment zero-copy columns point into).
-        self.owner = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -171,35 +164,30 @@ class TraceColumns:
         return columns
 
     @classmethod
-    def from_buffers(cls, buffers: Sequence, owner=None) -> "TraceColumns":
-        """Wrap pre-existing per-column buffers without copying.
+    def from_buffers(cls, buffers: Sequence) -> "TraceColumns":
+        """Load columns from little-endian per-column byte buffers.
 
         ``buffers`` supplies one buffer per :data:`COLUMN_LAYOUT` entry, in
-        layout order.  Each is cast to the column's typecode, so the caller
-        may hand raw ``memoryview`` slices of a loaded container (or of a
-        shared-memory segment) and the columns index straight into it.
-        ``owner`` is retained on the instance to keep the underlying buffer
-        alive for as long as the columns are.
+        layout order (the sections of a loaded container); each is copied
+        into its column with one bulk ``frombytes``.
         """
         if len(buffers) != len(COLUMN_LAYOUT):
             raise TraceError(
                 f"expected {len(COLUMN_LAYOUT)} column buffers, got {len(buffers)}"
             )
-        columns = cls.__new__(cls)
-        columns.owner = owner
+        columns = cls()
         length = None
-        for (name, typecode, _itemsize), buffer in zip(COLUMN_LAYOUT, buffers):
-            if isinstance(buffer, array):
-                view = buffer
-            else:
-                view = memoryview(buffer).cast(typecode)
+        for (name, _typecode, _itemsize), buffer in zip(COLUMN_LAYOUT, buffers):
+            column = getattr(columns, name)
+            column.frombytes(buffer)
+            if _NEEDS_BYTESWAP and column.itemsize > 1:  # pragma: no cover - BE hosts
+                column.byteswap()
             if length is None:
-                length = len(view)
-            elif len(view) != length:
+                length = len(column)
+            elif len(column) != length:
                 raise TraceError(
-                    f"column {name!r} holds {len(view)} entries, expected {length}"
+                    f"column {name!r} holds {len(column)} entries, expected {length}"
                 )
-            setattr(columns, name, view)
         return columns
 
     def append_row(
@@ -234,13 +222,6 @@ class TraceColumns:
     def __len__(self) -> int:
         return len(self.iclass)
 
-    def validate_codes(self) -> None:
-        """Fail loudly when any class code falls outside the known table."""
-        iclass = self.iclass
-        if len(iclass) and max(iclass) >= len(ICLASS_BY_CODE):
-            bad = max(iclass)
-            raise TraceError(f"unknown instruction-class code {bad} in columns")
-
     def validate_canonical(self) -> None:
         """Reject streams no canonical writer produces (loader fail-loud path).
 
@@ -254,8 +235,9 @@ class TraceColumns:
         the divergence the engines promise cannot happen -- so container
         loading rejects such rows up front.
         """
-        self.validate_codes()
         iclass = self.iclass
+        if len(iclass) and max(iclass) >= len(ICLASS_BY_CODE):
+            raise TraceError(f"unknown instruction-class code {max(iclass)} in columns")
         flags = self.flags
         src0 = self.src0
         src1 = self.src1
@@ -322,40 +304,11 @@ class TraceColumns:
     def column_bytes(self, name: str) -> bytes:
         """Little-endian raw bytes of one column (container serialisation)."""
         column = getattr(self, name)
-        if isinstance(column, array):
-            if _NEEDS_BYTESWAP and column.itemsize > 1:  # pragma: no cover - BE hosts
-                swapped = array(column.typecode, column)
-                swapped.byteswap()
-                return swapped.tobytes()
-            return column.tobytes()
-        return bytes(column)
-
-    def materialized(self) -> "TraceColumns":
-        """Return an array-backed copy (detached from any foreign buffer)."""
-        copy = TraceColumns.__new__(TraceColumns)
-        copy.owner = None
-        for name, typecode, _itemsize in COLUMN_LAYOUT:
-            column = getattr(self, name)
-            if isinstance(column, array):
-                setattr(copy, name, array(typecode, column))
-            else:
-                fresh = array(typecode)
-                fresh.frombytes(bytes(column))
-                if _NEEDS_BYTESWAP and fresh.itemsize > 1:  # pragma: no cover
-                    fresh.byteswap()
-                setattr(copy, name, fresh)
-        return copy
-
-    # Memoryview-backed columns reference buffers (shared memory, mmap) that
-    # cannot cross a pickle boundary; detach into plain arrays first.
-    def __getstate__(self):
-        materialized = self.materialized()
-        return tuple(getattr(materialized, name) for name, _tc, _sz in COLUMN_LAYOUT)
-
-    def __setstate__(self, state) -> None:
-        self.owner = None
-        for (name, _typecode, _itemsize), column in zip(COLUMN_LAYOUT, state):
-            setattr(self, name, column)
+        if _NEEDS_BYTESWAP and column.itemsize > 1:  # pragma: no cover - BE hosts
+            swapped = array(column.typecode, column)
+            swapped.byteswap()
+            return swapped.tobytes()
+        return column.tobytes()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceColumns):
@@ -366,5 +319,4 @@ class TraceColumns:
         )
 
     def __repr__(self) -> str:
-        kind = "view" if not isinstance(self.iclass, array) else "array"
-        return f"TraceColumns({len(self)} instructions, {kind}-backed)"
+        return f"TraceColumns({len(self)} instructions)"

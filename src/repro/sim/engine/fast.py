@@ -20,8 +20,8 @@ This module re-implements the *same algorithms* with the interpreter in mind:
   form (:meth:`~repro.isa.trace.Trace.columns`) -- typed columns of class
   codes, registers, addresses, sizes and flags -- so no per-instruction
   object is ever touched, no source tuple sliced, no attribute chain walked.
-  A trace loaded from the binary container or handed over shared memory
-  drives the loop without a single ``Instruction`` being materialised.
+  A trace loaded from the binary container drives the loop without a
+  single ``Instruction`` being materialised.
 * **Lazy region warm-up.**  The functional warm-up replays each region's
   lines, as runs of consecutive line numbers, into fresh caches.  Instead
   of replaying hundreds of thousands of accesses, the loop hands each cache

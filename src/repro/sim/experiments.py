@@ -2,10 +2,9 @@
 
 Every experiment of the evaluation section is reproduced by a function in
 this module.  Each function takes an :class:`ExperimentContext` (which owns
-the workload suites, the trace length and a trace cache so that every machine
-configuration sees identical instruction streams) and returns a plain result
-object that the benchmark scripts print in the same rows/series the paper
-reports.
+the workload suites, the trace length, the seed and the runner every
+simulation goes through) and returns a plain result object that the
+benchmark scripts print in the same rows/series the paper reports.
 
 Every experiment is expressed in two halves:
 
@@ -18,8 +17,9 @@ Every experiment is expressed in two halves:
 
 Because the simulation work is fully described by the case list, the
 orchestration layer (:mod:`repro.exp`) can deduplicate, cache and fan the
-whole figure out over a process pool; with no runner attached the context
-falls back to the in-process serial path, and both paths produce
+whole figure out over a process pool.  Every sweep runs through an
+:class:`~repro.exp.runner.ExperimentRunner` -- an inline one when the
+caller attaches none -- and serial and parallel runners produce
 bit-identical numbers.
 
 | Function                          | Paper artifact |
@@ -45,8 +45,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import DisambiguationModel
 from repro.energy.accounting import EnergyModel
-from repro.exp.runner import ExperimentRunner, SweepCase, ensure_unique_case_ids
-from repro.isa.trace import Trace
+from repro.exp.runner import ExperimentRunner, SweepCase
 from repro.sim.configs import (
     MachineConfig,
     fmc_central,
@@ -58,7 +57,7 @@ from repro.sim.configs import (
     ooo_64,
     ooo_64_svw,
 )
-from repro.sim.simulator import DEFAULT_INSTRUCTIONS_PER_WORKLOAD, Simulator, SuiteResult
+from repro.sim.simulator import DEFAULT_INSTRUCTIONS_PER_WORKLOAD, SuiteResult
 from repro.workloads.suite import WorkloadSuite, spec_fp_suite, spec_int_suite
 
 
@@ -67,19 +66,19 @@ class ExperimentContext:
     """Shared state of one experiment campaign.
 
     The context pins the two suites, the trace length and the RNG seed, and
-    caches generated traces so that every machine configuration within an
-    experiment (and across experiments in the same campaign) replays exactly
-    the same instruction streams.  Attaching an
-    :class:`~repro.exp.runner.ExperimentRunner` routes every simulation
-    through the orchestration layer (result cache, process pool); without
-    one the context runs serially in-process.
+    routes every simulation through its
+    :class:`~repro.exp.runner.ExperimentRunner` (result cache, process
+    pool).  Without one it holds an inline ``ExperimentRunner()``; either
+    way every machine configuration replays exactly the same instruction
+    streams, because a trace is a pure function of its workload, length
+    and seed.
     """
 
     fp_suite: WorkloadSuite = field(default_factory=spec_fp_suite)
     int_suite: WorkloadSuite = field(default_factory=spec_int_suite)
     instructions_per_workload: int = DEFAULT_INSTRUCTIONS_PER_WORKLOAD
     seed: Optional[int] = None
-    runner: Optional[ExperimentRunner] = None
+    runner: ExperimentRunner = field(default_factory=ExperimentRunner)
     #: Simulation engine override applied to every machine the campaign runs
     #: (``None`` keeps each machine's own choice -- the fast engine unless a
     #: configuration says otherwise).
@@ -88,7 +87,6 @@ class ExperimentContext:
     #: machine the campaign runs (``None`` keeps each machine's own
     #: configuration, LRU unless a hierarchy says otherwise).
     policy: Optional[str] = None
-    _trace_cache: Dict[str, List[Trace]] = field(default_factory=dict)
 
     def _apply_engine(self, machine: MachineConfig) -> MachineConfig:
         """Rebind ``machine`` to the campaign's engine override, if any."""
@@ -112,47 +110,18 @@ class ExperimentContext:
         """The two suites keyed by their paper labels."""
         return {"SPEC FP": self.fp_suite, "SPEC INT": self.int_suite}
 
-    def traces_for(self, suite: WorkloadSuite) -> List[Trace]:
-        """Return (and cache) the traces of a suite at the campaign's length."""
-        key = f"{suite.name}:{self.instructions_per_workload}:{self.seed}"
-        if key not in self._trace_cache:
-            self._trace_cache[key] = suite.generate_traces(
-                self.instructions_per_workload, seed=self.seed
-            )
-        return self._trace_cache[key]
-
-    def run(self, machine: MachineConfig, suite: WorkloadSuite) -> SuiteResult:
-        """Run one machine over one suite (through the runner when attached)."""
-        machine = self._apply_overrides(machine)
-        if self.runner is not None:
-            return self.runner.run_suite(
-                machine, suite, self.instructions_per_workload, seed=self.seed
-            )
-        simulator = Simulator(machine)
-        return simulator.run_suite(
-            suite,
-            num_instructions=self.instructions_per_workload,
-            seed=self.seed,
-            traces=self.traces_for(suite),
-        )
-
     def run_sweep(
         self,
         cases: Sequence[SweepCase],
         extra_suites: Optional[Dict[str, WorkloadSuite]] = None,
     ) -> Dict[str, SuiteResult]:
-        """Run a declared sweep and return ``{case_id: SuiteResult}``.
-
-        With a runner attached the whole sweep is executed as one batch
-        (deduplicated, cached, parallel); otherwise the cases run serially
-        through :meth:`run`, reusing the context's trace cache.
+        """Run a declared sweep as one runner batch; returns ``{case_id: SuiteResult}``.
 
         ``extra_suites`` lets an experiment sweep over suites beyond the
         campaign's two SPEC-like ones (the workload families do this) without
         mutating the context -- the merge is per-call, so a later experiment
         sharing this context still sees only the campaign suites.
         """
-        ensure_unique_case_ids(cases)
         suites = dict(self.suites())
         if extra_suites:
             suites.update(extra_suites)
@@ -161,11 +130,9 @@ class ExperimentContext:
                 dataclasses.replace(case, machine=self._apply_overrides(case.machine))
                 for case in cases
             ]
-        if self.runner is not None:
-            return self.runner.run_cases(
-                cases, suites, self.instructions_per_workload, seed=self.seed
-            )
-        return {case.case_id: self.run(case.machine, suites[case.suite_label]) for case in cases}
+        return self.runner.run_cases(
+            cases, suites, self.instructions_per_workload, seed=self.seed
+        )
 
 
 def quick_context(instructions: int = 6_000, seed: int = 7) -> ExperimentContext:
@@ -1080,9 +1047,10 @@ def campaign_context(
 
     This is the single definition of the campaign defaults: the quick
     two-workload suites at :data:`QUICK_INSTRUCTIONS` unless ``full``, the
-    paper-year seed, and an optional orchestration runner.  The CLI and the
-    service both build their contexts here, which is what makes a remote
-    submission bit-identical to a local ``python -m repro`` run.
+    paper-year seed, and the orchestration runner (an inline
+    ``ExperimentRunner()`` when none is given).  The CLI and the service
+    both build their contexts here, which is what makes a remote submission
+    bit-identical to a local ``python -m repro`` run.
 
     ``policy`` overrides the replacement policy of *both* cache levels of
     every machine the campaign simulates (timing policies only: OPT needs
@@ -1112,7 +1080,7 @@ def campaign_context(
             instructions if instructions is not None else default_instructions
         ),
         seed=seed,
-        runner=runner,
+        runner=runner if runner is not None else ExperimentRunner(),
         engine=engine,
         policy=policy,
     )

@@ -41,9 +41,8 @@ Version-2 container layout (all integers little-endian)::
                   size u16 | flags u8 | latency u32
     ...     4     CRC-32 of the concatenated section bytes (u32)
 
-The columnar sections load with one bulk ``frombytes`` per column -- or, via
-:func:`trace_from_buffer`, as zero-copy ``memoryview`` casts straight into a
-caller-owned buffer such as a shared-memory segment.
+The columnar sections load with one bulk ``frombytes`` per column, and
+every load checks each row's canonical form.
 
 Version 1 stored the same fields as 22-byte row-major records
 (``<BBbbbbbQHI``: flags, iclass, dest, 4 x src, address, size, latency);
@@ -55,7 +54,6 @@ from __future__ import annotations
 
 import json
 import struct
-import sys
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,7 +116,7 @@ class TraceArchive:
     trace: Trace
 
 
-def _columns_from_v1_records(records: bytes, validate: bool = True) -> TraceColumns:
+def _columns_from_v1_records(records: bytes) -> TraceColumns:
     """Bulk-decode a version-1 row-major record section into columns.
 
     ``struct.iter_unpack`` walks the whole section in one C-level pass, so
@@ -132,10 +130,6 @@ def _columns_from_v1_records(records: bytes, validate: bool = True) -> TraceColu
         records
     ):
         append_row(code, dest, s0, s1, s2, s3, address, size, flags, latency)
-    if validate:
-        columns.validate_canonical()
-    else:
-        columns.validate_codes()
     return columns
 
 
@@ -227,14 +221,16 @@ def trace_to_bytes(
     )
 
 
-def _parse_container(data, zero_copy: bool, owner=None, validate: bool = True) -> TraceArchive:
-    """Shared container parser over any bytes-like object.
+def trace_from_bytes(data: bytes) -> TraceArchive:
+    """Parse a binary container produced by :func:`trace_to_bytes`.
 
-    ``zero_copy`` wraps the version-2 columnar sections as ``memoryview``
-    casts into ``data`` (keeping ``owner`` alive on the columns) instead of
-    copying them into fresh arrays.  ``validate=False`` skips the per-row
-    canonical-form check for containers this process (or a trusted parent)
-    just serialised itself; the CRC still guards integrity.
+    Validates the magic, the format version, the record count, the record
+    checksum and the canonical form of every row
+    (:meth:`~repro.isa.columns.TraceColumns.validate_canonical`); any
+    mismatch raises :class:`TraceError` rather than silently replaying a
+    different stream than was recorded.  Version-2 containers load with one
+    bulk copy per column; version-1 containers are bulk-decoded with
+    ``struct.iter_unpack``.
     """
     view = memoryview(data)
     version, header_length = _validate_prefix(
@@ -265,7 +261,7 @@ def _parse_container(data, zero_copy: bool, owner=None, validate: bool = True) -
         raise TraceError("trace records are corrupt (CRC mismatch)")
 
     if version == 1:
-        columns = _columns_from_v1_records(bytes(body), validate=validate)
+        columns = _columns_from_v1_records(bytes(body))
     else:
         buffers = []
         section_offset = 0
@@ -273,50 +269,10 @@ def _parse_container(data, zero_copy: bool, owner=None, validate: bool = True) -
             section_size = count * itemsize
             buffers.append(body[section_offset : section_offset + section_size])
             section_offset += section_size
-        if zero_copy and sys.byteorder == "little":
-            columns = TraceColumns.from_buffers(buffers, owner=owner)
-        else:
-            # Copying load (or a big-endian host, where the little-endian
-            # sections cannot be viewed natively): one bulk frombytes per
-            # column via the byteswap-aware materialiser.
-            columns = TraceColumns.from_buffers(buffers).materialized()
-        if validate:
-            columns.validate_canonical()
-        else:
-            columns.validate_codes()
+        columns = TraceColumns.from_buffers(buffers)
+    columns.validate_canonical()
     trace = Trace.from_columns(columns, name=header.name, regions=header.regions)
     return TraceArchive(header=header, trace=trace)
-
-
-def trace_from_bytes(data: bytes, validate: bool = True) -> TraceArchive:
-    """Parse a binary container produced by :func:`trace_to_bytes`.
-
-    Validates the magic, the format version, the record count, the record
-    checksum and (unless ``validate=False``, reserved for bytes this
-    process trusts end to end) the canonical form of every row; any
-    mismatch raises :class:`TraceError` rather than silently replaying a
-    different stream than was recorded.  Version-2 containers load with one
-    bulk copy per column; version-1 containers are bulk-decoded with
-    ``struct.iter_unpack``.
-    """
-    return _parse_container(data, zero_copy=False, validate=validate)
-
-
-def trace_from_buffer(buffer, owner=None, validate: bool = True) -> TraceArchive:
-    """Parse a container from a caller-owned buffer without copying records.
-
-    The returned trace's columns are ``memoryview`` casts into ``buffer``
-    (for version-2 containers on little-endian hosts; other combinations
-    fall back to a copying load).  ``owner`` -- e.g. a
-    ``multiprocessing.shared_memory.SharedMemory`` segment -- is kept alive
-    by the columns, but the caller remains responsible for eventually
-    closing it after the trace is dropped.  Pass ``validate=False`` only
-    for buffers this process trusts end to end (the runner's own
-    shared-memory handoff does: the parent serialised the container from an
-    already-canonical trace moments earlier), keeping the attach
-    genuinely zero-cost.
-    """
-    return _parse_container(buffer, zero_copy=True, owner=owner, validate=validate)
 
 
 def save_trace(

@@ -1,11 +1,11 @@
 """Tests for the columnar trace layer (repro.isa.columns).
 
-Covers the PR's acceptance surface: columnar <-> object conversion is
-faithful for every column (fuzzed streams), the generator's native columnar
-emission is bit-identical to the forced object path, zero-copy buffer-backed
-columns behave like array-backed ones, and streams outside the columnar
-envelope (more than four sources) fall back to the reference walk instead of
-mis-simulating.
+Covers columnar <-> object conversion (faithful for every column on fuzzed
+streams), the generator's native columnar emission (bit-identical to the
+forced object path), and streams outside the columnar envelope (more than
+four sources, fields overflowing a column), which fall back to the reference
+walk instead of mis-simulating.  Container loading is covered in
+``tests/test_trace_format.py``.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from repro.isa.instruction import InstrClass, Instruction
 from repro.isa.trace import Trace
 from repro.sim.configs import fmc_hash, ooo_64
 from repro.sim.simulator import Simulator
-from repro.trace import trace_to_bytes
-from repro.trace.format import trace_from_buffer
 from repro.workloads.families import family_suites
 from repro.workloads.suite import generate_member_trace, quick_fp_suite, quick_int_suite
 
@@ -93,8 +91,8 @@ def test_generated_traces_are_column_backed_and_lazy() -> None:
     assert len(trace) == 400
     assert trace.statistics().num_instructions == 400
     assert trace._instructions is None  # statistics ran off the columns
-    materialized = list(trace)
-    assert [instr.seq for instr in materialized] == list(range(400))
+    instructions = list(trace)
+    assert [instr.seq for instr in instructions] == list(range(400))
 
 
 @pytest.mark.parametrize(
@@ -128,30 +126,6 @@ def test_object_built_trace_derives_identical_columns() -> None:
     result_columns = Simulator(fmc_hash()).run_trace(generated)
     result_objects = Simulator(fmc_hash()).run_trace(rebuilt)
     assert result_columns == result_objects
-
-
-def test_buffer_backed_columns_simulate_identically() -> None:
-    """Zero-copy memoryview columns drive the engine bit-identically."""
-    member = list(quick_fp_suite())[0]
-    trace = generate_member_trace(member, 500, seed=TEST_SEED)
-    blob = trace_to_bytes(trace)
-    view_trace = trace_from_buffer(blob).trace
-    from array import array
-
-    assert not isinstance(view_trace.columns().iclass, array)  # really zero-copy
-    assert list(view_trace) == list(trace)
-    for machine in (fmc_hash(), ooo_64()):
-        assert Simulator(machine).run_trace(view_trace) == Simulator(machine).run_trace(trace)
-
-
-def test_buffer_backed_columns_survive_pickling() -> None:
-    import pickle
-
-    member = list(quick_int_suite())[0]
-    trace = generate_member_trace(member, 120, seed=TEST_SEED)
-    view_trace = trace_from_buffer(trace_to_bytes(trace)).trace
-    clone = pickle.loads(pickle.dumps(view_trace))
-    assert list(clone) == list(trace)
 
 
 def test_too_many_sources_rejected_by_columns() -> None:

@@ -347,38 +347,33 @@ def test_parallel_execution_is_bit_identical_to_serial() -> None:
     """The same sweep must produce identical results serially and in a pool."""
     suite = quick_fp_suite()
     machines = [ooo_64(), fmc_hash()]
-    serial_context = ExperimentContext(
-        fp_suite=suite,
-        int_suite=quick_int_suite(),
-        instructions_per_workload=TEST_INSTRUCTIONS,
-        seed=TEST_SEED,
-    )
-    parallel_runner = ExperimentRunner(jobs=2)
-    for machine in machines:
-        serial = serial_context.run(machine, suite)
-        parallel = parallel_runner.run_suite(machine, suite, TEST_INSTRUCTIONS, seed=TEST_SEED)
-        assert parallel == serial  # CoreResult equality covers cycles, stats, extras
+    serial_runner = ExperimentRunner(jobs=1)
+    with ExperimentRunner(jobs=2) as parallel_runner:
+        for machine in machines:
+            serial = serial_runner.run_suite(machine, suite, TEST_INSTRUCTIONS, seed=TEST_SEED)
+            parallel = parallel_runner.run_suite(
+                machine, suite, TEST_INSTRUCTIONS, seed=TEST_SEED
+            )
+            assert parallel == serial  # CoreResult equality covers cycles, stats, extras
     assert parallel_runner.executed_jobs == len(machines) * len(suite)
 
 
 def test_run_sweep_matches_between_serial_and_parallel_contexts() -> None:
     """A whole declared figure produces identical series through both paths."""
     sizings = ((16, 8), (64, 32), (1024, 1024))
-    serial_context = ExperimentContext(
-        fp_suite=quick_fp_suite(),
-        int_suite=quick_int_suite(),
-        instructions_per_workload=TEST_INSTRUCTIONS,
-        seed=TEST_SEED,
-    )
-    parallel_context = ExperimentContext(
-        fp_suite=quick_fp_suite(),
-        int_suite=quick_int_suite(),
-        instructions_per_workload=TEST_INSTRUCTIONS,
-        seed=TEST_SEED,
-        runner=ExperimentRunner(jobs=2),
-    )
-    serial_points = sec52_epoch_sizing(serial_context, sizings=sizings)
-    parallel_points = sec52_epoch_sizing(parallel_context, sizings=sizings)
+
+    def context(runner: ExperimentRunner) -> ExperimentContext:
+        return ExperimentContext(
+            fp_suite=quick_fp_suite(),
+            int_suite=quick_int_suite(),
+            instructions_per_workload=TEST_INSTRUCTIONS,
+            seed=TEST_SEED,
+            runner=runner,
+        )
+
+    serial_points = sec52_epoch_sizing(context(ExperimentRunner(jobs=1)), sizings=sizings)
+    with ExperimentRunner(jobs=2) as parallel_runner:
+        parallel_points = sec52_epoch_sizing(context(parallel_runner), sizings=sizings)
     assert parallel_points == serial_points
 
 

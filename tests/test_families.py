@@ -141,16 +141,17 @@ class TestFamilySweep:
     def test_serial_and_orchestrated_sweeps_are_bit_identical(self):
         serial_context = quick_context(instructions=700, seed=TEST_SEED)
         parallel_context = quick_context(instructions=700, seed=TEST_SEED)
-        parallel_context.runner = ExperimentRunner(jobs=2)
         kwargs = {
             "families": ("pointer_chase", "phased"),
             "epoch_counts": (4,),
             "locality_thresholds": (10, 90),
         }
         serial = family_sweep(serial_context, **kwargs)
-        parallel = family_sweep(parallel_context, **kwargs)
+        with ExperimentRunner(jobs=2) as runner:
+            parallel_context.runner = runner
+            parallel = family_sweep(parallel_context, **kwargs)
         assert serial == parallel
-        assert parallel_context.runner.executed_jobs > 0
+        assert runner.executed_jobs > 0
 
     def test_family_sweep_does_not_leak_suites_into_the_context(self):
         """A shared campaign context must keep its two SPEC-like suites."""

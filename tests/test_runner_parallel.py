@@ -7,6 +7,8 @@ oversubscription on small hosts.  These tests pin the fixes:
 * worker count is capped at the available CPUs, and a single effective
   worker runs inline (no pool at all),
 * parallel execution returns bit-identical results to serial execution,
+  under both the fork and the spawn start method, and writes nothing to
+  stderr,
 * the pool is reused across batches and torn down by ``close()``, and
 * on a synthetic slow job (sleep-based, so concurrency is real even on a
   single-CPU host) the pool actually delivers wall-clock speedup.
@@ -14,18 +16,20 @@ oversubscription on small hosts.  These tests pin the fixes:
 
 from __future__ import annotations
 
+import json
 import multiprocessing
+import subprocess
 import sys
 import time
 
 import pytest
-from _helpers import TEST_INSTRUCTIONS, TEST_SEED
+from _helpers import TEST_INSTRUCTIONS, TEST_SEED, subprocess_env
 
 import repro.exp.runner as runner_module
 from repro.exp.runner import ExperimentRunner, SimJob
 from repro.sim.configs import fmc_hash, ooo_64
 from repro.uarch.result import CoreResult
-from repro.workloads.suite import quick_int_suite
+from repro.workloads.suite import quick_fp_suite, quick_int_suite
 
 FORK_AVAILABLE = "fork" in multiprocessing.get_all_start_methods()
 
@@ -137,109 +141,6 @@ def test_synthetic_slow_job_sees_parallel_speedup(monkeypatch):
 
 
 @needs_fork
-def test_shared_memory_handoff_matches_serial(monkeypatch):
-    """Traces shipped to workers as shared-memory columnar bytes simulate
-    bit-identically to inline (regenerate-in-process) execution."""
-    jobs = _jobs(4)
-    serial = ExperimentRunner(jobs=1).run_batch(jobs)
-    monkeypatch.setattr(runner_module, "available_cpus", lambda: 2)
-    with ExperimentRunner(jobs=2, start_method="fork") as runner:
-        parallel = runner.run_batch(jobs)
-    assert serial.keys() == parallel.keys()
-    for key, result in serial.items():
-        assert parallel[key] == result
-
-
-@needs_fork
-def test_pickled_bytes_fallback_matches_serial(monkeypatch):
-    """Without shared memory the runner ships container bytes through the
-    task pickle instead; results stay bit-identical."""
-    jobs = _jobs(4)
-    serial = ExperimentRunner(jobs=1).run_batch(jobs)
-    monkeypatch.setattr(runner_module, "available_cpus", lambda: 2)
-    monkeypatch.setattr(runner_module, "_shm_enabled", lambda: False)
-    with ExperimentRunner(jobs=2, start_method="fork") as runner:
-        parallel = runner.run_batch(jobs)
-    for key, result in serial.items():
-        assert parallel[key] == result
-
-
-def test_shipped_payload_preempts_worker_generation(monkeypatch):
-    """A worker receiving a trace payload must not regenerate the stream."""
-    captured = {}
-
-    def _forbid_generation(*_args, **_kwargs):
-        raise AssertionError("worker regenerated a shipped trace")
-
-    class _FakePool:
-        def map(self, func, iterable, chunksize=None):
-            captured["tasks"] = list(iterable)
-            # Payloads are fully built by now: from here on, any generation
-            # call means the handoff was dropped on the floor.
-            monkeypatch.setattr(runner_module, "generate_member_trace", _forbid_generation)
-            results = []
-            for task in iterable:
-                runner_module.clear_trace_memo()  # simulate a cold worker
-                results.append(func(task))
-            return results
-
-    monkeypatch.setattr(runner_module, "available_cpus", lambda: 2)
-    runner = ExperimentRunner(jobs=2)
-    monkeypatch.setattr(runner, "_ensure_pool", lambda workers: _FakePool())
-    jobs = _jobs(4)
-    expected = ExperimentRunner(jobs=1).run_batch(jobs)
-    results = runner.run_batch(jobs)
-    assert {task.payload[0] for task in captured["tasks"]} <= {"shm", "bytes"}
-    for key, result in expected.items():
-        assert results[key] == result
-    runner_module.clear_trace_memo()
-
-
-def test_failed_shm_attach_closes_the_segment(monkeypatch):
-    """A segment that attaches but does not parse must be unmapped, not
-    leaked: nothing else ever learns about it in a long-lived worker."""
-    from multiprocessing import shared_memory
-
-    from repro.common.errors import TraceError
-
-    created = {}
-    real_cls = shared_memory.SharedMemory
-
-    class _Tracking(real_cls):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            created["segment"] = self
-
-    garbage = real_cls(create=True, size=32)  # not a trace container
-    try:
-        monkeypatch.setattr(shared_memory, "SharedMemory", _Tracking)
-        ledger_before = len(runner_module._ATTACHED_SEGMENTS)
-        with pytest.raises(TraceError):
-            runner_module._attach_shipped_trace(("shm", garbage.name))
-        attached = created["segment"]
-        # Either the mapping closed outright, or (when the in-flight
-        # traceback still pinned buffer views) it was parked on the sweep
-        # ledger with a dead ref; the next sweep must then reclaim it.
-        runner_module._sweep_attached_segments()
-        assert attached._mmap is None  # unmapped either way
-        assert len(runner_module._ATTACHED_SEGMENTS) <= ledger_before
-        assert all(seg is not attached for _ref, seg in runner_module._ATTACHED_SEGMENTS)
-    finally:
-        monkeypatch.undo()
-        # _attach_shipped_trace unregistered the name from the resource
-        # tracker (the parent normally owns cleanup); re-register so this
-        # test's own unlink() keeps the tracker's books balanced.
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.register(garbage._name, "shared_memory")
-        except Exception:
-            pass
-        garbage.close()
-        garbage.unlink()
-
-
-@needs_fork
 def test_chunked_dispatch_groups_jobs_by_workload(monkeypatch):
     """The batch is sorted by workload before chunking (trace reuse per worker)."""
     captured = {}
@@ -258,3 +159,60 @@ def test_chunked_dispatch_groups_jobs_by_workload(monkeypatch):
     names = [job.workload.name for job in captured["order"]]
     assert names == sorted(names)
     assert captured["chunksize"] == 3
+
+
+#: Two parallel batches with disjoint workloads on one two-worker pool: the
+#: quick FP suite, then the quick INT suite, so no worker has generated the
+#: second batch's traces.  ``_two_batches`` below builds the same jobs.
+_TWO_BATCH_SCRIPT = f"""
+import json, sys
+import repro.exp.runner as runner_module
+from repro.exp.runner import ExperimentRunner, SimJob
+from repro.sim.configs import fmc_hash, ooo_64
+from repro.workloads.suite import quick_fp_suite, quick_int_suite
+runner_module.available_cpus = lambda: 2
+batches = [
+    [SimJob(machine, member, 3_000, {TEST_SEED}) for machine in (ooo_64(), fmc_hash())
+     for member in suite]
+    for suite in (quick_fp_suite(), quick_int_suite())
+]
+with ExperimentRunner(jobs=2, start_method=sys.argv[1]) as runner:
+    results = [runner.run_batch(batch) for batch in batches]
+print(json.dumps([{{key: r.to_dict() for key, r in batch.items()}} for batch in results]))
+"""
+
+
+def _two_batches():
+    machines = (ooo_64(), fmc_hash())
+    return [
+        [SimJob(machine, member, 3_000, TEST_SEED) for machine in machines for member in suite]
+        for suite in (quick_fp_suite(), quick_int_suite())
+    ]
+
+
+@pytest.mark.parametrize(
+    "start_method",
+    [
+        pytest.param(
+            "fork", marks=pytest.mark.skipif(not FORK_AVAILABLE, reason="no fork start method")
+        ),
+        "spawn",
+    ],
+)
+def test_parallel_batches_write_nothing_to_stderr(start_method):
+    """A fresh interpreter, so a fresh resource tracker, runs two parallel
+    batches.  It must exit cleanly, print nothing to stderr, and return the
+    serial runner's results bit-for-bit."""
+    completed = subprocess.run(
+        [sys.executable, "-c", _TWO_BATCH_SCRIPT, start_method],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr == ""
+    parallel = json.loads(completed.stdout)
+    serial = ExperimentRunner(jobs=1)
+    for batch, shipped in zip(_two_batches(), parallel, strict=True):
+        expected = serial.run_batch(batch)
+        assert {key: CoreResult.from_dict(doc) for key, doc in shipped.items()} == expected
