@@ -11,7 +11,7 @@ lives on the client; per-call knobs are keyword-only on :meth:`submit`:
 
     client = ServiceClient("http://127.0.0.1:8077", tenant="alpha", token="s3cret")
     receipt = client.submit(figure="fig7", instructions=8_000, priority="interactive")
-    status = client.wait(receipt.job_id)          # poll until completed
+    status = client.wait(receipt.job_id)          # long-poll until completed
     print(status["progress"], status["result"])
     client.stats()["tenants"]["alpha"]            # usage/latency accounting
 
@@ -20,6 +20,9 @@ rejections raise :class:`~repro.common.errors.ServiceOverloadedError`
 carrying the structured fields from the error body -- ``code``
 (``overloaded`` vs ``tenant_quota_exceeded``), ``tenant`` and
 ``retry_after`` -- so callers back off without parsing message strings.
+Only resubmissions back off; waiting for a job does not sleep at all:
+:meth:`ServiceClient.wait` long-polls ``GET /v1/jobs/{id}?wait=SECONDS``,
+and the server answers as soon as the job finishes.
 ``python -m repro submit`` is a thin wrapper over this class.
 """
 
@@ -33,6 +36,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Tuple
+from urllib.parse import urlencode
 
 from repro.common.errors import (
     ErrorCode,
@@ -50,14 +54,10 @@ from repro.obs.tracing import TRACE_ID_HEADER, current_trace_id, new_trace_id
 #: requests through a corporate proxy that cannot reach the caller's 127.0.0.1.
 _OPENER = urllib.request.build_opener(urllib.request.ProxyHandler({}))
 
-#: Status polling backs off exponentially with **full jitter** -- poll ``n``
-#: sleeps ``uniform(0, min(cap, interval * 2**n))`` -- so a fleet of waiting
-#: clients decorrelates instead of hammering the server in lockstep.
-POLL_INTERVAL_CAP = 1.0
-
-#: ``wait=True`` submissions that hit a 429 resubmit with the same jittered
-#: exponential schedule (capped here), except that a ``Retry-After`` hint
-#: from the server takes precedence over the computed backoff.
+#: ``wait=True`` submissions that hit a 429 resubmit with a capped
+#: exponential backoff with full jitter -- attempt ``n`` sleeps
+#: ``uniform(0, min(cap, base * 2**n))`` -- except that a ``Retry-After``
+#: hint from the server takes precedence over the computed backoff.
 RESUBMIT_BACKOFF_BASE = 0.25
 RESUBMIT_BACKOFF_CAP = 10.0
 
@@ -248,8 +248,8 @@ class ServiceClient:
         replacement policy for figure campaigns), plus the admission knobs
         ``priority`` (``interactive``/``batch``) and ``tenant`` (which
         overrides the client-level tenant for this call).  Returns a
-        :class:`SubmitReceipt`; with ``wait=True`` it polls until the job
-        finishes (``timeout`` seconds) and returns the completed status
+        :class:`SubmitReceipt`; with ``wait=True`` it waits for the job
+        (:meth:`wait`, ``timeout`` seconds) and returns the completed status
         document instead.
         """
         tenant = tenant if tenant is not None else self.tenant
@@ -317,14 +317,25 @@ class ServiceClient:
             )
         return receipt
 
-    def status(self, job_id: str, include_result: bool = True) -> Dict[str, Any]:
+    def status(
+        self, job_id: str, include_result: bool = True, *, wait: float = 0.0
+    ) -> Dict[str, Any]:
         """``GET /v1/jobs/{id}``: the job's status document.
 
-        Raises :class:`JobNotFoundError` (a :class:`ServiceError` subclass)
-        when the server no longer knows the id -- which, for a completed job,
-        can simply mean it aged out of the bounded history.
+        ``wait`` makes it a long poll: the server holds the answer until the
+        job completes or fails, or ``wait`` seconds (clamped server-side to
+        about 30) pass.  Keep ``wait`` below the client's ``timeout``, which
+        bounds every socket read.  Raises :class:`JobNotFoundError` (a
+        :class:`ServiceError` subclass) when the server no longer knows the
+        id -- which, for a completed job, can simply mean it aged out of the
+        bounded history.
         """
-        suffix = "" if include_result else "?result=0"
+        query: Dict[str, float] = {}
+        if not include_result:
+            query["result"] = 0
+        if wait > 0:
+            query["wait"] = wait
+        suffix = f"?{urlencode(query)}" if query else ""
         status, data = self._request("GET", f"/v1/jobs/{job_id}{suffix}")
         if status == 404:
             raise JobNotFoundError(f"unknown job {job_id!r}")
@@ -336,19 +347,16 @@ class ServiceClient:
         self,
         job_id: str,
         timeout: float = 600.0,
-        poll_interval: float = 0.05,
         *,
         request_key: Optional[str] = None,
     ) -> Dict[str, Any]:
-        """Poll until the job completes; raises on failure or timeout.
+        """Long-poll until the job completes; raises on failure or timeout.
 
-        The poll interval grows exponentially from ``poll_interval`` with
-        **full jitter** (each sleep is uniform between zero and the capped
-        exponential envelope, see :data:`POLL_INTERVAL_CAP`): short jobs
-        still return promptly, long waits do not hammer the server -- every
-        poll is a fresh connection on a ``Connection: close`` protocol --
-        and a fleet of pollers started together spreads out instead of
-        arriving in synchronised waves.
+        Each poll is a :meth:`status` long poll that the server answers as
+        soon as the job finishes, so there is no sleep between polls.  A
+        poll asks for no more than the budget left, and for half the
+        client's socket ``timeout`` at most, so the held answer always
+        arrives before the socket gives up.
 
         ``request_key`` (the :attr:`SubmitReceipt.request_key` content
         address) arms the trim-survival fallback: under backlog a job can
@@ -359,10 +367,10 @@ class ServiceClient:
         ``"trimmed": True``) instead of failing work that actually finished.
         """
         deadline = time.monotonic() + timeout
-        attempt = 0
         while True:
+            remaining = max(0.0, deadline - time.monotonic())
             try:
-                view = self.status(job_id)
+                view = self.status(job_id, wait=min(remaining, self.timeout / 2))
             except JobNotFoundError:
                 if request_key is None:
                     raise
@@ -383,10 +391,6 @@ class ServiceClient:
                 raise ServiceError(f"job {job_id} failed: {view.get('error')}")
             if time.monotonic() >= deadline:
                 raise ServiceError(f"timed out after {timeout:.0f}s waiting for {job_id}")
-            envelope = min(POLL_INTERVAL_CAP, poll_interval * 2**attempt)
-            attempt += 1
-            remaining = max(0.0, deadline - time.monotonic())
-            time.sleep(min(random.uniform(0.0, envelope), remaining))
 
     def result(self, key: str) -> Optional[Dict[str, Any]]:
         """``GET /v1/results/{key}``: one cached simulation, or ``None``."""

@@ -163,7 +163,15 @@ class JobStatus(enum.Enum):
 
 @dataclass
 class JobState:
-    """Everything the server knows about one submitted job."""
+    """Everything the server knows about one submitted job.
+
+    :attr:`finished` is the job's completion event: the worker sets it once
+    it has recorded a completed or failed outcome, and a long poll
+    (``GET /v1/jobs/{id}?wait=``) awaits it.  Coalesced submissions share
+    one state, so one event wakes all of their waiters.  A job cancelled by
+    a server shutdown never sets it: the journal re-queues that job for the
+    next generation, so it has not finished.
+    """
 
     job_id: str
     request: JobRequest
@@ -198,6 +206,7 @@ class JobState:
     coalesced_submissions: int = 0
     #: The runner executing this job (progress counters), set by the worker.
     runner: Optional[ExperimentRunner] = field(default=None, repr=False)
+    finished: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
 
     def view(self, include_result: bool = True) -> Dict[str, Any]:
         """The job's wire status document (``GET /v1/jobs/{id}``)."""
@@ -696,6 +705,9 @@ class JobManager:
                 # A released in-flight slot may make a quota-capped tenant
                 # runnable again; wake any idle worker.
                 self._work_available.set()
+            # Only a completed or failed job gets here: a cancelled one
+            # re-raised above and stays unfinished for the journal replay.
+            state.finished.set()
 
     async def _supervised(self, state: JobState) -> Any:
         """Run one job under the supervisor: timeout, bounded retries.

@@ -11,7 +11,10 @@ Endpoints (all JSON, wrapped in versioned wire envelopes, see
   queue full) or ``tenant_quota_exceeded`` (this tenant's quota).
 * ``GET /v1/jobs/{id}`` -- job status: lifecycle state, tenant/priority,
   progress counters (simulations executed vs cache hits so far) and, once
-  completed, the full result payload.
+  completed, the full result payload.  ``?wait=SECONDS`` makes it a long
+  poll: the answer is held until the job completes or fails, or the wait
+  (clamped to :data:`MAX_POLL_WAIT_SECONDS`) runs out.  ``?result=0``
+  leaves the payload out.
 * ``GET /v1/results/{key}`` -- direct lookup of one cached simulation by its
   content address (the :func:`repro.exp.runner.job_key` of a ``SimJob``).
 * ``GET /v1/stats`` -- per-tenant usage and latency accounting (weights,
@@ -41,7 +44,8 @@ separate processes over one shared result cache (see
 server answers ``/v1/stats`` and ``/v1/metrics`` with the *merged*
 cross-shard view (``?scope=local`` asks for this shard alone), proxies
 status polls for jobs its peers own (sharded job IDs embed the owner's
-index), and falls back to its peers for ``/v1/results/{key}`` misses.
+index, and a long poll's wait travels with it), and falls back to its
+peers for ``/v1/results/{key}`` misses.
 
 Run it with ``python -m repro serve`` (``--tenants tenants.json`` for the
 roster, ``--shards N`` for scale-out) or embed :class:`ReproService` (used
@@ -52,12 +56,14 @@ from __future__ import annotations
 
 import asyncio
 import hmac
+import math
 import re
 import signal
 import socket
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Set, Tuple
+from urllib.parse import urlencode
 
 from repro.common.errors import (
     ConfigurationError,
@@ -87,6 +93,7 @@ from repro.service.http import (
 from repro.service.jobs import JobManager
 from repro.service.journal import journal_path
 from repro.service.shards import (
+    PEER_FETCH_TIMEOUT,
     fetch_json,
     group_stats_document,
     merge_metrics_documents,
@@ -103,7 +110,12 @@ REUSE_PORT_AVAILABLE = hasattr(socket, "SO_REUSEPORT")
 
 #: Sharded job IDs: ``job-s<shard>-<counter>`` (minted by JobManager when
 #: shard_count > 1); the embedded shard index routes status-poll proxying.
-_SHARDED_JOB_ID = re.compile(r"^job-s(\d+)-\d+$")
+#: Matched whole and ASCII-only, so a proxied id is safe in a request line.
+_SHARDED_JOB_ID = re.compile(r"job-s([0-9]+)-[0-9]+")
+
+#: The longest a ``GET /v1/jobs/{id}?wait=`` long poll is held; a larger
+#: wait is clamped to it.
+MAX_POLL_WAIT_SECONDS = 30.0
 
 #: Default TCP port (``repro`` on a phone keypad would not fit; 8077 does).
 #: Mirrored by the CLI's ``DEFAULT_SERVICE_PORT`` (kept lazy-import-free
@@ -223,9 +235,14 @@ class ReproService:
             labelnames=("endpoint",),
         )
         self._servers: List[asyncio.AbstractServer] = []
-        #: Set while a SIGTERM drain runs: polls keep being served, new
-        #: submissions get 503 + Retry-After (``ErrorCode.DRAINING``).
+        #: Set while a SIGTERM drain runs: polls keep being served (held
+        #: long polls keep waiting), new submissions get 503 + Retry-After
+        #: (``ErrorCode.DRAINING``).
         self._draining = False
+        #: Set by :meth:`stop` to answer every held long poll at once; the
+        #: connection tasks parked in :meth:`_hold` are what it waits for.
+        self._stopping = asyncio.Event()
+        self._held_polls: Set["asyncio.Task[Any]"] = set()
         #: Consecutive failed calls per peer shard index, and when each
         #: suspect peer was last declared so (monotonic clock).
         self._peer_failures: Dict[int, int] = {}
@@ -292,8 +309,22 @@ class ReproService:
         self._servers = listeners
 
     async def stop(self) -> None:
+        """Close the listeners, answer the held long polls, stop the workers.
+
+        The order matters.  Held polls answer first, with their job's
+        current status (``queued`` or ``running``): from Python 3.12.1 on,
+        ``wait_closed()`` waits for every open connection, so a held poll
+        would stall it for its whole wait.  The workers are cancelled last:
+        a cancelled job reads ``failed``, which would be untrue, since the
+        journal re-queues it for the next generation.  A released client's
+        next poll is refused.
+        """
         for server in self._servers:
             server.close()
+        held = set(self._held_polls)
+        self._stopping.set()
+        if held:
+            await asyncio.wait(held)
         for server in self._servers:
             await server.wait_closed()
         self._servers = []
@@ -538,13 +569,18 @@ class ReproService:
         if path.startswith("/v1/jobs/"):
             _require(method, "GET")
             job_id = path[len("/v1/jobs/") :]
+            wait = _poll_wait(request.query.get("wait"))
             state = self.manager.jobs.get(job_id)
             if state is None:
                 if sharded and not local_only:
-                    proxied = await self._proxy_job_status(job_id, request)
+                    proxied = await self._proxy_job_status(job_id, request, wait, trace_id)
                     if proxied is not None:
                         return proxied
                 return _error_response(404, f"unknown job {job_id!r}", trace_id=trace_id)
+            if wait > 0 and not state.finished.is_set():
+                # A long poll answers from the state held here, even if the
+                # job is trimmed from history meanwhile.
+                await self._hold(state.finished.wait(), wait)
             include_result = request.query.get("result", "1") != "0"
             return json_response(
                 200,
@@ -571,6 +607,28 @@ class ReproService:
                 ),
             )
         return _error_response(404, f"unknown endpoint {method} {path}", trace_id=trace_id)
+
+    async def _hold(
+        self, awaitable: Awaitable[Any], timeout: Optional[float]
+    ) -> Optional["asyncio.Task[Any]"]:
+        """Await ``awaitable`` until it finishes, ``timeout`` passes or
+        :meth:`stop` begins; returns its task if it finished, else ``None``
+        (the awaitable is then cancelled)."""
+        task = asyncio.ensure_future(awaitable)
+        stopping = asyncio.ensure_future(self._stopping.wait())
+        holder = asyncio.current_task()
+        self._held_polls.add(holder)
+        try:
+            await asyncio.wait(
+                (task, stopping), timeout=timeout, return_when=asyncio.FIRST_COMPLETED
+            )
+        finally:
+            self._held_polls.discard(holder)
+            stopping.cancel()
+            finished = task.done()
+            if not finished:
+                task.cancel()
+        return task if finished else None
 
     # -- cross-shard helpers -------------------------------------------
 
@@ -660,18 +718,21 @@ class ReproService:
         return documents
 
     async def _proxy_job_status(
-        self, job_id: str, request: HTTPRequest
+        self, job_id: str, request: HTTPRequest, wait: float, trace_id: str
     ) -> Optional[bytes]:
         """Serve a status poll for a job another shard owns.
 
         With SO_REUSEPORT a poll can land on any shard; sharded job IDs
         embed the minting shard's index, so a local miss on a well-formed
         foreign ID is fetched from the owner's peer port and re-served
-        verbatim (``scope=local`` stops the owner proxying onward).
-        Returns ``None`` -- caller answers 404 -- for unparseable IDs,
-        out-of-range owners, or an unreachable owner.
+        verbatim (``scope=local`` stops the owner proxying onward).  A long
+        poll's ``wait`` goes with it, and the fetch may take that much
+        longer.  Returns ``None`` -- caller answers 404 -- for unparseable
+        IDs, out-of-range owners, or an unreachable owner.  A poll still
+        held when :meth:`stop` begins answers 503: this shard cannot tell
+        the job's status any more.
         """
-        match = _SHARDED_JOB_ID.match(job_id)
+        match = _SHARDED_JOB_ID.fullmatch(job_id)
         if match is None:
             return None
         owner = int(match.group(1))
@@ -680,12 +741,25 @@ class ReproService:
             return None
         if not self._peer_usable(owner):
             return None
-        include = request.query.get("result", "1")
-        path = f"/v1/jobs/{job_id}?result={include}&scope=local"
-        try:
-            status, body = await fetch_json(
-                peer_host(config.host), shard_port(config.port, owner), path
+        query = urlencode(
+            {"result": request.query.get("result", "1"), "wait": wait, "scope": "local"}
+        )
+        fetch = fetch_json(
+            peer_host(config.host),
+            shard_port(config.port, owner),
+            f"/v1/jobs/{job_id}?{query}",
+            timeout=PEER_FETCH_TIMEOUT + wait,
+        )
+        done = await self._hold(fetch, None)
+        if done is None:
+            return _error_response(
+                503,
+                "server is shutting down; poll another instance",
+                code=ErrorCode.DRAINING,
+                trace_id=trace_id,
             )
+        try:
+            status, body = done.result()
         except (OSError, asyncio.TimeoutError, ValueError):
             self._peer_failed(owner)
             return None
@@ -743,6 +817,23 @@ def _merge_field(name: str, envelope_value: Any, payload_value: Any) -> Any:
             f"payload {name}={payload_value!r}",
         )
     return envelope_value
+
+
+def _poll_wait(raw: Optional[str]) -> float:
+    """The seconds a ``?wait=`` long poll may be held: none when absent,
+    clamped to :data:`MAX_POLL_WAIT_SECONDS`, and a 400 for anything but a
+    finite, non-negative number."""
+    if raw is None:
+        return 0.0
+    try:
+        seconds = float(raw)
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise ProtocolError(
+            400, f"wait must be a finite, non-negative number of seconds, not {raw!r}"
+        )
+    return min(seconds, MAX_POLL_WAIT_SECONDS)
 
 
 def _require(method: str, expected: str) -> None:

@@ -47,3 +47,13 @@ def one_member_suite():
     from repro.workloads.suite import quick_fp_suite
 
     return quick_fp_suite().subset(["swim_like"], suite_name="one")
+
+
+def status_polls(service) -> float:
+    """``GET /v1/jobs/{id}`` requests an in-process ``ReproService`` has
+    answered, read from its metrics registry."""
+    return sum(
+        child.value
+        for labels, child in service.metrics.series("repro_http_requests_total").items()
+        if labels[0] == "/v1/jobs/{id}"
+    )

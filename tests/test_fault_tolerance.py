@@ -4,9 +4,9 @@ backoff, and the load fleet's tolerated-failure allowance.
 * A corrupt cache entry (torn write, wrong type, unparseable payload) is
   quarantined to ``<name>.corrupt`` and counted, and the next put/get
   round-trips cleanly -- corruption must cost one miss, not the key.
-* The client backs off under rejection and while polling: 429
-  resubmission honours ``Retry-After``, and the poll interval grows with
-  full jitter under a hard cap.
+* The client backs off under rejection and never while waiting: 429
+  resubmission honours ``Retry-After``, and ``wait()`` is a loop of long
+  polls, each within the budget left and the client's socket timeout.
 * ``collect_fleet_samples`` tolerates up to ``expected_failures`` client
   deaths (chaos runs kill clients on purpose) while one death more than
   the allowance still fails the stage loudly.
@@ -23,6 +23,7 @@ from _helpers import TEST_INSTRUCTIONS, TEST_SEED
 from repro.common.errors import (
     ConfigurationError,
     LoadDriverError,
+    ServiceError,
     ServiceOverloadedError,
 )
 from repro.common.serialize import wire_envelope
@@ -33,7 +34,6 @@ from repro.load.driver import DriverConfig, collect_fleet_samples
 from repro.load.epoch import Sample
 from repro.obs.metrics import MetricsRegistry
 from repro.service.client import (
-    POLL_INTERVAL_CAP,
     RESUBMIT_BACKOFF_BASE,
     RESUBMIT_BACKOFF_CAP,
     ServiceClient,
@@ -208,24 +208,41 @@ def test_submit_with_wait_gives_up_when_budget_exhausted(monkeypatch) -> None:
         client.submit(cases=[_one_case()], wait=True, timeout=1.0)
 
 
-def test_wait_poll_interval_grows_with_full_jitter(monkeypatch) -> None:
-    client = ServiceClient("http://127.0.0.1:1")
-    views = [{"status": "running"}] * 7 + [{"status": "completed"}]
-    monkeypatch.setattr(client, "status", lambda *a, **k: views.pop(0))
-    monkeypatch.setattr("repro.service.client.time.sleep", lambda seconds: None)
-    envelopes = []
+@pytest.mark.parametrize("last", ["completed", "running"])
+def test_wait_long_polls_within_the_budget_and_never_sleeps(monkeypatch, last) -> None:
+    client = ServiceClient("http://127.0.0.1:1", timeout=10.0)
+    views = [{"status": "running"}] * 2 + [{"status": last}]
+    polls = []
 
-    def record_uniform(low, high):
-        envelopes.append((low, high))
-        return 0.0
+    class Clock:
+        now = 0.0
 
-    monkeypatch.setattr("repro.service.client.random.uniform", record_uniform)
-    view = client.wait("job-000001", timeout=30.0, poll_interval=0.05)
-    assert view["status"] == "completed"
-    # Each sleep is drawn from [0, min(cap, base * 2^attempt)].
-    expected = [min(POLL_INTERVAL_CAP, 0.05 * 2**attempt) for attempt in range(7)]
-    assert [high for _, high in envelopes] == expected
-    assert envelopes[-1][1] == POLL_INTERVAL_CAP  # the cap engaged
+        def monotonic(self):
+            return self.now
+
+        def sleep(self, seconds):
+            raise AssertionError(f"wait() slept {seconds}s")
+
+    clock = Clock()
+
+    def long_poll(job_id, include_result=True, *, wait=0.0):
+        # The server holds each poll for its whole wait.
+        polls.append((wait, 12.0 - clock.now))
+        clock.now += wait
+        return views.pop(0)
+
+    monkeypatch.setattr(client, "status", long_poll)
+    monkeypatch.setattr("repro.service.client.time", clock)
+    if last == "completed":
+        assert client.wait("job-000001", timeout=12.0)["status"] == "completed"
+    else:
+        with pytest.raises(ServiceError, match="timed out"):
+            client.wait("job-000001", timeout=12.0)
+    # Half the socket timeout per poll, then the 2 s the budget has left.
+    assert [wait for wait, _ in polls] == [5.0, 5.0, 2.0]
+    for wait, remaining in polls:
+        assert 0 < wait <= remaining
+        assert wait < client.timeout
 
 
 # ----------------------------------------------------------------------

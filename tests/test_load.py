@@ -13,8 +13,10 @@ import asyncio
 import json
 import statistics
 import threading
+import time
 
 import pytest
+from _helpers import status_polls
 
 from repro.common.errors import ConfigurationError, LoadDriverError
 from repro.exp.request import JobRequest
@@ -611,3 +613,110 @@ def test_sharded_service_proxies_and_aggregates(shard_pair) -> None:
     merged_metrics = clients[1].metrics()
     families = {family["name"] for family in merged_metrics["metrics"]}
     assert "repro_uptime_seconds" in families
+
+
+def _quick_job():
+    from _helpers import TEST_INSTRUCTIONS, TEST_SEED
+
+    from repro.exp.runner import SimJob
+    from repro.sim.configs import fmc_hash
+    from repro.workloads.suite import quick_fp_suite
+
+    return SimJob(fmc_hash(), quick_fp_suite().members[0], TEST_INSTRUCTIONS, TEST_SEED)
+
+
+def test_proxied_long_poll_outlasts_the_peer_fetch_timeout(shard_pair, monkeypatch) -> None:
+    """A long poll on the non-owning shard carries its wait to the owner,
+    and the peer fetch waits that much longer than the plain timeout."""
+    services, clients = shard_pair
+    monkeypatch.setattr("repro.service.server.PEER_FETCH_TIMEOUT", 0.3)
+    services[0].manager.pre_execute = lambda _state: time.sleep(1.0)
+    receipt = clients[0].submit(cases=[_quick_job()])
+    view = clients[1].wait(receipt.job_id, timeout=60.0)
+    assert view["status"] == "completed"
+    # One GET from the client, passed on as one GET to the owner.
+    assert status_polls(services[1]) == 1
+    assert status_polls(services[0]) == 1
+    assert services[1]._peer_failures.get(0, 0) == 0
+    suspect = services[1].metrics.series("repro_peer_suspect")
+    assert all(child.value == 0 for child in suspect.values())
+
+
+def test_proxied_poll_query_cannot_inject_header_lines(shard_pair, monkeypatch) -> None:
+    from repro.service import server
+
+    services, clients = shard_pair
+    receipt = clients[0].submit(cases=[_quick_job()])
+    clients[0].wait(receipt.job_id, timeout=120.0)
+    paths = []
+    fetch_json = server.fetch_json
+
+    async def capture(host, port, path, *args, **kwargs):
+        paths.append(path)
+        return await fetch_json(host, port, path, *args, **kwargs)
+
+    monkeypatch.setattr(server, "fetch_json", capture)
+    status, body = clients[1]._request(
+        "GET", f"/v1/jobs/{receipt.job_id}?result=1%20HTTP/1.1%0D%0AX-Injected:%20yes"
+    )
+    assert status == 200
+    assert body["payload"]["status"] == "completed"
+    assert len(paths) == 1
+    assert "\r" not in paths[0] and "\n" not in paths[0], paths[0]
+
+
+def test_proxied_poll_ignores_a_job_id_with_a_trailing_newline(
+    shard_pair, monkeypatch
+) -> None:
+    from repro.service import server
+
+    services, clients = shard_pair
+    dialled = []
+
+    async def no_dial(*args, **kwargs):
+        dialled.append(args)
+        raise AssertionError("the peer was dialled")
+
+    monkeypatch.setattr(server, "fetch_json", no_dial)
+    status, body = clients[1]._request("GET", "/v1/jobs/job-s0-000001%0A")
+    assert status == 404
+    assert body["payload"]["code"] == "not_found"
+    assert dialled == []
+
+
+def test_stopping_shard_answers_its_held_proxied_poll(shard_pair) -> None:
+    """A shard that stops while it holds a proxied long poll answers it
+    with 503 at once: it can no longer tell the owner's job status."""
+    services, clients = shard_pair
+    started, release = threading.Event(), threading.Event()
+
+    def gate(_state):
+        started.set()
+        release.wait(timeout=30)
+
+    services[0].manager.pre_execute = gate
+    receipt = clients[0].submit(cases=[_quick_job()])
+    assert started.wait(timeout=10)
+    answers = []
+
+    def poll():
+        status, body = clients[1]._request("GET", f"/v1/jobs/{receipt.job_id}?wait=20")
+        answers.append((status, body["payload"].get("code")))
+
+    poller = threading.Thread(target=poll)
+    poller.start()
+    try:
+        deadline = time.monotonic() + 10
+        while not services[0]._held_polls:
+            assert time.monotonic() < deadline, "the owner never held the poll"
+            time.sleep(0.01)
+        loop = services[1].manager._worker_tasks[0].get_loop()
+        began = time.monotonic()
+        asyncio.run_coroutine_threadsafe(services[1].stop(), loop).result(timeout=30)
+        stopped_in = time.monotonic() - began
+        poller.join(timeout=30)
+    finally:
+        release.set()
+    assert not poller.is_alive()
+    assert stopped_in < 2.0
+    assert answers == [(503, "draining")]

@@ -16,11 +16,12 @@ import asyncio
 import contextlib
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
-from _helpers import TEST_INSTRUCTIONS, TEST_SEED
+from _helpers import TEST_INSTRUCTIONS, TEST_SEED, status_polls
 
 from repro._version import __version__
 from repro.common.errors import ConfigurationError, ServiceError, ServiceOverloadedError
@@ -366,6 +367,118 @@ def test_failed_job_reports_error_not_500(service) -> None:
     svc.manager.pre_execute = None
     assert client.healthz()["status"] == "ok"
     assert svc.manager.stats_document()["totals"]["failed"] == 1
+
+
+# ----------------------------------------------------------------------
+# Long polls
+# ----------------------------------------------------------------------
+
+
+def _running_job(svc, client):
+    """Submit a job and hold it running in ``pre_execute``; returns the
+    receipt and the event that releases it."""
+    started, release = threading.Event(), threading.Event()
+
+    def gate(_state):
+        started.set()
+        release.wait(timeout=30)
+
+    svc.manager.pre_execute = gate
+    receipt = client.submit(figure="sec52", instructions=600, seed=7)
+    assert started.wait(timeout=10), "job never started executing"
+    return receipt, release
+
+
+@pytest.mark.parametrize(
+    "query, status, held",
+    [
+        ("", 200, False),
+        ("?wait=0", 200, False),
+        ("?wait=1e9", 200, True),
+        ("?wait=soon", 400, False),
+        ("?wait=-1", 400, False),
+        ("?wait=nan", 400, False),
+        ("?wait=inf", 400, False),
+    ],
+)
+def test_wait_parameter_is_validated_and_clamped(
+    service, monkeypatch, query, status, held
+) -> None:
+    """``?wait=`` comes from outside: only finite, non-negative seconds are
+    accepted, a wait past the cap holds only for the cap, and no wait (or
+    0) answers at once."""
+    svc, client = service
+    cap = 0.5
+    monkeypatch.setattr("repro.service.server.MAX_POLL_WAIT_SECONDS", cap)
+    receipt, release = _running_job(svc, client)
+    try:
+        began = time.monotonic()
+        code, body = client._request("GET", f"/v1/jobs/{receipt.job_id}{query}")
+        elapsed = time.monotonic() - began
+    finally:
+        release.set()
+    assert code == status
+    if status == 400:
+        assert open_envelope(body, "error")["code"] == "bad_request"
+    else:
+        assert open_envelope(body, "job_status")["status"] == "running"
+        assert (elapsed >= 0.9 * cap) == held, elapsed
+    assert elapsed < 10 * cap
+
+
+def test_run_waits_with_one_status_poll(service) -> None:
+    """A job that runs ~0.5 s costs ``client.run()`` exactly one status
+    poll: the server answers the long poll when the job finishes."""
+    svc, client = service
+    svc.manager.pre_execute = lambda _state: time.sleep(0.5)
+    job = SimJob(fmc_hash(), quick_fp_suite().members[0], TEST_INSTRUCTIONS, TEST_SEED)
+    before = status_polls(svc)
+    view = client.run(cases=[job], timeout=WAIT_TIMEOUT)
+    assert view["status"] == "completed"
+    assert status_polls(svc) - before == 1
+
+
+def test_stop_answers_held_polls_promptly_and_truthfully(tmp_path) -> None:
+    """stop() answers a held long poll with the job's current status and
+    returns at once.  The job is ``running``, not ``failed``: the journal
+    re-queues it for the next server generation."""
+    config = ServiceConfig(
+        host="127.0.0.1", port=0, cache_dir=str(tmp_path / "cache"), workers=1
+    )
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    svc = ReproService(config)
+    asyncio.run_coroutine_threadsafe(svc.start(), loop).result(timeout=10)
+    client = ServiceClient(f"http://127.0.0.1:{svc.address[1]}", timeout=30.0)
+    answers = []
+
+    def poll(job_id):
+        try:
+            answers.append(client.status(job_id, wait=20.0)["status"])
+        except ServiceError as error:
+            answers.append(repr(error))
+
+    try:
+        receipt, release = _running_job(svc, client)
+        poller = threading.Thread(target=poll, args=(receipt.job_id,))
+        poller.start()
+        deadline = time.monotonic() + 10
+        while not svc._held_polls:
+            assert time.monotonic() < deadline, "the poll was never held"
+            time.sleep(0.01)
+        began = time.monotonic()
+        asyncio.run_coroutine_threadsafe(svc.stop(), loop).result(timeout=30)
+        stopped_in = time.monotonic() - began
+        poller.join(timeout=30)
+        release.set()
+    finally:
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=5)
+        loop.close()
+    assert not poller.is_alive()
+    assert stopped_in < 2.0
+    assert answers == ["running"]
 
 
 # ----------------------------------------------------------------------
