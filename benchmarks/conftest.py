@@ -7,49 +7,26 @@ benchmarks replay the exact same traces; use
 ``python -m pytest benchmarks --benchmark-only -s`` to see the regenerated
 tables/figures inline.
 
-All simulations go through the orchestration layer
-(:class:`repro.exp.ExperimentRunner`).  Two environment variables tune it:
-
-* ``REPRO_BENCH_JOBS`` -- worker processes for the sweeps (default 1,
-  i.e. in-process; note that parallel timings measure the pool too).
-* ``REPRO_BENCH_CACHE`` -- result cache directory.  Unset by default so the
-  benchmarks always measure real simulation time, never cache reads.
+The context is the CLI's default campaign
+(:func:`repro.sim.experiments.campaign_context`: the quick suites at 8,000
+instructions, seed 2008) with an inline runner and no result cache, so the
+benchmarks always measure real simulation time, never cache reads.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.exp import ExperimentRunner, ResultCache
-from repro.sim.experiments import ExperimentContext
-from repro.workloads.suite import quick_fp_suite, quick_int_suite
-
-#: Trace length per workload used by the benchmark campaign.
-BENCH_INSTRUCTIONS = 8_000
-
-#: RNG seed of the benchmark campaign.
-BENCH_SEED = 2008
+from repro.sim.experiments import ExperimentContext, campaign_context
 
 
 @pytest.fixture(scope="session")
 def context() -> ExperimentContext:
-    """The shared reduced experiment campaign, routed through the runner."""
-    cache_dir = os.environ.get("REPRO_BENCH_CACHE")
-    runner = ExperimentRunner(
-        jobs=int(os.environ.get("REPRO_BENCH_JOBS", "1")),
-        cache=ResultCache(cache_dir) if cache_dir else None,
-    )
-    return ExperimentContext(
-        fp_suite=quick_fp_suite(),
-        int_suite=quick_int_suite(),
-        instructions_per_workload=BENCH_INSTRUCTIONS,
-        seed=BENCH_SEED,
-        runner=runner,
-    )
+    """The shared quick experiment campaign."""
+    return campaign_context()
 
 
-def run_once(benchmark, function, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
+def run_once(benchmark, figure, context, **kwargs):
+    """Plan ``figure`` on ``context``, then time one ``context.run(plan)``."""
+    plan = figure(context, **kwargs)
+    return benchmark.pedantic(context.run, args=(plan,), rounds=1, iterations=1)

@@ -16,7 +16,7 @@ from repro.sim.tables import format_fig7
 def test_fig7_speedups(benchmark, context):
     rows, baseline_ipc = run_once(benchmark, fig7_speedups, context)
     print()
-    print(format_fig7(rows, baseline_ipc))
+    print(format_fig7((rows, baseline_ipc)))
 
     by_name = {row.machine_name: row for row in rows}
     hash_sqm = by_name["ELSQ Hash ERT + SQM"]

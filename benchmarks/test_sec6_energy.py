@@ -9,23 +9,13 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.sim.experiments import sec6_energy_comparison
+from repro.sim.experiments import EXPERIMENTS, sec6_energy_comparison
 
 
 def test_sec6_energy_comparison(benchmark, context):
     comparison = run_once(benchmark, sec6_energy_comparison, context)
     print()
-    print("Section 6: energy comparison")
-    print(f"  ERT read energy / L1 read energy: {comparison.ert_vs_l1_read_ratio:.3f}")
-    for label in comparison.rsac_vs_svw_ert_accesses:
-        print(
-            "  {}: RSAC/SVW ERT accesses {:.2f}, round trips {:.2f}, cache accesses {:.2f}".format(
-                label,
-                comparison.rsac_vs_svw_ert_accesses[label],
-                comparison.rsac_vs_svw_round_trips[label],
-                comparison.rsac_vs_svw_cache_accesses[label],
-            )
-        )
+    print(EXPERIMENTS["sec6"].render(comparison))
 
     # The paper's headline ratio: the ERT read is roughly 2% of an L1 read.
     assert 0.005 < comparison.ert_vs_l1_read_ratio < 0.05

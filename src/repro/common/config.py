@@ -354,11 +354,3 @@ class FMCConfig:
 
     def __post_init__(self) -> None:
         _require_positive("num_memory_engines", self.num_memory_engines)
-
-    @property
-    def max_in_flight_instructions(self) -> int:
-        """Upper bound on the number of simultaneously in-flight instructions."""
-        return (
-            self.cache_processor.rob_size
-            + self.num_memory_engines * self.memory_engine.max_instructions
-        )

@@ -45,10 +45,6 @@ class AddressHash:
         """Return the bucket index for ``address``."""
         return (address >> WORD_SHIFT) & self.mask
 
-    def collides(self, address_a: int, address_b: int) -> bool:
-        """Whether two addresses map to the same bucket."""
-        return self.index(address_a) == self.index(address_b)
-
 
 class CountingBloomFilter:
     """A single-hash counting Bloom filter over addresses.

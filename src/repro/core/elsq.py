@@ -31,7 +31,6 @@ from typing import Dict, List, Optional
 from repro.common.config import (
     DisambiguationModel,
     ELSQConfig,
-    ERTKind,
     InterconnectConfig,
     LoadQueueScheme,
 )
@@ -352,16 +351,6 @@ class EpochBasedLSQ(LSQPolicy):
     def ert(self) -> Optional[EpochResolutionTable]:
         """The global disambiguation filter (``None`` for ERTKind.NONE)."""
         return self._ert
-
-    @property
-    def uses_store_queue_mirror(self) -> bool:
-        """Whether the Store Queue Mirror is present."""
-        return self._sqm is not None
-
-    @property
-    def uses_line_locking(self) -> bool:
-        """Whether the configuration relies on L1 line locking."""
-        return self.config.ert.kind is ERTKind.LINE
 
     @property
     def disambiguation(self) -> DisambiguationModel:

@@ -221,12 +221,3 @@ class StoreBuffer:
             if store.in_flight_at(cycle) and not store.address_known_at(cycle):
                 return True
         return False
-
-    # ------------------------------------------------------------------
-    # Occupancy estimates (for energy accounting / diagnostics)
-    # ------------------------------------------------------------------
-
-    def stores_to_word(self, address: int) -> int:
-        """Number of recorded stores that wrote the word containing ``address``."""
-        bucket = self._by_word.get(address >> _WORD_SHIFT)
-        return len(bucket) if bucket else 0

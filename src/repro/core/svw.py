@@ -30,7 +30,7 @@ loses IPC when the window (and therefore the vulnerability window) is large.
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional
+from typing import List
 
 from repro.common.config import SVWConfig
 from repro.common.stats import StatsRegistry
@@ -96,12 +96,3 @@ class StoreVulnerabilityWindow:
     def ssbf_entries(self) -> int:
         """Number of SSBF rows."""
         return self._hash.num_buckets
-
-    def bucket_of(self, address: int) -> int:
-        """Return the SSBF bucket an address maps to (for tests/diagnostics)."""
-        return self._hash.index(address)
-
-    def bucket_entry(self, address: int) -> Optional[int]:
-        """Return the store sequence currently held for the address's bucket."""
-        entry = self._ssbf[self._hash.index(address)]
-        return None if entry < 0 else entry

@@ -9,10 +9,11 @@ on-disk result cache::
     python -m repro cache list
     python -m repro profile fig7 --trace-out fig7-trace.json --jobs 4
 
-Every figure command prints the paper-layout text table plus a one-line
-runner summary (simulations executed vs cache hits); ``--json`` additionally
-writes a machine-readable artifact containing the full result series and the
-campaign parameters.  A second invocation with the same parameters and cache
+A figure command plans every figure it names, runs all their simulations as
+one batch, then prints each paper-layout table and a one-line runner summary
+(simulations executed vs cache hits); ``--json`` additionally writes a
+machine-readable artifact containing the full result series and the campaign
+parameters.  A second invocation with the same parameters and cache
 directory completes entirely from the cache, executing zero simulations.
 """
 
@@ -22,9 +23,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro._version import __version__
 from repro.common import phases
@@ -35,7 +35,6 @@ from repro.obs import spans as obs_spans
 from repro.obs.logs import LOG_LEVELS, configure_logging
 from repro.exp.runner import ExperimentRunner
 from repro.memory.replacement import TIMING_POLICY_NAMES
-from repro.sim import tables
 from repro.sim.configs import PAPER_CONFIGS
 from repro.sim.engine import DEFAULT_ENGINE, engine_names
 from repro.sim.experiments import (
@@ -53,70 +52,6 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: test asserts it matches repro.service.server.DEFAULT_PORT.
 DEFAULT_SERVICE_PORT = 8077
 DEFAULT_SERVICE_URL = f"http://127.0.0.1:{DEFAULT_SERVICE_PORT}"
-
-
-@dataclass(frozen=True)
-class FigureSpec:
-    """One reproducible paper artifact: how to run it and how to render it."""
-
-    name: str
-    description: str
-    run: Callable[[ExperimentContext], Any]
-    render: Callable[[Any], str]
-    #: Fixed suite scope, when the experiment does not sweep the campaign's
-    #: SPEC-like suites (``None`` otherwise); mirrored from ExperimentSpec.
-    suites: Optional[tuple] = None
-
-
-#: How each registered experiment's result renders as a paper-layout table.
-_RENDERERS: Dict[str, Callable[[Any], str]] = {
-    "fig1": tables.format_fig1,
-    "sec52": tables.format_sec52,
-    "fig7": lambda result: tables.format_fig7(result[0], result[1]),
-    "fig8a": tables.format_fig8a,
-    "fig8bc": tables.format_fig8bc,
-    "fig9": tables.format_fig9,
-    "fig10": tables.format_fig10,
-    "fig11": tables.format_fig11,
-    "table2": tables.format_table2,
-    "sec6": tables.format_sec6,
-    "family-sweep": tables.format_family_sweep,
-}
-
-def _json_render(result: Any) -> str:
-    """Fallback renderer: pretty-printed JSON of the result series."""
-    return json.dumps(to_jsonable(result), indent=2, sort_keys=True)
-
-
-def _render_policy_sweep(result: Any) -> str:
-    """Compact miss-ratio-curve tables, one per workload family."""
-    sizes = result["sizes_bytes"]
-    header = "  ".join(f"{size // 1024:>4}K" for size in sizes)
-    lines = ["policy-sweep: miss ratio vs cache size, per workload family"]
-    for family, block in result["families"].items():
-        lines.append("")
-        lines.append(f"{family}  (members: {', '.join(block['members'])})")
-        lines.append(f"  {'policy':<8} {header}")
-        for policy, curve in block["curves"].items():
-            cells = "  ".join(f"{ratio:5.3f}" for ratio in curve)
-            lines.append(f"  {policy:<8} {cells}")
-    return "\n".join(lines)
-
-
-_RENDERERS["policy-sweep"] = _render_policy_sweep
-
-
-#: The CLI's figure table is the experiment registry plus a renderer each, so
-#: the set of names the CLI accepts is exactly what the service accepts.  An
-#: experiment registered without a table renderer falls back to JSON output
-#: rather than breaking the whole CLI at import time; a test asserts the two
-#: maps actually stay in sync.
-FIGURES: Dict[str, FigureSpec] = {
-    name: FigureSpec(
-        name, spec.description, spec.run, _RENDERERS.get(name, _json_render), spec.suites
-    )
-    for name, spec in EXPERIMENTS.items()
-}
 
 
 def build_context(args: argparse.Namespace, runner: ExperimentRunner) -> ExperimentContext:
@@ -158,10 +93,10 @@ def _write_json(path: str, document: Any) -> None:
 
 
 def run_figures(figure_names: List[str], args: argparse.Namespace) -> int:
-    """Run the named figures through one shared runner/context.
+    """Run the named figures' plans as one batch of one runner.
 
-    The runner's worker pool persists across the figures (that is the point
-    of pool reuse) and is torn down once the last figure completes.
+    The figures' cases run together (equal jobs once), so the worker pool
+    stays busy across all of them; it is torn down when the batch is done.
     """
     with build_runner(args) as runner:
         return _run_figures(figure_names, args, runner)
@@ -171,45 +106,40 @@ def _run_figures(
     figure_names: List[str], args: argparse.Namespace, runner: ExperimentRunner
 ) -> int:
     context = build_context(args, runner)
+    parameters = _campaign_parameters(args, context)
+    specs = [EXPERIMENTS[name] for name in figure_names]
+    started = time.perf_counter()
+    plans = {spec.name: spec.plan(context) for spec in specs}
+    results = context.run_plans(plans)
+    elapsed = time.perf_counter() - started
+    if not args.quiet:
+        for spec in specs:
+            print(spec.render(results[spec.name]))
+            print()
+        print(
+            f"[repro] {args.command}: {runner.executed_jobs} simulated, "
+            f"{runner.cache_hits} from cache, {elapsed:.2f}s"
+        )
+    figures = {
+        spec.name: {
+            "description": spec.description,
+            # Which workloads the numbers came from: the plan's own suites,
+            # else the campaign's.
+            "suites": list(plans[spec.name].suites) or parameters["suites"],
+            "results": to_jsonable(results[spec.name]),
+        }
+        for spec in specs
+    }
     artifact: Dict[str, Any] = {
         "command": " ".join(figure_names),
-        "parameters": _campaign_parameters(args, context),
-        "figures": {},
+        "parameters": parameters,
+        "figures": figures,
+        "executed_jobs": runner.executed_jobs,
+        "cache_hits": runner.cache_hits,
+        "elapsed_seconds": elapsed,
+        # Convenience top-level alias when a single figure was requested.
+        "results": figures[figure_names[0]]["results"] if len(figure_names) == 1 else None,
     }
-    for name in figure_names:
-        spec = FIGURES[name]
-        started = time.perf_counter()
-        executed_before, hits_before = runner.executed_jobs, runner.cache_hits
-        result = spec.run(context)
-        elapsed = time.perf_counter() - started
-        executed = runner.executed_jobs - executed_before
-        hits = runner.cache_hits - hits_before
-        if not args.quiet:
-            print(spec.render(result))
-            print(
-                f"[repro] {name}: {executed} simulated, {hits} from cache, {elapsed:.2f}s"
-            )
-            print()
-        artifact["figures"][name] = {
-            "description": spec.description,
-            # Which workloads the numbers actually came from: the campaign's
-            # suites unless the experiment has a fixed scope of its own.
-            "suites": (
-                list(spec.suites)
-                if spec.suites is not None
-                else artifact["parameters"]["suites"]
-            ),
-            "elapsed_seconds": elapsed,
-            "executed_jobs": executed,
-            "cache_hits": hits,
-            "results": to_jsonable(result),
-        }
-    artifact["executed_jobs"] = runner.executed_jobs
-    artifact["cache_hits"] = runner.cache_hits
-    # Convenience top-level alias when a single figure was requested.
-    artifact["results"] = (
-        artifact["figures"][figure_names[0]]["results"] if len(figure_names) == 1 else None
-    )
     if args.json:
         _write_json(args.json, artifact)
         if not args.quiet:
@@ -281,7 +211,7 @@ def run_cache_command(args: argparse.Namespace) -> int:
 def run_list_command(_args: argparse.Namespace) -> int:
     """Implement ``repro list``: every figure and named machine configuration."""
     print("figures / tables:")
-    for name, spec in FIGURES.items():
+    for name, spec in EXPERIMENTS.items():
         print(f"  {name:<8} {spec.description}")
     print()
     print("machine configurations (Table 2 names):")
@@ -425,7 +355,7 @@ def run_profile_command(args: argparse.Namespace) -> int:
     its results, and the combined timeline is written as Chrome trace-event
     JSON -- load it at https://ui.perfetto.dev or ``chrome://tracing``.
     """
-    spec = FIGURES[args.figure]
+    spec = EXPERIMENTS[args.figure]
     runner = ExperimentRunner(jobs=args.jobs, cache=None)
     context = build_context(args, runner)
     phases.reset()
@@ -434,7 +364,7 @@ def run_profile_command(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         with obs_spans.span(f"profile:{args.figure}", category="profile"):
-            spec.run(context)
+            context.run(spec.plan(context))
     finally:
         obs_spans.stop_recording()
         runner.close()
@@ -860,8 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    figure_verbs = {name: (spec.description, [name]) for name, spec in FIGURES.items()}
-    figure_verbs["all"] = ("run every figure and table", list(FIGURES))
+    figure_verbs = {name: (spec.description, [name]) for name, spec in EXPERIMENTS.items()}
+    figure_verbs["all"] = ("run every figure and table as one batch", list(EXPERIMENTS))
     for name, (description, figures) in figure_verbs.items():
         sub = subparsers.add_parser(name, help=description)
         _add_local_campaign_arguments(sub)
@@ -1161,7 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run one figure with span profiling and write a Chrome trace JSON",
     )
-    sub.add_argument("figure", choices=sorted(FIGURES), help="figure/table to profile")
+    sub.add_argument("figure", choices=sorted(EXPERIMENTS), help="figure/table to profile")
     sub.add_argument(
         "--trace-out",
         required=True,
@@ -1175,7 +1105,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "submit", help="submit a figure to a running server and wait for the result"
     )
-    sub.add_argument("figure", choices=sorted(FIGURES), help="figure/table to reproduce")
+    sub.add_argument("figure", choices=sorted(EXPERIMENTS), help="figure/table to reproduce")
     _add_server_arguments(sub, timeout=600.0)
     _add_campaign_arguments(sub)
     sub.add_argument(

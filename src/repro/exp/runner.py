@@ -31,7 +31,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from time import perf_counter
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.common import phases
 from repro.common.errors import ConfigurationError
@@ -73,15 +73,15 @@ class SimJob:
 
 @dataclass(frozen=True)
 class SweepCase:
-    """One named point of a declarative sweep: a machine over a suite.
+    """One point of a declarative sweep: a machine over a suite.
 
-    The experiment definitions in :mod:`repro.sim.experiments` declare each
-    figure as a list of cases; the runner expands every case into one
-    :class:`SimJob` per suite member and executes the whole batch at once,
-    so parallelism spans the entire figure rather than a single suite.
+    A case is its own key.  It is frozen and hashable, equal cases are the
+    same point, and :meth:`ExperimentRunner.run_cases` returns results keyed
+    by the cases themselves.  The experiment plans in
+    :mod:`repro.sim.experiments` declare every figure as cases; the runner
+    expands each case into one :class:`SimJob` per suite member.
     """
 
-    case_id: str
     machine: MachineConfig
     suite_label: str
 
@@ -131,15 +131,6 @@ def clear_trace_memo() -> None:
     otherwise let the pool skip trace generation and skew the comparison.
     """
     _TRACE_MEMO.clear()
-
-
-def ensure_unique_case_ids(cases: Sequence[SweepCase]) -> None:
-    """Raise if two sweep cases share a ``case_id`` (results would collide)."""
-    seen = set()
-    for case in cases:
-        if case.case_id in seen:
-            raise ConfigurationError(f"duplicate sweep case id {case.case_id!r}")
-        seen.add(case.case_id)
 
 
 def _trace_for(workload: WorkloadParameters, num_instructions: int, seed: Optional[int]) -> Trace:
@@ -402,33 +393,35 @@ class ExperimentRunner:
 
     def run_cases(
         self,
-        cases: Sequence[SweepCase],
+        cases: Iterable[SweepCase],
         suites: Mapping[str, WorkloadSuite],
         num_instructions: int,
         seed: Optional[int] = None,
-    ) -> Dict[str, SuiteResult]:
-        """Run a whole declarative sweep as one batch.
+    ) -> Dict[SweepCase, SuiteResult]:
+        """Run sweep cases as one batch; returns ``{case: SuiteResult}``.
 
-        Every case is expanded into one job per member of its suite and the
-        combined batch is executed at once, so the process pool stays busy
-        across the entire figure.  Returns ``{case_id: SuiteResult}``.
+        Every distinct case expands into one job per member of the suite its
+        label names, and the combined batch runs at once, so the process pool
+        stays busy across every figure of an invocation.  Equal cases run
+        once, and so does a job two cases share (the same machine under two
+        display names).
         """
-        ensure_unique_case_ids(cases)
-        expanded: List[Tuple[SweepCase, WorkloadSuite, List[SimJob]]] = []
-        all_jobs: List[SimJob] = []
-        for case in cases:
-            suite = suites[case.suite_label]
-            case_jobs = [SimJob(case.machine, member, num_instructions, seed) for member in suite]
-            all_jobs.extend(case_jobs)
-            expanded.append((case, suite, case_jobs))
-        batch = self.run_batch(all_jobs)
-        output: Dict[str, SuiteResult] = {}
-        for case, suite, case_jobs in expanded:
-            results = {
-                job.workload.name: _relabel(batch[job.key()], case.machine.name)
-                for job in case_jobs
-            }
-            output[case.case_id] = SuiteResult(
-                machine_name=case.machine.name, suite_name=suite.name, results=results
+        expanded = {
+            case: [
+                SimJob(case.machine, member, num_instructions, seed)
+                for member in suites[case.suite_label]
+            ]
+            for case in cases
+        }
+        batch = self.run_batch([job for jobs in expanded.values() for job in jobs])
+        return {
+            case: SuiteResult(
+                machine_name=case.machine.name,
+                suite_name=suites[case.suite_label].name,
+                results={
+                    job.workload.name: _relabel(batch[job.key()], case.machine.name)
+                    for job in jobs
+                },
             )
-        return output
+            for case, jobs in expanded.items()
+        }

@@ -132,13 +132,6 @@ class Instruction:
         """Whether this instruction is a branch."""
         return self.iclass is InstrClass.BRANCH
 
-    @property
-    def is_fp(self) -> bool:
-        """Whether this instruction executes on the floating-point pipeline."""
-        return self.iclass is InstrClass.FP_ALU or (
-            self.dest is not None and self.dest >= FP_REGISTER_BASE
-        )
-
     def byte_range(self) -> Tuple[int, int]:
         """Return the half-open ``[start, end)`` byte range touched by a memory op."""
         if not self.is_memory:

@@ -4,7 +4,7 @@ A :class:`Trace` is an immutable, validated sequence of
 :class:`~repro.isa.instruction.Instruction` records in program order.  It is
 the unit of work handed to a processor model.  Traces can be built from any
 iterable of instructions (typically a workload generator), summarised with
-:class:`TraceStatistics`, sliced and concatenated; the binary container of
+:class:`TraceStatistics` and sliced; the binary container of
 :mod:`repro.trace.format` records and replays them.
 
 A trace has two interchangeable storage forms: the instruction-object list
@@ -85,13 +85,6 @@ class TraceStatistics:
     num_fp_alu: int
     num_mispredicted_branches: int
     unique_lines_touched: int
-
-    @property
-    def memory_fraction(self) -> float:
-        """Fraction of instructions that are loads or stores."""
-        if self.num_instructions == 0:
-            return 0.0
-        return (self.num_loads + self.num_stores) / self.num_instructions
 
     @property
     def load_fraction(self) -> float:
@@ -258,32 +251,6 @@ class Trace:
             num_fp_alu=fp_ops,
             num_mispredicted_branches=mispredicts,
             unique_lines_touched=len(lines),
-        )
-
-    def concatenate(self, other: "Trace", name: Optional[str] = None) -> "Trace":
-        """Return a new trace containing this trace followed by ``other``.
-
-        Sequence numbers of the second trace are rebased so the result is a
-        valid trace.
-        """
-        own = self._materialize()
-        offset = len(own)
-        rebased = [
-            Instruction(
-                seq=offset + instruction.seq,
-                iclass=instruction.iclass,
-                dest=instruction.dest,
-                srcs=instruction.srcs,
-                address=instruction.address,
-                size=instruction.size,
-                mispredicted=instruction.mispredicted,
-                latency=instruction.latency,
-            )
-            for instruction in other
-        ]
-        return Trace(
-            own + rebased,
-            name=name if name is not None else f"{self._name}+{other.name}",
         )
 
     def prefix(self, length: int, name: Optional[str] = None) -> "Trace":

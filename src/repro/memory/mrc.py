@@ -17,8 +17,9 @@ OPT's miss ratio is <= every other policy's on the same trace at every size
 -- an invariant :func:`policy_sweep` checks on every curve it emits.
 
 The profiler is an experiment like any figure: ``policy-sweep`` in
-:data:`repro.sim.experiments.EXPERIMENTS`, so the CLI
-(``python -m repro policy-sweep``), the service (``repro submit
+:data:`repro.sim.experiments.EXPERIMENTS` is a plan with no simulation
+cases whose reduction calls :func:`policy_sweep`, so the CLI
+(``python -m repro policy-sweep``, or ``all``), the service (``repro submit
 policy-sweep``) and the load harness all address it by name.
 """
 

@@ -805,7 +805,7 @@ class JobManager:
                     engine=request.engine,
                     policy=request.policy,
                 )
-                return to_jsonable(spec.run(context))
+                return to_jsonable(context.run(spec.plan(context)))
             batch = runner.run_batch(list(request.cases))
             return {key: result.to_dict() for key, result in batch.items()}
         finally:

@@ -6,8 +6,11 @@
 * :mod:`repro.sim.simulator` -- :class:`~repro.sim.simulator.Simulator` runs a
   machine over traces and suites and aggregates results.
 * :mod:`repro.sim.experiments` -- one function per table / figure of the
-  evaluation section.
-* :mod:`repro.sim.tables` -- plain-text formatters used by the benchmarks.
+  evaluation section; each returns a :class:`~repro.sim.experiments.Plan`
+  (its simulation cases plus a reduction) that
+  :meth:`~repro.sim.experiments.ExperimentContext.run` runs.
+* :mod:`repro.sim.tables` -- plain-text formatters that render each
+  experiment's result in the paper's layout.
 """
 
 from repro.sim.configs import (

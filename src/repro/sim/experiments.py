@@ -3,24 +3,22 @@
 Every experiment of the evaluation section is reproduced by a function in
 this module.  Each function takes an :class:`ExperimentContext` (which owns
 the workload suites, the trace length, the seed and the runner every
-simulation goes through) and returns a plain result object that the
-benchmark scripts print in the same rows/series the paper reports.
+simulation goes through) and returns a :class:`Plan`, running nothing:
 
-Every experiment is expressed in two halves:
+* the plan's ``cases`` -- :class:`~repro.exp.runner.SweepCase` records,
+  each one machine over one suite -- are everything the figure simulates;
+* its ``suites`` name any suites beyond the campaign's two; and
+* its ``reduce`` turns ``{case: SuiteResult}`` into the plain result object
+  the CLI, the service and the benchmark scripts report, in the same
+  rows/series as the paper.
 
-* a ``*_sweep`` builder that **declares the sweep as data** -- a list of
-  :class:`~repro.exp.runner.SweepCase` records naming which machine runs
-  over which suite -- and
-* the experiment function itself, which hands the declared cases to
-  :meth:`ExperimentContext.run_sweep` and post-processes the resulting
-  aggregates into the figure's series.
-
-Because the simulation work is fully described by the case list, the
-orchestration layer (:mod:`repro.exp`) can deduplicate, cache and fan the
-whole figure out over a process pool.  Every sweep runs through an
-:class:`~repro.exp.runner.ExperimentRunner` -- an inline one when the
-caller attaches none -- and serial and parallel runners produce
-bit-identical numbers.
+:meth:`ExperimentContext.run_plans` runs the cases of any number of plans
+as one batch of the context's :class:`~repro.exp.runner.ExperimentRunner`
+-- an inline one when the caller attaches none -- and then reduces each
+plan; :meth:`ExperimentContext.run` does the same for one plan.  Because a
+figure's simulation work is fully described by its cases, the runner can
+deduplicate across figures, cache, and fan the whole invocation out over a
+process pool; serial and parallel runners produce bit-identical numbers.
 
 | Function                          | Paper artifact |
 | --------------------------------- | -------------- |
@@ -35,17 +33,19 @@ bit-identical numbers.
 | :func:`table2_access_counts`      | Table 2        |
 | :func:`sec6_energy_comparison`    | Section 6      |
 | :func:`family_sweep`              | (beyond-paper) |
+| :func:`policy_sweep_experiment`   | (beyond-paper) |
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.config import DisambiguationModel
+from repro.common.errors import ConfigurationError
 from repro.energy.accounting import EnergyModel
 from repro.exp.runner import ExperimentRunner, SweepCase
+from repro.sim import tables
 from repro.sim.configs import (
     MachineConfig,
     fmc_central,
@@ -59,6 +59,26 @@ from repro.sim.configs import (
 )
 from repro.sim.simulator import DEFAULT_INSTRUCTIONS_PER_WORKLOAD, SuiteResult
 from repro.workloads.suite import WorkloadSuite, spec_fp_suite, spec_int_suite
+
+#: What a plan's reducer receives: one suite aggregate per declared case.
+CaseResults = Mapping[SweepCase, SuiteResult]
+
+
+@dataclass(frozen=True)
+class Plan:
+    """What one experiment simulates, and how its results become the figure.
+
+    A plan runs nothing itself; :meth:`ExperimentContext.run_plans` runs
+    the cases of several plans as one batch and then calls each ``reduce``
+    with the results of that plan's cases, keyed by the cases it declared.
+    """
+
+    #: Every machine/suite pair the experiment simulates.
+    cases: Tuple[SweepCase, ...]
+    #: Turns ``{case: SuiteResult}`` into the experiment's result.
+    reduce: Callable[[CaseResults], Any]
+    #: Suites beyond the campaign's two, keyed by the labels the cases use.
+    suites: Mapping[str, WorkloadSuite] = field(default_factory=dict)
 
 
 @dataclass
@@ -110,29 +130,36 @@ class ExperimentContext:
         """The two suites keyed by their paper labels."""
         return {"SPEC FP": self.fp_suite, "SPEC INT": self.int_suite}
 
-    def run_sweep(
-        self,
-        cases: Sequence[SweepCase],
-        extra_suites: Optional[Dict[str, WorkloadSuite]] = None,
-    ) -> Dict[str, SuiteResult]:
-        """Run a declared sweep as one runner batch; returns ``{case_id: SuiteResult}``.
+    def run_plans(self, plans: Mapping[str, Plan]) -> Dict[str, Any]:
+        """Run every plan's cases as one runner batch, then reduce each plan.
 
-        ``extra_suites`` lets an experiment sweep over suites beyond the
-        campaign's two SPEC-like ones (the workload families do this) without
-        mutating the context -- the merge is per-call, so a later experiment
-        sharing this context still sees only the campaign suites.
+        Returns ``{name: result}`` in the order of ``plans``.  Equal cases
+        from different plans run once, and so does any job two cases share.
+        The campaign's engine/policy overrides are applied to every case
+        before it runs, but each reducer looks its results up by the cases
+        it declared.  Plan suites merge per call: the context keeps its two.
         """
-        suites = dict(self.suites())
-        if extra_suites:
-            suites.update(extra_suites)
-        if self.engine is not None or self.policy is not None:
-            cases = [
-                dataclasses.replace(case, machine=self._apply_overrides(case.machine))
-                for case in cases
-            ]
-        return self.runner.run_cases(
-            cases, suites, self.instructions_per_workload, seed=self.seed
+        suites = self.suites()
+        for plan in plans.values():
+            for label, suite in plan.suites.items():
+                if suites.setdefault(label, suite) != suite:
+                    raise ConfigurationError(f"plans disagree on the suite labelled {label!r}")
+        bound = {
+            case: SweepCase(self._apply_overrides(case.machine), case.suite_label)
+            for plan in plans.values()
+            for case in plan.cases
+        }
+        results = self.runner.run_cases(
+            bound.values(), suites, self.instructions_per_workload, seed=self.seed
         )
+        return {
+            name: plan.reduce({case: results[bound[case]] for case in plan.cases})
+            for name, plan in plans.items()
+        }
+
+    def run(self, plan: Plan) -> Any:
+        """Run one plan and return its reduced result."""
+        return self.run_plans({"plan": plan})["plan"]
 
 
 def quick_context(instructions: int = 6_000, seed: int = 7) -> ExperimentContext:
@@ -145,6 +172,11 @@ def quick_context(instructions: int = 6_000, seed: int = 7) -> ExperimentContext
         instructions_per_workload=instructions,
         seed=seed,
     )
+
+
+def _grid(machines: Iterable[MachineConfig], labels: Sequence[str]) -> Tuple[SweepCase, ...]:
+    """Every machine over every suite label, machine-major."""
+    return tuple(SweepCase(machine, label) for machine in machines for label in labels)
 
 
 # ----------------------------------------------------------------------
@@ -167,56 +199,55 @@ class LocalityDistribution:
     store_p99: int
 
 
-def fig1_sweep(context: ExperimentContext) -> List[SweepCase]:
-    """Figure 1's sweep: the large-window FMC machine over both suites."""
+def fig1_execution_locality(context: ExperimentContext) -> Plan:
+    """Figure 1: the large-window FMC machine over both suites."""
     machine = fmc_hash()
-    return [
-        SweepCase(case_id=label, machine=machine, suite_label=label)
-        for label in context.suites()
-    ]
+    labels = tuple(context.suites())
+
+    def reduce(results: CaseResults) -> Dict[str, LocalityDistribution]:
+        return {
+            label: _locality_distribution(label, results[SweepCase(machine, label)])
+            for label in labels
+        }
+
+    return Plan(_grid([machine], labels), reduce)
 
 
-def fig1_execution_locality(context: ExperimentContext) -> Dict[str, LocalityDistribution]:
-    """Reproduce Figure 1 on the large-window FMC machine."""
-    sweep_results = context.run_sweep(fig1_sweep(context))
-    output: Dict[str, LocalityDistribution] = {}
-    for label in context.suites():
-        suite_result = sweep_results[label]
-        merged_loads: Dict[int, int] = {}
-        merged_stores: Dict[int, int] = {}
-        load_within = store_within = 0
-        p95_load = p99_load = p95_store = p99_store = 0
-        for result in suite_result.results.values():
-            load_hist = result.histogram("decode_to_address.loads") or []
-            store_hist = result.histogram("decode_to_address.stores") or []
-            for lower, population in load_hist:
-                merged_loads[lower] = merged_loads.get(lower, 0) + population
-            for lower, population in store_hist:
-                merged_stores[lower] = merged_stores.get(lower, 0) + population
-        load_series = sorted(merged_loads.items())
-        store_series = sorted(merged_stores.items())
-        load_total = sum(population for _, population in load_series)
-        store_total = sum(population for _, population in store_series)
-        if load_series and load_total:
-            load_within = load_series[0][1]
-            p95_load = _percentile_bound(load_series, 0.95)
-            p99_load = _percentile_bound(load_series, 0.99)
-        if store_series and store_total:
-            store_within = store_series[0][1]
-            p95_store = _percentile_bound(store_series, 0.95)
-            p99_store = _percentile_bound(store_series, 0.99)
-        output[label] = LocalityDistribution(
-            suite_label=label,
-            load_series=load_series,
-            store_series=store_series,
-            load_fraction_within_bin=(load_within / load_total) if load_total else 0.0,
-            store_fraction_within_bin=(store_within / store_total) if store_total else 0.0,
-            load_p95=p95_load,
-            load_p99=p99_load,
-            store_p95=p95_store,
-            store_p99=p99_store,
-        )
-    return output
+def _locality_distribution(label: str, suite_result: SuiteResult) -> LocalityDistribution:
+    merged_loads: Dict[int, int] = {}
+    merged_stores: Dict[int, int] = {}
+    load_within = store_within = 0
+    p95_load = p99_load = p95_store = p99_store = 0
+    for result in suite_result.results.values():
+        load_hist = result.histogram("decode_to_address.loads") or []
+        store_hist = result.histogram("decode_to_address.stores") or []
+        for lower, population in load_hist:
+            merged_loads[lower] = merged_loads.get(lower, 0) + population
+        for lower, population in store_hist:
+            merged_stores[lower] = merged_stores.get(lower, 0) + population
+    load_series = sorted(merged_loads.items())
+    store_series = sorted(merged_stores.items())
+    load_total = sum(population for _, population in load_series)
+    store_total = sum(population for _, population in store_series)
+    if load_series and load_total:
+        load_within = load_series[0][1]
+        p95_load = _percentile_bound(load_series, 0.95)
+        p99_load = _percentile_bound(load_series, 0.99)
+    if store_series and store_total:
+        store_within = store_series[0][1]
+        p95_store = _percentile_bound(store_series, 0.95)
+        p99_store = _percentile_bound(store_series, 0.99)
+    return LocalityDistribution(
+        suite_label=label,
+        load_series=load_series,
+        store_series=store_series,
+        load_fraction_within_bin=(load_within / load_total) if load_total else 0.0,
+        store_fraction_within_bin=(store_within / store_total) if store_total else 0.0,
+        load_p95=p95_load,
+        load_p99=p99_load,
+        store_p95=p95_store,
+        store_p99=p99_store,
+    )
 
 
 def _percentile_bound(series: Sequence[Tuple[int, int]], percentile: float) -> int:
@@ -259,49 +290,42 @@ SEC52_DEFAULT_SIZINGS: Tuple[Tuple[int, int], ...] = (
 )
 
 
-def sec52_sweep(
-    sizings: Sequence[Tuple[int, int]] = SEC52_DEFAULT_SIZINGS,
-) -> List[SweepCase]:
-    """Section 5.2's sweep: one per-epoch sizing per case, SPEC-FP-like suite."""
-    return [
-        SweepCase(
-            case_id=f"{loads}L{stores}S",
-            machine=fmc_elsq(
-                epoch_load_entries=loads,
-                epoch_store_entries=stores,
-                name=f"FMC-Hash-{loads}L{stores}S",
-            ),
-            suite_label="SPEC FP",
-        )
-        for loads, stores in sizings
-    ]
-
-
 def sec52_epoch_sizing(
     context: ExperimentContext,
     sizings: Sequence[Tuple[int, int]] = SEC52_DEFAULT_SIZINGS,
-) -> List[EpochSizingPoint]:
-    """Reproduce the Section 5.2 sizing study on the SPEC-FP-like suite.
+) -> Plan:
+    """The Section 5.2 sizing study: one sizing per case, SPEC-FP-like suite.
 
     The last sizing in ``sizings`` is treated as the "unlimited" reference
     (the paper sizes against an unlimited LSQ and accepts ~1% slowdown for
     64 loads / 32 stores per epoch).
     """
-    sweep_results = context.run_sweep(sec52_sweep(sizings))
-    results: List[Tuple[Tuple[int, int], float]] = [
-        ((loads, stores), sweep_results[f"{loads}L{stores}S"].mean_ipc)
-        for loads, stores in sizings
-    ]
-    reference_ipc = results[-1][1]
-    return [
-        EpochSizingPoint(
-            load_entries=loads,
-            store_entries=stores,
-            mean_ipc=ipc,
-            slowdown_vs_unlimited=1.0 - (ipc / reference_ipc if reference_ipc else 0.0),
+    cases = tuple(
+        SweepCase(
+            fmc_elsq(
+                epoch_load_entries=loads,
+                epoch_store_entries=stores,
+                name=f"FMC-Hash-{loads}L{stores}S",
+            ),
+            "SPEC FP",
         )
-        for (loads, stores), ipc in results
-    ]
+        for loads, stores in sizings
+    )
+
+    def reduce(results: CaseResults) -> List[EpochSizingPoint]:
+        ipcs = [results[case].mean_ipc for case in cases]
+        reference_ipc = ipcs[-1]
+        return [
+            EpochSizingPoint(
+                load_entries=loads,
+                store_entries=stores,
+                mean_ipc=ipc,
+                slowdown_vs_unlimited=1.0 - (ipc / reference_ipc if reference_ipc else 0.0),
+            )
+            for (loads, stores), ipc in zip(sizings, ipcs)
+        ]
+
+    return Plan(cases, reduce)
 
 
 # ----------------------------------------------------------------------
@@ -329,36 +353,30 @@ def fig7_machines() -> List[MachineConfig]:
     ]
 
 
-def fig7_sweep(context: ExperimentContext) -> List[SweepCase]:
-    """Figure 7's sweep: the baseline and every LSQ scheme over both suites."""
-    machines = [ooo_64()] + fig7_machines()
-    return [
-        SweepCase(case_id=f"{machine.name}|{label}", machine=machine, suite_label=label)
-        for machine in machines
-        for label in context.suites()
-    ]
+def fig7_speedups(context: ExperimentContext) -> Plan:
+    """Figure 7: reduces to (rows, baseline IPC per suite)."""
+    baseline = ooo_64()
+    machines = fig7_machines()
+    labels = tuple(context.suites())
 
+    def reduce(results: CaseResults) -> Tuple[List[SpeedupRow], Dict[str, float]]:
+        baseline_results = {label: results[SweepCase(baseline, label)] for label in labels}
+        rows: List[SpeedupRow] = []
+        for machine in machines:
+            by_suite = {label: results[SweepCase(machine, label)] for label in labels}
+            rows.append(
+                SpeedupRow(
+                    machine_name=machine.name,
+                    speedup_by_suite={
+                        label: result.speedup_over(baseline_results[label])
+                        for label, result in by_suite.items()
+                    },
+                    ipc_by_suite={label: result.mean_ipc for label, result in by_suite.items()},
+                )
+            )
+        return rows, {label: result.mean_ipc for label, result in baseline_results.items()}
 
-def fig7_speedups(context: ExperimentContext) -> Tuple[List[SpeedupRow], Dict[str, float]]:
-    """Reproduce Figure 7: return (rows, baseline IPC per suite)."""
-    sweep_results = context.run_sweep(fig7_sweep(context))
-    baseline_name = ooo_64().name
-    baseline_results = {
-        label: sweep_results[f"{baseline_name}|{label}"] for label in context.suites()
-    }
-    baseline_ipc = {label: result.mean_ipc for label, result in baseline_results.items()}
-    rows: List[SpeedupRow] = []
-    for machine in fig7_machines():
-        speedups: Dict[str, float] = {}
-        ipcs: Dict[str, float] = {}
-        for label in context.suites():
-            result = sweep_results[f"{machine.name}|{label}"]
-            speedups[label] = result.speedup_over(baseline_results[label])
-            ipcs[label] = result.mean_ipc
-        rows.append(
-            SpeedupRow(machine_name=machine.name, speedup_by_suite=speedups, ipc_by_suite=ipcs)
-        )
-    return rows, baseline_ipc
+    return Plan(_grid([baseline, *machines], labels), reduce)
 
 
 # ----------------------------------------------------------------------
@@ -379,57 +397,42 @@ class FilterAccuracyPoint:
 FIG8A_DEFAULT_HASH_BITS: Tuple[int, ...] = (6, 8, 10, 11, 12, 14, 16)
 
 
-def fig8a_sweep(
-    context: ExperimentContext, hash_bits: Sequence[int] = FIG8A_DEFAULT_HASH_BITS
-) -> List[SweepCase]:
-    """Figure 8a's sweep: the line-based ERT plus every hash width, both suites."""
-    machines = [fmc_line()] + [
-        fmc_hash(hash_bits=bits, name=f"FMC-Hash-{bits}b") for bits in hash_bits
-    ]
-    return [
-        SweepCase(case_id=f"{machine.name}|{label}", machine=machine, suite_label=label)
-        for machine in machines
-        for label in context.suites()
-    ]
-
-
 def fig8a_filter_accuracy(
     context: ExperimentContext, hash_bits: Sequence[int] = FIG8A_DEFAULT_HASH_BITS
-) -> List[FilterAccuracyPoint]:
-    """Reproduce Figure 8a: ERT false positives versus filter size."""
-    sweep_results = context.run_sweep(fig8a_sweep(context, hash_bits))
-    points: List[FilterAccuracyPoint] = []
-    line_machine = fmc_line()
-    line_fp = {
-        label: sweep_results[f"{line_machine.name}|{label}"].mean_counter_per_100m(
-            "ert.false_positives"
-        )
-        for label in context.suites()
-    }
-    points.append(
-        FilterAccuracyPoint(
-            label="Line-based",
-            # Load table + store table (the config method sizes one table).
-            storage_bytes=2 * line_machine.elsq.ert.storage_bytes(line_machine.hierarchy.l1),
-            false_positives_per_100m=line_fp,
-        )
-    )
-    for bits in hash_bits:
-        machine = fmc_hash(hash_bits=bits, name=f"FMC-Hash-{bits}b")
-        false_positives = {
-            label: sweep_results[f"{machine.name}|{label}"].mean_counter_per_100m(
-                "ert.false_positives"
-            )
-            for label in context.suites()
-        }
-        points.append(
+) -> Plan:
+    """Figure 8a: ERT false positives versus filter size, both suites."""
+    line = fmc_line()
+    hashed = [(bits, fmc_hash(hash_bits=bits, name=f"FMC-Hash-{bits}b")) for bits in hash_bits]
+    labels = tuple(context.suites())
+
+    def reduce(results: CaseResults) -> List[FilterAccuracyPoint]:
+        def false_positives(machine: MachineConfig) -> Dict[str, float]:
+            return {
+                label: results[SweepCase(machine, label)].mean_counter_per_100m(
+                    "ert.false_positives"
+                )
+                for label in labels
+            }
+
+        points = [
             FilterAccuracyPoint(
-                label=f"{bits} bits",
-                storage_bytes=2 * machine.elsq.ert.storage_bytes(),
-                false_positives_per_100m=false_positives,
+                label="Line-based",
+                # Load table + store table (the config method sizes one table).
+                storage_bytes=2 * line.elsq.ert.storage_bytes(line.hierarchy.l1),
+                false_positives_per_100m=false_positives(line),
             )
-        )
-    return points
+        ]
+        for bits, machine in hashed:
+            points.append(
+                FilterAccuracyPoint(
+                    label=f"{bits} bits",
+                    storage_bytes=2 * machine.elsq.ert.storage_bytes(),
+                    false_positives_per_100m=false_positives(machine),
+                )
+            )
+        return points
+
+    return Plan(_grid([line] + [machine for _, machine in hashed], labels), reduce)
 
 
 # ----------------------------------------------------------------------
@@ -448,14 +451,16 @@ class CacheSensitivityPoint:
     relative_performance: float
 
 
-def fig8bc_sweep(
+def fig8bc_cache_sensitivity(
     context: ExperimentContext,
     l1_sizes_kb: Sequence[int] = (32, 64),
     associativities: Sequence[int] = (1, 2, 4, 8),
-) -> List[SweepCase]:
-    """Figure 8b/c's sweep: line vs hash ERT under every L1 geometry, both suites."""
-    cases: List[SweepCase] = []
-    for suite_label in context.suites():
+) -> Plan:
+    """Figure 8b/c: line- vs hash-based ERT under every L1 geometry, both suites."""
+    labels = tuple(context.suites())
+    #: One row per case: (suite label, ERT label, L1 KB, associativity, case).
+    grid: List[Tuple[str, str, int, int, SweepCase]] = []
+    for suite_label in labels:
         for size_kb in l1_sizes_kb:
             for associativity in associativities:
                 hierarchy = context_hierarchy(size_kb, associativity)
@@ -467,48 +472,34 @@ def fig8bc_sweep(
                     machine = base.with_hierarchy(
                         hierarchy, name=f"{base.name}-{size_kb}KB-{associativity}w"
                     )
-                    cases.append(
-                        SweepCase(
-                            case_id=f"{suite_label}|{ert_label}|{size_kb}KB|{associativity}w",
-                            machine=machine,
-                            suite_label=suite_label,
+                    grid.append(
+                        (
+                            suite_label,
+                            f"{ert_label} / {size_kb}KB",
+                            size_kb,
+                            associativity,
+                            SweepCase(machine, suite_label),
                         )
                     )
-    return cases
 
-
-def fig8bc_cache_sensitivity(
-    context: ExperimentContext,
-    l1_sizes_kb: Sequence[int] = (32, 64),
-    associativities: Sequence[int] = (1, 2, 4, 8),
-) -> List[CacheSensitivityPoint]:
-    """Reproduce Figure 8b/c: line- vs hash-based ERT under varying L1 geometry."""
-    sweep_results = context.run_sweep(fig8bc_sweep(context, l1_sizes_kb, associativities))
-    raw: List[Tuple[str, str, int, int, float]] = []
-    for suite_label in context.suites():
-        for size_kb in l1_sizes_kb:
-            for associativity in associativities:
-                for ert_label in ("CacheLine-based ERT", "Hash-based ERT"):
-                    case_id = f"{suite_label}|{ert_label}|{size_kb}KB|{associativity}w"
-                    ipc = sweep_results[case_id].mean_ipc
-                    raw.append(
-                        (suite_label, f"{ert_label} / {size_kb}KB", size_kb, associativity, ipc)
+    def reduce(results: CaseResults) -> List[CacheSensitivityPoint]:
+        points: List[CacheSensitivityPoint] = []
+        for suite_label in labels:
+            suite_rows = [row for row in grid if row[0] == suite_label]
+            best = max(results[case].mean_ipc for *_, case in suite_rows)
+            for _, ert_label, size_kb, associativity, case in suite_rows:
+                points.append(
+                    CacheSensitivityPoint(
+                        suite_label=suite_label,
+                        ert_label=ert_label,
+                        l1_kb=size_kb,
+                        associativity=associativity,
+                        relative_performance=results[case].mean_ipc / best if best else 0.0,
                     )
-    points: List[CacheSensitivityPoint] = []
-    for suite_label in context.suites():
-        suite_rows = [row for row in raw if row[0] == suite_label]
-        best = max(row[4] for row in suite_rows)
-        for _, ert_label, size_kb, associativity, ipc in suite_rows:
-            points.append(
-                CacheSensitivityPoint(
-                    suite_label=suite_label,
-                    ert_label=ert_label,
-                    l1_kb=size_kb,
-                    associativity=associativity,
-                    relative_performance=ipc / best if best else 0.0,
                 )
-            )
-    return points
+        return points
+
+    return Plan(tuple(case for *_, case in grid), reduce)
 
 
 def context_hierarchy(l1_size_kb: int, associativity: int):
@@ -540,40 +531,32 @@ FIG9_MODELS: Tuple[DisambiguationModel, ...] = (
 )
 
 
-def fig9_sweep(context: ExperimentContext) -> List[SweepCase]:
-    """Figure 9's sweep: one machine per disambiguation model, both suites."""
-    return [
-        SweepCase(
-            case_id=f"{model.value}|{label}",
-            machine=fmc_elsq(disambiguation=model, name=f"FMC-Hash-{model.value}"),
-            suite_label=label,
-        )
-        for model in FIG9_MODELS
-        for label in context.suites()
-    ]
-
-
-def fig9_restricted_models(context: ExperimentContext) -> List[RestrictedModelPoint]:
-    """Reproduce Figure 9: Full / RSAC / RLAC / RSAC+LAC relative performance."""
-    sweep_results = context.run_sweep(fig9_sweep(context))
-    per_model_ipc: Dict[DisambiguationModel, Dict[str, float]] = {
-        model: {
-            label: sweep_results[f"{model.value}|{label}"].mean_ipc
-            for label in context.suites()
-        }
+def fig9_restricted_models(context: ExperimentContext) -> Plan:
+    """Figure 9: Full / RSAC / RLAC / RSAC+LAC relative performance."""
+    machines = {
+        model: fmc_elsq(disambiguation=model, name=f"FMC-Hash-{model.value}")
         for model in FIG9_MODELS
     }
-    reference = per_model_ipc[DisambiguationModel.FULL]
-    return [
-        RestrictedModelPoint(
-            model=model,
-            relative_by_suite={
-                label: (ipc / reference[label] if reference[label] else 0.0)
-                for label, ipc in per_model_ipc[model].items()
-            },
-        )
-        for model in FIG9_MODELS
-    ]
+    labels = tuple(context.suites())
+
+    def reduce(results: CaseResults) -> List[RestrictedModelPoint]:
+        per_model_ipc = {
+            model: {label: results[SweepCase(machine, label)].mean_ipc for label in labels}
+            for model, machine in machines.items()
+        }
+        reference = per_model_ipc[DisambiguationModel.FULL]
+        return [
+            RestrictedModelPoint(
+                model=model,
+                relative_by_suite={
+                    label: (ipc / reference[label] if reference[label] else 0.0)
+                    for label, ipc in per_model_ipc[model].items()
+                },
+            )
+            for model in FIG9_MODELS
+        ]
+
+    return Plan(_grid(machines.values(), labels), reduce)
 
 
 # ----------------------------------------------------------------------
@@ -603,63 +586,49 @@ _FIG10_HOSTS = (
 _FIG10_VARIANTS = (("CheckStores", True), ("Blind", False))
 
 
-def fig10_sweep(
-    context: ExperimentContext, ssbf_bits: Sequence[int] = (12, 10, 8)
-) -> List[SweepCase]:
-    """Figure 10's sweep: per host, the baseline plus every (SSBF size, policy)."""
-    cases: List[SweepCase] = []
-    for machine_label, baseline_factory, svw_factory in _FIG10_HOSTS:
-        baseline = baseline_factory()
-        for label in context.suites():
-            cases.append(
-                SweepCase(
-                    case_id=f"{machine_label}|baseline|{label}",
-                    machine=baseline,
-                    suite_label=label,
-                )
-            )
-        for bits in ssbf_bits:
-            for variant, check_stores in _FIG10_VARIANTS:
-                machine = svw_factory(bits, check_stores)
-                for label in context.suites():
-                    cases.append(
-                        SweepCase(
-                            case_id=f"{machine_label}|{bits}b|{variant}|{label}",
-                            machine=machine,
-                            suite_label=label,
-                        )
-                    )
-    return cases
-
-
 def fig10_svw_reexecution(
     context: ExperimentContext, ssbf_bits: Sequence[int] = (12, 10, 8)
-) -> List[SVWPoint]:
-    """Reproduce Figure 10 on both the OoO-64 core and the FMC."""
-    sweep_results = context.run_sweep(fig10_sweep(context, ssbf_bits))
-    points: List[SVWPoint] = []
-    for machine_label, _baseline_factory, _svw_factory in _FIG10_HOSTS:
-        baseline_results = {
-            label: sweep_results[f"{machine_label}|baseline|{label}"]
-            for label in context.suites()
-        }
-        for bits in ssbf_bits:
-            for variant, _check_stores in _FIG10_VARIANTS:
-                for suite_label in context.suites():
-                    result = sweep_results[f"{machine_label}|{bits}b|{variant}|{suite_label}"]
+) -> Plan:
+    """Figure 10 on both the OoO-64 core and the FMC: per host, the baseline
+    plus every (SSBF size, policy)."""
+    labels = tuple(context.suites())
+    hosts = [
+        (
+            machine_label,
+            baseline_factory(),
+            [
+                (bits, variant, svw_factory(bits, check_stores))
+                for bits in ssbf_bits
+                for variant, check_stores in _FIG10_VARIANTS
+            ],
+        )
+        for machine_label, baseline_factory, svw_factory in _FIG10_HOSTS
+    ]
+
+    def reduce(results: CaseResults) -> List[SVWPoint]:
+        points: List[SVWPoint] = []
+        for machine_label, baseline, variants in hosts:
+            for bits, variant, machine in variants:
+                for label in labels:
+                    result = results[SweepCase(machine, label)]
                     points.append(
                         SVWPoint(
                             machine_label=machine_label,
-                            suite_label=suite_label,
+                            suite_label=label,
                             variant=variant,
                             ssbf_bits=bits,
-                            relative_ipc=result.speedup_over(baseline_results[suite_label]),
+                            relative_ipc=result.speedup_over(results[SweepCase(baseline, label)]),
                             reexecutions_per_100m=result.mean_counter_per_100m(
                                 "svw.reexecutions"
                             ),
                         )
                     )
-    return points
+        return points
+
+    machines: List[MachineConfig] = []
+    for _, baseline, variants in hosts:
+        machines += [baseline] + [machine for _, _, machine in variants]
+    return Plan(_grid(machines, labels), reduce)
 
 
 # ----------------------------------------------------------------------
@@ -675,36 +644,35 @@ class HighLocalityPoint:
     inactivity_by_suite: Dict[str, float]
 
 
-def fig11_sweep(
-    context: ExperimentContext, l2_sizes_mb: Sequence[int] = (1, 2, 4, 8)
-) -> List[SweepCase]:
-    """Figure 11's sweep: the FMC under every L2 capacity, both suites."""
-    from repro.common.config import MemoryHierarchyConfig
-
-    cases: List[SweepCase] = []
-    for l2_mb in l2_sizes_mb:
-        hierarchy = MemoryHierarchyConfig().with_l2_size(l2_mb * 1024 * 1024)
-        machine = fmc_hash().with_hierarchy(hierarchy, name=f"FMC-Hash-{l2_mb}MB")
-        for label in context.suites():
-            cases.append(
-                SweepCase(case_id=f"{l2_mb}MB|{label}", machine=machine, suite_label=label)
-            )
-    return cases
-
-
 def fig11_high_locality_mode(
     context: ExperimentContext, l2_sizes_mb: Sequence[int] = (1, 2, 4, 8)
-) -> List[HighLocalityPoint]:
-    """Reproduce Figure 11: LL-LSQ inactivity as a function of L2 capacity."""
-    sweep_results = context.run_sweep(fig11_sweep(context, l2_sizes_mb))
-    points: List[HighLocalityPoint] = []
-    for l2_mb in l2_sizes_mb:
-        inactivity: Dict[str, float] = {}
-        for label in context.suites():
-            fraction = sweep_results[f"{l2_mb}MB|{label}"].mean_high_locality_fraction()
-            inactivity[label] = fraction if fraction is not None else 0.0
-        points.append(HighLocalityPoint(l2_mb=l2_mb, inactivity_by_suite=inactivity))
-    return points
+) -> Plan:
+    """Figure 11: LL-LSQ inactivity of the FMC under every L2 capacity."""
+    from repro.common.config import MemoryHierarchyConfig
+
+    machines = [
+        (
+            l2_mb,
+            fmc_hash().with_hierarchy(
+                MemoryHierarchyConfig().with_l2_size(l2_mb * 1024 * 1024),
+                name=f"FMC-Hash-{l2_mb}MB",
+            ),
+        )
+        for l2_mb in l2_sizes_mb
+    ]
+    labels = tuple(context.suites())
+
+    def reduce(results: CaseResults) -> List[HighLocalityPoint]:
+        points: List[HighLocalityPoint] = []
+        for l2_mb, machine in machines:
+            inactivity: Dict[str, float] = {}
+            for label in labels:
+                fraction = results[SweepCase(machine, label)].mean_high_locality_fraction()
+                inactivity[label] = fraction if fraction is not None else 0.0
+            points.append(HighLocalityPoint(l2_mb=l2_mb, inactivity_by_suite=inactivity))
+        return points
+
+    return Plan(_grid([machine for _, machine in machines], labels), reduce)
 
 
 # ----------------------------------------------------------------------
@@ -746,38 +714,31 @@ def table2_machines() -> List[MachineConfig]:
     ]
 
 
-def table2_sweep(context: ExperimentContext) -> List[SweepCase]:
-    """Table 2's sweep: every named configuration over both suites."""
-    return [
-        SweepCase(case_id=f"{machine.name}|{label}", machine=machine, suite_label=label)
-        for machine in table2_machines()
-        for label in context.suites()
-    ]
+def table2_access_counts(context: ExperimentContext) -> Plan:
+    """Table 2 (access counts in millions per 100M instructions)."""
+    machines = table2_machines()
+    labels = tuple(context.suites())
 
-
-def table2_access_counts(context: ExperimentContext) -> List[Table2Row]:
-    """Reproduce Table 2 (access counts in millions per 100M instructions)."""
-    sweep_results = context.run_sweep(table2_sweep(context))
-    configurations = table2_machines()
-    baseline = configurations[0]
-    rows: List[Table2Row] = []
-    for suite_label in context.suites():
-        baseline_result = sweep_results[f"{baseline.name}|{suite_label}"]
-        for machine in configurations:
-            result = sweep_results[f"{machine.name}|{suite_label}"]
-            accesses = {
-                column: result.mean_counter_per_100m_millions(counter)
-                for column, counter in TABLE2_COLUMNS.items()
-            }
-            rows.append(
-                Table2Row(
-                    config_name=machine.name,
-                    suite_label=suite_label,
-                    accesses_millions=accesses,
-                    speedup=result.speedup_over(baseline_result),
+    def reduce(results: CaseResults) -> List[Table2Row]:
+        rows: List[Table2Row] = []
+        for label in labels:
+            baseline_result = results[SweepCase(machines[0], label)]
+            for machine in machines:
+                result = results[SweepCase(machine, label)]
+                rows.append(
+                    Table2Row(
+                        config_name=machine.name,
+                        suite_label=label,
+                        accesses_millions={
+                            column: result.mean_counter_per_100m_millions(counter)
+                            for column, counter in TABLE2_COLUMNS.items()
+                        },
+                        speedup=result.speedup_over(baseline_result),
+                    )
                 )
-            )
-    return rows
+        return rows
+
+    return Plan(_grid(machines, labels), reduce)
 
 
 # ----------------------------------------------------------------------
@@ -795,42 +756,29 @@ class EnergyComparison:
     rsac_vs_svw_cache_accesses: Dict[str, float]
 
 
-def sec6_sweep(context: ExperimentContext) -> List[SweepCase]:
-    """Section 6's sweep: the RSAC and SVW machines over both suites."""
-    return [
-        SweepCase(case_id=f"{kind}|{label}", machine=machine, suite_label=label)
-        for kind, machine in (("rsac", fmc_hash_rsac()), ("svw", fmc_hash_svw(10, check_stores=False)))
-        for label in context.suites()
-    ]
+def sec6_energy_comparison(context: ExperimentContext) -> Plan:
+    """The Section 6 energy discussion (ERT vs L1, RSAC vs SVW), both suites."""
+    rsac = fmc_hash_rsac()
+    svw = fmc_hash_svw(10, check_stores=False)
+    labels = tuple(context.suites())
 
+    def reduce(results: CaseResults) -> EnergyComparison:
+        def ratios(counter: str) -> Dict[str, float]:
+            by_suite: Dict[str, float] = {}
+            for label in labels:
+                denominator = results[SweepCase(svw, label)].mean_counter_per_100m(counter)
+                numerator = results[SweepCase(rsac, label)].mean_counter_per_100m(counter)
+                by_suite[label] = numerator / denominator if denominator != 0 else 0.0
+            return by_suite
 
-def sec6_energy_comparison(context: ExperimentContext) -> EnergyComparison:
-    """Reproduce the Section 6 energy discussion (ERT vs L1, RSAC vs SVW)."""
-    sweep_results = context.run_sweep(sec6_sweep(context))
-    model = EnergyModel()
-    ert_ratio = model.ert_vs_cache_read_ratio()
-    ert_accesses: Dict[str, float] = {}
-    round_trips: Dict[str, float] = {}
-    cache_accesses: Dict[str, float] = {}
-    for label in context.suites():
-        rsac_result = sweep_results[f"rsac|{label}"]
-        svw_result = sweep_results[f"svw|{label}"]
+        return EnergyComparison(
+            ert_vs_l1_read_ratio=EnergyModel().ert_vs_cache_read_ratio(),
+            rsac_vs_svw_ert_accesses=ratios("ert.lookups"),
+            rsac_vs_svw_round_trips=ratios("network.round_trips"),
+            rsac_vs_svw_cache_accesses=ratios("cache.accesses"),
+        )
 
-        def _ratio(counter: str) -> float:
-            denominator = svw_result.mean_counter_per_100m(counter)
-            if denominator == 0:
-                return 0.0
-            return rsac_result.mean_counter_per_100m(counter) / denominator
-
-        ert_accesses[label] = _ratio("ert.lookups")
-        round_trips[label] = _ratio("network.round_trips")
-        cache_accesses[label] = _ratio("cache.accesses")
-    return EnergyComparison(
-        ert_vs_l1_read_ratio=ert_ratio,
-        rsac_vs_svw_ert_accesses=ert_accesses,
-        rsac_vs_svw_round_trips=round_trips,
-        rsac_vs_svw_cache_accesses=cache_accesses,
-    )
+    return Plan(_grid([rsac, svw], labels), reduce)
 
 
 # ----------------------------------------------------------------------
@@ -860,54 +808,12 @@ FAMILY_SWEEP_EPOCH_COUNTS: Tuple[int, ...] = (2, 4, 8, 16)
 FAMILY_SWEEP_LOCALITY_THRESHOLDS: Tuple[int, ...] = (10, 30, 90)
 
 
-def family_sweep_suites(
-    families: Optional[Sequence[str]] = None,
-) -> Dict[str, WorkloadSuite]:
-    """The family suites a sweep runs over, keyed by suite label."""
-    from repro.workloads.families import FAMILY_NAMES, family_suite
-
-    names = tuple(families) if families is not None else FAMILY_NAMES
-    return {name: family_suite(name) for name in names}
-
-
-def _family_sweep_plan(
-    families: Sequence[str],
-    epoch_counts: Sequence[int],
-    locality_thresholds: Sequence[int],
-) -> List[Tuple[str, str, int, SweepCase]]:
-    """The sweep as structured rows: ``(family, knob, value, case)``.
-
-    The case_id embeds the same triple for display/cache purposes, but the
-    experiment reads the structured values -- never parses the string back.
-    """
-    plan: List[Tuple[str, str, int, SweepCase]] = []
-    for family in families:
-        for epochs in epoch_counts:
-            case = SweepCase(
-                case_id=f"{family}|epochs={epochs}",
-                machine=fmc_elsq(num_epochs=epochs, name=f"FMC-Hash-{epochs}E"),
-                suite_label=family,
-            )
-            plan.append((family, "epochs", epochs, case))
-        for threshold in locality_thresholds:
-            case = SweepCase(
-                case_id=f"{family}|locality_threshold={threshold}",
-                machine=fmc_elsq(
-                    locality_threshold_cycles=threshold,
-                    name=f"FMC-Hash-T{threshold}",
-                ),
-                suite_label=family,
-            )
-            plan.append((family, "locality_threshold", threshold, case))
-    return plan
-
-
 def family_sweep(
     context: ExperimentContext,
     families: Optional[Sequence[str]] = None,
     epoch_counts: Sequence[int] = FAMILY_SWEEP_EPOCH_COUNTS,
     locality_thresholds: Sequence[int] = FAMILY_SWEEP_LOCALITY_THRESHOLDS,
-) -> List[FamilySweepPoint]:
+) -> Plan:
     """Per-family IPC sensitivity to epoch count and locality threshold.
 
     Each workload family isolates one behaviour (dependent misses, streaming
@@ -915,50 +821,75 @@ def family_sweep(
     *which* behaviour each FMC knob trades against: pointer chasing barely
     uses the epoch pool while streaming saturates it; a low locality
     threshold migrates nearly everything, a high one starves the Memory
-    Processor.
+    Processor.  The plan carries the family suites (all four by default).
     """
-    suites = family_sweep_suites(families)
-    plan = _family_sweep_plan(tuple(suites), epoch_counts, locality_thresholds)
-    sweep_results = context.run_sweep(
-        [case for _, _, _, case in plan], extra_suites=suites
-    )
-    points: List[FamilySweepPoint] = []
-    for family, knob, value, case in plan:
-        result = sweep_results[case.case_id]
-        points.append(
-            FamilySweepPoint(
-                family=family,
-                knob=knob,
-                value=value,
-                mean_ipc=result.mean_ipc,
-                migration_stall_cycles_per_100m=result.mean_counter_per_100m(
-                    "fmc.migration_stall_cycles"
-                ),
-            )
+    from repro.workloads.families import FAMILY_NAMES, family_suite
+
+    names = FAMILY_NAMES if families is None else tuple(families)
+    suites = {name: family_suite(name) for name in names}
+    knobs = [
+        ("epochs", epochs, fmc_elsq(num_epochs=epochs, name=f"FMC-Hash-{epochs}E"))
+        for epochs in epoch_counts
+    ] + [
+        (
+            "locality_threshold",
+            threshold,
+            fmc_elsq(locality_threshold_cycles=threshold, name=f"FMC-Hash-T{threshold}"),
         )
-    return points
+        for threshold in locality_thresholds
+    ]
+
+    def reduce(results: CaseResults) -> List[FamilySweepPoint]:
+        points: List[FamilySweepPoint] = []
+        for family in suites:
+            for knob, value, machine in knobs:
+                result = results[SweepCase(machine, family)]
+                points.append(
+                    FamilySweepPoint(
+                        family=family,
+                        knob=knob,
+                        value=value,
+                        mean_ipc=result.mean_ipc,
+                        migration_stall_cycles_per_100m=result.mean_counter_per_100m(
+                            "fmc.migration_stall_cycles"
+                        ),
+                    )
+                )
+        return points
+
+    cases = tuple(
+        SweepCase(machine, family) for family in suites for _, _, machine in knobs
+    )
+    return Plan(cases, reduce, suites)
 
 
-def policy_sweep_experiment(context: ExperimentContext) -> Dict[str, Any]:
+def policy_sweep_experiment(context: ExperimentContext) -> Plan:
     """Miss-ratio curves per replacement policy, per workload family.
 
-    Thin registry adapter over :func:`repro.memory.mrc.policy_sweep` (the
-    profiler lives next to the policies it measures).  Unlike the timing
-    experiments this is an *offline replay* -- no machine models run, so
-    the context's ``engine``/``policy`` overrides are irrelevant here: every
-    registered policy, including the Belady OPT oracle, is profiled on
-    every family trace at the campaign's length and seed.
+    A plan with no cases whose reduction runs
+    :func:`repro.memory.mrc.policy_sweep` (the profiler lives next to the
+    policies it measures).  Unlike the timing experiments this is an
+    *offline replay* -- no machine models run, so the context's
+    ``engine``/``policy`` overrides are irrelevant here: every registered
+    policy, including the Belady OPT oracle, is profiled on every family
+    trace at the campaign's length and seed.  The plan names the four
+    family suites it profiles.
     """
     from repro.memory.mrc import policy_sweep
+    from repro.workloads.families import FAMILY_NAMES, family_suite
 
-    return policy_sweep(context)
+    return Plan(
+        (),
+        lambda _results: policy_sweep(context),
+        {name: family_suite(name) for name in FAMILY_NAMES},
+    )
 
 
 # ----------------------------------------------------------------------
 # The experiment registry: figures addressable by name
 # ----------------------------------------------------------------------
 
-#: Trace length of the default (quick) campaign; matches benchmarks/conftest.py.
+#: Trace length of the default (quick) campaign.
 QUICK_INSTRUCTIONS = 8_000
 
 #: Seed of the default campaign (the paper's publication year).
@@ -971,12 +902,10 @@ class ExperimentSpec:
 
     name: str
     description: str
-    run: Callable[[ExperimentContext], Any]
-    #: Suites the experiment actually sweeps.  ``None`` means the campaign's
-    #: two SPEC-like suites; experiments with a fixed scope of their own (the
-    #: family sweep) name it here so JSON artifacts attribute the numbers to
-    #: the right workloads.
-    suites: Optional[Tuple[str, ...]] = None
+    #: The figure function: what the experiment simulates and how it reduces.
+    plan: Callable[[ExperimentContext], Plan]
+    #: Prints the reduced result in the paper's layout.
+    render: Callable[[Any], str]
 
 
 #: Every reproducible artifact, keyed by the name the CLI and the service use.
@@ -987,37 +916,64 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
             "fig1",
             "Figure 1: execution locality of address calculations",
             fig1_execution_locality,
-        ),
-        ExperimentSpec("sec52", "Section 5.2: per-epoch LSQ sizing", sec52_epoch_sizing),
-        ExperimentSpec(
-            "fig7", "Figure 7: speed-up of the large-window LSQ schemes", fig7_speedups
+            tables.format_fig1,
         ),
         ExperimentSpec(
-            "fig8a", "Figure 8a: ERT filter accuracy vs storage", fig8a_filter_accuracy
+            "sec52", "Section 5.2: per-epoch LSQ sizing", sec52_epoch_sizing, tables.format_sec52
         ),
         ExperimentSpec(
-            "fig8bc", "Figure 8b/c: sensitivity to the L1 geometry", fig8bc_cache_sensitivity
+            "fig7",
+            "Figure 7: speed-up of the large-window LSQ schemes",
+            fig7_speedups,
+            tables.format_fig7,
         ),
         ExperimentSpec(
-            "fig9", "Figure 9: restricted disambiguation models", fig9_restricted_models
+            "fig8a",
+            "Figure 8a: ERT filter accuracy vs storage",
+            fig8a_filter_accuracy,
+            tables.format_fig8a,
         ),
-        ExperimentSpec("fig10", "Figure 10: SVW re-execution", fig10_svw_reexecution),
         ExperimentSpec(
-            "fig11", "Figure 11: high-locality mode vs L2 size", fig11_high_locality_mode
+            "fig8bc",
+            "Figure 8b/c: sensitivity to the L1 geometry",
+            fig8bc_cache_sensitivity,
+            tables.format_fig8bc,
         ),
-        ExperimentSpec("table2", "Table 2: structure access counts", table2_access_counts),
-        ExperimentSpec("sec6", "Section 6: energy comparison", sec6_energy_comparison),
+        ExperimentSpec(
+            "fig9",
+            "Figure 9: restricted disambiguation models",
+            fig9_restricted_models,
+            tables.format_fig9,
+        ),
+        ExperimentSpec(
+            "fig10", "Figure 10: SVW re-execution", fig10_svw_reexecution, tables.format_fig10
+        ),
+        ExperimentSpec(
+            "fig11",
+            "Figure 11: high-locality mode vs L2 size",
+            fig11_high_locality_mode,
+            tables.format_fig11,
+        ),
+        ExperimentSpec(
+            "table2",
+            "Table 2: structure access counts",
+            table2_access_counts,
+            tables.format_table2,
+        ),
+        ExperimentSpec(
+            "sec6", "Section 6: energy comparison", sec6_energy_comparison, tables.format_sec6
+        ),
         ExperimentSpec(
             "family-sweep",
             "Sensitivity: workload families vs epoch count / locality threshold",
             family_sweep,
-            suites=("pointer_chase", "streaming", "branchy", "phased"),
+            tables.format_family_sweep,
         ),
         ExperimentSpec(
             "policy-sweep",
             "Miss-ratio curves: replacement policies vs cache size per workload family",
             policy_sweep_experiment,
-            suites=("pointer_chase", "streaming", "branchy", "phased"),
+            tables.format_policy_sweep,
         ),
     )
 }
@@ -1025,8 +981,6 @@ EXPERIMENTS: Dict[str, ExperimentSpec] = {
 
 def experiment_by_name(name: str) -> ExperimentSpec:
     """Resolve a figure/table name to its spec, or raise ConfigurationError."""
-    from repro.common.errors import ConfigurationError
-
     try:
         return EXPERIMENTS[name]
     except KeyError:
@@ -1048,9 +1002,9 @@ def campaign_context(
     This is the single definition of the campaign defaults: the quick
     two-workload suites at :data:`QUICK_INSTRUCTIONS` unless ``full``, the
     paper-year seed, and the orchestration runner (an inline
-    ``ExperimentRunner()`` when none is given).  The CLI and the service
-    both build their contexts here, which is what makes a remote submission
-    bit-identical to a local ``python -m repro`` run.
+    ``ExperimentRunner()`` when none is given).  The CLI, the service and
+    the benchmark harness all build their contexts here, which is what makes
+    a remote submission bit-identical to a local ``python -m repro`` run.
 
     ``policy`` overrides the replacement policy of *both* cache levels of
     every machine the campaign simulates (timing policies only: OPT needs

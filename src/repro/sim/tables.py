@@ -1,28 +1,30 @@
 """Plain-text formatters that print results in the paper's layout.
 
-The benchmark scripts use these helpers to render the reproduced tables and
-figures as aligned text so that a run of ``pytest benchmarks/`` leaves a
-readable record of every regenerated artifact next to the timing numbers.
+Each experiment in :data:`repro.sim.experiments.EXPERIMENTS` renders its
+reduced result through one of these (its spec's ``render``), so the CLI
+and the benchmark scripts print the same rows and series the paper
+reports.  The result types are imported for typing only: the experiment
+module imports this one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Sequence, Tuple
 
-from repro.sim.experiments import (
-    CacheSensitivityPoint,
-    EnergyComparison,
-    EpochSizingPoint,
-    FamilySweepPoint,
-    FilterAccuracyPoint,
-    HighLocalityPoint,
-    LocalityDistribution,
-    RestrictedModelPoint,
-    SpeedupRow,
-    SVWPoint,
-    Table2Row,
-    TABLE2_COLUMNS,
-)
+if TYPE_CHECKING:
+    from repro.sim.experiments import (
+        CacheSensitivityPoint,
+        EnergyComparison,
+        EpochSizingPoint,
+        FamilySweepPoint,
+        FilterAccuracyPoint,
+        HighLocalityPoint,
+        LocalityDistribution,
+        RestrictedModelPoint,
+        SpeedupRow,
+        SVWPoint,
+        Table2Row,
+    )
 
 
 def _format_row(cells: Sequence[str], widths: Sequence[int]) -> str:
@@ -63,8 +65,9 @@ def format_sec52(points: Iterable[EpochSizingPoint]) -> str:
     return "\n".join(lines)
 
 
-def format_fig7(rows: Iterable[SpeedupRow], baseline_ipc: Dict[str, float]) -> str:
-    """Render Figure 7's speed-up bars."""
+def format_fig7(result: Tuple[Iterable[SpeedupRow], Dict[str, float]]) -> str:
+    """Render Figure 7's speed-up bars from its (rows, baseline IPC) result."""
+    rows, baseline_ipc = result
     lines = ["Figure 7: speed-up over the 64-entry ROB baseline"]
     lines.append(
         "  baseline IPC: "
@@ -139,9 +142,9 @@ def format_fig11(points: Iterable[HighLocalityPoint]) -> str:
     return "\n".join(lines)
 
 
-def format_table2(rows: Iterable[Table2Row]) -> str:
+def format_table2(rows: Sequence[Table2Row]) -> str:
     """Render Table 2 (accesses in millions per 100M instructions)."""
-    columns = list(TABLE2_COLUMNS)
+    columns = list(rows[0].accesses_millions) if rows else []
     header = ["Configuration", "Suite"] + columns + ["Speed-Up"]
     widths = [16, 9] + [10] * len(columns) + [8]
     lines = ["Table 2: LSQ component accesses (millions per 100M instructions)"]
@@ -190,4 +193,19 @@ def format_family_sweep(points: Iterable[FamilySweepPoint]) -> str:
                     f"      {point.value:>5}  IPC {point.mean_ipc:6.3f}  "
                     f"migration stalls/100M {point.migration_stall_cycles_per_100m:14.0f}"
                 )
+    return "\n".join(lines)
+
+
+def format_policy_sweep(result: Dict[str, Any]) -> str:
+    """Render the miss-ratio curves, one table per workload family."""
+    sizes = result["sizes_bytes"]
+    header = "  ".join(f"{size // 1024:>4}K" for size in sizes)
+    lines = ["policy-sweep: miss ratio vs cache size, per workload family"]
+    for family, block in result["families"].items():
+        lines.append("")
+        lines.append(f"{family}  (members: {', '.join(block['members'])})")
+        lines.append(f"  {'policy':<8} {header}")
+        for policy, curve in block["curves"].items():
+            cells = "  ".join(f"{ratio:5.3f}" for ratio in curve)
+            lines.append(f"  {policy:<8} {cells}")
     return "\n".join(lines)

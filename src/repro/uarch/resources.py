@@ -45,10 +45,6 @@ class BandwidthAllocator:
         used[cycle] = used.get(cycle, 0) + 1
         return cycle
 
-    def peak_cycle_usage(self) -> int:
-        """Return the maximum number of slots ever used in a single cycle."""
-        return max(self._used.values(), default=0)
-
 
 class OccupancyWindow:
     """A FIFO-allocated structure with ``capacity`` entries.

@@ -29,6 +29,8 @@ def test_figure_cold_then_warm_cache(tmp_path: Path) -> None:
     cold_artifact = json.loads((tmp_path / "cold.json").read_text())
     assert cold_artifact["executed_jobs"] > 0
     assert cold_artifact["cache_hits"] == 0
+    summary = f"[repro] sec52: {cold_artifact['executed_jobs']} simulated, 0 from cache, "
+    assert summary in cold.stdout
 
     warm = run_cli(base + ["--json", str(tmp_path / "warm.json")], cwd=tmp_path)
     assert warm.returncode == 0, warm.stderr
@@ -36,6 +38,34 @@ def test_figure_cold_then_warm_cache(tmp_path: Path) -> None:
     assert warm_artifact["executed_jobs"] == 0
     assert warm_artifact["cache_hits"] == cold_artifact["executed_jobs"]
     assert warm_artifact["results"] == cold_artifact["results"]
+
+
+def test_all_runs_every_figure_as_one_batch(tmp_path: Path) -> None:
+    """`repro all` simulates each distinct job of every figure's plan once."""
+    from repro.exp.runner import SimJob
+    from repro.sim.experiments import EXPERIMENTS, campaign_context
+
+    result = run_cli(
+        ["all", "--instructions", "300", "--no-cache", "--quiet", "--json", "all.json"],
+        cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == ""
+    artifact = json.loads((tmp_path / "all.json").read_text())
+    context = campaign_context(instructions=300)
+    keys = set()
+    for spec in EXPERIMENTS.values():
+        plan = spec.plan(context)
+        suites = {**context.suites(), **plan.suites}
+        keys |= {
+            SimJob(case.machine, member, 300, context.seed).key()
+            for case in plan.cases
+            for member in suites[case.suite_label]
+        }
+    assert len(keys) == 232
+    assert artifact["executed_jobs"] == len(keys)
+    assert artifact["cache_hits"] == 0
+    assert set(artifact["figures"]) == set(EXPERIMENTS)
 
 
 def test_cache_inspection_commands(tmp_path: Path) -> None:

@@ -177,4 +177,3 @@ class TestFMCConfig:
     def test_window_size(self):
         config = FMCConfig()
         assert config.num_memory_engines == 16
-        assert config.max_in_flight_instructions == 64 + 16 * 128

@@ -401,7 +401,5 @@ class TestEpochBasedLSQ:
     def test_introspection_properties(self, env):
         stats, hierarchy = env
         policy = elsq_policy(stats, hierarchy)
-        assert policy.uses_store_queue_mirror
-        assert not policy.uses_line_locking
         assert policy.disambiguation is DisambiguationModel.FULL
         assert policy.ert is not None

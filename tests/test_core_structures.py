@@ -53,7 +53,7 @@ class TestAddressHash:
 
     def test_aliasing_beyond_index_bits(self):
         hashed = AddressHash(4)
-        assert hashed.collides(0x0, 0x0 + (16 << 3))
+        assert hashed.index(0x0) == hashed.index(0x0 + (16 << 3))
 
     def test_rejects_bad_bits(self):
         with pytest.raises(ConfigurationError):
@@ -296,13 +296,6 @@ class TestStoreBuffer:
         buffer.add(make_store(1, 0x100, commit=200, size=8))
         store = buffer.find_any_forwarding(0x104, 4, before_seq=3, cycle=50)
         assert store is not None and store.seq == 1
-
-    def test_stores_to_word(self):
-        buffer = StoreBuffer()
-        buffer.add(make_store(1, 0x100, commit=200))
-        buffer.add(make_store(2, 0x100, commit=200))
-        assert buffer.stores_to_word(0x100) == 2
-        assert buffer.stores_to_word(0x900) == 0
 
 
 class TestStoreQueueMirror:

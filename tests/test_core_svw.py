@@ -109,7 +109,3 @@ class TestSVW:
     def test_bucket_helpers(self):
         svw = StoreVulnerabilityWindow(SVWConfig(ssbf_index_bits=10), StatsRegistry())
         assert svw.ssbf_entries == 1024
-        assert svw.bucket_entry(0x100) is None
-        svw.store_committed(make_store(7, 0x100, commit=10))
-        assert svw.bucket_entry(0x100) == 7
-        assert svw.bucket_of(0x100) == svw.bucket_of(0x104)

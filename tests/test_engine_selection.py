@@ -24,7 +24,8 @@ from hypothesis import strategies as st
 from repro.common.config import CacheConfig, MemoryHierarchyConfig
 from repro.common.errors import ConfigurationError
 from repro.exp.request import JobRequest
-from repro.exp.runner import SimJob, job_key
+from repro.exp.cache import ResultCache
+from repro.exp.runner import ExperimentRunner, SimJob, job_key
 from repro.isa.columns import CODE_LOAD, CODE_STORE
 from repro.isa.trace import RegionFootprint
 from repro.memory.cache import SetAssociativeCache
@@ -33,7 +34,7 @@ from repro.memory.replacement import TIMING_POLICY_NAMES
 from repro.sim.configs import PAPER_CONFIGS, fmc_hash, machine_by_name, ooo_64
 from repro.sim.engine import DEFAULT_ENGINE, engine_by_name, engine_names
 from repro.sim.engine.fast import warm_hierarchy
-from repro.sim.experiments import campaign_context, fig7_sweep
+from repro.sim.experiments import Plan, campaign_context, fig7_speedups
 from repro.sim.simulator import Simulator
 from repro.workloads.families import family_suites
 from repro.workloads.suite import (
@@ -101,17 +102,26 @@ def test_unknown_engine_fails_at_request_normalization() -> None:
         JobRequest(figure="fig7", engine="warp").normalized()
 
 
-def test_campaign_context_applies_the_engine_to_every_sweep_case() -> None:
-    context = campaign_context(instructions=600, seed=TEST_SEED, engine="reference")
-    for case in fig7_sweep(context):
-        assert case.machine.engine == "fast"  # the sweep declares defaults ...
-    results = context.run_sweep(fig7_sweep(context))
-    assert results  # ... but the context rebinds them before running.
-    reference_results = campaign_context(
-        instructions=600, seed=TEST_SEED, engine="fast"
-    ).run_sweep(fig7_sweep(context))
-    for case_id, suite_result in results.items():
-        assert suite_result.results == reference_results[case_id].results
+def test_campaign_context_applies_the_engine_to_every_sweep_case(tmp_path) -> None:
+    runner = ExperimentRunner(cache=ResultCache(tmp_path))
+    context = campaign_context(
+        instructions=600, seed=TEST_SEED, runner=runner, engine="reference"
+    )
+    cases = fig7_speedups(context).cases
+    for case in cases:
+        assert case.machine.engine == "fast"  # the plan declares defaults ...
+    raw = Plan(cases, dict)  # reduces to the raw {case: SuiteResult} map
+    results = context.run(raw)
+    assert set(results) == set(cases)  # ... keyed by the declared cases ...
+    # ... but the context rebinds every case to its engine before running.
+    assert {entry.key for entry in runner.cache.entries()} == {
+        SimJob(case.machine.with_engine("reference"), member, 600, TEST_SEED).key()
+        for case in cases
+        for member in context.suites()[case.suite_label]
+    }
+    fast_results = campaign_context(instructions=600, seed=TEST_SEED, engine="fast").run(raw)
+    for case, suite_result in results.items():
+        assert suite_result.results == fast_results[case].results
 
 
 def test_campaign_context_rejects_unknown_engines_eagerly() -> None:

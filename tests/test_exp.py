@@ -21,7 +21,7 @@ from repro.common.serialize import canonical_json, from_jsonable, stable_hash, t
 from repro.exp.cache import ResultCache
 from repro.exp.runner import ExperimentRunner, SimJob, SweepCase, job_key, run_job
 from repro.sim.configs import PAPER_CONFIGS, MachineConfig, fmc_hash, ooo_64
-from repro.sim.experiments import ExperimentContext, sec52_epoch_sizing
+from repro.sim.experiments import ExperimentContext, Plan, sec52_epoch_sizing
 from repro.workloads.base import WorkloadParameters
 from repro.workloads.suite import quick_fp_suite, quick_int_suite
 
@@ -371,19 +371,46 @@ def test_run_sweep_matches_between_serial_and_parallel_contexts() -> None:
             runner=runner,
         )
 
-    serial_points = sec52_epoch_sizing(context(ExperimentRunner(jobs=1)), sizings=sizings)
+    serial_context = context(ExperimentRunner(jobs=1))
+    serial_points = serial_context.run(sec52_epoch_sizing(serial_context, sizings=sizings))
     with ExperimentRunner(jobs=2) as parallel_runner:
-        parallel_points = sec52_epoch_sizing(context(parallel_runner), sizings=sizings)
+        parallel_context = context(parallel_runner)
+        parallel_points = parallel_context.run(
+            sec52_epoch_sizing(parallel_context, sizings=sizings)
+        )
     assert parallel_points == serial_points
 
 
-def test_run_cases_rejects_duplicate_case_ids() -> None:
+def test_run_plans_runs_equal_cases_once() -> None:
+    """Plans sharing a case, or a job under another machine name, simulate it once."""
+    suite = one_member_suite()
+    context = ExperimentContext(
+        fp_suite=suite,
+        int_suite=suite,
+        instructions_per_workload=TEST_INSTRUCTIONS,
+        seed=TEST_SEED,
+    )
+    shared = SweepCase(ooo_64(), "SPEC FP")
+    renamed = SweepCase(ooo_64(name="Baseline"), "SPEC INT")
+    results = context.run_plans(
+        {
+            "one": Plan((shared,), lambda results: results[shared]),
+            "two": Plan((renamed, shared), lambda results: dict(results)),
+        }
+    )
+    assert context.runner.executed_jobs == 1
+    assert results["two"][shared] == results["one"]
+    assert results["two"][renamed].machine_name == "Baseline"
+    assert results["two"][renamed].mean_ipc == results["one"].mean_ipc
+
+
+def test_run_plans_rejects_plans_that_disagree_on_a_suite() -> None:
+    """One batch holds one suite per label; a second meaning must not shadow it."""
     from repro.common.errors import ConfigurationError
 
-    runner = ExperimentRunner(jobs=1)
-    cases = [
-        SweepCase("dup", ooo_64(), "SPEC FP"),
-        SweepCase("dup", fmc_hash(), "SPEC FP"),
-    ]
-    with pytest.raises(ConfigurationError):
-        runner.run_cases(cases, {"SPEC FP": one_member_suite()}, TEST_INSTRUCTIONS, TEST_SEED)
+    context = ExperimentContext(fp_suite=quick_fp_suite(), int_suite=quick_int_suite())
+    case = SweepCase(ooo_64(), "SPEC FP")
+    plan = Plan((case,), dict, {"SPEC FP": one_member_suite()})
+    with pytest.raises(ConfigurationError, match="SPEC FP"):
+        context.run_plans({"shadowing": plan})
+    assert context.runner.executed_jobs == 0

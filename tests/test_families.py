@@ -109,18 +109,17 @@ class TestFamilyCharacter:
 
 class TestFamilySweep:
     def test_registered_experiment(self):
-        assert "family-sweep" in EXPERIMENTS
-        from repro.exp.cli import FIGURES
-
-        assert "family-sweep" in FIGURES
+        assert EXPERIMENTS["family-sweep"].plan is family_sweep
 
     def test_sweep_points_and_shape(self):
         context = quick_context(instructions=800, seed=TEST_SEED)
-        points = family_sweep(
-            context,
-            families=("streaming",),
-            epoch_counts=(2, 16),
-            locality_thresholds=(30,),
+        points = context.run(
+            family_sweep(
+                context,
+                families=("streaming",),
+                epoch_counts=(2, 16),
+                locality_thresholds=(30,),
+            )
         )
         assert [
             (point.family, point.knob, point.value) for point in points
@@ -146,17 +145,19 @@ class TestFamilySweep:
             "epoch_counts": (4,),
             "locality_thresholds": (10, 90),
         }
-        serial = family_sweep(serial_context, **kwargs)
+        serial = serial_context.run(family_sweep(serial_context, **kwargs))
         with ExperimentRunner(jobs=2) as runner:
             parallel_context.runner = runner
-            parallel = family_sweep(parallel_context, **kwargs)
+            parallel = parallel_context.run(family_sweep(parallel_context, **kwargs))
         assert serial == parallel
         assert runner.executed_jobs > 0
 
     def test_family_sweep_does_not_leak_suites_into_the_context(self):
         """A shared campaign context must keep its two SPEC-like suites."""
         context = quick_context(instructions=600, seed=TEST_SEED)
-        family_sweep(
+        plan = family_sweep(
             context, families=("branchy",), epoch_counts=(16,), locality_thresholds=()
         )
+        assert list(plan.suites) == ["branchy"]
+        assert context.run(plan)
         assert set(context.suites()) == {"SPEC FP", "SPEC INT"}

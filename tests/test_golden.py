@@ -92,7 +92,7 @@ def _fig7_results(engine: str) -> Any:
     context = campaign_context(
         instructions=FIG7_INSTRUCTIONS, seed=GOLDEN_SEED, engine=engine
     )
-    rows, baseline_ipc = fig7_speedups(context)
+    rows, baseline_ipc = context.run(fig7_speedups(context))
     return {"rows": to_jsonable(rows), "baseline_ipc": to_jsonable(baseline_ipc)}
 
 
@@ -100,8 +100,8 @@ def _family_sweep_results(engine: str) -> Any:
     context = campaign_context(
         instructions=FAMILY_INSTRUCTIONS, seed=GOLDEN_SEED, engine=engine
     )
-    points = family_sweep(
-        context, epoch_counts=(2, 16), locality_thresholds=(10, 90)
+    points = context.run(
+        family_sweep(context, epoch_counts=(2, 16), locality_thresholds=(10, 90))
     )
     return to_jsonable(points)
 

@@ -6,11 +6,9 @@ import pytest
 
 from repro.common.errors import TraceError
 from repro.isa.instruction import (
-    FP_REGISTER_BASE,
     InstrClass,
     Instruction,
     branch,
-    fp_alu,
     int_alu,
     load,
     store,
@@ -49,11 +47,6 @@ class TestInstruction:
         assert st.is_store and st.is_memory and not st.is_load
         assert br.is_branch and not br.is_memory
 
-    def test_fp_detection(self):
-        assert fp_alu(0, dest=FP_REGISTER_BASE).is_fp
-        assert not int_alu(0, dest=1).is_fp
-        assert load(0, dest=FP_REGISTER_BASE + 1, address=0x8).is_fp
-
     def test_byte_range_and_overlap(self):
         a = store(0, address=0x100, srcs=(1,), size=8)
         b = load(1, dest=2, address=0x104, size=4)
@@ -87,7 +80,6 @@ class TestTrace:
         assert stats.num_loads == 2
         assert stats.num_stores == 1
         assert stats.num_branches == 1
-        assert stats.memory_fraction == pytest.approx(0.5)
         assert stats.unique_lines_touched == 2
 
     def test_statistics_mispredict_rate(self):
@@ -98,11 +90,6 @@ class TestTrace:
         prefix = tiny_trace.prefix(3)
         assert len(prefix) == 3
         assert prefix[2].seq == 2
-
-    def test_concatenate_rebases_sequence_numbers(self, tiny_trace):
-        combined = tiny_trace.concatenate(tiny_trace)
-        assert len(combined) == 12
-        assert combined[11].seq == 11
 
     def test_regions_default_empty(self, tiny_trace):
         assert tiny_trace.regions == ()

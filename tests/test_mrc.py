@@ -116,10 +116,11 @@ def test_policy_sweep_artifact_schema() -> None:
 
 
 def test_policy_sweep_is_a_registered_experiment() -> None:
-    spec = experiment_by_name("policy-sweep")
-    assert spec.suites == FAMILY_NAMES
     context = campaign_context(instructions=500)
-    artifact = spec.run(context)
+    plan = experiment_by_name("policy-sweep").plan(context)
+    assert plan.cases == ()
+    assert tuple(plan.suites) == FAMILY_NAMES
+    artifact = context.run(plan)
     assert set(artifact["families"]) == set(FAMILY_NAMES)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.common.config import CacheConfig, ERTConfig, ERTKind, SVWConfig
 from repro.common.stats import Histogram, StatsRegistry
-from repro.core.bloom import AddressHash, CountingBloomFilter
+from repro.core.bloom import CountingBloomFilter
 from repro.core.ert import HashBasedERT
 from repro.core.queues import StoreBuffer
 from repro.core.records import Locality, StoreRecord
@@ -37,15 +37,6 @@ def test_bloom_filter_insert_remove_returns_to_empty(address_list, bits):
     for address in address_list:
         bloom.remove(address)
     assert bloom.population == 0
-
-
-@given(addresses, addresses)
-def test_address_hash_equal_addresses_always_collide(a, b):
-    hashed = AddressHash(10)
-    if a == b:
-        assert hashed.collides(a, b)
-    if not hashed.collides(a, b):
-        assert a != b
 
 
 @given(

@@ -25,12 +25,6 @@ class TestBandwidthAllocator:
         assert allocator.allocate(100) == 100
         assert allocator.allocate(50) == 50
 
-    def test_peak_usage(self):
-        allocator = BandwidthAllocator(4)
-        for _ in range(3):
-            allocator.allocate(7)
-        assert allocator.peak_cycle_usage() == 3
-
     def test_rejects_zero_width(self):
         with pytest.raises(ConfigurationError):
             BandwidthAllocator(0)
