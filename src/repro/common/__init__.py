@@ -7,8 +7,9 @@ This package groups the pieces that every other subsystem relies on:
   seeds the workload generator's :class:`random.Random` streams from a parent
   seed and a label, so that every trace is reproducible from a single
   integer seed.
-* :mod:`repro.common.stats` -- counters, histograms and the statistics
-  registry used to account for every structure access the paper reports.
+* :mod:`repro.common.stats` -- the statistics registry (one counter
+  mapping plus histograms) used to account for every structure access
+  the paper reports.
 * :mod:`repro.common.config` -- validated configuration dataclasses mirroring
   Table 1 of the paper.
 """
@@ -21,11 +22,10 @@ from repro.common.errors import (
     WorkloadError,
 )
 from repro.common.rng import derive_seed
-from repro.common.stats import Counter, Histogram, StatsRegistry
+from repro.common.stats import Histogram, StatsRegistry
 
 __all__ = [
     "ConfigurationError",
-    "Counter",
     "Histogram",
     "ReproError",
     "SimulationError",

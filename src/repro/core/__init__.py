@@ -15,11 +15,11 @@ compared against:
 Supporting structures -- :class:`~repro.core.ert.EpochResolutionTable`,
 :class:`~repro.core.sqm.StoreQueueMirror`,
 :class:`~repro.core.svw.StoreVulnerabilityWindow`,
-:class:`~repro.core.queues.StoreBuffer`, the bloom filters and the timed
+:class:`~repro.core.queues.StoreBuffer`, the address hash and the timed
 records -- are exported for direct use and unit testing.
 """
 
-from repro.core.bloom import AddressHash, CountingBloomFilter
+from repro.core.bloom import AddressHash
 from repro.core.conventional import ConventionalLSQ, IdealCentralLSQ
 from repro.core.elsq import EpochBasedLSQ
 from repro.core.ert import EpochResolutionTable, HashBasedERT, LineBasedERT, build_ert
@@ -32,7 +32,6 @@ from repro.core.svw import StoreVulnerabilityWindow
 __all__ = [
     "AddressHash",
     "ConventionalLSQ",
-    "CountingBloomFilter",
     "EpochBasedLSQ",
     "EpochResolutionTable",
     "EpochState",

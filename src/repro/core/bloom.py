@@ -1,6 +1,6 @@
-"""Address hashing and Bloom-style filters.
+"""Address hashing for the paper's single-hash Bloom-style tables.
 
-Two structures in the paper use single-hash Bloom filtering:
+Two structures in the paper index a small SRAM by a hash of the address:
 
 * the **hash-based Epoch Resolution Table** (Section 3.4), which indexes a
   small SRAM with the low ``n`` bits of the address and keeps one
@@ -16,8 +16,6 @@ hashing at line granularity would hide genuine word conflicts.
 """
 
 from __future__ import annotations
-
-from typing import List
 
 from repro.common.errors import ConfigurationError
 
@@ -44,57 +42,3 @@ class AddressHash:
     def index(self, address: int) -> int:
         """Return the bucket index for ``address``."""
         return (address >> WORD_SHIFT) & self.mask
-
-
-class CountingBloomFilter:
-    """A single-hash counting Bloom filter over addresses.
-
-    Insertions and removals keep a per-bucket population count so membership
-    queries stay correct as entries leave the window (this mirrors how the
-    hash-based ERT clears an epoch's contribution when the epoch commits).
-    False positives arise exactly as in hardware: two different addresses
-    sharing the same low bits.
-    """
-
-    __slots__ = ("_hash", "_counts", "_population")
-
-    def __init__(self, index_bits: int) -> None:
-        self._hash = AddressHash(index_bits)
-        self._counts: List[int] = [0] * self._hash.num_buckets
-        self._population = 0
-
-    @property
-    def index_bits(self) -> int:
-        """Number of address bits used for indexing."""
-        return self._hash.index_bits
-
-    @property
-    def population(self) -> int:
-        """Total number of addresses currently inserted."""
-        return self._population
-
-    def insert(self, address: int) -> int:
-        """Insert ``address``; return the bucket index used."""
-        index = self._hash.index(address)
-        self._counts[index] += 1
-        self._population += 1
-        return index
-
-    def remove(self, address: int) -> None:
-        """Remove one previous insertion of ``address``."""
-        index = self._hash.index(address)
-        if self._counts[index] <= 0:
-            raise ConfigurationError(
-                f"cannot remove address {address:#x}: bucket {index} is already empty"
-            )
-        self._counts[index] -= 1
-        self._population -= 1
-
-    def may_contain(self, address: int) -> bool:
-        """Whether the filter may contain ``address`` (no false negatives)."""
-        return self._counts[self._hash.index(address)] > 0
-
-    def clear(self) -> None:
-        """Remove every entry."""
-        self._counts = [0] * self._hash.num_buckets
-        self._population = 0

@@ -41,27 +41,32 @@ class _SingleQueueLSQ(LSQPolicy):
 
         The load forwards from the youngest older matching store still in
         flight.  A violation is flagged on the record only when a load queue
-        exists to catch it (with SVW the load re-executes at commit instead).
+        exists to catch it (with SVW the load re-executes at commit instead,
+        and only a CheckStores SVW reads ``unresolved_older_store_at_issue``).
         """
         stores = self._stores
+        counts = self._counts
         store = stores.find_any_forwarding(load.address, load.size, load.seq, load.issue_cycle)
         forwarding_seq = store.seq if store is not None else -1
-        load.unresolved_older_store_at_issue = stores.any_unresolved_older_store(
-            load.seq, forwarding_seq, load.issue_cycle
-        )
-        violating = stores.find_violating_store(
-            load.address, load.size, load.seq, forwarding_seq, load.issue_cycle
-        )
-        if violating is not None and self._svw is None:
-            load.violation = True
-            self.stats.bump("lsq.violations")
+        svw = self._svw
+        if svw is None:
+            violating = stores.find_violating_store(
+                load.address, load.size, load.seq, forwarding_seq, load.issue_cycle
+            )
+            if violating is not None:
+                load.violation = True
+                counts["lsq.violations"] += 1
+        elif svw.config.check_stores:
+            load.unresolved_older_store_at_issue = stores.any_unresolved_older_store(
+                load.seq, forwarding_seq, load.issue_cycle
+            )
 
         if store is not None:
             load.forwarded_from = store.seq
-            self.stats.bump("lsq.forwarded_loads")
+            counts["lsq.forwarded_loads"] += 1
             return _FORWARD_LATENCY + max(0, store.data_ready_cycle - load.issue_cycle)
 
-        self.stats.bump("cache.accesses")
+        counts["cache.accesses"] += 1
         return self.hierarchy.access(load.address)
 
 
@@ -90,14 +95,14 @@ class ConventionalLSQ(_SingleQueueLSQ):
     # -- issue-time events ------------------------------------------------
 
     def load_issued(self, load: LoadRecord) -> int:
-        self.stats.bump("hl_sq.searches")
+        self._counts["hl_sq.searches"] += 1
         self._stores.prune_slow(load.decode_cycle)
         return self._search(load)
 
     def store_issued(self, store: StoreRecord) -> None:
         self._stores.add(store)
         if self._svw is None:
-            self.stats.bump("hl_lq.searches")
+            self._counts["hl_lq.searches"] += 1
 
 
 class IdealCentralLSQ(_SingleQueueLSQ):
@@ -120,15 +125,15 @@ class IdealCentralLSQ(_SingleQueueLSQ):
         self.round_trip_latency = round_trip_latency
 
     def load_issued(self, load: LoadRecord) -> int:
-        self.stats.bump("central_lsq.searches")
+        self._counts["central_lsq.searches"] += 1
         self._stores.prune_slow(load.decode_cycle)
         if load.locality is Locality.HIGH:
             return self._search(load)
-        self.stats.bump("network.round_trips")
+        self._counts["network.round_trips"] += 1
         return self._search(load) + self.round_trip_latency
 
     def store_issued(self, store: StoreRecord) -> None:
         self._stores.add(store)
-        self.stats.bump("central_lsq.searches")
+        self._counts["central_lsq.searches"] += 1
         if store.locality is Locality.LOW:
-            self.stats.bump("network.round_trips")
+            self._counts["network.round_trips"] += 1

@@ -24,7 +24,7 @@ the line-based variant also unlocks the epoch's cache lines.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Container, Dict, List, Optional
 
 from repro.common.config import CacheConfig, ERTConfig, ERTKind
 from repro.common.errors import ConfigurationError
@@ -43,7 +43,7 @@ class EpochResolutionTable(abc.ABC):
 
     def __init__(self, config: ERTConfig, stats: StatsRegistry) -> None:
         self.config = config
-        self.stats = stats
+        self._counts = stats.counts
         #: per-table mapping: index -> {epoch_id: insertion count}
         self._store_table: Dict[int, Dict[int, int]] = {}
         self._load_table: Dict[int, Dict[int, int]] = {}
@@ -93,7 +93,7 @@ class EpochResolutionTable(abc.ABC):
         row[epoch_id] = row.get(epoch_id, 0) + 1
         epoch_rows = reverse.setdefault(epoch_id, {})
         epoch_rows[index] = epoch_rows.get(index, 0) + 1
-        self.stats.bump("ert.insertions")
+        self._counts["ert.insertions"] += 1
         return True
 
     # ------------------------------------------------------------------
@@ -101,13 +101,16 @@ class EpochResolutionTable(abc.ABC):
     # ------------------------------------------------------------------
 
     def store_candidate_epochs(
-        self, address: int, live_epochs: Iterable[int], exclude: Optional[int] = None
+        self, address: int, live_epochs: Container[int], exclude: Optional[int] = None
     ) -> List[int]:
-        """Return live epochs that may hold a matching *store*, most recent first."""
+        """Return live epochs that may hold a matching *store*, most recent first.
+
+        ``live_epochs`` is asked only about the epochs the address's row names.
+        """
         return self._candidates(address, self._store_table, live_epochs, exclude)
 
     def load_candidate_epochs(
-        self, address: int, live_epochs: Iterable[int], exclude: Optional[int] = None
+        self, address: int, live_epochs: Container[int], exclude: Optional[int] = None
     ) -> List[int]:
         """Return live epochs that may hold a matching *load*, most recent first."""
         return self._candidates(address, self._load_table, live_epochs, exclude)
@@ -116,17 +119,16 @@ class EpochResolutionTable(abc.ABC):
         self,
         address: int,
         table: Dict[int, Dict[int, int]],
-        live_epochs: Iterable[int],
+        live_epochs: Container[int],
         exclude: Optional[int],
     ) -> List[int]:
         row = table.get(self.index_of(address))
         if not row:
             return []
-        live: Set[int] = set(live_epochs)
         matches = [
             epoch_id
             for epoch_id in row
-            if epoch_id in live and epoch_id != exclude
+            if epoch_id != exclude and epoch_id in live_epochs
         ]
         matches.sort(reverse=True)
         return matches
@@ -220,7 +222,7 @@ class LineBasedERT(EpochResolutionTable):
             # or squashes (LL side) and retries, so the entry does land
             # eventually.  We record it now and report the conflict so the
             # caller can charge the stall / squash penalty.
-            self.stats.bump("ert.lock_conflicts")
+            self._counts["ert.lock_conflicts"] += 1
         return locked
 
     def clear_epoch(self, epoch_id: int) -> None:

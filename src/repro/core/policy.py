@@ -55,6 +55,7 @@ class LSQPolicy(abc.ABC):
 
     def __init__(self, stats: StatsRegistry) -> None:
         self.stats = stats
+        self._counts = stats.counts
 
     # -- issue-time events ------------------------------------------------
 
@@ -76,14 +77,14 @@ class LSQPolicy(abc.ABC):
         """
         if self._svw is None or not self._svw.check_load(load):
             return 0
-        self.stats.bump("cache.accesses")
-        self.stats.bump("cache.reexecution_accesses")
+        self._counts["cache.accesses"] += 1
+        self._counts["cache.reexecution_accesses"] += 1
         return self.hierarchy.access(load.address)
 
     def store_committed(self, store: StoreRecord) -> None:
         """Handle a store reaching in-order commit: count the cache write."""
-        self.stats.bump("cache.accesses")
-        self.stats.bump("cache.store_writebacks")
+        self._counts["cache.accesses"] += 1
+        self._counts["cache.store_writebacks"] += 1
         if self._svw is not None:
             self._svw.store_committed(store)
 

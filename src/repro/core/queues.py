@@ -103,13 +103,12 @@ class StoreBuffer:
         self, address: int, size: int, before_seq: int, cycle: int
     ) -> Optional[StoreRecord]:
         """Youngest older store to the same bytes resident in the HL-SQ at ``cycle``."""
-        return self._find(
-            address,
-            size,
-            before_seq,
-            cycle,
-            residency=lambda store: store.hl_resident_at(cycle),
-        )
+        # Residency is StoreRecord.hl_resident_at, inlined.
+        store = self._youngest_known(address, size, before_seq, cycle)
+        if store is None or cycle < store.decode_cycle:
+            return None
+        migration = store.migration_cycle
+        return store if cycle < (store.commit_cycle if migration is None else migration) else None
 
     def find_epoch_forwarding(
         self,
@@ -121,14 +120,14 @@ class StoreBuffer:
         epoch_commit_cycle: Optional[int] = None,
     ) -> Optional[StoreRecord]:
         """Youngest older matching store resident in epoch ``epoch_id`` at ``cycle``."""
-        return self._find(
-            address,
-            size,
-            before_seq,
-            cycle,
-            residency=lambda store: store.epoch_id == epoch_id
-            and store.ll_resident_at(cycle, epoch_commit_cycle),
-        )
+        # Residency is StoreRecord.ll_resident_at, inlined.
+        store = self._youngest_known(address, size, before_seq, cycle)
+        if store is None or store.epoch_id != epoch_id:
+            return None
+        migration = store.migration_cycle
+        if migration is None or cycle < migration:
+            return None
+        return store if epoch_commit_cycle is None or cycle < epoch_commit_cycle else None
 
     def find_any_forwarding(
         self, address: int, size: int, before_seq: int, cycle: int
@@ -138,32 +137,34 @@ class StoreBuffer:
         Used by the conventional and idealised central LSQs, which keep a
         single store queue.
         """
-        return self._find(
-            address,
-            size,
-            before_seq,
-            cycle,
-            residency=lambda store: store.in_flight_at(cycle),
-        )
+        store = self._youngest_known(address, size, before_seq, cycle)
+        if store is not None and store.decode_cycle <= cycle < store.commit_cycle:
+            return store
+        return None
 
-    def _find(self, address, size, before_seq, cycle, residency) -> Optional[StoreRecord]:
+    def _youngest_known(
+        self, address: int, size: int, before_seq: int, cycle: int
+    ) -> Optional[StoreRecord]:
+        """The youngest older store to the same bytes whose address was known at ``cycle``.
+
+        It forwards if resident in the searched structure; an older matching
+        store never does (it holds a stale value).
+        """
         bucket = self._by_word.get(address >> _WORD_SHIFT)
         if not bucket:
             return None
+        end = address + size
         for store in reversed(bucket):
-            if store.seq >= before_seq:
-                continue
-            if not store.overlaps(address, size):
-                continue
-            if not store.address_known_at(cycle):
-                # The matching store's address was still unknown when the load
-                # issued; the load cannot forward from it (this is the
-                # violation case, reported separately).
-                continue
-            # The youngest matching store forwards if it is resident in the
-            # searched structure; an older matching store must not forward
-            # (it holds a stale value), so stop at the first address match.
-            return store if residency(store) else None
+            # Older, overlapping, and with its address known at ``cycle``: a
+            # matching store whose address was still unknown cannot forward
+            # (that is the violation case, reported separately).
+            if (
+                store.seq < before_seq
+                and store.address < end
+                and address < store.address + store.size
+                and store.addr_ready_cycle <= cycle
+            ):
+                return store
         return None
 
     # ------------------------------------------------------------------
@@ -183,12 +184,16 @@ class StoreBuffer:
         bucket = self._by_word.get(address >> _WORD_SHIFT)
         if not bucket:
             return None
+        end = address + size
         for store in reversed(bucket):
-            if store.seq >= before_seq or store.seq <= after_seq:
-                continue
-            if not store.overlaps(address, size):
-                continue
-            if store.in_flight_at(cycle) and not store.address_known_at(cycle):
+            # In range, overlapping, in flight and with its address unknown.
+            if (
+                after_seq < store.seq < before_seq
+                and store.address < end
+                and address < store.address + store.size
+                and store.decode_cycle <= cycle < store.commit_cycle
+                and cycle < store.addr_ready_cycle
+            ):
                 return store
         return None
 
@@ -211,13 +216,14 @@ class StoreBuffer:
                 continue
             if store.seq <= after_seq or store.decode_cycle + _SLOW_ADDRESS_THRESHOLD <= cycle:
                 break
-            if store.in_flight_at(cycle) and not store.address_known_at(cycle):
+            # In flight with its address still unknown.
+            if store.decode_cycle <= cycle < store.commit_cycle and cycle < store.addr_ready_cycle:
                 return True
         for store in reversed(self._slow):
             if store.seq >= before_seq:
                 continue
             if store.seq <= after_seq:
                 break
-            if store.in_flight_at(cycle) and not store.address_known_at(cycle):
+            if store.decode_cycle <= cycle < store.commit_cycle and cycle < store.addr_ready_cycle:
                 return True
         return False

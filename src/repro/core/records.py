@@ -41,8 +41,8 @@ class LoadRecord:
     searches the store queue(s) / accesses the cache.  ``commit_cycle`` is
     filled in by the core once in-order commit reaches the load.  The
     policy's ``load_issued`` returns the load's latency and writes
-    ``forwarded_from``, ``unresolved_older_store_at_issue``, ``violation``
-    and ``squash_penalty``.
+    ``forwarded_from``, ``violation`` and ``squash_penalty`` (and
+    ``unresolved_older_store_at_issue`` under a CheckStores SVW).
     """
 
     seq: int
@@ -58,8 +58,9 @@ class LoadRecord:
     commit_cycle: Optional[int] = None
     forwarded_from: Optional[int] = None
     #: Whether, at issue time, an older store with a not-yet-known address was
-    #: in flight between the forwarding store (if any) and this load.  Used by
-    #: the SVW "CheckStores" (no-unresolved-store) filter.
+    #: in flight between the forwarding store (if any) and this load.  Only
+    #: the SVW "CheckStores" (no-unresolved-store) filter reads it, so the
+    #: policies write it only under such an SVW; elsewhere it stays False.
     unresolved_older_store_at_issue: bool = False
     #: Whether an older store to the same bytes resolved its address after
     #: this load issued and a load queue caught it; the core squashes.

@@ -28,10 +28,10 @@ class StoreQueueMirror:
     def __init__(self, stats: StatsRegistry, access_latency: int = 1) -> None:
         if access_latency < 0:
             raise ConfigurationError("SQM access latency must be non-negative")
-        self.stats = stats
+        self._counts = stats.counts
         self.access_latency = access_latency
 
     def access(self) -> int:
         """Record one SQM access and return its latency in cycles."""
-        self.stats.bump("sqm.accesses")
+        self._counts["sqm.accesses"] += 1
         return self.access_latency

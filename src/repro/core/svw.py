@@ -43,7 +43,7 @@ class StoreVulnerabilityWindow:
 
     def __init__(self, config: SVWConfig, stats: StatsRegistry) -> None:
         self.config = config
-        self.stats = stats
+        self._counts = stats.counts
         self._hash = AddressHash(config.ssbf_index_bits)
         #: SSBF: bucket index -> sequence number of the youngest committed store.
         self._ssbf: List[int] = [-1] * self._hash.num_buckets
@@ -75,7 +75,7 @@ class StoreVulnerabilityWindow:
 
     def check_load(self, load: LoadRecord) -> bool:
         """Decide at commit whether ``load`` must re-execute."""
-        self.stats.bump("ssbf.lookups")
+        self._counts["ssbf.lookups"] += 1
         if load.forwarded_from is not None and load.forwarded_from >= 0:
             threshold = load.forwarded_from
         else:
@@ -85,7 +85,7 @@ class StoreVulnerabilityWindow:
         if self.config.check_stores and not load.unresolved_older_store_at_issue:
             reexecute = False
         if reexecute:
-            self.stats.bump("svw.reexecutions")
+            self._counts["svw.reexecutions"] += 1
         return reexecute
 
     # ------------------------------------------------------------------

@@ -189,9 +189,7 @@ class FMCProcessor:
                         # Every engine holds a live epoch: opening the next
                         # one (and with it migration, and ultimately fetch)
                         # waits for the oldest epoch to commit.
-                        stats.counter("fmc.migration_stall_cycles").add(
-                            pool_ready - decode_cycle
-                        )
+                        stats.bump("fmc.migration_stall_cycles", pool_ready - decode_cycle)
                         stats.bump("fmc.migration_stalls")
                     current_epoch = _EpochBook(
                         epoch_id=next_epoch_id,
@@ -349,10 +347,10 @@ class FMCProcessor:
         total_cycles = max(1, last_commit_cycle)
         account_wrong_path(self.policy, wrong_path_estimate, committed, num_loads, num_stores)
         self.policy.finalize(total_cycles, committed)
-        stats.counter("core.cycles").add(total_cycles)
-        stats.counter("core.committed_instructions").add(committed)
-        stats.counter("fmc.ll_active_cycles").add(min(ll_active_cycles, total_cycles))
-        stats.counter("fmc.epochs_allocated").add(next_epoch_id)
+        stats.bump("core.cycles", total_cycles)
+        stats.bump("core.committed_instructions", committed)
+        stats.bump("fmc.ll_active_cycles", min(ll_active_cycles, total_cycles))
+        stats.bump("fmc.epochs_allocated", next_epoch_id)
 
         high_locality_fraction = 1.0 - min(ll_active_cycles, total_cycles) / total_cycles
         mean_allocated_epochs = (

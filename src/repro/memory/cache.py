@@ -69,7 +69,8 @@ class SetAssociativeCache:
             config.replacement_policy, config.associativity, next_use
         )
         self.config = config
-        self._stats = stats if stats is not None else StatsRegistry()
+        #: The registry's counter mapping, incremented in place.
+        self._counts = (stats if stats is not None else StatsRegistry()).counts
         #: When False, accesses update tag/replacement state but record no
         #: statistics (used by the functional cache warm-up pass).
         self.stats_enabled = True
@@ -99,10 +100,6 @@ class SetAssociativeCache:
     # Address arithmetic
     # ------------------------------------------------------------------
 
-    def _bump(self, name: str, amount: int = 1) -> None:
-        if self.stats_enabled:
-            self._stats.bump(name, amount)
-
     def line_number(self, address: int) -> int:
         """Return the global line number containing ``address``."""
         return address >> self._line_shift
@@ -128,10 +125,10 @@ class SetAssociativeCache:
         if way >= 0:
             self._policies[set_index].touch(way)
             if self.stats_enabled:
-                self._stats.bump(self._hits_name)
+                self._counts[self._hits_name] += 1
             return True
         if self.stats_enabled:
-            self._stats.bump(self._misses_name)
+            self._counts[self._misses_name] += 1
         self._allocate(line, set_index)
         return False
 
@@ -204,7 +201,8 @@ class SetAssociativeCache:
         if self._find_way(address) is None and not self._allocate(
             line, line % self._num_sets
         ):
-            self._bump(self._lock_conflicts_name)
+            if self.stats_enabled:
+                self._counts[self._lock_conflicts_name] += 1
             return False
         owners = self._lock_owners.get(line)
         if owners is None:
@@ -212,7 +210,8 @@ class SetAssociativeCache:
             # locked_line_count semantics): bump only on the unlocked ->
             # locked transition, not when a locked line gains another owner.
             self._lock_owners[line] = {owner}
-            self._bump(self._lines_locked_name)
+            if self.stats_enabled:
+                self._counts[self._lines_locked_name] += 1
         else:
             owners.add(owner)
         return True
@@ -313,7 +312,7 @@ class SetAssociativeCache:
         else:
             return False
         if evicted is not None and self.stats_enabled:
-            self._stats.bump(self._evictions_name)
+            self._counts[self._evictions_name] += 1
         row[way] = line
         policy.insert(way, line, evicted)
         return True

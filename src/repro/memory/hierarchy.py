@@ -28,6 +28,7 @@ class MemoryHierarchy:
     ) -> None:
         self.config = config if config is not None else MemoryHierarchyConfig()
         self.stats = stats if stats is not None else StatsRegistry()
+        self._counts = self.stats.counts
         self.l1 = SetAssociativeCache(self.config.l1, self.stats)
         self.l2 = SetAssociativeCache(self.config.l2, self.stats)
 
@@ -38,14 +39,15 @@ class MemoryHierarchy:
         access pays L1 + L2 + memory latency, matching the lookup-then-miss
         flow of a real hierarchy.
         """
-        self.stats.bump("hierarchy.accesses")
-        self.stats.bump("hierarchy.reads")
+        counts = self._counts
+        counts["hierarchy.accesses"] += 1
+        counts["hierarchy.reads"] += 1
         config = self.config
         if self.l1.access(address):
             return config.l1.latency
         if self.l2.access(address):
             return config.l1.latency + config.l2.latency
-        self.stats.bump("hierarchy.main_memory_accesses")
+        counts["hierarchy.main_memory_accesses"] += 1
         return config.l1.latency + config.l2.latency + config.main_memory_latency
 
     def warm_up(self, addresses) -> int:

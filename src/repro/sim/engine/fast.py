@@ -190,7 +190,7 @@ def run_fast(processor: Union[OutOfOrderCore, FMCProcessor], trace: Trace) -> Co
     record_load_hist = load_hist.record
     record_store_hist = store_hist.record
     bump = stats.bump
-    counter = stats.counter
+    counts = stats.counts
     load_issued = policy.load_issued
     store_issued = policy.store_issued
     load_committed = policy.load_committed
@@ -277,6 +277,7 @@ def run_fast(processor: Union[OutOfOrderCore, FMCProcessor], trace: Trace) -> Co
     cur_last_commit = 0
     num_loads = 0
     num_stores = 0
+    migrated_instructions = 0  # the most frequent event: added once, at the end
     wrong_path_estimate = 0.0
     last_commit_cycle = 0
 
@@ -397,8 +398,8 @@ def run_fast(processor: Union[OutOfOrderCore, FMCProcessor], trace: Trace) -> Co
                     epoch_live_cycle_sum += epoch_commit - cur_open
                 pool_ready = pool_buf[pool_i] if pool_n == pool_cap else 0
                 if pool_ready > decode_cycle:
-                    counter("fmc.migration_stall_cycles").add(pool_ready - decode_cycle)
-                    bump("fmc.migration_stalls")
+                    bump("fmc.migration_stall_cycles", pool_ready - decode_cycle)
+                    counts["fmc.migration_stalls"] += 1
                 cur_epoch_id = next_epoch_id
                 cur_open = decode_cycle if decode_cycle >= pool_ready else pool_ready
                 cur_instructions = 0
@@ -429,16 +430,16 @@ def run_fast(processor: Union[OutOfOrderCore, FMCProcessor], trace: Trace) -> Co
                 cur_loads += 1
             elif is_store:
                 cur_stores += 1
-            bump("fmc.migrated_instructions")
+            migrated_instructions += 1
 
             if low_locality and is_store and restricts_sac:
                 if addr_ready > migration_block_until:
                     migration_block_until = addr_ready
-                bump("fmc.rsac_migration_blocks")
+                counts["fmc.rsac_migration_blocks"] += 1
             if low_locality and is_load and restricts_lac:
                 if addr_ready > migration_block_until:
                     migration_block_until = addr_ready
-                bump("fmc.rlac_migration_blocks")
+                counts["fmc.rlac_migration_blocks"] += 1
 
         # ---------------- issue and execute ----------------
         violation = False
@@ -597,7 +598,7 @@ def run_fast(processor: Union[OutOfOrderCore, FMCProcessor], trace: Trace) -> Co
             resolve_cycle = complete + mispredict_penalty
             if resolve_cycle > fetch_resume_cycle:
                 fetch_resume_cycle = resolve_cycle
-            bump("core.branch_mispredicts")
+            counts["core.branch_mispredicts"] += 1
             exposed = complete - fetch_cycle
             if exposed < 0:
                 exposed = 0
@@ -606,7 +607,7 @@ def run_fast(processor: Union[OutOfOrderCore, FMCProcessor], trace: Trace) -> Co
                 wrong_path = wrong_path_cap
             wrong_path_estimate += wrong_path
         if violation:
-            bump("core.violation_squashes")
+            counts["core.violation_squashes"] += 1
             resume = complete + mispredict_penalty + _VIOLATION_EXTRA_PENALTY
             if resume > fetch_resume_cycle:
                 fetch_resume_cycle = resume
@@ -632,15 +633,18 @@ def run_fast(processor: Union[OutOfOrderCore, FMCProcessor], trace: Trace) -> Co
     total_cycles = max(1, last_commit_cycle)
     account_wrong_path(policy, wrong_path_estimate, committed, num_loads, num_stores)
     policy.finalize(total_cycles, committed)
-    stats.counter("core.cycles").add(total_cycles)
-    stats.counter("core.committed_instructions").add(committed)
+    bump("core.cycles", total_cycles)
+    bump("core.committed_instructions", committed)
+    # Like a per-migration bump, the counter exists only if something migrated.
+    if migrated_instructions:
+        bump("fmc.migrated_instructions", migrated_instructions)
     # Only an FMC reports its Memory Processor: even a zero counter would
     # change a conventional core's snapshot.
     memory_processor = {}
     if is_fmc:
         ll_active = min(ll_active_cycles, total_cycles)
-        stats.counter("fmc.ll_active_cycles").add(ll_active)
-        stats.counter("fmc.epochs_allocated").add(next_epoch_id)
+        bump("fmc.ll_active_cycles", ll_active)
+        bump("fmc.epochs_allocated", next_epoch_id)
         memory_processor = dict(
             high_locality_fraction=1.0 - ll_active / total_cycles,
             mean_allocated_epochs=(

@@ -248,8 +248,8 @@ class OutOfOrderCore:
         total_cycles = max(1, last_commit_cycle)
         account_wrong_path(self.policy, wrong_path_estimate, committed, num_loads, num_stores)
         self.policy.finalize(total_cycles, committed)
-        stats.counter("core.cycles").add(total_cycles)
-        stats.counter("core.committed_instructions").add(committed)
+        stats.bump("core.cycles", total_cycles)
+        stats.bump("core.committed_instructions", committed)
 
         return CoreResult(
             trace_name=trace.name,

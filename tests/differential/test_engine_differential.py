@@ -173,3 +173,31 @@ def test_storage_form_never_changes_the_result(machine) -> None:
     for other in results[1:]:
         assert other.to_dict() == results[0].to_dict()
         assert other == results[0]
+
+
+def test_counters_exist_only_once_their_event_happened() -> None:
+    """No migration, no ``fmc.migrated_instructions``, under either engine.
+
+    The fast loop sums migrated instructions locally and adds the total
+    once at the end; the reference walk bumps the counter per migration.
+    Independent single-cycle ALU operations never wait on an operand, so
+    nothing is low locality and nothing migrates: neither snapshot may
+    hold the counter, and both must hold the same counters.  A
+    conventional core reports no ``fmc.*`` counter at all.
+    """
+    from repro.isa.instruction import int_alu
+    from repro.isa.trace import Trace
+
+    trace = Trace([int_alu(seq, dest=seq % 8) for seq in range(400)], name="alu_only")
+    for machine in (fmc_hash(), fmc_central()):
+        reference = engine_by_name("reference").run(machine, trace)
+        fast = engine_by_name("fast").run(machine, trace)
+        assert "fmc.epochs_allocated" in fast.stats.counters
+        assert "fmc.migrated_instructions" not in reference.stats.counters
+        assert "fmc.migrated_instructions" not in fast.stats.counters
+        assert set(fast.stats.counters) == set(reference.stats.counters)
+        assert fast == reference
+
+    for engine in ("reference", "fast"):
+        conventional = engine_by_name(engine).run(ooo_64(), trace)
+        assert not [name for name in conventional.stats.counters if name.startswith("fmc.")]

@@ -1,26 +1,46 @@
-"""Tests for counters, histograms and the statistics registry."""
+"""Tests for the statistics registry's counters and histograms."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.common.stats import Counter, Histogram, StatsRegistry
+from repro.common.stats import Histogram, StatsRegistry
 
 
 class TestCounter:
+    """One counter: a name in the registry's ``counts`` mapping."""
+
     def test_starts_at_zero(self):
-        assert Counter("x").value == 0
+        registry = StatsRegistry()
+        assert registry.value("x") == 0
+        assert registry.counts["x"] == 0
+        # Reading never creates the counter.
+        assert "x" not in registry.snapshot().counters
 
     def test_add_accumulates(self):
-        counter = Counter("x")
-        counter.add()
-        counter.add(4)
-        assert counter.value == 5
+        registry = StatsRegistry()
+        registry.counts["x"] += 1
+        registry.bump("x", 4)
+        registry.bump("x")
+        assert registry.value("x") == 6
+        assert registry.snapshot().counters == {"x": 6}
 
     def test_rejects_negative(self):
+        registry = StatsRegistry()
+        registry.bump("x", 2)
         with pytest.raises(ConfigurationError):
-            Counter("x").add(-1)
+            registry.bump("x", -1)
+        assert registry.value("x") == 2
+        with pytest.raises(ConfigurationError):
+            registry.bump("untouched", -3)
+        assert registry.snapshot().counters == {"x": 2}
+
+    def test_zero_amount_joins_the_snapshot(self):
+        registry = StatsRegistry()
+        registry.bump("x", 0)
+        assert registry.value("x") == 0
+        assert registry.snapshot().counters == {"x": 0}
 
 
 class TestHistogram:
@@ -75,10 +95,6 @@ class TestStatsRegistry:
     def test_value_of_unknown_counter_is_zero(self):
         assert StatsRegistry().value("missing") == 0
 
-    def test_counter_identity_is_stable(self):
-        registry = StatsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-
     def test_histogram_first_declaration_wins(self):
         registry = StatsRegistry()
         first = registry.histogram("h", bin_width=30, num_bins=4)
@@ -91,6 +107,7 @@ class TestStatsRegistry:
         registry.bump("events", 2)
         registry.histogram("h", 10, 2).record(5)
         snapshot = registry.snapshot()
+        assert type(snapshot.counters) is dict
         assert snapshot.counters["events"] == 2
         assert snapshot.histograms["h"][0] == (0, 1)
         assert snapshot.get("missing", 7) == 7

@@ -15,6 +15,7 @@ from repro.common.config import (
 from repro.common.stats import StatsRegistry
 from repro.core.conventional import ConventionalLSQ, IdealCentralLSQ
 from repro.core.elsq import EpochBasedLSQ
+from repro.core.queues import StoreBuffer
 from repro.core.records import Locality, LoadRecord, StoreRecord
 from repro.memory.hierarchy import MemoryHierarchy
 
@@ -297,6 +298,39 @@ class TestEpochBasedLSQ:
         assert stats.value("ert.lookups") == 1
         assert stats.value("hl_lq.searches") == 1
 
+    def test_ll_store_load_ert_search_counts_only_younger_epochs(self, env):
+        stats, hierarchy = env
+        policy = elsq_policy(stats, hierarchy)
+        for epoch in (0, 1, 2):
+            policy.epoch_opened(epoch, cycle=5)
+        # Loads to one address in an older and a younger epoch enter the Loads-ERT.
+        for seq, epoch in ((1, 0), (2, 2)):
+            policy.load_issued(
+                make_load(seq, 0x900, issue=20, locality=Locality.LOW, epoch=epoch, migration=10)
+            )
+        before = stats.value("ll_lq.searches")
+        policy.store_issued(
+            make_store(3, 0x900, locality=Locality.LOW, epoch=1, migration=10, addr_ready=40)
+        )
+        # The store's own epoch plus the younger epoch 2, never the older epoch 0.
+        assert stats.value("ll_lq.searches") == before + 2
+
+    def test_ll_load_never_searches_younger_epochs(self, env):
+        stats, hierarchy = env
+        policy = elsq_policy(stats, hierarchy)
+        for epoch in (0, 1, 2):
+            policy.epoch_opened(epoch, cycle=5)
+        policy.store_issued(
+            make_store(1, 0x900, locality=Locality.LOW, epoch=2, migration=10, addr_ready=12)
+        )
+        lookups = stats.value("ert.lookups")
+        load = make_load(5, 0x900, issue=40, locality=Locality.LOW, epoch=1, migration=15)
+        policy.load_issued(load)
+        # The ERT names epoch 2 for the address, but only epoch 0 is older and live.
+        assert load.forwarded_from is None
+        assert stats.value("ert.lookups") == lookups + 1
+        assert stats.value("ll_sq.searches") == 1, "only the load's own epoch"
+
     def test_hl_store_only_searches_hl_lq(self, env):
         stats, hierarchy = env
         policy = elsq_policy(stats, hierarchy)
@@ -403,3 +437,67 @@ class TestEpochBasedLSQ:
         policy = elsq_policy(stats, hierarchy)
         assert policy.disambiguation is DisambiguationModel.FULL
         assert policy.ert is not None
+
+
+def _svw_policies(stats, hierarchy, svw_config):
+    """A conventional LSQ and an ELSQ whose load queues are replaced by ``svw_config``."""
+    return [
+        ConventionalLSQ(
+            stats,
+            hierarchy,
+            load_queue_scheme=LoadQueueScheme.SVW_REEXECUTION,
+            svw_config=svw_config,
+        ),
+        elsq_policy(
+            stats, hierarchy, load_queue_scheme=LoadQueueScheme.SVW_REEXECUTION, svw=svw_config
+        ),
+    ]
+
+
+class TestCheckStoresGate:
+    """Only a CheckStores SVW reads whether an older store was unresolved at issue."""
+
+    @pytest.mark.parametrize("kind", ["conventional", "elsq"])
+    def test_checking_svw_sees_the_unresolved_older_store(self, env, kind):
+        stats, hierarchy = env
+        conventional, elsq = _svw_policies(stats, hierarchy, SVWConfig(check_stores=True))
+        policy = conventional if kind == "conventional" else elsq
+        # An older store to another address resolves its address only at cycle 90.
+        policy.store_issued(make_store(1, 0x4000, addr_ready=90, data_ready=90))
+        load = make_load(2, 0x100, issue=20)
+        policy.load_issued(load)
+        assert load.unresolved_older_store_at_issue is True
+        assert not load.violation
+        resolved = make_load(3, 0x100, issue=95)
+        policy.load_issued(resolved)
+        assert resolved.unresolved_older_store_at_issue is False
+
+    @pytest.mark.parametrize(
+        "kind", ["conventional", "central", "elsq", "conventional-blind-svw", "elsq-blind-svw"]
+    )
+    def test_no_unresolved_scan_without_a_checking_svw(self, env, monkeypatch, kind):
+        stats, hierarchy = env
+        calls = []
+        scan = StoreBuffer.any_unresolved_older_store
+
+        def counting_scan(buffer, *args):
+            calls.append(args)
+            return scan(buffer, *args)
+
+        monkeypatch.setattr(StoreBuffer, "any_unresolved_older_store", counting_scan)
+        blind_conventional, blind_elsq = _svw_policies(
+            stats, hierarchy, SVWConfig(check_stores=False)
+        )
+        policy = {
+            "conventional": ConventionalLSQ(stats, hierarchy),
+            "central": IdealCentralLSQ(stats, hierarchy),
+            "elsq": elsq_policy(stats, hierarchy),
+            "conventional-blind-svw": blind_conventional,
+            "elsq-blind-svw": blind_elsq,
+        }[kind]
+        policy.store_issued(make_store(1, 0x4000, addr_ready=90, data_ready=90))
+        policy.store_issued(make_store(2, 0x100, decode=1))
+        policy.load_issued(make_load(3, 0x100, issue=20))
+        policy.load_issued(make_load(4, 0x200, issue=20))
+        assert calls == []
+        assert stats.value("hl_sq.searches") + stats.value("central_lsq.searches") >= 2

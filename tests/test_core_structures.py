@@ -7,7 +7,7 @@ import pytest
 from repro.common.config import ERTConfig, ERTKind
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.stats import StatsRegistry
-from repro.core.bloom import AddressHash, CountingBloomFilter
+from repro.core.bloom import AddressHash
 from repro.core.ert import HashBasedERT, LineBasedERT, build_ert
 from repro.core.queues import StoreBuffer
 from repro.core.records import EpochState, Locality, LoadRecord, StoreRecord
@@ -58,37 +58,6 @@ class TestAddressHash:
     def test_rejects_bad_bits(self):
         with pytest.raises(ConfigurationError):
             AddressHash(0)
-
-
-class TestCountingBloomFilter:
-    def test_insert_and_query(self):
-        bloom = CountingBloomFilter(8)
-        bloom.insert(0x100)
-        assert bloom.may_contain(0x100)
-        assert bloom.population == 1
-
-    def test_remove_clears_membership(self):
-        bloom = CountingBloomFilter(8)
-        bloom.insert(0x100)
-        bloom.remove(0x100)
-        assert not bloom.may_contain(0x100)
-
-    def test_remove_from_empty_bucket_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CountingBloomFilter(8).remove(0x100)
-
-    def test_false_positive_through_aliasing(self):
-        bloom = CountingBloomFilter(2)
-        bloom.insert(0x0)
-        aliased = 0x0 + (4 << 3)
-        assert bloom.may_contain(aliased)
-
-    def test_clear(self):
-        bloom = CountingBloomFilter(4)
-        bloom.insert(0x8)
-        bloom.clear()
-        assert bloom.population == 0
-        assert not bloom.may_contain(0x8)
 
 
 class TestHashBasedERT:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.common.config import CacheConfig, ERTConfig, ERTKind, SVWConfig
 from repro.common.stats import Histogram, StatsRegistry
-from repro.core.bloom import CountingBloomFilter
 from repro.core.ert import HashBasedERT
 from repro.core.queues import StoreBuffer
 from repro.core.records import Locality, StoreRecord
@@ -19,24 +18,6 @@ from repro.service.shards import merge_metrics_documents
 from repro.uarch.resources import BandwidthAllocator, OccupancyWindow
 
 addresses = st.integers(min_value=0, max_value=1 << 30).map(lambda value: value & ~0x7)
-
-
-@given(st.lists(addresses, min_size=1, max_size=200), st.integers(min_value=1, max_value=16))
-def test_bloom_filter_never_false_negative(address_list, bits):
-    bloom = CountingBloomFilter(bits)
-    for address in address_list:
-        bloom.insert(address)
-    assert all(bloom.may_contain(address) for address in address_list)
-
-
-@given(st.lists(addresses, min_size=1, max_size=100), st.integers(min_value=1, max_value=16))
-def test_bloom_filter_insert_remove_returns_to_empty(address_list, bits):
-    bloom = CountingBloomFilter(bits)
-    for address in address_list:
-        bloom.insert(address)
-    for address in address_list:
-        bloom.remove(address)
-    assert bloom.population == 0
 
 
 @given(
@@ -112,6 +93,89 @@ def test_store_buffer_forwarding_store_is_older_matching_and_known(pairs):
             assert found.overlaps(address, 8)
             assert found.address_known_at(probe_cycle)
             assert found.in_flight_at(probe_cycle)
+
+
+def _full_forwarding_scan(stores, address, size, before_seq, cycle, resident):
+    """Reference: the youngest older overlapping known store, if ``resident``."""
+    for store in reversed(stores):
+        if store.seq < before_seq and store.overlaps(address, size) and store.address_known_at(cycle):
+            return store if resident(store) else None
+    return None
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.booleans(),  # a store, or else a load querying the buffer
+            st.integers(min_value=0, max_value=3),  # decode cycles since the last instruction
+            st.integers(min_value=0, max_value=30),  # address delay / load's query delay
+            st.integers(min_value=0, max_value=40),  # commit delay / forwarding-store pick
+            st.integers(min_value=0, max_value=1),  # word
+            st.integers(min_value=0, max_value=2),  # low half / high half / whole word
+            st.integers(min_value=-1, max_value=12),  # migration delay (-1: HL store)
+        ),
+        min_size=1,
+        max_size=32,  # at most the per-word history, so the buffer forgets nothing
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_store_buffer_searches_match_the_record_predicates(events):
+    """Every search equals a full scan judged by the ``StoreRecord`` predicates."""
+    buffer = StoreBuffer()
+    stores = []
+    decode = 0
+    for seq, (is_store, advance, delay, extra, word, part, migration_delay) in enumerate(events):
+        decode += advance
+        address = 0x1000 + 8 * word + (4 if part == 1 else 0)
+        size = 4 if part < 2 else 8
+        if is_store:
+            low = migration_delay >= 0
+            record = StoreRecord(
+                seq=seq,
+                address=address,
+                size=size,
+                decode_cycle=decode,
+                addr_ready_cycle=decode + delay,
+                data_ready_cycle=decode + delay,
+                commit_cycle=decode + delay + extra,
+                locality=Locality.LOW if low else Locality.HIGH,
+                epoch_id=word % 2 if low else None,
+                migration_cycle=decode + migration_delay if low else None,
+            )
+            buffer.add(record)
+            stores.append(record)
+            continue
+        cycle = decode + delay
+
+        def expect(resident):
+            return _full_forwarding_scan(stores, address, size, seq, cycle, resident)
+
+        assert buffer.find_any_forwarding(address, size, seq, cycle) is expect(
+            lambda store: store.in_flight_at(cycle)
+        )
+        assert buffer.find_hl_forwarding(address, size, seq, cycle) is expect(
+            lambda store: store.hl_resident_at(cycle)
+        )
+        for epoch in (0, 1):
+            for epoch_commit in (None, cycle, cycle + 1):
+                found = buffer.find_epoch_forwarding(epoch, address, size, seq, cycle, epoch_commit)
+                assert found is expect(
+                    lambda store: store.epoch_id == epoch
+                    and store.ll_resident_at(cycle, epoch_commit)
+                )
+        after_seq = stores[-1 - extra % min(len(stores), 6)].seq if stores and extra % 4 else -1
+        violating = next(
+            (
+                store
+                for store in reversed(stores)
+                if after_seq < store.seq < seq
+                and store.overlaps(address, size)
+                and store.in_flight_at(cycle)
+                and not store.address_known_at(cycle)
+            ),
+            None,
+        )
+        assert buffer.find_violating_store(address, size, seq, after_seq, cycle) is violating
 
 
 def _full_unresolved_scan(buffer, before_seq, after_seq, cycle):
