@@ -155,9 +155,9 @@ class StoreBuffer:
             return None
         end = address + size
         for store in reversed(bucket):
-            # Older, overlapping, and with its address known at ``cycle``: a
-            # matching store whose address was still unknown cannot forward
-            # (that is the violation case, reported separately).
+            # StoreRecord.overlaps and address_known_at, inlined.  A matching
+            # store whose address was still unknown cannot forward (that is
+            # the violation case, reported separately).
             if (
                 store.seq < before_seq
                 and store.address < end
@@ -186,7 +186,7 @@ class StoreBuffer:
             return None
         end = address + size
         for store in reversed(bucket):
-            # In range, overlapping, in flight and with its address unknown.
+            # StoreRecord.overlaps, in_flight_at and not address_known_at, inlined.
             if (
                 after_seq < store.seq < before_seq
                 and store.address < end
@@ -216,7 +216,7 @@ class StoreBuffer:
                 continue
             if store.seq <= after_seq or store.decode_cycle + _SLOW_ADDRESS_THRESHOLD <= cycle:
                 break
-            # In flight with its address still unknown.
+            # StoreRecord.in_flight_at and not address_known_at, inlined.
             if store.decode_cycle <= cycle < store.commit_cycle and cycle < store.addr_ready_cycle:
                 return True
         for store in reversed(self._slow):

@@ -139,7 +139,7 @@ def test_store_buffer_searches_match_the_record_predicates(events):
                 data_ready_cycle=decode + delay,
                 commit_cycle=decode + delay + extra,
                 locality=Locality.LOW if low else Locality.HIGH,
-                epoch_id=word % 2 if low else None,
+                epoch_id=migration_delay % 2 if low else None,
                 migration_cycle=decode + migration_delay if low else None,
             )
             buffer.add(record)
