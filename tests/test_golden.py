@@ -17,11 +17,13 @@ lengths and two seeds.  The simulation snapshots see a change to trace
 content only through the timing it causes; this one sees any changed byte.
 
 The LSQ-protocol snapshot pins every counter and histogram of fourteen
-machines over one workload.  The LSQ policies, the ERTs, the SVW and the
-memory hierarchy are shared by both engines, so ``tests/differential``
-cannot see a change to them; this snapshot can, and
-:func:`test_protocol_snapshot_exercises_every_verdict` keeps it from
-pinning a set of cases in which some verdict never fires.
+machines over one workload and over a hand-built conflict stream.  The LSQ
+policies, the ERTs, the SVW and the memory hierarchy are shared by both
+engines, so ``tests/differential`` cannot see a change to them; this
+snapshot can, and :func:`test_protocol_snapshot_exercises_every_verdict`
+keeps it from pinning a set of cases in which some verdict never fires.
+No shipped workload makes the conventional core violate or its SVW
+re-execute, so the conflict stream is built to do both.
 
 The replacement-policy snapshot pins the caches themselves, which both
 engines share and which the simulation snapshots exercise only under LRU:
@@ -65,6 +67,8 @@ GOLDEN_SEED = 2008
 FIG7_INSTRUCTIONS = 2_000
 FAMILY_INSTRUCTIONS = 1_200
 PROTOCOL_INSTRUCTIONS = 4_000
+#: Repetitions of each pattern of the protocol snapshot's conflict stream.
+CONFLICT_REPETITIONS = 20
 #: The trace-content campaign: shorter than the eight base-register seeds,
 #: ``sweep-short``'s length and the quick campaign's length.
 TRACE_LENGTHS = (5, 1_500, 8_000)
@@ -139,8 +143,43 @@ def _protocol_machines() -> List[Any]:
     ]
 
 
+def _conflict_stream() -> Any:
+    """A cold-cache stream that makes a conventional core violate and re-execute.
+
+    First, :data:`CONFLICT_REPETITIONS` times: a load that misses, a store
+    whose address depends on it, and a younger load of the store's bytes,
+    which issues before the store's address is known (a violation; under an
+    SVW a re-execution either way).  Then as often: a load that misses, a
+    store whose address is ready early, and a younger load 8 KiB away, in
+    the store's SSBF bucket but not its bytes (a blind SVW re-executes it; a
+    CheckStores SVW sees no unresolved older store and does not).  Two ALU
+    operations follow each triple.
+    """
+    from repro.isa.instruction import int_alu, load, store
+    from repro.isa.trace import Trace
+
+    instructions: List[Any] = []
+
+    def add(factory: Callable[..., Any], *args: Any, **kwargs: Any) -> None:
+        instructions.append(factory(len(instructions), *args, **kwargs))
+
+    for early_address, base in ((False, 0x100000), (True, 0x200000)):
+        for index in range(CONFLICT_REPETITIONS):
+            target = base + 0x80000 + index * 64
+            add(load, 1, base + index * 0x1000, srcs=(2,))
+            add(store, target, srcs=(2, 1) if early_address else (1, 3))
+            add(load, 4, target + 8 * 1024 if early_address else target, srcs=(2,))
+            add(int_alu, 5, (5,))
+            add(int_alu, 5, (5,))
+    return Trace(instructions, name="conflicts")
+
+
 def _protocol_results(engine: str) -> Any:
-    """Cycles, committed instructions, counters and histograms per machine."""
+    """Cycles, committed instructions, counters and histograms per machine.
+
+    The workload's cases are keyed by machine name, the conflict stream's
+    by ``conflicts: <machine>``.
+    """
     from repro.sim.simulator import Simulator
     from repro.workloads.base import SyntheticWorkload
     from repro.workloads.spec_fp import equake_like
@@ -149,12 +188,13 @@ def _protocol_results(engine: str) -> Any:
         PROTOCOL_INSTRUCTIONS
     )
     results = {}
-    for machine in _protocol_machines():
-        result = Simulator(machine.with_engine(engine)).run_trace(trace).to_dict()
-        results[machine.name] = {
-            field: result[field]
-            for field in ("cycles", "committed_instructions", "counters", "histograms")
-        }
+    for prefix, stream in (("", trace), ("conflicts: ", _conflict_stream())):
+        for machine in _protocol_machines():
+            result = Simulator(machine.with_engine(engine)).run_trace(stream).to_dict()
+            results[prefix + machine.name] = {
+                field: result[field]
+                for field in ("cycles", "committed_instructions", "counters", "histograms")
+            }
     return results
 
 
@@ -374,6 +414,30 @@ def _unexercised_verdicts(results: Dict[str, Any]) -> List[str]:
     ]
 
 
+def _protocol_gaps(results: Dict[str, Any]) -> List[str]:
+    """What the protocol snapshot's cases leave unpinned.
+
+    Besides every verdict firing somewhere, the conflict stream must make
+    OoO-64 violate and both conventional SVWs re-execute, the CheckStores
+    one less often than the blind one (its filter must drop some loads).
+    """
+    gaps = [f"no case exercises {verdict}" for verdict in _unexercised_verdicts(results)]
+    counters = {
+        name: results[f"conflicts: {name}"]["counters"]
+        for name in ("OoO-64", "OoO-64-SVW-10b", "OoO-64-SVW-10b-checked")
+    }
+    if not counters["OoO-64"].get("lsq.violations"):
+        gaps.append("OoO-64 never violates on the conflict stream")
+    blind = counters["OoO-64-SVW-10b"].get("svw.reexecutions", 0)
+    checked = counters["OoO-64-SVW-10b-checked"].get("svw.reexecutions", 0)
+    if not 0 < checked < blind:
+        gaps.append(
+            f"on the conflict stream the CheckStores SVW re-executes {checked} loads "
+            f"and the blind one {blind}; want 0 < checked < blind"
+        )
+    return gaps
+
+
 def _service_documents(engine: str) -> Any:
     """``GET /v1/stats`` and ``GET /v1/healthz`` after a scripted history.
 
@@ -468,6 +532,12 @@ GOLDENS: Dict[str, Tuple[str, Dict[str, Any], Callable[[str], Any]]] = {
             "workload": "equake_like",
             "instructions": PROTOCOL_INSTRUCTIONS,
             "seed": GOLDEN_SEED,
+            "conflict_stream": (
+                f"{CONFLICT_REPETITIONS} x (missing load, store addressed by it, "
+                "younger load of its bytes), then "
+                f"{CONFLICT_REPETITIONS} x (missing load, store with a ready address, "
+                "younger load 8 KiB away); two ALU ops after each triple"
+            ),
         },
         _protocol_results,
     ),
@@ -512,9 +582,7 @@ GOLDENS: Dict[str, Tuple[str, Dict[str, Any], Callable[[str], Any]]] = {
 #: name -> what a snapshot's results leave unexercised; a snapshot with gaps
 #: is never written.
 COVERAGE_GAPS: Dict[str, Callable[[Dict[str, Any]], List[str]]] = {
-    "lsq-protocol": lambda results: [
-        f"no case exercises {verdict}" for verdict in _unexercised_verdicts(results)
-    ],
+    "lsq-protocol": _protocol_gaps,
     "replacement-policies": _replacement_gaps,
 }
 
@@ -554,10 +622,11 @@ def test_golden_numerics(name: str, engine: str, regen_golden: bool) -> None:
 
 
 def test_protocol_snapshot_exercises_every_verdict() -> None:
-    """Every LSQ-protocol verdict fires in at least one pinned case."""
+    """Every LSQ-protocol verdict fires in at least one pinned case, and the
+    conflict stream reaches the conventional violation and CheckStores paths."""
     filename = GOLDENS["lsq-protocol"][0]
     results = json.loads((GOLDEN_DIR / filename).read_text())["results"]
-    assert _unexercised_verdicts(results) == []
+    assert _protocol_gaps(results) == []
 
 
 def test_replacement_snapshot_exercises_every_case() -> None:
