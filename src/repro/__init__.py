@@ -62,7 +62,6 @@ from repro.energy import EnergyModel
 from repro.fmc import FMCProcessor
 from repro.isa import InstrClass, Instruction, Trace
 from repro.memory import MemoryHierarchy
-from repro.sim.engine import DEFAULT_ENGINE, engine_by_name, engine_names
 from repro.sim import (
     ExperimentContext,
     MachineConfig,
@@ -116,7 +115,6 @@ __all__ = [
     "ConventionalLSQ",
     "CoreConfig",
     "CoreResult",
-    "DEFAULT_ENGINE",
     "DisambiguationModel",
     "ELSQConfig",
     "ERTConfig",
@@ -159,8 +157,6 @@ __all__ = [
     "WorkloadError",
     "WorkloadParameters",
     "WorkloadSuite",
-    "engine_by_name",
-    "engine_names",
     "family_suite",
     "family_suites",
     "fmc_central",

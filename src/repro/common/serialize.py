@@ -61,9 +61,17 @@ def from_jsonable(cls: Type[_T], data: Any) -> _T:
     Reconstruction is driven by the dataclass type hints and supports the
     vocabulary the configuration classes use: nested dataclasses, enums,
     ``Optional``, homogeneous and fixed-arity tuples, lists, dicts and
-    primitives.
+    primitives.  Data is never coerced: a scalar of the wrong JSON type
+    (a ``bool`` where an ``int`` belongs, a string where a number does), an
+    unknown enum value or a container of the wrong kind raises
+    :class:`ConfigurationError`.  An ``int`` is accepted where a ``float``
+    belongs.  Fields the dataclass does not declare are ignored.
     """
     return _build(cls, data)
+
+
+def _wrong_type(expected: str, data: Any) -> ConfigurationError:
+    return ConfigurationError(f"expected {expected}, got {type(data).__name__} {data!r}")
 
 
 def _build(annotation: Any, data: Any) -> Any:
@@ -74,16 +82,32 @@ def _build(annotation: Any, data: Any) -> Any:
         if dataclasses.is_dataclass(annotation):
             return _build_dataclass(annotation, data)
         if isinstance(annotation, type) and issubclass(annotation, enum.Enum):
-            return annotation(data)
-        if annotation is float:
-            return float(data)
-        if annotation in (int, str, bool):
+            try:
+                return annotation(data)
+            except (TypeError, ValueError):
+                values = [member.value for member in annotation]
+                raise _wrong_type(f"one of {values}", data) from None
+        if annotation in (int, float):
+            # bool subclasses int, and JSON keeps true apart from 1.
+            if isinstance(data, bool) or not isinstance(data, (int, annotation)):
+                raise _wrong_type(annotation.__name__, data)
+            try:
+                return annotation(data)
+            except OverflowError:  # an int beyond the float range
+                raise _wrong_type("a float-sized number", data) from None
+        if annotation in (str, bool):
+            if not isinstance(data, annotation):
+                raise _wrong_type(annotation.__name__, data)
             return data
         if annotation is type(None):
             return None
         raise ConfigurationError(f"cannot deserialise into {annotation!r}")
-    if origin is tuple:
+    if origin in (tuple, list):
+        if not isinstance(data, (list, tuple)):
+            raise _wrong_type("a list", data)
         args = typing.get_args(annotation)
+        if origin is list:
+            return [_build(args[0], item) for item in data]
         if len(args) == 2 and args[1] is Ellipsis:
             return tuple(_build(args[0], item) for item in data)
         if len(args) != len(data):
@@ -91,16 +115,17 @@ def _build(annotation: Any, data: Any) -> Any:
                 f"expected {len(args)} tuple items for {annotation!r}, got {len(data)}"
             )
         return tuple(_build(arg, item) for arg, item in zip(args, data))
-    if origin is list:
-        (item_type,) = typing.get_args(annotation)
-        return [_build(item_type, item) for item in data]
     if origin is dict:
+        if not isinstance(data, Mapping):
+            raise _wrong_type("a mapping", data)
         key_type, value_type = typing.get_args(annotation)
         return {_build(key_type, key): _build(value_type, value) for key, value in data.items()}
     if origin is Union:
         members = [arg for arg in typing.get_args(annotation) if arg is not type(None)]
         if data is None:
             return None
+        if len(members) == 1:  # Optional[X]: X's own error names the problem
+            return _build(members[0], data)
         for member in members:
             try:
                 return _build(member, data)
@@ -121,7 +146,12 @@ def _build_dataclass(cls: Type[_T], data: Any) -> _T:
         if not field.init or field.name.startswith("_"):
             continue
         if field.name in data:
-            kwargs[field.name] = _build(hints[field.name], data[field.name])
+            try:
+                kwargs[field.name] = _build(hints[field.name], data[field.name])
+            except ConfigurationError as error:
+                raise ConfigurationError(f"{field.name}: {error}") from None
+        elif field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING:
+            raise ConfigurationError(f"{cls.__name__} is missing its {field.name!r}")
     return cls(**kwargs)
 
 

@@ -5,7 +5,6 @@ on-disk result cache::
 
     python -m repro fig7 --jobs 4 --cache-dir .repro-cache
     python -m repro all --full --jobs 8 --json results.json
-    python -m repro fig7 --engine reference   # the unoptimised ground-truth loop
     python -m repro cache list
     python -m repro profile fig7 --trace-out fig7-trace.json --jobs 4
 
@@ -36,7 +35,6 @@ from repro.obs.logs import LOG_LEVELS, configure_logging
 from repro.exp.runner import ExperimentRunner
 from repro.memory.replacement import TIMING_POLICY_NAMES
 from repro.sim.configs import PAPER_CONFIGS
-from repro.sim.engine import DEFAULT_ENGINE, engine_names
 from repro.sim.experiments import (
     DEFAULT_SEED,
     EXPERIMENTS,
@@ -63,7 +61,6 @@ def build_context(args: argparse.Namespace, runner: ExperimentRunner) -> Experim
         instructions=args.instructions,
         seed=args.seed,
         runner=runner,
-        engine=getattr(args, "engine", None),
         policy=getattr(args, "policy", None),
     )
 
@@ -82,7 +79,6 @@ def _campaign_parameters(args: argparse.Namespace, context: ExperimentContext) -
         "jobs": args.jobs,
         "cache_dir": None if args.no_cache else str(args.cache_dir),
         "full": bool(args.full),
-        "engine": getattr(args, "engine", None) or DEFAULT_ENGINE,
         "policy": getattr(args, "policy", None) or "lru",
     }
 
@@ -272,8 +268,6 @@ def run_trace_command(args: argparse.Namespace) -> int:
     if args.action == "replay":
         archive = load_trace_archive(args.target)
         machine = machine_by_name(args.machine)
-        if args.engine:
-            machine = machine.with_engine(args.engine)
         result = Simulator(machine).run_trace(archive.trace)
         verified: Optional[bool] = None
         if args.verify:
@@ -375,7 +369,6 @@ def run_profile_command(args: argparse.Namespace) -> int:
         metadata={
             "figure": args.figure,
             "jobs": args.jobs,
-            "engine": getattr(args, "engine", None) or DEFAULT_ENGINE,
             "repro_version": __version__,
             "phase_totals": phases.snapshot(),
         },
@@ -595,7 +588,6 @@ def run_submit_command(args: argparse.Namespace) -> int:
         instructions=args.instructions,
         seed=args.seed,
         full=args.full,
-        engine=args.engine,
         policy=getattr(args, "policy", None),
         priority=args.priority,
     )
@@ -661,13 +653,6 @@ def _add_campaign_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, help=f"campaign seed (default: {DEFAULT_SEED})"
-    )
-    parser.add_argument(
-        "--engine",
-        choices=engine_names(),
-        default=None,
-        help=f"simulation engine driving every machine (default: {DEFAULT_ENGINE}; "
-        "'reference' runs the original processor-model loop)",
     )
     parser.add_argument(
         "--policy",
@@ -851,13 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--machine",
         default="FMC-Hash",
         help="replay/submit: named machine configuration (default: FMC-Hash)",
-    )
-    sub.add_argument(
-        "--engine",
-        choices=engine_names(),
-        default=None,
-        help="replay: simulation engine driving the machine "
-        f"(default: {DEFAULT_ENGINE})",
     )
     sub.add_argument(
         "--verify",

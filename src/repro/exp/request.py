@@ -4,7 +4,7 @@ A :class:`JobRequest` names either
 
 * a **figure** -- one of the registered paper artifacts
   (:data:`repro.sim.experiments.EXPERIMENTS`) plus the campaign knobs the CLI
-  exposes (``instructions``, ``seed``, ``full``, ``engine``), or
+  exposes (``instructions``, ``seed``, ``full``, ``policy``), or
 * an explicit batch of **cases** -- raw :class:`~repro.exp.runner.SimJob`
   records, each fully describing one simulation.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.serialize import from_jsonable, stable_hash, to_jsonable
@@ -39,7 +39,8 @@ REQUEST_SCHEMA_VERSION = 2
 #: from :data:`REQUEST_SCHEMA_VERSION`: bump only when the meaning of a
 #: request changes (coalescing keys then diverge); adding admission metadata
 #: does not.  Version 2: the work content gained the replacement-policy knob.
-_KEY_SCHEMA_VERSION = 2
+#: Version 3: it lost the simulation-engine knob.
+_KEY_SCHEMA_VERSION = 3
 
 #: The two scheduling lanes a submission can ride in.  ``interactive`` is
 #: for short quick-suite jobs and is always drained before ``batch`` (full
@@ -68,7 +69,9 @@ class JobRequest:
     quota the submission charges and which scheduling lane it rides, but they
     are deliberately excluded from :meth:`key` -- the same simulation
     submitted by two tenants must still coalesce into one execution and share
-    one result-cache entry.
+    one result-cache entry.  There is no engine knob: every simulation runs
+    the one engine, and a payload's legacy ``engine`` field is ignored like
+    any other unknown field.
     """
 
     figure: Optional[str] = None
@@ -76,9 +79,6 @@ class JobRequest:
     instructions: Optional[int] = None
     seed: Optional[int] = None
     full: bool = False
-    #: Simulation engine for figure campaigns (``None`` = the default
-    #: engine).  Case batches carry the engine inside each job's machine.
-    engine: Optional[str] = None
     #: Cache replacement policy for figure campaigns (``None`` = ``"lru"``,
     #: the paper's baseline).  Timing policies only -- the OPT oracle lives
     #: in the offline MRC profiler.  Case batches carry the policy inside
@@ -105,15 +105,13 @@ class JobRequest:
             self.instructions is not None
             or self.seed is not None
             or self.full
-            or self.engine is not None
             or self.policy is not None
         ):
             # Each SimJob embeds its own trace length, seed and (through its
-            # machine) engine and replacement policy; silently ignoring the
-            # campaign knobs would run different parameters than the caller
-            # asked for.
+            # machine) replacement policy; silently ignoring the campaign
+            # knobs would run different parameters than the caller asked for.
             raise ConfigurationError(
-                "instructions/seed/full/engine/policy apply to figure requests "
+                "instructions/seed/full/policy apply to figure requests "
                 "only; case batches carry those parameters inside each job"
             )
         if self.instructions is not None and self.instructions <= 0:
@@ -131,7 +129,6 @@ class JobRequest:
         knobs on them).
         """
         from repro.memory.replacement import validate_policy_name
-        from repro.sim.engine import DEFAULT_ENGINE, engine_by_name
         from repro.sim.experiments import (
             DEFAULT_SEED,
             QUICK_INSTRUCTIONS,
@@ -148,13 +145,9 @@ class JobRequest:
                 DEFAULT_INSTRUCTIONS_PER_WORKLOAD if self.full else QUICK_INSTRUCTIONS
             )
         seed = self.seed if self.seed is not None else DEFAULT_SEED
-        engine = self.engine if self.engine is not None else DEFAULT_ENGINE
-        engine_by_name(engine)  # unknown engines fail at admission, not execution
         policy = self.policy if self.policy is not None else "lru"
-        validate_policy_name(policy, timing_only=True)  # same admission contract
-        return replace(
-            self, instructions=instructions, seed=seed, engine=engine, policy=policy
-        )
+        validate_policy_name(policy, timing_only=True)  # fails at admission
+        return replace(self, instructions=instructions, seed=seed, policy=policy)
 
     def key(self) -> str:
         """The request's stable content address (the coalescing key).
@@ -172,7 +165,6 @@ class JobRequest:
                 "instructions": normalized.instructions,
                 "seed": normalized.seed,
                 "full": normalized.full,
-                "engine": normalized.engine,
                 "policy": normalized.policy,
             }
         )
@@ -185,7 +177,6 @@ class JobRequest:
             "instructions": self.instructions,
             "seed": self.seed,
             "full": self.full,
-            "engine": self.engine,
             "policy": self.policy,
             "tenant": self.tenant,
             "priority": self.priority,
@@ -193,22 +184,12 @@ class JobRequest:
 
     @classmethod
     def from_dict(cls, data: Any) -> "JobRequest":
-        """Rebuild a request from :meth:`to_dict` output (validating shape)."""
-        if not isinstance(data, Mapping):
-            raise ConfigurationError(
-                f"expected a job request mapping, got {type(data).__name__}"
-            )
-        cases = data.get("cases") or ()
-        if not isinstance(cases, (list, tuple)):
-            raise ConfigurationError("job request 'cases' must be a list")
-        return cls(
-            figure=data.get("figure"),
-            cases=tuple(from_jsonable(SimJob, case) for case in cases),
-            instructions=data.get("instructions"),
-            seed=data.get("seed"),
-            full=bool(data.get("full", False)),
-            engine=data.get("engine"),
-            policy=data.get("policy"),
-            tenant=data.get("tenant"),
-            priority=data.get("priority"),
-        )
+        """Rebuild a request from :meth:`to_dict` output.
+
+        Every field is decoded by its type hint, as every wire payload is
+        (:func:`~repro.common.serialize.from_jsonable`): a value of the wrong
+        JSON type, such as ``"full": "false"`` or ``"seed": "7"``, is a
+        :class:`ConfigurationError`, never coerced.  Unknown fields are
+        ignored.
+        """
+        return from_jsonable(cls, data)

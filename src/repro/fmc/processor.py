@@ -80,14 +80,12 @@ class FMCProcessor:
         policy: Optional[LSQPolicy] = None,
         stats: Optional[StatsRegistry] = None,
         name: str = "fmc",
-        warm_caches: bool = True,
     ) -> None:
         self.config = config if config is not None else FMCConfig()
         self.elsq_config = elsq_config if elsq_config is not None else ELSQConfig()
         self.name = name
         self.stats = stats if stats is not None else StatsRegistry()
         self.hierarchy = MemoryHierarchy(hierarchy_config, self.stats)
-        self.warm_caches = warm_caches
         if policy is not None:
             self.policy = policy
         else:
@@ -105,7 +103,7 @@ class FMCProcessor:
         me = self.config.memory_engine
         stats = self.stats
         threshold = self.elsq_config.locality_threshold_cycles
-        if self.warm_caches and trace.regions:
+        if trace.regions:
             self.hierarchy.warm_up_regions(trace.regions)
 
         load_hist = stats.histogram(

@@ -50,14 +50,8 @@ class RegionFootprint:
     line_hint: int = 32
 
     def __post_init__(self) -> None:
-        # Footprints also arrive from untrusted trace headers, where any JSON
-        # value can stand in a field.
-        for field_name in ("base_address", "size_bytes", "line_hint"):
-            value = getattr(self, field_name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TraceError(
-                    f"region {self.name!r}: {field_name} must be an integer, got {value!r}"
-                )
+        # Footprints from untrusted trace headers are type-checked by the
+        # decoder (repro.common.serialize.from_jsonable) before they get here.
         if self.size_bytes <= 0:
             raise TraceError(f"region {self.name!r}: size must be positive")
         if self.base_address < 0:

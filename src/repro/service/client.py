@@ -234,7 +234,6 @@ class ServiceClient:
         instructions: Optional[int] = None,
         seed: Optional[int] = None,
         full: bool = False,
-        engine: Optional[str] = None,
         policy: Optional[str] = None,
         priority: Optional[str] = None,
         tenant: Optional[str] = None,
@@ -244,7 +243,7 @@ class ServiceClient:
         """``POST /v1/jobs``: submit a figure campaign or an explicit batch.
 
         All parameters are keyword-only: ``figure``, ``cases``,
-        ``instructions``, ``seed``, ``full``, ``engine``, ``policy`` (cache
+        ``instructions``, ``seed``, ``full``, ``policy`` (cache
         replacement policy for figure campaigns), plus the admission knobs
         ``priority`` (``interactive``/``batch``) and ``tenant`` (which
         overrides the client-level tenant for this call).  Returns a
@@ -262,7 +261,6 @@ class ServiceClient:
             instructions=instructions,
             seed=seed,
             full=full,
-            engine=engine,
             policy=policy,
             tenant=tenant,
             priority=priority,
@@ -408,7 +406,6 @@ class ServiceClient:
         instructions: Optional[int] = None,
         seed: Optional[int] = None,
         full: bool = False,
-        engine: Optional[str] = None,
         timeout: float = 600.0,
         *,
         policy: Optional[str] = None,
@@ -422,7 +419,6 @@ class ServiceClient:
             instructions=instructions,
             seed=seed,
             full=full,
-            engine=engine,
             policy=policy,
             priority=priority,
             tenant=tenant,

@@ -226,7 +226,6 @@ class JobState:
             "instructions": self.request.instructions,
             "seed": self.request.seed,
             "full": self.request.full,
-            "engine": self.request.engine,
             "policy": self.request.policy,
             "submitted_at": self.submitted_at,
             "started_at": self.started_at,
@@ -802,7 +801,6 @@ class JobManager:
                     instructions=request.instructions,
                     seed=request.seed,
                     runner=runner,
-                    engine=request.engine,
                     policy=request.policy,
                 )
                 return to_jsonable(context.run(spec.plan(context)))

@@ -5,7 +5,7 @@ makes is appended as one JSON line *before* the server answers the client,
 so a crashed or restarted server can reconstruct what it had promised:
 
 * ``admitted`` -- carries the full normalised request payload (plus tenant,
-  lane, content-address key, engine, policy and trace ID), enough to
+  lane, content-address key, policy and trace ID), enough to
   re-queue the job verbatim;
 * ``dispatched`` / ``completed`` / ``failed`` / ``coalesced`` -- the
   subsequent transitions, keyed by job ID;
@@ -228,7 +228,6 @@ class JobJournal:
             tenant=state.tenant,
             lane=state.lane,
             trace_id=state.trace_id,
-            engine=request.engine,
             policy=request.policy,
             figure=request.figure,
             requeued=requeued,

@@ -42,7 +42,6 @@ from repro.common.stats import StatsRegistry
 from repro.core.conventional import ConventionalLSQ, IdealCentralLSQ
 from repro.core.elsq import EpochBasedLSQ
 from repro.fmc.processor import FMCProcessor
-from repro.sim.engine import DEFAULT_ENGINE
 from repro.uarch.ooo_core import OutOfOrderCore
 
 
@@ -66,13 +65,10 @@ class LSQKind(enum.Enum):
 class MachineConfig:
     """A fully specified machine: core, memory hierarchy and LSQ organisation.
 
-    ``engine`` selects the simulation engine that drives this machine over a
-    trace (:mod:`repro.sim.engine`): the optimised ``fast`` loop by default,
-    or ``reference`` for the original processor-model walk.  The two are
-    bit-identical (enforced by ``tests/differential/``), but the engine is
-    still part of the machine's identity -- and therefore of every job's
-    content address -- so cached results always record which loop produced
-    them.
+    Its JSON form is a job's machine content address.  How a trace is
+    driven through it is not part of it: every simulation runs the one
+    engine (:mod:`repro.sim.engine`), which is bit-identical to the built
+    processor's own ``run``.
     """
 
     name: str
@@ -83,13 +79,6 @@ class MachineConfig:
     elsq: ELSQConfig = field(default_factory=ELSQConfig)
     hierarchy: MemoryHierarchyConfig = field(default_factory=MemoryHierarchyConfig)
     svw: SVWConfig = field(default_factory=SVWConfig)
-    engine: str = DEFAULT_ENGINE
-
-    def __post_init__(self) -> None:
-        if not self.engine or not isinstance(self.engine, str):
-            raise ConfigurationError(
-                f"machine {self.name!r}: engine must be a non-empty string"
-            )
 
     def build(self, stats: Optional[StatsRegistry] = None) -> Union[OutOfOrderCore, FMCProcessor]:
         """Construct the processor model described by this configuration."""
@@ -151,10 +140,6 @@ class MachineConfig:
     def with_hierarchy(self, hierarchy: MemoryHierarchyConfig, name: Optional[str] = None) -> "MachineConfig":
         """Return a copy with a different memory hierarchy."""
         return replace(self, hierarchy=hierarchy, name=name if name else self.name)
-
-    def with_engine(self, engine: str) -> "MachineConfig":
-        """Return a copy driven by a different simulation engine."""
-        return replace(self, engine=engine)
 
     def with_policy(self, policy: str) -> "MachineConfig":
         """Return a copy with both cache levels running ``policy``.

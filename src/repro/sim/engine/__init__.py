@@ -1,39 +1,38 @@
-"""Pluggable simulation engines: how a machine executes a trace.
+"""The simulation engine: how a machine executes a trace.
 
-A *simulation engine* is a strategy for driving one
-:class:`~repro.sim.configs.MachineConfig` over one
-:class:`~repro.isa.trace.Trace` and producing a
-:class:`~repro.uarch.result.CoreResult`.  Two engines are registered:
+A *simulation engine* drives one :class:`~repro.sim.configs.MachineConfig`
+over one :class:`~repro.isa.trace.Trace` and produces a
+:class:`~repro.uarch.result.CoreResult`.  Every simulation runs the one
+registered engine, ``fast`` (:mod:`repro.sim.engine.fast`): one loop drives
+both processor kinds (a conventional core is the FMC's Cache Processor
+without a Memory Processor), over the trace's columns, with cache sets
+warmed lazily on first touch, preallocated ring buffers instead of
+per-instruction dict churn, hoisted configuration lookups and scalar
+frontier tracking.
 
-* ``reference`` -- the original per-instruction walk implemented by the
-  processor models themselves (:meth:`repro.uarch.ooo_core.OutOfOrderCore.run`,
-  :meth:`repro.fmc.processor.FMCProcessor.run`).  This is the semantic ground
-  truth; its code paths are deliberately left untouched by the optimisation
-  work.
-* ``fast`` -- an optimised drive loop over the *same* processor and LSQ
-  objects (:mod:`repro.sim.engine.fast`): one loop drives both processor
-  kinds (a conventional core is the FMC's Cache Processor without a Memory
-  Processor), over the trace's columns, with cache sets warmed lazily on
-  first touch, preallocated ring buffers instead of per-instruction dict
-  churn, hoisted configuration lookups and scalar frontier tracking.  It is
-  required to be **bit-identical** to ``reference`` -- every counter,
-  histogram bin and cycle count -- and ``tests/differential/`` enforces
-  exactly that across workload families, suites, seeds, fuzzed machine
-  configurations and fuzzed core geometries.
+The processor models' own per-instruction walks
+(:meth:`repro.uarch.ooo_core.OutOfOrderCore.run`,
+:meth:`repro.fmc.processor.FMCProcessor.run`, reached as
+``machine.build().run(trace)``) are the semantic ground truth.  No user
+path runs them; the tests call them directly as the oracle the fast loop
+must match **bit for bit** -- every counter, histogram bin and cycle count
+-- across workload families, suites, seeds, fuzzed machine configurations
+and fuzzed core geometries (``tests/differential/``).
 
-The engine choice is part of a machine's identity
-(:attr:`repro.sim.configs.MachineConfig.engine`), flows through the
-orchestration layer into every job's content address, and is selectable from
-the CLI and the service (``--engine``).
+The registry is where an engine can be swapped in under the default name:
+:meth:`repro.sim.simulator.Simulator.run_trace` resolves
+:data:`DEFAULT_ENGINE` on every run, so a wrapper registered as ``fast``
+(the benchmark's phase probe, the golden tests' reference side) sees every
+simulation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol, runtime_checkable
+from typing import Dict, Protocol, runtime_checkable
 
 from repro.common.errors import ConfigurationError
 
-#: Engine used when a machine does not name one explicitly.
+#: The engine every simulation runs.
 DEFAULT_ENGINE = "fast"
 
 
@@ -69,14 +68,7 @@ def engine_by_name(name: str) -> Engine:
         ) from None
 
 
-def engine_names() -> List[str]:
-    """Every registered engine name, sorted (CLI choices, error messages)."""
-    return sorted(_ENGINES)
-
-
-# Register the built-in engines.  Imported last so the registry exists first.
+# Register the built-in engine.  Imported last so the registry exists first.
 from repro.sim.engine.fast import FastEngine  # noqa: E402
-from repro.sim.engine.reference import ReferenceEngine  # noqa: E402
 
-register_engine(ReferenceEngine())
 register_engine(FastEngine())

@@ -44,10 +44,10 @@ This module re-implements the *same algorithms* with the interpreter in mind:
   architectural register number instead of a dictionary.
 
 The LSQ policies, the memory hierarchy and the statistics registry are the
-*same objects* the reference engine drives -- only the loop around them is
+*same objects* the reference walks drive -- only the loop around them is
 rewritten -- and the loop reproduces the reference computations exactly.
 ``tests/differential/`` asserts the result (every counter, histogram bin,
-cycle count and derived float) is bit-identical to the ``reference`` engine
+cycle count and derived float) is bit-identical to ``processor.run(trace)``
 across workload families, suites, seeds, fuzzed configurations and fuzzed
 core geometries.
 
@@ -176,7 +176,7 @@ def run_fast(processor: Union[OutOfOrderCore, FMCProcessor], trace: Trace) -> Co
     stats = processor.stats
     policy = processor.policy
     warm_started = perf_counter()
-    if processor.warm_caches and trace.regions:
+    if trace.regions:
         warm_hierarchy(processor.hierarchy, trace.regions)
     drive_started = perf_counter()
     phases.add("warmup", drive_started - warm_started)
@@ -665,7 +665,7 @@ def run_fast(processor: Union[OutOfOrderCore, FMCProcessor], trace: Trace) -> Co
 
 
 class FastEngine:
-    """Optimised columnar drive loop over the reference processor objects."""
+    """Optimised columnar drive loop over the processor objects."""
 
     name = "fast"
 

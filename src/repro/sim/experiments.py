@@ -91,7 +91,9 @@ class ExperimentContext:
     pool).  Without one it holds an inline ``ExperimentRunner()``; either
     way every machine configuration replays exactly the same instruction
     streams, because a trace is a pure function of its workload, length
-    and seed.
+    and seed.  Its one machine override is the replacement ``policy``; how
+    a trace is driven is no campaign knob, since every simulation runs the
+    one engine of :mod:`repro.sim.engine`.
     """
 
     fp_suite: WorkloadSuite = field(default_factory=spec_fp_suite)
@@ -99,20 +101,10 @@ class ExperimentContext:
     instructions_per_workload: int = DEFAULT_INSTRUCTIONS_PER_WORKLOAD
     seed: Optional[int] = None
     runner: ExperimentRunner = field(default_factory=ExperimentRunner)
-    #: Simulation engine override applied to every machine the campaign runs
-    #: (``None`` keeps each machine's own choice -- the fast engine unless a
-    #: configuration says otherwise).
-    engine: Optional[str] = None
     #: Replacement-policy override applied to both cache levels of every
     #: machine the campaign runs (``None`` keeps each machine's own
     #: configuration, LRU unless a hierarchy says otherwise).
     policy: Optional[str] = None
-
-    def _apply_engine(self, machine: MachineConfig) -> MachineConfig:
-        """Rebind ``machine`` to the campaign's engine override, if any."""
-        if self.engine is None or machine.engine == self.engine:
-            return machine
-        return machine.with_engine(self.engine)
 
     def _apply_policy(self, machine: MachineConfig) -> MachineConfig:
         """Rebind ``machine`` to the campaign's replacement-policy override."""
@@ -123,9 +115,6 @@ class ExperimentContext:
             return machine
         return machine.with_policy(self.policy)
 
-    def _apply_overrides(self, machine: MachineConfig) -> MachineConfig:
-        return self._apply_policy(self._apply_engine(machine))
-
     def suites(self) -> Dict[str, WorkloadSuite]:
         """The two suites keyed by their paper labels."""
         return {"SPEC FP": self.fp_suite, "SPEC INT": self.int_suite}
@@ -135,8 +124,8 @@ class ExperimentContext:
 
         Returns ``{name: result}`` in the order of ``plans``.  Equal cases
         from different plans run once, and so does any job two cases share.
-        The campaign's engine/policy overrides are applied to every case
-        before it runs, but each reducer looks its results up by the cases
+        The campaign's policy override is applied to every case before it
+        runs, but each reducer looks its results up by the cases
         it declared.  Plan suites merge per call: the context keeps its two.
         """
         suites = self.suites()
@@ -145,7 +134,7 @@ class ExperimentContext:
                 if suites.setdefault(label, suite) != suite:
                     raise ConfigurationError(f"plans disagree on the suite labelled {label!r}")
         bound = {
-            case: SweepCase(self._apply_overrides(case.machine), case.suite_label)
+            case: SweepCase(self._apply_policy(case.machine), case.suite_label)
             for plan in plans.values()
             for case in plan.cases
         }
@@ -870,7 +859,7 @@ def policy_sweep_experiment(context: ExperimentContext) -> Plan:
     :func:`repro.memory.mrc.policy_sweep` (the profiler lives next to the
     policies it measures).  Unlike the timing experiments this is an
     *offline replay* -- no machine models run, so the context's
-    ``engine``/``policy`` overrides are irrelevant here: every registered
+    ``policy`` override is irrelevant here: every registered
     policy, including the Belady OPT oracle, is profiled on every family
     trace at the campaign's length and seed.  The plan names the four
     family suites it profiles.
@@ -994,7 +983,6 @@ def campaign_context(
     instructions: Optional[int] = None,
     seed: Optional[int] = DEFAULT_SEED,
     runner: Optional[ExperimentRunner] = None,
-    engine: Optional[str] = None,
     policy: Optional[str] = None,
 ) -> ExperimentContext:
     """Build the campaign context the CLI flags / a wire request describe.
@@ -1018,10 +1006,6 @@ def campaign_context(
     else:
         fp_suite, int_suite = quick_fp_suite(), quick_int_suite()
         default_instructions = QUICK_INSTRUCTIONS
-    if engine is not None:
-        from repro.sim.engine import engine_by_name
-
-        engine_by_name(engine)  # fail fast on unknown engine names
     if policy is not None:
         from repro.memory.replacement import validate_policy_name
 
@@ -1035,6 +1019,5 @@ def campaign_context(
         ),
         seed=seed,
         runner=runner if runner is not None else ExperimentRunner(),
-        engine=engine,
         policy=policy,
     )

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.common.errors import SimulationError
 from repro.isa.trace import Trace
 from repro.sim.configs import MachineConfig
-from repro.sim.engine import engine_by_name
+from repro.sim.engine import DEFAULT_ENGINE, engine_by_name
 from repro.uarch.result import CoreResult
 from repro.workloads.base import SyntheticWorkload, WorkloadParameters
 from repro.workloads.suite import WorkloadSuite
@@ -96,14 +96,13 @@ class Simulator:
         self.machine = machine
 
     def run_trace(self, trace: Trace) -> CoreResult:
-        """Simulate a single trace through the machine's simulation engine.
+        """Simulate a single trace through the simulation engine.
 
-        The engine (:attr:`MachineConfig.engine`) decides *how* the freshly
-        built processor walks the trace -- the original reference loop or the
-        optimised fast loop -- and the two are verified bit-identical by the
-        differential suite.
+        The engine is resolved from the registry on every run, so an engine
+        registered under :data:`~repro.sim.engine.DEFAULT_ENGINE` (a timing
+        probe, a test's reference walk) sees every simulation.
         """
-        return engine_by_name(self.machine.engine).run(self.machine, trace)
+        return engine_by_name(DEFAULT_ENGINE).run(self.machine, trace)
 
     def run_workload(
         self,

@@ -57,9 +57,9 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Any, Optional, Tuple, Union
 
-from repro.common.errors import TraceError
+from repro.common.errors import ConfigurationError, TraceError
 from repro.common.serialize import from_jsonable, to_jsonable
 from repro.isa.columns import COLUMN_LAYOUT, TraceColumns
 from repro.isa.trace import RegionFootprint, Trace
@@ -156,12 +156,20 @@ def _parse_header(document: dict) -> TraceHeader:
                 None if params_doc is None else from_jsonable(WorkloadParameters, params_doc)
             ),
             regions=tuple(
-                from_jsonable(RegionFootprint, region)
-                for region in document.get("regions", [])
+                _parse_region(index, region)
+                for index, region in enumerate(document.get("regions", []))
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceError(f"malformed trace header: {exc}") from exc
+
+
+def _parse_region(index: int, document: Any) -> RegionFootprint:
+    """Decode one region footprint; a mistyped field names the region."""
+    try:
+        return from_jsonable(RegionFootprint, document)
+    except ConfigurationError as exc:
+        raise TraceError(f"region {index}: {exc}") from None
 
 
 def _validate_prefix(prefix: bytes, label: str = "trace container") -> Tuple[int, int]:

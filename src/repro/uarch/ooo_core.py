@@ -79,13 +79,11 @@ class OutOfOrderCore:
         policy: Optional[LSQPolicy] = None,
         stats: Optional[StatsRegistry] = None,
         name: str = "ooo",
-        warm_caches: bool = True,
     ) -> None:
         self.config = config if config is not None else CoreConfig()
         self.name = name
         self.stats = stats if stats is not None else StatsRegistry()
         self.hierarchy = MemoryHierarchy(hierarchy_config, self.stats)
-        self.warm_caches = warm_caches
         self.policy = (
             policy if policy is not None else ConventionalLSQ(self.stats, self.hierarchy)
         )
@@ -98,7 +96,7 @@ class OutOfOrderCore:
         """Simulate ``trace`` and return the timing result."""
         cfg = self.config
         stats = self.stats
-        if self.warm_caches and trace.regions:
+        if trace.regions:
             self.hierarchy.warm_up_regions(trace.regions)
         load_hist = stats.histogram(
             "decode_to_address.loads", _LOCALITY_HISTOGRAM_BIN, _LOCALITY_HISTOGRAM_BINS

@@ -1,11 +1,13 @@
 """Differential verification: the fast engine is bit-identical to reference.
 
-The ``fast`` engine (:mod:`repro.sim.engine.fast`) re-implements the
-reference per-instruction walk with interpreter-friendly data structures.
-The only acceptable difference is wall-clock time: every
+The ``fast`` engine (:mod:`repro.sim.engine.fast`), which every simulation
+runs, re-implements the processors' own per-instruction walks with
+interpreter-friendly data structures.  Those walks stay the oracle and are
+called here directly, as ``machine.build().run(trace)``.  The only
+acceptable difference is wall-clock time: every
 :class:`~repro.uarch.result.CoreResult` field -- cycles, committed
 instructions, **every counter**, every histogram bin, and the derived floats
--- must match the ``reference`` engine bit for bit.
+-- must match the reference walk bit for bit.
 
 The matrix runs every workload family and both quick SPEC-like suites, each
 under at least three seeds, rotating through all seven paper machine
@@ -94,7 +96,7 @@ def test_rotation_covers_every_paper_machine() -> None:
 )
 def test_fast_engine_is_bit_identical(scope, member, seed, machine) -> None:
     trace = generate_member_trace(member, INSTRUCTIONS, seed=seed)
-    reference = engine_by_name("reference").run(machine, trace)
+    reference = machine.build().run(trace)
     fast = engine_by_name("fast").run(machine, trace)
 
     # Compare the lowered form first: on mismatch pytest shows exactly which
@@ -137,7 +139,7 @@ def test_fast_engine_is_bit_identical_per_policy(policy, machine) -> None:
     assert machine.hierarchy.l1.replacement_policy == policy
     member = list(family_suite("pointer_chase"))[0]
     trace = generate_member_trace(member, INSTRUCTIONS, seed=SEEDS[0])
-    reference = engine_by_name("reference").run(machine, trace)
+    reference = machine.build().run(trace)
     fast = engine_by_name("fast").run(machine, trace)
     assert fast.to_dict() == reference.to_dict()
     assert fast == reference
@@ -167,8 +169,8 @@ def test_storage_form_never_changes_the_result(machine) -> None:
     results = [
         engine_by_name("fast").run(machine, fresh_columnar),
         engine_by_name("fast").run(machine, object_built),
-        engine_by_name("reference").run(machine, object_built),
-        engine_by_name("reference").run(machine, columnar),
+        machine.build().run(object_built),
+        machine.build().run(columnar),
     ]
     for other in results[1:]:
         assert other.to_dict() == results[0].to_dict()
@@ -190,7 +192,7 @@ def test_counters_exist_only_once_their_event_happened() -> None:
 
     trace = Trace([int_alu(seq, dest=seq % 8) for seq in range(400)], name="alu_only")
     for machine in (fmc_hash(), fmc_central()):
-        reference = engine_by_name("reference").run(machine, trace)
+        reference = machine.build().run(trace)
         fast = engine_by_name("fast").run(machine, trace)
         assert "fmc.epochs_allocated" in fast.stats.counters
         assert "fmc.migrated_instructions" not in reference.stats.counters
@@ -198,6 +200,6 @@ def test_counters_exist_only_once_their_event_happened() -> None:
         assert set(fast.stats.counters) == set(reference.stats.counters)
         assert fast == reference
 
-    for engine in ("reference", "fast"):
-        conventional = engine_by_name(engine).run(ooo_64(), trace)
+    machine = ooo_64()
+    for conventional in (machine.build().run(trace), engine_by_name("fast").run(machine, trace)):
         assert not [name for name in conventional.stats.counters if name.startswith("fmc.")]

@@ -206,7 +206,7 @@ def test_fuzzed_configurations_are_identical_and_sane(draw: int) -> None:
     machine = _draw_machine(rng)
     trace = SyntheticWorkload(workload, seed=rng.randrange(10_000)).generate(INSTRUCTIONS)
 
-    reference = engine_by_name("reference").run(machine, trace)
+    reference = machine.build().run(trace)
     fast = engine_by_name("fast").run(machine, trace)
 
     # Differential property: bit-identical results.
@@ -232,7 +232,7 @@ def test_fuzzed_core_geometry_is_identical(draw: int) -> None:
     machine = _draw_geometry(rng, draw % 4)
     trace = SyntheticWorkload(workload, seed=rng.randrange(10_000)).generate(INSTRUCTIONS)
 
-    reference = engine_by_name("reference").run(machine, trace)
+    reference = machine.build().run(trace)
     fast = engine_by_name("fast").run(machine, trace)
 
     assert fast.to_dict() == reference.to_dict(), (workload.name, machine)

@@ -159,7 +159,7 @@ def test_fast_engine_falls_back_for_uncolumnable_traces(oddball) -> None:
         name="oddball",
     )
     fast = Simulator(ooo_64()).run_trace(trace)
-    reference = Simulator(ooo_64().with_engine("reference")).run_trace(trace)
+    reference = ooo_64().build().run(trace)
     assert fast == reference
 
 

@@ -1,10 +1,8 @@
-"""Engine selection plumbing: registry, machine knob, keys, campaign flow.
+"""The engine registry, and the fast engine's warm-up against the reference.
 
-The differential suite proves the engines *agree*; these tests pin how an
-engine is chosen and how the choice propagates -- through
-:class:`MachineConfig`, the simulator, job/request content addresses and the
-campaign context -- so a selected engine can never be silently dropped on
-the way to a simulation.
+Every simulation runs the one registered engine; these tests pin how the
+simulator resolves it, which is the hook the benchmark's phase probe and
+the golden tests' reference walk use.
 
 They also hold the fast engine's lazy warm-up to the reference replay
 (:meth:`MemoryHierarchy.warm_up_regions`) set by set, for every timing
@@ -23,18 +21,14 @@ from hypothesis import strategies as st
 
 from repro.common.config import CacheConfig, MemoryHierarchyConfig
 from repro.common.errors import ConfigurationError
-from repro.exp.request import JobRequest
-from repro.exp.cache import ResultCache
-from repro.exp.runner import ExperimentRunner, SimJob, job_key
 from repro.isa.columns import CODE_LOAD, CODE_STORE
 from repro.isa.trace import RegionFootprint
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.replacement import TIMING_POLICY_NAMES
 from repro.sim.configs import PAPER_CONFIGS, fmc_hash, machine_by_name, ooo_64
-from repro.sim.engine import DEFAULT_ENGINE, engine_by_name, engine_names
+from repro.sim.engine import DEFAULT_ENGINE, engine_by_name, register_engine
 from repro.sim.engine.fast import warm_hierarchy
-from repro.sim.experiments import Plan, campaign_context, fig7_speedups
 from repro.sim.simulator import Simulator
 from repro.workloads.families import family_suites
 from repro.workloads.suite import (
@@ -45,88 +39,34 @@ from repro.workloads.suite import (
 )
 
 
-def test_registry_exposes_both_engines() -> None:
-    assert engine_names() == ["fast", "reference"]
-    assert engine_by_name("fast").name == "fast"
-    assert engine_by_name("reference").name == "reference"
-    assert DEFAULT_ENGINE == "fast"
-
-
 def test_unknown_engine_raises_helpfully() -> None:
     with pytest.raises(ConfigurationError, match="unknown simulation engine"):
         engine_by_name("warp")
 
 
-def test_machines_default_to_the_fast_engine() -> None:
-    assert fmc_hash().engine == "fast"
-    assert ooo_64().with_engine("reference").engine == "reference"
-
-
 def test_simulator_routes_through_the_selected_engine() -> None:
+    """Every simulation resolves the engine registered under the default
+    name when it runs, so an engine swapped in there sees it; the fast
+    engine itself reproduces the reference walk."""
     member = list(quick_int_suite())[0]
     trace = generate_member_trace(member, 600, seed=TEST_SEED)
-    fast = Simulator(fmc_hash()).run_trace(trace)
-    reference = Simulator(fmc_hash().with_engine("reference")).run_trace(trace)
-    assert fast == reference
-    with pytest.raises(ConfigurationError, match="unknown simulation engine"):
-        Simulator(fmc_hash().with_engine("warp")).run_trace(trace)
+    fast = engine_by_name(DEFAULT_ENGINE)
+    seen = []
 
+    class Probe:
+        name = DEFAULT_ENGINE
 
-def test_engine_is_part_of_the_job_content_address() -> None:
-    member = list(quick_int_suite())[0]
-    fast_key = job_key(SimJob(fmc_hash(), member, 1_000, 1))
-    reference_key = job_key(SimJob(fmc_hash().with_engine("reference"), member, 1_000, 1))
-    assert fast_key != reference_key
+        def run(self, machine, run_trace):
+            seen.append(machine.name)
+            return fast.run(machine, run_trace)
 
-
-def test_engine_is_part_of_the_request_key() -> None:
-    implicit = JobRequest(figure="fig7")
-    explicit_default = JobRequest(figure="fig7", engine=DEFAULT_ENGINE)
-    reference = JobRequest(figure="fig7", engine="reference")
-    # Implicit and explicit defaults coalesce; a different engine does not.
-    assert implicit.key() == explicit_default.key()
-    assert implicit.key() != reference.key()
-    # The knob round-trips over the wire.
-    assert JobRequest.from_dict(reference.to_dict()) == reference
-
-
-def test_case_batches_reject_the_engine_knob() -> None:
-    member = list(quick_int_suite())[0]
-    job = SimJob(fmc_hash(), member, 1_000, 1)
-    with pytest.raises(ConfigurationError, match="engine"):
-        JobRequest(cases=(job,), engine="fast")
-
-
-def test_unknown_engine_fails_at_request_normalization() -> None:
-    with pytest.raises(ConfigurationError, match="unknown simulation engine"):
-        JobRequest(figure="fig7", engine="warp").normalized()
-
-
-def test_campaign_context_applies_the_engine_to_every_sweep_case(tmp_path) -> None:
-    runner = ExperimentRunner(cache=ResultCache(tmp_path))
-    context = campaign_context(
-        instructions=600, seed=TEST_SEED, runner=runner, engine="reference"
-    )
-    cases = fig7_speedups(context).cases
-    for case in cases:
-        assert case.machine.engine == "fast"  # the plan declares defaults ...
-    raw = Plan(cases, dict)  # reduces to the raw {case: SuiteResult} map
-    results = context.run(raw)
-    assert set(results) == set(cases)  # ... keyed by the declared cases ...
-    # ... but the context rebinds every case to its engine before running.
-    assert {entry.key for entry in runner.cache.entries()} == {
-        SimJob(case.machine.with_engine("reference"), member, 600, TEST_SEED).key()
-        for case in cases
-        for member in context.suites()[case.suite_label]
-    }
-    fast_results = campaign_context(instructions=600, seed=TEST_SEED, engine="fast").run(raw)
-    for case, suite_result in results.items():
-        assert suite_result.results == fast_results[case].results
-
-
-def test_campaign_context_rejects_unknown_engines_eagerly() -> None:
-    with pytest.raises(ConfigurationError, match="unknown simulation engine"):
-        campaign_context(engine="warp")
+    register_engine(Probe())
+    try:
+        probed = Simulator(fmc_hash()).run_trace(trace)
+    finally:
+        register_engine(fast)
+    assert seen == [fmc_hash().name]
+    assert probed == Simulator(fmc_hash()).run_trace(trace) == fmc_hash().build().run(trace)
 
 
 def _assert_warm_state_matches_replay(config, regions) -> None:

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 from _helpers import TEST_INSTRUCTIONS, TEST_SEED, one_member_suite, subprocess_env
 
+from repro.common.errors import ConfigurationError
 from repro.common.serialize import canonical_json, from_jsonable, stable_hash, to_jsonable
 from repro.exp.cache import ResultCache
 from repro.exp.runner import ExperimentRunner, SimJob, SweepCase, job_key, run_job
@@ -43,6 +44,27 @@ def test_workload_parameters_roundtrip() -> None:
         lowered = json.loads(json.dumps(to_jsonable(member)))
         rebuilt = from_jsonable(WorkloadParameters, lowered)
         assert rebuilt == member
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc.update(load_fraction=True), "load_fraction: expected float, got bool"),
+        (lambda doc: doc.update(load_fraction="0.3"), "load_fraction: expected float, got str"),
+        (lambda doc: doc.update(load_fraction=10**400), "load_fraction: expected a float-sized"),
+        (lambda doc: doc.update(name=7), "name: expected str, got int"),
+        (lambda doc: doc.update(access_sizes={"8": 1.0}), "access_sizes: expected a list"),
+        (lambda doc: doc["regions"][0].update(is_far="no"), "regions: is_far: expected bool"),
+        (lambda doc: doc["regions"][0].pop("name"), "regions: MemoryRegion is missing its 'name'"),
+    ],
+    ids=["bool-float", "str-float", "huge-float", "int-str", "dict-list", "str-bool", "missing"],
+)
+def test_decoding_never_coerces(edit, message) -> None:
+    """A value of the wrong JSON type names its field instead of being coerced."""
+    lowered = json.loads(json.dumps(to_jsonable(quick_fp_suite().members[0])))
+    edit(lowered)
+    with pytest.raises(ConfigurationError, match=message):
+        from_jsonable(WorkloadParameters, lowered)
 
 
 def test_core_result_roundtrip() -> None:
@@ -296,6 +318,35 @@ def test_job_key_covers_the_trace_format_version(monkeypatch: pytest.MonkeyPatch
     assert after != before
 
 
+def test_shipped_keys_are_pinned() -> None:
+    """The content addresses of shipped work do not move by accident.
+
+    Every cache entry and every coalescing decision hangs on these hashes,
+    so a change to any machine, workload or request field -- or to how one
+    is lowered to JSON -- must show up here and be made on purpose.  The
+    jobs are the first case of Figure 7's quick campaign over both of its
+    workloads.
+    """
+    from repro.exp.request import JobRequest
+    from repro.sim.experiments import campaign_context, fig7_speedups
+
+    context = campaign_context()
+    first = fig7_speedups(context).cases[0]
+    jobs = {
+        member.name: SimJob(first.machine, member, context.instructions_per_workload, context.seed)
+        for member in context.suites()[first.suite_label]
+    }
+    job_key.cache_clear()
+    assert {name: job_key(job) for name, job in jobs.items()} == {
+        "swim_like": "2f45985f5287285658de9e4a8196525d3656a8a3c360b5e4a7399439b9caee51",
+        "equake_like": "fc32ba011bd9fb8c0ac5efc087d7113dd7a3837309e72b35a01cad3978d7ec23",
+    }
+    assert (
+        JobRequest(figure="fig7").key()
+        == "b048c50b1935fbee0e874f339207e23fbe0050b144a1d86b157523e49648e495"
+    )
+
+
 def test_stale_trace_format_entry_is_never_a_hit(result_cache: ResultCache) -> None:
     """An entry recorded under an older trace format reads as a miss and can
     be swept selectively with ``clear(stale_only=True)``."""
@@ -406,8 +457,6 @@ def test_run_plans_runs_equal_cases_once() -> None:
 
 def test_run_plans_rejects_plans_that_disagree_on_a_suite() -> None:
     """One batch holds one suite per label; a second meaning must not shadow it."""
-    from repro.common.errors import ConfigurationError
-
     context = ExperimentContext(fp_suite=quick_fp_suite(), int_suite=quick_int_suite())
     case = SweepCase(ooo_64(), "SPEC FP")
     plan = Plan((case,), dict, {"SPEC FP": one_member_suite()})

@@ -19,20 +19,26 @@ content only through the timing it causes; this one sees any changed byte.
 The LSQ-protocol snapshot pins every counter and histogram of fourteen
 machines over one workload and over a hand-built conflict stream.  The LSQ
 policies, the ERTs, the SVW and the memory hierarchy are shared by both
-engines, so ``tests/differential`` cannot see a change to them; this
+walks, so ``tests/differential`` cannot see a change to them; this
 snapshot can, and :func:`test_protocol_snapshot_exercises_every_verdict`
 keeps it from pinning a set of cases in which some verdict never fires.
 No shipped workload makes the conventional core violate or its SVW
 re-execute, so the conflict stream is built to do both.
 
 The replacement-policy snapshot pins the caches themselves, which both
-engines share and which the simulation snapshots exercise only under LRU:
+walks share and which the simulation snapshots exercise only under LRU:
 one load/store stream with interleaved line locks and releases, run
 through every timing policy in a hierarchy and through Belady's OPT on a
 single cache.  It pins every counter, a digest of each access's latency
 and each lock's result, and a digest of every set's tag row.  Its
 coverage test keeps every case hitting, missing, evicting and locking,
 and every small-L1 case running into lock conflicts.
+
+Every snapshot is checked twice: under the fast engine every simulation
+runs, and under the processors' own ``run``, which the ``reference``
+parametrization registers in the fast engine's place for the duration of
+the test (the hook the benchmark's phase probe uses), so the figure
+campaigns run end to end through the reference walk.
 
 Regenerating after an intentional change::
 
@@ -47,12 +53,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 import pytest
 
 from repro.common.serialize import to_jsonable
+from repro.sim.engine import DEFAULT_ENGINE, engine_by_name, register_engine
 from repro.sim.experiments import (
     campaign_context,
     family_sweep,
@@ -92,18 +100,14 @@ TRACE_SUITES = (
 )
 
 
-def _fig7_results(engine: str) -> Any:
-    context = campaign_context(
-        instructions=FIG7_INSTRUCTIONS, seed=GOLDEN_SEED, engine=engine
-    )
+def _fig7_results(walk: str) -> Any:
+    context = campaign_context(instructions=FIG7_INSTRUCTIONS, seed=GOLDEN_SEED)
     rows, baseline_ipc = context.run(fig7_speedups(context))
     return {"rows": to_jsonable(rows), "baseline_ipc": to_jsonable(baseline_ipc)}
 
 
-def _family_sweep_results(engine: str) -> Any:
-    context = campaign_context(
-        instructions=FAMILY_INSTRUCTIONS, seed=GOLDEN_SEED, engine=engine
-    )
+def _family_sweep_results(walk: str) -> Any:
+    context = campaign_context(instructions=FAMILY_INSTRUCTIONS, seed=GOLDEN_SEED)
     points = context.run(
         family_sweep(context, epoch_counts=(2, 16), locality_thresholds=(10, 90))
     )
@@ -174,7 +178,7 @@ def _conflict_stream() -> Any:
     return Trace(instructions, name="conflicts")
 
 
-def _protocol_results(engine: str) -> Any:
+def _protocol_results(walk: str) -> Any:
     """Cycles, committed instructions, counters and histograms per machine.
 
     The workload's cases are keyed by machine name, the conflict stream's
@@ -190,7 +194,7 @@ def _protocol_results(engine: str) -> Any:
     results = {}
     for prefix, stream in (("", trace), ("conflicts: ", _conflict_stream())):
         for machine in _protocol_machines():
-            result = Simulator(machine.with_engine(engine)).run_trace(stream).to_dict()
+            result = Simulator(machine).run_trace(stream).to_dict()
             results[prefix + machine.name] = {
                 field: result[field]
                 for field in ("cycles", "committed_instructions", "counters", "histograms")
@@ -247,7 +251,7 @@ def _tag_rows_digest(cache: Any) -> str:
     return hashlib.sha256(json.dumps(rows).encode("ascii")).hexdigest()
 
 
-def _replacement_results(engine: str) -> Any:
+def _replacement_results(walk: str) -> Any:
     """Counters, outcome digest and tag-row digests per policy and geometry.
 
     The five timing policies run through a :class:`MemoryHierarchy`, cold
@@ -269,7 +273,7 @@ def _replacement_results(engine: str) -> Any:
                 hierarchy = MemoryHierarchy(
                     context_hierarchy(size_kb, ways).with_policy(policy)
                 )
-                if start == "warm" and engine == "reference":
+                if start == "warm" and walk == "reference":
                     hierarchy.warm_up_regions(trace.regions)
                 elif start == "warm":
                     warm_hierarchy(hierarchy, trace.regions)
@@ -359,10 +363,10 @@ def _trace_members() -> List[Any]:
     return [member for suite in TRACE_SUITES for member in suite_by_name(suite)]
 
 
-def _trace_content(engine: str) -> Any:
+def _trace_content(walk: str) -> Any:
     """Column digests and region footprints of every shipped workload's trace.
 
-    Generation does not depend on the engine; both parametrizations compare
+    Generation does not depend on the walk; both parametrizations compare
     against the same digests.
     """
     from repro.isa.columns import COLUMN_LAYOUT
@@ -438,14 +442,14 @@ def _protocol_gaps(results: Dict[str, Any]) -> List[str]:
     return gaps
 
 
-def _service_documents(engine: str) -> Any:
+def _service_documents(walk: str) -> Any:
     """``GET /v1/stats`` and ``GET /v1/healthz`` after a scripted history.
 
     The script drives admission, cross-tenant coalescing, both rejection
     kinds and dispatch through a real :class:`JobManager`, then records
     latencies that are powers of two (each sits exactly on a bucket bound,
     so every percentile is exact).  The documents do not depend on the
-    engine; both parametrizations compare against the same wire shape.
+    walk; both parametrizations compare against the same wire shape.
     """
     from repro.common.errors import ServiceOverloadedError
     from repro.exp.request import JobRequest
@@ -494,11 +498,37 @@ def _service_documents(engine: str) -> Any:
     return {"stats": stats, "health": health}
 
 
-#: Engines every golden runs under.  The snapshots themselves are
-#: engine-agnostic: the fast engine must reproduce the reference numbers bit
-#: for bit, so both parametrizations compare against the *same* file --
-#: numeric drift of the optimised loop cannot land silently.
-ENGINES = ("reference", "fast")
+#: The walks every golden runs under: the processors' own ``run`` and the
+#: fast engine.  The snapshots are walk-agnostic: the fast engine must
+#: reproduce the reference numbers bit for bit, so both parametrizations
+#: compare against the *same* file -- numeric drift of the optimised loop
+#: cannot land silently.
+WALKS = ("reference", "fast")
+
+
+class _ReferenceWalk:
+    """Registered as the default engine: every simulation takes the built
+    processor's own ``run``, through the same campaign, runner and
+    simulator as a user's figure."""
+
+    name = DEFAULT_ENGINE
+
+    def run(self, machine: Any, trace: Any) -> Any:
+        return machine.build().run(trace)
+
+
+@contextmanager
+def _simulations_walk(walk: str) -> Iterator[None]:
+    """Route every in-process simulation through ``walk`` while open."""
+    if walk == "fast":
+        yield
+        return
+    fast = engine_by_name(DEFAULT_ENGINE)
+    register_engine(_ReferenceWalk())
+    try:
+        yield
+    finally:
+        register_engine(fast)
 
 #: name -> (snapshot file, campaign descriptor, result builder).
 GOLDENS: Dict[str, Tuple[str, Dict[str, Any], Callable[[str], Any]]] = {
@@ -592,15 +622,16 @@ def _canonical(document: Any) -> Any:
     return json.loads(json.dumps(document, sort_keys=True))
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("walk", WALKS)
 @pytest.mark.parametrize("name", sorted(GOLDENS))
-def test_golden_numerics(name: str, engine: str, regen_golden: bool) -> None:
+def test_golden_numerics(name: str, walk: str, regen_golden: bool) -> None:
     filename, campaign, builder = GOLDENS[name]
     path = GOLDEN_DIR / filename
-    document = _canonical({"campaign": campaign, "results": builder(engine)})
+    with _simulations_walk(walk):
+        document = _canonical({"campaign": campaign, "results": builder(walk)})
     if regen_golden:
-        if engine != "reference":
-            pytest.skip("snapshots are regenerated from the reference engine only")
+        if walk != "reference":
+            pytest.skip("snapshots are regenerated from the reference walk only")
         if name in COVERAGE_GAPS:
             gaps = COVERAGE_GAPS[name](document["results"])
             assert not gaps, f"refusing to write {filename}: {gaps}"

@@ -173,6 +173,31 @@ def test_malformed_submission_bodies_are_400(service) -> None:
         edit(request["cases"][0]["workload"])
         status, error = post(json.dumps(wire_envelope("job_request", request)).encode())
         assert (status, error["code"]) == (400, "bad_request"), error["message"]
+    # Fields of the wrong JSON type are refused at admission, never coerced:
+    # "false" is not false, "7" is not 7 and 1.5 entries are not a queue.
+    # So is a case without its machine.
+    for edit in (
+        lambda case: case["machine"]["hierarchy"]["l1"].update(size_bytes="32768"),
+        lambda case: case["machine"].update(kind="nonsense"),
+        lambda case: case["workload"].update(regions=5),
+        lambda case: case.update(num_instructions="1000"),
+        lambda case: case["machine"]["core"].update(rob_size=1.5),
+        lambda case: case.pop("machine"),
+    ):
+        request = JobRequest(cases=(job,)).to_dict()
+        edit(request["cases"][0])
+        status, error = post(json.dumps(wire_envelope("job_request", request)).encode())
+        assert (status, error["code"]) == (400, "bad_request"), error["message"]
+    for field, value in (
+        ("full", "false"),
+        ("instructions", "300"),
+        ("figure", ["fig7"]),
+        ("seed", "7"),
+    ):
+        request = {**JobRequest(figure="fig7").to_dict(), field: value}
+        status, error = post(json.dumps(wire_envelope("job_request", request)).encode())
+        assert (status, error["code"]) == (400, "bad_request"), (field, error["message"])
+    assert svc.manager.health()["jobs"]["submitted"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -304,7 +304,7 @@ def _mutated_v2(trace: Trace, column: str, row: int, value: int) -> bytes:
 )
 def test_non_canonical_v2_rows_are_rejected(column, value, match) -> None:
     """CRC-valid but non-canonical rows must fail loudly at load: the fast
-    engine's columnar assumptions and the reference engine's object
+    engine's columnar assumptions and the reference walk's object
     validation would otherwise disagree about the same file."""
     trace = Trace(
         [

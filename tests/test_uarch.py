@@ -133,8 +133,13 @@ class TestOutOfOrderCore:
         assert result.speedup_over(result) == pytest.approx(1.0)
 
     def test_warm_caches_flag_matters(self, small_trace):
-        warm = OutOfOrderCore(warm_caches=True).run(small_trace)
-        cold = OutOfOrderCore(warm_caches=False).run(small_trace)
+        """A trace warms the caches exactly when it carries region footprints:
+        the same columns without them start cold."""
+        assert small_trace.regions
+        cold_trace = Trace.from_columns(small_trace.columns(), regions=())
+        warm = OutOfOrderCore().run(small_trace)
+        cold = OutOfOrderCore().run(cold_trace)
+        assert cold.counter("L1.misses") > warm.counter("L1.misses")
         assert cold.cycles >= warm.cycles
 
     def test_custom_stats_registry_used(self, small_trace):
