@@ -65,10 +65,10 @@ class LSQKind(enum.Enum):
 class MachineConfig:
     """A fully specified machine: core, memory hierarchy and LSQ organisation.
 
-    Its JSON form is a job's machine content address.  How a trace is
-    driven through it is not part of it: every simulation runs the one
-    engine (:mod:`repro.sim.engine`), which is bit-identical to the built
-    processor's own ``run``.
+    Its JSON form, without the display name, is the machine part of every
+    job's content address.  How a trace is driven through it is not: every
+    simulation runs the one engine (:mod:`repro.sim.engine`), which is
+    bit-identical to the built processor's own ``run``.
     """
 
     name: str
