@@ -345,6 +345,9 @@ def test_shipped_keys_are_pinned() -> None:
         JobRequest(figure="fig7").key()
         == "b048c50b1935fbee0e874f339207e23fbe0050b144a1d86b157523e49648e495"
     )
+    # An older client's engine field is ignored, so its request coalesces.
+    legacy = {**JobRequest(figure="fig7").to_dict(), "engine": "reference"}
+    assert JobRequest.from_dict(legacy).key() == JobRequest(figure="fig7").key()
 
 
 def test_stale_trace_format_entry_is_never_a_hit(result_cache: ResultCache) -> None:
