@@ -8,6 +8,7 @@ and parallel execution of the same sweep.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -348,6 +349,37 @@ def test_shipped_keys_are_pinned() -> None:
     # An older client's engine field is ignored, so its request coalesces.
     legacy = {**JobRequest(figure="fig7").to_dict(), "engine": "reference"}
     assert JobRequest.from_dict(legacy).key() == JobRequest(figure="fig7").key()
+
+
+def test_every_shipped_key_is_pinned() -> None:
+    """One digest pins every content address the shipped figures produce.
+
+    It covers the distinct job keys of every simulation a cold quick
+    ``repro all`` runs (each figure's plan cases expanded over its suites,
+    nothing simulated) and the request key of every registered figure.  A
+    change in field order, in an enum's value or in how a tuple is lowered
+    moves some of them, and with them this digest.
+    """
+    from repro.exp.request import JobRequest
+    from repro.sim.experiments import EXPERIMENTS, campaign_context
+
+    context = campaign_context()
+    job_key.cache_clear()
+    job_keys = set()
+    for spec in EXPERIMENTS.values():
+        plan = spec.plan(context)
+        suites = {**context.suites(), **plan.suites}
+        job_keys |= {
+            job_key(SimJob(case.machine, member, context.instructions_per_workload, context.seed))
+            for case in plan.cases
+            for member in suites[case.suite_label]
+        }
+    assert len(job_keys) == 232
+    request_keys = [JobRequest(figure=name).key() for name in sorted(EXPERIMENTS)]
+    digest = hashlib.sha256("\n".join(sorted(job_keys) + request_keys).encode("ascii"))
+    assert digest.hexdigest() == (
+        "54b5238eb2659269e0585afb433cc82eae69b43e022a9236fbe61ed6370ee458"
+    )
 
 
 def test_stale_trace_format_entry_is_never_a_hit(result_cache: ResultCache) -> None:
