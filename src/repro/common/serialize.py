@@ -15,6 +15,22 @@ that ``pickle`` and ``hash()`` do not give:
 primitives to plain JSON types; :func:`from_jsonable` rebuilds the original
 objects from the dataclass type hints; :func:`stable_hash` derives a SHA-256
 content address from the canonical JSON form.
+
+Both directions run from **one codec plan per dataclass**, built the first
+time the type is seen and kept for the life of the process: the names of the
+fields to encode and, for decoding, each init field's converter compiled
+from its type hint (resolved once, not per call) plus whether the field is
+required.  Plans hold no per-call state, so the event loop, worker threads
+and pool processes share them; two threads racing to build the same plan
+build equal plans.  The table grows only with the number of dataclass types.
+Decoding raises the same :class:`ConfigurationError`, with the same message
+naming the field path, that a per-call walk of the type hints would; an
+annotation the codec cannot decode raises only when a value for it arrives.
+
+Fields a payload carries but the dataclass does not declare are **ignored**,
+not refused: an older client's payload (such as a job request with the
+``engine`` field that requests no longer have) then decodes to the same
+request, and so coalesces with, and hits the cache of, a current one.
 """
 
 from __future__ import annotations
@@ -24,11 +40,24 @@ import enum
 import hashlib
 import json
 import typing
-from typing import Any, Dict, Mapping, Type, TypeVar, Union
+from functools import partial
+from typing import Any, Callable, Dict, Mapping, Tuple, Type, TypeVar, Union
 
 from repro.common.errors import ConfigurationError
 
 _T = TypeVar("_T")
+
+#: JSON scalars, which lower to themselves.  Only the exact types: a
+#: subclass (an ``IntEnum``, a ``str`` enum) takes the general path.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+#: Per dataclass: the names of the fields :func:`to_jsonable` lowers.  Kept
+#: apart from the decode half because encoding needs no type hints: a class
+#: whose annotations cannot be resolved still encodes.
+_ENCODE_PLANS: Dict[type, Tuple[str, ...]] = {}
+
+#: Per dataclass: ``(name, converter, required)`` for each decoded init field.
+_DECODE_PLANS: Dict[type, Tuple[Tuple[str, Callable[[Any], Any], bool], ...]] = {}
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -38,19 +67,32 @@ def to_jsonable(obj: Any) -> Any:
     start with an underscore are treated as derived state and skipped), enums
     become their ``value``, and tuples become lists.
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            field.name: to_jsonable(getattr(obj, field.name))
-            for field in dataclasses.fields(obj)
-            if not field.name.startswith("_")
-        }
+    kind = type(obj)
+    if kind in _SCALARS:
+        return obj
+    if kind is list or kind is tuple:
+        return [to_jsonable(item) for item in obj]
+    if kind is dict:
+        return {str(key): to_jsonable(value) for key, value in obj.items()}
+    names = _ENCODE_PLANS.get(kind)
+    if names is None:
+        if not dataclasses.is_dataclass(kind):
+            return _lower_other(obj)
+        names = _ENCODE_PLANS[kind] = tuple(
+            field.name for field in dataclasses.fields(kind) if not field.name.startswith("_")
+        )
+    return {name: to_jsonable(getattr(obj, name)) for name in names}
+
+
+def _lower_other(obj: Any) -> Any:
+    """Lower what is neither a dataclass nor an exact JSON type."""
     if isinstance(obj, enum.Enum):
         return to_jsonable(obj.value)
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(item) for item in obj]
     if isinstance(obj, Mapping):
         return {str(key): to_jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
+    if isinstance(obj, (str, int, float, bool)):
         return obj
     raise ConfigurationError(f"cannot serialise {type(obj).__name__} to JSON")
 
@@ -67,92 +109,159 @@ def from_jsonable(cls: Type[_T], data: Any) -> _T:
     :class:`ConfigurationError`.  An ``int`` is accepted where a ``float``
     belongs.  Fields the dataclass does not declare are ignored.
     """
-    return _build(cls, data)
+    return _converter(cls)(data)
 
 
 def _wrong_type(expected: str, data: Any) -> ConfigurationError:
     return ConfigurationError(f"expected {expected}, got {type(data).__name__} {data!r}")
 
 
-def _build(annotation: Any, data: Any) -> Any:
-    if annotation is Any:
-        return data
-    origin = typing.get_origin(annotation)
-    if origin is None:
-        if dataclasses.is_dataclass(annotation):
-            return _build_dataclass(annotation, data)
-        if isinstance(annotation, type) and issubclass(annotation, enum.Enum):
-            try:
-                return annotation(data)
-            except (TypeError, ValueError):
-                values = [member.value for member in annotation]
-                raise _wrong_type(f"one of {values}", data) from None
-        if annotation in (int, float):
-            # bool subclasses int, and JSON keeps true apart from 1.
-            if isinstance(data, bool) or not isinstance(data, (int, annotation)):
-                raise _wrong_type(annotation.__name__, data)
-            try:
-                return annotation(data)
-            except OverflowError:  # an int beyond the float range
-                raise _wrong_type("a float-sized number", data) from None
-        if annotation in (str, bool):
-            if not isinstance(data, annotation):
-                raise _wrong_type(annotation.__name__, data)
-            return data
-        if annotation is type(None):
-            return None
-        raise ConfigurationError(f"cannot deserialise into {annotation!r}")
-    if origin in (tuple, list):
-        if not isinstance(data, (list, tuple)):
-            raise _wrong_type("a list", data)
-        args = typing.get_args(annotation)
-        if origin is list:
-            return [_build(args[0], item) for item in data]
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_build(args[0], item) for item in data)
-        if len(args) != len(data):
-            raise ConfigurationError(
-                f"expected {len(args)} tuple items for {annotation!r}, got {len(data)}"
+def _decode_plan(cls: type) -> Tuple[Tuple[str, Callable[[Any], Any], bool], ...]:
+    plan = _DECODE_PLANS.get(cls)
+    if plan is None:
+        hints = typing.get_type_hints(cls)
+        plan = _DECODE_PLANS[cls] = tuple(
+            (
+                field.name,
+                _converter(hints[field.name]),
+                field.default is dataclasses.MISSING
+                and field.default_factory is dataclasses.MISSING,
             )
-        return tuple(_build(arg, item) for arg, item in zip(args, data))
-    if origin is dict:
-        if not isinstance(data, Mapping):
-            raise _wrong_type("a mapping", data)
-        key_type, value_type = typing.get_args(annotation)
-        return {_build(key_type, key): _build(value_type, value) for key, value in data.items()}
-    if origin is Union:
-        members = [arg for arg in typing.get_args(annotation) if arg is not type(None)]
-        if data is None:
-            return None
-        if len(members) == 1:  # Optional[X]: X's own error names the problem
-            return _build(members[0], data)
-        for member in members:
-            try:
-                return _build(member, data)
-            except (ConfigurationError, TypeError, ValueError, KeyError):
-                continue
-        raise ConfigurationError(f"no member of {annotation!r} accepts {data!r}")
-    raise ConfigurationError(f"cannot deserialise into {annotation!r}")
+            for field in dataclasses.fields(cls)
+            if field.init and not field.name.startswith("_")
+        )
+    return plan
 
 
-def _build_dataclass(cls: Type[_T], data: Any) -> _T:
+def _decode_dataclass(cls: Type[_T], data: Any) -> _T:
     if not isinstance(data, Mapping):
         raise ConfigurationError(
             f"expected a mapping to rebuild {cls.__name__}, got {type(data).__name__}"
         )
-    hints = typing.get_type_hints(cls)
     kwargs = {}
-    for field in dataclasses.fields(cls):
-        if not field.init or field.name.startswith("_"):
-            continue
-        if field.name in data:
+    for name, convert, required in _decode_plan(cls):
+        if name in data:
             try:
-                kwargs[field.name] = _build(hints[field.name], data[field.name])
+                kwargs[name] = convert(data[name])
             except ConfigurationError as error:
-                raise ConfigurationError(f"{field.name}: {error}") from None
-        elif field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING:
-            raise ConfigurationError(f"{cls.__name__} is missing its {field.name!r}")
+                raise ConfigurationError(f"{name}: {error}") from None
+        elif required:
+            raise ConfigurationError(f"{cls.__name__} is missing its {name!r}")
     return cls(**kwargs)
+
+
+def _converter(annotation: Any) -> Callable[[Any], Any]:
+    """Compile the function that decodes one value of type ``annotation``.
+
+    A nested dataclass compiles to a lookup of its own plan at decode time,
+    so recursive types terminate and a type's hints resolve only once a
+    value for it arrives.
+    """
+    if annotation is Any:
+        return _identity
+    origin = typing.get_origin(annotation)
+    if origin is None:
+        if dataclasses.is_dataclass(annotation):
+            return partial(_decode_dataclass, annotation)
+        if isinstance(annotation, type) and issubclass(annotation, enum.Enum):
+            return partial(_decode_enum, annotation)
+        if annotation in (int, float):
+            return partial(_decode_number, annotation)
+        if annotation in (str, bool):
+            return partial(_decode_exact, annotation)
+        if annotation is type(None):
+            return _none
+        return partial(_undecodable, annotation)
+    args = typing.get_args(annotation)
+    if origin is list and args:
+        return partial(_decode_sequence, list, _converter(args[0]))
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            return partial(_decode_sequence, tuple, _converter(args[0]))
+        return partial(_decode_fixed_tuple, annotation, tuple(_converter(arg) for arg in args))
+    if origin is dict and len(args) == 2:
+        return partial(_decode_dict, _converter(args[0]), _converter(args[1]))
+    if origin is Union:
+        members = [_converter(arg) for arg in args if arg is not type(None)]
+        if len(members) == 1:  # Optional[X]: X's own error names the problem
+            return partial(_decode_optional, members[0])
+        return partial(_decode_union, annotation, members)
+    return partial(_undecodable, annotation)
+
+
+def _identity(data: Any) -> Any:
+    return data
+
+
+def _none(data: Any) -> None:
+    return None
+
+
+def _undecodable(annotation: Any, data: Any) -> Any:
+    raise ConfigurationError(f"cannot deserialise into {annotation!r}")
+
+
+def _decode_enum(annotation: Type[enum.Enum], data: Any) -> Any:
+    try:
+        return annotation(data)
+    except (TypeError, ValueError):
+        values = [member.value for member in annotation]
+        raise _wrong_type(f"one of {values}", data) from None
+
+
+def _decode_number(annotation: type, data: Any) -> Any:
+    if type(data) is annotation:
+        return data
+    # bool subclasses int, and JSON keeps true apart from 1.
+    if isinstance(data, bool) or not isinstance(data, (int, annotation)):
+        raise _wrong_type(annotation.__name__, data)
+    try:
+        return annotation(data)
+    except OverflowError:  # an int beyond the float range
+        raise _wrong_type("a float-sized number", data) from None
+
+
+def _decode_exact(annotation: type, data: Any) -> Any:
+    if not isinstance(data, annotation):
+        raise _wrong_type(annotation.__name__, data)
+    return data
+
+
+def _decode_sequence(make: type, item: Callable[[Any], Any], data: Any) -> Any:
+    if not isinstance(data, (list, tuple)):
+        raise _wrong_type("a list", data)
+    return make([item(value) for value in data])
+
+
+def _decode_fixed_tuple(annotation: Any, items: Tuple[Callable[[Any], Any], ...], data: Any) -> Any:
+    if not isinstance(data, (list, tuple)):
+        raise _wrong_type("a list", data)
+    if len(items) != len(data):
+        raise ConfigurationError(
+            f"expected {len(items)} tuple items for {annotation!r}, got {len(data)}"
+        )
+    return tuple([item(value) for item, value in zip(items, data)])
+
+
+def _decode_dict(key: Callable[[Any], Any], value: Callable[[Any], Any], data: Any) -> Any:
+    if not isinstance(data, Mapping):
+        raise _wrong_type("a mapping", data)
+    return {key(name): value(item) for name, item in data.items()}
+
+
+def _decode_optional(member: Callable[[Any], Any], data: Any) -> Any:
+    return None if data is None else member(data)
+
+
+def _decode_union(annotation: Any, members: list, data: Any) -> Any:
+    if data is None:
+        return None
+    for member in members:
+        try:
+            return member(data)
+        except (ConfigurationError, TypeError, ValueError, KeyError):
+            continue
+    raise ConfigurationError(f"no member of {annotation!r} accepts {data!r}")
 
 
 #: Version of the service wire format.  Every HTTP body exchanged with
