@@ -66,6 +66,14 @@ class SimJob:
     num_instructions: int
     seed: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.num_instructions < 0:
+            # Refused here, so a submission that could never run is a 400
+            # at admission instead of a failed job.
+            raise ConfigurationError(
+                f"num_instructions must be non-negative, got {self.num_instructions}"
+            )
+
     def key(self) -> str:
         """The job's stable content address (cache key)."""
         return job_key(self)

@@ -86,6 +86,9 @@ COLUMN_LAYOUT: Tuple[Tuple[str, str, int], ...] = (
     ("latency", "I", 4),
 )
 
+#: The widest memory access the ``size`` column (u16) can record.
+MAX_ACCESS_SIZE = 0xFFFF
+
 # The container format promises fixed little-endian widths; stdlib array
 # typecodes map to C types, so pin the assumption loudly rather than writing
 # unreadable files on an exotic ABI.

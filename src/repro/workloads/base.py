@@ -49,6 +49,7 @@ from repro.isa.columns import (
     CODE_STORE,
     FLAG_HAS_ADDRESS,
     FLAG_MISPREDICTED,
+    MAX_ACCESS_SIZE,
     TraceColumns,
 )
 from repro.isa.instruction import FP_REGISTER_BASE
@@ -222,6 +223,11 @@ class WorkloadParameters:
         for size, weight in self.access_sizes:
             if size <= 0 or size & (size - 1) != 0:
                 raise WorkloadError(f"{self.name!r}: access size {size} must be a power of two")
+            if size > MAX_ACCESS_SIZE:
+                raise WorkloadError(
+                    f"{self.name!r}: access size {size} exceeds the trace's "
+                    f"{MAX_ACCESS_SIZE}-byte maximum"
+                )
             if not 0.0 <= weight < math.inf:
                 raise WorkloadError(
                     f"{self.name!r}: access size weights must be finite and non-negative"

@@ -161,13 +161,15 @@ def test_malformed_submission_bodies_are_400(service) -> None:
     envelope = wire_envelope("job_request", {"figure": "fig99"})
     assert post(json.dumps(envelope).encode())[0] == 400
     # So are workload parameters no trace can be drawn from: a negative
-    # region weight, all-zero access-size weights and a NaN weight (which
-    # JSON parsing accepts) are refused at admission.
+    # region weight, all-zero access-size weights, a NaN weight (which JSON
+    # parsing accepts) and an access size wider than the trace's 16-bit
+    # size column are refused at admission.
     job = SimJob(ooo_64(), quick_fp_suite().members[0], TEST_INSTRUCTIONS, TEST_SEED)
     for edit in (
         lambda workload: workload["regions"][0].update(weight=-1.0),
         lambda workload: workload.update(access_sizes=[[8, 0.0], [4, 0.0]]),
         lambda workload: workload["regions"][0].update(weight=float("nan")),
+        lambda workload: workload.update(access_sizes=[[65536, 1.0]]),
     ):
         request = JobRequest(cases=(job,)).to_dict()
         edit(request["cases"][0]["workload"])
@@ -175,8 +177,9 @@ def test_malformed_submission_bodies_are_400(service) -> None:
         assert (status, error["code"]) == (400, "bad_request"), error["message"]
     # Fields of the wrong JSON type are refused at admission, never coerced:
     # "false" is not false, "7" is not 7 and 1.5 entries are not a queue.
-    # So is a case without its machine.
+    # So are a case without its machine and one with a negative trace length.
     for edit in (
+        lambda case: case.update(num_instructions=-1),
         lambda case: case["machine"]["hierarchy"]["l1"].update(size_bytes="32768"),
         lambda case: case["machine"].update(kind="nonsense"),
         lambda case: case["workload"].update(regions=5),

@@ -66,6 +66,13 @@ class TestWorkloadParameters:
         with pytest.raises(WorkloadError):
             WorkloadParameters(access_sizes=((3, 1.0),))
 
+    def test_access_sizes_must_fit_the_trace_size_column(self):
+        """A power of two wider than the 16-bit size column is refused up front."""
+        with pytest.raises(WorkloadError, match="access size 65536 exceeds"):
+            WorkloadParameters(access_sizes=((65536, 1.0),))
+        trace = SyntheticWorkload(WorkloadParameters(access_sizes=((32768, 1.0),))).generate(50)
+        assert {instruction.size for instruction in trace if instruction.is_memory} == {32768}
+
     @pytest.mark.parametrize(
         "access_sizes",
         [
