@@ -55,11 +55,11 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Optional, Tuple, Union
 
-from repro.common.errors import ConfigurationError, TraceError
+from repro.common.errors import ConfigurationError, TraceError, WorkloadError
 from repro.common.serialize import from_jsonable, to_jsonable
 from repro.isa.columns import COLUMN_LAYOUT, TraceColumns
 from repro.isa.trace import RegionFootprint, Trace
@@ -144,24 +144,27 @@ def _header_document(trace: Trace, params, seed: Optional[int]) -> dict:
     }
 
 
-def _parse_header(document: dict) -> TraceHeader:
-    try:
-        params_doc = document.get("params")
-        return TraceHeader(
-            format_version=int(document["format_version"]),
-            name=str(document["name"]),
-            num_instructions=int(document["num_instructions"]),
-            seed=document.get("seed"),
-            params=(
-                None if params_doc is None else from_jsonable(WorkloadParameters, params_doc)
-            ),
-            regions=tuple(
-                _parse_region(index, region)
-                for index, region in enumerate(document.get("regions", []))
-            ),
+def _parse_header(document: Any) -> TraceHeader:
+    """Decode a header document with the strict wire decoder.
+
+    Nothing is coerced (:func:`~repro.common.serialize.from_jsonable`): a
+    ``seed`` of ``"7"``, a ``num_instructions`` of ``300.9`` or a ``name``
+    of ``12`` is refused.  Regions decode one at a time, so a mistyped
+    region names its index.  Every failure is a :class:`TraceError`.
+    """
+    regions = document.get("regions", []) if isinstance(document, dict) else []
+    if not isinstance(regions, list):
+        raise TraceError(
+            "malformed trace header: regions: expected a list, "
+            f"got {type(regions).__name__} {regions!r}"
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceError(f"malformed trace header: {exc}") from exc
+    try:
+        header = from_jsonable(TraceHeader, {**document, "regions": []} if regions else document)
+    except (ConfigurationError, WorkloadError) as exc:
+        raise TraceError(f"malformed trace header: {exc}") from None
+    return replace(
+        header, regions=tuple(_parse_region(index, region) for index, region in enumerate(regions))
+    )
 
 
 def _parse_region(index: int, document: Any) -> RegionFootprint:
@@ -169,7 +172,9 @@ def _parse_region(index: int, document: Any) -> RegionFootprint:
     try:
         return from_jsonable(RegionFootprint, document)
     except ConfigurationError as exc:
-        raise TraceError(f"region {index}: {exc}") from None
+        raise TraceError(f"malformed trace header: region {index}: {exc}") from None
+    except TraceError as exc:  # the footprint's own checks name the region
+        raise TraceError(f"malformed trace header: {exc}") from None
 
 
 def _validate_prefix(prefix: bytes, label: str = "trace container") -> Tuple[int, int]:

@@ -368,15 +368,13 @@ def test_record_corruption_rejected(canned_trace_file: Path) -> None:
         trace_from_bytes(bytes(data))
 
 
-def _with_region_field(blob: bytes, field: str, value) -> bytes:
-    """``blob`` with one field of its first region footprint rewritten."""
+def _with_header(blob: bytes, edit) -> bytes:
+    """``blob`` with its header document rewritten by ``edit(document)``."""
     import json
 
     _magic, version, header_length = _HEADER_PREFIX.unpack_from(blob, 0)
     start = _HEADER_PREFIX.size
-    document = json.loads(blob[start : start + header_length])
-    region = document["regions"][0]
-    region[field] = value(region[field])
+    document = edit(json.loads(blob[start : start + header_length]))
     header_json = json.dumps(document).encode("utf-8")
     return b"".join(
         (
@@ -385,6 +383,17 @@ def _with_region_field(blob: bytes, field: str, value) -> bytes:
             blob[start + header_length :],
         )
     )
+
+
+def _with_region_field(blob: bytes, field: str, value) -> bytes:
+    """``blob`` with one field of its first region footprint rewritten."""
+
+    def edit(document):
+        region = document["regions"][0]
+        region[field] = value(region[field])
+        return document
+
+    return _with_header(blob, edit)
 
 
 @pytest.mark.parametrize(
@@ -407,6 +416,35 @@ def test_malformed_region_footprints_are_rejected(
         trace_from_bytes(blob)
     canned_trace_file.write_bytes(blob)
     with pytest.raises(TraceError, match="malformed trace header"):
+        read_trace_header(canned_trace_file)
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda doc: {**doc, "seed": "seven"}, "seed: expected int, got str 'seven'"),
+        (
+            lambda doc: {**doc, "num_instructions": str(doc["num_instructions"])},
+            "num_instructions: expected int, got str '1500'",
+        ),
+        (
+            lambda doc: {**doc, "num_instructions": doc["num_instructions"] + 0.9},
+            "num_instructions: expected int, got float 1500.9",
+        ),
+        (lambda doc: {**doc, "name": 12}, "name: expected str, got int 12"),
+        (lambda doc: {**doc, "format_version": "2"}, "format_version: expected int"),
+        (lambda doc: {**doc, "regions": 5}, "regions: expected a list, got int 5"),
+        (lambda doc: [doc], "expected a mapping to rebuild TraceHeader, got list"),
+    ],
+    ids=["str-seed", "str-count", "float-count", "int-name", "str-version", "int-regions", "list"],
+)
+def test_mistyped_headers_are_rejected(canned_trace_file: Path, edit, match) -> None:
+    """The header is decoded as strictly as a wire payload: nothing is coerced."""
+    blob = _with_header(canned_trace_file.read_bytes(), edit)
+    with pytest.raises(TraceError, match=f"malformed trace header: {match}"):
+        trace_from_bytes(blob)
+    canned_trace_file.write_bytes(blob)
+    with pytest.raises(TraceError, match=f"malformed trace header: {match}"):
         read_trace_header(canned_trace_file)
 
 
