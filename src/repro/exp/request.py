@@ -171,16 +171,7 @@ class JobRequest:
 
     def to_dict(self) -> Dict[str, Any]:
         """Lower the request to plain JSON types (the wire payload)."""
-        return {
-            "figure": self.figure,
-            "cases": [to_jsonable(case) for case in self.cases],
-            "instructions": self.instructions,
-            "seed": self.seed,
-            "full": self.full,
-            "policy": self.policy,
-            "tenant": self.tenant,
-            "priority": self.priority,
-        }
+        return to_jsonable(self)
 
     @classmethod
     def from_dict(cls, data: Any) -> "JobRequest":
