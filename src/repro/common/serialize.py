@@ -41,6 +41,7 @@ import hashlib
 import json
 import typing
 from functools import partial
+from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Tuple, Type, TypeVar, Union
 
 from repro.common.errors import ConfigurationError
@@ -107,9 +108,46 @@ def from_jsonable(cls: Type[_T], data: Any) -> _T:
     (a ``bool`` where an ``int`` belongs, a string where a number does), an
     unknown enum value or a container of the wrong kind raises
     :class:`ConfigurationError`.  An ``int`` is accepted where a ``float``
-    belongs.  Fields the dataclass does not declare are ignored.
+    belongs.  Fields the dataclass does not declare are ignored.  An
+    instance of the exact dataclass a field wants is taken as it is, so a
+    decoder can rebuild the sections of a document one by one and then the
+    document around them.
     """
     return _converter(cls)(data)
+
+
+def from_jsonable_section(cls: Type[_T], data: Any, where: str, **given: Any) -> _T:
+    """Decode one section of an operator file (a tenant, a fault site) into ``cls``.
+
+    Decoding is :func:`from_jsonable`'s, with two differences.  A key that
+    ``cls`` does not declare is refused, not ignored: in a file an operator
+    wrote, a typo must not silently leave a setting at its default.  Every
+    error names ``where`` (``tenant 'alpha'``).  ``given`` supplies fields
+    the section does not carry itself, such as a tenant's name, which is its
+    key in the roster; the section may not set them.
+    """
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(
+            f"{where} wants a settings mapping, got {type(data).__name__} {data!r}"
+        )
+    settable = {name for name, _convert, _required in _decode_plan(cls)} - set(given)
+    unknown = set(data) - settable
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown settings {sorted(unknown)}")
+    try:
+        return from_jsonable(cls, {**data, **given})
+    except ConfigurationError as error:
+        raise ConfigurationError(f"{where}: {error}") from None
+
+
+def read_json_file(path: str, what: str) -> Any:
+    """Parse the JSON document in file ``path``; ``what`` names it in errors."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as error:
+        raise ConfigurationError(f"cannot read {what} {path}: {error}") from None
+    except ValueError as error:  # invalid JSON or invalid UTF-8
+        raise ConfigurationError(f"{what} {path} is not valid JSON: {error}") from None
 
 
 def _wrong_type(expected: str, data: Any) -> ConfigurationError:
@@ -134,6 +172,8 @@ def _decode_plan(cls: type) -> Tuple[Tuple[str, Callable[[Any], Any], bool], ...
 
 
 def _decode_dataclass(cls: Type[_T], data: Any) -> _T:
+    if type(data) is cls:  # a section its owner decoded already
+        return data
     if not isinstance(data, Mapping):
         raise ConfigurationError(
             f"expected a mapping to rebuild {cls.__name__}, got {type(data).__name__}"

@@ -395,12 +395,16 @@ def run_serve_command(args: argparse.Namespace) -> int:
     the group shares the public ``--port`` via SO_REUSEPORT where the
     platform has it (see :mod:`repro.service.shards`).
     """
-    from repro.service.server import ServiceConfig, serve
+    from repro.faults import FaultSpec
+    from repro.service.server import ServiceConfig
     from repro.service.shards import serve_sharded
     from repro.service.tenancy import TenancyConfig
 
     configure_logging(args.log_level, json_format=args.log_json)
+    # Both operator files decode here, before any port is bound or shard
+    # spawned, so a mistyped one is an error message and exit status 2.
     tenancy = TenancyConfig.from_file(args.tenants) if args.tenants else None
+    faults = FaultSpec.from_file(args.faults) if args.faults else None
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -414,13 +418,9 @@ def run_serve_command(args: argparse.Namespace) -> int:
         job_retries=args.job_retries,
         journal=not args.no_journal,
         drain_timeout=args.drain_timeout,
-        faults=args.faults,
+        faults=faults,
     )
-    if config.shard_count > 1:
-        serve_sharded(config, log_level=args.log_level, log_json=args.log_json)
-    else:
-        serve(config)
-    return 0
+    return serve_sharded(config, log_level=args.log_level, log_json=args.log_json)
 
 
 #: The server-under-test settings ``loadbench`` and ``chaos`` share; both
@@ -472,7 +472,6 @@ def run_loadbench_command(args: argparse.Namespace) -> int:
             epochs=args.epochs,
             warmup_epochs=args.warmup_epochs,
             tenant_mix=_parse_tenant_mix(args.tenant_mix),
-            expected_failures=args.expected_failures,
             **_self_served_settings(args),
         )
     except (ValueError, ReproError) as error:
@@ -1017,13 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="gate: allowed |observed - expected| tenant share (0 = off)",
-    )
-    sub.add_argument(
-        "--expected-failures",
-        type=int,
-        default=0,
-        help="client-process deaths tolerated per stage (default: 0; raise "
-        "for fault-injected runs)",
     )
     sub.set_defaults(handler=run_loadbench_command)
 

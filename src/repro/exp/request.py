@@ -28,7 +28,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.serialize import from_jsonable, stable_hash, to_jsonable
-from repro.exp.runner import SimJob, job_key
+from repro.exp.runner import SimJob
 
 #: Version of the request payload schema (the ``schema_version`` a v2 wire
 #: envelope names).  Version 2 added the admission metadata fields
@@ -161,7 +161,7 @@ class JobRequest:
             {
                 "schema": _KEY_SCHEMA_VERSION,
                 "figure": normalized.figure,
-                "cases": sorted({job_key(case) for case in normalized.cases}),
+                "cases": sorted({case.key() for case in normalized.cases}),
                 "instructions": normalized.instructions,
                 "seed": normalized.seed,
                 "full": normalized.full,

@@ -29,7 +29,6 @@ import dataclasses
 import multiprocessing
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 from time import perf_counter
 from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -75,8 +74,15 @@ class SimJob:
             )
 
     def key(self) -> str:
-        """The job's stable content address (cache key)."""
-        return job_key(self)
+        """The job's stable content address (cache key).
+
+        Memoised on the job, not process-wide: the runner asks a job for its
+        key several times, and the memo is freed with the job.
+        """
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = self.__dict__["_key"] = job_key(self)
+        return key
 
 
 @dataclass(frozen=True)
@@ -94,7 +100,6 @@ class SweepCase:
     suite_label: str
 
 
-@lru_cache(maxsize=4096)
 def job_key(job: SimJob) -> str:
     """Return the SHA-256 content address of a job.
 

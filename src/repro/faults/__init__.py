@@ -2,33 +2,27 @@
 
 The package exports the injection registry (:class:`FaultSpec`,
 :class:`FaultInjector`) and the process-global accessor the instrumented
-sites consult (:func:`get_injector`).  With no spec installed every site is
-a single ``None`` check -- production pays nothing for the harness.
+sites consult (:func:`get_injector`).  With no injector installed every
+site is a single ``None`` check -- production pays nothing for the harness.
 
-Activate injection with ``repro serve --faults FILE.json`` or by exporting
-``REPRO_FAULTS`` (a file path, or the spec JSON inline); ``repro chaos``
-drives the load harness against a fault-injected server and asserts the
-fault-tolerance contract (zero lost jobs, bounded error rates).
+``repro serve --faults FILE.json`` is the one way to turn injection on;
+``repro chaos`` drives the load harness against a server it starts that
+way and asserts the fault-tolerance contract (zero lost jobs, bounded
+error rates).
 """
 
 from repro.faults.injection import (
     FAULT_SITES,
     FaultInjector,
     FaultSpec,
-    FAULTS_ENV,
     get_injector,
     install,
-    install_from_env,
-    uninstall,
 )
 
 __all__ = [
     "FAULT_SITES",
-    "FAULTS_ENV",
     "FaultInjector",
     "FaultSpec",
     "get_injector",
     "install",
-    "install_from_env",
-    "uninstall",
 ]

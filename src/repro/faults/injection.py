@@ -14,8 +14,17 @@ how hard::
 
 Each site carries a ``rate`` (per-decision injection probability), an
 optional ``max`` (lifetime cap on injections at that site) and, for
-``delay_peer``, the delay in ``seconds``.  Unknown sites are rejected at
-parse time so a typo cannot silently disable a fault.
+``delay_peer``, the delay in ``seconds``.  The spec decodes through the
+strict codec (:func:`~repro.common.serialize.from_jsonable`): a ``seed``
+must be an integer, a ``rate`` or ``seconds`` a number and a ``max`` an
+integer, never a string or a boolean, and unknown sites and settings are
+refused, so a typo cannot silently disable a fault.  Every error names the
+site and the setting.
+
+``repro serve --faults FILE.json`` is the one way to turn injection on:
+the server decodes the file before it serves and installs the injector
+process-wide (:func:`install`).  With none installed, :func:`get_injector`
+returns ``None`` and every site skips its fault.
 
 **Determinism.** Every site draws from its own ``random.Random`` seeded
 with ``(spec seed, site name)``, so a given spec produces the same
@@ -43,25 +52,16 @@ The instrumented sites are:
 
 from __future__ import annotations
 
-import json
-import os
 import random
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
-
-#: Environment variable activating injection process-wide: a fault-spec
-#: file path, or the spec JSON itself (detected by a leading ``{``).
-FAULTS_ENV = "REPRO_FAULTS"
+from repro.common.serialize import from_jsonable, from_jsonable_section, read_json_file
 
 #: The injection sites a spec may name.
 FAULT_SITES = ("kill_worker", "drop_peer", "delay_peer", "corrupt_cache", "http_500")
-
-#: Per-site settings a spec may carry.
-_SITE_FIELDS = {"rate", "max", "seconds"}
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,11 @@ class FaultSpec:
     """A parsed fault spec: the seed and the per-site settings."""
 
     seed: int = 0
-    sites: Mapping[str, SiteSpec] = field(default_factory=dict)
+    sites: Dict[str, SiteSpec] = field(default_factory=dict)
 
     @classmethod
     def from_dict(cls, data: Any) -> "FaultSpec":
+        """Decode a spec document (see the module docstring), strictly."""
         if not isinstance(data, Mapping):
             raise ConfigurationError(
                 f"expected a fault-spec mapping, got {type(data).__name__}"
@@ -101,34 +102,16 @@ class FaultSpec:
             raise ConfigurationError(
                 f"unknown fault sites {sorted(unknown)} (one of {', '.join(FAULT_SITES)})"
             )
-        sites: Dict[str, SiteSpec] = {}
-        for site in FAULT_SITES:
-            settings = data.get(site)
-            if settings is None:
-                continue
-            if not isinstance(settings, Mapping):
-                raise ConfigurationError(f"fault site {site!r} wants a settings mapping")
-            bad = set(settings) - _SITE_FIELDS
-            if bad:
-                raise ConfigurationError(f"fault site {site!r}: unknown settings {sorted(bad)}")
-            sites[site] = SiteSpec(
-                rate=float(settings.get("rate", 0.0)),
-                max=settings.get("max"),
-                seconds=float(settings.get("seconds", 0.0)),
-            )
-        return cls(seed=int(data.get("seed", 0)), sites=sites)
+        sites = {
+            site: from_jsonable_section(SiteSpec, data[site], f"fault site {site!r}")
+            for site in FAULT_SITES
+            if data.get(site) is not None
+        }
+        return from_jsonable(cls, {**data, "sites": sites})
 
     @classmethod
     def from_file(cls, path: str) -> "FaultSpec":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as error:
-            raise ConfigurationError(f"cannot read fault spec {path}: {error}") from None
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(
-                f"fault spec {path} is not valid JSON: {error}"
-            ) from None
-        return cls.from_dict(data)
+        return cls.from_dict(read_json_file(path, "fault spec"))
 
     def to_dict(self) -> Dict[str, Any]:
         document: Dict[str, Any] = {"seed": self.seed}
@@ -202,54 +185,14 @@ class FaultInjector:
 
 #: The process-global injector (``None`` = injection disabled).
 _INJECTOR: Optional[FaultInjector] = None
-_ENV_CHECKED = False
 
 
 def get_injector() -> Optional[FaultInjector]:
-    """The active injector, if any; lazily honours :data:`FAULTS_ENV`.
-
-    The environment is consulted once per process: fault sites call this on
-    hot paths, and a missing variable must stay a cheap check.
-    """
-    global _ENV_CHECKED
-    if _INJECTOR is None and not _ENV_CHECKED:
-        _ENV_CHECKED = True
-        install_from_env()
+    """The installed injector, or ``None`` when injection is off."""
     return _INJECTOR
 
 
 def install(injector: Optional[FaultInjector]) -> None:
     """Install (or, with ``None``, remove) the process-global injector."""
-    global _INJECTOR, _ENV_CHECKED
+    global _INJECTOR
     _INJECTOR = injector
-    _ENV_CHECKED = True
-
-
-def uninstall() -> None:
-    """Remove the injector and re-arm the environment check (for tests)."""
-    global _INJECTOR, _ENV_CHECKED
-    _INJECTOR = None
-    _ENV_CHECKED = False
-
-
-def install_from_env() -> Optional[FaultInjector]:
-    """Install an injector from :data:`FAULTS_ENV`, when set.
-
-    The variable carries either a fault-spec file path or the spec JSON
-    inline (leading ``{``); an empty value means disabled.
-    """
-    value = os.environ.get(FAULTS_ENV, "").strip()
-    if not value:
-        return None
-    if value.startswith("{"):
-        try:
-            spec = FaultSpec.from_dict(json.loads(value))
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(
-                f"{FAULTS_ENV} carries invalid inline JSON: {error}"
-            ) from None
-    else:
-        spec = FaultSpec.from_file(value)
-    injector = FaultInjector(spec)
-    install(injector)
-    return injector

@@ -42,7 +42,7 @@ from array import array
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.common.errors import TraceError
-from repro.isa.instruction import InstrClass, Instruction
+from repro.isa.instruction import MAX_SRCS, InstrClass, Instruction
 
 #: Stable instruction-class codes, shared with the binary trace container.
 #: Appending is fine; reordering is a format change.
@@ -67,10 +67,6 @@ FLAG_HAS_ADDRESS = 1 << 0
 FLAG_MISPREDICTED = 1 << 1
 FLAG_HAS_LATENCY = 1 << 2
 
-#: Maximum number of source registers a column row can carry (matches the
-#: fixed-width trace record).
-MAX_SRCS = 4
-
 #: (attribute, array typecode, itemsize) for every column, in the stable
 #: order the binary container serialises them.
 COLUMN_LAYOUT: Tuple[Tuple[str, str, int], ...] = (
@@ -85,9 +81,6 @@ COLUMN_LAYOUT: Tuple[Tuple[str, str, int], ...] = (
     ("flags", "B", 1),
     ("latency", "I", 4),
 )
-
-#: The widest memory access the ``size`` column (u16) can record.
-MAX_ACCESS_SIZE = 0xFFFF
 
 # The container format promises fixed little-endian widths; stdlib array
 # typecodes map to C types, so pin the assumption loudly rather than writing
@@ -139,11 +132,6 @@ class TraceColumns:
         code_by_iclass = CODE_BY_ICLASS
         for instruction in instructions:
             srcs = instruction.srcs
-            if len(srcs) > MAX_SRCS:
-                raise TraceError(
-                    f"instruction {instruction.seq} has {len(srcs)} sources; the "
-                    f"columnar layout holds at most {MAX_SRCS}"
-                )
             padded = tuple(srcs) + (-1,) * (MAX_SRCS - len(srcs))
             flags = 0
             if instruction.address is not None:

@@ -34,6 +34,15 @@ FP_REGISTER_BASE = 64
 #: Total number of architectural registers (integer + floating point).
 NUM_ARCH_REGISTERS = 128
 
+#: The widest values one row of a columnar trace holds
+#: (:data:`repro.isa.columns.COLUMN_LAYOUT`): four source registers, a u64
+#: address, a u16 access size and a u32 latency.  An instruction outside
+#: them cannot be simulated, so it is refused when it is built.
+MAX_SRCS = 4
+MAX_ADDRESS = 2**64 - 1
+MAX_ACCESS_SIZE = 0xFFFF
+MAX_LATENCY = 2**32 - 1
+
 
 class InstrClass(enum.Enum):
     """The instruction classes distinguished by the timing model."""
@@ -106,11 +115,24 @@ class Instruction:
             raise TraceError("only branches may be marked mispredicted")
         if self.dest is not None and not 0 <= self.dest < NUM_ARCH_REGISTERS:
             raise TraceError(f"destination register {self.dest} out of range")
+        if len(self.srcs) > MAX_SRCS:
+            raise TraceError(
+                f"instruction {self.seq} has {len(self.srcs)} sources; a trace row "
+                f"holds at most {MAX_SRCS}"
+            )
         for src in self.srcs:
             if not 0 <= src < NUM_ARCH_REGISTERS:
                 raise TraceError(f"source register {src} out of range")
-        if self.latency is not None and self.latency < 0:
-            raise TraceError(f"latency override must be non-negative, got {self.latency}")
+        if self.address is not None and self.address > MAX_ADDRESS:
+            raise TraceError(f"memory address {self.address} does not fit 64 bits")
+        if not 0 <= self.size <= MAX_ACCESS_SIZE:
+            raise TraceError(
+                f"access size must be in [0, {MAX_ACCESS_SIZE}] bytes, got {self.size}"
+            )
+        if self.latency is not None and not 0 <= self.latency <= MAX_LATENCY:
+            raise TraceError(
+                f"latency override must be in [0, {MAX_LATENCY}], got {self.latency}"
+            )
 
     @property
     def is_load(self) -> bool:

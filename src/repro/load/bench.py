@@ -73,10 +73,8 @@ class LoadBenchConfig:
     timeout: float = 30.0
     seed: int = 42
     #: Fault-spec file for the self-served instance (``repro chaos``): the
-    #: server comes up with injection active, and the fleet tolerates
-    #: ``expected_failures`` injected client deaths per stage.
+    #: server comes up with injection active.
     faults: Optional[str] = None
-    expected_failures: int = 0
 
     def __post_init__(self) -> None:
         if self.faults is not None and self.server is not None:
@@ -84,8 +82,6 @@ class LoadBenchConfig:
                 "--faults applies to the self-served instance; an external "
                 "--server must be fault-injected at its own launch"
             )
-        if self.expected_failures < 0:
-            raise ConfigurationError("expected_failures must be >= 0")
         if not self.clients:
             raise ConfigurationError("the ramp needs at least one stage")
         if any(count <= 0 for count in self.clients):
@@ -281,7 +277,6 @@ def _run_stage(
         rate=config.rate,
         workload=config.workload(),
         timeout=config.timeout,
-        expected_failures=config.expected_failures,
     )
     series = EpochSeries(config.epoch_seconds, config.epochs, config.warmup_epochs)
     series.extend(run_load(driver))

@@ -62,11 +62,6 @@ class DriverConfig:
     workload: Workload = field(default_factory=Workload)
     #: Per-request client timeout (also bounds the submit wait).
     timeout: float = 30.0
-    #: Client-process deaths tolerated before the stage fails.  Zero (the
-    #: default) keeps the strict contract: any client that dies without
-    #: reporting is a harness bug.  Chaos runs raise it so *injected* kills
-    #: are absorbed as measurements while genuine fleet bugs still fail.
-    expected_failures: int = 0
 
     def __post_init__(self) -> None:
         if not self.urls:
@@ -79,8 +74,6 @@ class DriverConfig:
             raise ConfigurationError("duration must be > 0 seconds")
         if self.mode == "open" and self.rate <= 0:
             raise ConfigurationError("open-loop mode needs a rate > 0")
-        if self.expected_failures < 0:
-            raise ConfigurationError("expected_failures must be >= 0")
 
 
 def run_request_loop(
@@ -188,7 +181,6 @@ def collect_fleet_samples(
     deadline: float,
     *,
     clock: Callable[[], float] = time.monotonic,
-    expected_failures: int = 0,
 ) -> List[Sample]:
     """Drain the fleet's report queue until every client has reported.
 
@@ -198,40 +190,27 @@ def collect_fleet_samples(
     non-zero without delivering its report raises
     :class:`~repro.common.errors.LoadDriverError` -- the stage's numbers
     would otherwise silently undercount the offered load until the
-    deadline.  ``expected_failures`` relaxes that contract for chaos runs:
-    up to that many deaths are tolerated (their samples simply missing, and
-    the wait for their reports abandoned), so an injected client kill is a
-    measurement while the death of one client *more* than the fault spec
-    explains still fails the stage loudly.  The queue and processes are
-    duck-typed (``get``/``empty`` and ``is_alive``/``exitcode``/``name``)
-    so the wait logic is unit-testable without real processes.
+    deadline.  No fault site kills a load client (an injected fault reaches
+    a client as an error response, which it records as a sample), so every
+    death is a harness bug.  The queue and processes are duck-typed
+    (``get``/``empty`` and ``is_alive``/``exitcode``/``name``) so the wait
+    logic is unit-testable without real processes.
     """
     samples: List[Sample] = []
     reported: Set[int] = set()
-    dead: Set[int] = set()
-    while len(reported) + len(dead) < expected_reports and clock() < deadline:
+    while len(reported) < expected_reports and clock() < deadline:
         try:
             client_index, client_samples = report_queue.get(timeout=1.0)
         except queue_module.Empty:
             if report_queue.empty():
-                dead = {
-                    index
+                dead = [
+                    getattr(process, "name", f"client-{index}")
                     for index, process in enumerate(processes)
                     if index not in reported and process.exitcode not in (None, 0)
-                }
-                if len(dead) > expected_failures:
-                    names = [
-                        getattr(processes[index], "name", f"client-{index}")
-                        for index in sorted(dead)
-                    ]
+                ]
+                if dead:
                     raise LoadDriverError(
-                        "load client process(es) died without reporting: "
-                        + ", ".join(names)
-                        + (
-                            f" ({len(dead)} deaths > {expected_failures} expected)"
-                            if expected_failures
-                            else ""
-                        )
+                        "load client process(es) died without reporting: " + ", ".join(dead)
                     )
                 if not any(process.is_alive() for process in processes):
                     break
@@ -269,7 +248,6 @@ def run_load(config: DriverConfig) -> List[Sample]:
             processes,
             config.clients,
             deadline,
-            expected_failures=config.expected_failures,
         )
     finally:
         for process in processes:

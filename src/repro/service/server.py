@@ -180,8 +180,9 @@ class ServiceConfig:
     journal: bool = True
     #: Seconds a SIGTERM-initiated drain waits for in-flight jobs.
     drain_timeout: float = 10.0
-    #: Fault-spec file activating chaos injection (``None`` = no faults).
-    faults: Optional[str] = None
+    #: Fault spec activating chaos injection (``None`` = no faults); the
+    #: CLI decodes ``--faults FILE.json`` into it before serving.
+    faults: Optional[FaultSpec] = None
 
 
 class ReproService:
@@ -192,10 +193,10 @@ class ReproService:
         # One registry per server instance: embedded test servers stay
         # isolated from each other and from the process-global default.
         self.metrics = MetricsRegistry()
-        if config.faults:
+        if config.faults is not None:
             # --faults installs process-wide (the injector is consulted from
             # cache and shard code that never sees this instance).
-            install(FaultInjector(FaultSpec.from_file(config.faults)))
+            install(FaultInjector(config.faults))
         injector = get_injector()
         if injector is not None:
             injector.bind_metrics(self.metrics)

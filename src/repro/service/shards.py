@@ -197,20 +197,21 @@ def _shard_main(config: Any, log_level: str, log_json: bool) -> None:
     serve(config)
 
 
-def serve_sharded(config: Any, log_level: str = "info", log_json: bool = False) -> None:
+def serve_sharded(config: Any, log_level: str = "info", log_json: bool = False) -> int:
     """Fork ``config.shard_count`` shard processes and supervise them.
 
     Blocks until every shard exits; Ctrl-C reaches the whole process group,
     and any shard still alive after the supervisor unblocks is terminated.
     Spawn (not fork) start method: shards create their own event loops and
     thread pools, and a forked child of a threaded parent can inherit a
-    held lock.
+    held lock.  Returns the exit status: 1 when a shard failed and the
+    group was not stopped by SIGTERM or Ctrl-C, else 0.
     """
     if config.shard_count <= 1:
         from repro.service.server import serve
 
         serve(config)
-        return
+        return 0
     if config.port == 0:
         raise ConfigurationError(
             "sharded serving needs a fixed --port: the shard port layout is "
@@ -239,10 +240,12 @@ def serve_sharded(config: Any, log_level: str = "info", log_json: bool = False) 
         config.port,
         shard_ports(config.port, config.shard_count),
     )
+    stopped = False
     try:
         for process in processes:
             process.join()
     except KeyboardInterrupt:
+        stopped = True
         log.info("shard supervisor interrupted; stopping shards")
     finally:
         # terminate() is SIGTERM: each shard runs its graceful drain
@@ -258,3 +261,8 @@ def serve_sharded(config: Any, log_level: str = "info", log_json: bool = False) 
             if process.is_alive():  # pragma: no cover - drain wedged
                 process.kill()
                 process.join(timeout=5.0)
+    failed = [f"{process.name} ({process.exitcode})" for process in processes if process.exitcode]
+    if failed and not stopped:
+        log.error("shards failed with exit status: %s", ", ".join(failed))
+        return 1
+    return 0

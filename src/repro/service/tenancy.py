@@ -40,13 +40,12 @@ All scheduler state is touched only from the server's event-loop thread
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Deque, Dict, Mapping, Optional, Tuple, TypeVar
 
 from repro.common.errors import ConfigurationError
+from repro.common.serialize import from_jsonable, from_jsonable_section, read_json_file
 from repro.exp.request import PRIORITY_LANES, validate_tenant_name
 from repro.obs.metrics import LogHistogram, MetricsRegistry
 
@@ -96,34 +95,16 @@ class TenantSpec:
     token: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # The roster decoder prefixes each message with the tenant's name.
         validate_tenant_name(self.name)
         if not (self.weight > 0.0):
-            raise ConfigurationError(
-                f"tenant {self.name!r}: weight must be positive, got {self.weight}"
-            )
+            raise ConfigurationError(f"weight must be positive, got {self.weight}")
         for attr in ("max_queued", "max_inflight"):
             value = getattr(self, attr)
             if value is not None and value < 1:
-                raise ConfigurationError(
-                    f"tenant {self.name!r}: {attr} must be >= 1, got {value}"
-                )
+                raise ConfigurationError(f"{attr} must be >= 1, got {value}")
         if self.token is not None and (not isinstance(self.token, str) or not self.token):
-            raise ConfigurationError(f"tenant {self.name!r}: token must be a non-empty string")
-
-    @classmethod
-    def from_dict(cls, name: str, data: Mapping[str, Any]) -> "TenantSpec":
-        unknown = set(data) - {"weight", "max_queued", "max_inflight", "token"}
-        if unknown:
-            raise ConfigurationError(
-                f"tenant {name!r}: unknown settings {sorted(unknown)}"
-            )
-        return cls(
-            name=name,
-            weight=float(data.get("weight", 1.0)),
-            max_queued=data.get("max_queued"),
-            max_inflight=data.get("max_inflight"),
-            token=data.get("token"),
-        )
+            raise ConfigurationError("token must be a non-empty string")
 
 
 @dataclass(frozen=True)
@@ -154,6 +135,12 @@ class TenancyConfig:
 
     @classmethod
     def from_dict(cls, data: Any) -> "TenancyConfig":
+        """Decode a roster document, ``{"tenants": {name: settings}, ...}``.
+
+        Decoding is strict (:func:`~repro.common.serialize.from_jsonable`):
+        nothing is coerced, unknown keys are refused, and an error in a
+        tenant's settings names the tenant and the setting.
+        """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
                 f"expected a tenancy config mapping, got {type(data).__name__}"
@@ -161,28 +148,18 @@ class TenancyConfig:
         unknown = set(data) - {"tenants", "default_tenant", "allow_unknown"}
         if unknown:
             raise ConfigurationError(f"unknown tenancy settings {sorted(unknown)}")
-        tenants_data = data.get("tenants", {})
-        if not isinstance(tenants_data, Mapping):
+        roster = data.get("tenants", {})
+        if not isinstance(roster, Mapping):
             raise ConfigurationError("tenancy 'tenants' must be a mapping of name -> settings")
         tenants = tuple(
-            TenantSpec.from_dict(name, spec if isinstance(spec, Mapping) else {})
-            for name, spec in tenants_data.items()
+            from_jsonable_section(TenantSpec, settings, f"tenant {name!r}", name=name)
+            for name, settings in roster.items()
         )
-        return cls(
-            tenants=tenants,
-            default_tenant=data.get("default_tenant", DEFAULT_TENANT),
-            allow_unknown=bool(data.get("allow_unknown", True)),
-        )
+        return from_jsonable(cls, {**data, "tenants": tenants})
 
     @classmethod
     def from_file(cls, path: str) -> "TenancyConfig":
-        try:
-            data = json.loads(Path(path).read_text())
-        except OSError as error:
-            raise ConfigurationError(f"cannot read tenants file {path}: {error}") from None
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(f"tenants file {path} is not valid JSON: {error}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(read_json_file(path, "tenants file"))
 
     def spec_for(self, name: str) -> TenantSpec:
         """Resolve a tenant name to its spec (default limits when open)."""

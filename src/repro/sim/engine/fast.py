@@ -65,7 +65,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.common import phases
 from repro.common.config import DisambiguationModel, FMCConfig
-from repro.common.errors import TraceError
 from repro.core.records import Locality, LoadRecord, StoreRecord
 from repro.fmc.processor import FMCProcessor
 from repro.fmc.processor import _WRONG_PATH_CAP as _FMC_WRONG_PATH_CAP
@@ -671,15 +670,6 @@ class FastEngine:
 
     def run(self, machine, trace: Trace) -> CoreResult:
         """Simulate ``trace`` on ``machine`` with the optimised loop."""
-        try:
-            trace.columns()
-        except (TraceError, OverflowError):
-            # Streams outside the columnar envelope -- hand-built
-            # instructions with more than four sources (TraceError) or with
-            # fields exceeding the column typecodes' fixed widths, e.g. an
-            # access size above 65535 (OverflowError from array.append) --
-            # take the reference walk, which is bit-identical by definition.
-            return machine.build().run(trace)
         build_started = perf_counter()
         processor = machine.build()
         phases.add("build", perf_counter() - build_started)

@@ -197,13 +197,20 @@ def _validate_prefix(prefix: bytes, label: str = "trace container") -> Tuple[int
     return version, header_length
 
 
-def _decode_header(raw_header: bytes, label: str = "trace container") -> TraceHeader:
-    """Decode and validate the header-JSON block of a container."""
+def _decode_header(raw_header: bytes, version: int, label: str = "trace container") -> TraceHeader:
+    """Decode and validate the header-JSON block of a container whose
+    prefix says ``version``; the header must say the same."""
     try:
         document = json.loads(raw_header.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TraceError(f"{label}: malformed trace header: {exc}") from exc
-    return _parse_header(document)
+    header = _parse_header(document)
+    if header.format_version != version:
+        raise TraceError(
+            f"malformed trace header: format_version {header.format_version} "
+            f"disagrees with the container's version {version}"
+        )
+    return header
 
 
 def trace_to_bytes(
@@ -237,7 +244,8 @@ def trace_to_bytes(
 def trace_from_bytes(data: bytes) -> TraceArchive:
     """Parse a binary container produced by :func:`trace_to_bytes`.
 
-    Validates the magic, the format version, the record count, the record
+    Validates the magic, the format version (the prefix's and the header's
+    must agree), the record count, the record
     checksum and the canonical form of every row
     (:meth:`~repro.isa.columns.TraceColumns.validate_canonical`); any
     mismatch raises :class:`TraceError` rather than silently replaying a
@@ -252,7 +260,7 @@ def trace_from_bytes(data: bytes) -> TraceArchive:
     offset = _HEADER_PREFIX.size
     if len(view) < offset + header_length:
         raise TraceError("trace container is truncated (incomplete header)")
-    header = _decode_header(bytes(view[offset : offset + header_length]))
+    header = _decode_header(bytes(view[offset : offset + header_length]), version)
     offset += header_length
     if len(view) < offset + _RECORD_COUNT.size:
         raise TraceError("trace container is truncated (no record count)")
@@ -326,7 +334,7 @@ def read_trace_header(path: Union[str, Path]) -> TraceHeader:
     source = Path(path)
     try:
         with source.open("rb") as handle:
-            _version, header_length = _validate_prefix(
+            version, header_length = _validate_prefix(
                 handle.read(_HEADER_PREFIX.size), str(source)
             )
             raw_header = handle.read(header_length)
@@ -334,7 +342,7 @@ def read_trace_header(path: Union[str, Path]) -> TraceHeader:
         raise TraceError(f"cannot read trace {source}: {exc}") from exc
     if len(raw_header) < header_length:
         raise TraceError(f"{source}: trace container is truncated (incomplete header)")
-    return _decode_header(raw_header, str(source))
+    return _decode_header(raw_header, version, str(source))
 
 
 def record_trace(

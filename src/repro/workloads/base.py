@@ -49,10 +49,9 @@ from repro.isa.columns import (
     CODE_STORE,
     FLAG_HAS_ADDRESS,
     FLAG_MISPREDICTED,
-    MAX_ACCESS_SIZE,
     TraceColumns,
 )
-from repro.isa.instruction import FP_REGISTER_BASE
+from repro.isa.instruction import FP_REGISTER_BASE, MAX_ACCESS_SIZE
 from repro.isa.trace import RegionFootprint, Trace
 
 

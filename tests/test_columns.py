@@ -1,11 +1,10 @@
 """Tests for the columnar trace layer (repro.isa.columns).
 
 Covers columnar <-> object conversion (faithful for every column on fuzzed
-streams), the generator's native columnar emission (bit-identical to the
-forced object path), and streams outside the columnar envelope (more than
-four sources, fields overflowing a column), which fall back to the reference
-walk instead of mis-simulating.  Container loading is covered in
-``tests/test_trace_format.py``.
+streams) and the generator's native columnar emission (bit-identical to the
+forced object path).  Every instruction fits the columns: those that would
+not are refused when built (``tests/test_isa.py``).  Container loading is
+covered in ``tests/test_trace_format.py``.
 """
 
 from __future__ import annotations
@@ -15,11 +14,10 @@ import random
 import pytest
 from _helpers import TEST_SEED
 
-from repro.common.errors import TraceError
 from repro.isa.columns import COLUMN_LAYOUT, MAX_SRCS, TraceColumns
 from repro.isa.instruction import InstrClass, Instruction
 from repro.isa.trace import Trace
-from repro.sim.configs import fmc_hash, ooo_64
+from repro.sim.configs import fmc_hash
 from repro.sim.simulator import Simulator
 from repro.workloads.families import family_suites
 from repro.workloads.suite import generate_member_trace, quick_fp_suite, quick_int_suite
@@ -126,41 +124,6 @@ def test_object_built_trace_derives_identical_columns() -> None:
     result_columns = Simulator(fmc_hash()).run_trace(generated)
     result_objects = Simulator(fmc_hash()).run_trace(rebuilt)
     assert result_columns == result_objects
-
-
-def test_too_many_sources_rejected_by_columns() -> None:
-    crowded = [Instruction(seq=0, iclass=InstrClass.INT_ALU, dest=1, srcs=(1, 2, 3, 4, 5))]
-    with pytest.raises(TraceError, match="at most 4"):
-        TraceColumns.from_instructions(crowded)
-
-
-@pytest.mark.parametrize(
-    "oddball",
-    [
-        # More than four sources: rejected by the columnar layout.
-        Instruction(seq=1, iclass=InstrClass.INT_ALU, dest=2, srcs=(1, 1, 1, 1, 1)),
-        # Access size above the u16 column: overflows array.append.
-        Instruction(seq=1, iclass=InstrClass.LOAD, dest=2, srcs=(1,), address=0, size=70_000),
-        # Latency above the u32 column.
-        Instruction(seq=1, iclass=InstrClass.INT_ALU, dest=2, srcs=(1,), latency=2**32),
-    ],
-    ids=["five-sources", "huge-size", "huge-latency"],
-)
-def test_fast_engine_falls_back_for_uncolumnable_traces(oddball) -> None:
-    """Streams outside the columnar envelope (too many sources, fields
-    overflowing the fixed column widths) must still simulate under the
-    default engine, bit-identically, via the reference walk."""
-    trace = Trace(
-        [
-            Instruction(seq=0, iclass=InstrClass.INT_ALU, dest=1, srcs=()),
-            oddball,
-            Instruction(seq=2, iclass=InstrClass.LOAD, dest=3, srcs=(2,), address=64),
-        ],
-        name="oddball",
-    )
-    fast = Simulator(ooo_64()).run_trace(trace)
-    reference = ooo_64().build().run(trace)
-    assert fast == reference
 
 
 def test_column_layout_is_stable() -> None:

@@ -307,16 +307,32 @@ def test_job_key_covers_the_trace_format_version(monkeypatch: pytest.MonkeyPatch
 
     member = quick_fp_suite().members[0]
     job = SimJob(ooo_64(), member, TEST_INSTRUCTIONS, TEST_SEED)
-    job_key.cache_clear()
     before = job_key(job)
     monkeypatch.setattr(
         runner_module, "TRACE_FORMAT_VERSION", runner_module.TRACE_FORMAT_VERSION + 1
     )
-    job_key.cache_clear()
     after = job_key(job)
     monkeypatch.undo()
-    job_key.cache_clear()
     assert after != before
+
+
+def test_a_keyed_job_is_freed_with_its_last_reference() -> None:
+    """A job's key is memoised on the job, not process-wide, so a server
+    that keys every submission it decodes holds none of them afterwards."""
+    import gc
+    import weakref
+
+    from repro.exp.request import JobRequest
+
+    member = quick_fp_suite().members[0]
+    job = SimJob(ooo_64(), member, TEST_INSTRUCTIONS, TEST_SEED + 1000)
+    request = JobRequest(cases=(job,))
+    request.key()  # admission keys each case once, through the case's memo
+    assert job.key() == job_key(SimJob(ooo_64(), member, TEST_INSTRUCTIONS, TEST_SEED + 1000))
+    freed = weakref.ref(job)
+    del job, request
+    gc.collect()
+    assert freed() is None
 
 
 def test_shipped_keys_are_pinned() -> None:
@@ -337,7 +353,6 @@ def test_shipped_keys_are_pinned() -> None:
         member.name: SimJob(first.machine, member, context.instructions_per_workload, context.seed)
         for member in context.suites()[first.suite_label]
     }
-    job_key.cache_clear()
     assert {name: job_key(job) for name, job in jobs.items()} == {
         "swim_like": "2f45985f5287285658de9e4a8196525d3656a8a3c360b5e4a7399439b9caee51",
         "equake_like": "fc32ba011bd9fb8c0ac5efc087d7113dd7a3837309e72b35a01cad3978d7ec23",
@@ -364,7 +379,6 @@ def test_every_shipped_key_is_pinned() -> None:
     from repro.sim.experiments import EXPERIMENTS, campaign_context
 
     context = campaign_context()
-    job_key.cache_clear()
     job_keys = set()
     for spec in EXPERIMENTS.values():
         plan = spec.plan(context)

@@ -1,41 +1,21 @@
 """Tests for the fault-injection registry (repro.faults).
 
-Spec parsing must reject typos loudly (a misspelt site would silently
-disable a fault), decisions must be deterministic per seed (a chaos
-failure has to reproduce), keyed decisions fire at most once per key (so
-supervised retries can succeed), and lifetime caps hold.  The
-process-global install paths (explicit and via ``REPRO_FAULTS``) are
-covered too, including the test-only re-arm semantics.
+Spec parsing must reject typos and mistyped values loudly (a misspelt
+site would silently disable a fault), decisions must be deterministic per
+seed (a chaos failure has to reproduce), keyed decisions fire at most once
+per key (so supervised retries can succeed), and lifetime caps hold.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.faults import (
-    FAULT_SITES,
-    FAULTS_ENV,
-    FaultInjector,
-    FaultSpec,
-    get_injector,
-    install,
-    install_from_env,
-    uninstall,
-)
+from repro.faults import FAULT_SITES, FaultInjector, FaultSpec, get_injector, install
 from repro.faults.chaos import DEFAULT_FAULT_SPEC, ChaosConfig
+from repro.faults.injection import SiteSpec
 from repro.obs.metrics import MetricsRegistry
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_injection(monkeypatch):
-    """Each test starts (and leaves) with injection fully disabled."""
-    monkeypatch.delenv(FAULTS_ENV, raising=False)
-    uninstall()
-    yield
-    uninstall()
+from repro.service.server import ReproService, ServiceConfig
 
 
 # ----------------------------------------------------------------------
@@ -60,6 +40,52 @@ def test_spec_rejects_unknown_setting() -> None:
 def test_spec_rejects_out_of_range_settings(settings) -> None:
     with pytest.raises(ConfigurationError):
         FaultSpec.from_dict({"delay_peer": settings})
+
+
+@pytest.mark.parametrize(
+    "document, match",
+    [
+        ({"seed": "7"}, "seed: expected int, got str '7'"),
+        ({"seed": 1.9}, "seed: expected int, got float 1.9"),
+        ({"http_500": {"rate": "0.5"}}, "'http_500': rate: expected float, got str '0.5'"),
+        ({"http_500": {"rate": True}}, "'http_500': rate: expected float, got bool True"),
+        (
+            {"kill_worker": {"rate": 0.5, "max": "3"}},
+            "fault site 'kill_worker': max: expected int, got str '3'",
+        ),
+        (
+            {"delay_peer": {"rate": 0.5, "seconds": "1"}},
+            "fault site 'delay_peer': seconds: expected float, got str '1'",
+        ),
+        (
+            {"drop_peer": {"rate": 1.5}},
+            r"fault site 'drop_peer': fault rate must be in \[0, 1\], got 1.5",
+        ),
+    ],
+    ids=["str-seed", "float-seed", "str-rate", "bool-rate", "str-max", "str-seconds", "big-rate"],
+)
+def test_spec_refuses_mistyped_values_naming_site_and_field(document, match) -> None:
+    """Nothing is coerced: a string seed, cap or rate, a float seed and a
+    boolean rate are refused, and the error names the site and field."""
+    with pytest.raises(ConfigurationError, match=match):
+        FaultSpec.from_dict(document)
+
+
+def test_spec_decodes_the_shipped_documents() -> None:
+    """The default chaos mix decodes to exactly the settings it writes."""
+    spec = FaultSpec.from_dict(DEFAULT_FAULT_SPEC)
+    assert spec.seed == DEFAULT_FAULT_SPEC["seed"]
+    for site in FAULT_SITES:
+        settings = DEFAULT_FAULT_SPEC[site]
+        assert spec.sites[site] == SiteSpec(
+            rate=float(settings["rate"]),
+            max=settings.get("max"),
+            seconds=float(settings.get("seconds", 0.0)),
+        )
+    # Integers are numbers where a float belongs; a null site is no site.
+    spec = FaultSpec.from_dict({"http_500": {"rate": 1, "seconds": 0}, "drop_peer": None})
+    assert spec == FaultSpec(seed=0, sites={"http_500": SiteSpec(rate=1.0)})
+    assert isinstance(spec.sites["http_500"].rate, float)
 
 
 def test_spec_rejects_non_mapping_inputs() -> None:
@@ -156,46 +182,17 @@ def test_bind_metrics_mirrors_injection_counts() -> None:
     assert counter.labels("http_500").value == 3
 
 
-# ----------------------------------------------------------------------
-# Process-global install paths
-# ----------------------------------------------------------------------
-
-
-def test_env_inline_json_installs_injector(monkeypatch) -> None:
-    monkeypatch.setenv(FAULTS_ENV, json.dumps({"seed": 9, "http_500": {"rate": 1.0}}))
-    uninstall()  # re-arm the lazy env check
-    injector = get_injector()
-    assert injector is not None
-    assert injector.spec.seed == 9
-    assert injector.should("http_500")
-
-
-def test_env_file_path_installs_injector(tmp_path, monkeypatch) -> None:
-    spec_path = tmp_path / "faults.json"
-    spec_path.write_text(json.dumps({"seed": 5, "drop_peer": {"rate": 1.0}}))
-    monkeypatch.setenv(FAULTS_ENV, str(spec_path))
-    uninstall()
-    injector = get_injector()
-    assert injector is not None
-    assert injector.should("drop_peer")
-
-
-def test_env_invalid_inline_json_is_loud(monkeypatch) -> None:
-    monkeypatch.setenv(FAULTS_ENV, "{definitely not json")
-    with pytest.raises(ConfigurationError, match="invalid inline JSON"):
-        install_from_env()
-
-
-def test_env_empty_means_disabled(monkeypatch) -> None:
-    monkeypatch.setenv(FAULTS_ENV, "")
-    uninstall()
-    assert get_injector() is None
-
-
-def test_install_none_overrides_environment(monkeypatch) -> None:
-    monkeypatch.setenv(FAULTS_ENV, json.dumps({"http_500": {"rate": 1.0}}))
-    install(None)
-    # install() marks the env as consulted, so the variable is not re-read.
+def test_a_served_spec_is_the_installed_injector() -> None:
+    """The server config holds the decoded spec (the CLI decodes ``--faults``
+    before serving), and the server installs it process-wide."""
+    spec = FaultSpec.from_dict({"seed": 9, "http_500": {"rate": 1.0}})
+    try:
+        service = ReproService(ServiceConfig(port=0, cache_dir=None, faults=spec))
+        assert get_injector().spec is spec
+        assert get_injector().should("http_500")
+        assert service.metrics.series("repro_faults_injected_total")
+    finally:
+        install(None)
     assert get_injector() is None
 
 

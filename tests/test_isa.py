@@ -39,6 +39,22 @@ class TestInstruction:
         with pytest.raises(TraceError):
             int_alu(-1, dest=1)
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            # A trace row holds a u16 access size, a u64 address and a u32
+            # latency; the simulator's columns could not take these.
+            (dict(iclass=InstrClass.LOAD, dest=2, srcs=(1,), address=0, size=2**16), "access size"),
+            (dict(iclass=InstrClass.INT_ALU, dest=2, srcs=(1,), size=-1), "access size"),
+            (dict(iclass=InstrClass.LOAD, dest=2, srcs=(1,), address=2**64), "64 bits"),
+            (dict(iclass=InstrClass.INT_ALU, dest=2, srcs=(1,), latency=2**32), "latency"),
+        ],
+        ids=["huge-size", "negative-size", "huge-address", "huge-latency"],
+    )
+    def test_values_a_trace_row_cannot_hold_are_refused(self, fields, match):
+        with pytest.raises(TraceError, match=match):
+            Instruction(seq=1, **fields)
+
     def test_memory_predicates(self):
         ld = load(0, dest=1, address=0x40)
         st = store(1, address=0x80, srcs=(1,))

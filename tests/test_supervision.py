@@ -329,6 +329,82 @@ def test_sigterm_exits_zero_and_leaves_a_flushed_journal(tmp_path) -> None:
     assert head["event"] == "snapshot"
 
 
+_MISTYPED_OPERATOR_FILES = {
+    # "false" is a string: read as a truth value it would open the roster.
+    "tenants": (
+        {
+            "tenants": {"alpha": {"token": "s3cret"}},
+            "default_tenant": "alpha",
+            "allow_unknown": "false",
+        },
+        "allow_unknown: expected bool, got str 'false'",
+    ),
+    "faults": (
+        {"kill_worker": {"rate": 0.5, "max": "3"}},
+        "fault site 'kill_worker': max: expected int, got str '3'",
+    ),
+}
+
+
+@pytest.mark.parametrize("shards", ["1", "2"])
+@pytest.mark.parametrize("option", sorted(_MISTYPED_OPERATOR_FILES))
+def test_serve_refuses_mistyped_operator_files_before_serving(tmp_path, option, shards) -> None:
+    """A mistyped roster or fault spec is exit status 2 and one error line
+    naming the field, before any port is bound or shard spawned."""
+    document, message = _MISTYPED_OPERATOR_FILES[option]
+    path = tmp_path / f"{option}.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    completed = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "serve", "--port", str(_free_port()),
+            "--shards", shards, "--no-cache", f"--{option}", str(path),
+        ],
+        env=subprocess_env(),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 2, completed.stderr
+    assert f"repro: error: {message}" in completed.stderr
+    assert "Traceback" not in completed.stderr
+
+
+def test_sharded_serve_exits_nonzero_when_its_shards_cannot_start(tmp_path) -> None:
+    """Shards whose peer ports are taken die at start; the supervisor must
+    report that with a non-zero exit status, not exit 0."""
+    import socket
+
+    taken = []
+    try:
+        while not taken:
+            base_port = _free_port()
+            try:
+                for index in range(2):
+                    sock = socket.socket()
+                    taken.append(sock)
+                    sock.bind(("127.0.0.1", base_port + 1 + index))
+                    sock.listen()
+            except OSError:
+                for sock in taken:
+                    sock.close()
+                taken = []
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", str(base_port),
+                "--shards", "2", "--no-cache", "--log-level", "warning",
+            ],
+            env=subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        for sock in taken:
+            sock.close()
+    assert completed.returncode == 1, completed.stderr
+    assert "shards failed" in completed.stderr
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/proc layout")
 def test_sharded_serve_survives_one_shard_death(tmp_path) -> None:
     """Kill one shard outright: the survivor keeps serving, and SIGTERM on

@@ -89,8 +89,8 @@ def test_tenant_spec_validation() -> None:
         TenantSpec("-leading-dash")
     with pytest.raises(ConfigurationError):
         TenantSpec("has spaces")
-    with pytest.raises(ConfigurationError):
-        TenantSpec.from_dict("alpha", {"wieght": 2.0})  # typo'd setting
+    with pytest.raises(ConfigurationError, match=r"tenant 'alpha': unknown settings \['wieght'\]"):
+        TenancyConfig.from_dict({"tenants": {"alpha": {"wieght": 2.0}}})  # typo'd setting
 
 
 def test_tenancy_config_from_file(tmp_path) -> None:
@@ -118,6 +118,72 @@ def test_tenancy_config_from_file(tmp_path) -> None:
     path.write_text("{ not json")
     with pytest.raises(ConfigurationError, match="not valid JSON"):
         TenancyConfig.from_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "document, match",
+    [
+        ({"allow_unknown": "false"}, "allow_unknown: expected bool, got str 'false'"),
+        ({"default_tenant": 7}, "default_tenant: expected str, got int 7"),
+        (
+            {"tenants": {"alpha": {"max_queued": "3"}}},
+            "tenant 'alpha': max_queued: expected int, got str '3'",
+        ),
+        (
+            {"tenants": {"alpha": {"max_queued": 2.5}}},
+            "tenant 'alpha': max_queued: expected int, got float 2.5",
+        ),
+        (
+            {"tenants": {"alpha": {"max_inflight": True}}},
+            "tenant 'alpha': max_inflight: expected int, got bool True",
+        ),
+        ({"tenants": {"alpha": {"weight": "x"}}}, "'alpha': weight: expected float, got str 'x'"),
+        ({"tenants": {"alpha": {"token": 5}}}, "tenant 'alpha': token: expected str, got int 5"),
+        ({"tenants": {"alpha": 5}}, "tenant 'alpha' wants a settings mapping, got int 5"),
+        ({"tenants": {"alpha": {"weight": 0}}}, "tenant 'alpha': weight must be positive"),
+        ({"tenants": {"alpha": {"name": "beta"}}}, r"tenant 'alpha': unknown settings \['name'\]"),
+    ],
+    ids=[
+        "str-allow-unknown", "int-default", "str-quota", "float-quota", "bool-quota",
+        "str-weight", "int-token", "int-settings", "zero-weight", "name-setting",
+    ],
+)
+def test_roster_refuses_mistyped_values_naming_tenant_and_field(document, match) -> None:
+    """Nothing is coerced: a string, float or boolean where an integer or
+    boolean belongs is refused, and so are settings that are not a mapping;
+    the error names the tenant and the field."""
+    with pytest.raises(ConfigurationError, match=match):
+        TenancyConfig.from_dict(document)
+
+
+def test_roster_decodes_the_documented_rosters() -> None:
+    """The rosters the docs and CI write decode to the objects they describe."""
+    documented = TenancyConfig.from_dict(
+        {
+            "tenants": {
+                "alice": {"weight": 3, "max_queued": 16, "max_inflight": 2, "token": "s3cret"},
+                "bob": {"weight": 1},
+            },
+            "default_tenant": "default",
+            "allow_unknown": True,
+        }
+    )
+    assert documented == TenancyConfig(
+        tenants=(
+            TenantSpec("alice", weight=3.0, max_queued=16, max_inflight=2, token="s3cret"),
+            TenantSpec("bob"),
+        ),
+    )
+    assert TenancyConfig.from_dict({}) == TenancyConfig.open()
+    closed = TenancyConfig.from_dict(
+        {
+            "tenants": {"alpha": {"token": "s3cret"}},
+            "default_tenant": "alpha",
+            "allow_unknown": False,
+        }
+    )
+    with pytest.raises(ConfigurationError, match="unknown tenant 'mallory'"):
+        closed.spec_for("mallory")
 
 
 def test_tenancy_config_validation() -> None:

@@ -126,6 +126,15 @@ def test_every_instruction_field_survives(tmp_path: Path) -> None:
             Instruction(
                 seq=4, iclass=InstrClass.STORE, srcs=(2, 3), address=0, size=16
             ),
+            Instruction(
+                seq=5,
+                iclass=InstrClass.LOAD,
+                dest=9,
+                srcs=(1, 2, 3, 4),
+                address=2**64 - 1,
+                size=0xFFFF,
+                latency=2**32 - 1,
+            ),
         ],
         name="edges",
     )
@@ -142,12 +151,9 @@ def test_record_trace_equals_generate_then_save(tmp_path: Path) -> None:
 
 
 def test_too_many_sources_rejected() -> None:
-    crowded = Trace(
-        [Instruction(seq=0, iclass=InstrClass.INT_ALU, dest=1, srcs=(1, 2, 3, 4, 5))],
-        name="crowded",
-    )
+    """A trace row holds four sources, so no instruction with five is built."""
     with pytest.raises(TraceError, match="at most 4"):
-        trace_to_bytes(crowded)
+        Instruction(seq=0, iclass=InstrClass.INT_ALU, dest=1, srcs=(1, 2, 3, 4, 5))
 
 
 # ----------------------------------------------------------------------
@@ -433,10 +439,17 @@ def test_malformed_region_footprints_are_rejected(
         ),
         (lambda doc: {**doc, "name": 12}, "name: expected str, got int 12"),
         (lambda doc: {**doc, "format_version": "2"}, "format_version: expected int"),
+        (
+            lambda doc: {**doc, "format_version": 7},
+            "format_version 7 disagrees with the container's version 2",
+        ),
         (lambda doc: {**doc, "regions": 5}, "regions: expected a list, got int 5"),
         (lambda doc: [doc], "expected a mapping to rebuild TraceHeader, got list"),
     ],
-    ids=["str-seed", "str-count", "float-count", "int-name", "str-version", "int-regions", "list"],
+    ids=[
+        "str-seed", "str-count", "float-count", "int-name", "str-version", "other-version",
+        "int-regions", "list",
+    ],
 )
 def test_mistyped_headers_are_rejected(canned_trace_file: Path, edit, match) -> None:
     """The header is decoded as strictly as a wire payload: nothing is coerced."""
