@@ -14,6 +14,7 @@ import random
 import pytest
 from _helpers import TEST_SEED
 
+from repro.common.errors import TraceError
 from repro.isa.columns import COLUMN_LAYOUT, MAX_SRCS, TraceColumns
 from repro.isa.instruction import InstrClass, Instruction
 from repro.isa.trace import Trace
@@ -124,6 +125,20 @@ def test_object_built_trace_derives_identical_columns() -> None:
     result_columns = Simulator(fmc_hash()).run_trace(generated)
     result_objects = Simulator(fmc_hash()).run_trace(rebuilt)
     assert result_columns == result_objects
+
+
+def test_too_many_sources_rejected_by_columns() -> None:
+    """A row holds MAX_SRCS sources: that many fill the columns and come back
+    intact, and an instruction with one more is refused when it is built, so
+    it never reaches them."""
+    full = Instruction(
+        seq=0, iclass=InstrClass.INT_ALU, dest=1, srcs=tuple(range(1, MAX_SRCS + 1))
+    )
+    assert TraceColumns.from_instructions([full]).to_instructions() == [full]
+    with pytest.raises(TraceError, match=f"at most {MAX_SRCS}"):
+        TraceColumns.from_instructions(
+            [Instruction(seq=0, iclass=InstrClass.INT_ALU, dest=1, srcs=(1, 2, 3, 4, 5))]
+        )
 
 
 def test_column_layout_is_stable() -> None:

@@ -42,14 +42,15 @@ class TestInstruction:
     @pytest.mark.parametrize(
         "fields, match",
         [
-            # A trace row holds a u16 access size, a u64 address and a u32
-            # latency; the simulator's columns could not take these.
+            # A trace row holds four sources, a u16 access size, a u64 address
+            # and a u32 latency; the simulator's columns could not take these.
+            (dict(iclass=InstrClass.INT_ALU, dest=2, srcs=(1, 1, 1, 1, 1)), "at most 4"),
             (dict(iclass=InstrClass.LOAD, dest=2, srcs=(1,), address=0, size=2**16), "access size"),
             (dict(iclass=InstrClass.INT_ALU, dest=2, srcs=(1,), size=-1), "access size"),
             (dict(iclass=InstrClass.LOAD, dest=2, srcs=(1,), address=2**64), "64 bits"),
             (dict(iclass=InstrClass.INT_ALU, dest=2, srcs=(1,), latency=2**32), "latency"),
         ],
-        ids=["huge-size", "negative-size", "huge-address", "huge-latency"],
+        ids=["five-sources", "huge-size", "negative-size", "huge-address", "huge-latency"],
     )
     def test_values_a_trace_row_cannot_hold_are_refused(self, fields, match):
         with pytest.raises(TraceError, match=match):
