@@ -30,7 +30,9 @@ annotation the codec cannot decode raises only when a value for it arrives.
 Fields a payload carries but the dataclass does not declare are **ignored**,
 not refused: an older client's payload (such as a job request with the
 ``engine`` field that requests no longer have) then decodes to the same
-request, and so coalesces with, and hits the cache of, a current one.
+request, and so coalesces with, and hits the cache of, a current one.  A
+journal written when requests still named their tenant and priority
+replays the same way.
 """
 
 from __future__ import annotations
@@ -309,27 +311,23 @@ def _decode_union(annotation: Any, members: list, data: Any) -> Any:
 #: client and server disagreeing about the schema fail loudly instead of
 #: misinterpreting payloads.  Bump on any incompatible payload change.
 #:
-#: Version 2 added the optional tenancy fields at the envelope level
-#: (``tenant``, ``priority``) plus ``schema_version`` naming the payload's
-#: own schema.  It is the only version this build reads.
-WIRE_SCHEMA_VERSION = 2
+#: Version 3 gives each fact of a submission one place: the envelope's
+#: ``tenant`` and ``priority``, a payload that is work content only, and
+#: the trace ID in the ``X-Repro-Trace-Id`` header alone.  It is the only
+#: version this build reads; a version-2 body, whose payload may name a
+#: tenant that would otherwise be ignored, is refused.
+WIRE_SCHEMA_VERSION = 3
 
 
 @dataclasses.dataclass(frozen=True)
 class WireEnvelope:
-    """A validated wire envelope, with its transport fields exposed.
-
-    ``tenant`` / ``priority`` / ``schema_version`` / ``trace_id`` are
-    ``None`` when the envelope omits them.
-    """
+    """A validated wire envelope: its kind, its payload and, on a
+    submission, the admission fields (``None`` when omitted)."""
 
     kind: str
     payload: Any
     tenant: Any = None
     priority: Any = None
-    schema_version: Any = None
-    #: Request correlation ID (``X-Repro-Trace-Id``); ``None`` when absent.
-    trace_id: Any = None
 
 
 def wire_envelope(
@@ -338,18 +336,15 @@ def wire_envelope(
     *,
     tenant: Any = None,
     priority: Any = None,
-    schema_version: Any = None,
-    trace_id: Any = None,
 ) -> Dict[str, Any]:
     """Wrap ``payload`` in a versioned wire envelope.
 
     The envelope is the unit every service endpoint sends and receives:
-    ``{"wire_schema": 2, "kind": "<message type>", "payload": <JSON>}``,
-    plus ``tenant`` / ``priority`` (admission metadata for submissions),
-    ``schema_version`` (the payload's own schema number) and ``trace_id``
-    (the request's correlation ID, also carried in the ``X-Repro-Trace-Id``
-    header) when provided.  ``payload`` may be any
-    :func:`to_jsonable`-serialisable object.
+    ``{"wire_schema": 3, "kind": "<message type>", "payload": <JSON>}``,
+    plus a submission's ``tenant`` and ``priority`` when provided.
+    ``payload`` may be any :func:`to_jsonable`-serialisable object.  The
+    request's trace ID is not an envelope field: it travels in the
+    ``X-Repro-Trace-Id`` header, both ways.
     """
     document: Dict[str, Any] = {
         "wire_schema": WIRE_SCHEMA_VERSION,
@@ -360,10 +355,6 @@ def wire_envelope(
         document["tenant"] = tenant
     if priority is not None:
         document["priority"] = priority
-    if schema_version is not None:
-        document["schema_version"] = schema_version
-    if trace_id is not None:
-        document["trace_id"] = trace_id
     return document
 
 
@@ -392,8 +383,6 @@ def read_envelope(data: Any, kind: str) -> WireEnvelope:
         payload=data["payload"],
         tenant=data.get("tenant"),
         priority=data.get("priority"),
-        schema_version=data.get("schema_version"),
-        trace_id=data.get("trace_id"),
     )
 
 

@@ -25,7 +25,7 @@ from typing import Any, Dict, Iterator, Optional, Union
 
 from repro.common.errors import ReproError
 from repro.faults import get_injector
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.trace.format import TRACE_FORMAT_VERSION
 from repro.uarch.result import CoreResult
 
@@ -76,9 +76,9 @@ class ResultCache:
         self, root: Union[str, Path], metrics: Optional[MetricsRegistry] = None
     ) -> None:
         self.root = Path(root)
-        # CLI-constructed caches share the process-global registry; the
-        # service hands in its own so embedded instances stay isolated.
-        registry = metrics if metrics is not None else get_registry()
+        # The service hands in its registry; a cache without one (the CLI's)
+        # counts into a private registry, as a JobManager does.
+        registry = metrics if metrics is not None else MetricsRegistry()
         requests = registry.counter(
             "repro_cache_requests_total",
             "Result-cache lookups, by outcome",

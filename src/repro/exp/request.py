@@ -14,6 +14,11 @@ mean the same work share one key.  The service coalesces in-flight requests
 on that key, and the key is stable across processes and machines
 (:func:`repro.common.serialize.stable_hash`).
 
+A request is the payload of a ``job_request`` wire envelope and holds only
+the work.  Who submits it and which scheduling lane it rides are the
+envelope's fields (:func:`repro.common.serialize.wire_envelope`), never the
+payload's.
+
 This module deliberately imports only :mod:`repro.exp.runner` and the
 serialisation helpers -- resolution of figure names against the experiment
 registry happens lazily (in :meth:`normalized` and in the service), keeping
@@ -22,7 +27,6 @@ the ``repro.exp`` package importable from :mod:`repro.sim.experiments`.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -30,48 +34,24 @@ from repro.common.errors import ConfigurationError
 from repro.common.serialize import from_jsonable, stable_hash, to_jsonable
 from repro.exp.runner import SimJob
 
-#: Version of the request payload schema (the ``schema_version`` a v2 wire
-#: envelope names).  Version 2 added the admission metadata fields
-#: (``tenant``, ``priority``); version-1 payloads simply omit them.
-REQUEST_SCHEMA_VERSION = 2
-
-#: What the *work content* of a request hashes under.  Deliberately separate
-#: from :data:`REQUEST_SCHEMA_VERSION`: bump only when the meaning of a
-#: request changes (coalescing keys then diverge); adding admission metadata
-#: does not.  Version 2: the work content gained the replacement-policy knob.
-#: Version 3: it lost the simulation-engine knob.
+#: What the *work content* of a request hashes under: bump only when the
+#: meaning of a request changes (coalescing keys then diverge).  Version 2:
+#: the work content gained the replacement-policy knob.  Version 3: it lost
+#: the simulation-engine knob.
 _KEY_SCHEMA_VERSION = 3
-
-#: The two scheduling lanes a submission can ride in.  ``interactive`` is
-#: for short quick-suite jobs and is always drained before ``batch`` (full
-#: campaigns), so interactive work is never stuck behind a campaign.
-PRIORITY_LANES = ("interactive", "batch")
-
-#: Tenant names are path/log-safe identifiers.
-_TENANT_NAME_RE = r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}"
-
-
-def validate_tenant_name(name: str) -> str:
-    """Validate a tenant identifier; returns it unchanged."""
-    if not isinstance(name, str) or not re.fullmatch(_TENANT_NAME_RE, name):
-        raise ConfigurationError(
-            f"invalid tenant name {name!r} (want 1-64 chars of [A-Za-z0-9_.-], "
-            "starting alphanumeric)"
-        )
-    return name
 
 
 @dataclass(frozen=True)
 class JobRequest:
-    """One submission: a named figure campaign or an explicit job batch.
+    """One submission's work: a named figure campaign or an explicit job batch.
 
-    ``tenant`` and ``priority`` are **admission metadata**: they decide whose
-    quota the submission charges and which scheduling lane it rides, but they
-    are deliberately excluded from :meth:`key` -- the same simulation
-    submitted by two tenants must still coalesce into one execution and share
-    one result-cache entry.  There is no engine knob: every simulation runs
-    the one engine, and a payload's legacy ``engine`` field is ignored like
-    any other unknown field.
+    A request is work content only.  Who submits it and which scheduling
+    lane it rides travel beside it, in the wire envelope, so the same
+    simulation submitted twice coalesces into one execution and shares one
+    result-cache entry whoever sent it.  There is no engine knob: every
+    simulation runs the one engine.  Fields a payload carries that a request
+    does not declare, such as the engine and admission fields of older
+    clients and journals, are ignored.
     """
 
     figure: Optional[str] = None
@@ -84,19 +64,8 @@ class JobRequest:
     #: in the offline MRC profiler.  Case batches carry the policy inside
     #: each job's cache configs.
     policy: Optional[str] = None
-    #: Submitting tenant (``None`` = the server's default tenant).
-    tenant: Optional[str] = None
-    #: Scheduling lane (one of :data:`PRIORITY_LANES`; ``None`` lets the
-    #: server derive it: ``batch`` for full campaigns, else ``interactive``).
-    priority: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.tenant is not None:
-            validate_tenant_name(self.tenant)
-        if self.priority is not None and self.priority not in PRIORITY_LANES:
-            raise ConfigurationError(
-                f"unknown priority {self.priority!r} (one of {', '.join(PRIORITY_LANES)})"
-            )
         if (self.figure is None) == (not self.cases):
             raise ConfigurationError(
                 "a job request names either a figure or a non-empty batch of cases"
@@ -150,12 +119,7 @@ class JobRequest:
         return replace(self, instructions=instructions, seed=seed, policy=policy)
 
     def key(self) -> str:
-        """The request's stable content address (the coalescing key).
-
-        Hashes only the *work content*; ``tenant`` and ``priority`` are
-        excluded so identical work from different tenants coalesces and
-        cache-hits across tenants.
-        """
+        """The request's stable content address (the coalescing key)."""
         normalized = self.normalized()
         return stable_hash(
             {

@@ -14,8 +14,8 @@ saturation the completed-work shares observed by the harness should track
 the weights, not the offered mix -- exactly the stride scheduler's
 contract.  ``--share-tolerance`` bounds the allowed deviation.
 
-The run writes a committed JSON artifact (``LOADBENCH_pr8.json`` in this
-PR) recording the git revision, full configuration, per-epoch series per
+The run writes a JSON artifact (``--out``, ``LOADBENCH.json`` by default)
+recording the git revision, full configuration, per-epoch series per
 stage and the server's merged post-run stats; ``--gate`` re-reads the
 fresh artifact and fails the run when throughput, submit p99 or tenant
 shares miss the thresholds (the CI ``loadbench-smoke`` job's contract).

@@ -3,12 +3,13 @@
 The platform's telemetry layer, threaded through every other package:
 
 * :mod:`repro.obs.metrics` -- :class:`~repro.obs.metrics.MetricsRegistry`,
-  process- or server-scoped counters, gauges and exactly mergeable bucketed
-  summaries, with Prometheus text exposition (``GET /v1/metrics``) and a
-  JSON form.
+  per-server (never process-global) counters, gauges and exactly mergeable
+  bucketed summaries, with Prometheus text exposition (``GET /v1/metrics``)
+  and a JSON form.
 * :mod:`repro.obs.tracing` -- request-scoped trace IDs
   (``X-Repro-Trace-Id``), minted by the client, propagated through
-  admission, scheduling and dispatch, echoed in every response and log line.
+  admission, scheduling and dispatch, echoed in every response header and
+  log line.
 * :mod:`repro.obs.spans` -- span-level profiling generalising the old
   per-phase accounting; worker processes ship their spans and phase deltas
   back to the parent, and ``repro profile`` exports the merged timeline as
@@ -26,7 +27,6 @@ from repro.obs.metrics import (
     LogHistogram,
     MetricsRegistry,
     Summary,
-    get_registry,
 )
 from repro.obs.tracing import (
     TRACE_ID_HEADER,
@@ -48,7 +48,6 @@ __all__ = [
     "current_trace_id",
     "ensure_trace_id",
     "get_logger",
-    "get_registry",
     "new_trace_id",
     "valid_trace_id",
 ]

@@ -30,9 +30,8 @@ the per-instruction hot path:
   the number of buckets.
 
 Registries are cheap and isolated: each server instance owns one, so two
-in-process test servers never share counters.  :data:`REGISTRY` is the
-process-wide default for code with no server to hang a registry on (the
-CLI's result cache).
+in-process test servers never share counters.  There is no process-wide
+registry: code with no server to report to keeps a private one.
 """
 
 from __future__ import annotations
@@ -472,14 +471,3 @@ def _format_value(value: float) -> str:
     if value == as_int and abs(value) < 1e15:
         return str(as_int)
     return repr(float(value))
-
-
-#: The process-wide default registry, for code with no server-owned registry
-#: in reach (the CLI's result cache).  Server instances create their own so
-#: in-process test servers stay isolated.
-REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default :class:`MetricsRegistry`."""
-    return REGISTRY

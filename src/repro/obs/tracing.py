@@ -3,10 +3,10 @@
 A trace ID is a short opaque token minted once per logical request (by
 :class:`~repro.service.client.ServiceClient` on submission, or by the server
 for clients that send none) and carried everywhere that request goes: the
-``X-Repro-Trace-Id`` HTTP header, the v2 wire envelope's ``trace_id`` field,
-the job state, every structured log line and every response.  Correlating a
-client-side failure with the server-side log lines that produced it is then
-a single grep.
+``X-Repro-Trace-Id`` HTTP header (the only place it travels on the wire,
+both ways), the job state, every structured log line and every response.
+Correlating a client-side failure with the server-side log lines that
+produced it is then a single grep.
 
 The *current* trace ID rides a :mod:`contextvars` context variable, so
 concurrently handled requests on one event loop never see each other's IDs,

@@ -2,8 +2,9 @@
 
 Pure standard library (``urllib``); mirrors the ``/v1`` endpoints.  Every
 request carries an ``X-Repro-Trace-Id`` correlation header (minted here when
-the caller has none); submissions also embed it in the wire envelope, and the
-server echoes it back (see :attr:`SubmitReceipt.trace_id`).
+the caller has none), and the server answers with the ID it used in the
+same header (see :attr:`SubmitReceipt.trace_id`); no envelope repeats it.
+A submission's tenant and priority ride its wire envelope, and only there.
 Connection configuration (base URL, timeout, tenant identity, auth token)
 lives on the client; per-call knobs are keyword-only on :meth:`submit`:
 
@@ -44,8 +45,8 @@ from repro.common.errors import (
     ServiceError,
     ServiceOverloadedError,
 )
-from repro.common.serialize import open_envelope, read_envelope, wire_envelope
-from repro.exp.request import REQUEST_SCHEMA_VERSION, JobRequest
+from repro.common.serialize import open_envelope, wire_envelope
+from repro.exp.request import JobRequest
 from repro.exp.runner import SimJob
 from repro.obs.tracing import TRACE_ID_HEADER, current_trace_id, new_trace_id
 
@@ -73,8 +74,9 @@ class SubmitReceipt:
     #: The tenant/lane the server resolved the submission to.
     tenant: Optional[str] = None
     priority: Optional[str] = None
-    #: The correlation ID this submission travelled under (minted client-side,
-    #: echoed by the server in the envelope and ``X-Repro-Trace-Id`` header).
+    #: The correlation ID the server admitted this submission under: its
+    #: answer's ``X-Repro-Trace-Id`` header.  It is the ID the client sent,
+    #: unless the server found that one invalid and minted its own.
     trace_id: Optional[str] = None
 
 
@@ -82,8 +84,8 @@ class ServiceClient:
     """Blocking HTTP client for one ``repro serve`` instance.
 
     ``tenant`` and ``token`` are connection-level identity: every submission
-    is labelled with the client's tenant (overridable per call) and carries
-    ``Authorization: Bearer <token>`` when a token is configured.
+    names the client's tenant in its envelope (overridable per call) and
+    carries ``Authorization: Bearer <token>`` when a token is configured.
     """
 
     def __init__(
@@ -107,15 +109,17 @@ class ServiceClient:
         path: str,
         payload: Optional[Dict[str, Any]] = None,
         trace_id: Optional[str] = None,
+        echoed: Optional[Dict[str, str]] = None,
     ) -> Tuple[int, Any]:
         """Issue one request; returns ``(status, parsed JSON body)``.
 
         Every request carries an ``X-Repro-Trace-Id``: the caller's explicit
         ``trace_id``, else the ambient one (:func:`current_trace_id`), else a
         freshly minted ID -- so even ad-hoc GETs are correlatable in the
-        server's logs.  HTTP error statuses are returned (not raised) so
-        callers can map them to domain errors; transport failures raise
-        :class:`ServiceError`.
+        server's logs.  ``echoed``, when given, receives the trace ID of a
+        successful answer's header under :data:`TRACE_ID_HEADER`.  HTTP
+        error statuses are returned (not raised) so callers can map them to
+        domain errors; transport failures raise :class:`ServiceError`.
         """
         data = None
         if trace_id is None:
@@ -123,8 +127,6 @@ class ServiceClient:
         headers = {"Accept": "application/json", TRACE_ID_HEADER: trace_id}
         if self.token is not None:
             headers["Authorization"] = f"Bearer {self.token}"
-        if self.tenant is not None:
-            headers["X-Repro-Tenant"] = self.tenant
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
@@ -133,6 +135,8 @@ class ServiceClient:
         )
         try:
             with _OPENER.open(request, timeout=self.timeout) as response:
+                if echoed is not None and TRACE_ID_HEADER in response.headers:
+                    echoed[TRACE_ID_HEADER] = response.headers[TRACE_ID_HEADER]
                 return response.status, json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as error:
             body = error.read()
@@ -246,14 +250,13 @@ class ServiceClient:
         ``instructions``, ``seed``, ``full``, ``policy`` (cache
         replacement policy for figure campaigns), plus the admission knobs
         ``priority`` (``interactive``/``batch``) and ``tenant`` (which
-        overrides the client-level tenant for this call).  Returns a
+        overrides the client-level tenant for this call); the two ride the
+        envelope, the rest is the :class:`JobRequest` payload.  Returns a
         :class:`SubmitReceipt`; with ``wait=True`` it waits for the job
         (:meth:`wait`, ``timeout`` seconds) and returns the completed status
         document instead.
         """
-        tenant = tenant if tenant is not None else self.tenant
-        # One trace ID covers the whole submission: minted here, sent in both
-        # the envelope and the header, echoed back in the receipt.
+        # One trace ID covers the whole submission, resubmissions included.
         trace_id = current_trace_id() or new_trace_id()
         request = JobRequest(
             figure=figure,
@@ -262,22 +265,19 @@ class ServiceClient:
             seed=seed,
             full=full,
             policy=policy,
-            tenant=tenant,
-            priority=priority,
         )
-        envelope_payload = wire_envelope(
+        envelope = wire_envelope(
             "job_request",
-            request.to_dict(),
-            tenant=tenant,
+            request,
+            tenant=tenant if tenant is not None else self.tenant,
             priority=priority,
-            schema_version=REQUEST_SCHEMA_VERSION,
-            trace_id=trace_id,
         )
         deadline = time.monotonic() + timeout
         attempt = 0
+        echoed: Dict[str, str] = {}
         while True:
             status, data = self._request(
-                "POST", "/v1/jobs", envelope_payload, trace_id=trace_id
+                "POST", "/v1/jobs", envelope, trace_id=trace_id, echoed=echoed
             )
             if status != 429:
                 break
@@ -295,8 +295,7 @@ class ServiceClient:
             time.sleep(delay)
         if status not in (200, 202):
             raise ServiceError(f"submission rejected ({status}): {self._error_message(data)}")
-        envelope = read_envelope(data, "job_accepted")
-        payload = envelope.payload
+        payload = open_envelope(data, "job_accepted")
         receipt = SubmitReceipt(
             job_id=payload["job_id"],
             request_key=payload["request_key"],
@@ -304,7 +303,7 @@ class ServiceClient:
             coalesced=bool(payload["coalesced"]),
             tenant=payload.get("tenant"),
             priority=payload.get("priority"),
-            trace_id=envelope.trace_id if envelope.trace_id is not None else trace_id,
+            trace_id=echoed.get(TRACE_ID_HEADER),
         )
         if wait:
             # The poll loop gets whatever budget the resubmissions left.

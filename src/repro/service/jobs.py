@@ -7,7 +7,8 @@
 * the **coalescing index** -- while a request is queued or running, its
   content address (:meth:`repro.exp.request.JobRequest.key`) maps to the
   live job, so an identical concurrent submission returns the same job
-  instead of executing twice.  The key deliberately excludes the tenant, so
+  instead of executing twice.  A request is work content only (its tenant
+  and priority arrive beside it, from the wire envelope or the journal), so
   identical work submitted by *different tenants* coalesces too,
 * **admission control** -- a server-wide bound on queued jobs plus
   per-tenant quotas (max queued, max in-flight); a violated bound raises
@@ -76,6 +77,7 @@ from repro.service.tenancy import (
     JOB_EVENTS,
     LANE_BATCH,
     LANE_INTERACTIVE,
+    PRIORITY_LANES,
     SERVICE_METRIC,
     TenancyConfig,
     TenantScheduler,
@@ -378,7 +380,13 @@ class JobManager:
         self.journal.snapshot(tenant_events(self.metrics))
         for job in replay.pending:
             try:
-                self.submit(job.request, trace_id=job.trace_id, requeued=True)
+                self.submit(
+                    job.request,
+                    trace_id=job.trace_id,
+                    tenant=job.tenant,
+                    priority=job.lane,
+                    requeued=True,
+                )
             except ReproError as error:
                 # A replayed record for a tenant no longer in a closed
                 # roster (or similar config drift) must not stop the server.
@@ -410,23 +418,32 @@ class JobManager:
 
     # -- submission (event-loop thread) --------------------------------
 
-    def resolve_lane(self, request: JobRequest) -> str:
-        """The scheduling lane a request rides: explicit priority wins, then
-        full campaigns default to ``batch`` and everything else to
-        ``interactive`` (short jobs must never wait behind campaigns)."""
-        if request.priority is not None:
-            return request.priority
-        return LANE_BATCH if request.full else LANE_INTERACTIVE
+    def resolve_lane(self, request: JobRequest, priority: Any = None) -> str:
+        """The scheduling lane a request rides: an explicit ``priority``
+        (one of :data:`PRIORITY_LANES`) wins, then full campaigns default to
+        ``batch`` and everything else to ``interactive`` (short jobs must
+        never wait behind campaigns)."""
+        if priority is None:
+            return LANE_BATCH if request.full else LANE_INTERACTIVE
+        if priority not in PRIORITY_LANES:
+            raise ConfigurationError(
+                f"unknown priority {priority!r} (one of {', '.join(PRIORITY_LANES)})"
+            )
+        return priority
 
     def submit(
         self,
         request: JobRequest,
         trace_id: Optional[str] = None,
         *,
+        tenant: Optional[str] = None,
+        priority: Optional[str] = None,
         requeued: bool = False,
     ) -> Tuple[JobState, bool]:
         """Admit a request; returns ``(job, coalesced)``.
 
+        ``tenant`` (``None`` = the default tenant) is charged for the
+        submission and ``priority`` picks its lane (:meth:`resolve_lane`).
         An identical in-flight request (same content address, still queued or
         running -- regardless of tenant) is coalesced: the existing job is
         returned and nothing is enqueued.  Coalesced submissions bypass the
@@ -443,12 +460,13 @@ class JobManager:
         server had acknowledged.
         """
         request = request.normalized()
-        tenant = request.tenant if request.tenant is not None else self.tenancy.default_tenant
+        lane = self.resolve_lane(request, priority)
+        if tenant is None:
+            tenant = self.tenancy.default_tenant
         # Resolve the spec first: an unknown tenant under a closed roster is
         # a 400 (ConfigurationError), never a quota rejection.
         runtime = self.scheduler.runtime(tenant)
         accounting = runtime.accounting
-        lane = self.resolve_lane(request)
         key = request.key()
         existing_id = self._inflight.get(key)
         if existing_id is not None:

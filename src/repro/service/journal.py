@@ -4,9 +4,9 @@ Every job lifecycle transition the :class:`~repro.service.jobs.JobManager`
 makes is appended as one JSON line *before* the server answers the client,
 so a crashed or restarted server can reconstruct what it had promised:
 
-* ``admitted`` -- carries the full normalised request payload (plus tenant,
-  lane, content-address key, policy and trace ID), enough to
-  re-queue the job verbatim;
+* ``admitted`` -- carries the normalised request payload (the work) plus
+  the tenant, lane and trace ID it was admitted under, enough to re-queue
+  the job verbatim;
 * ``dispatched`` / ``completed`` / ``failed`` / ``coalesced`` -- the
   subsequent transitions, keyed by job ID;
 * ``snapshot`` -- the accounting baseline written at the head of each fresh
@@ -15,9 +15,10 @@ so a crashed or restarted server can reconstruct what it had promised:
 
 **Replay.** On startup the server replays the previous generation's file
 (:func:`replay_journal`): jobs admitted but never completed/failed are
-**re-queued** -- idempotent, because requests are content-addressed and the
-result cache is shared, so a job that actually finished its simulations
-before the crash completes instantly from the cache -- and per-tenant
+**re-queued** into the tenant and lane their ``admitted`` record names --
+idempotent, because requests are content-addressed and the result cache
+is shared, so a job that actually finished its simulations before the
+crash completes instantly from the cache -- and per-tenant
 accounting totals are restored.  The replayed file is then rotated aside
 (``journal-s0.jsonl.prev``) and a fresh generation begins with a
 ``snapshot`` record of the restored counts, which keeps restarts
@@ -25,7 +26,9 @@ accounting totals are restored.  The replayed file is then rotated aside
 events after it, so accounting survives any number of restarts without
 double counting.  Re-queued admissions are marked ``requeued`` and excluded
 from the totals fold for the same reason -- the original admission is
-already in the snapshot.
+already in the snapshot.  An older ``admitted`` record, whose request
+document still names a tenant and priority and which also holds the key,
+policy and figure, replays the same way: replay reads none of those.
 
 Each shard journals into its own file (``journal-s<index>.jsonl`` under the
 cache directory), so sharded servers never interleave writes.
@@ -47,6 +50,7 @@ from typing import Any, Dict, List, Mapping, Optional, TextIO, Union
 
 from repro.exp.request import JobRequest
 from repro.obs.logs import get_logger
+from repro.service.tenancy import validate_tenant_name
 
 #: Bump when the record layout changes incompatibly; replay skips records
 #: from other schemas rather than guessing at their meaning.
@@ -73,9 +77,9 @@ class ReplayedJob:
     """One admitted-but-unfinished job reconstructed from the journal."""
 
     job_id: str
-    key: str
     request: JobRequest
-    tenant: Optional[str]
+    tenant: str
+    #: Checked when the job is re-queued (an unknown lane is logged there).
     lane: Optional[str]
     trace_id: Optional[str]
 
@@ -156,15 +160,15 @@ def replay_journal(path: Union[str, Path]) -> JournalReplay:
             continue
         try:
             request = JobRequest.from_dict(record["request"])
+            tenant = validate_tenant_name(record.get("tenant"))
         except Exception:  # noqa: BLE001 -- a single bad record must not kill replay
             replay.skipped += 1
             continue
         replay.pending.append(
             ReplayedJob(
                 job_id=job_id,
-                key=str(record.get("key", "")),
                 request=request,
-                tenant=record.get("tenant"),
+                tenant=tenant,
                 lane=record.get("lane"),
                 trace_id=record.get("trace_id"),
             )
@@ -220,18 +224,14 @@ class JobJournal:
         self.append("snapshot", tenants={tenant: c for tenant, c in counts.items() if c})
 
     def admitted(self, state: Any, requeued: bool = False) -> None:
-        request = state.request
         self.append(
             "admitted",
             job_id=state.job_id,
-            key=state.key,
             tenant=state.tenant,
             lane=state.lane,
             trace_id=state.trace_id,
-            policy=request.policy,
-            figure=request.figure,
             requeued=requeued,
-            request=request.to_dict(),
+            request=state.request.to_dict(),
         )
 
     def coalesced(self, state: Any, tenant: str) -> None:

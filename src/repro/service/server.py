@@ -25,15 +25,15 @@ Endpoints (all JSON, wrapped in versioned wire envelopes, see
   exposition format (``?format=json`` for the JSON document instead).
 
 **Tracing.** Every request is assigned a trace ID: a valid incoming
-``X-Repro-Trace-Id`` header (or the envelope's ``trace_id``) is honoured,
-anything else gets a freshly minted one.  The ID is echoed in the response's
-``X-Repro-Trace-Id`` header and envelope, attached to the admitted job, and
-injected into every log line the request produces.
+``X-Repro-Trace-Id`` header is honoured, anything else gets a freshly minted
+one.  The ID travels only in that header: the response echoes it there (no
+envelope repeats it), the admitted job records it, and every log line the
+request produces carries it.
 
-**Tenancy.** A submission's tenant comes from (in precedence order) the
-envelope's ``tenant`` field, the request payload's ``tenant`` field, or the
-``X-Repro-Tenant`` header; unlabelled submissions land on the default
-tenant.  A tenant configured with an auth token only accepts submissions
+**Tenancy.** A submission's tenant and priority are its envelope's
+``tenant`` and ``priority`` fields, and nothing else; without a tenant it
+lands on the default tenant, without a priority on the lane its work
+implies.  A tenant configured with an auth token only accepts submissions
 carrying ``Authorization: Bearer <token>``.
 Every error body carries a structured ``code`` from
 :class:`repro.common.errors.ErrorCode`.
@@ -57,23 +57,25 @@ from __future__ import annotations
 import asyncio
 import hmac
 import math
+import os
 import re
 import signal
 import socket
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Awaitable, Dict, List, Optional, Set, Tuple
 from urllib.parse import urlencode
 
 from repro.common.errors import (
     ConfigurationError,
     ErrorCode,
+    ServiceError,
     ServiceOverloadedError,
     WorkloadError,
 )
 from repro.common.serialize import WIRE_SCHEMA_VERSION, read_envelope, wire_envelope
 from repro.exp.cache import ResultCache
-from repro.exp.request import REQUEST_SCHEMA_VERSION, JobRequest
+from repro.exp.request import JobRequest
 from repro.faults import FaultInjector, FaultSpec, get_injector, install
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -191,13 +193,13 @@ class ReproService:
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
         # One registry per server instance: embedded test servers stay
-        # isolated from each other and from the process-global default.
+        # isolated from each other.
         self.metrics = MetricsRegistry()
-        if config.faults is not None:
-            # --faults installs process-wide (the injector is consulted from
-            # cache and shard code that never sees this instance).
-            install(FaultInjector(config.faults))
-        injector = get_injector()
+        # The injector is process-wide (cache and shard code that never see
+        # this instance consult it), so a service installs exactly its own
+        # spec, none included: an earlier service's faults never leak in.
+        injector = FaultInjector(config.faults) if config.faults is not None else None
+        install(injector)
         if injector is not None:
             injector.bind_metrics(self.metrics)
         cache = (
@@ -274,40 +276,32 @@ class ReproService:
                 journal_path(config.cache_dir, config.shard_index)
             )
         await self.manager.start()
+        for port, reuse_port in self._listen_ports():
+            try:
+                server = await asyncio.start_server(
+                    self._handle_client, host=config.host, port=port, reuse_port=reuse_port
+                )
+            except OSError as error:
+                await self.stop()
+                reason = os.strerror(error.errno) if (error.errno or 0) > 0 else str(error)
+                raise ServiceError(f"cannot listen on {config.host}:{port}: {reason}") from None
+            self._servers.append(server)
+
+    def _listen_ports(self) -> List[Tuple[int, bool]]:
+        """``(port, reuse_port)`` for each listener, canonical one first.
+
+        A lone server binds its port.  A shard binds its well-known peer
+        port (its canonical address), then the shared public port -- every
+        shard when SO_REUSEPORT lets the kernel spread accepts, else shard 0
+        alone and clients fall back to round-robining the peer ports.
+        """
+        config = self.config
         if config.shard_count <= 1:
-            self._servers = [
-                await asyncio.start_server(
-                    self._handle_client, host=config.host, port=config.port
-                )
-            ]
-            return
-        # Sharded: the well-known peer port first (it is this shard's
-        # canonical address), then the shared public port -- every shard
-        # when SO_REUSEPORT lets the kernel spread accepts, else shard 0
-        # alone and clients fall back to round-robining the peer ports.
-        listeners = [
-            await asyncio.start_server(
-                self._handle_client,
-                host=config.host,
-                port=shard_port(config.port, config.shard_index),
-            )
-        ]
-        if REUSE_PORT_AVAILABLE:
-            listeners.append(
-                await asyncio.start_server(
-                    self._handle_client,
-                    host=config.host,
-                    port=config.port,
-                    reuse_port=True,
-                )
-            )
-        elif config.shard_index == 0:
-            listeners.append(
-                await asyncio.start_server(
-                    self._handle_client, host=config.host, port=config.port
-                )
-            )
-        self._servers = listeners
+            return [(config.port, False)]
+        ports = [(shard_port(config.port, config.shard_index), False)]
+        if REUSE_PORT_AVAILABLE or config.shard_index == 0:
+            ports.append((config.port, REUSE_PORT_AVAILABLE))
+        return ports
 
     async def stop(self) -> None:
         """Close the listeners, answer the held long polls, stop the workers.
@@ -389,11 +383,9 @@ class ReproService:
                 finally:
                     reset_trace_id(token)
             except asyncio.TimeoutError:
-                response = _error_response(
-                    400, "request not received in time", trace_id=trace_id
-                )
+                response = _error_response(400, "request not received in time")
             except ProtocolError as error:
-                response = _error_response(error.status, error.message, trace_id=trace_id)
+                response = _error_response(error.status, error.message)
             except ServiceOverloadedError as error:
                 retry_after = error.retry_after if error.retry_after is not None else 1
                 response = _error_response(
@@ -403,16 +395,12 @@ class ReproService:
                     tenant=error.tenant,
                     retry_after=retry_after,
                     extra=(("Retry-After", str(int(retry_after))),),
-                    trace_id=trace_id,
                 )
             except (ConfigurationError, WorkloadError) as error:
-                response = _error_response(400, str(error), trace_id=trace_id)
+                response = _error_response(400, str(error))
             except Exception as error:  # noqa: BLE001 -- never drop the connection
                 response = _error_response(
-                    500,
-                    f"{type(error).__name__}: {error}",
-                    code=ErrorCode.INTERNAL,
-                    trace_id=trace_id,
+                    500, f"{type(error).__name__}: {error}", code=ErrorCode.INTERNAL
                 )
             response = _with_trace_header(response, trace_id)
             self._observe(request, response, time.monotonic() - started, trace_id)
@@ -454,27 +442,11 @@ class ReproService:
 
     # -- submission helpers --------------------------------------------
 
-    def _submission_request(self, request: HTTPRequest) -> JobRequest:
-        """Parse a ``POST /v1/jobs`` body into a fully resolved request.
-
-        Resolution order for the tenant: envelope field, payload field,
-        ``X-Repro-Tenant`` header, then the server's default; conflicting
-        explicit values are a 400 rather than a silent pick.
-        """
-        envelope = read_envelope(request.json(), "job_request")
-        job_request = JobRequest.from_dict(envelope.payload)
-        tenant = _merge_field("tenant", envelope.tenant, job_request.tenant)
-        if tenant is None:
-            tenant = request.headers.get("x-repro-tenant") or None
-        priority = _merge_field("priority", envelope.priority, job_request.priority)
-        job_request = replace(job_request, tenant=tenant, priority=priority)
-        resolved = tenant if tenant is not None else self.manager.tenancy.default_tenant
-        self._authorize(resolved, request)
-        return job_request
-
-    def _authorize(self, tenant: str, request: HTTPRequest) -> None:
-        """Enforce the tenant's auth token, when one is configured."""
-        spec = self.manager.tenancy.spec_for(tenant)
+    def _authorize(self, tenant: Any, request: HTTPRequest) -> None:
+        """Enforce the auth token of a submission's tenant (``None`` = the
+        default tenant), when one is configured."""
+        tenancy = self.manager.tenancy
+        spec = tenancy.spec_for(tenancy.default_tenant if tenant is None else tenant)
         if spec.token is None:
             return
         presented = request.headers.get("authorization", "")
@@ -483,7 +455,7 @@ class ReproService:
             credential.strip(), spec.token
         ):
             raise ProtocolError(
-                401, f"tenant {tenant!r} requires a valid Authorization: Bearer token"
+                401, f"tenant {spec.name!r} requires a valid Authorization: Bearer token"
             )
 
     async def _dispatch(self, request: HTTPRequest, trace_id: str) -> bytes:
@@ -496,9 +468,7 @@ class ReproService:
             document["draining"] = self._draining
             if sharded:
                 document["shard"] = self._shard_info()
-            return json_response(
-                200, wire_envelope("health", document, trace_id=trace_id)
-            )
+            return json_response(200, wire_envelope("health", document))
         if path == "/v1/stats":
             _require(method, "GET")
             if sharded and not local_only:
@@ -511,9 +481,7 @@ class ReproService:
                 document = self.manager.stats_document()
                 if sharded:
                     document["shard"] = self._shard_info()
-            return json_response(
-                200, wire_envelope("stats", document, trace_id=trace_id)
-            )
+            return json_response(200, wire_envelope("stats", document))
         if path == "/v1/metrics":
             _require(method, "GET")
             registry = self.metrics
@@ -521,20 +489,14 @@ class ReproService:
                 documents = await self._group_metrics_documents()
                 registry = merge_metrics_documents([document for _, document in documents])
             if request.query.get("format") == "json":
-                return json_response(
-                    200,
-                    wire_envelope("metrics", registry.as_document(), trace_id=trace_id),
-                )
+                return json_response(200, wire_envelope("metrics", registry.as_document()))
             return text_response(200, registry.render_text())
         if path == "/v1/jobs":
             _require(method, "POST")
             injector = get_injector()
             if injector is not None and injector.should("http_500"):
                 return _error_response(
-                    500,
-                    "fault injection: forced server error",
-                    code=ErrorCode.INTERNAL,
-                    trace_id=trace_id,
+                    500, "fault injection: forced server error", code=ErrorCode.INTERNAL
                 )
             if self._draining:
                 retry_after = max(1, int(self.config.drain_timeout))
@@ -544,10 +506,16 @@ class ReproService:
                     code=ErrorCode.DRAINING,
                     retry_after=retry_after,
                     extra=(("Retry-After", str(retry_after)),),
-                    trace_id=trace_id,
                 )
-            job_request = self._submission_request(request)
-            state, coalesced = self.manager.submit(job_request, trace_id=trace_id)
+            envelope = read_envelope(request.json(), "job_request")
+            job_request = JobRequest.from_dict(envelope.payload)
+            self._authorize(envelope.tenant, request)
+            state, coalesced = self.manager.submit(
+                job_request,
+                trace_id=trace_id,
+                tenant=envelope.tenant,
+                priority=envelope.priority,
+            )
             receipt = {
                 "job_id": state.job_id,
                 "request_key": state.key,
@@ -557,15 +525,7 @@ class ReproService:
                 "priority": state.lane,
             }
             return json_response(
-                200 if coalesced else 202,
-                wire_envelope(
-                    "job_accepted",
-                    receipt,
-                    tenant=state.tenant,
-                    priority=state.lane,
-                    schema_version=REQUEST_SCHEMA_VERSION,
-                    trace_id=trace_id,
-                ),
+                200 if coalesced else 202, wire_envelope("job_accepted", receipt)
             )
         if path.startswith("/v1/jobs/"):
             _require(method, "GET")
@@ -574,22 +534,17 @@ class ReproService:
             state = self.manager.jobs.get(job_id)
             if state is None:
                 if sharded and not local_only:
-                    proxied = await self._proxy_job_status(job_id, request, wait, trace_id)
+                    proxied = await self._proxy_job_status(job_id, request, wait)
                     if proxied is not None:
                         return proxied
-                return _error_response(404, f"unknown job {job_id!r}", trace_id=trace_id)
+                return _error_response(404, f"unknown job {job_id!r}")
             if wait > 0 and not state.finished.is_set():
                 # A long poll answers from the state held here, even if the
                 # job is trimmed from history meanwhile.
                 await self._hold(state.finished.wait(), wait)
             include_result = request.query.get("result", "1") != "0"
             return json_response(
-                200,
-                wire_envelope(
-                    "job_status",
-                    state.view(include_result=include_result),
-                    trace_id=trace_id,
-                ),
+                200, wire_envelope("job_status", state.view(include_result=include_result))
             )
         if path.startswith("/v1/results/"):
             _require(method, "GET")
@@ -598,16 +553,11 @@ class ReproService:
             if result is None and sharded and not local_only:
                 result = await self._peer_result(key)
             if result is None:
-                return _error_response(
-                    404, f"no cached result for key {key!r}", trace_id=trace_id
-                )
+                return _error_response(404, f"no cached result for key {key!r}")
             return json_response(
-                200,
-                wire_envelope(
-                    "cached_result", {"key": key, "result": result}, trace_id=trace_id
-                ),
+                200, wire_envelope("cached_result", {"key": key, "result": result})
             )
-        return _error_response(404, f"unknown endpoint {method} {path}", trace_id=trace_id)
+        return _error_response(404, f"unknown endpoint {method} {path}")
 
     async def _hold(
         self, awaitable: Awaitable[Any], timeout: Optional[float]
@@ -719,7 +669,7 @@ class ReproService:
         return documents
 
     async def _proxy_job_status(
-        self, job_id: str, request: HTTPRequest, wait: float, trace_id: str
+        self, job_id: str, request: HTTPRequest, wait: float
     ) -> Optional[bytes]:
         """Serve a status poll for a job another shard owns.
 
@@ -757,7 +707,6 @@ class ReproService:
                 503,
                 "server is shutting down; poll another instance",
                 code=ErrorCode.DRAINING,
-                trace_id=trace_id,
             )
         try:
             status, body = done.result()
@@ -805,19 +754,6 @@ class ReproService:
             if isinstance(payload, dict) and payload.get("result") is not None:
                 result = payload["result"]
         return result
-
-
-def _merge_field(name: str, envelope_value: Any, payload_value: Any) -> Any:
-    """Combine the envelope-level and payload-level copy of a field."""
-    if envelope_value is None:
-        return payload_value
-    if payload_value is not None and payload_value != envelope_value:
-        raise ProtocolError(
-            400,
-            f"envelope {name}={envelope_value!r} conflicts with "
-            f"payload {name}={payload_value!r}",
-        )
-    return envelope_value
 
 
 def _poll_wait(raw: Optional[str]) -> float:
@@ -874,7 +810,6 @@ def _error_response(
     tenant: Optional[str] = None,
     retry_after: Optional[float] = None,
     extra=(),
-    trace_id: Optional[str] = None,
 ) -> bytes:
     """An ``error`` envelope with the structured taxonomy fields."""
     if code is None:
@@ -884,9 +819,7 @@ def _error_response(
         payload["tenant"] = tenant
     if retry_after is not None:
         payload["retry_after"] = retry_after
-    return json_response(
-        status, wire_envelope("error", payload, trace_id=trace_id), extra
-    )
+    return json_response(status, wire_envelope("error", payload), extra)
 
 
 async def run_service(config: ServiceConfig) -> None:

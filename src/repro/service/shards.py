@@ -36,7 +36,7 @@ import signal
 from dataclasses import replace
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ReproError
 from repro.faults import get_injector
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry
@@ -189,12 +189,20 @@ def group_stats_document(
 
 
 def _shard_main(config: Any, log_level: str, log_json: bool) -> None:
-    """Entry point of one shard process (module-level for spawn pickling)."""
+    """Entry point of one shard process (module-level for spawn pickling).
+
+    A shard that cannot serve (its port is taken, say) logs one line and
+    exits 1, and the supervisor reports it; no traceback.
+    """
     from repro.obs.logs import configure_logging
     from repro.service.server import serve
 
     configure_logging(log_level, json_format=log_json)
-    serve(config)
+    try:
+        serve(config)
+    except ReproError as error:
+        log.error("shard %d cannot serve: %s", config.shard_index, error)
+        raise SystemExit(1) from None
 
 
 def serve_sharded(config: Any, log_level: str = "info", log_json: bool = False) -> int:

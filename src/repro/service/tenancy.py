@@ -10,7 +10,9 @@ tested in isolation:
   JSON file (``repro serve --tenants tenants.json``); with no file the
   service runs *open*: every tenant name is accepted with default limits,
   and unlabelled submissions land on the ``default`` tenant -- exactly the
-  pre-tenancy behaviour.
+  pre-tenancy behaviour.  A submission names its tenant and its lane
+  (:data:`PRIORITY_LANES`) in its wire envelope, and nowhere else; this
+  module owns both vocabularies (:func:`validate_tenant_name`).
 
 * **Weighted fair scheduling** -- :class:`TenantScheduler`, a stride
   scheduler over per-tenant queues.  Each tenant carries a *pass* value
@@ -40,13 +42,13 @@ All scheduler state is touched only from the server's event-loop thread
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Mapping, Optional, Tuple, TypeVar
 
 from repro.common.errors import ConfigurationError
 from repro.common.serialize import from_jsonable, from_jsonable_section, read_json_file
-from repro.exp.request import PRIORITY_LANES, validate_tenant_name
 from repro.obs.metrics import LogHistogram, MetricsRegistry
 
 _T = TypeVar("_T")
@@ -54,9 +56,15 @@ _T = TypeVar("_T")
 #: The tenant unlabelled submissions map to.
 DEFAULT_TENANT = "default"
 
-#: The two scheduling lanes, highest priority first (re-exported from the
-#: request layer, which owns the wire vocabulary).
+#: The two scheduling lanes a submission's ``priority`` names, highest
+#: first.  ``interactive`` is for short quick-suite jobs and always drains
+#: before ``batch`` (full campaigns), so interactive work is never stuck
+#: behind a campaign.
+PRIORITY_LANES = ("interactive", "batch")
 LANE_INTERACTIVE, LANE_BATCH = PRIORITY_LANES
+
+#: Tenant names are path/log-safe identifiers.
+_TENANT_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}")
 
 #: Pass-value increment for a weight-1.0 tenant per dispatched job.  The
 #: scale is arbitrary (only pass *ratios* matter); a round number keeps the
@@ -70,6 +78,16 @@ QUEUE_WAIT_METRIC = "repro_tenant_queue_wait_seconds"
 SERVICE_METRIC = "repro_tenant_service_seconds"
 QUEUED_METRIC = "repro_tenant_queued"
 INFLIGHT_METRIC = "repro_tenant_inflight"
+
+
+def validate_tenant_name(name: Any) -> str:
+    """Validate a tenant identifier; returns it unchanged."""
+    if not isinstance(name, str) or not _TENANT_NAME_RE.fullmatch(name):
+        raise ConfigurationError(
+            f"invalid tenant name {name!r} (want 1-64 chars of [A-Za-z0-9_.-], "
+            "starting alphanumeric)"
+        )
+    return name
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ from repro.faults.injection import SiteSpec
 from repro.obs.metrics import MetricsRegistry
 from repro.service.server import ReproService, ServiceConfig
 
+from test_service import running_service
+
 
 # ----------------------------------------------------------------------
 # Spec parsing
@@ -194,6 +196,21 @@ def test_a_served_spec_is_the_installed_injector() -> None:
     finally:
         install(None)
     assert get_injector() is None
+
+
+def test_a_service_without_faults_injects_none_after_one_with_faults(tmp_path) -> None:
+    """The injector is process-wide, so each service installs exactly its own
+    spec: a fault-free service built after one that forced every submission
+    to fail answers submissions normally."""
+    forced = FaultSpec.from_dict({"http_500": {"rate": 1.0}})
+    try:
+        ReproService(ServiceConfig(port=0, cache_dir=None, faults=forced))
+        with running_service(tmp_path / "cache") as (service, client):
+            assert get_injector() is None
+            service.manager._execute = lambda state: {"stubbed": True}
+            assert client.submit(figure="sec52", seed=1).status == "queued"
+    finally:
+        install(None)
 
 
 # ----------------------------------------------------------------------

@@ -465,9 +465,9 @@ def _service_documents(walk: str) -> Any:
     manager = JobManager(workers=2, queue_limit=5, tenancy=tenancy)
 
     def submit(tenant: Any, seed: int, priority: str = "batch") -> None:
-        request = JobRequest(figure="sec52", seed=seed, tenant=tenant, priority=priority)
+        request = JobRequest(figure="sec52", seed=seed)
         try:
-            manager.submit(request)
+            manager.submit(request, tenant=tenant, priority=priority)
         except ServiceOverloadedError:
             pass
 

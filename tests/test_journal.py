@@ -77,6 +77,20 @@ def test_replay_recovers_pending_and_totals(tmp_path) -> None:
     assert replay.pending[0].request.key() == states[1].key
 
 
+def test_admitted_record_holds_the_work_and_where_it_was_admitted(tmp_path) -> None:
+    manager = JobManager(queue_limit=100)
+    path = journal_path(tmp_path)
+    manager.recover_journal(path)
+    manager.submit(_request(11), trace_id="trace-11", tenant="alpha", priority="batch")
+    manager.journal.close()
+    record = json.loads(path.read_text(encoding="utf-8").splitlines()[1])
+    assert sorted(record) == [
+        "event", "job_id", "lane", "request", "requeued", "schema", "tenant", "trace_id", "ts",
+    ]
+    assert (record["tenant"], record["lane"], record["trace_id"]) == ("alpha", "batch", "trace-11")
+    assert record["request"] == _request(11).to_dict()
+
+
 def test_replay_skips_torn_tail_and_foreign_schema(tmp_path) -> None:
     manager = JobManager(queue_limit=100)
     path = journal_path(tmp_path)
@@ -159,6 +173,71 @@ def test_recovery_restores_tenant_accounting(tmp_path) -> None:
     # The replayed admission is charged to the tenant; the requeued
     # re-admission is not (it would double count across generations).
     assert totals["default"]["admitted"] == 1
+
+
+#: A journal as the previous record layout wrote it: the ``admitted`` record
+#: also held ``key``, ``policy`` and ``figure``, and its request document
+#: named the tenant and priority.  Job 1 rode the batch lane although its
+#: work alone implies ``interactive``; job 3 completed.
+_OLD_LAYOUT_JOURNAL = [
+    {"event": "snapshot", "schema": 1, "tenants": {}, "ts": 1.0},
+    {
+        "event": "admitted", "figure": "sec52", "job_id": "job-000001",
+        "key": "4e11d677d2998243a2b4e9185f0874ff1f6d16bb5ecbbeb68e17cadf6bad5c5d",
+        "lane": "batch", "policy": "lru",
+        "request": {
+            "cases": [], "figure": "sec52", "full": False, "instructions": 600,
+            "policy": "lru", "priority": "batch", "seed": 4, "tenant": "alpha",
+        },
+        "requeued": False, "schema": 1, "tenant": "alpha", "trace_id": "trace-a", "ts": 2.0,
+    },
+    {
+        "event": "admitted", "figure": "sec52", "job_id": "job-000002",
+        "key": "49728da0ad7f24ddcd3fab7635682923a63c07b6d8c400f6fd38db62d41e4510",
+        "lane": "interactive", "policy": "lru",
+        "request": {
+            "cases": [], "figure": "sec52", "full": False, "instructions": 600,
+            "policy": "lru", "priority": None, "seed": 5, "tenant": None,
+        },
+        "requeued": False, "schema": 1, "tenant": "default", "trace_id": "trace-b", "ts": 3.0,
+    },
+    {
+        "event": "admitted", "figure": "sec52", "job_id": "job-000003",
+        "key": "dcde6c5ee87af289cda0e60b2277ce1a6a55677d909c3118be2620d2f120ec2a",
+        "lane": "interactive", "policy": "lru",
+        "request": {
+            "cases": [], "figure": "sec52", "full": False, "instructions": 600,
+            "policy": "lru", "priority": "interactive", "seed": 6, "tenant": "beta",
+        },
+        "requeued": False, "schema": 1, "tenant": "beta", "trace_id": "trace-c", "ts": 4.0,
+    },
+    {
+        "event": "completed", "job_id": "job-000003",
+        "key": "dcde6c5ee87af289cda0e60b2277ce1a6a55677d909c3118be2620d2f120ec2a",
+        "schema": 1, "tenant": "beta", "ts": 5.0,
+    },
+]
+
+
+def test_old_layout_journal_requeues_into_recorded_tenant_and_lane(tmp_path) -> None:
+    path = journal_path(tmp_path)
+    path.write_text(
+        "".join(json.dumps(record) + "\n" for record in _OLD_LAYOUT_JOURNAL), encoding="utf-8"
+    )
+    manager = JobManager(queue_limit=100)
+    manager.recover_journal(path)
+    manager.journal.close()
+    requeued = sorted(manager.jobs.values(), key=lambda state: state.trace_id)
+    assert [(state.tenant, state.lane, state.key, state.trace_id) for state in requeued] == [
+        ("alpha", "batch", _OLD_LAYOUT_JOURNAL[1]["key"], "trace-a"),
+        ("default", "interactive", _OLD_LAYOUT_JOURNAL[2]["key"], "trace-b"),
+    ]
+    assert len(manager.scheduler.runtime("alpha").lanes["batch"]) == 1
+    events = tenant_events(manager.metrics)
+    assert {tenant: counts["admitted"] for tenant, counts in events.items()} == {
+        "alpha": 1, "beta": 1, "default": 1,
+    }
+    assert events["beta"]["completed"] == 1
 
 
 def test_recovery_without_prior_journal_starts_clean(tmp_path) -> None:

@@ -354,7 +354,7 @@ def _shard_document(dispatched: dict, rejected: int = 0) -> dict:
     manager = JobManager(workers=2, queue_limit=100, tenancy=_SHARD_TENANCY)
     for offset, (name, count) in enumerate(dispatched.items()):
         for index in range(count):
-            manager.submit(JobRequest(figure="sec52", seed=100 * offset + index, tenant=name))
+            manager.submit(JobRequest(figure="sec52", seed=100 * offset + index), tenant=name)
     while manager.scheduler.pick() is not None:
         pass
     for name, count in dispatched.items():

@@ -12,11 +12,13 @@ from __future__ import annotations
 import json
 import logging
 import math
+import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.common.serialize import wire_envelope
 from repro.obs import logs as obs_logs
 from repro.obs import spans as obs_spans
 from repro.obs.metrics import (
@@ -24,7 +26,6 @@ from repro.obs.metrics import (
     LogHistogram,
     MetricsRegistry,
     bucket_index,
-    get_registry,
 )
 from repro.obs.tracing import (
     TRACE_ID_HEADER,
@@ -232,8 +233,8 @@ def test_trace_id_round_trip_through_service(tmp_path) -> None:
         assert valid_trace_id(receipt.trace_id)
         view = client.wait(receipt.job_id)
         assert view["trace_id"] == receipt.trace_id
-        # A raw request with an explicit header gets it echoed back in both
-        # the response header and the envelope.
+        # A raw request with an explicit header gets it echoed back in the
+        # response header.
         host, port = service.address
         request = urllib.request.Request(
             f"http://{host}:{port}/v1/healthz",
@@ -241,8 +242,6 @@ def test_trace_id_round_trip_through_service(tmp_path) -> None:
         )
         with urllib.request.urlopen(request, timeout=10) as response:
             assert response.headers[TRACE_ID_HEADER] == "my-trace-42"
-            body = json.loads(response.read())
-        assert body["trace_id"] == "my-trace-42"
         # An invalid incoming ID is replaced with a freshly minted one.
         request = urllib.request.Request(
             f"http://{host}:{port}/v1/healthz",
@@ -252,6 +251,41 @@ def test_trace_id_round_trip_through_service(tmp_path) -> None:
             echoed = response.headers[TRACE_ID_HEADER]
         assert echoed and echoed != "bad id with spaces"
         assert valid_trace_id(echoed)
+
+
+def test_trace_id_travels_only_in_the_header(tmp_path) -> None:
+    """Response envelopes name no trace ID, their header does, and a
+    receipt names the ID the server answered with, even when the server
+    replaced an invalid one."""
+    with running_service(tmp_path / "cache") as (service, client):
+        service.manager._execute = lambda state: {"stubbed": True}
+        host, port = service.address
+        for method, path, body in (
+            ("POST", "/v1/jobs", wire_envelope("job_request", {"figure": "sec52"})),
+            ("GET", "/v1/jobs/job-999999", None),
+        ):
+            request = urllib.request.Request(
+                f"http://{host}:{port}{path}",
+                data=None if body is None else json.dumps(body).encode(),
+                method=method,
+                headers={TRACE_ID_HEADER: "probe-7", "Content-Type": "application/json"},
+            )
+            try:
+                response = urllib.request.urlopen(request, timeout=10)
+            except urllib.error.HTTPError as error:
+                response = error
+            with response:
+                assert response.headers[TRACE_ID_HEADER] == "probe-7"
+                envelope = json.loads(response.read())
+            assert "trace_id" not in envelope, (path, envelope)
+        token = set_trace_id("not a valid id")
+        try:
+            receipt = client.submit(figure="sec52", seed=3)
+        finally:
+            reset_trace_id(token)
+        assert valid_trace_id(receipt.trace_id)
+        view = client.status(receipt.job_id, include_result=False)
+        assert view["trace_id"] == receipt.trace_id
 
 
 # ----------------------------------------------------------------------
@@ -482,9 +516,16 @@ def test_configure_logging_is_idempotent() -> None:
 
 
 # ----------------------------------------------------------------------
-# Process-global registry
+# No process-global registry
 # ----------------------------------------------------------------------
 
 
-def test_get_registry_is_a_singleton() -> None:
-    assert get_registry() is get_registry()
+def test_caches_without_a_registry_count_privately(tmp_path) -> None:
+    """A cache built without a registry (the CLI's) gets its own: two such
+    caches never share counters."""
+    from repro.exp.cache import ResultCache
+
+    first, second = ResultCache(tmp_path / "a"), ResultCache(tmp_path / "b")
+    assert first.get("0" * 64) is None
+    assert first._misses.value == 1
+    assert second._misses.value == 0

@@ -405,6 +405,40 @@ def test_sharded_serve_exits_nonzero_when_its_shards_cannot_start(tmp_path) -> N
     assert "shards failed" in completed.stderr
 
 
+@pytest.mark.parametrize("shards", [1, 2])
+def test_serve_on_a_busy_port_is_an_error_line_not_a_traceback(shards) -> None:
+    """A taken public port: a lone server exits 2 with one `repro: error:`
+    line naming the address; each shard of a group logs one line and the
+    supervisor exits 1."""
+    import socket
+
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", str(port),
+                "--shards", str(shards), "--no-cache", "--log-level", "warning",
+            ],
+            env=subprocess_env(),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+    assert "Traceback" not in completed.stderr, completed.stderr
+    failures = [line for line in completed.stderr.splitlines() if "cannot listen on" in line]
+    if shards == 1:
+        assert completed.returncode == 2, completed.stderr
+        assert failures == [
+            f"repro: error: cannot listen on 127.0.0.1:{port}: Address already in use"
+        ], completed.stderr
+    else:
+        assert completed.returncode == 1, completed.stderr
+        assert len(failures) == shards, completed.stderr
+        assert "shards failed" in completed.stderr
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="/proc layout")
 def test_sharded_serve_survives_one_shard_death(tmp_path) -> None:
     """Kill one shard outright: the survivor keeps serving, and SIGTERM on

@@ -1,4 +1,4 @@
-"""Tests for multi-tenant admission, weighted fair scheduling and the v2 API.
+"""Tests for multi-tenant admission, weighted fair scheduling and the wire API.
 
 Covers the tenancy ISSUE's acceptance surface:
 
@@ -9,8 +9,9 @@ Covers the tenancy ISSUE's acceptance surface:
   credit),
 * admission -- per-tenant quota 429s that do not affect other tenants,
   cross-tenant coalescing into one execution, closed-roster rejection,
-* the v2 wire schema -- the retired v1 envelopes rejected, envelope/payload
-  conflicts rejected, structured error codes shared by server and client,
+* wire schema 3 -- the retired schema 1 and 2 envelopes rejected (a
+  schema-2 body is not silently relabelled), structured error codes shared
+  by server and client,
 * the client -- connection-level tenant/token, keyword-only ``submit``, and
   ``GET /v1/stats``,
 * starvation -- a greedy tenant flooding the batch lane cannot starve a
@@ -65,9 +66,9 @@ def scheduler_for(*specs: TenantSpec) -> TenantScheduler:
     return TenantScheduler(TenancyConfig(tenants=tuple(specs)))
 
 
-def request_for(tenant: str, seed: int, priority: str = "batch") -> JobRequest:
-    """A distinct-key figure request charged to ``tenant``."""
-    return JobRequest(figure="sec52", seed=seed, tenant=tenant, priority=priority)
+def submit_for(manager: JobManager, tenant: str, seed: int, priority: str = "batch"):
+    """Submit a distinct-key figure request charged to ``tenant``."""
+    return manager.submit(JobRequest(figure="sec52", seed=seed), tenant=tenant, priority=priority)
 
 
 # ----------------------------------------------------------------------
@@ -320,8 +321,8 @@ def test_manager_fairness_shares_within_acceptance_bound() -> None:
     )
     manager = manager_for(config)
     for index in range(16):
-        manager.submit(request_for("alpha", seed=1000 + index))
-        manager.submit(request_for("beta", seed=2000 + index))
+        submit_for(manager, "alpha", seed=1000 + index)
+        submit_for(manager, "beta", seed=2000 + index)
     drain(manager.scheduler, 12)  # both tenants still saturated afterwards
     stats = manager.stats_document()
     tenants = stats["tenants"]
@@ -335,22 +336,22 @@ def test_manager_fairness_shares_within_acceptance_bound() -> None:
 def test_tenant_quota_429_does_not_affect_other_tenants() -> None:
     config = TenancyConfig(tenants=(TenantSpec("alpha", max_queued=2), TenantSpec("beta")))
     manager = manager_for(config, queue_limit=8)
-    manager.submit(request_for("alpha", seed=1))
-    manager.submit(request_for("alpha", seed=2))
+    submit_for(manager, "alpha", seed=1)
+    submit_for(manager, "alpha", seed=2)
     with pytest.raises(ServiceOverloadedError) as excinfo:
-        manager.submit(request_for("alpha", seed=3))
+        submit_for(manager, "alpha", seed=3)
     error = excinfo.value
     assert error.code is ErrorCode.TENANT_QUOTA_EXCEEDED
     assert error.tenant == "alpha"
     assert error.retry_after >= 1
     # Beta is untouched by alpha's quota ...
-    state, coalesced = manager.submit(request_for("beta", seed=10))
+    state, coalesced = submit_for(manager, "beta", seed=10)
     assert not coalesced and state.tenant == "beta"
     # ... until the server-wide bound trips, which reports `overloaded`.
     for index in range(5):
-        manager.submit(request_for("beta", seed=11 + index))
+        submit_for(manager, "beta", seed=11 + index)
     with pytest.raises(ServiceOverloadedError) as excinfo:
-        manager.submit(request_for("beta", seed=99))
+        submit_for(manager, "beta", seed=99)
     assert excinfo.value.code is ErrorCode.OVERLOADED
     totals = manager.stats_document()["totals"]
     assert totals["rejections"] == {"overloaded": 1, "tenant_quota_exceeded": 1}
@@ -364,11 +365,11 @@ def test_tenant_quota_429_does_not_affect_other_tenants() -> None:
 
 def test_cross_tenant_submissions_coalesce_to_one_execution() -> None:
     manager = manager_for(TenancyConfig.open())
-    first, coalesced = manager.submit(request_for("alpha", seed=5))
+    first, coalesced = submit_for(manager, "alpha", seed=5)
     assert not coalesced
     # Identical work from a different tenant (and lane) shares the job: the
     # coalescing key deliberately excludes the admission metadata.
-    second, coalesced = manager.submit(request_for("beta", seed=5, priority="interactive"))
+    second, coalesced = submit_for(manager, "beta", seed=5, priority="interactive")
     assert coalesced and second is first
     assert first.tenant == "alpha"  # the first submitter owns the job
     totals = manager.stats_document()["totals"]
@@ -379,8 +380,8 @@ def test_cross_tenant_submissions_coalesce_to_one_execution() -> None:
     # Coalesced submissions bypass quotas: they add no work.
     tight = TenancyConfig(tenants=(TenantSpec("gamma", max_queued=1),))
     tight_manager = manager_for(tight)
-    tight_manager.submit(request_for("gamma", seed=7))
-    _, coalesced = tight_manager.submit(request_for("gamma", seed=7))
+    submit_for(tight_manager, "gamma", seed=7)
+    _, coalesced = submit_for(tight_manager, "gamma", seed=7)
     assert coalesced
 
 
@@ -390,17 +391,19 @@ def test_closed_roster_rejects_unknown_tenant_as_config_error() -> None:
     )
     manager = manager_for(config)
     with pytest.raises(ConfigurationError, match="unknown tenant"):
-        manager.submit(request_for("ghost", seed=1))
-    manager.submit(request_for("alpha", seed=1))  # configured names still work
+        submit_for(manager, "ghost", seed=1)
+    submit_for(manager, "alpha", seed=1)  # configured names still work
 
 
 def test_lane_resolution_and_retry_after_hint() -> None:
     manager = manager_for(TenancyConfig.open())
     assert manager.resolve_lane(JobRequest(figure="fig7")) == "interactive"
     assert manager.resolve_lane(JobRequest(figure="fig7", full=True)) == "batch"
-    assert manager.resolve_lane(JobRequest(figure="fig7", full=True, priority="interactive")) == (
+    assert manager.resolve_lane(JobRequest(figure="fig7", full=True), "interactive") == (
         "interactive"
     )
+    with pytest.raises(ConfigurationError, match="unknown priority"):
+        manager.resolve_lane(JobRequest(figure="fig7"), "urgent")
     # No service-time history yet: a minimal, honest hint.
     assert manager.retry_after_hint(5) == 1
     manager.scheduler.accounting("alpha").service_time.record(2.0)
@@ -409,20 +412,21 @@ def test_lane_resolution_and_retry_after_hint() -> None:
 
 
 # ----------------------------------------------------------------------
-# Wire schema v2
+# Wire schema 3
 # ----------------------------------------------------------------------
 
 
 def test_v2_envelope_roundtrip_and_v1_still_readable() -> None:
     envelope = wire_envelope(
-        "job_request", {"figure": "fig7"}, tenant="alpha", priority="interactive", schema_version=2
+        "job_request", {"figure": "fig7"}, tenant="alpha", priority="interactive"
     )
-    assert envelope["wire_schema"] == WIRE_SCHEMA_VERSION
+    assert envelope["wire_schema"] == WIRE_SCHEMA_VERSION == 3
     read = read_envelope(json.loads(json.dumps(envelope)), "job_request")
-    assert (read.tenant, read.priority, read.schema_version) == ("alpha", "interactive", 2)
-    # Version 1 is retired: it is rejected like any other unknown version.
+    assert (read.tenant, read.priority) == ("alpha", "interactive")
+    # Versions 1 and 2 are retired: they are rejected like any other
+    # unknown version.
     v1 = {"kind": "job_request", "wire_schema": 1, "payload": {"figure": "fig7"}}
-    for version in (1, 999):
+    for version in (1, 2, 999):
         with pytest.raises(ConfigurationError, match="unsupported wire schema"):
             read_envelope({**v1, "wire_schema": version}, "job_request")
 
@@ -466,26 +470,38 @@ def test_http_v2_tenant_priority_roundtrip_and_stats(tmp_path) -> None:
             tenant_client.submit("sec52")
         view = tenant_client.wait(receipt.job_id, timeout=WAIT_TIMEOUT)
         assert (view["tenant"], view["priority"]) == ("alpha", "interactive")
-        # Header-only labelling (no envelope/payload field) also resolves.
-        v2 = wire_envelope("job_request", {"figure": "sec52", "seed": 4})
-        status, data = post_raw(client.base_url, v2, {"X-Repro-Tenant": "gamma"})
-        assert status == 202
-        assert open_envelope(data, "job_accepted")["tenant"] == "gamma"
-        # Conflicting explicit labels are a 400, not a silent pick.
-        conflicted = wire_envelope(
-            "job_request", {"figure": "sec52", "seed": 5, "tenant": "left"}, tenant="right"
-        )
-        status, data = post_raw(client.base_url, conflicted)
-        assert status == 400
-        assert open_envelope(data, "error")["code"] == "bad_request"
         # /v1/stats reports every tenant that has contacted the server.
         stats = client.stats()
-        assert set(stats["tenants"]) >= {"alpha", "gamma"}
+        assert set(stats["tenants"]) >= {"alpha"}
         alpha = stats["tenants"]["alpha"]
         assert alpha["jobs"]["admitted"] == 1
         assert alpha["queued_by_lane"] == {"interactive": 0, "batch": 0}
         assert set(alpha["queue_wait_seconds"]) == {"count", "mean", "p50", "p95", "p99", "max"}
-        assert stats["totals"]["submitted"] >= 2
+        assert stats["totals"]["submitted"] >= 1
+
+
+def test_a_schema_2_submission_is_refused_not_relabelled(tmp_path) -> None:
+    """The body an older client wrote (schema 2: tenant in the envelope and
+    the payload, the payload's schema and the trace ID in the envelope) is a
+    400 naming its version.  Read as schema 3, its payload tenant would be
+    ignored and the job would land on the default tenant."""
+    payload = {**JobRequest(figure="sec52", seed=8).to_dict(), "tenant": "alpha", "priority": None}
+    body = {
+        "wire_schema": 2,
+        "kind": "job_request",
+        "payload": payload,
+        "tenant": "alpha",
+        "schema_version": 2,
+        "trace_id": "0123456789abcdef0123456789abcdef",
+    }
+    with running_service(tmp_path / "cache") as (svc, client):
+        stub_execution(svc)
+        status, data = post_raw(client.base_url, body)
+        error = open_envelope(data, "error")
+        assert (status, error["code"]) == (400, "bad_request")
+        assert "unsupported wire schema 2" in error["message"]
+        assert svc.manager.stats_document()["totals"]["submitted"] == 0
+        assert svc.manager.jobs == {}
 
 
 def test_tenant_auth_token_enforced(tmp_path) -> None:
