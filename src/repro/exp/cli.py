@@ -353,7 +353,6 @@ def run_profile_command(args: argparse.Namespace) -> int:
     runner = ExperimentRunner(jobs=args.jobs, cache=None)
     context = build_context(args, runner)
     phases.reset()
-    obs_spans.reset()
     obs_spans.start_recording()
     started = time.perf_counter()
     try:

@@ -29,15 +29,16 @@ import dataclasses
 import multiprocessing
 import os
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
-from typing import Any, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common import phases
 from repro.common.errors import ConfigurationError
-from repro.obs import spans as obs_spans
 from repro.common.serialize import stable_hash, to_jsonable
 from repro.exp.cache import ResultCache
 from repro.isa.trace import Trace
+from repro.obs import spans
 from repro.sim.configs import MachineConfig
 from repro.sim.simulator import Simulator, SuiteResult
 from repro.trace.format import TRACE_FORMAT_VERSION
@@ -190,7 +191,9 @@ def _dispatch_order(job: SimJob) -> Tuple[str, int, int]:
     return (job.workload.name, job.num_instructions, -1 if job.seed is None else job.seed)
 
 
-def _pool_worker(job: SimJob) -> Tuple[str, Dict[str, Any], Dict[str, Any]]:
+def _pool_worker(
+    record_spans: bool, job: SimJob
+) -> Tuple[str, Dict[str, Any], Tuple[Dict[str, float], List[Dict[str, Any]]]]:
     """Pool entry point: run a job and ship the result back as plain JSON types.
 
     The worker generates the job's trace itself through :func:`run_job`'s
@@ -198,33 +201,28 @@ def _pool_worker(job: SimJob) -> Tuple[str, Dict[str, Any], Dict[str, Any]]:
     workload-sorted chunk, so a worker generates each trace of its chunk
     once.
 
-    Alongside the result, each task returns its observability delta -- the
-    phase seconds and spans this task accumulated in *this* process -- so
-    the parent can merge worker-side instrumentation into its own
-    (:func:`repro.obs.spans.merge_worker`) instead of losing it.  The
-    bracketing (totals-before / spans drained after) keeps the delta exact
-    even when the worker is long-lived, and leaves global state untouched
-    when the "pool" is an in-process test double.
+    Beside the result, the task returns what it observed in *this*
+    process: its phase seconds (for :func:`repro.common.phases.merge`) and,
+    when ``record_spans`` says the parent was recording at dispatch, its
+    spans (for :func:`repro.obs.spans.merge`); otherwise it records none.
+    Bracketing the task (totals before, spans drained after, recording
+    restored) keeps the delta exact in a long-lived worker and leaves
+    global state untouched when the "pool" is an in-process test double.
     """
-    totals_before = obs_spans.phase_totals()
-    mark = obs_spans.span_count()
-    was_recording = obs_spans.recording()
-    obs_spans.set_recording(True)
+    totals_before = phases.snapshot()
+    mark = spans.span_count()
+    was_recording = spans.recording()
+    spans.set_recording(record_spans)
     try:
         payload = run_job(job).to_dict()
     finally:
-        obs_spans.set_recording(was_recording)
+        spans.set_recording(was_recording)
     phase_delta = {
-        name: seconds - totals_before.get(name, 0.0)
-        for name, seconds in obs_spans.phase_totals().items()
-        if seconds - totals_before.get(name, 0.0) > 0.0
+        phase: seconds - totals_before.get(phase, 0.0)
+        for phase, seconds in phases.snapshot().items()
+        if seconds > totals_before.get(phase, 0.0)
     }
-    observations = {
-        "pid": os.getpid(),
-        "phases": phase_delta,
-        "spans": obs_spans.drain_after(mark),
-    }
-    return job.key(), payload, observations
+    return job.key(), payload, (phase_delta, spans.drain_after(mark))
 
 
 def _relabel(result: CoreResult, machine_name: str) -> CoreResult:
@@ -372,8 +370,9 @@ class ExperimentRunner:
             dispatch_started = perf_counter()
             ordered = sorted(misses.values(), key=_dispatch_order)
             pool = self._ensure_pool(workers)
+            task = partial(_pool_worker, spans.recording())
             try:
-                pairs = pool.map(_pool_worker, ordered, chunksize=-(-len(ordered) // workers))
+                pairs = pool.map(task, ordered, chunksize=-(-len(ordered) // workers))
             except Exception:
                 # A failed map leaves the pool in an unknown state (a
                 # killed worker can wedge its result queue); drop it so
@@ -383,8 +382,9 @@ class ExperimentRunner:
                 raise
             phases.add("dispatch", perf_counter() - dispatch_started)
             results: Dict[str, CoreResult] = {}
-            for key, payload, observations in pairs:
-                obs_spans.merge_worker(observations)
+            for key, payload, (phase_delta, task_spans) in pairs:
+                phases.merge(phase_delta)
+                spans.merge(task_spans)
                 results[key] = CoreResult.from_dict(payload)
             return results
         return {key: run_job(job) for key, job in misses.items()}

@@ -8,12 +8,13 @@ The platform's telemetry layer, threaded through every other package:
   and a JSON form.
 * :mod:`repro.obs.tracing` -- request-scoped trace IDs
   (``X-Repro-Trace-Id``), minted by the client, propagated through
-  admission, scheduling and dispatch, echoed in every response header and
-  log line.
-* :mod:`repro.obs.spans` -- span-level profiling generalising the old
-  per-phase accounting; worker processes ship their spans and phase deltas
-  back to the parent, and ``repro profile`` exports the merged timeline as
-  Chrome trace-event JSON (Perfetto-loadable).
+  admission, scheduling and dispatch and on a shard's calls to its peers,
+  echoed in every response header and log line.
+* :mod:`repro.obs.spans` -- the span log: timed spans recorded only
+  while ``repro profile`` arms it (a pool task records only when its
+  parent does and ships its spans back), exported as Chrome trace-event
+  JSON (Perfetto-loadable).  The per-phase seconds it draws as ``phase``
+  spans are accumulated by :mod:`repro.common.phases`.
 * :mod:`repro.obs.logs` -- stdlib-``logging`` JSON/text formatters with
   automatic trace-ID injection (``repro serve --log-level/--log-json``).
 

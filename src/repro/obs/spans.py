@@ -1,22 +1,17 @@
-"""Span-level profiling: nestable timed spans plus per-phase totals.
+"""Span-level profiling: a log of nestable timed spans.
 
-This module generalises the old ``repro.common.phases`` accumulator (which
-is now a thin shim over it).  Two views of the same instrumentation coexist:
+Each span is one timed event (name, wall-clock start, duration, pid/tid,
+category, args).  The log records only while :func:`start_recording` has
+armed it, so a run nothing profiles pays nothing for its instrumentation.
+``repro profile`` arms it around one figure run and exports the log as
+Chrome trace-event JSON (:func:`to_chrome_trace`), loadable in Perfetto or
+``chrome://tracing``.  The per-phase totals live in
+:mod:`repro.common.phases`, which logs each phase report here as a
+``phase`` span while the log is armed.
 
-* **Phase totals** -- ``{phase name: seconds}``, always accumulated.  The
-  hot paths report into them via :func:`add_phase` (through the
-  ``phases`` shim); ``repro profile`` and the benchmark read them back.
-  Worker processes return their per-task deltas to the parent, which merges
-  them with :func:`merge_worker` -- closing the historical parallel-mode
-  blind spot where worker phase data was simply lost.
-
-* **The span log** -- individual timed events (name, wall-clock start,
-  duration, pid/tid, category, args), recorded only while
-  :func:`start_recording` is armed so a long-lived service pays nothing
-  for instrumentation it is not exporting.  ``repro profile`` arms
-  recording around one figure run and exports the log as Chrome
-  trace-event JSON (:func:`to_chrome_trace`), loadable in Perfetto or
-  ``chrome://tracing``.
+A pool task records spans only when its parent was recording as it
+dispatched the batch; the task ships them back with its result and the
+parent appends them with :func:`merge`.
 
 Spans use ``time.time()`` (wall clock) for their start stamps deliberately:
 ``perf_counter`` epochs differ across processes, and worker spans must land
@@ -24,9 +19,7 @@ on the same timeline as the parent's.  Durations are measured with the same
 clock over short intervals, where its resolution is ample next to the
 simulation phases being measured.
 
-All state is per-process (workers accumulate their own and ship deltas
-back); within a process the GIL makes the append/accumulate operations safe
-from the service's worker threads.
+All state is per process.
 """
 
 from __future__ import annotations
@@ -35,14 +28,13 @@ import contextlib
 import os
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
 
 #: Hard cap on retained spans; beyond it new spans are counted as dropped
 #: rather than recorded, bounding memory during runaway recordings.
 SPAN_LIMIT = 100_000
 
 _SPANS: List[Dict[str, Any]] = []
-_PHASE_TOTALS: Dict[str, float] = {}
 _RECORDING = False
 _DROPPED = 0
 
@@ -53,17 +45,15 @@ def recording() -> bool:
 
 
 def set_recording(armed: bool) -> None:
-    """Arm or disarm the span log (phase totals accumulate regardless)."""
+    """Arm or disarm the span log."""
     global _RECORDING
     _RECORDING = bool(armed)
 
 
 def start_recording(clear: bool = True) -> None:
     """Arm the span log, optionally clearing previously recorded spans."""
-    global _DROPPED
     if clear:
-        _SPANS.clear()
-        _DROPPED = 0
+        reset()
     set_recording(True)
 
 
@@ -85,13 +75,9 @@ def record(
     ``start`` is a ``time.time()`` wall-clock stamp; ``duration`` is in
     seconds.  The recording process and thread are stamped automatically.
     """
-    global _DROPPED
     if not _RECORDING:
         return
-    if len(_SPANS) >= SPAN_LIMIT:
-        _DROPPED += 1
-        return
-    _SPANS.append(
+    _append(
         {
             "name": name,
             "category": category,
@@ -104,6 +90,14 @@ def record(
     )
 
 
+def _append(entry: Dict[str, Any]) -> None:
+    global _DROPPED
+    if len(_SPANS) >= SPAN_LIMIT:
+        _DROPPED += 1
+    else:
+        _SPANS.append(entry)
+
+
 @contextlib.contextmanager
 def span(
     name: str, *, category: str = "span", args: Optional[Mapping[str, Any]] = None
@@ -114,23 +108,6 @@ def span(
         yield
     finally:
         record(name, started, time.time() - started, category=category, args=args)
-
-
-def add_phase(name: str, seconds: float) -> None:
-    """Accumulate ``seconds`` under phase ``name`` (and log a span when armed)."""
-    _PHASE_TOTALS[name] = _PHASE_TOTALS.get(name, 0.0) + seconds
-    if _RECORDING:
-        record(name, time.time() - seconds, seconds, category="phase")
-
-
-def phase_totals() -> Dict[str, float]:
-    """The accumulated seconds per phase (a copy, sorted by phase name)."""
-    return {name: _PHASE_TOTALS[name] for name in sorted(_PHASE_TOTALS)}
-
-
-def reset_phases() -> None:
-    """Zero every phase total (before a measured run)."""
-    _PHASE_TOTALS.clear()
 
 
 def snapshot() -> List[Dict[str, Any]]:
@@ -151,8 +128,8 @@ def dropped() -> int:
 def drain_after(mark: int) -> List[Dict[str, Any]]:
     """Remove and return every span recorded after position ``mark``.
 
-    Pool workers bracket each task with ``span_count()`` / ``drain_after``
-    so the task's spans ride back to the parent with its result instead of
+    A pool task brackets itself with ``span_count()`` / ``drain_after``, so
+    its spans ride back to the parent with its result instead of
     accumulating in the (possibly long-lived) worker process.
     """
     drained = [dict(entry) for entry in _SPANS[mark:]]
@@ -160,34 +137,18 @@ def drain_after(mark: int) -> List[Dict[str, Any]]:
     return drained
 
 
-def merge_worker(observations: Optional[Mapping[str, Any]]) -> None:
-    """Fold one worker task's observations into this process.
-
-    ``observations`` is the dict a pool worker returns alongside its result:
-    ``{"pid": ..., "phases": {name: seconds}, "spans": [...]}``.  Phase
-    deltas are merged into the totals unconditionally (this is what makes
-    parallel runs report real worker phase breakdowns); the
-    worker's spans -- already stamped with the worker's pid -- extend the
-    span log only while recording is armed.
-    """
-    global _DROPPED
-    if not observations:
-        return
-    for name, seconds in (observations.get("phases") or {}).items():
-        _PHASE_TOTALS[name] = _PHASE_TOTALS.get(name, 0.0) + seconds
+def merge(entries: Iterable[Mapping[str, Any]]) -> None:
+    """Append spans another process recorded (a pool task's, already
+    stamped with its pid) to the log; a no-op unless recording."""
     if _RECORDING:
-        for entry in observations.get("spans") or ():
-            if len(_SPANS) >= SPAN_LIMIT:
-                _DROPPED += 1
-                continue
-            _SPANS.append(dict(entry))
+        for entry in entries:
+            _append(dict(entry))
 
 
 def reset() -> None:
-    """Clear the span log, the phase totals and the dropped counter."""
+    """Clear the span log and the dropped counter."""
     global _DROPPED
     _SPANS.clear()
-    _PHASE_TOTALS.clear()
     _DROPPED = 0
 
 

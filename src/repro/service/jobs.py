@@ -65,7 +65,6 @@ from repro.exp.cache import ResultCache
 from repro.exp.request import JobRequest
 from repro.exp.runner import ExperimentRunner
 from repro.faults import get_injector
-from repro.obs import spans
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.service.journal import (
@@ -686,25 +685,6 @@ class JobManager:
                 accounting.service_time.record(service_seconds)
                 if state.status is JobStatus.COMPLETED:
                     self._remember_result(state)
-                span_args = {
-                    "job_id": state.job_id,
-                    "tenant": state.tenant,
-                    "trace_id": state.trace_id,
-                }
-                spans.record(
-                    "job.queue_wait",
-                    state.submitted_at,
-                    state.started_monotonic - state.submitted_monotonic,
-                    category="service",
-                    args=span_args,
-                )
-                spans.record(
-                    "job.execute",
-                    state.started_at,
-                    service_seconds,
-                    category="service",
-                    args=span_args,
-                )
                 if state.runner is not None:
                     accounting.add_sims(
                         state.runner.executed_jobs, state.runner.cache_hits

@@ -27,8 +27,9 @@ Endpoints (all JSON, wrapped in versioned wire envelopes, see
 **Tracing.** Every request is assigned a trace ID: a valid incoming
 ``X-Repro-Trace-Id`` header is honoured, anything else gets a freshly minted
 one.  The ID travels only in that header: the response echoes it there (no
-envelope repeats it), the admitted job records it, and every log line the
-request produces carries it.
+envelope repeats it), the admitted job records it, every log line the
+request produces carries it, and so does every call a shard makes to its
+peers on the request's behalf.
 
 **Tenancy.** A submission's tenant and priority are its envelope's
 ``tenant`` and ``priority`` fields, and nothing else; without a tenant it
@@ -64,7 +65,7 @@ import socket
 import time
 from dataclasses import dataclass
 from typing import Any, Awaitable, Dict, List, Optional, Set, Tuple
-from urllib.parse import urlencode
+from urllib.parse import quote, urlencode
 
 from repro.common.errors import (
     ConfigurationError,
@@ -81,6 +82,7 @@ from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import (
     TRACE_ID_HEADER,
+    current_trace_id,
     ensure_trace_id,
     reset_trace_id,
     set_trace_id,
@@ -630,43 +632,63 @@ class ReproService:
             "so_reuseport": REUSE_PORT_AVAILABLE,
         }
 
+    async def _peer_get(
+        self, index: int, path: str, extra_seconds: float = 0.0
+    ) -> Optional[Tuple[int, Any]]:
+        """``GET path`` on peer shard ``index``: every call to a peer goes
+        through here.
+
+        A suspect peer (:meth:`_peer_usable`) is not dialled; every call's
+        outcome feeds the suspicion tracking; the request's trace ID goes
+        with it, so the peer logs the call under the caller's ID.  The call
+        may take :data:`PEER_FETCH_TIMEOUT` plus ``extra_seconds`` (a long
+        poll's wait).  Returns ``(status, body)``, or ``None`` when the peer
+        was skipped or did not answer.
+        """
+        if not self._peer_usable(index):
+            return None
+        config = self.config
+        trace_id = current_trace_id()
+        try:
+            answer = await fetch_json(
+                peer_host(config.host),
+                shard_port(config.port, index),
+                path,
+                timeout=PEER_FETCH_TIMEOUT + extra_seconds,
+                headers=((TRACE_ID_HEADER, trace_id),) if trace_id else (),
+            )
+        except (OSError, asyncio.TimeoutError, ValueError) as error:
+            log.debug("peer shard %d did not answer %s: %s", index, path, error)
+            self._peer_failed(index)
+            return None
+        self._peer_ok(index)
+        return answer
+
+    async def _peer_payloads(self, path: str) -> List[Tuple[int, Dict[str, Any]]]:
+        """``(shard index, envelope payload)`` of every peer that answers
+        ``path`` with 200, in shard order; the peers are called at once."""
+        config = self.config
+        peers = [index for index in range(config.shard_count) if index != config.shard_index]
+        answers = await asyncio.gather(*(self._peer_get(index, path) for index in peers))
+        payloads = []
+        for index, answer in zip(peers, answers):
+            if answer is None:
+                continue
+            status, body = answer
+            if status == 200 and isinstance(body, dict) and isinstance(body.get("payload"), dict):
+                payloads.append((index, body["payload"]))
+        return payloads
+
     async def _group_metrics_documents(self) -> List[Tuple[int, Dict[str, Any]]]:
         """``(shard index, metrics document)`` for this shard and every
         responding peer -- the input of both cross-shard views.
 
-        Unreachable or misbehaving peers are skipped (the merged document's
-        ``shards.responding`` records the shortfall): a wedged peer must
-        never take the aggregate endpoints down with it.  Suspect peers
-        (:meth:`_peer_usable`) are not even dialled until their probe window
-        opens; call outcomes feed the suspicion tracking.
+        A peer that is suspect, unreachable or misbehaving is left out (the
+        merged document's ``shards.responding`` records the shortfall): a
+        wedged peer must never take the aggregate endpoints down with it.
         """
-        path = "/v1/metrics?format=json&scope=local"
-        config = self.config
-        host = peer_host(config.host)
-        indexes = [
-            index
-            for index in range(config.shard_count)
-            if index != config.shard_index and self._peer_usable(index)
-        ]
-        fetches = [
-            fetch_json(host, shard_port(config.port, index), path)
-            for index in indexes
-        ]
-        outcomes = await asyncio.gather(*fetches, return_exceptions=True)
-        documents = [(config.shard_index, self.metrics.as_document())]
-        for index, outcome in zip(indexes, outcomes):
-            if isinstance(outcome, BaseException):
-                log.debug("peer metrics fetch failed: %s", outcome)
-                self._peer_failed(index)
-                continue
-            self._peer_ok(index)
-            status, body = outcome
-            if status != 200 or not isinstance(body, dict):
-                continue
-            payload = body.get("payload")
-            if isinstance(payload, dict):
-                documents.append((index, payload))
-        return documents
+        peers = await self._peer_payloads("/v1/metrics?format=json&scope=local")
+        return [(self.config.shard_index, self.metrics.as_document())] + peers
 
     async def _proxy_job_status(
         self, job_id: str, request: HTTPRequest, wait: float
@@ -679,43 +701,30 @@ class ReproService:
         verbatim (``scope=local`` stops the owner proxying onward).  A long
         poll's ``wait`` goes with it, and the fetch may take that much
         longer.  Returns ``None`` -- caller answers 404 -- for unparseable
-        IDs, out-of-range owners, or an unreachable owner.  A poll still
-        held when :meth:`stop` begins answers 503: this shard cannot tell
-        the job's status any more.
+        IDs, out-of-range owners, or a suspect or unreachable owner.  A poll
+        still held when :meth:`stop` begins answers 503: this shard cannot
+        tell the job's status any more.
         """
         match = _SHARDED_JOB_ID.fullmatch(job_id)
         if match is None:
             return None
         owner = int(match.group(1))
-        config = self.config
-        if owner == config.shard_index or owner >= config.shard_count:
-            return None
-        if not self._peer_usable(owner):
+        if owner == self.config.shard_index or owner >= self.config.shard_count:
             return None
         query = urlencode(
             {"result": request.query.get("result", "1"), "wait": wait, "scope": "local"}
         )
-        fetch = fetch_json(
-            peer_host(config.host),
-            shard_port(config.port, owner),
-            f"/v1/jobs/{job_id}?{query}",
-            timeout=PEER_FETCH_TIMEOUT + wait,
-        )
-        done = await self._hold(fetch, None)
+        done = await self._hold(self._peer_get(owner, f"/v1/jobs/{job_id}?{query}", wait), None)
         if done is None:
             return _error_response(
                 503,
                 "server is shutting down; poll another instance",
                 code=ErrorCode.DRAINING,
             )
-        try:
-            status, body = done.result()
-        except (OSError, asyncio.TimeoutError, ValueError):
-            self._peer_failed(owner)
+        answer = done.result()
+        if answer is None or not isinstance(answer[1], dict):
             return None
-        self._peer_ok(owner)
-        if not isinstance(body, dict):
-            return None
+        status, body = answer
         return json_response(status, body)
 
     async def _peer_result(self, key: str) -> Optional[Any]:
@@ -725,35 +734,11 @@ class ReproService:
         ``_finished_results``), so a trimmed poller's fallback fetch can
         land anywhere; first peer holding the key wins.
         """
-        config = self.config
-        host = peer_host(config.host)
-        indexes = [
-            index
-            for index in range(config.shard_count)
-            if index != config.shard_index and self._peer_usable(index)
-        ]
-        fetches = [
-            fetch_json(
-                host, shard_port(config.port, index), f"/v1/results/{key}?scope=local"
-            )
-            for index in indexes
-        ]
-        outcomes = await asyncio.gather(*fetches, return_exceptions=True)
-        result: Optional[Any] = None
-        for index, outcome in zip(indexes, outcomes):
-            if isinstance(outcome, BaseException):
-                self._peer_failed(index)
-                continue
-            self._peer_ok(index)
-            if result is not None:
-                continue
-            status, body = outcome
-            if status != 200 or not isinstance(body, dict):
-                continue
-            payload = body.get("payload")
-            if isinstance(payload, dict) and payload.get("result") is not None:
-                result = payload["result"]
-        return result
+        path = f"/v1/results/{quote(key, safe='')}?scope=local"
+        for _, payload in await self._peer_payloads(path):
+            if payload.get("result") is not None:
+                return payload["result"]
+        return None
 
 
 def _poll_wait(raw: Optional[str]) -> float:

@@ -88,7 +88,9 @@ async def fetch_json(
     """One ``GET`` against a peer shard; returns ``(status, parsed body)``.
 
     The service speaks one-request-per-connection HTTP (``Connection:
-    close``), so the whole response is simply read to EOF.  Raises
+    close``), so the whole response is simply read to EOF.  ``headers``
+    are extra request header lines; the server's one peer-call helper
+    (``ReproService._peer_get``) sends the caller's trace ID there.  Raises
     ``OSError`` / ``asyncio.TimeoutError`` on connection trouble and
     ``ValueError`` on an unparseable response -- callers treat any of those
     as "peer not responding" and merge without it.

@@ -123,8 +123,11 @@ class Simulator:
     ) -> SuiteResult:
         """Simulate every member of a suite and aggregate.
 
-        ``traces`` may be supplied to reuse pre-generated traces (the sweeps
-        do this so every machine sees the exact same instruction streams).
+        ``traces`` may be supplied to run pre-generated traces instead of
+        generating the suite's, so several machines can be compared over
+        the same instruction streams.  The figure sweeps do not pass them:
+        they run through :class:`~repro.exp.runner.ExperimentRunner`, whose
+        per-process memo generates each trace once.
         """
         if traces is None:
             traces = suite.generate_traces(num_instructions, seed=seed)

@@ -7,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from _helpers import REPO_ROOT, SRC_DIR, run_cli, subprocess_env
 
+from repro.exp.runner import available_cpus
 from repro.trace import TRACE_FORMAT_VERSION
 
 
@@ -307,3 +309,30 @@ def test_profile_writes_chrome_trace(tmp_path: Path) -> None:
     assert any(event.get("cat") == "phase" for event in complete)
     for event in complete:
         assert {"ts", "dur", "pid", "tid", "name"} <= set(event)
+
+
+@pytest.mark.skipif(available_cpus() < 2, reason="a worker pool needs 2 usable CPUs")
+def test_profile_with_a_worker_pool_ships_worker_spans(tmp_path: Path) -> None:
+    output = tmp_path / "trace.json"
+    result = run_cli(
+        [
+            "profile",
+            "sec52",
+            "--trace-out",
+            str(output),
+            "--jobs",
+            "2",
+            "--instructions",
+            "800",
+        ],
+        cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    document = json.loads(output.read_text())
+    phase_pids = {
+        event["pid"]
+        for event in document["traceEvents"]
+        if event["ph"] == "X" and event.get("cat") == "phase"
+    }
+    assert len(phase_pids) >= 2, phase_pids
+    assert document["otherData"]["phase_totals"]["drive"] > 0.0

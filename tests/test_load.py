@@ -30,6 +30,7 @@ from repro.load.driver import DriverConfig, collect_fleet_samples, run_request_l
 from repro.load.epoch import EpochSeries, Sample, quantile
 from repro.load.workload import Req, Workload
 from repro.obs.metrics import LogHistogram, MetricsRegistry
+from repro.obs.tracing import TRACE_ID_HEADER
 from repro.service.jobs import JobManager
 from repro.service.shards import (
     group_stats_document,
@@ -661,6 +662,53 @@ def test_proxied_poll_query_cannot_inject_header_lines(shard_pair, monkeypatch) 
     )
     assert status == 200
     assert body["payload"]["status"] == "completed"
+    assert len(paths) == 1
+    assert "\r" not in paths[0] and "\n" not in paths[0], paths[0]
+
+
+def test_peer_calls_carry_the_callers_trace_id(shard_pair, monkeypatch) -> None:
+    """A proxied poll, the merged stats and the results fallback each call
+    the peer with the caller's trace ID, so the owner logs under it."""
+    from repro.service import server
+
+    services, clients = shard_pair
+    receipt = clients[0].submit(cases=[_quick_job()])
+    clients[0].wait(receipt.job_id, timeout=120.0)
+    calls = []
+    fetch_json = server.fetch_json
+
+    async def capture(host, port, path, *args, **kwargs):
+        calls.append((path, dict(kwargs.get("headers", ()))))
+        return await fetch_json(host, port, path, *args, **kwargs)
+
+    monkeypatch.setattr(server, "fetch_json", capture)
+    for path in (
+        f"/v1/jobs/{receipt.job_id}",
+        "/v1/stats",
+        f"/v1/results/{receipt.request_key}",
+    ):
+        status, _body = clients[1]._request("GET", path, trace_id="caller-trace-1")
+        assert status == 200, path
+    assert len(calls) == 3, calls
+    for path, headers in calls:
+        assert headers.get(TRACE_ID_HEADER) == "caller-trace-1", (path, headers)
+
+
+def test_peer_result_lookup_cannot_inject_header_lines(shard_pair, monkeypatch) -> None:
+    from repro.service import server
+
+    _services, clients = shard_pair
+    paths = []
+    fetch_json = server.fetch_json
+
+    async def capture(host, port, path, *args, **kwargs):
+        paths.append(path)
+        return await fetch_json(host, port, path, *args, **kwargs)
+
+    monkeypatch.setattr(server, "fetch_json", capture)
+    status, body = clients[1]._request("GET", "/v1/results/abc%0D%0AX-Injected:%20yes")
+    assert status == 404
+    assert body["payload"]["code"] == "not_found"
     assert len(paths) == 1
     assert "\r" not in paths[0] and "\n" not in paths[0], paths[0]
 

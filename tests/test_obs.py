@@ -17,6 +17,7 @@ import urllib.request
 
 import pytest
 
+from repro.common import phases
 from repro.common.errors import ConfigurationError
 from repro.common.serialize import wire_envelope
 from repro.obs import logs as obs_logs
@@ -347,9 +348,11 @@ def test_stats_document_is_versioned(tmp_path) -> None:
 @pytest.fixture(autouse=True)
 def _clean_spans():
     obs_spans.reset()
+    phases.reset()
     obs_spans.set_recording(False)
     yield
     obs_spans.reset()
+    phases.reset()
     obs_spans.set_recording(False)
 
 
@@ -369,37 +372,34 @@ def test_spans_are_noops_until_armed() -> None:
 
 
 def test_phase_totals_accumulate_regardless_of_recording() -> None:
-    obs_spans.add_phase("drive", 1.5)
-    obs_spans.add_phase("drive", 0.5)
-    assert obs_spans.phase_totals() == {"drive": 2.0}
+    phases.add("drive", 1.5)
+    phases.add("drive", 0.5)
+    assert phases.snapshot() == {"drive": 2.0}
     assert obs_spans.snapshot() == []  # not armed: no span log entries
 
 
 def test_merge_worker_folds_phases_and_spans() -> None:
     obs_spans.start_recording()
-    obs_spans.add_phase("build", 1.0)
-    obs_spans.merge_worker(
-        {
-            "pid": 4242,
-            "phases": {"build": 2.0, "drive": 3.0},
-            "spans": [
-                {
-                    "name": "build",
-                    "category": "phase",
-                    "start": 10.0,
-                    "duration": 2.0,
-                    "pid": 4242,
-                    "tid": 1,
-                    "args": None,
-                }
-            ],
-        }
+    phases.add("build", 1.0)
+    phases.merge({"build": 2.0, "drive": 3.0})
+    obs_spans.merge(
+        [
+            {
+                "name": "build",
+                "category": "phase",
+                "start": 10.0,
+                "duration": 2.0,
+                "pid": 4242,
+                "tid": 1,
+                "args": None,
+            }
+        ]
     )
     obs_spans.stop_recording()
-    totals = obs_spans.phase_totals()
-    assert totals["build"] == 3.0
-    assert totals["drive"] == 3.0
+    assert phases.snapshot() == {"build": 3.0, "drive": 3.0}
     assert any(entry["pid"] == 4242 for entry in obs_spans.snapshot())
+    # The local report logged its own phase span while armed.
+    assert [entry["category"] for entry in obs_spans.snapshot()] == ["phase", "phase"]
 
 
 def test_chrome_trace_export_shape() -> None:
@@ -453,7 +453,7 @@ def test_parallel_run_ships_worker_spans(monkeypatch) -> None:
     pids = {entry["pid"] for entry in obs_spans.snapshot()}
     assert pids - {os.getpid()}, "expected spans shipped back from pool workers"
     # Worker phase seconds were merged into the parent's totals too.
-    assert obs_spans.phase_totals().get("drive", 0.0) > 0.0
+    assert phases.snapshot().get("drive", 0.0) > 0.0
 
 
 # ----------------------------------------------------------------------

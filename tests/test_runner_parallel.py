@@ -161,6 +161,24 @@ def test_chunked_dispatch_groups_jobs_by_workload(monkeypatch):
     assert captured["chunksize"] == 3
 
 
+@needs_fork
+def test_pool_tasks_record_no_spans_unless_the_parent_records(monkeypatch):
+    """A pool task records spans only when the parent was recording as it
+    dispatched the batch; its phase seconds come back either way."""
+    from repro.common import phases
+    from repro.obs import spans
+
+    assert not spans.recording()
+    shipped = []
+    monkeypatch.setattr(spans, "merge", lambda entries: shipped.append(list(entries)))
+    monkeypatch.setattr(runner_module, "available_cpus", lambda: 2)
+    drive_before = phases.snapshot().get("drive", 0.0)
+    with ExperimentRunner(jobs=2, start_method="fork") as runner:
+        runner.run_batch(_jobs(4))
+    assert shipped == [[], [], [], []]
+    assert phases.snapshot().get("drive", 0.0) > drive_before
+
+
 #: Two parallel batches with disjoint workloads on one two-worker pool: the
 #: quick FP suite, then the quick INT suite, so no worker has generated the
 #: second batch's traces.  ``_two_batches`` below builds the same jobs.
