@@ -16,7 +16,8 @@ the request:
   structures rather than bad user input).
 * :class:`ServiceError` -- the simulation service (:mod:`repro.service`)
   rejected or failed a request; :class:`ServiceOverloadedError` is the
-  admission-control subcase (HTTP 429, a queue or tenant quota is full).
+  admission-control subcase (HTTP 429, a queue or tenant quota is full)
+  and :class:`ServiceUnavailableError` a status poll's 503.
 
 The service's **error taxonomy** also lives here (shared by the server and
 the client SDK, which must agree on it): every error body carries a stable
@@ -35,7 +36,8 @@ class ErrorCode(str, enum.Enum):
 
     The code is the contract: messages are free to change wording, but the
     code a given failure maps to is stable.  ``ServiceClient`` raises
-    :class:`ServiceOverloadedError` for the two admission codes and plain
+    :class:`ServiceOverloadedError` for the two admission codes,
+    :class:`ServiceUnavailableError` for a status poll's 503 and plain
     :class:`ServiceError` otherwise.
     """
 
@@ -58,6 +60,9 @@ class ErrorCode(str, enum.Enum):
     JOB_RETRIES_EXHAUSTED = "job_retries_exhausted"
     #: The server is draining for shutdown and accepts no new submissions.
     DRAINING = "draining"
+    #: The shard that owns the polled job is suspect or did not answer;
+    #: the job is not unknown, so poll again after ``Retry-After``.
+    PEER_UNAVAILABLE = "peer_unavailable"
     #: The server failed while handling the request.
     INTERNAL = "internal"
 
@@ -73,6 +78,7 @@ HTTP_STATUS_FOR_CODE = {
     ErrorCode.JOB_TIMEOUT: 500,
     ErrorCode.JOB_RETRIES_EXHAUSTED: 500,
     ErrorCode.DRAINING: 503,
+    ErrorCode.PEER_UNAVAILABLE: 503,
     ErrorCode.INTERNAL: 500,
 }
 
@@ -117,8 +123,8 @@ class WorkerCrashError(ServiceError):
     pool broken) rather than the simulation itself failing.
 
     This is the **retryable** failure class: the job's inputs are fine, the
-    machinery running it was lost, so the supervisor re-runs the job on a
-    fresh runner with backoff.  Deterministic simulation errors
+    machinery running it was lost, so the supervisor re-runs the job on
+    freshly spawned children with backoff.  Deterministic simulation errors
     (:class:`SimulationError`, :class:`ConfigurationError`, ...) are *not*
     retryable -- re-running identical inputs reproduces them, so they fail
     fast instead of burning retries.
@@ -153,6 +159,21 @@ class JobNotFoundError(ServiceError):
     fall back to the result cache (:meth:`ServiceClient.wait` does exactly
     this with the receipt's request key).
     """
+
+
+class ServiceUnavailableError(ServiceError):
+    """A status poll answered HTTP 503: the shard owning the job is suspect
+    or not answering (:data:`ErrorCode.PEER_UNAVAILABLE`), or the polled
+    server is stopping (:data:`ErrorCode.DRAINING`).
+
+    The job itself is not unknown, so :meth:`ServiceClient.wait` polls again
+    after ``retry_after`` seconds (the ``Retry-After`` hint, ``None`` when
+    the server sent none) while its budget lasts.
+    """
+
+    def __init__(self, message: str, retry_after: Optional[float] = None) -> None:
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class ServiceOverloadedError(ServiceError):

@@ -4,7 +4,7 @@ This package turns the library into a reproducible experiment platform:
 
 * :mod:`repro.exp.runner` -- :class:`~repro.exp.runner.ExperimentRunner` fans
   sweeps (machine configurations x workload suites) out over a
-  ``multiprocessing`` pool, with every simulation expressed as a
+  process pool, with every simulation expressed as a
   deterministic, content-addressed :class:`~repro.exp.runner.SimJob`.
 * :mod:`repro.exp.cache` -- :class:`~repro.exp.cache.ResultCache`, an
   on-disk JSON store keyed by the stable hash of (machine configuration,

@@ -869,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sim-jobs",
         type=_positive_int,
         default=1,
-        help="worker processes inside each job's sweep runner (default: 1)",
+        help="simulation child processes each service worker keeps (default: 1)",
     )
     sub.add_argument(
         "--queue-limit",

@@ -12,11 +12,12 @@ workload descriptions are frozen dataclasses of primitives, a job is
 * **content-addressed** -- :func:`job_key` hashes the canonical JSON form of
   the job, giving a stable key for the on-disk result cache; and
 * **picklable** -- jobs cross process boundaries unchanged, so a
-  ``multiprocessing`` pool can execute them in any order on any worker.
+  process pool can execute them in any order on any worker.
 
 :class:`ExperimentRunner` builds on those properties: it deduplicates a
 batch of jobs, satisfies what it can from a :class:`~repro.exp.cache.ResultCache`,
-fans the misses out over a process pool (or runs them inline for ``jobs=1``)
+fans the misses out over a process pool (or runs them inline for ``jobs=1``;
+a runner built with ``children`` runs every miss in its pool)
 and reassembles per-suite aggregates.  Wherever a job runs, its trace comes
 from one place: :func:`run_job`'s per-process memo, so a pool worker
 generates the traces of its chunk itself.  Serial and parallel execution
@@ -28,15 +29,18 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
+import signal
+import threading
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common import phases
 from repro.common.errors import ConfigurationError
 from repro.common.serialize import stable_hash, to_jsonable
 from repro.exp.cache import ResultCache
+from repro.faults import get_injector
 from repro.isa.trace import Trace
 from repro.obs import spans
 from repro.sim.configs import MachineConfig
@@ -45,6 +49,11 @@ from repro.trace.format import TRACE_FORMAT_VERSION
 from repro.uarch.result import CoreResult
 from repro.workloads.base import WorkloadParameters
 from repro.workloads.suite import WorkloadSuite, generate_member_trace
+
+if TYPE_CHECKING:
+    # Imported only where a pool starts, which `repro serve`'s start-up
+    # never does: the executor module costs start-up time.
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Bump when the meaning of a job changes (e.g. the runner's aggregation
 #: semantics); old cache entries then stop matching automatically.  Changes
@@ -191,8 +200,31 @@ def _dispatch_order(job: SimJob) -> Tuple[str, int, int]:
     return (job.workload.name, job.num_instructions, -1 if job.seed is None else job.seed)
 
 
+def _watch_parent() -> None:
+    """Pool-child initializer: die with the parent, leave Ctrl-C to it.
+
+    A pool child outlives a parent killed outright (SIGKILL runs no
+    clean-up), so each child watches its parent's sentinel on a daemon
+    thread and exits the moment the parent is gone.  Ctrl-C reaches the
+    whole process group; the parent decides what happens to the pool, so
+    a child ignores it instead of dying with a traceback.
+    """
+    from multiprocessing.connection import wait
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    parent = multiprocessing.parent_process()
+    if parent is None:  # pragma: no cover - always set in a pool child
+        return
+
+    def watch() -> None:
+        wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
 def _pool_worker(
-    record_spans: bool, job: SimJob
+    record_spans: bool, doomed: Optional[str], job: SimJob
 ) -> Tuple[str, Dict[str, Any], Tuple[Dict[str, float], List[Dict[str, Any]]]]:
     """Pool entry point: run a job and ship the result back as plain JSON types.
 
@@ -208,7 +240,14 @@ def _pool_worker(
     Bracketing the task (totals before, spans drained after, recording
     restored) keeps the delta exact in a long-lived worker and leaves
     global state untouched when the "pool" is an in-process test double.
+
+    ``doomed`` is the key of the job the chaos harness's ``kill_worker``
+    fault picked (see :meth:`ExperimentRunner._execute`): the child that
+    receives it SIGKILLs itself before simulating, a real process death.
     """
+    key = job.key()
+    if key == doomed:
+        os.kill(os.getpid(), getattr(signal, "SIGKILL", signal.SIGTERM))
     totals_before = phases.snapshot()
     mark = spans.span_count()
     was_recording = spans.recording()
@@ -222,7 +261,7 @@ def _pool_worker(
         for phase, seconds in phases.snapshot().items()
         if seconds > totals_before.get(phase, 0.0)
     }
-    return job.key(), payload, (phase_delta, spans.drain_after(mark))
+    return key, payload, (phase_delta, spans.drain_after(mark))
 
 
 def _relabel(result: CoreResult, machine_name: str) -> CoreResult:
@@ -249,11 +288,16 @@ def _job_metadata(job: SimJob) -> Dict[str, Any]:
 class ExperimentRunner:
     """Executes batches of simulation jobs with caching and parallelism.
 
-    The pool is created lazily, capped at the host's available CPUs
+    The pool (a :class:`~concurrent.futures.ProcessPoolExecutor`) is
+    created lazily, capped at the host's available CPUs
     (:meth:`effective_workers`), fed workload-grouped contiguous chunks and
     reused across batches until :meth:`close` -- the combination that makes
-    parallel sweeps actually faster than serial ones instead of paying fork
-    and pickling costs per batch.
+    parallel sweeps actually faster than serial ones instead of paying
+    process start-up and pickling costs per batch.  A child that dies
+    mid-batch breaks the pool: the batch raises
+    :class:`~concurrent.futures.process.BrokenProcessPool` at once and the
+    next batch starts a fresh pool.  Every child watches its parent and
+    exits when the parent dies, however it dies.
 
     Parameters
     ----------
@@ -265,30 +309,34 @@ class ExperimentRunner:
     cache:
         Optional on-disk result cache consulted before executing and updated
         after; ``None`` disables caching.
-    start_method:
-        ``multiprocessing`` start method for the pool (``None`` keeps the
-        platform default).  Multithreaded hosts -- the service's worker
-        threads -- must pass ``"spawn"``: forking a pool from a thread can
-        inherit locks held by sibling threads and deadlock the children.
+    children:
+        The start method (``"spawn"``, ``"fork"``) of child processes that
+        run *every* miss, one-job batches and ``jobs=1`` included, so this
+        process never simulates.  ``None`` (the default) keeps misses
+        inline unless a batch has several of them and several workers,
+        whose pool then uses the platform's default start method.  The
+        service passes ``"spawn"``: its worker threads make the process
+        multithreaded, and a forked child could inherit a lock a sibling
+        thread holds.
     """
 
     def __init__(
         self,
         jobs: int = 1,
         cache: Optional[ResultCache] = None,
-        start_method: Optional[str] = None,
+        children: Optional[str] = None,
     ) -> None:
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
-        self.start_method = start_method
+        self.children = children
         #: Number of simulations actually executed by this runner.
         self.executed_jobs = 0
         #: Number of simulations satisfied from the cache.
         self.cache_hits = 0
         #: Lazily created worker pool, reused across batches until close().
-        self._pool = None
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers = 0
 
     # ------------------------------------------------------------------
@@ -305,22 +353,42 @@ class ExperimentRunner:
         """
         return min(self.jobs, available_cpus())
 
-    def _ensure_pool(self, workers: int):
+    def _ensure_pool(self, workers: int) -> ProcessPoolExecutor:
         if self._pool is not None and self._pool_workers != workers:
             self.close()
         if self._pool is None:
-            context = multiprocessing.get_context(self.start_method)
-            self._pool = context.Pool(processes=workers)
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context(self.children),
+                initializer=_watch_parent,
+            )
+            self._pool = pool
             self._pool_workers = workers
+            # A spawning executor starts a child per task that finds none
+            # idle; start them all at once with a no-op each, so no later
+            # batch waits for a child to boot.
+            for started in [pool.submit(int) for _ in range(workers)]:
+                started.result()
         return self._pool
 
-    def close(self) -> None:
-        """Shut the reusable worker pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            self._pool_workers = 0
+    def close(self, wait: bool = True) -> None:
+        """SIGKILL the reusable pool's children and drop the pool (idempotent).
+
+        ``wait=False`` returns without joining, so any thread may call it
+        while another is blocked on the pool: that batch raises
+        ``BrokenProcessPool`` at once, and the next batch starts a fresh
+        pool.  This is how a timed-out or shut-down service job stops: its
+        simulation dies with its child instead of running on unobserved.
+        """
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            # The executor has no public way to kill its children before
+            # Python 3.14 (`kill_workers`), so reach for its process table.
+            for process in list((pool._processes or {}).values()):
+                process.kill()
+            pool.shutdown(wait=wait, cancel_futures=True)
 
     def __enter__(self) -> "ExperimentRunner":
         return self
@@ -328,12 +396,18 @@ class ExperimentRunner:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def run_batch(self, sim_jobs: Sequence[SimJob]) -> Dict[str, CoreResult]:
+    def run_batch(
+        self,
+        sim_jobs: Sequence[SimJob],
+        probed: Optional[Mapping[str, Optional[CoreResult]]] = None,
+    ) -> Dict[str, CoreResult]:
         """Execute a batch of jobs and return ``{job key: result}``.
 
         Duplicate jobs (same content address) are executed once.  Cache hits
         never reach the pool; a warm cache therefore completes a batch with
-        zero simulations.
+        zero simulations.  ``probed`` holds lookups the caller already
+        made in this runner's cache (key -> result, ``None`` for a miss);
+        those keys are not looked up again.
         """
         unique: Dict[str, SimJob] = {}
         for job in sim_jobs:
@@ -341,7 +415,10 @@ class ExperimentRunner:
         results: Dict[str, CoreResult] = {}
         misses: Dict[str, SimJob] = {}
         for key, job in unique.items():
-            cached = self.cache.get(key) if self.cache is not None else None
+            if probed is not None and key in probed:
+                cached = probed[key]
+            else:
+                cached = self.cache.get(key) if self.cache is not None else None
             if cached is not None:
                 self.cache_hits += 1
                 results[key] = cached
@@ -358,7 +435,7 @@ class ExperimentRunner:
 
     def _execute(self, misses: Dict[str, SimJob]) -> Dict[str, CoreResult]:
         workers = self.effective_workers()
-        if workers > 1 and len(misses) > 1:
+        if self.children is not None or (workers > 1 and len(misses) > 1):
             # Sort the batch by workload and hand each worker one contiguous
             # chunk: same-trace jobs land on the same worker, which then
             # generates each of its traces once, and the map costs a single
@@ -369,15 +446,21 @@ class ExperimentRunner:
             # size changes.
             dispatch_started = perf_counter()
             ordered = sorted(misses.values(), key=_dispatch_order)
-            pool = self._ensure_pool(workers)
-            task = partial(_pool_worker, spans.recording())
+            # The chaos harness's worker kill (fired at most once per job
+            # key, so the supervised retry succeeds): the child that runs
+            # the batch's first job SIGKILLs itself.
+            injector = get_injector()
+            doomed = ordered[0].key()
+            if injector is None or not injector.should("kill_worker", key=doomed):
+                doomed = None
             try:
-                pairs = pool.map(task, ordered, chunksize=-(-len(ordered) // workers))
-            except Exception:
-                # A failed map leaves the pool in an unknown state (a
-                # killed worker can wedge its result queue); drop it so
-                # the next batch -- or a supervised retry -- re-spawns a
-                # fresh pool instead of inheriting the wreckage.
+                pool = self._ensure_pool(workers)
+                task = partial(_pool_worker, spans.recording(), doomed)
+                pairs = list(pool.map(task, ordered, chunksize=-(-len(ordered) // workers)))
+            except BaseException:
+                # A dead child breaks the whole pool (and Ctrl-C leaves it
+                # mid-batch); drop it so the next batch -- or a supervised
+                # retry -- starts a fresh pool instead of the wreckage.
                 self.close()
                 raise
             phases.add("dispatch", perf_counter() - dispatch_started)

@@ -29,7 +29,7 @@ returns ``None`` and every site skips its fault.
 **Determinism.** Every site draws from its own ``random.Random`` seeded
 with ``(spec seed, site name)``, so a given spec produces the same
 injection sequence per site across runs -- a chaos failure reproduces by
-re-running with the same spec.  Decisions taken with a ``key`` (the job's
+re-running with the same spec.  Decisions taken with a ``key`` (a simulation's
 content address at the ``kill_worker`` site) additionally fire **at most
 once per key**: the injected fault models a *transient* crash, so a
 supervised retry of the same job must be allowed to succeed -- otherwise
@@ -38,9 +38,11 @@ the "zero lost jobs" contract would be unfalsifiable.
 
 The instrumented sites are:
 
-* ``kill_worker`` -- :class:`repro.service.jobs.JobManager` raises
-  :class:`~repro.common.errors.WorkerCrashError` before executing a job,
-  exercising the supervisor's retry path;
+* ``kill_worker`` -- :meth:`repro.exp.runner.ExperimentRunner._execute`
+  picks the first job of a batch it sends to its child processes, and the
+  child that receives that job SIGKILLs itself before simulating: a real
+  process death, which breaks the pool (``BrokenProcessPool``) and
+  exercises the service supervisor's retry on freshly spawned children;
 * ``drop_peer`` / ``delay_peer`` -- :func:`repro.service.shards.fetch_json`
   fails (``OSError``) or stalls before dialling a peer shard, exercising
   the suspect-peer exclusion;

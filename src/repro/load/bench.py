@@ -425,9 +425,9 @@ def _free_port_block(count: int) -> int:
         try:
             for offset in range(count):
                 sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                sockets.append(sock)  # before bind(), so a taken port's socket closes too
                 sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                 sock.bind(("127.0.0.1", base + offset))
-                sockets.append(sock)
             return base
         except OSError:
             continue

@@ -16,10 +16,11 @@ owns the cache:
 * :mod:`repro.service.jobs` -- :class:`~repro.service.jobs.JobManager`:
   request coalescing (identical in-flight submissions share one execution,
   even across tenants), tenant-aware admission control (global queue bound
-  plus per-tenant quotas, structured 429s) and a worker pool that reuses
-  :class:`~repro.exp.runner.ExperimentRunner` over one shared
-  :class:`~repro.exp.cache.ResultCache`, so warm requests complete without
-  simulating.
+  plus per-tenant quotas, structured 429s) and a worker pool in which
+  each worker owns one :class:`~repro.exp.runner.ExperimentRunner` (and
+  its spawned simulation children) over one shared
+  :class:`~repro.exp.cache.ResultCache`; a case batch the cache already
+  holds completes at admission without simulating.
 * :mod:`repro.service.tenancy` -- the resource-management layer:
   :class:`~repro.service.tenancy.TenancyConfig` (tenant roster, weights,
   quotas, auth tokens), :class:`~repro.service.tenancy.TenantScheduler`

@@ -21,7 +21,7 @@ rejections raise :class:`~repro.common.errors.ServiceOverloadedError`
 carrying the structured fields from the error body -- ``code``
 (``overloaded`` vs ``tenant_quota_exceeded``), ``tenant`` and
 ``retry_after`` -- so callers back off without parsing message strings.
-Only resubmissions back off; waiting for a job does not sleep at all:
+Only resubmissions back off; waiting for a job sleeps only on a 503:
 :meth:`ServiceClient.wait` long-polls ``GET /v1/jobs/{id}?wait=SECONDS``,
 and the server answers as soon as the job finishes.
 ``python -m repro submit`` is a thin wrapper over this class.
@@ -44,6 +44,7 @@ from repro.common.errors import (
     JobNotFoundError,
     ServiceError,
     ServiceOverloadedError,
+    ServiceUnavailableError,
 )
 from repro.common.serialize import open_envelope, wire_envelope
 from repro.exp.request import JobRequest
@@ -325,7 +326,9 @@ class ServiceClient:
         bounds every socket read.  Raises :class:`JobNotFoundError` (a
         :class:`ServiceError` subclass) when the server no longer knows the
         id -- which, for a completed job, can simply mean it aged out of the
-        bounded history.
+        bounded history -- and :class:`ServiceUnavailableError` on a 503
+        (the shard owning the job is not answering, or the server is
+        stopping).
         """
         query: Dict[str, float] = {}
         if not include_result:
@@ -336,6 +339,12 @@ class ServiceClient:
         status, data = self._request("GET", f"/v1/jobs/{job_id}{suffix}")
         if status == 404:
             raise JobNotFoundError(f"unknown job {job_id!r}")
+        if status == 503:
+            retry_after = self._error_body(data).get("retry_after")
+            raise ServiceUnavailableError(
+                f"status unavailable (503): {self._error_message(data)}",
+                retry_after=retry_after if isinstance(retry_after, (int, float)) else None,
+            )
         if status != 200:
             raise ServiceError(f"status failed ({status}): {self._error_message(data)}")
         return open_envelope(data, "job_status")
@@ -353,7 +362,10 @@ class ServiceClient:
         soon as the job finishes, so there is no sleep between polls.  A
         poll asks for no more than the budget left, and for half the
         client's socket ``timeout`` at most, so the held answer always
-        arrives before the socket gives up.
+        arrives before the socket gives up.  The one sleep follows a 503
+        (:class:`ServiceUnavailableError`: the shard owning the job is
+        suspect, or the polled server is stopping): the poll is repeated
+        after the answer's ``Retry-After``, while the budget lasts.
 
         ``request_key`` (the :attr:`SubmitReceipt.request_key` content
         address) arms the trim-survival fallback: under backlog a job can
@@ -368,6 +380,12 @@ class ServiceClient:
             remaining = max(0.0, deadline - time.monotonic())
             try:
                 view = self.status(job_id, wait=min(remaining, self.timeout / 2))
+            except ServiceUnavailableError as error:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise
+                time.sleep(min(error.retry_after or 1.0, remaining))
+                continue
             except JobNotFoundError:
                 if request_key is None:
                     raise

@@ -21,19 +21,24 @@
   by stride scheduling so saturated tenants receive work shares proportional
   to their configured weights, and
 * a **worker pool**: ``workers`` asyncio tasks, each asking the scheduler
-  for the next job and running the blocking simulation on a daemon thread so
-  the event loop stays responsive.  Daemon (rather than executor) threads
-  matter for shutdown: a ``concurrent.futures`` pool's non-daemon threads
-  are joined at interpreter exit, so Ctrl-C on ``repro serve`` would hang
-  until a running ``--full`` campaign finished; daemon threads let the
-  process exit promptly.
+  for the next job.  Each worker owns, for its lifetime, one
+  :class:`~repro.exp.runner.ExperimentRunner` over the *shared*
+  :class:`~repro.exp.cache.ResultCache`, whose ``max(1, sim_jobs)``
+  spawned child processes run every simulation, and one daemon thread
+  that drives that runner, so the event loop never blocks on a job and
+  the server's interpreter never simulates.  Daemon (rather than
+  executor) threads matter for shutdown: a ``concurrent.futures`` pool's
+  non-daemon threads are joined at interpreter exit, so Ctrl-C on
+  ``repro serve`` would hang until a running ``--full`` campaign
+  finished.
 
-Every execution builds a fresh :class:`~repro.exp.runner.ExperimentRunner`
-over the *shared* :class:`~repro.exp.cache.ResultCache`, which is what makes
-a re-submission after completion finish with zero simulations: the runner
-satisfies every job from the cache (atomic writes make the directory safe to
-share between workers).  All submit/complete bookkeeping happens on the
-event-loop thread; worker threads only touch their own job's runner.
+A case batch whose every case is already in the result cache never
+queues: :meth:`JobManager.submit` answers it at admission, completed with
+zero simulations.  Anything else queues, and the shared cache is what
+makes a re-submission of finished work cheap (atomic writes make the
+directory safe to share between workers).  All submit/complete
+bookkeeping happens on the event-loop thread; a worker's thread only
+touches its own runner and the job it runs.
 """
 
 from __future__ import annotations
@@ -42,12 +47,14 @@ import asyncio
 import enum
 import itertools
 import math
+import queue
 import random
 import re
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -64,7 +71,6 @@ from repro.common.serialize import to_jsonable
 from repro.exp.cache import ResultCache
 from repro.exp.request import JobRequest
 from repro.exp.runner import ExperimentRunner
-from repro.faults import get_injector
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry
 from repro.service.journal import (
@@ -85,6 +91,7 @@ from repro.service.tenancy import (
     tenants_document,
 )
 from repro.sim.experiments import campaign_context, experiment_by_name
+from repro.uarch.result import CoreResult
 
 #: Schema of the ``GET /v1/stats`` document.  Version 2 added the
 #: ``schema_version`` marker itself and guaranteed ``uptime_seconds`` as a
@@ -132,13 +139,14 @@ def stats_document(metrics: MetricsRegistry, tenancy: TenancyConfig) -> Dict[str
 
 
 def is_retryable(error: BaseException) -> bool:
-    """Whether a job failure is worth re-running on a fresh runner.
+    """Whether a job failure is worth re-running on freshly spawned children.
 
-    Retryable failures are *substrate* deaths -- the worker process or its
-    IPC plumbing was lost, not the simulation itself: re-running identical
-    inputs can succeed.  Deterministic library errors (bad configuration,
-    simulation invariant violations) reproduce on every attempt, so they
-    fail fast rather than burning retries; :class:`WorkerCrashError` is the
+    Retryable failures are *substrate* deaths -- a simulation child or its
+    IPC plumbing was lost (``BrokenProcessPool``), not the simulation
+    itself: re-running identical inputs can succeed.  Deterministic
+    library errors (bad configuration, simulation invariant violations)
+    reproduce on every attempt, so they fail fast rather than burning
+    retries; :class:`WorkerCrashError` is the
     one :class:`ReproError` that *is* retryable, by definition.
     """
     from concurrent.futures.process import BrokenProcessPool
@@ -205,13 +213,18 @@ class JobState:
     attempts: int = 0
     #: How many later identical submissions were folded into this job.
     coalesced_submissions: int = 0
-    #: The runner executing this job (progress counters), set by the worker.
+    #: Progress of the latest attempt: simulations run and cache hits.
+    executed_jobs: int = 0
+    cache_hits: int = 0
+    #: A case batch's cache lookups made at admission (key -> result, or
+    #: ``None`` for the first miss); the worker does not repeat them.
+    probed: Optional[Dict[str, Optional[CoreResult]]] = field(default=None, repr=False)
+    #: The runner of the worker executing this job, set at dispatch.
     runner: Optional[ExperimentRunner] = field(default=None, repr=False)
     finished: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
 
     def view(self, include_result: bool = True) -> Dict[str, Any]:
         """The job's wire status document (``GET /v1/jobs/{id}``)."""
-        runner = self.runner
         elapsed = None
         if self.started_monotonic is not None:
             elapsed = (self.finished_monotonic or time.monotonic()) - self.started_monotonic
@@ -235,8 +248,8 @@ class JobState:
             "coalesced_submissions": self.coalesced_submissions,
             "attempts": self.attempts,
             "progress": {
-                "executed_jobs": runner.executed_jobs if runner is not None else 0,
-                "cache_hits": runner.cache_hits if runner is not None else 0,
+                "executed_jobs": self.executed_jobs,
+                "cache_hits": self.cache_hits,
             },
             "error": self.error,
             "error_code": self.error_code,
@@ -244,6 +257,70 @@ class JobState:
         if include_result and self.status is JobStatus.COMPLETED:
             document["result"] = self.result
         return document
+
+
+class _WorkerLane:
+    """One service worker's execution side: its runner and its thread.
+
+    The runner lives as long as the worker, and so do its spawned
+    children: jobs reuse them.  The one daemon thread runs the worker's
+    jobs one at a time (:meth:`run`), so the blocking parts of a job --
+    cache I/O, a figure's plan and reduce, waiting on the children --
+    stay off the event loop without a thread per attempt.
+    """
+
+    def __init__(self, runner: ExperimentRunner, name: str) -> None:
+        self.runner = runner
+        self._calls: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name=name, daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            item = self._calls.get()
+            if item is None:
+                break
+            loop, future, call = item
+            if future.done():
+                continue  # timed out or cancelled while it waited its turn
+            # `except ... as e` unbinds its name when the block ends, so the
+            # outcome closure must capture a separate binding that survives.
+            failure: Optional[BaseException] = None
+            result: Any = None
+            try:
+                result = call()
+            except BaseException as error:  # noqa: BLE001 -- marshalled to the future
+                failure = error
+
+            def outcome(failure=failure, result=result, future=future) -> None:
+                if future.done():
+                    return  # timed out or cancelled meanwhile; moot
+                if failure is not None:
+                    future.set_exception(failure)
+                else:
+                    future.set_result(result)
+
+            try:
+                loop.call_soon_threadsafe(outcome)
+            except RuntimeError:
+                pass  # loop already closed during shutdown; result is moot
+        # A job still running at stop() may have started a fresh pool.
+        self.runner.close()
+
+    def run(self, call: Callable[[], Any]) -> "asyncio.Future[Any]":
+        """Queue ``call`` for this lane's thread; await the returned future."""
+        loop = asyncio.get_running_loop()
+        future: "asyncio.Future[Any]" = loop.create_future()
+        self._calls.put((loop, future, call))
+        return future
+
+    def stop(self) -> None:
+        """Kill and reap the children; the thread ends after its current call.
+
+        Reaping before the server exits leaves no pool half torn down for
+        interpreter exit to race with, and after the kill it is quick.
+        """
+        self.runner.close()
+        self._calls.put(None)
 
 
 class JobManager:
@@ -293,6 +370,7 @@ class JobManager:
         #: Set whenever scheduler state changes; idle workers wait on it.
         self._work_available = asyncio.Event()
         self._worker_tasks: List[asyncio.Task] = []
+        self._lanes: List[_WorkerLane] = []
         self._counter = itertools.count(1)
         #: Completed figure/batch payloads keyed by *request* key, so a
         #: poller whose job was trimmed from the bounded history can still
@@ -303,7 +381,7 @@ class JobManager:
         #: every uptime/duration computation -- immune to NTP steps).
         self.started_at = time.time()
         self._started_monotonic = time.monotonic()
-        #: Test hook: called (in the worker thread) just before execution.
+        #: Test hook: called (on the worker's thread) just before execution.
         self.pre_execute: Optional[Callable[[JobState], None]] = None
         #: The durable lifecycle journal, attached by :meth:`recover_journal`
         #: (``None`` = journaling disabled, e.g. cache-less servers).
@@ -337,19 +415,33 @@ class JobManager:
     # -- lifecycle -----------------------------------------------------
 
     async def start(self) -> None:
-        """Spawn the worker tasks on the running event loop."""
-        self._worker_tasks = [
-            asyncio.create_task(self._worker_loop(), name=f"repro-service-worker-{index}")
+        """Spawn the worker tasks on the running event loop.
+
+        Each worker gets its runner and thread here; the runner's children
+        start with the worker's first simulation, off the start-up path.
+        """
+        self._lanes = [
+            _WorkerLane(
+                ExperimentRunner(jobs=self.sim_jobs, cache=self.cache, children="spawn"),
+                name="repro-worker",
+            )
             for index in range(self.workers)
+        ]
+        self._worker_tasks = [
+            asyncio.create_task(self._worker_loop(lane), name=f"repro-service-worker-{index}")
+            for index, lane in enumerate(self._lanes)
         ]
 
     async def stop(self) -> None:
-        """Cancel the worker tasks (their daemon threads die with the process)."""
+        """Cancel the worker tasks and kill every worker's children."""
         for task in self._worker_tasks:
             task.cancel()
         if self._worker_tasks:
             await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         self._worker_tasks = []
+        for lane in self._lanes:
+            lane.stop()
+        self._lanes = []
         if self.journal is not None:
             self.journal.close()
 
@@ -445,12 +537,14 @@ class JobManager:
         submission and ``priority`` picks its lane (:meth:`resolve_lane`).
         An identical in-flight request (same content address, still queued or
         running -- regardless of tenant) is coalesced: the existing job is
-        returned and nothing is enqueued.  Coalesced submissions bypass the
-        quotas (they add no work).  Otherwise admission charges the resolved
-        tenant: a full tenant quota or a full server-wide queue raises
-        :class:`ServiceOverloadedError` with the matching error code.
-        ``trace_id`` is the submission's correlation ID; the first
-        submitter's ID owns a coalesced job.
+        returned and nothing is enqueued.  A case batch whose every case the
+        result cache already holds is answered here: the job is born
+        completed, with zero simulations, and never queues.  Coalesced and
+        cache-answered submissions bypass the quotas (they add no work).
+        Otherwise admission charges the resolved tenant: a full tenant quota
+        or a full server-wide queue raises :class:`ServiceOverloadedError`
+        with the matching error code.  ``trace_id`` is the submission's
+        correlation ID; the first submitter's ID owns a coalesced job.
 
         ``requeued`` marks a journal-replay re-admission: the job was
         already admitted (and counted, and quota-charged) by a previous
@@ -478,8 +572,9 @@ class JobManager:
                 "submission coalesced with %s", state.job_id, extra={"tenant": tenant}
             )
             return state, True
-        if requeued:
-            return self._admit(request, key, tenant, lane, trace_id, requeued=True), False
+        probed = self._probe(request)
+        if requeued or (probed is not None and None not in probed.values()):
+            return self._admit(request, key, tenant, lane, trace_id, probed, requeued), False
         if runtime.spec.max_queued is not None and runtime.queued() >= runtime.spec.max_queued:
             accounting.inc("rejected_quota")
             raise ServiceOverloadedError(
@@ -497,7 +592,27 @@ class JobManager:
                 tenant=tenant,
                 retry_after=self.retry_after_hint(self.scheduler.queued_total()),
             )
-        return self._admit(request, key, tenant, lane, trace_id, requeued=False), False
+        return self._admit(request, key, tenant, lane, trace_id, probed, requeued), False
+
+    def _probe(self, request: JobRequest) -> Optional[Dict[str, Optional[CoreResult]]]:
+        """Look a case batch's cases up in the result cache, each once.
+
+        Returns ``{case key: cached result}`` in case order, stopping at
+        the first miss (recorded as ``None``), so a batch that must queue
+        costs at most one lookup more than its leading hits; the worker
+        takes these answers instead of asking again.  ``None`` for a
+        figure request or a cache-less server.
+        """
+        if request.figure is not None or self.cache is None:
+            return None
+        probed: Dict[str, Optional[CoreResult]] = {}
+        for case in request.cases:
+            key = case.key()
+            if key not in probed:
+                probed[key] = self.cache.get(key)
+                if probed[key] is None:
+                    break
+        return probed
 
     def _admit(
         self,
@@ -506,36 +621,56 @@ class JobManager:
         tenant: str,
         lane: str,
         trace_id: Optional[str],
-        *,
+        probed: Optional[Dict[str, Optional[CoreResult]]],
         requeued: bool,
     ) -> JobState:
-        """Create, enqueue and journal one admitted job (admission control
-        already passed -- or was bypassed for a journal re-queue)."""
+        """Create and journal one admitted job (admission control already
+        passed, or was bypassed), then queue it -- or, when ``probed``
+        holds every case's cached result, complete it on the spot."""
+        now, monotonic = time.time(), time.monotonic()
         state = JobState(
             job_id=self._next_job_id(),
             request=request,
             key=key,
-            submitted_at=time.time(),
-            submitted_monotonic=time.monotonic(),
+            submitted_at=now,
+            submitted_monotonic=monotonic,
             tenant=tenant,
             lane=lane,
             trace_id=trace_id,
+            probed=probed,
         )
-        self.scheduler.enqueue(tenant, lane, state)
-        self._work_available.set()
         self.jobs[state.job_id] = state
-        self._inflight[key] = state.job_id
+        accounting = self.scheduler.accounting(tenant)
         if not requeued:
             # A re-queued job was counted by the generation that first
             # admitted it; those totals arrived via the journal snapshot.
-            self.scheduler.accounting(tenant).inc("admitted")
+            accounting.inc("admitted")
         if self.journal is not None:
             self.journal.admitted(state, requeued=requeued)
+        if probed is not None and None not in probed.values():
+            state.status = JobStatus.COMPLETED
+            state.started_at = state.finished_at = now
+            state.started_monotonic = state.finished_monotonic = monotonic
+            state.result = {case: result.to_dict() for case, result in probed.items()}
+            state.cache_hits = len(probed)
+            state.probed = None
+            accounting.inc("completed")
+            accounting.add_sims(0, state.cache_hits)
+            if self.journal is not None:
+                self.journal.completed(state)
+            self._remember_result(state)
+            state.finished.set()
+            outcome = "completed from the result cache"
+        else:
+            self.scheduler.enqueue(tenant, lane, state)
+            self._work_available.set()
+            self._inflight[key] = state.job_id
+            outcome = f"queued ({lane} lane)"
         self._trim_history()
         log.info(
-            "admitted %s (%s lane)%s",
+            "admitted %s, %s%s",
             state.job_id,
-            lane,
+            outcome,
             " [journal re-queue]" if requeued else "",
             extra={"tenant": tenant, "trace_id": trace_id},
         )
@@ -588,41 +723,6 @@ class JobManager:
 
     # -- execution -----------------------------------------------------
 
-    async def _run_on_daemon_thread(self, state: JobState) -> Any:
-        """Execute one job on a fresh daemon thread; await its outcome.
-
-        Concurrency stays bounded by the worker tasks (each runs at most one
-        job at a time), so per-job threads cost nothing extra.
-        """
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Any]" = loop.create_future()
-
-        def run() -> None:
-            # `except ... as e` unbinds its name when the block ends, so the
-            # outcome closure must capture a separate binding that survives.
-            failure: Optional[BaseException] = None
-            result: Any = None
-            try:
-                result = self._execute(state)
-            except BaseException as error:  # noqa: BLE001 -- marshalled to the future
-                failure = error
-
-            def outcome() -> None:
-                if future.done():
-                    return
-                if failure is not None:
-                    future.set_exception(failure)
-                else:
-                    future.set_result(result)
-
-            try:
-                loop.call_soon_threadsafe(outcome)
-            except RuntimeError:
-                pass  # loop already closed during shutdown; result is moot
-
-        threading.Thread(target=run, name="repro-worker", daemon=True).start()
-        return await future
-
     async def _next_job(self) -> JobState:
         """Await the scheduler's next pick.
 
@@ -637,10 +737,11 @@ class JobManager:
             self._work_available.clear()
             await self._work_available.wait()
 
-    async def _worker_loop(self) -> None:
+    async def _worker_loop(self, lane: _WorkerLane) -> None:
         while True:
             state = await self._next_job()
             accounting = self.scheduler.accounting(state.tenant)
+            state.runner = lane.runner
             state.status = JobStatus.RUNNING
             state.started_at = time.time()
             state.started_monotonic = time.monotonic()
@@ -650,7 +751,7 @@ class JobManager:
             if self.journal is not None:
                 self.journal.dispatched(state)
             try:
-                state.result = await self._supervised(state)
+                state.result = await self._supervised(state, lane)
                 state.status = JobStatus.COMPLETED
                 accounting.inc("completed")
                 if self.journal is not None:
@@ -685,10 +786,8 @@ class JobManager:
                 accounting.service_time.record(service_seconds)
                 if state.status is JobStatus.COMPLETED:
                     self._remember_result(state)
-                if state.runner is not None:
-                    accounting.add_sims(
-                        state.runner.executed_jobs, state.runner.cache_hits
-                    )
+                accounting.add_sims(state.executed_jobs, state.cache_hits)
+                state.probed = None
                 log.info(
                     "job %s finished as %s in %.3fs",
                     state.job_id,
@@ -706,33 +805,32 @@ class JobManager:
             # re-raised above and stays unfinished for the journal replay.
             state.finished.set()
 
-    async def _supervised(self, state: JobState) -> Any:
+    async def _supervised(self, state: JobState, lane: _WorkerLane) -> Any:
         """Run one job under the supervisor: timeout, bounded retries.
 
-        Each attempt runs :meth:`_execute` on a fresh daemon thread (and a
-        fresh runner -- pool re-spawn after a worker crash is free).  A
-        configured ``job_timeout`` bounds each attempt's wall clock; on
-        expiry the job fails with :class:`JobTimeoutError` and is *not*
-        retried (a second attempt would very likely time out too).  The
-        abandoned daemon thread may keep computing harmlessly -- it reports
-        into a future whose result no longer matters, and its runner feeds
-        the shared cache, so the work is not even wasted.
+        Each attempt runs :meth:`_execute` on the worker's thread, whose
+        runner's children do the simulating.  A configured ``job_timeout``
+        bounds each attempt's wall clock; on expiry the worker's children
+        are killed -- the simulation dies instead of running on unobserved,
+        and the worker's next job starts on fresh children -- and the job
+        fails with :class:`JobTimeoutError`, *not* retried (a second
+        attempt would very likely time out too).
 
-        Retryable failures (see :func:`is_retryable`) are re-run up to
-        ``job_retries`` times with capped exponential backoff and full
-        jitter; exhaustion fails the job with
+        Retryable failures (see :func:`is_retryable`: a dead child breaks
+        the pool with ``BrokenProcessPool``) are re-run, on a freshly
+        spawned pool, up to ``job_retries`` times with capped exponential
+        backoff and full jitter; exhaustion fails the job with
         :class:`JobRetriesExhaustedError` chaining the last crash.
         """
         attempt = 0
         while True:
             state.attempts = attempt + 1
             try:
-                if self.job_timeout is not None:
-                    return await asyncio.wait_for(
-                        self._run_on_daemon_thread(state), self.job_timeout
-                    )
-                return await self._run_on_daemon_thread(state)
+                return await asyncio.wait_for(
+                    lane.run(partial(self._execute, state)), self.job_timeout
+                )
             except asyncio.TimeoutError:
+                lane.runner.close(wait=False)
                 raise JobTimeoutError(
                     f"job exceeded the {self.job_timeout:g}s execution timeout "
                     f"(attempt {attempt + 1})"
@@ -767,29 +865,22 @@ class JobManager:
                     await asyncio.sleep(delay)
 
     def _execute(self, state: JobState) -> Any:
-        """Run one job to completion in a worker thread; returns the payload.
+        """Run one attempt of a job on its worker's thread; returns the payload.
 
-        A fresh runner per job keeps the progress counters per-request; the
-        shared cache is what deduplicates work across jobs over time.  The
-        runner's pool must use the spawn start method here: this process is
-        multithreaded (event loop + executor threads), so a forked child
-        could inherit a lock a sibling thread holds and deadlock.
+        The worker's runner (``state.runner``) lives as long as the worker,
+        so the job's progress is the change in the runner's counters over
+        this attempt.  A case batch hands the runner its admission-time
+        cache lookups (``state.probed``), which are not repeated.  Every
+        miss simulates in one of the runner's spawned children; the chaos
+        harness's ``kill_worker`` fault SIGKILLs that child mid-job (see
+        :meth:`~repro.exp.runner.ExperimentRunner._execute`), and the dead
+        pool's ``BrokenProcessPool`` is what the supervisor retries.
         """
-        runner = ExperimentRunner(
-            jobs=self.sim_jobs,
-            cache=self.cache,
-            start_method="spawn" if self.sim_jobs > 1 else None,
-        )
-        state.runner = runner
+        runner = state.runner
         hook = self.pre_execute
         if hook is not None:
             hook(state)
-        injector = get_injector()
-        if injector is not None and injector.should("kill_worker", key=state.key):
-            # The chaos harness's worker kill: a transient substrate death
-            # (fired at most once per key) the supervisor must retry past.
-            runner.close()
-            raise WorkerCrashError("fault injection: worker killed mid-job")
+        executed, cache_hits = runner.executed_jobs, runner.cache_hits
         request = state.request
         try:
             if request.figure is not None:
@@ -802,10 +893,11 @@ class JobManager:
                     policy=request.policy,
                 )
                 return to_jsonable(context.run(spec.plan(context)))
-            batch = runner.run_batch(list(request.cases))
+            batch = runner.run_batch(list(request.cases), probed=state.probed)
             return {key: result.to_dict() for key, result in batch.items()}
         finally:
-            runner.close()
+            state.executed_jobs = runner.executed_jobs - executed
+            state.cache_hits = runner.cache_hits - cache_hits
 
     # -- lookups -------------------------------------------------------
 

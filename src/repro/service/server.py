@@ -5,10 +5,12 @@ Endpoints (all JSON, wrapped in versioned wire envelopes, see
 
 * ``POST /v1/jobs`` -- submit a :class:`~repro.exp.request.JobRequest`
   (named figure campaign or explicit job batch).  Answers ``202`` with a
-  ``job_accepted`` envelope, or ``200`` when the submission was coalesced
-  with an identical in-flight job, or ``429`` (+ ``Retry-After``) when
-  admission control rejects it -- with error code ``overloaded`` (global
-  queue full) or ``tenant_quota_exceeded`` (this tenant's quota).
+  ``job_accepted`` envelope (whose ``status`` is already ``completed``
+  when every case of a batch was in the result cache), or ``200`` when
+  the submission was coalesced with an identical in-flight job, or
+  ``429`` (+ ``Retry-After``) when admission control rejects it -- with
+  error code ``overloaded`` (global queue full) or
+  ``tenant_quota_exceeded`` (this tenant's quota).
 * ``GET /v1/jobs/{id}`` -- job status: lifecycle state, tenant/priority,
   progress counters (simulations executed vs cache hits so far) and, once
   completed, the full result payload.  ``?wait=SECONDS`` makes it a long
@@ -154,9 +156,10 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
-    #: Concurrent request executions (worker tasks / threads).
+    #: Concurrent request executions (worker tasks, each with its thread).
     workers: int = 1
-    #: Worker processes inside each request's ExperimentRunner.
+    #: Simulation child processes each worker keeps (at least one): every
+    #: simulation runs in one of them, never in the server's interpreter.
     sim_jobs: int = 1
     #: Admission-control bound on queued (not yet running) jobs.
     queue_limit: int = 8
@@ -701,9 +704,11 @@ class ReproService:
         verbatim (``scope=local`` stops the owner proxying onward).  A long
         poll's ``wait`` goes with it, and the fetch may take that much
         longer.  Returns ``None`` -- caller answers 404 -- for unparseable
-        IDs, out-of-range owners, or a suspect or unreachable owner.  A poll
-        still held when :meth:`stop` begins answers 503: this shard cannot
-        tell the job's status any more.
+        IDs or out-of-range owners.  A suspect or unreachable owner is
+        answered 503 ``peer_unavailable`` with a ``Retry-After`` (the job
+        may well exist there), and so is a poll still held when
+        :meth:`stop` begins (``draining``): this shard cannot tell the
+        job's status any more.
         """
         match = _SHARDED_JOB_ID.fullmatch(job_id)
         if match is None:
@@ -723,7 +728,16 @@ class ReproService:
             )
         answer = done.result()
         if answer is None or not isinstance(answer[1], dict):
-            return None
+            since = self._peer_suspect_since.get(owner)
+            left = 0.0 if since is None else SUSPECT_RETRY_SECONDS - (time.monotonic() - since)
+            retry_after = max(1, math.ceil(left))
+            return _error_response(
+                503,
+                f"shard {owner}, which owns job {job_id!r}, is not answering; poll again",
+                code=ErrorCode.PEER_UNAVAILABLE,
+                retry_after=retry_after,
+                extra=(("Retry-After", str(retry_after)),),
+            )
         status, body = answer
         return json_response(status, body)
 

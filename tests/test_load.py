@@ -768,3 +768,66 @@ def test_stopping_shard_answers_its_held_proxied_poll(shard_pair) -> None:
     assert not poller.is_alive()
     assert stopped_in < 2.0
     assert answers == [(503, "draining")]
+
+
+def test_a_poll_for_a_suspect_owners_job_is_503_and_wait_retries(
+    shard_pair, monkeypatch
+) -> None:
+    """While shard 1 holds shard 0 suspect, a poll for shard 0's job through
+    shard 1 is not "unknown job": it answers 503 ``peer_unavailable`` with a
+    Retry-After, and ``ServiceClient.wait`` polls again within its budget."""
+    import urllib.error
+    import urllib.request
+
+    from _helpers import TEST_INSTRUCTIONS, TEST_SEED
+
+    from repro.exp.runner import SimJob
+    from repro.service import server
+    from repro.sim.configs import fmc_hash
+    from repro.workloads.suite import quick_fp_suite
+
+    monkeypatch.setattr(server, "SUSPECT_RETRY_SECONDS", 1.0)
+    services, clients = shard_pair
+    job = SimJob(fmc_hash(), quick_fp_suite().members[0], TEST_INSTRUCTIONS, TEST_SEED + 70)
+    receipt = clients[0].submit(cases=[job])
+    assert receipt.job_id.startswith("job-s0-")
+    clients[0].wait(receipt.job_id, timeout=120)
+    for _ in range(server.SUSPECT_AFTER):
+        services[1]._peer_failed(0)
+
+    url = f"{clients[1].base_url}/v1/jobs/{receipt.job_id}"
+    with pytest.raises(urllib.error.HTTPError) as info:
+        urllib.request.urlopen(url, timeout=10)
+    with info.value as answer:
+        assert answer.code == 503
+        assert int(answer.headers["Retry-After"]) >= 1
+        body = json.loads(answer.read().decode("utf-8"))
+    assert body["payload"]["code"] == "peer_unavailable"
+    assert body["payload"]["retry_after"] >= 1
+
+    view = clients[1].wait(receipt.job_id, timeout=30)
+    assert view["status"] == "completed"
+    assert view["job_id"] == receipt.job_id
+
+
+def test_free_port_probe_closes_the_socket_of_a_taken_port(monkeypatch) -> None:
+    """A candidate block with a taken port is skipped without leaking the
+    socket whose bind() failed."""
+    import gc
+    import random
+    import socket
+    import warnings
+
+    with socket.socket() as spare:
+        spare.bind(("127.0.0.1", 0))
+        free = spare.getsockname()[1]
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        candidates = iter([taken.getsockname()[1], free])
+        monkeypatch.setattr(random.Random, "randrange", lambda self, low, high: next(candidates))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _free_port_block(1) == free
+            gc.collect()
+    assert not [warning for warning in caught if issubclass(warning.category, ResourceWarning)]

@@ -9,7 +9,9 @@ oversubscription on small hosts.  These tests pin the fixes:
 * parallel execution returns bit-identical results to serial execution,
   under both the fork and the spawn start method, and writes nothing to
   stderr,
-* the pool is reused across batches and torn down by ``close()``, and
+* the pool is reused across batches and torn down by ``close()``,
+* a child killed mid-batch fails that batch at once, and the next batch
+  runs on a fresh pool, and
 * on a synthetic slow job (sleep-based, so concurrency is real even on a
   single-CPU host) the pool actually delivers wall-clock speedup.
 """
@@ -18,9 +20,13 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
+import signal
 import subprocess
 import sys
+import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from _helpers import TEST_INSTRUCTIONS, TEST_SEED, subprocess_env
@@ -68,7 +74,7 @@ def test_parallel_results_bit_identical_to_serial(monkeypatch):
     jobs = _jobs(4)
     serial = ExperimentRunner(jobs=1).run_batch(jobs)
     monkeypatch.setattr(runner_module, "available_cpus", lambda: 2)
-    with ExperimentRunner(jobs=2, start_method="fork") as parallel_runner:
+    with ExperimentRunner(jobs=2, children="fork") as parallel_runner:
         parallel = parallel_runner.run_batch(jobs)
         assert parallel_runner._pool is not None
     assert serial.keys() == parallel.keys()
@@ -81,7 +87,7 @@ def test_pool_is_reused_across_batches_and_closed(monkeypatch):
     """One pool serves batches of different sizes -- including batches
     smaller than the worker cap, which must not trigger a re-fork."""
     monkeypatch.setattr(runner_module, "available_cpus", lambda: 3)
-    runner = ExperimentRunner(jobs=3, start_method="fork")
+    runner = ExperimentRunner(jobs=3, children="fork")
     try:
         runner.run_batch(_jobs(4))
         first_pool = runner._pool
@@ -128,7 +134,7 @@ def test_synthetic_slow_job_sees_parallel_speedup(monkeypatch):
     serial = ExperimentRunner(jobs=1).run_batch(jobs)
     serial_seconds = time.perf_counter() - started
 
-    with ExperimentRunner(jobs=4, start_method="fork") as runner:
+    with ExperimentRunner(jobs=4, children="fork") as runner:
         started = time.perf_counter()
         parallel = runner.run_batch(jobs)
         parallel_seconds = time.perf_counter() - started
@@ -138,6 +144,49 @@ def test_synthetic_slow_job_sees_parallel_speedup(monkeypatch):
     assert parallel_seconds < serial_seconds
     speedup = serial_seconds / parallel_seconds
     assert speedup > 1.5, f"pool dispatch overhead ate the speedup ({speedup:.2f}x)"
+
+
+def _stalled_run_job(job: SimJob) -> CoreResult:
+    time.sleep(60.0)
+    raise AssertionError("a stalled job was never meant to finish")
+
+
+@needs_fork
+def test_a_killed_child_fails_the_batch_at_once_and_the_next_batch_runs(monkeypatch):
+    """SIGKILL one of two children mid-batch: the batch must raise within
+    seconds (a ``multiprocessing.Pool`` map waited forever), and the next
+    batch runs on a freshly started pool."""
+    real_run_job = runner_module.run_job
+    monkeypatch.setattr(runner_module, "available_cpus", lambda: 2)
+    monkeypatch.setattr(runner_module, "run_job", _stalled_run_job)
+    jobs = _jobs(4)
+    outcome = {}
+
+    def run_batch() -> None:
+        try:
+            runner.run_batch(jobs)
+        except BaseException as error:  # noqa: BLE001 -- inspected below
+            outcome["error"] = error
+
+    with ExperimentRunner(jobs=2, children="fork") as runner:
+        batch = threading.Thread(target=run_batch)
+        batch.start()
+        deadline = time.monotonic() + 30
+        while runner._pool is None or len(runner._pool._processes or {}) < 2:
+            assert time.monotonic() < deadline, "the pool never started"
+            time.sleep(0.02)
+        time.sleep(0.5)
+        killed = time.monotonic()
+        os.kill(next(iter(runner._pool._processes)), signal.SIGKILL)
+        batch.join(timeout=10)
+        assert not batch.is_alive(), "run_batch hung after a child died"
+        assert time.monotonic() - killed < 10
+        assert isinstance(outcome.get("error"), BrokenProcessPool), outcome
+        assert runner._pool is None
+
+        monkeypatch.setattr(runner_module, "run_job", real_run_job)
+        results = runner.run_batch(jobs)
+    assert results == ExperimentRunner(jobs=1).run_batch(jobs)
 
 
 @needs_fork
@@ -173,7 +222,7 @@ def test_pool_tasks_record_no_spans_unless_the_parent_records(monkeypatch):
     monkeypatch.setattr(spans, "merge", lambda entries: shipped.append(list(entries)))
     monkeypatch.setattr(runner_module, "available_cpus", lambda: 2)
     drive_before = phases.snapshot().get("drive", 0.0)
-    with ExperimentRunner(jobs=2, start_method="fork") as runner:
+    with ExperimentRunner(jobs=2, children="fork") as runner:
         runner.run_batch(_jobs(4))
     assert shipped == [[], [], [], []]
     assert phases.snapshot().get("drive", 0.0) > drive_before
@@ -194,7 +243,7 @@ batches = [
      for member in suite]
     for suite in (quick_fp_suite(), quick_int_suite())
 ]
-with ExperimentRunner(jobs=2, start_method=sys.argv[1]) as runner:
+with ExperimentRunner(jobs=2, children=sys.argv[1]) as runner:
     results = [runner.run_batch(batch) for batch in batches]
 print(json.dumps([{{key: r.to_dict() for key, r in batch.items()}} for batch in results]))
 """
