@@ -264,6 +264,17 @@ def _pool_worker(
     return key, payload, (phase_delta, spans.drain_after(mark))
 
 
+def _kill_pool(pool: ProcessPoolExecutor, wait: bool) -> None:
+    """SIGKILL an executor's children, then shut it down.
+
+    The executor has no public way to kill its children before Python 3.14
+    (``kill_workers``), so this reaches for its process table.
+    """
+    for process in list((pool._processes or {}).values()):
+        process.kill()
+    pool.shutdown(wait=wait, cancel_futures=True)
+
+
 def _relabel(result: CoreResult, machine_name: str) -> CoreResult:
     """Restore a machine's display name on a shared (name-agnostic) result.
 
@@ -297,7 +308,9 @@ class ExperimentRunner:
     mid-batch breaks the pool: the batch raises
     :class:`~concurrent.futures.process.BrokenProcessPool` at once and the
     next batch starts a fresh pool.  Every child watches its parent and
-    exits when the parent dies, however it dies.
+    exits when the parent dies, however it dies.  :meth:`close` may be
+    called from any thread; ``close(final=True)`` also retires the runner,
+    which then starts no children again.
 
     Parameters
     ----------
@@ -338,6 +351,11 @@ class ExperimentRunner:
         #: Lazily created worker pool, reused across batches until close().
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers = 0
+        #: Held while a pool starts, takes a batch or closes, so a close
+        #: from another thread kills every child the pool has started.
+        self._pool_lock = threading.Lock()
+        #: Set by ``close(final=True)``: no pool starts after it.
+        self._retired = False
 
     # ------------------------------------------------------------------
     # Pool lifecycle
@@ -354,41 +372,40 @@ class ExperimentRunner:
         return min(self.jobs, available_cpus())
 
     def _ensure_pool(self, workers: int) -> ProcessPoolExecutor:
+        """The pool, started on first use; call with ``_pool_lock`` held."""
+        if self._retired:
+            raise RuntimeError("this runner was closed for good; it starts no children")
         if self._pool is not None and self._pool_workers != workers:
-            self.close()
+            _kill_pool(self._pool, wait=True)
+            self._pool = None
         if self._pool is None:
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(
+            self._pool = ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context(self.children),
                 initializer=_watch_parent,
             )
-            self._pool = pool
             self._pool_workers = workers
-            # A spawning executor starts a child per task that finds none
-            # idle; start them all at once with a no-op each, so no later
-            # batch waits for a child to boot.
-            for started in [pool.submit(int) for _ in range(workers)]:
-                started.result()
         return self._pool
 
-    def close(self, wait: bool = True) -> None:
+    def close(self, wait: bool = True, *, final: bool = False) -> None:
         """SIGKILL the reusable pool's children and drop the pool (idempotent).
 
-        ``wait=False`` returns without joining, so any thread may call it
-        while another is blocked on the pool: that batch raises
-        ``BrokenProcessPool`` at once, and the next batch starts a fresh
-        pool.  This is how a timed-out or shut-down service job stops: its
-        simulation dies with its child instead of running on unobserved.
+        Any thread may call it while another is blocked on the pool: that
+        batch raises ``BrokenProcessPool`` at once, and the next batch
+        starts a fresh pool -- unless ``final`` retired the runner, when a
+        batch that needs children raises :class:`RuntimeError` instead.
+        ``wait=False`` returns without joining the dead children.  This is
+        how a timed-out or shut-down service job stops: its simulation dies
+        with its child instead of running on unobserved, and it can start
+        no other.
         """
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            # The executor has no public way to kill its children before
-            # Python 3.14 (`kill_workers`), so reach for its process table.
-            for process in list((pool._processes or {}).values()):
-                process.kill()
-            pool.shutdown(wait=wait, cancel_futures=True)
+        with self._pool_lock:
+            self._retired = self._retired or final
+            pool, self._pool = self._pool, None
+            if pool is not None:
+                _kill_pool(pool, wait)
 
     def __enter__(self) -> "ExperimentRunner":
         return self
@@ -454,9 +471,13 @@ class ExperimentRunner:
             if injector is None or not injector.should("kill_worker", key=doomed):
                 doomed = None
             try:
-                pool = self._ensure_pool(workers)
-                task = partial(_pool_worker, spans.recording(), doomed)
-                pairs = list(pool.map(task, ordered, chunksize=-(-len(ordered) // workers)))
+                with self._pool_lock:
+                    # The map submits every chunk (starting the children
+                    # it needs) before it returns; only waiting is unlocked.
+                    pool = self._ensure_pool(workers)
+                    task = partial(_pool_worker, spans.recording(), doomed)
+                    chunks = pool.map(task, ordered, chunksize=-(-len(ordered) // workers))
+                pairs = list(chunks)
             except BaseException:
                 # A dead child breaks the whole pool (and Ctrl-C leaves it
                 # mid-batch); drop it so the next batch -- or a supervised

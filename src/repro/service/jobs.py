@@ -21,16 +21,17 @@
   by stride scheduling so saturated tenants receive work shares proportional
   to their configured weights, and
 * a **worker pool**: ``workers`` asyncio tasks, each asking the scheduler
-  for the next job.  Each worker owns, for its lifetime, one
+  for the next job.  Each worker owns one
   :class:`~repro.exp.runner.ExperimentRunner` over the *shared*
   :class:`~repro.exp.cache.ResultCache`, whose ``max(1, sim_jobs)``
   spawned child processes run every simulation, and one daemon thread
   that drives that runner, so the event loop never blocks on a job and
-  the server's interpreter never simulates.  Daemon (rather than
-  executor) threads matter for shutdown: a ``concurrent.futures`` pool's
-  non-daemon threads are joined at interpreter exit, so Ctrl-C on
-  ``repro serve`` would hang until a running ``--full`` campaign
-  finished.
+  the server's interpreter never simulates.  Both last until the worker
+  stops, or until a job times out, which swaps in a fresh pair.  Daemon
+  (rather than executor) threads matter for shutdown: a
+  ``concurrent.futures`` pool's non-daemon threads are joined at
+  interpreter exit, so Ctrl-C on ``repro serve`` would hang until a
+  running ``--full`` campaign finished.
 
 A case batch whose every case is already in the result cache never
 queues: :meth:`JobManager.submit` answers it at admission, completed with
@@ -213,21 +214,47 @@ class JobState:
     attempts: int = 0
     #: How many later identical submissions were folded into this job.
     coalesced_submissions: int = 0
-    #: Progress of the latest attempt: simulations run and cache hits.
+    #: Progress of the latest attempt once it has ended (:meth:`settle`):
+    #: simulations run and cache hits.  While it runs, :meth:`progress`
+    #: reads them live from ``runner``.
     executed_jobs: int = 0
     cache_hits: int = 0
     #: A case batch's cache lookups made at admission (key -> result, or
     #: ``None`` for the first miss); the worker does not repeat them.
     probed: Optional[Dict[str, Optional[CoreResult]]] = field(default=None, repr=False)
-    #: The runner of the worker executing this job, set at dispatch.
+    #: The runner of the worker running the latest attempt, and its
+    #: counters when that attempt started (``None`` once it has ended).
     runner: Optional[ExperimentRunner] = field(default=None, repr=False)
+    baseline: Optional[Tuple[int, int]] = None
     finished: asyncio.Event = field(default_factory=asyncio.Event, repr=False)
+
+    def track(self, runner: ExperimentRunner) -> None:
+        """Start counting an attempt's progress on ``runner``, which
+        outlives the job and may have run other jobs before it."""
+        self.runner = runner
+        self.baseline = (runner.executed_jobs, runner.cache_hits)
+
+    def progress(self) -> Tuple[int, int]:
+        """``(simulations run, cache hits)`` of the latest attempt, so far."""
+        if self.runner is None or self.baseline is None:
+            return self.executed_jobs, self.cache_hits
+        return (
+            self.runner.executed_jobs - self.baseline[0],
+            self.runner.cache_hits - self.baseline[1],
+        )
+
+    def settle(self) -> None:
+        """Freeze the attempt's progress; a timed-out attempt that goes on
+        running unobserved no longer counts."""
+        self.executed_jobs, self.cache_hits = self.progress()
+        self.baseline = None
 
     def view(self, include_result: bool = True) -> Dict[str, Any]:
         """The job's wire status document (``GET /v1/jobs/{id}``)."""
         elapsed = None
         if self.started_monotonic is not None:
             elapsed = (self.finished_monotonic or time.monotonic()) - self.started_monotonic
+        executed_jobs, cache_hits = self.progress()
         document: Dict[str, Any] = {
             "job_id": self.job_id,
             "status": self.status.value,
@@ -247,10 +274,7 @@ class JobState:
             "elapsed_seconds": elapsed,
             "coalesced_submissions": self.coalesced_submissions,
             "attempts": self.attempts,
-            "progress": {
-                "executed_jobs": self.executed_jobs,
-                "cache_hits": self.cache_hits,
-            },
+            "progress": {"executed_jobs": executed_jobs, "cache_hits": cache_hits},
             "error": self.error,
             "error_code": self.error_code,
         }
@@ -262,23 +286,34 @@ class JobState:
 class _WorkerLane:
     """One service worker's execution side: its runner and its thread.
 
-    The runner lives as long as the worker, and so do its spawned
-    children: jobs reuse them.  The one daemon thread runs the worker's
-    jobs one at a time (:meth:`run`), so the blocking parts of a job --
-    cache I/O, a figure's plan and reduce, waiting on the children --
-    stay off the event loop without a thread per attempt.
+    The runner lives as long as the lane, and so do its spawned children:
+    jobs reuse them.  The one daemon thread runs the lane's calls one at a
+    time (:meth:`run`), so the blocking parts of a job -- cache I/O, a
+    figure's plan and reduce, waiting on the children -- stay off the
+    event loop without a thread per attempt.  A call that overruns the
+    job timeout is given up (:meth:`abandon`) wherever it is: its runner
+    is closed for good, killing its children, and the lane carries on with
+    a fresh runner and thread, so the worker's next job starts at once.
     """
 
-    def __init__(self, runner: ExperimentRunner, name: str) -> None:
-        self.runner = runner
-        self._calls: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
-        threading.Thread(target=self._serve, name=name, daemon=True).start()
+    def __init__(self, make_runner: Callable[[], ExperimentRunner], name: str) -> None:
+        self._make_runner = make_runner
+        self._name = name
+        self._open()
 
-    def _serve(self) -> None:
+    def _open(self) -> None:
+        self.runner = self._make_runner()
+        self._calls: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+        threading.Thread(
+            target=self._serve, args=(self._calls,), name=self._name, daemon=True
+        ).start()
+
+    @staticmethod
+    def _serve(calls: "queue.SimpleQueue[Any]") -> None:
         while True:
-            item = self._calls.get()
+            item = calls.get()
             if item is None:
-                break
+                return
             loop, future, call = item
             if future.done():
                 continue  # timed out or cancelled while it waited its turn
@@ -303,8 +338,6 @@ class _WorkerLane:
                 loop.call_soon_threadsafe(outcome)
             except RuntimeError:
                 pass  # loop already closed during shutdown; result is moot
-        # A job still running at stop() may have started a fresh pool.
-        self.runner.close()
 
     def run(self, call: Callable[[], Any]) -> "asyncio.Future[Any]":
         """Queue ``call`` for this lane's thread; await the returned future."""
@@ -313,13 +346,27 @@ class _WorkerLane:
         self._calls.put((loop, future, call))
         return future
 
+    def abandon(self) -> None:
+        """Give up on the running call: kill the runner's children without
+        waiting, and go on with a fresh runner and thread.
+
+        The old thread ends once its call returns; the call can start no
+        simulation, because its runner is closed for good.
+        """
+        self._close(wait=False)
+        self._open()
+
     def stop(self) -> None:
-        """Kill and reap the children; the thread ends after its current call.
+        """Kill and reap the children and retire the runner; the thread
+        ends after its current call.
 
         Reaping before the server exits leaves no pool half torn down for
         interpreter exit to race with, and after the kill it is quick.
         """
-        self.runner.close()
+        self._close(wait=True)
+
+    def _close(self, wait: bool) -> None:
+        self.runner.close(wait=wait, final=True)
         self._calls.put(None)
 
 
@@ -422,10 +469,10 @@ class JobManager:
         """
         self._lanes = [
             _WorkerLane(
-                ExperimentRunner(jobs=self.sim_jobs, cache=self.cache, children="spawn"),
+                partial(ExperimentRunner, jobs=self.sim_jobs, cache=self.cache, children="spawn"),
                 name="repro-worker",
             )
-            for index in range(self.workers)
+            for _ in range(self.workers)
         ]
         self._worker_tasks = [
             asyncio.create_task(self._worker_loop(lane), name=f"repro-service-worker-{index}")
@@ -656,6 +703,8 @@ class JobManager:
             state.probed = None
             accounting.inc("completed")
             accounting.add_sims(0, state.cache_hits)
+            # No queue-wait or service-time sample: those summaries describe
+            # queued work, and the service-time mean sets its Retry-After.
             if self.journal is not None:
                 self.journal.completed(state)
             self._remember_result(state)
@@ -741,7 +790,6 @@ class JobManager:
         while True:
             state = await self._next_job()
             accounting = self.scheduler.accounting(state.tenant)
-            state.runner = lane.runner
             state.status = JobStatus.RUNNING
             state.started_at = time.time()
             state.started_monotonic = time.monotonic()
@@ -786,6 +834,7 @@ class JobManager:
                 accounting.service_time.record(service_seconds)
                 if state.status is JobStatus.COMPLETED:
                     self._remember_result(state)
+                state.settle()
                 accounting.add_sims(state.executed_jobs, state.cache_hits)
                 state.probed = None
                 log.info(
@@ -810,11 +859,13 @@ class JobManager:
 
         Each attempt runs :meth:`_execute` on the worker's thread, whose
         runner's children do the simulating.  A configured ``job_timeout``
-        bounds each attempt's wall clock; on expiry the worker's children
-        are killed -- the simulation dies instead of running on unobserved,
-        and the worker's next job starts on fresh children -- and the job
-        fails with :class:`JobTimeoutError`, *not* retried (a second
-        attempt would very likely time out too).
+        bounds each attempt's wall clock; on expiry the worker's lane is
+        abandoned (:meth:`_WorkerLane.abandon`) wherever the attempt is, in
+        a simulation or not: its children are killed, so the simulation dies
+        instead of running on unobserved and the attempt can start no other,
+        and the worker's next job starts at once on a fresh runner and
+        thread.  The job fails with :class:`JobTimeoutError`, *not* retried
+        (a second attempt would very likely time out too).
 
         Retryable failures (see :func:`is_retryable`: a dead child breaks
         the pool with ``BrokenProcessPool``) are re-run, on a freshly
@@ -825,12 +876,14 @@ class JobManager:
         attempt = 0
         while True:
             state.attempts = attempt + 1
+            state.track(lane.runner)
             try:
                 return await asyncio.wait_for(
                     lane.run(partial(self._execute, state)), self.job_timeout
                 )
             except asyncio.TimeoutError:
-                lane.runner.close(wait=False)
+                state.settle()
+                lane.abandon()
                 raise JobTimeoutError(
                     f"job exceeded the {self.job_timeout:g}s execution timeout "
                     f"(attempt {attempt + 1})"
@@ -867,37 +920,33 @@ class JobManager:
     def _execute(self, state: JobState) -> Any:
         """Run one attempt of a job on its worker's thread; returns the payload.
 
-        The worker's runner (``state.runner``) lives as long as the worker,
-        so the job's progress is the change in the runner's counters over
-        this attempt.  A case batch hands the runner its admission-time
-        cache lookups (``state.probed``), which are not repeated.  Every
-        miss simulates in one of the runner's spawned children; the chaos
-        harness's ``kill_worker`` fault SIGKILLs that child mid-job (see
-        :meth:`~repro.exp.runner.ExperimentRunner._execute`), and the dead
-        pool's ``BrokenProcessPool`` is what the supervisor retries.
+        The worker's runner (``state.runner``) outlives the job, so the
+        job's progress is the change in that runner's counters over this
+        attempt (see :meth:`JobState.track`).  A case batch hands the runner
+        its admission-time cache lookups (``state.probed``), which are not
+        repeated.  Every miss simulates in one of the runner's spawned
+        children; the chaos harness's ``kill_worker`` fault SIGKILLs that
+        child mid-job (see :meth:`~repro.exp.runner.ExperimentRunner._execute`),
+        and the dead pool's ``BrokenProcessPool`` is what the supervisor
+        retries.
         """
         runner = state.runner
         hook = self.pre_execute
         if hook is not None:
             hook(state)
-        executed, cache_hits = runner.executed_jobs, runner.cache_hits
         request = state.request
-        try:
-            if request.figure is not None:
-                spec = experiment_by_name(request.figure)
-                context = campaign_context(
-                    full=request.full,
-                    instructions=request.instructions,
-                    seed=request.seed,
-                    runner=runner,
-                    policy=request.policy,
-                )
-                return to_jsonable(context.run(spec.plan(context)))
-            batch = runner.run_batch(list(request.cases), probed=state.probed)
-            return {key: result.to_dict() for key, result in batch.items()}
-        finally:
-            state.executed_jobs = runner.executed_jobs - executed
-            state.cache_hits = runner.cache_hits - cache_hits
+        if request.figure is not None:
+            spec = experiment_by_name(request.figure)
+            context = campaign_context(
+                full=request.full,
+                instructions=request.instructions,
+                seed=request.seed,
+                runner=runner,
+                policy=request.policy,
+            )
+            return to_jsonable(context.run(spec.plan(context)))
+        batch = runner.run_batch(list(request.cases), probed=state.probed)
+        return {key: result.to_dict() for key, result in batch.items()}
 
     # -- lookups -------------------------------------------------------
 

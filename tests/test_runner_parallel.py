@@ -11,7 +11,7 @@ oversubscription on small hosts.  These tests pin the fixes:
   stderr,
 * the pool is reused across batches and torn down by ``close()``,
 * a child killed mid-batch fails that batch at once, and the next batch
-  runs on a fresh pool, and
+  runs on a fresh pool, while a runner closed for good starts none, and
 * on a synthetic slow job (sleep-based, so concurrency is real even on a
   single-CPU host) the pool actually delivers wall-clock speedup.
 """
@@ -187,6 +187,24 @@ def test_a_killed_child_fails_the_batch_at_once_and_the_next_batch_runs(monkeypa
         monkeypatch.setattr(runner_module, "run_job", real_run_job)
         results = runner.run_batch(jobs)
     assert results == ExperimentRunner(jobs=1).run_batch(jobs)
+
+
+@needs_fork
+def test_a_runner_closed_for_good_starts_no_children(monkeypatch):
+    """``close(final=True)`` -- how the service gives up on a timed-out job,
+    wherever its thread is -- kills the children, and a later batch that
+    needs children raises instead of starting a fresh pool."""
+    monkeypatch.setattr(runner_module, "available_cpus", lambda: 2)
+    runner = ExperimentRunner(jobs=2, children="fork")
+    runner.run_batch(_jobs(2))
+    children = list(runner._pool._processes.values())
+    assert children
+    runner.close(final=True)
+    assert [child.exitcode for child in children] == [-signal.SIGKILL] * len(children)
+    with pytest.raises(RuntimeError, match="closed for good"):
+        runner.run_batch(_jobs(4)[2:])
+    assert runner._pool is None
+    assert runner.executed_jobs == 2
 
 
 @needs_fork

@@ -2,7 +2,9 @@
 
 Each service worker owns one runner whose spawned children run every
 simulation.  They must never outlive the server, however it stops; a
-timed-out job's child is killed rather than left running; and the chaos
+timed-out job's child is killed rather than left running, and the
+worker's next job runs at once wherever the timed-out attempt was; a
+job's progress is its own share of the runner's counters; and the chaos
 harness's ``kill_worker`` fault kills a real child, which the supervisor
 retries past on fresh children.
 """
@@ -13,6 +15,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -21,10 +24,12 @@ from _helpers import TEST_INSTRUCTIONS, subprocess_env
 from test_service import WAIT_TIMEOUT, running_service
 
 from repro.common.errors import ServiceError
-from repro.exp.runner import SimJob
+from repro.exp.request import JobRequest
+from repro.exp.runner import ExperimentRunner, SimJob
 from repro.faults import FaultInjector, FaultSpec, install
 from repro.load.bench import _free_port_block
 from repro.service.client import ServiceClient
+from repro.service.jobs import JobState
 from repro.sim.configs import fmc_hash
 from repro.workloads.suite import quick_fp_suite
 
@@ -160,6 +165,62 @@ def test_a_timed_out_job_kills_its_child_and_the_next_job_runs(tmp_path) -> None
         view = client.run(cases=_cases(51)[:1], timeout=WAIT_TIMEOUT)
         assert view["progress"]["executed_jobs"] == 1
         assert time.monotonic() - started < 15.0
+
+
+def test_a_job_timed_out_outside_a_simulation_frees_its_worker(tmp_path) -> None:
+    """The timeout fires while the attempt holds the worker's thread but
+    runs no simulation (a figure's reduce, cache I/O; here a stall before
+    the runner).  The worker's next job must still run at once, and the
+    abandoned attempt, once it goes on, must start no simulation."""
+    stalled = _cases(70)[:1]
+    release = threading.Event()
+    held = []
+
+    def stall(state) -> None:
+        if state.request.cases == tuple(stalled):
+            held.append(threading.current_thread())
+            release.wait(timeout=60)
+
+    with running_service(tmp_path / "cache", job_timeout=2.0) as (svc, client):
+        svc.manager.pre_execute = stall
+        receipt = client.submit(cases=stalled)
+        with pytest.raises(ServiceError, match="timeout"):
+            client.wait(receipt.job_id, timeout=WAIT_TIMEOUT)
+        assert held, "the stalled job never reached its worker's thread"
+
+        started = time.monotonic()
+        view = client.run(cases=_cases(71)[:1], timeout=WAIT_TIMEOUT)
+        assert view["status"] == "completed"
+        assert view["progress"]["executed_jobs"] == 1
+        assert time.monotonic() - started < 15.0
+
+        release.set()
+        held[0].join(timeout=10)
+        assert not held[0].is_alive()
+        assert svc.manager.cache.get(stalled[0].key()) is None
+        assert client.status(receipt.job_id)["progress"]["executed_jobs"] == 0
+
+
+def test_a_running_jobs_progress_is_its_share_of_the_runner() -> None:
+    """The worker's runner outlives its jobs: a job's progress is what its
+    runner counted since the attempt began, live while it runs and frozen
+    once it ends."""
+    runner = ExperimentRunner()
+    runner.executed_jobs, runner.cache_hits = 5, 7  # earlier jobs' work
+    state = JobState(
+        job_id="job-000001",
+        request=JobRequest(cases=tuple(_cases(80)[:1])),
+        key="0" * 64,
+        submitted_at=time.time(),
+    )
+    state.track(runner)
+    assert state.view()["progress"] == {"executed_jobs": 0, "cache_hits": 0}
+    runner.executed_jobs += 1
+    runner.cache_hits += 2
+    assert state.view()["progress"] == {"executed_jobs": 1, "cache_hits": 2}
+    state.settle()
+    runner.executed_jobs += 10  # the worker's next job
+    assert state.view()["progress"] == {"executed_jobs": 1, "cache_hits": 2}
 
 
 def test_kill_worker_kills_a_real_child_and_the_retry_succeeds(tmp_path) -> None:
